@@ -9,31 +9,19 @@
 package repro_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/preprocess"
-	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/svm"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 	"repro/internal/xgb"
 )
 
@@ -541,262 +529,4 @@ func BenchmarkServingXGB(b *testing.B) {
 		}
 		b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 	})
-}
-
-// BenchmarkFleetThroughput measures the full serving loop at several fleet
-// sizes: telemetry for every job is ingested sample by sample and a batched
-// inference tick fires every six seconds of simulated time. Custom metrics
-// report sustained ingest ("samples/s") and classification ("cls/s")
-// throughput — the serving-path baseline for future PRs.
-func BenchmarkFleetThroughput(b *testing.B) {
-	const tickEvery = 54 // samples between ticks: six seconds at 9 Hz
-	scaler, model, window, sensors, series := servingSeries(b, tickEvery)
-	nSamples := window + tickEvery
-
-	for _, jobs := range []int{16, 64, 256} {
-		b.Run(map[int]string{16: "jobs16", 64: "jobs64", 256: "jobs256"}[jobs], func(b *testing.B) {
-			b.ReportAllocs()
-			var ingested, classed uint64
-			for i := 0; i < b.N; i++ {
-				m, err := fleet.New(fleet.Config{
-					Window: window, Sensors: sensors, Scaler: scaler, Model: model,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for t := 0; t < nSamples; t++ {
-					for k := 0; k < jobs; k++ {
-						if err := m.Ingest(k, series[k%len(series)][t]); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if t%tickEvery == tickEvery-1 {
-						if _, err := m.Tick(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				ingested += m.SamplesIngested()
-				classed += m.Classifications()
-			}
-			sec := b.Elapsed().Seconds()
-			b.ReportMetric(float64(ingested)/sec, "samples/s")
-			b.ReportMetric(float64(classed)/sec, "cls/s")
-		})
-	}
-}
-
-// servingSeries builds the shared fixture of the fleet-serving
-// benchmarks: a scaler fitted on the challenge windows, the RF-Cov
-// serving model, and one replayable sample series per sufficiently long
-// simulated job (window + tickEvery samples each).
-func servingSeries(b *testing.B, tickEvery int) (*preprocess.StandardScaler, *forest.Classifier, int, int, [][][]float64) {
-	b.Helper()
-	fixtures(b)
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(fixMid.Train.X.Flatten()); err != nil {
-		b.Fatal(err)
-	}
-	model := forest.New(forest.Config{NumTrees: 50, Bootstrap: true, Seed: 1})
-	if err := model.Fit(fixCov.TrainX, fixCov.TrainY, int(telemetry.NumClasses)); err != nil {
-		b.Fatal(err)
-	}
-	window, sensors := fixMid.Train.X.T, fixMid.Train.X.C
-	nSamples := window + tickEvery
-	minDur := float64(nSamples)*telemetry.GPUSampleDT + 1
-	var sources []*telemetry.Job
-	for _, j := range fixSim.Jobs() {
-		if j.Duration >= minDur {
-			sources = append(sources, j)
-		}
-	}
-	if len(sources) == 0 {
-		b.Fatal("no streamable jobs")
-	}
-	series := make([][][]float64, len(sources))
-	for si, j := range sources {
-		w, err := j.GPUWindow(0, 0, nSamples)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := make([][]float64, nSamples)
-		for t := 0; t < nSamples; t++ {
-			rows[t] = w.Row(t)
-		}
-		series[si] = rows
-	}
-	return &scaler, model, window, sensors, series
-}
-
-// BenchmarkShardedIngest measures the sharded serving core (internal/shard)
-// at 1/2/4/8 shards: 256 jobs ingested from GOMAXPROCS concurrent
-// goroutines while every shard runs its own 1ms tick loop — the serving
-// configuration wccserve -listen runs. Against BenchmarkFleetThroughput's
-// single monitor the sharded core parallelises both ingest (disjoint
-// registries) and inference (independent tick loops); the "samples/s"
-// metric is the acceptance number — on multi-core hardware 4+ shards
-// should beat the single-monitor benchmark by ≥2×. On a single core the
-// curve is flat: sharding buys parallelism, not cycles.
-func BenchmarkShardedIngest(b *testing.B) {
-	const tickEvery = 54
-	scaler, model, window, sensors, series := servingSeries(b, tickEvery)
-	nSamples := window + tickEvery
-	const jobs = 256
-	workers := runtime.GOMAXPROCS(0)
-	if workers > jobs {
-		workers = jobs
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var ingested, classed uint64
-			for i := 0; i < b.N; i++ {
-				core, err := shard.New(shard.Config{
-					Window: window, Sensors: sensors, Scaler: scaler, Model: model, Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tickErrCh := make(chan error, 1)
-				stop := make(chan struct{})
-				ticksDone := make(chan struct{})
-				go func() {
-					defer close(ticksDone)
-					core.Run(stop, time.Millisecond, func(st shard.ShardTick) {
-						if st.Err != nil {
-							select {
-							case tickErrCh <- st.Err:
-							default:
-							}
-						}
-					})
-				}()
-				var wg sync.WaitGroup
-				ingestErr := make(chan error, workers)
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for t := 0; t < nSamples; t++ {
-							for k := w; k < jobs; k += workers {
-								if err := core.Ingest(k, series[k%len(series)][t]); err != nil {
-									select {
-									case ingestErr <- err:
-									default:
-									}
-									return
-								}
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				close(stop)
-				<-ticksDone
-				select {
-				case err := <-ingestErr:
-					b.Fatal(err)
-				default:
-				}
-				select {
-				case err := <-tickErrCh:
-					b.Fatal(err)
-				default:
-				}
-				if _, err := core.Tick(); err != nil {
-					b.Fatal(err)
-				}
-				ingested += core.SamplesIngested()
-				classed += core.Classifications()
-			}
-			sec := b.Elapsed().Seconds()
-			b.ReportMetric(float64(ingested)/sec, "samples/s")
-			b.ReportMetric(float64(classed)/sec, "cls/s")
-		})
-	}
-}
-
-// serverIngestBench measures the HTTP serving layer end to end: batched
-// ingest over a real loopback connection into the bounded queue,
-// worker-pool ingest, and per-request accounting — the acceptance path
-// cmd/wccload drives at scale. The payload is one 256-sample batch spread
-// over 32 jobs, replayed repeatedly, encoded in the requested framing.
-func serverIngestBench(b *testing.B, contentType string) {
-	fixtures(b)
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(fixMid.Train.X.Flatten()); err != nil {
-		b.Fatal(err)
-	}
-	model := forest.New(forest.Config{NumTrees: 20, Bootstrap: true, Seed: 1})
-	if err := model.Fit(fixCov.TrainX, fixCov.TrainY, int(telemetry.NumClasses)); err != nil {
-		b.Fatal(err)
-	}
-	window, sensors := fixMid.Train.X.T, fixMid.Train.X.C
-	m, err := fleet.New(fleet.Config{Window: window, Sensors: sensors, Scaler: &scaler, Model: model})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Monitor: m, TickEvery: 10 * time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	const lines, jobs = 256, 32
-	src := fixSim.Jobs()[0]
-	w, err := src.GPUWindow(0, 0, lines)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var payload []byte
-	if contentType == wire.IngestContentType {
-		for t := 0; t < lines; t++ {
-			payload = wire.AppendIngestRecord(payload, int64(t%jobs), w.Row(t))
-		}
-	} else {
-		var body bytes.Buffer
-		for t := 0; t < lines; t++ {
-			line, err := json.Marshal(struct {
-				Job    int       `json:"job"`
-				Values []float64 `json:"values"`
-			}{t % jobs, w.Row(t)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			body.Write(line)
-			body.WriteByte('\n')
-		}
-		payload = body.Bytes()
-	}
-	client := &http.Client{}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.SetBytes(int64(len(payload)))
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(ts.URL+"/v1/ingest", contentType, bytes.NewReader(payload))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-	}
-	b.ReportMetric(float64(lines)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
-// BenchmarkServerIngestHTTP is the NDJSON framing over the serving layer.
-func BenchmarkServerIngestHTTP(b *testing.B) {
-	serverIngestBench(b, "application/x-ndjson")
-}
-
-// BenchmarkServerIngestHTTPBinary is the same path under the
-// length-prefixed binary framing (internal/wire).
-func BenchmarkServerIngestHTTPBinary(b *testing.B) {
-	serverIngestBench(b, wire.IngestContentType)
 }

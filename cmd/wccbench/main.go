@@ -8,8 +8,8 @@
 //	wccbench -preset scaled -table ablations -v
 //
 // Tables: 1, 2 (prints II and III), 4, 5, 6, 7 (prints VII-IX), xgb,
-// ablations, all. Beyond the paper tables, -table serve runs a
-// serving-plane ingest throughput check over both wire framings.
+// ablations, all. Serving-plane performance is measured by go run
+// ./benchmark (see benchmark/README.md).
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	preset := flag.String("preset", "scaled", "experiment preset: smoke, scaled or full")
-	table := flag.String("table", "all", "which table to regenerate: 1, 2, 4, 5, 6, 7, xgb, fused, ablations, all — or serve for the ingest-framing throughput check")
+	table := flag.String("table", "all", "which table to regenerate: 1, 2, 4, 5, 6, 7, xgb, fused, ablations, all")
 	verbose := flag.Bool("v", false, "log per-cell progress")
 	rnnEpochs := flag.Int("rnn-epochs", 0, "override the preset's RNN epoch count")
 	rnnMaxTrain := flag.Int("rnn-max-train", 0, "override the preset's RNN training-trials cap")
@@ -56,16 +56,6 @@ func run(presetName, table string, verbose bool, rnnEpochs, rnnMaxTrain, rnnStri
 		logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
 		}
-	}
-
-	// The serving throughput check needs no simulator or paper tables;
-	// handle it before the heavyweight setup.
-	if table == "serve" {
-		fmt.Println("serving-plane ingest throughput (in-process HTTP, both framings):")
-		if err := runServeBench(); err != nil {
-			return err
-		}
-		return nil
 	}
 
 	sim, err := core.NewSimulator(p)

@@ -1,57 +1,46 @@
-// Command wccserve demonstrates the serving path: it obtains the paper's
-// best baseline — either trained offline at startup, or loaded in
-// milliseconds from a .wcc artifact written by wcctrain -o /
-// repro.SaveModel — and serves it from the sharded core (internal/shard):
-// jobs hash to independent monitor shards (-shards, default GOMAXPROCS),
-// each ticking on its own goroutine. The replay demo streams live
-// telemetry for a configurable number of concurrent jobs through the core
-// and reports serving throughput — samples/sec ingested,
-// classifications/sec produced by the batched inference ticks, and
-// per-shard tick latency percentiles.
+// Command wccserve is the serving process: it obtains the paper's best
+// baseline — either trained offline at startup, or loaded in milliseconds
+// from a .wcc artifact written by wcctrain -o / repro.SaveModel — and
+// serves it over the HTTP API (see internal/server; docs/API.md is the full
+// reference) from the sharded core (internal/shard): jobs hash to
+// independent monitor shards (-shards, default GOMAXPROCS), each ticking on
+// its own goroutine.
 //
 // Usage:
 //
-//	wccserve -jobs 256 -seconds 75
-//	wccserve -jobs 64 -scale 0.05 -trees 50 -workers 8 -tick 10ms -shards 4
-//	wccserve -model rf-cov.wcc -jobs 256 -seconds 75
+//	wccserve
+//	wccserve -scale 0.05 -trees 50 -workers 8 -tick 10ms -shards 4
 //	wccserve -model rf-cov.wcc -listen 127.0.0.1:8077 -shards 8
 //
+// The API offers NDJSON or binary batch ingest with bounded-queue
+// backpressure, prediction reads, /healthz and /metrics with per-shard
+// series. SIGINT/SIGTERM drains gracefully — queued batches land, then a
+// final inference tick flushes pending windows on every shard before exit.
+// cmd/wccload is the matching load generator; it reports ingest throughput,
+// live accuracy, rejection quality and drift score over HTTP.
+//
 // With -model no training happens: the artifact supplies the classifier,
-// the scaler, the window shape, and the simulation provenance for the
-// replay. While serving, the artifact path is polled (-model-poll) and a
-// replaced artifact — detected by its section CRCs, so even a same-size,
-// same-mtime rewrite is caught — is hot-swapped into the live fleet with
-// zero downtime, installing on every shard atomically.
+// the scaler, the drift calibration and the window shape. While serving,
+// the artifact path is polled (-model-poll) and a replaced artifact —
+// detected by its section CRCs, so even a same-size, same-mtime rewrite is
+// caught — is hot-swapped into the live fleet with zero downtime,
+// installing on every shard atomically.
 //
-// With -listen the internal replay is skipped entirely and the fleet is
-// served over the HTTP API (see internal/server; docs/API.md is the full
-// reference): NDJSON batch ingest with bounded-queue backpressure,
-// prediction reads, /healthz and /metrics with per-shard series. The
-// artifact watcher keeps hot-swapping while the API serves; SIGINT/SIGTERM
-// drains gracefully — queued batches land, then a final inference tick
-// flushes pending windows on every shard before exit. cmd/wccload is the
-// matching load generator.
-//
-// With -cluster (requires -listen and -model) the process joins an N-node
-// serving fleet: jobs hash across nodes, ingest for peer-owned jobs is
-// forwarded over the binary peer protocol, job reads redirect to the
-// owner, and a changed artifact rolls out fleet-wide via the two-phase
+// With -cluster (requires -model) the process joins an N-node serving
+// fleet: jobs hash across nodes, ingest for peer-owned jobs is forwarded
+// over the binary peer protocol, job reads redirect to the owner, and a
+// changed artifact rolls out fleet-wide via the two-phase
 // replicate/prepare/commit control plane (see internal/cluster and
 // docs/API.md):
 //
 //	wccserve -model rf-cov.wcc -listen :8077 \
 //	    -cluster http://n0:8077,http://n1:8077,http://n2:8077 -node 0
-//
-// When -jobs exceeds the simulated population of sufficiently long jobs,
-// telemetry series are fanned out to multiple fleet job IDs, so arbitrarily
-// large fleets can be driven from a small simulation.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -59,9 +48,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -69,7 +56,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/artifact"
 	"repro/internal/cluster"
-	"repro/internal/drift"
 	"repro/internal/events"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -77,25 +63,21 @@ import (
 )
 
 func main() {
-	jobs := flag.Int("jobs", 64, "replay demo: number of concurrent jobs to monitor (ignored with -listen)")
-	scale := flag.Float64("scale", 0.08, "simulation scale, 1.0 = the paper's 3,430 jobs; with -model only a fallback for artifacts lacking provenance")
-	seed := flag.Int64("seed", 1, "simulation and training seed; with -model only a fallback for artifacts lacking provenance")
-	trees := flag.Int("trees", 100, "random-forest ensemble size (training startup, i.e. without -model)")
-	start := flag.Float64("start", 120, "replay demo: job time at which replay begins (skips the class-agnostic startup phase)")
-	seconds := flag.Float64("seconds", 75, "replay demo: seconds of telemetry to replay per job (ignored with -listen)")
+	scale := flag.Float64("scale", 0.08, "training startup (without -model): simulation scale, 1.0 = the paper's 3,430 jobs")
+	seed := flag.Int64("seed", 1, "training startup (without -model): simulation and training seed; with -adapt: the flywheel's sampling seed")
+	trees := flag.Int("trees", 100, "training startup (without -model): random-forest ensemble size")
 	shards := flag.Int("shards", 0, "serving-core shards: independent monitors with their own tick loops (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "ingest goroutines: replay-demo senders, or the -listen ingest worker pool")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "ingest worker pool size")
 	tick := flag.Duration("tick", 10*time.Millisecond, "per-shard batched inference interval")
 	model := flag.String("model", "", "serve this .wcc artifact instead of training at startup")
 	modelPoll := flag.Duration("model-poll", 2*time.Second, "with -model: poll interval for hot-swapping a changed artifact (0 disables)")
-	listen := flag.String("listen", "", "serve the HTTP API on this address instead of running the replay demo")
-	debugAddr := flag.String("debug-addr", "", "with -listen: mount net/http/pprof on this separate address (off by default; keep it loopback-only)")
-	evictAfter := flag.Duration("evict-after", 0, "with -listen: evict jobs idle longer than this (0 disables)")
-	unknownFrac := flag.Float64("unknown-frac", 0, "replay demo: fraction of fleet jobs driven from out-of-distribution workload profiles (scored on rejection when the model carries a drift calibration)")
-	clusterURLs := flag.String("cluster", "", "with -listen and -model: comma-separated base URLs of every cluster node in ID order; this process becomes node -node of that fleet")
+	listen := flag.String("listen", "127.0.0.1:8077", "serve the HTTP API on this address")
+	debugAddr := flag.String("debug-addr", "", "mount net/http/pprof on this separate address (off by default; keep it loopback-only)")
+	evictAfter := flag.Duration("evict-after", 0, "evict jobs idle longer than this (0 disables)")
+	clusterURLs := flag.String("cluster", "", "with -model: comma-separated base URLs of every cluster node in ID order; this process becomes node -node of that fleet")
 	clusterNode := flag.Int("node", 0, "with -cluster: this process's node ID (index into the -cluster list)")
 	clusterDir := flag.String("cluster-dir", "", "with -cluster: directory for replicated .wcc artifacts (default: a per-node dir under the OS temp dir)")
-	adaptOn := flag.Bool("adapt", false, "with -listen and -model: run the continual-learning flywheel — buffer rejected windows, cluster candidate families, shadow-score a retrained candidate, promote through the hot-swap path (see /v1/adapt)")
+	adaptOn := flag.Bool("adapt", false, "with -model: run the continual-learning flywheel — buffer rejected windows, cluster candidate families, shadow-score a retrained candidate, promote through the hot-swap path (see /v1/adapt)")
 	adaptMinSupport := flag.Int("adapt-min-support", 30, "with -adapt: rejected windows a cluster needs before it becomes a candidate class")
 	adaptRadius := flag.Float64("adapt-radius", 0, "with -adapt: leader-clustering radius in standardised feature space (0 = the calibration's feature-gate cut point; raise it when rejected traffic spans several loose archetypes that should fold into one family)")
 	adaptAuto := flag.Bool("adapt-auto-promote", false, "with -adapt: promote automatically when the shadow candidate passes the quality gate")
@@ -107,10 +89,9 @@ func main() {
 	flag.Parse()
 
 	if err := run(config{
-		jobs: *jobs, scale: *scale, seed: *seed, trees: *trees,
-		start: *start, seconds: *seconds, shards: *shards, workers: *workers,
+		scale: *scale, seed: *seed, trees: *trees, shards: *shards, workers: *workers,
 		tick: *tick, model: *model, modelPoll: *modelPoll,
-		listen: *listen, debugAddr: *debugAddr, evictAfter: *evictAfter, unknownFrac: *unknownFrac,
+		listen: *listen, debugAddr: *debugAddr, evictAfter: *evictAfter,
 		cluster: *clusterURLs, node: *clusterNode, clusterDir: *clusterDir,
 		adapt: *adaptOn, adaptMinSupport: *adaptMinSupport, adaptRadius: *adaptRadius, adaptAuto: *adaptAuto,
 		adaptEvery: *adaptEvery, adaptShadowMin: *adaptShadowMin, adaptTrees: *adaptTrees,
@@ -122,23 +103,20 @@ func main() {
 }
 
 type config struct {
-	jobs           int
-	scale          float64
-	seed           int64
-	trees          int
-	start, seconds float64
-	shards         int
-	workers        int
-	tick           time.Duration
-	model          string
-	modelPoll      time.Duration
-	listen         string
-	debugAddr      string
-	evictAfter     time.Duration
-	unknownFrac    float64
-	cluster        string
-	node           int
-	clusterDir     string
+	scale      float64
+	seed       int64
+	trees      int
+	shards     int
+	workers    int
+	tick       time.Duration
+	model      string
+	modelPoll  time.Duration
+	listen     string
+	debugAddr  string
+	evictAfter time.Duration
+	cluster    string
+	node       int
+	clusterDir string
 
 	adapt           bool
 	adaptMinSupport int
@@ -151,64 +129,78 @@ type config struct {
 	adaptMaxTest    int
 }
 
-// acquireModel produces the sharded serving core plus the simulator and
-// window shape the replay needs — by training offline (the original path)
-// or by loading an artifact (milliseconds to first classification).
-func acquireModel(c config) (*shard.Core, *repro.LoadedModel, *telemetry.Simulator, int, int, error) {
+// logf is the process's operational log: prefixed lines on standard error.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
+}
+
+// clusterPeers splits the -cluster list into normalised base URLs.
+func clusterPeers(list string) []string {
+	peers := strings.Split(list, ",")
+	for i := range peers {
+		peers[i] = strings.TrimRight(strings.TrimSpace(peers[i]), "/")
+	}
+	return peers
+}
+
+// validate rejects the flag combinations that need no artifact to judge, so
+// a mistyped command line fails before any training or loading starts.
+func validate(c config) error {
+	if c.cluster != "" {
+		if c.model == "" {
+			return fmt.Errorf("-cluster needs -model: the rolling-swap control plane replicates artifacts")
+		}
+		if n := len(clusterPeers(c.cluster)); c.node < 0 || c.node >= n {
+			return fmt.Errorf("-node %d out of range for the %d nodes in -cluster", c.node, n)
+		}
+	}
+	if c.adapt {
+		if c.model == "" {
+			return fmt.Errorf("-adapt needs -model: candidate retraining uses the artifact's provenance")
+		}
+		if c.modelPoll <= 0 {
+			return fmt.Errorf("-adapt needs -model-poll > 0: promotion installs candidates through the artifact watcher")
+		}
+	}
+	return nil
+}
+
+// acquireModel produces the sharded serving core — by training offline, or
+// by loading an artifact (milliseconds to first classification), in which
+// case the loaded model is returned too.
+func acquireModel(c config) (*shard.Core, *repro.LoadedModel, error) {
 	if c.model == "" {
 		fmt.Printf("offline phase: training RF-Cov (%d trees) on 60-middle-1 at scale %.2f...\n", c.trees, c.scale)
 		ds, err := repro.GenerateDataset("60-middle-1", c.scale, c.seed)
 		if err != nil {
-			return nil, nil, nil, 0, 0, err
+			return nil, nil, err
 		}
 		res, err := repro.TrainRFCov(ds, c.trees, c.seed)
 		if err != nil {
-			return nil, nil, nil, 0, 0, err
+			return nil, nil, err
 		}
 		fmt.Printf("  offline test accuracy: %.2f%%\n\n", res.Accuracy*100)
 		monitor, err := repro.NewShardedFleet(ds, res, c.shards)
-		if err != nil {
-			return nil, nil, nil, 0, 0, err
-		}
-		return monitor, nil, ds.Sim, ds.Challenge.Train.X.T, ds.Challenge.Train.X.C, nil
+		return monitor, nil, err
 	}
 
 	t0 := time.Now()
 	lm, err := repro.LoadModel(c.model)
 	if err != nil {
-		return nil, nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	meta := lm.Artifact.Meta
 	fmt.Printf("loaded %s artifact %s in %s (dataset %s, scale %.2f, seed %d, offline accuracy %.2f%%)\n\n",
 		meta.Kind, c.model, time.Since(t0).Round(time.Millisecond), meta.Dataset, meta.Scale, meta.Seed, meta.Accuracy*100)
-
-	// Replay telemetry from the training provenance so live windows come
-	// from the distribution the model saw; flags fill any gaps in older
-	// artifacts.
-	simScale, simSeed := meta.Scale, meta.Seed
-	if simScale <= 0 {
-		simScale = c.scale
-	}
-	if simSeed == 0 {
-		simSeed = c.seed
-	}
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: simSeed, Scale: simScale, GapRate: 1})
-	if err != nil {
-		return nil, nil, nil, 0, 0, err
-	}
 	monitor, err := lm.NewShardedFleet(c.shards)
-	if err != nil {
-		return nil, nil, nil, 0, 0, err
-	}
-	return monitor, lm, sim, meta.Window, meta.Sensors, nil
+	return monitor, lm, err
 }
 
-// watchConfig builds the artifact-watcher configuration shared by the
-// replay demo and the HTTP serving mode: replacement detection by section
-// CRCs (artifact identity, not os.Stat, so same-size same-mtime rewrites
-// are caught), and a scaler/window compatibility gate because per-job
-// window state survives the swap.
-func watchConfig(c config, monitor server.Monitor, lm *repro.LoadedModel) server.WatchConfig {
+// watchConfig builds the artifact-watcher configuration: replacement
+// detection by section CRCs (artifact identity, not os.Stat, so same-size
+// same-mtime rewrites are caught), and a scaler/window compatibility gate
+// because per-job window state survives the swap.
+func watchConfig(c config, monitor server.Monitor, lm *repro.LoadedModel, srv *server.Server) server.WatchConfig {
 	return server.WatchConfig{
 		Path:    c.model,
 		Every:   c.modelPoll,
@@ -217,22 +209,28 @@ func watchConfig(c config, monitor server.Monitor, lm *repro.LoadedModel) server
 		Sensors: lm.Artifact.Meta.Sensors,
 		Scaler:  lm.Artifact.Scaler,
 		OnSwap: func(meta artifact.Metadata) {
+			// A promoted adapt candidate widens the class set; prediction
+			// responses must name the novel classes as soon as the swap lands.
+			if len(meta.ClassNames) > 0 {
+				srv.SetClassNames(meta.ClassNames)
+			}
 			fmt.Printf("hot-swapped %s model (accuracy %.2f%%) into the live fleet\n", meta.Kind, meta.Accuracy*100)
 		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
-		},
+		Logf: logf,
 	}
 }
 
-// serveHTTP is the -listen mode: the fleet behind the HTTP API, the
-// artifact watcher hot-swapping underneath, and a graceful drain on
-// SIGINT/SIGTERM.
-func serveHTTP(c config) error {
-	monitor, lm, _, window, sensors, err := acquireModel(c)
+// run puts the fleet behind the HTTP API, with the artifact watcher
+// hot-swapping underneath and a graceful drain on SIGINT/SIGTERM.
+func run(c config) error {
+	if err := validate(c); err != nil {
+		return err
+	}
+	monitor, lm, err := acquireModel(c)
 	if err != nil {
 		return err
 	}
+	window, sensors := monitor.Window(), monitor.Sensors()
 
 	// Cluster mode: this process becomes one node of a replicated serving
 	// fleet. Ingest routes by job hash (forwarded to the owning peer), job
@@ -241,27 +239,18 @@ func serveHTTP(c config) error {
 	// of swapping locally.
 	var node *cluster.Node
 	if c.cluster != "" {
-		if lm == nil {
-			return fmt.Errorf("-cluster needs -model: the rolling-swap control plane replicates artifacts")
-		}
-		peers := strings.Split(c.cluster, ",")
-		for i := range peers {
-			peers[i] = strings.TrimRight(strings.TrimSpace(peers[i]), "/")
-		}
 		if c.clusterDir == "" {
 			c.clusterDir = filepath.Join(os.TempDir(), fmt.Sprintf("wcc-cluster-node%d", c.node))
 		}
 		node, err = cluster.New(cluster.Config{
 			Self:    c.node,
-			Peers:   peers,
+			Peers:   clusterPeers(c.cluster),
 			Core:    monitor,
 			Dir:     c.clusterDir,
 			Window:  window,
 			Sensors: sensors,
 			Scaler:  lm.Artifact.Scaler,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
-			},
+			Logf:    logf,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster setup: %w", err)
@@ -288,17 +277,8 @@ func serveHTTP(c config) error {
 	// so promotion and a manual `cp new.wcc model.wcc` take the same path.
 	var mgr *adapt.Manager
 	if c.adapt {
-		if lm == nil {
-			return fmt.Errorf("-adapt needs -model: candidate retraining uses the artifact's provenance")
-		}
 		if lm.Artifact.Drift == nil {
 			return fmt.Errorf("-adapt needs a drift calibration in the artifact (train with wcctrain -drift): without open-set rejection nothing feeds the buffer")
-		}
-		if c.modelPoll <= 0 {
-			return fmt.Errorf("-adapt needs -model-poll > 0: promotion installs candidates through the artifact watcher")
-		}
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
 		}
 		mgr, err = adapt.New(adapt.Config{
 			FeatureDim:       adapt.FeatureDimFor(sensors),
@@ -342,9 +322,7 @@ func serveHTTP(c config) error {
 		EvictAfter: c.evictAfter,
 		Events:     bus,
 		Adapt:      mgr,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
-		},
+		Logf:       logf,
 	})
 	if err != nil {
 		return err
@@ -353,22 +331,11 @@ func serveHTTP(c config) error {
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
 	if lm != nil && c.modelPoll > 0 {
-		wc := watchConfig(c, monitor, lm)
+		wc := watchConfig(c, monitor, lm, srv)
 		if node != nil {
 			// A detected artifact change rolls out to every node instead
 			// of swapping only this one.
 			wc.Distribute = node.DistributeFile
-		}
-		// A promoted adapt candidate widens the class set; prediction
-		// responses must name the novel classes as soon as the swap lands.
-		inner := wc.OnSwap
-		wc.OnSwap = func(meta artifact.Metadata) {
-			if len(meta.ClassNames) > 0 {
-				srv.SetClassNames(meta.ClassNames)
-			}
-			if inner != nil {
-				inner(meta)
-			}
 		}
 		go func() {
 			defer close(watchDone)
@@ -466,212 +433,4 @@ func serveHTTP(c config) error {
 		monitor.SamplesIngested(), monitor.NumJobs(), monitor.Classifications(),
 		monitor.Ticks(), monitor.Swaps(), monitor.Evictions())
 	return nil
-}
-
-func run(c config) error {
-	if c.listen != "" {
-		return serveHTTP(c)
-	}
-	if c.jobs < 1 {
-		return fmt.Errorf("need at least one job, got %d", c.jobs)
-	}
-	if c.unknownFrac < 0 || c.unknownFrac > 1 {
-		return fmt.Errorf("-unknown-frac %v must be in [0, 1]", c.unknownFrac)
-	}
-	if c.workers < 1 {
-		c.workers = 1
-	}
-
-	monitor, lm, sim, window, sensors, err := acquireModel(c)
-	if err != nil {
-		return err
-	}
-
-	windowSec := float64(window) * telemetry.GPUSampleDT
-	if c.seconds <= windowSec {
-		return fmt.Errorf("replay horizon %.0fs must exceed the %.0fs window", c.seconds, windowSec)
-	}
-
-	// Source jobs must run long enough to fill a window after the start
-	// offset; replaying mid-job keeps the live windows in the same regime as
-	// the 60-middle training windows.
-	var sources []*telemetry.Job
-	for _, j := range sim.Jobs() {
-		if j.Duration >= c.start+windowSec+1 {
-			sources = append(sources, j)
-		}
-	}
-	if len(sources) == 0 {
-		return fmt.Errorf("no simulated job runs past start %.0fs + the %.0fs window", c.start, windowSec)
-	}
-	// Fleet jobs past mix.IDJobs replay out-of-distribution profiles; the
-	// rest fan out the labelled simulation series.
-	mix, err := telemetry.PlanFleetMix(sources, c.jobs, c.unknownFrac, c.seed)
-	if err != nil {
-		return err
-	}
-	replay, err := telemetry.NewReplay(mix.ReplaySources(), 0, c.start, c.start+c.seconds)
-	if err != nil {
-		return err
-	}
-	fanout := mix.Fanout
-
-	fmt.Printf("live phase: %d fleet jobs (%d out-of-distribution) over %d distinct telemetry series, %dx%d windows, %d shards, %d ingest workers, tick %s\n",
-		c.jobs, mix.UnknownJobs, replay.NumJobs(), window, sensors, monitor.NumShards(), c.workers, c.tick)
-
-	// Artifact watcher: hot-swap a refreshed model while serving.
-	stopWatch := make(chan struct{})
-	watchDone := make(chan struct{})
-	if lm != nil && c.modelPoll > 0 {
-		go func() {
-			defer close(watchDone)
-			server.Watch(stopWatch, watchConfig(c, monitor, lm))
-		}()
-	} else {
-		close(watchDone)
-	}
-
-	// Ingest pipeline: one reader drains the time-ordered replay and routes
-	// samples to workers by fleet job ID, preserving per-job sample order.
-	type msg struct {
-		id     int
-		values []float64
-	}
-	chans := make([]chan msg, c.workers)
-	for i := range chans {
-		chans[i] = make(chan msg, 1024)
-	}
-	var ingestWG sync.WaitGroup
-	ingestErr := make(chan error, c.workers)
-	for i := range chans {
-		ingestWG.Add(1)
-		go func(ch chan msg) {
-			defer ingestWG.Done()
-			for m := range ch {
-				if err := monitor.Ingest(m.id, m.values); err != nil {
-					select {
-					case ingestErr <- err:
-					default:
-					}
-					for range ch {
-						// Keep draining so the producer never blocks on a
-						// full channel after a worker fails.
-					}
-					return
-				}
-			}
-		}(chans[i])
-	}
-
-	// Per-shard tick loops: batched inference on every shard at a fixed
-	// cadence, on independent goroutines, while ingest runs.
-	var tickMu sync.Mutex
-	var tickDurations []time.Duration
-	var tickErr error
-	stopTicks := make(chan struct{})
-	ticksDone := make(chan struct{})
-	go func() {
-		defer close(ticksDone)
-		monitor.Run(stopTicks, c.tick, func(st shard.ShardTick) {
-			tickMu.Lock()
-			if st.Err != nil && tickErr == nil {
-				tickErr = st.Err
-			}
-			tickDurations = append(tickDurations, st.Dur)
-			tickMu.Unlock()
-		})
-	}()
-
-	wallStart := time.Now()
-	for {
-		s, ok := replay.Next()
-		if !ok {
-			break
-		}
-		for _, id := range fanout[s.JobID] {
-			chans[id%c.workers] <- msg{id: id, values: s.Values}
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	ingestWG.Wait()
-	close(stopTicks)
-	<-ticksDone
-	if tickErr != nil {
-		return tickErr
-	}
-	select {
-	case err := <-ingestErr:
-		return err
-	default:
-	}
-	// Final tick classifies whatever arrived after the last cadence tick.
-	t0 := time.Now()
-	if _, err := monitor.Tick(); err != nil {
-		return err
-	}
-	tickDurations = append(tickDurations, time.Since(t0))
-	elapsed := time.Since(wallStart)
-	close(stopWatch)
-	<-watchDone
-
-	ingested := monitor.SamplesIngested()
-	classed := monitor.Classifications()
-	fmt.Printf("\nreplayed %d samples into %d jobs in %s\n", ingested, monitor.NumJobs(), elapsed.Round(time.Millisecond))
-	fmt.Printf("  ingest throughput:  %.0f samples/sec\n", float64(ingested)/elapsed.Seconds())
-	fmt.Printf("  classifications:    %d (%.0f classifications/sec over %d ticks)\n",
-		classed, float64(classed)/elapsed.Seconds(), monitor.Ticks())
-	fmt.Printf("  tick latency:       p50 %s  p95 %s  max %s\n",
-		percentile(tickDurations, 0.50), percentile(tickDurations, 0.95), percentile(tickDurations, 1.0))
-	if n := monitor.Swaps(); n > 0 {
-		fmt.Printf("  model hot-swaps:    %d\n", n)
-	}
-
-	// Live accuracy over the labelled jobs, and open-set rejection quality
-	// over the injected unknowns (when the model carries a calibration).
-	correct, scored := 0, 0
-	var tally drift.RejectionTally
-	for k := 0; k < c.jobs; k++ {
-		pred, ok := monitor.Prediction(k)
-		if !ok {
-			continue
-		}
-		tally.Add(mix.IsUnknown(k), pred.Open != nil && pred.Open.Rejected)
-		if mix.IsUnknown(k) {
-			continue
-		}
-		scored++
-		if telemetry.Class(pred.Class) == mix.Sources[k%len(mix.Sources)].Class {
-			correct++
-		}
-	}
-	if scored > 0 {
-		fmt.Printf("  live accuracy:      %.1f%% (%d/%d labelled jobs classified)\n",
-			100*float64(correct)/float64(scored), scored, mix.IDJobs)
-	}
-	if st := monitor.DriftStats(); st.Enabled {
-		fmt.Printf("  drift score:        %.3f (max per-sensor PSI, %d unknown verdicts)\n", st.Score, st.Unknowns)
-		fmt.Print(tally.Report())
-	} else if mix.UnknownJobs > 0 {
-		fmt.Printf("  note: %d out-of-distribution jobs injected but the model carries no drift calibration (train with wcctrain -drift)\n", mix.UnknownJobs)
-	}
-	return nil
-}
-
-// percentile returns the q-quantile of the observed durations (nearest-rank).
-func percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i].Round(time.Microsecond)
 }

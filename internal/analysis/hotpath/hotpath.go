@@ -1,6 +1,6 @@
 // Package hotpath checks that functions annotated //wcc:hotpath — the
 // per-sample serving-plane kernels whose zero-allocation behavior PR 6
-// measured and BENCH_BASELINE.json only guards within ±25% — stay free of
+// measured and the benchmark only bounds within a tolerance — stay free of
 // categorically-allocating constructs. The AST walk catches the class of
 // regression at review time; the per-package testing.AllocsPerRun == 0
 // gates (see hotpath_cover_test.go at the repo root for the pinning rule)

@@ -3,8 +3,8 @@
 // the preprocessing statistics it was trained under and provenance metadata,
 // so a datacenter can train offline once and serve the model continuously —
 // wcctrain -o writes artifacts, wccserve -model serves them, and
-// fleet.Monitor.SwapClassifier rolls a refreshed artifact into a live fleet
-// with zero downtime.
+// shard.Core.SwapClassifierDrift rolls a refreshed artifact into a live
+// fleet with zero downtime.
 //
 // # File layout (format version 1)
 //

@@ -254,7 +254,7 @@ func New(cfg Config) (*Node, error) {
 }
 
 // Monitor returns the node's cluster-routed monitor: a server.Monitor
-// (and server.Sharded) whose Ingest routes each sample by job ownership —
+// whose Ingest routes each sample by job ownership —
 // locally owned jobs ingest into the node's own core, foreign jobs are
 // forwarded to their owning peer. Everything else (ticks, reads, swaps,
 // counters) is the local core untouched.
@@ -263,7 +263,7 @@ func (n *Node) Monitor() server.Monitor {
 }
 
 // routedMonitor wraps the local sharded core with ownership routing on
-// the ingest path. Embedding keeps the full Monitor/Sharded surface —
+// the ingest path. Embedding keeps the full Monitor surface —
 // per-shard tick loops and shard-labelled metrics still work — while
 // Ingest alone is intercepted.
 type routedMonitor struct {
@@ -271,7 +271,7 @@ type routedMonitor struct {
 	n *Node
 }
 
-var _ server.Sharded = (*routedMonitor)(nil)
+var _ server.Monitor = (*routedMonitor)(nil)
 
 // Ingest routes one sample: into the local core when this node owns the
 // job, onto the owner's forwarding queue otherwise. The forward path

@@ -256,17 +256,6 @@ func TestSwapClassifierDriftCoherence(t *testing.T) {
 	if !ok || pred.Open != nil {
 		t.Fatalf("prediction after disabling drift: %+v (ok %v)", pred, ok)
 	}
-
-	// SwapClassifier alone leaves the calibration untouched.
-	if err := m.SwapClassifierDrift(model, cal); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SwapClassifier(model); err != nil {
-		t.Fatal(err)
-	}
-	if !m.DriftEnabled() {
-		t.Fatal("model-only swap dropped the calibration")
-	}
 }
 
 // TestDriftConfigValidation pins construction-time checks.

@@ -256,7 +256,7 @@ func TestEventsSwapAdvancesGeneration(t *testing.T) {
 	if _, err := m.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SwapClassifier(model); err != nil {
+	if err := m.SwapClassifierDrift(model, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range jobSamples(2, testWindow) {

@@ -15,10 +15,10 @@
 //   - a batched inference engine (Tick) that coalesces every window that
 //     changed since the last tick into a single N×F feature matrix and runs
 //     one batched PredictProba call instead of N single-row calls;
-//   - a zero-downtime model refresh (SwapClassifier) that installs a
-//     retrained classifier between inference ticks — the in-flight batch
-//     finishes on the old model, ingest never stalls, and no tick mixes
-//     predictions from two models;
+//   - a zero-downtime model refresh (SwapClassifierDrift) that installs a
+//     retrained classifier and its drift calibration between inference
+//     ticks — the in-flight batch finishes on the old model, ingest never
+//     stalls, and no tick mixes predictions from two models;
 //   - job lifecycle: EndJob releases a finished job's slot and returns its
 //     final prediction, EvictIdle garbage-collects jobs whose producers
 //     went away, and Snapshot gives operators a read-only, ID-sorted view
@@ -37,9 +37,8 @@
 // not predictions.
 //
 // One Monitor still serialises inference on a single tick mutex; package
-// shard partitions jobs across many Monitors with independent tick loops
-// when that becomes the bottleneck, and package server puts the HTTP API
-// in front of either.
+// shard partitions jobs across many Monitors with independent tick loops,
+// and package server puts the HTTP API in front of that sharded core.
 package fleet
 
 import (
@@ -103,9 +102,6 @@ type Config struct {
 	// Model classifies embedded windows. When it also implements
 	// BatchClassifier, ticks use the batched path.
 	Model stream.Classifier
-	// Shards is the registry shard count (default 32). More shards spread
-	// ingest lock contention; the count is fixed at construction.
-	Shards int
 	// Drift, when non-nil, enables open-set detection and input-drift
 	// monitoring: every tick annotates predictions with open-set scores
 	// and a rejected flag from the calibrated threshold, and every
@@ -120,6 +116,10 @@ type Config struct {
 	// time.Now.
 	Now func() time.Time
 }
+
+// registryStripes is the registry shard count: the lock granularity of
+// concurrent ingest. DESIGN.md §9 has the measurement behind the value.
+const registryStripes = 32
 
 // jobState is one job's slot in the registry, guarded by its shard's mutex.
 type jobState struct {
@@ -192,9 +192,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("fleet: nil model")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 32
-	}
 	if err := validateDrift(cfg.Drift, cfg.Sensors); err != nil {
 		return nil, err
 	}
@@ -202,15 +199,13 @@ func New(cfg Config) (*Monitor, error) {
 		cfg:    cfg,
 		dim:    preprocess.CovarianceDim(cfg.Sensors),
 		dcal:   cfg.Drift,
-		shards: make([]*shard, cfg.Shards),
+		shards: make([]*shard, registryStripes),
 		now:    cfg.Now,
 	}
 	if m.now == nil {
 		m.now = time.Now
 	}
-	if b, ok := cfg.Model.(BatchClassifier); ok {
-		m.batch = b
-	}
+	m.installModel(cfg.Model)
 	for i := range m.shards {
 		m.shards[i] = &shard{jobs: make(map[int]*jobState)}
 		if cfg.Drift != nil {
@@ -456,41 +451,19 @@ func (m *Monitor) Tick() (TickStats, error) {
 	return stats, nil
 }
 
-// SwapClassifier atomically installs a new model for all subsequent ticks —
+// SwapClassifierDrift atomically installs a new model, together with its
+// own drift calibration (nil disables detection), for all subsequent ticks —
 // the zero-downtime refresh path for a retrained artifact rolling into a
 // live fleet. The swap serialises on the tick mutex: an in-flight batched
 // inference pass finishes on the old model, the new model takes effect at
-// the next tick, and no tick ever mixes the two. Ingest never touches the
+// the next tick, and no tick ever mixes the two or scores one model's
+// probabilities against another model's thresholds. Ingest never touches the
 // model, so sample collection proceeds untouched throughout. Per-job window
 // state is preserved across the swap; the new model must therefore consume
 // the same feature layout (and the same scaler statistics) the fleet's
-// embedders were built with.
-//
-// The drift calibration is left untouched — correct only when the model
-// itself is unchanged in distribution. A retrained artifact carries its
-// own calibration; roll it in with SwapClassifierDrift so open-set
-// verdicts are never scored against another model's thresholds.
-//
-// Safe to call from any goroutine, concurrently with Ingest and Tick.
-func (m *Monitor) SwapClassifier(model stream.Classifier) error {
-	if model == nil {
-		return errors.New("fleet: cannot swap in a nil model")
-	}
-	m.tickMu.Lock()
-	defer m.tickMu.Unlock()
-	m.installModel(model)
-	m.swaps.Add(1)
-	m.publishSwap(model)
-	return nil
-}
-
-// SwapClassifierDrift is SwapClassifier plus the model's own drift
-// calibration (nil disables detection): both install under the tick mutex,
-// so no inference pass ever scores one model's probabilities against
-// another model's thresholds. The accumulated drift histograms reset —
-// they were binned against the outgoing reference — so PSI reporting
-// restarts cleanly for the new generation; the Unknowns counter stays
-// monotonic.
+// embedders were built with. The accumulated drift histograms reset — they
+// were binned against the outgoing reference — so PSI reporting restarts
+// cleanly for the new generation; the Unknowns counter stays monotonic.
 //
 // Safe to call from any goroutine, concurrently with Ingest, Tick and the
 // DriftStats read surface.
@@ -564,7 +537,7 @@ func (m *Monitor) SetTraceRecorder(r *trace.Recorder) {
 }
 
 // installModel sets the serving model and its batched fast path; callers
-// hold tickMu.
+// hold tickMu (New excepted: the monitor is not shared yet).
 func (m *Monitor) installModel(model stream.Classifier) {
 	m.cfg.Model = model
 	m.batch = nil

@@ -111,7 +111,7 @@ func TestFleetMatchesMonitorConcurrent(t *testing.T) {
 	const jobs = 80
 	const perJob = testWindow*2 + 3 // past wraparound
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: 8})
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
 	if _, err := m.Tick(); err == nil {
 		t.Fatal("tick should surface the row-count mismatch")
 	}
-	if err := m.SwapClassifier(model); err != nil {
+	if err := m.SwapClassifierDrift(model, nil); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := m.Tick()
@@ -237,7 +237,7 @@ func TestEndJobAndReRegister(t *testing.T) {
 // re-ingest.
 func TestEvictIdleShrinksRegistry(t *testing.T) {
 	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: 4})
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestEvictIdleShrinksRegistry(t *testing.T) {
 // snapshot endpoint is built on.
 func TestSnapshotView(t *testing.T) {
 	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: 4})
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

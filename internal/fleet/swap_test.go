@@ -46,7 +46,7 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 	const phase1 = testWindow + 2 // full window plus wraparound
 	const phase2 = 5
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA, Shards: 8})
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 	}
 
 	// Swap while the background ticker is still running.
-	if err := m.SwapClassifier(modelB); err != nil {
+	if err := m.SwapClassifierDrift(modelB, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.Swaps(); n != 1 {
@@ -153,7 +153,7 @@ func TestSwapNeverTearsATick(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := m.SwapClassifier(models[i%2]); err != nil {
+				if err := m.SwapClassifierDrift(models[i%2], nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -214,7 +214,7 @@ func TestSwapValidationAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SwapClassifier(nil); err == nil {
+	if err := m.SwapClassifierDrift(nil, nil); err == nil {
 		t.Fatal("nil swap should fail")
 	}
 	if m.Swaps() != 0 {
@@ -223,7 +223,7 @@ func TestSwapValidationAndFallback(t *testing.T) {
 
 	// Swapping to a model without the batched fast path downgrades to the
 	// multi-row PredictProba fallback — and still matches the baseline.
-	if err := m.SwapClassifier(unbatched{modelB}); err != nil {
+	if err := m.SwapClassifierDrift(unbatched{modelB}, nil); err != nil {
 		t.Fatal(err)
 	}
 	samples := jobSamples(3, testWindow)
@@ -242,7 +242,7 @@ func TestSwapValidationAndFallback(t *testing.T) {
 	assertSamePrediction(t, 3, got, baseline(t, scaler, modelB, samples))
 
 	// And swapping back restores the batched path.
-	if err := m.SwapClassifier(modelA); err != nil {
+	if err := m.SwapClassifierDrift(modelA, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Swaps() != 2 {

@@ -9,8 +9,8 @@ import (
 
 // TestScoreBlockZeroAlloc pins the //wcc:hotpath contract on the flat
 // forest batch kernel: scoring a block into a caller-provided output
-// matrix allocates nothing. BENCH_BASELINE.json only guards throughput
-// within ±25%; this gate guards the mechanism behind the PR 6 win
+// matrix allocates nothing. The benchmark only bounds throughput within a
+// tolerance; this gate guards the mechanism behind the PR 6 win
 // directly, so an accidental per-row allocation fails loudly instead of
 // hiding inside the regression budget.
 func TestScoreBlockZeroAlloc(t *testing.T) {

@@ -180,35 +180,6 @@ func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// predictProbaBlock scores rows [lo, hi) with tree-outer iteration over the
-// pointer trees. It is the fallback when no flat form was compiled (a
-// zero-value Classifier populated by hand); fitted and decoded forests take
-// flatForest.scoreBlock instead. Every accumulator receives its tree
-// contributions in ensemble order followed by one scaling, exactly as
-// predictProbaInto, so results are bit-identical to the serial path.
-func (f *Classifier) predictProbaBlock(x, out *mat.Matrix, lo, hi int) error {
-	for _, t := range f.trees {
-		for i := lo; i < hi; i++ {
-			p, err := t.PredictProbaRow(x.Row(i))
-			if err != nil {
-				return err
-			}
-			dst := out.Row(i)
-			for c, v := range p {
-				dst[c] += v
-			}
-		}
-	}
-	inv := 1.0 / float64(len(f.trees))
-	for i := lo; i < hi; i++ {
-		dst := out.Row(i)
-		for c := range dst {
-			dst[c] *= inv
-		}
-	}
-	return nil
-}
-
 // PredictProbaBatch is the serving hot path for fleet-scale batched
 // inference: one call scores the whole matrix, splitting rows into
 // contiguous blocks over a bounded worker pool (cfg.Workers, 0 = GOMAXPROCS)
@@ -216,26 +187,17 @@ func (f *Classifier) predictProbaBlock(x, out *mat.Matrix, lo, hi int) error {
 // at Fit/Decode time (see flat.go) — no per-node pointer dereferences.
 // Results are bit-identical to PredictProba.
 func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
-	if len(f.trees) == 0 {
+	if f.flat == nil {
 		return nil, errors.New("forest: not fitted")
 	}
 	if x.Cols != f.numFeats {
 		return nil, fmt.Errorf("forest: %d features, fitted on %d", x.Cols, f.numFeats)
 	}
 	out := mat.New(x.Rows, f.numClasses)
-	if f.flat != nil {
-		_ = mat.ParallelRowBlocks(x.Rows, f.cfg.Workers, func(lo, hi int) error {
-			f.flat.scoreBlock(x, out, lo, hi)
-			return nil
-		})
-		return out, nil
-	}
-	err := mat.ParallelRowBlocks(x.Rows, f.cfg.Workers, func(lo, hi int) error {
-		return f.predictProbaBlock(x, out, lo, hi)
+	_ = mat.ParallelRowBlocks(x.Rows, f.cfg.Workers, func(lo, hi int) error {
+		f.flat.scoreBlock(x, out, lo, hi)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 

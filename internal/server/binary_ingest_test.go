@@ -13,16 +13,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
 // binaryTestServer starts a served fixture fleet whose ticks only happen on
 // Close, so tests control exactly when windows are classified.
-func binaryTestServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
+func binaryTestServer(t *testing.T) (*Server, *shard.Core, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"repro/internal/drift"
-	"repro/internal/fleet"
 	"repro/internal/mat"
+	"repro/internal/shard"
 )
 
 // driftCalibration fits a calibration matched to the server test fixture.
@@ -47,10 +47,10 @@ func driftCalibration(t *testing.T, model interface {
 }
 
 // newDriftServer is newTestServer over a drift-enabled monitor.
-func newDriftServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
+func newDriftServer(t *testing.T) (*Server, *shard.Core, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors,
+	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
 		Scaler: scaler, Model: model, Drift: driftCalibration(t, model)})
 	if err != nil {
 		t.Fatal(err)

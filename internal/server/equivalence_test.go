@@ -16,6 +16,7 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -89,17 +90,12 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 		fleetID[j.ID] = k
 	}
 
-	newMonitor := func() *fleet.Monitor {
-		m, err := fleet.New(fleet.Config{Window: window, Sensors: sensors, Scaler: scaler, Model: model})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
 	// In-process baseline: same replay, direct Ingest, ticks interleaved
 	// mid-stream to prove tick timing cannot change final predictions.
-	inproc := newMonitor()
+	inproc, err := fleet.New(fleet.Config{Window: window, Sensors: sensors, Scaler: scaler, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
 	replay, err := telemetry.NewReplay(sources, 0, start, horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +122,10 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 	// Served fleet: the same replay partitioned across conns concurrent
 	// HTTP clients (a job's samples always ride the same connection, so
 	// per-job order is preserved), while the server ticks every 2ms.
-	served := newMonitor()
+	served, err := shard.New(shard.Config{Shards: 1, Window: window, Sensors: sensors, Scaler: scaler, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := New(Config{Monitor: served, TickEvery: 2 * time.Millisecond, QueueDepth: 64, Workers: 4})
 	if err != nil {
 		t.Fatal(err)

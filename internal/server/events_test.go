@@ -96,7 +96,7 @@ func TestEventsSSEStream(t *testing.T) {
 		lines = append(lines, string(b))
 	}
 	postNDJSON(t, ts.URL, strings.Join(lines, "\n"))
-	if err := s.runTick(fullTick); err != nil {
+	if err := s.runTick(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,7 @@ func TestEventsSSEStream(t *testing.T) {
 	}
 
 	_, model2 := fixture(t)
-	if err := m.SwapClassifier(model2); err != nil {
+	if err := m.SwapClassifierDrift(model2, nil); err != nil {
 		t.Fatal(err)
 	}
 	f = nextFrame(t, frames)
@@ -263,7 +263,7 @@ func TestTraceEndpoint(t *testing.T) {
 		lines = append(lines, string(b))
 	}
 	postNDJSON(t, ts.URL, strings.Join(lines, "\n"))
-	if err := s.runTick(fullTick); err != nil {
+	if err := s.runTick(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +342,7 @@ func TestMetricsStageHistogramAndEventCounters(t *testing.T) {
 		lines = append(lines, string(b))
 	}
 	postNDJSON(t, ts.URL, strings.Join(lines, "\n"))
-	if err := s.runTick(fullTick); err != nil {
+	if err := s.runTick(0); err != nil {
 		t.Fatal(err)
 	}
 

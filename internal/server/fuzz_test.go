@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -155,7 +155,7 @@ func FuzzBinaryIngestFrame(f *testing.F) {
 	f.Add(append(wire.AppendIngestRecord(nil, 3, []float64{math.Inf(1), math.NaN(), -0.0}), 0xde, 0xad))
 
 	scaler, model := fixture(f)
-	m, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func FuzzIngestHTTP(f *testing.F) {
 	f.Add([]byte(`{"job":1,"values":[` + strings.Repeat("1,", 5000) + `1]}`))
 
 	scaler, model := fixture(f)
-	m, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -100,10 +100,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writeStageMetrics(w)
-
-	if s.sharded != nil {
-		s.writeShardMetrics(w)
-	}
+	s.writeShardMetrics(w)
 }
 
 // writeAdaptMetrics renders the continual-learning flywheel's state: the
@@ -168,12 +165,11 @@ func (s *Server) writeStageMetrics(w http.ResponseWriter) {
 	}
 }
 
-// writeShardMetrics renders the per-shard series of a sharded fleet, one
-// HELP/TYPE block per metric with a shard label per series, so a scraper
-// can spot a cold or overloaded shard that the fleet-wide sums average
-// away.
+// writeShardMetrics renders the per-shard series, one HELP/TYPE block per
+// metric with a shard label per series, so a scraper can spot a cold or
+// overloaded shard that the fleet-wide sums average away.
 func (s *Server) writeShardMetrics(w http.ResponseWriter) {
-	per := s.sharded.ShardStats()
+	per := s.m.ShardStats()
 	fmt.Fprintf(w, "# HELP wcc_shards Monitor shards in the serving core.\n# TYPE wcc_shards gauge\nwcc_shards %d\n", len(per))
 	shardCounter := func(name, help string, v func(shard.Stats) uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)

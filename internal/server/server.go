@@ -3,9 +3,9 @@
 // telemetry in, operators and dashboards read classifications out, and the
 // serving process keeps hot-swapping refreshed model artifacts underneath
 // without dropping either side. The fleet behind the API is anything
-// implementing the Monitor contract: a single fleet.Monitor, or the
-// sharded shard.Core, which the serving layer recognises and drives with
-// one independent tick loop per shard plus shard-labelled /metrics.
+// implementing the Monitor contract — the sharded shard.Core, or the
+// cluster's routed wrapper around one — which the serving layer drives
+// with one independent tick loop per shard plus shard-labelled /metrics.
 //
 // docs/API.md is the complete request/response reference for this API.
 // The surface is deliberately small:
@@ -84,14 +84,18 @@ import (
 )
 
 // Monitor is the fleet contract the serving layer drives: concurrent
-// sample ingest, batched inference ticks, prediction and snapshot reads,
-// job lifecycle, zero-downtime model swaps, and the counters /metrics
-// exports. *fleet.Monitor (one registry, one tick loop) and *shard.Core
-// (N monitor shards ticking independently) both implement it.
+// sample ingest, per-shard batched inference ticks, prediction and snapshot
+// reads, job lifecycle, zero-downtime model swaps, and the fleet-wide and
+// per-shard counters /metrics exports. *shard.Core implements it, and
+// internal/cluster wraps one to route ingest by job ownership.
 type Monitor interface {
 	Ingest(jobID int, sample []float64) error
+	// Tick is the whole-fleet pass; the server ticks shard by shard and
+	// never calls it, but benchmark/ drives it through this contract.
 	Tick() (fleet.TickStats, error)
-	SwapClassifier(model stream.Classifier) error
+	NumShards() int
+	TickShard(i int) (fleet.TickStats, error)
+	ShardStats() []shard.Stats
 	SwapClassifierDrift(model stream.Classifier, cal *drift.Calibration) error
 	Prediction(jobID int) (*stream.Prediction, bool)
 	EndJob(jobID int) (*stream.Prediction, bool)
@@ -110,27 +114,16 @@ type Monitor interface {
 	SetTraceRecorder(r *trace.Recorder)
 }
 
-// Sharded is the optional extension a sharded fleet offers. When the
-// configured Monitor implements it, the serving layer runs one tick loop
-// per shard on its own goroutine — no whole-fleet barrier — and /metrics
-// grows shard-labelled series from ShardStats.
-type Sharded interface {
-	Monitor
-	NumShards() int
-	TickShard(i int) (fleet.TickStats, error)
-	ShardStats() []shard.Stats
-}
+// Sharded is the name the frozen benchmark/setup.go uses for the contract;
+// it goes with the next benchmark-archetype PR.
+type Sharded = Monitor
 
-var (
-	_ Monitor = (*fleet.Monitor)(nil)
-	_ Sharded = (*shard.Core)(nil)
-)
+var _ Monitor = (*shard.Core)(nil)
 
 // Config sizes an HTTP serving layer over a fleet monitor.
 type Config struct {
-	// Monitor is the fleet being served — a *fleet.Monitor or, for
-	// per-shard tick loops and shard-labelled metrics, a *shard.Core.
-	// Required.
+	// Monitor is the fleet being served — a *shard.Core, or a wrapper
+	// around one. Required.
 	Monitor Monitor
 	// ClassNames optionally maps class indices to workload names in
 	// prediction responses.
@@ -205,14 +198,13 @@ const maxReportedLineErrors = 64
 // Server is the HTTP serving layer. Build with New, mount Handler on an
 // http.Server, and Close after the listener has shut down.
 type Server struct {
-	cfg     Config
-	m       Monitor
-	sharded Sharded // non-nil when m is a sharded fleet
-	mux     *http.ServeMux
-	queue   chan *ingestBatch
-	stop    chan struct{}
-	start   time.Time
-	now     func() time.Time // injected clock (Config.Now, default time.Now)
+	cfg   Config
+	m     Monitor
+	mux   *http.ServeMux
+	queue chan *ingestBatch
+	stop  chan struct{}
+	start time.Time
+	now   func() time.Time // injected clock (Config.Now, default time.Now)
 
 	// bus and tracer are the observability plane: the monitor publishes
 	// prediction/unknown/swap events into bus and feeds tick-stage spans to
@@ -240,9 +232,8 @@ type Server struct {
 	tickDur  [tickWindow]time.Duration
 	tickN    uint64
 	tickErrs uint64
-	// lastErrs holds each tick loop's most recent error ("" after a
-	// success): one slot for a single monitor, one per shard otherwise,
-	// so one healthy shard cannot clear another's failure.
+	// lastErrs holds each shard's tick loop's most recent error ("" after
+	// a success), so one healthy shard cannot clear another's failure.
 	lastErrs []string
 
 	scrapeMu    sync.Mutex
@@ -280,8 +271,8 @@ type lineError struct {
 	Error string `json:"error"`
 }
 
-// New validates the configuration, starts the ingest workers and the
-// inference tick loop, and returns the serving layer.
+// New validates the configuration, starts the ingest workers and one
+// inference tick loop per shard, and returns the serving layer.
 func New(cfg Config) (*Server, error) {
 	if cfg.Monitor == nil {
 		return nil, errors.New("server: nil monitor")
@@ -333,11 +324,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.m.SetEventSink(s.bus)
 	s.m.SetTraceRecorder(s.tracer)
-	tickLoops := 1
-	if sm, ok := cfg.Monitor.(Sharded); ok {
-		s.sharded = sm
-		tickLoops = sm.NumShards()
-	}
+	tickLoops := s.m.NumShards()
 	s.lastErrs = make([]string, tickLoops)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
@@ -438,9 +425,8 @@ func (s *Server) worker() {
 	}
 }
 
-// tickLoop drives one inference loop. A single monitor gets loop 0 over
-// the whole fleet; a sharded fleet gets one loop per shard, each on its
-// own ticker, so a slow shard's batch delays nobody else's cadence.
+// tickLoop drives one shard's inference loop on its own ticker, so a slow
+// shard's batch delays nobody else's cadence.
 func (s *Server) tickLoop(loop int) {
 	defer s.loopWG.Done()
 	t := time.NewTicker(s.cfg.TickEvery)
@@ -457,15 +443,11 @@ func (s *Server) tickLoop(loop int) {
 	}
 }
 
-// finalTick is the drain's whole-fleet flush. A sharded fleet is ticked
-// shard by shard so each outcome lands in its own lastErrs slot — the
-// fullTick path would misattribute a cross-shard error to loop 0.
+// finalTick is the drain's whole-fleet flush, ticked shard by shard so each
+// outcome lands in its own lastErrs slot.
 func (s *Server) finalTick() error {
-	if s.sharded == nil {
-		return s.runTick(fullTick)
-	}
 	var errs []error
-	for i := 0; i < s.sharded.NumShards(); i++ {
+	for i := 0; i < s.m.NumShards(); i++ {
 		if err := s.runTick(i); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
@@ -473,40 +455,29 @@ func (s *Server) finalTick() error {
 	return errors.Join(errs...)
 }
 
-// runTick performs one timed inference pass and records its latency and
-// error state for /metrics and /healthz. loop selects the shard to tick
-// on a sharded fleet; fullTick runs the unsharded whole-fleet pass.
-const fullTick = -1
-
+// runTick performs one timed inference pass over shard loop and records its
+// latency and error state for /metrics and /healthz.
+//
 //wcc:tickpath latency is measured on the injected s.now clock
 func (s *Server) runTick(loop int) error {
 	t0 := s.now()
-	var err error
-	if s.sharded != nil && loop != fullTick {
-		_, err = s.sharded.TickShard(loop)
-	} else {
-		_, err = s.m.Tick()
-	}
+	_, err := s.m.TickShard(loop)
 	d := s.now().Sub(t0)
-	slot := 0
-	if loop > 0 {
-		slot = loop
-	}
 	s.tickMu.Lock()
 	s.tickDur[s.tickN%tickWindow] = d
 	s.tickN++
-	prevErr := s.lastErrs[slot]
+	prevErr := s.lastErrs[loop]
 	if err != nil {
 		s.tickErrs++
-		s.lastErrs[slot] = err.Error()
+		s.lastErrs[loop] = err.Error()
 	} else {
-		s.lastErrs[slot] = ""
+		s.lastErrs[loop] = ""
 	}
 	s.tickMu.Unlock()
 	// Health is an edge, not a level: emit only when a loop's error state
 	// flips — first failure after successes, first success after a failure.
 	if failed := err != nil; failed == (prevErr == "") {
-		e := events.Event{Type: events.TypeShardHealth, Shard: events.Intp(slot), Healthy: events.Boolp(!failed)}
+		e := events.Event{Type: events.TypeShardHealth, Shard: events.Intp(loop), Healthy: events.Boolp(!failed)}
 		if err != nil {
 			e.Error = err.Error()
 		}
@@ -549,13 +520,9 @@ func (s *Server) lastTickErr() string {
 	defer s.tickMu.Unlock()
 	var parts []string
 	for loop, e := range s.lastErrs {
-		if e == "" {
-			continue
+		if e != "" {
+			parts = append(parts, fmt.Sprintf("shard %d: %s", loop, e))
 		}
-		if s.sharded != nil {
-			e = fmt.Sprintf("shard %d: %s", loop, e)
-		}
-		parts = append(parts, e)
 	}
 	return strings.Join(parts, "; ")
 }
@@ -861,9 +828,8 @@ type HealthResponse struct {
 	Jobs    int    `json:"jobs"`
 	Window  int    `json:"window"`
 	Sensors int    `json:"sensors"`
-	// Shards is the serving core's shard count; absent (0) when a single
-	// unsharded monitor serves the fleet.
-	Shards        int     `json:"shards,omitempty"`
+	// Shards is the serving core's shard count.
+	Shards        int     `json:"shards"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	LastTickError string  `json:"last_tick_error,omitempty"`
 	// Classes maps class indices to workload names when the server was
@@ -881,12 +847,10 @@ func (s *Server) Health() HealthResponse {
 		Jobs:          s.m.NumJobs(),
 		Window:        s.m.Window(),
 		Sensors:       s.m.Sensors(),
+		Shards:        s.m.NumShards(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		LastTickError: lastErr,
 		Classes:       s.ClassNames(),
-	}
-	if s.sharded != nil {
-		resp.Shards = s.sharded.NumShards()
 	}
 	if lastErr != "" {
 		resp.Status = "degraded"

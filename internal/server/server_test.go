@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -104,10 +104,10 @@ func baseline(t testing.TB, scaler *preprocess.StandardScaler, model stream.Clas
 
 // newTestServer builds a monitor + serving layer with a very long tick
 // cadence, so tests control inference timing via runTick and Close.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fleet.Monitor, *httptest.Server) {
+func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *shard.Core, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestIngestErrorAccounting(t *testing.T) {
 	}
 }
 
-func pingTick(m *fleet.Monitor) error {
+func pingTick(m *shard.Core) error {
 	_, err := m.Tick()
 	return err
 }
@@ -287,7 +287,7 @@ func TestReadEndpoints(t *testing.T) {
 	if resp, ir := postNDJSON(t, ts.URL, strings.Join(lines, "\n")); resp.StatusCode != 200 || ir.Accepted != testWindow {
 		t.Fatalf("ingest: %d / %+v", resp.StatusCode, ir)
 	}
-	if err := s.runTick(fullTick); err != nil {
+	if err := s.runTick(0); err != nil {
 		t.Fatal(err)
 	}
 

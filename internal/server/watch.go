@@ -17,9 +17,8 @@ type WatchConfig struct {
 	Path string
 	// Every is the poll interval (default 2s).
 	Every time.Duration
-	// Monitor receives the swapped classifier — a single monitor, or a
-	// sharded core whose SwapClassifier installs the artifact on every
-	// shard atomically.
+	// Monitor receives the swapped classifier: SwapClassifierDrift installs
+	// the artifact's model and calibration on every shard atomically.
 	Monitor Monitor
 	// Window, Sensors and Scaler are the serving fleet's shape and
 	// preprocessing statistics; a replacement artifact must match all

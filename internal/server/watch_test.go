@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/shard"
 )
 
 // saveWatchArtifact writes a .wcc artifact with the given tool string (the
@@ -109,7 +109,7 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 		t.Fatal("replacement artifact has the same content identity")
 	}
 
-	monitor, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
+	monitor, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	path := filepath.Join(dir, "model.wcc")
 	saveWatchArtifact(t, path, scaler, modelA, "watch-test")
 
-	monitor, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
+	monitor, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}

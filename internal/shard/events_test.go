@@ -48,7 +48,7 @@ func TestCoreEventsSingleSwapAllShards(t *testing.T) {
 	if _, err := c.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SwapClassifier(model); err != nil {
+	if err := c.SwapClassifierDrift(model, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,14 +11,14 @@
 //     samples, predictions and lifecycle all live on that shard, so per-job
 //     ordering guarantees are exactly those of a single monitor;
 //   - ticks shards independently: Tick fans one synchronised pass out to
-//     every shard on its own goroutine, TickShard drives one shard alone,
-//     and Run keeps one tick loop per shard running on independent
-//     goroutines until stopped;
+//     every shard on its own goroutine, and TickShard drives one shard
+//     alone — the serving layer runs one tick loop per shard on it;
 //   - aggregates reads: Snapshot merges the per-shard registries into one
 //     ID-sorted view, Tick merges per-shard TickStats, and the counters
 //     (SamplesIngested, Classifications, Ticks, …) sum across shards;
-//   - swaps models atomically fleet-wide: SwapClassifier installs one
-//     classifier on every shard while holding the write side of a lock
+//   - swaps models atomically fleet-wide: SwapClassifierDrift installs one
+//     classifier and its drift calibration on every shard while holding the
+//     write side of a lock
 //     whose read side every tick holds, so a tick anywhere observes either
 //     the old model on all shards or the new one on all shards — never a
 //     torn generation.
@@ -63,9 +63,6 @@ type Config struct {
 	// Shards is the monitor shard count (default GOMAXPROCS, minimum 1).
 	// The count is fixed at construction; job routing depends on it.
 	Shards int
-	// RegistryShards is each monitor's internal registry shard count
-	// (0 = the fleet default). Mostly a testing knob.
-	RegistryShards int
 	// Drift, when non-nil, enables open-set detection and input-drift
 	// monitoring on every shard (see fleet.Config.Drift); DriftStats
 	// merges the per-shard histograms back into one fleet-wide view.
@@ -87,7 +84,7 @@ type Core struct {
 	drift    *drift.Calibration // nil when drift monitoring is disabled
 
 	// swapMu orders ticks against model swaps: every inference pass holds
-	// the read side, SwapClassifier holds the write side while installing
+	// the read side, SwapClassifierDrift holds the write side while installing
 	// the new model on all shards. Ticks on different shards proceed
 	// concurrently (read locks share); no tick overlaps an installation.
 	// Waiting for the per-shard tick goroutines and publishing the swap
@@ -119,7 +116,6 @@ func New(cfg Config) (*Core, error) {
 			Sensors: cfg.Sensors,
 			Scaler:  cfg.Scaler,
 			Model:   cfg.Model,
-			Shards:  cfg.RegistryShards,
 			Drift:   cfg.Drift,
 			Now:     cfg.Now,
 		})
@@ -166,8 +162,8 @@ func (c *Core) Ingest(jobID int, sample []float64) error {
 // shard ticks on its own goroutine, and the per-shard TickStats are merged.
 // A shard error does not stop the other shards; the joined errors are
 // returned alongside the stats of the shards that succeeded. The model
-// generation is consistent across the pass — a concurrent SwapClassifier
-// takes effect entirely before or entirely after it.
+// generation is consistent across the pass — a concurrent
+// SwapClassifierDrift takes effect entirely before or entirely after it.
 //
 //wcc:tickpath the per-monitor clocks are injected at construction
 func (c *Core) Tick() (fleet.TickStats, error) {
@@ -188,9 +184,8 @@ func (c *Core) Tick() (fleet.TickStats, error) {
 }
 
 // TickShard runs one inference pass over a single shard. Different shards
-// may tick concurrently; per-shard tick loops built on this — the HTTP
-// serving layer runs its own, and Run packages the same shape for
-// in-process callers — avoid the whole-fleet barrier of Tick.
+// may tick concurrently; the HTTP serving layer's per-shard tick loops are
+// built on this and avoid the whole-fleet barrier of Tick.
 //
 //wcc:tickpath the per-monitor clocks are injected at construction
 func (c *Core) TickShard(i int) (fleet.TickStats, error) {
@@ -212,79 +207,16 @@ func mergeTickStats(stats []fleet.TickStats) fleet.TickStats {
 	return out
 }
 
-// ShardTick reports one shard inference pass to a Run observer.
-type ShardTick struct {
-	Shard int
-	Stats fleet.TickStats
-	Dur   time.Duration
-	Err   error
-}
-
-// Run drives one tick loop per shard, each on its own goroutine with its
-// own ticker, so a slow shard delays nobody else. It blocks until stop is
-// closed and every loop has exited. every ≤ 0 selects a 10ms cadence.
-// observe, when non-nil, receives every pass's outcome; it is called
-// concurrently from the per-shard goroutines and must be safe for that.
-func (c *Core) Run(stop <-chan struct{}, every time.Duration, observe func(ShardTick)) {
-	if every <= 0 {
-		every = 10 * time.Millisecond
-	}
-	var wg sync.WaitGroup
-	for i := range c.monitors {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					t0 := time.Now()
-					stats, err := c.TickShard(i)
-					if observe != nil {
-						observe(ShardTick{Shard: i, Stats: stats, Dur: time.Since(t0), Err: err})
-					}
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// SwapClassifier atomically installs a new model on every shard — the
-// fleet-wide zero-downtime refresh. It holds the write side of the swap
-// lock for the whole installation, so no inference pass anywhere overlaps
-// it: every tick, on every shard, scores with either the old model or the
-// new one, never a mix. Ingest never touches the model and proceeds
-// untouched throughout. Per-job window state is preserved; the new model
-// must consume the same feature layout (and scaler statistics) the shards'
-// embedders were built with. The drift calibration is left untouched; a
-// retrained artifact's calibration rolls in with SwapClassifierDrift.
-func (c *Core) SwapClassifier(model stream.Classifier) error {
-	if model == nil {
-		return errors.New("shard: cannot swap in a nil model")
-	}
-	c.swapMu.Lock()
-	defer c.swapMu.Unlock()
-	for _, m := range c.monitors {
-		// The only monitor-level swap failure is a nil model, checked
-		// above, so the loop cannot strand shards on mixed generations.
-		if err := m.SwapClassifier(model); err != nil {
-			return err
-		}
-	}
-	c.swaps.Add(1)
-	c.publishSwap(model)
-	return nil
-}
-
-// SwapClassifierDrift installs a new model together with its own drift
-// calibration (nil disables detection) on every shard, under the same
-// write lock as SwapClassifier — no tick anywhere scores one model's
-// probabilities against another model's thresholds, fleet-wide. Per-shard
-// drift histograms reset for the new generation.
+// SwapClassifierDrift atomically installs a new model together with its own
+// drift calibration (nil disables detection) on every shard — the fleet-wide
+// zero-downtime refresh. It holds the write side of the swap lock for the
+// whole installation, so no inference pass anywhere overlaps it: every tick,
+// on every shard, scores with either the old model or the new one, never a
+// mix, and never one model's probabilities against another model's
+// thresholds. Ingest never touches the model and proceeds untouched
+// throughout. Per-job window state is preserved; the new model must consume
+// the same feature layout (and scaler statistics) the shards' embedders were
+// built with. Per-shard drift histograms reset for the new generation.
 func (c *Core) SwapClassifierDrift(model stream.Classifier, cal *drift.Calibration) error {
 	if model == nil {
 		return errors.New("shard: cannot swap in a nil model")

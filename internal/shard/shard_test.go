@@ -82,6 +82,32 @@ func newSingle(t *testing.T, scaler *preprocess.StandardScaler, model stream.Cla
 	return m
 }
 
+// runTicks drives one tick loop per shard, each on its own goroutine and
+// ticker, until stop is closed and every loop has exited — the shape the
+// serving layer runs. Tick errors fail the test.
+func runTicks(t *testing.T, c *Core, stop <-chan struct{}, every time.Duration) {
+	var wg sync.WaitGroup
+	for i := 0; i < c.NumShards(); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tk := time.NewTicker(every)
+			defer tk.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tk.C:
+					if _, err := c.TickShard(i); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
 func assertSamePrediction(t *testing.T, jobID int, got, want *stream.Prediction) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -171,7 +197,7 @@ func TestShardedMatchesSingleMonitor(t *testing.T) {
 // TestShardedConcurrentIngest replays every job from its own goroutine
 // while per-shard tick loops run, then checks the concurrent result
 // against a sequential single monitor. Run under -race this also pins the
-// locking discipline of Ingest/TickShard/Run.
+// locking discipline of Ingest/TickShard.
 func TestShardedConcurrentIngest(t *testing.T) {
 	scaler, model := fixture(t)
 	const jobs = 64
@@ -180,17 +206,9 @@ func TestShardedConcurrentIngest(t *testing.T) {
 	core := newCore(t, scaler, model, 4)
 	stop := make(chan struct{})
 	runDone := make(chan struct{})
-	var obsMu sync.Mutex
-	var tickErr error
 	go func() {
 		defer close(runDone)
-		core.Run(stop, 100*time.Microsecond, func(st ShardTick) {
-			obsMu.Lock()
-			if st.Err != nil && tickErr == nil {
-				tickErr = st.Err
-			}
-			obsMu.Unlock()
-		})
+		runTicks(t, core, stop, 100*time.Microsecond)
 	}()
 
 	var wg sync.WaitGroup
@@ -209,8 +227,8 @@ func TestShardedConcurrentIngest(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-runDone
-	if tickErr != nil {
-		t.Fatal(tickErr)
+	if t.Failed() {
+		t.FailNow()
 	}
 	if _, err := core.Tick(); err != nil {
 		t.Fatal(err)
@@ -286,7 +304,7 @@ func TestCoreValidation(t *testing.T) {
 	if _, err := c.TickShard(3); err == nil {
 		t.Error("TickShard out of range should fail")
 	}
-	if err := c.SwapClassifier(nil); err == nil {
+	if err := c.SwapClassifierDrift(nil, nil); err == nil {
 		t.Error("nil swap should fail")
 	}
 	def, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
@@ -295,29 +313,5 @@ func TestCoreValidation(t *testing.T) {
 	}
 	if def.NumShards() < 1 {
 		t.Fatalf("default shard count %d", def.NumShards())
-	}
-
-	// RegistryShards reaches the underlying monitors: a core whose shards
-	// each run a single-mutex registry still serves correctly.
-	narrow, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
-		Shards: 2, RegistryShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := jobSamples(9, testWindow)
-	for _, s := range samples {
-		if err := narrow.Ingest(9, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := narrow.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Classified != 1 {
-		t.Fatalf("narrow-registry core classified %d jobs, want 1", stats.Classified)
-	}
-	if _, ok := narrow.Prediction(9); !ok {
-		t.Fatal("narrow-registry core has no prediction for job 9")
 	}
 }

@@ -60,7 +60,7 @@ func TestSwapNeverTearsAcrossShards(t *testing.T) {
 			default:
 			}
 			m := pickModel(i)
-			if err := core.SwapClassifier(m); err != nil {
+			if err := core.SwapClassifierDrift(m, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -129,11 +129,7 @@ func TestConcurrentIngestSwapEvict(t *testing.T) {
 	runDone := make(chan struct{})
 	go func() {
 		defer close(runDone)
-		core.Run(stop, 200*time.Microsecond, func(st ShardTick) {
-			if st.Err != nil {
-				t.Error(st.Err)
-			}
-		})
+		runTicks(t, core, stop, 200*time.Microsecond)
 	}()
 
 	const jobs = 48
@@ -158,7 +154,7 @@ func TestConcurrentIngestSwapEvict(t *testing.T) {
 	go func() { // swap
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if err := core.SwapClassifier(model); err != nil {
+			if err := core.SwapClassifierDrift(model, nil); err != nil {
 				t.Error(err)
 				return
 			}

@@ -22,7 +22,7 @@ import (
 // walk uses the same `value <= threshold` comparison as the pointer tree —
 // NaN routes right on both — and the batch kernel accumulates round
 // contributions in boosting order before one softmax per row, exactly as
-// probaBlock, so results are bit-identical to the pointer paths.
+// scoreRowInto, so results are bit-identical to the pointer path.
 type flatEnsemble struct {
 	lr         float64
 	numClasses int
@@ -99,7 +99,7 @@ func (f *flatEnsemble) predictRow(root int32, row []float64) float64 {
 // single walk is a serial chain of data-dependent loads, so four
 // independent lanes let the core overlap their latencies (lanes that reach
 // a leaf early idle until the slowest lane finishes). Accumulation order
-// (round, class, row) and the softmax match probaBlock bit for bit;
+// (round, class) and the softmax match scoreRowInto bit for bit;
 // interleaving rows never reorders any single row's additions.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate

@@ -390,27 +390,6 @@ func (c *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 	return scores, nil
 }
 
-// probaBlock scores rows [lo, hi) with tree-outer iteration — each
-// regression tree's node array stays hot in cache while it sweeps the whole
-// block — then softmaxes every row. Each score accumulator still receives
-// its round contributions in boosting order, exactly as scoreRowInto, so
-// results are bit-identical to the serial path.
-func (c *Classifier) probaBlock(x, out *mat.Matrix, lo, hi int) {
-	for _, round := range c.trees {
-		for k, tr := range round {
-			for i := lo; i < hi; i++ {
-				out.Row(i)[k] += c.cfg.LearningRate * tr.predictRow(x.Row(i))
-			}
-		}
-	}
-	scratch := make([]float64, c.numClasses)
-	for i := lo; i < hi; i++ {
-		dst := out.Row(i)
-		copy(scratch, dst)
-		softmaxInto(dst, scratch)
-	}
-}
-
 // PredictProbaBatch is the serving hot path for fleet-scale batched
 // inference: one call scores the whole matrix, splitting rows into
 // contiguous blocks over a bounded worker pool (cfg.Workers, 0 = GOMAXPROCS,
@@ -418,16 +397,15 @@ func (c *Classifier) probaBlock(x, out *mat.Matrix, lo, hi int) {
 // over the flat node arrays compiled at Fit/Decode time (see flat.go) — no
 // per-node pointer dereferences. Results are bit-identical to PredictProba.
 func (c *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
+	if c.flat == nil {
+		return nil, errors.New("xgb: not fitted")
+	}
 	if err := c.checkPredictable(x); err != nil {
 		return nil, err
 	}
 	out := mat.New(x.Rows, c.numClasses)
 	_ = mat.ParallelRowBlocks(x.Rows, c.cfg.Workers, func(lo, hi int) error {
-		if c.flat != nil {
-			c.flat.scoreBlock(x, out, lo, hi)
-		} else {
-			c.probaBlock(x, out, lo, hi)
-		}
+		c.flat.scoreBlock(x, out, lo, hi)
 		return nil
 	})
 	return out, nil

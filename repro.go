@@ -10,16 +10,17 @@
 //   - TrainRFCov: the paper's best baseline (random forest on covariance
 //     features), fitted and evaluated in one call.
 //   - RunExperiment: regenerate a paper table by name.
-//   - NewFleet: a fleet monitor serving the trained model over live
-//     telemetry from many concurrent jobs (cmd/wccserve drives it).
+//   - NewFleet: a single in-process fleet monitor classifying live
+//     telemetry from many concurrent jobs — the reference the serving
+//     core is pinned bit-identical to.
 //   - NewShardedFleet: the same fleet partitioned across independent
 //     monitor shards with per-shard tick loops — the serving core that
 //     scales with the machine's cores instead of one lock.
-//   - NewServer: the HTTP serving layer over either fleet — NDJSON
+//   - NewServer: the HTTP serving layer over the sharded core — NDJSON
 //     batch ingest with bounded-queue backpressure, prediction reads,
-//     health and Prometheus-style metrics (shard-labelled over a sharded
-//     core), graceful drain (wccserve -listen serves it, cmd/wccload
-//     load-tests it; docs/API.md is the request/response reference).
+//     health and shard-labelled Prometheus-style metrics, graceful drain
+//     (cmd/wccserve serves it, cmd/wccload load-tests it; docs/API.md is
+//     the request/response reference).
 //   - Open-set serving: TrainRFCov also calibrates a drift.Calibration
 //     (rejection threshold + input reference histograms), so every fleet
 //     built from the result flags unknown workloads, and DriftStats /
@@ -28,9 +29,9 @@
 //     versioned .wcc artifact (model + scaler + drift calibration +
 //     provenance) and restore it,
 //     so serving starts in milliseconds instead of a training run;
-//     LoadedModel.NewFleet builds the serving monitor straight from the
-//     artifact, and fleet.Monitor.SwapClassifier rolls a newer artifact
-//     into a live fleet with zero downtime.
+//     LoadedModel.NewShardedFleet builds the serving core straight from
+//     the artifact, and its SwapClassifierDrift rolls a newer artifact's
+//     model and calibration into a live fleet with zero downtime.
 //
 // For anything beyond these — other baselines, custom grids, npz interop —
 // import the internal packages directly; they are documented and tested as
@@ -165,15 +166,13 @@ func TrainRFCov(ds *Dataset, trees int, seed int64) (*RFCovResult, error) {
 // goroutines, and each Tick classifies every changed window in one batched
 // model call. The live windows are standardised with the very scaler the
 // offline pipeline fitted (res.Scaler), so fleet predictions match what
-// TrainRFCov's model would say about the same window offline. shards ≤ 0
-// selects the default shard count.
-func NewFleet(ds *Dataset, res *RFCovResult, shards int) (*fleet.Monitor, error) {
+// TrainRFCov's model would say about the same window offline.
+func NewFleet(ds *Dataset, res *RFCovResult) (*fleet.Monitor, error) {
 	return fleet.New(fleet.Config{
 		Window:  ds.Challenge.Train.X.T,
 		Sensors: ds.Challenge.Train.X.C,
 		Scaler:  res.Scaler,
 		Model:   res.Model,
-		Shards:  shards,
 		Drift:   res.Drift,
 	})
 }
@@ -204,10 +203,9 @@ func NewShardedFleet(ds *Dataset, res *RFCovResult, shards int) (*shard.Core, er
 // the listener shuts down — the final inference tick flushes pending
 // windows, so a drained stream's last samples still produce predictions.
 // classNames optionally labels predictions; tickEvery ≤ 0 selects the
-// default inference cadence. m is a *fleet.Monitor or a *shard.Core — over
-// a sharded core the layer runs one tick loop per shard and labels
-// /metrics by shard. For the full knob set import internal/server
-// directly.
+// default inference cadence. m is a *shard.Core (NewShardedFleet): the layer
+// runs one tick loop per shard and labels /metrics by shard. For the full
+// knob set import internal/server directly.
 func NewServer(m server.Monitor, classNames []string, tickEvery time.Duration) (*server.Server, error) {
 	return server.New(server.Config{Monitor: m, ClassNames: classNames, TickEvery: tickEvery})
 }
@@ -274,14 +272,13 @@ func (lm *LoadedModel) Classifier() stream.Classifier {
 // NewFleet builds a fleet monitor serving the loaded artifact, the
 // zero-training counterpart of NewFleet: window shape and scaler come from
 // the artifact, so the monitor classifies live telemetry exactly as the
-// training-time pipeline would. shards ≤ 0 selects the default shard count.
-func (lm *LoadedModel) NewFleet(shards int) (*fleet.Monitor, error) {
+// training-time pipeline would.
+func (lm *LoadedModel) NewFleet() (*fleet.Monitor, error) {
 	return fleet.New(fleet.Config{
 		Window:  lm.Artifact.Meta.Window,
 		Sensors: lm.Artifact.Meta.Sensors,
 		Scaler:  lm.Artifact.Scaler,
 		Model:   lm.Classifier(),
-		Shards:  shards,
 		Drift:   lm.Artifact.Drift,
 	})
 }

@@ -84,7 +84,7 @@ func TestFleetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := repro.NewFleet(ds, res, 0)
+	m, err := repro.NewFleet(ds, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestShardedFleetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := repro.NewFleet(ds, res, 0)
+	single, err := repro.NewFleet(ds, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestSaveLoadModelFacade(t *testing.T) {
 
 	// Serve identical telemetry through a fleet from the in-memory model and
 	// one from the artifact; predictions must agree bit for bit.
-	mMem, err := repro.NewFleet(ds, res, 0)
+	mMem, err := repro.NewFleet(ds, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mArt, err := lm.NewFleet(0)
+	mArt, err := lm.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestNewServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := repro.NewFleet(ds, res, 0)
+	m, err := repro.NewShardedFleet(ds, res, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
