@@ -1,10 +1,10 @@
 // Command wccload drives the wccserve -listen HTTP API with simulated
 // telemetry over real loopback (or network) connections — the load
 // generator for the serving layer. It asks the server for its window shape
-// (/healthz), replays the same simulated jobs wccserve's demo mode would,
-// fans them out to the requested fleet size, and streams batched ingest
-// requests — NDJSON lines or, with -framing binary, the length-prefixed
-// binary records of internal/wire — from several concurrent connections,
+// (/healthz), replays simulated jobs fanned out to the requested fleet
+// size, and streams batched ingest requests — NDJSON lines or, with
+// -framing binary, the length-prefixed binary records of internal/wire —
+// from several concurrent connections,
 // honouring the server's 429 + Retry-After backpressure. Each fleet job's
 // samples always ride the same connection, so per-job sample order is
 // preserved end to end and server-side predictions are bit-identical to an
@@ -202,8 +202,7 @@ func run(c config) error {
 		return fmt.Errorf("replay horizon %.0fs must exceed the server's %.0fs window", c.seconds, windowSec)
 	}
 
-	// The same source selection and fan-out as wccserve's demo mode: fleet
-	// job k replays source k % len(sources).
+	// Fleet job k replays source k % len(sources).
 	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: c.seed, Scale: c.scale, GapRate: 1})
 	if err != nil {
 		return err
@@ -217,9 +216,8 @@ func run(c config) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("no simulated job runs past start %.0fs + the %.0fs window", c.start, windowSec)
 	}
-	// Fleet jobs past mix.IDJobs replay out-of-distribution profiles, the
-	// same mix wccserve's demo mode drives; the server should reject them
-	// as unknown.
+	// Fleet jobs past mix.IDJobs replay out-of-distribution profiles; the
+	// server should reject them as unknown.
 	mix, err := telemetry.PlanFleetMix(sources, c.jobs, c.unknownFrac, c.seed)
 	if err != nil {
 		return err
@@ -292,16 +290,12 @@ func run(c config) error {
 	for w := range bodies {
 		requests += len(bodies[w])
 	}
-	serving := "an unsharded fleet"
-	if hl.Shards > 0 {
-		serving = fmt.Sprintf("%d serving shards", hl.Shards)
-	}
 	framingName := "ndjson"
 	if contentType == wire.IngestContentType {
 		framingName = "binary"
 	}
-	fmt.Printf("driving %d fleet jobs (%d out-of-distribution) over %d telemetry series into %s: %d samples in %d requests (%d-sample %s batches) across %d connections\n",
-		c.jobs, mix.UnknownJobs, replay.NumJobs(), serving, totalSamples, requests, c.batch, framingName, c.conns)
+	fmt.Printf("driving %d fleet jobs (%d out-of-distribution) over %d telemetry series into %d serving shards: %d samples in %d requests (%d-sample %s batches) across %d connections\n",
+		c.jobs, mix.UnknownJobs, replay.NumJobs(), hl.Shards, totalSamples, requests, c.batch, framingName, c.conns)
 	if len(nodes) > 1 {
 		fmt.Printf("cluster mode: %d nodes, batches routed by client-side job hash\n", len(nodes))
 	}

@@ -83,9 +83,6 @@ func main() {
 	adaptAuto := flag.Bool("adapt-auto-promote", false, "with -adapt: promote automatically when the shadow candidate passes the quality gate")
 	adaptEvery := flag.Duration("adapt-every", 5*time.Second, "with -adapt: flywheel cadence (cluster/train/gate checks)")
 	adaptShadowMin := flag.Int("adapt-shadow-min", 200, "with -adapt: live windows the candidate must shadow-score before the quality gate opens")
-	adaptTrees := flag.Int("adapt-trees", 50, "with -adapt: candidate forest size")
-	adaptMaxTrain := flag.Int("adapt-max-train", 400, "with -adapt: cap on regenerated base training windows for candidate retraining (0 = all; match the artifact's original training run)")
-	adaptMaxTest := flag.Int("adapt-max-test", 150, "with -adapt: cap on regenerated base test windows (0 = all)")
 	flag.Parse()
 
 	if err := run(config{
@@ -94,8 +91,7 @@ func main() {
 		listen: *listen, debugAddr: *debugAddr, evictAfter: *evictAfter,
 		cluster: *clusterURLs, node: *clusterNode, clusterDir: *clusterDir,
 		adapt: *adaptOn, adaptMinSupport: *adaptMinSupport, adaptRadius: *adaptRadius, adaptAuto: *adaptAuto,
-		adaptEvery: *adaptEvery, adaptShadowMin: *adaptShadowMin, adaptTrees: *adaptTrees,
-		adaptMaxTrain: *adaptMaxTrain, adaptMaxTest: *adaptMaxTest,
+		adaptEvery: *adaptEvery, adaptShadowMin: *adaptShadowMin,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "wccserve:", err)
 		os.Exit(1)
@@ -124,9 +120,6 @@ type config struct {
 	adaptAuto       bool
 	adaptEvery      time.Duration
 	adaptShadowMin  int
-	adaptTrees      int
-	adaptMaxTrain   int
-	adaptMaxTest    int
 }
 
 // logf is the process's operational log: prefixed lines on standard error.
@@ -196,30 +189,6 @@ func acquireModel(c config) (*shard.Core, *repro.LoadedModel, error) {
 	return monitor, lm, err
 }
 
-// watchConfig builds the artifact-watcher configuration: replacement
-// detection by section CRCs (artifact identity, not os.Stat, so same-size
-// same-mtime rewrites are caught), and a scaler/window compatibility gate
-// because per-job window state survives the swap.
-func watchConfig(c config, monitor server.Monitor, lm *repro.LoadedModel, srv *server.Server) server.WatchConfig {
-	return server.WatchConfig{
-		Path:    c.model,
-		Every:   c.modelPoll,
-		Monitor: monitor,
-		Window:  lm.Artifact.Meta.Window,
-		Sensors: lm.Artifact.Meta.Sensors,
-		Scaler:  lm.Artifact.Scaler,
-		OnSwap: func(meta artifact.Metadata) {
-			// A promoted adapt candidate widens the class set; prediction
-			// responses must name the novel classes as soon as the swap lands.
-			if len(meta.ClassNames) > 0 {
-				srv.SetClassNames(meta.ClassNames)
-			}
-			fmt.Printf("hot-swapped %s model (accuracy %.2f%%) into the live fleet\n", meta.Kind, meta.Accuracy*100)
-		},
-		Logf: logf,
-	}
-}
-
 // run puts the fleet behind the HTTP API, with the artifact watcher
 // hot-swapping underneath and a graceful drain on SIGINT/SIGTERM.
 func run(c config) error {
@@ -232,30 +201,6 @@ func run(c config) error {
 	}
 	window, sensors := monitor.Window(), monitor.Sensors()
 
-	// Cluster mode: this process becomes one node of a replicated serving
-	// fleet. Ingest routes by job hash (forwarded to the owning peer), job
-	// reads redirect, and a changed -model artifact rolls out fleet-wide
-	// through the two-phase replicate/prepare/commit control plane instead
-	// of swapping locally.
-	var node *cluster.Node
-	if c.cluster != "" {
-		if c.clusterDir == "" {
-			c.clusterDir = filepath.Join(os.TempDir(), fmt.Sprintf("wcc-cluster-node%d", c.node))
-		}
-		node, err = cluster.New(cluster.Config{
-			Self:    c.node,
-			Peers:   clusterPeers(c.cluster),
-			Core:    monitor,
-			Dir:     c.clusterDir,
-			Window:  window,
-			Sensors: sensors,
-			Scaler:  lm.Artifact.Scaler,
-			Logf:    logf,
-		})
-		if err != nil {
-			return fmt.Errorf("cluster setup: %w", err)
-		}
-	}
 	names := make([]string, telemetry.NumClasses)
 	for _, cl := range telemetry.AllClasses() {
 		names[int(cl)] = cl.Name()
@@ -290,12 +235,10 @@ func run(c config) error {
 			Seed:             c.seed,
 			Logf:             logf,
 			Trainer: &adapt.ProvenanceTrainer{
-				Meta:     lm.Artifact.Meta,
-				Scaler:   lm.Artifact.Scaler,
-				MaxTrain: c.adaptMaxTrain,
-				MaxTest:  c.adaptMaxTest,
-				Trees:    c.adaptTrees,
-				Logf:     logf,
+				Meta:   lm.Artifact.Meta,
+				Scaler: lm.Artifact.Scaler,
+				Base:   lm.Artifact.Model,
+				Logf:   logf,
 			},
 			Events: bus,
 			Promote: func(a *artifact.Artifact) error {
@@ -310,12 +253,7 @@ func run(c config) error {
 			c.adaptMinSupport, c.adaptShadowMin, c.adaptAuto)
 	}
 
-	serveMonitor := server.Monitor(monitor)
-	if node != nil {
-		serveMonitor = node.Monitor()
-	}
-	srv, err := server.New(server.Config{
-		Monitor:    serveMonitor,
+	scfg := server.Config{
 		ClassNames: names,
 		TickEvery:  c.tick,
 		Workers:    c.workers,
@@ -323,23 +261,49 @@ func run(c config) error {
 		Events:     bus,
 		Adapt:      mgr,
 		Logf:       logf,
-	})
-	if err != nil {
-		return err
+	}
+	// Either way a changed -model artifact enters through the server's one
+	// installer; what differs is who drives it.
+	watch := server.WatchConfig{Path: c.model, Every: c.modelPoll, Logf: logf}
+	var (
+		srv     *server.Server
+		handler http.Handler
+		node    *cluster.Node
+	)
+	if c.cluster == "" {
+		scfg.Monitor = monitor
+		if srv, err = server.New(scfg); err != nil {
+			return err
+		}
+		handler, watch.Swap = srv.Handler(), srv.InstallFile
+	} else {
+		// Cluster mode: this process becomes one node of a replicated serving
+		// fleet. Ingest routes by job hash (forwarded to the owning peer), job
+		// reads redirect, and a changed artifact rolls out fleet-wide through
+		// the two-phase replicate/prepare/commit control plane.
+		if c.clusterDir == "" {
+			c.clusterDir = filepath.Join(os.TempDir(), fmt.Sprintf("wcc-cluster-node%d", c.node))
+		}
+		node, err = cluster.New(cluster.Config{
+			Self:  c.node,
+			Peers: clusterPeers(c.cluster),
+			Core:  monitor,
+			Serve: scfg,
+			Dir:   c.clusterDir,
+			Logf:  logf,
+		})
+		if err != nil {
+			return fmt.Errorf("cluster setup: %w", err)
+		}
+		srv, handler, watch.Swap = node.Server(), node.Handler(), node.DistributeFile
 	}
 
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
 	if lm != nil && c.modelPoll > 0 {
-		wc := watchConfig(c, monitor, lm, srv)
-		if node != nil {
-			// A detected artifact change rolls out to every node instead
-			// of swapping only this one.
-			wc.Distribute = node.DistributeFile
-		}
 		go func() {
 			defer close(watchDone)
-			server.Watch(stopWatch, wc)
+			server.Watch(stopWatch, watch)
 		}()
 	} else {
 		close(watchDone)
@@ -383,9 +347,7 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
-	handler := srv.Handler()
 	if node != nil {
-		handler = node.AttachServer(srv)
 		fmt.Printf("cluster node %d of %d (artifact dir %s)\n", node.Self(), node.NumNodes(), c.clusterDir)
 	}
 	fmt.Printf("serving HTTP API on http://%s (%dx%d windows, %d shards, tick %s)\n",

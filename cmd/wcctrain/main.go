@@ -66,12 +66,12 @@ func main() {
 		stride = flag.Int("stride", 10, "sequence downsampling stride")
 
 		families = flag.String("families", "", "offline continual learning: JSON family bundle from GET /v1/adapt/families; widens -base with one class per family and writes the candidate to -o")
-		baseArt  = flag.String("base", "", "with -families: the serving .wcc artifact the candidate extends (provenance and scaler source)")
+		baseArt  = flag.String("base", "", "with -families: the serving .wcc artifact the candidate extends (source of provenance, trial caps, forest size and scaler)")
 	)
 	flag.Parse()
 
 	if *families != "" {
-		if err := runFamilies(*families, *baseArt, *out, *maxTrain, *maxTest, *trees, *driftQ, *driftFeatQ); err != nil {
+		if err := runFamilies(*families, *baseArt, *out, *driftQ, *driftFeatQ); err != nil {
 			fmt.Fprintln(os.Stderr, "wcctrain:", err)
 			os.Exit(1)
 		}
@@ -94,10 +94,11 @@ func main() {
 // runFamilies is the offline half of the continual-learning flywheel: it
 // rebuilds exactly the candidate the in-process flywheel would, from a
 // family bundle exported on GET /v1/adapt/families — same provenance
-// regeneration, same serving scaler reused verbatim, same
+// regeneration (dataset, caps and forest size all come from -base, not from
+// this command's flags), same serving scaler reused verbatim, same
 // adapt.BuildCandidateArtifact. The result drops onto the watched model
 // path (or cluster distribution) like any other artifact.
-func runFamilies(famPath, basePath, out string, maxTrain, maxTest, trees int, driftQ, driftFeatQ float64) error {
+func runFamilies(famPath, basePath, out string, driftQ, driftFeatQ float64) error {
 	if basePath == "" {
 		return fmt.Errorf("-families needs -base: the serving artifact the candidate extends")
 	}
@@ -125,9 +126,7 @@ func runFamilies(famPath, basePath, out string, maxTrain, maxTest, trees int, dr
 	trainer := &adapt.ProvenanceTrainer{
 		Meta:         base.Meta,
 		Scaler:       base.Scaler,
-		MaxTrain:     maxTrain,
-		MaxTest:      maxTest,
-		Trees:        trees,
+		Base:         base.Model,
 		Quantile:     driftQ,
 		FeatQuantile: driftFeatQ,
 		Logf: func(format string, args ...any) {
@@ -343,6 +342,8 @@ func run(o opts) error {
 				Dataset:     o.dsName,
 				Scale:       o.scale,
 				Seed:        o.seed,
+				MaxTrain:    o.maxTrain,
+				MaxTest:     o.maxTest,
 				Accuracy:    acc,
 				CreatedUnix: time.Now().Unix(),
 				Tool:        "wcctrain",

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -269,6 +270,11 @@ func (m *Manager) BuildCandidate() error {
 	m.phase = PhaseTrain
 	m.mu.Unlock()
 
+	// Cluster is deterministic in the row order, and the reservoir's order
+	// is whatever order concurrent shard ticks and registry walks offered
+	// rows in. Sorting first makes the families — and so the candidate — a
+	// function of which rows were rejected, not of goroutine scheduling.
+	slices.SortFunc(rows, slices.Compare[[]float64])
 	norm := normStats(m.cfg.Calibration, m.cfg.FeatureDim)
 	fams := Cluster(rows, norm, m.cfg.Radius, m.cfg.MinSupport, m.cfg.MaxFamilies)
 	if len(fams) == 0 {

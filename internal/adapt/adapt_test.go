@@ -2,6 +2,8 @@ package adapt
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/artifact"
@@ -297,5 +299,37 @@ func TestManagerIgnoresTornFeatureRows(t *testing.T) {
 	m.ObserveWindow(fleet.Observation{Rejected: true, Features: []float64{1, 2, 3}})
 	if st := m.Status(); st.Buffered != 0 || st.Observed != 1 {
 		t.Fatalf("torn row buffered: %+v", st)
+	}
+}
+
+// TestBuildCandidateIgnoresArrivalOrder pins that families are a function of
+// which rows were rejected, not of the order concurrent shard ticks offered
+// them in. The rows form a ramp much longer than the clustering radius, so
+// leader clustering over the raw arrival order founds different leaders for
+// different permutations.
+func TestBuildCandidateIgnoresArrivalOrder(t *testing.T) {
+	rows := make([][2]float64, 60)
+	for i := range rows {
+		rows[i] = [2]float64{float64(i), float64(i % 7)}
+	}
+	build := func(seed int64) []Family {
+		m := testManager(t, &stubTrainer{a: stubArtifact(4)}, nil, nil)
+		order := rand.New(rand.NewSource(seed)).Perm(len(rows))
+		for _, i := range order {
+			observe(m, 0, 0, true, rows[i][0], rows[i][1])
+		}
+		if err := m.BuildCandidate(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Families()
+	}
+	want := build(1)
+	if len(want) < 2 {
+		t.Fatalf("fixture clustered into %d families; it needs several for order to matter", len(want))
+	}
+	for seed := int64(2); seed <= 6; seed++ {
+		if got := build(seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival order %d built different families:\n got %+v\nwant %+v", seed, got, want)
+		}
 	}
 }

@@ -194,20 +194,18 @@ func novelNames(start, count int) []string {
 
 // ProvenanceTrainer is the production Trainer: it regenerates the base
 // training set from the serving artifact's recorded provenance (dataset
-// spec, scale, seed), re-embeds it with the serving scaler — never refits
-// one — and widens it with the clustered families. The caps must match the
-// original training run's; they are not recorded in the artifact, so
-// wccserve threads its own -max-train/-max-test flags through.
+// spec, scale, seed, trial caps), re-embeds it with the serving scaler —
+// never refits one — and widens it with the clustered families.
 type ProvenanceTrainer struct {
 	// Meta is the serving artifact's metadata (Dataset, Scale, Seed,
-	// ClassNames drive regeneration).
+	// MaxTrain, MaxTest, ClassNames drive regeneration).
 	Meta artifact.Metadata
 	// Scaler is the serving scaler, reused verbatim.
 	Scaler *preprocess.StandardScaler
-	// MaxTrain and MaxTest cap the regenerated splits (0 = all).
-	MaxTrain, MaxTest int
-	// Trees sizes the candidate forest (default 50).
-	Trees int
+	// Base is the serving model: the candidate forest gets as many trees as
+	// a base forest has (CandidateOptions' default when Base is anything
+	// else, or nil).
+	Base any
 	// Quantile and FeatQuantile configure the refreshed calibration.
 	Quantile, FeatQuantile float64
 	// Logf, when non-nil, receives progress lines.
@@ -229,8 +227,8 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	}
 	p := core.PresetScaled()
 	p.Seed = t.Meta.Seed
-	p.MaxTrain = t.MaxTrain
-	p.MaxTest = t.MaxTest
+	p.MaxTrain = t.Meta.MaxTrain
+	p.MaxTest = t.Meta.MaxTest
 	t.logf("adapt: regenerating %s (scale %g, seed %d) for candidate training", t.Meta.Dataset, t.Meta.Scale, t.Meta.Seed)
 	ch, err := core.BuildDataset(sim, spec, p)
 	if err != nil {
@@ -240,9 +238,13 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	trees := 0
+	if f, ok := t.Base.(*forest.Classifier); ok {
+		trees = f.NumTrees()
+	}
 	a, err := BuildCandidateArtifact(fp, core.RawSensorSamples(ch.Train.X), fams, CandidateOptions{
 		BaseMeta:     t.Meta,
-		Trees:        t.Trees,
+		Trees:        trees,
 		Seed:         t.Meta.Seed,
 		Quantile:     t.Quantile,
 		FeatQuantile: t.FeatQuantile,

@@ -7,8 +7,11 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/telemetry"
 )
 
 const testDim = 6
@@ -205,5 +208,59 @@ func TestFamiliesEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeFamilies(bytes.NewReader([]byte("{\"feature_dim\":2,\"families\":[{\"id\":0,\"rows\":[[1,2,3]]}]}"))); err == nil {
 		t.Fatal("dimension-mismatched bundle accepted")
+	}
+}
+
+// TestProvenanceTrainerReadsCapsAndSizeFromTheBase pins that a retrain needs
+// nothing but the serving artifact: the regenerated base set is capped by
+// the artifact's recorded max_train/max_test, and the candidate forest is
+// as large as the base forest.
+func TestProvenanceTrainerReadsCapsAndSizeFromTheBase(t *testing.T) {
+	meta := artifact.Metadata{
+		Kind: artifact.KindForest, Features: "cov", Dataset: "60-middle-1",
+		Scale: 0.03, Seed: 1, MaxTrain: 40, MaxTest: 20, Tool: "wcctrain",
+	}
+	spec, _ := dataset.SpecByName(meta.Dataset)
+	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: meta.Seed, Scale: meta.Scale, GapRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.PresetScaled()
+	p.Seed, p.MaxTrain, p.MaxTest = meta.Seed, meta.MaxTrain, meta.MaxTest
+	ch, err := core.BuildDataset(sim, spec, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.Train.Len() != meta.MaxTrain {
+		t.Fatalf("fixture has %d training trials; the %d cap must bind for the test to mean anything", ch.Train.Len(), meta.MaxTrain)
+	}
+	fp, err := core.CovFeatures(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := forest.New(forest.Config{NumTrees: 7, Bootstrap: true, Seed: 1})
+	if err := base.Fit(fp.TrainX, fp.TrainY, int(telemetry.NumClasses)); err != nil {
+		t.Fatal(err)
+	}
+
+	fam := Family{Count: 8, Rows: mat.New(8, fp.TrainX.Cols)}
+	for i := range fam.Rows.Data {
+		fam.Rows.Data[i] = 50 + float64(i%5)
+	}
+	a, err := (&ProvenanceTrainer{Meta: meta, Scaler: fp.Scaler, Base: base}).Train([]Family{fam})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Model.(*forest.Classifier).NumTrees(); got != base.NumTrees() {
+		t.Fatalf("candidate forest has %d trees, want the base's %d", got, base.NumTrees())
+	}
+	// The refreshed calibration keeps every training row (base + family
+	// rows not held out) while they number under drift.MaxTrainRows.
+	wantRows := meta.MaxTrain + fam.Count - fam.Count/heldOutEvery
+	if got := a.Drift.Feat.Train.Rows; got != wantRows {
+		t.Fatalf("candidate trained on %d rows, want %d (%d capped base + family)", got, wantRows, meta.MaxTrain)
+	}
+	if a.Meta.MaxTrain != meta.MaxTrain || a.Meta.MaxTest != meta.MaxTest {
+		t.Fatalf("candidate records caps %d/%d, want the base's %d/%d", a.Meta.MaxTrain, a.Meta.MaxTest, meta.MaxTrain, meta.MaxTest)
 	}
 }

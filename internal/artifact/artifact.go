@@ -108,6 +108,12 @@ type Metadata struct {
 	Dataset string  `json:"dataset,omitempty"`
 	Scale   float64 `json:"scale,omitempty"`
 	Seed    int64   `json:"seed,omitempty"`
+	// MaxTrain and MaxTest are the trial caps the training run applied after
+	// the split (0 = uncapped): with Dataset, Scale and Seed they let a
+	// retrain (internal/adapt) regenerate exactly the base set the model
+	// saw. Additive JSON; artifacts written before the fields read as 0.
+	MaxTrain int `json:"max_train,omitempty"`
+	MaxTest  int `json:"max_test,omitempty"`
 	// Accuracy is the held-out test accuracy measured at training time.
 	Accuracy float64 `json:"accuracy,omitempty"`
 	// NovelClasses counts the classes appended by the continual-learning

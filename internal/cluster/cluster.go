@@ -17,9 +17,12 @@
 //   - replicated artifacts are verified by artifact.Identity, the same
 //     section-CRC fingerprint the hot-swap watcher uses for change
 //     detection; identity equality across nodes IS the convergence check;
-//   - the prepare phase runs server.ServableModel, the same compat gates
-//     a local hot-swap runs, so an artifact that cannot serve this fleet
-//     is refused cluster-wide before any node installs it.
+//   - the prepare phase runs Server.ServableModel and commit calls
+//     Server.Install — the gates and the installer a single process's
+//     artifact watcher uses — so an artifact that cannot serve this fleet
+//     is refused cluster-wide before any node installs it, and a node that
+//     commits as a peer or by catch-up ends up exactly where the
+//     coordinator does.
 //
 // Membership is heartbeat-based: every node pings every peer on a fixed
 // cadence, marks a peer dead after DeadAfter consecutive failures, and
@@ -41,12 +44,9 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/drift"
 	"repro/internal/events"
-	"repro/internal/preprocess"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/stream"
 )
 
 // MaxNodes bounds the cluster size; the alive set is kept in one atomic
@@ -64,15 +64,12 @@ type Config struct {
 	// Core is the node's local serving core. The cluster layer routes and
 	// forwards around it but never reaches into its shards.
 	Core *shard.Core
+	// Serve configures the node's serving layer. New sets its Monitor — the
+	// ownership-routed wrapper around Core — and builds the server.
+	Serve server.Config
 	// Dir is the artifact staging directory: replicated artifacts are
 	// persisted here (one file per generation) before prepare loads them.
 	Dir string
-	// Window, Sensors and Scaler are the serving fleet's shape and
-	// preprocessing statistics; the prepare phase gates replicated
-	// artifacts against them exactly as a local hot-swap would.
-	Window  int
-	Sensors int
-	Scaler  *preprocess.StandardScaler
 	// HeartbeatEvery is the peer ping cadence (default 500ms).
 	HeartbeatEvery time.Duration
 	// DeadAfter is how many consecutive ping failures mark a peer dead
@@ -107,14 +104,12 @@ type stagedModel struct {
 	gen      uint64
 	identity string
 	path     string
-	cls      stream.Classifier
-	drift    *drift.Calibration
-	meta     artifact.Metadata
+	art      *artifact.Artifact
 }
 
-// Node is one cluster member. Build with New, wire its Monitor into a
-// server.Server, AttachServer to get the cluster-aware HTTP handler, then
-// Start. All methods are safe for concurrent use.
+// Node is one cluster member, serving layer included. Build with New, mount
+// Handler on a listener, then Start. All methods are safe for concurrent
+// use.
 type Node struct {
 	cfg   Config
 	self  int
@@ -170,9 +165,10 @@ type Node struct {
 	heartbeatFails  atomic.Uint64 // pings failed
 }
 
-// New validates the configuration and builds the node. The node is
-// passive until Start; its Monitor can be wired into a server.Server
-// immediately.
+// New validates the configuration and builds the node whole: the serving
+// layer over the ownership-routed core, and the cluster-aware handler over
+// the serving layer. The server's ingest workers and tick loops run from
+// here on; the cluster's own loops (heartbeats, forwarders) wait for Start.
 func New(cfg Config) (*Node, error) {
 	if cfg.Core == nil {
 		return nil, errors.New("cluster: nil core")
@@ -250,22 +246,21 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.forwarders[i] = newForwarder(n, i)
 	}
+	cfg.Serve.Monitor = &routedMonitor{Core: n.core, n: n}
+	srv, err := server.New(cfg.Serve)
+	if err != nil {
+		return nil, err
+	}
+	n.srv = srv
+	n.handler = n.buildHandler(srv.Handler())
 	return n, nil
 }
 
-// Monitor returns the node's cluster-routed monitor: a server.Monitor
-// whose Ingest routes each sample by job ownership —
-// locally owned jobs ingest into the node's own core, foreign jobs are
-// forwarded to their owning peer. Everything else (ticks, reads, swaps,
-// counters) is the local core untouched.
-func (n *Node) Monitor() server.Monitor {
-	return &routedMonitor{Core: n.core, n: n}
-}
-
-// routedMonitor wraps the local sharded core with ownership routing on
-// the ingest path. Embedding keeps the full Monitor surface —
-// per-shard tick loops and shard-labelled metrics still work — while
-// Ingest alone is intercepted.
+// routedMonitor is the monitor the node's server drives: the local sharded
+// core with ownership routing on the ingest path — locally owned jobs
+// ingest into the node's own core, foreign jobs are forwarded to their
+// owning peer. Embedding keeps the full Monitor surface — per-shard tick
+// loops, shard-labelled metrics, swaps — while Ingest alone is intercepted.
 type routedMonitor struct {
 	*shard.Core
 	n *Node
@@ -286,28 +281,15 @@ func (r *routedMonitor) Ingest(jobID int, sample []float64) error {
 	return r.n.forward(owner, jobID, sample)
 }
 
-// AttachServer wires the node to its serving layer and returns the
-// cluster-aware HTTP handler: the server's routes plus the /cluster/v1
-// control plane, an extended /healthz, appended wcc_cluster_* metrics,
-// and 307 redirects for job reads this node does not own. Call it once,
-// after server.New, before serving traffic.
-func (n *Node) AttachServer(srv *server.Server) http.Handler {
-	n.srv = srv
-	n.handler = n.buildHandler(srv.Handler())
-	return n.handler
-}
-
-// Handler returns the handler built by AttachServer (nil before it).
+// Handler returns the cluster-aware HTTP handler: the server's routes plus
+// the /cluster/v1 control plane, an extended /healthz, appended
+// wcc_cluster_* metrics, and 307 redirects for job reads this node does
+// not own.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// bus returns the push-plane sink for cluster events: the attached
-// server's bus, or nil (a valid no-op sink) before AttachServer.
-func (n *Node) bus() *events.Bus {
-	if n.srv == nil {
-		return nil
-	}
-	return n.srv.Events()
-}
+// Server returns the node's serving layer, for the process that owns the
+// listener to drain: CloseStreams at shutdown, Close after Stop.
+func (n *Node) Server() *server.Server { return n.srv }
 
 // Start launches the heartbeat loop and the per-peer forwarders.
 func (n *Node) Start() {
@@ -505,7 +487,7 @@ func (n *Node) noteFailure(peer int, err error) {
 	n.mu.Unlock()
 	if died {
 		n.logf("cluster: node %d marked dead after %d failed probes (last: %v)", peer, n.cfg.DeadAfter, err)
-		n.bus().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(false), Error: err.Error()})
+		n.srv.Events().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(false), Error: err.Error()})
 	}
 }
 
@@ -528,7 +510,7 @@ func (n *Node) notePeer(peer int, gen uint64, ident string) {
 	n.mu.Unlock()
 	if revived {
 		n.logf("cluster: node %d alive again", peer)
-		n.bus().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(true)})
+		n.srv.Events().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(true)})
 	}
 }
 

@@ -396,6 +396,88 @@ func TestClusterRestartConverges(t *testing.T) {
 	}
 }
 
+// TestClusterSwapNamesClassesOnEveryNode pins that a generation is installed
+// the same way however it reaches a node: after one roll, the coordinator
+// (node 0), a peer that committed on its say-so (node 1) and a restarted
+// node that caught up by anti-entropy (node 2) all name classes as the
+// artifact's metadata does, on /healthz and on prediction reads.
+func TestClusterSwapNamesClassesOnEveryNode(t *testing.T) {
+	const (
+		window  = 6
+		sensors = 3
+		stamp   = 5
+	)
+	c := clustertest.Start(t, clustertest.Options{Nodes: 3, Window: window, Sensors: sensors})
+	art := clustertest.StampArtifact(t, t.TempDir(), window, sensors, c.Opts.Scaler, stamp)
+	if _, err := c.Member(0).Cluster.DistributeFile(art); err != nil {
+		t.Fatalf("distributing the stamp artifact: %v", err)
+	}
+	c.Kill(2)
+	c.Restart(2)
+	wantIdent := c.Member(0).Cluster.Identity()
+	if m2 := c.Member(2); !clustertest.Settle(5*time.Second, func() bool {
+		return m2.Cluster.Gen() == 1 && m2.Cluster.Identity() == wantIdent
+	}) {
+		t.Fatalf("restarted node stuck at gen %d identity %q, want gen 1 %q",
+			m2.Cluster.Gen(), m2.Cluster.Identity(), wantIdent)
+	}
+
+	want := clustertest.StampClassNames(stamp)
+	getJSON := func(url string, v any) int {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+				t.Fatalf("GET %s: %v", url, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	for i := 0; i < 3; i++ {
+		m := c.Member(i)
+		var health struct {
+			Classes []string `json:"classes"`
+		}
+		if code := getJSON(m.URL+"/healthz", &health); code != http.StatusOK {
+			t.Fatalf("node %d /healthz: status %d", i, code)
+		}
+		if fmt.Sprint(health.Classes) != fmt.Sprint(want) {
+			t.Errorf("node %d /healthz classes %v, want the artifact's %v", i, health.Classes, want)
+		}
+
+		// A job this node owns, classified by its own tick loop.
+		job := 7000
+		for m.Cluster.Owner(job) != i {
+			job++
+		}
+		samples := make([][]float64, window)
+		for s := range samples {
+			samples[s] = make([]float64, sensors)
+		}
+		if accepted, rejected := postJob(t, m.URL, job, samples); accepted != window || rejected != 0 {
+			t.Fatalf("node %d ingest: %d accepted, %d rejected", i, accepted, rejected)
+		}
+		var pred struct {
+			Class     int       `json:"class"`
+			ClassName string    `json:"class_name"`
+			Probs     []float64 `json:"probs"`
+		}
+		url := fmt.Sprintf("%s/v1/jobs/%d/prediction", m.URL, job)
+		if !clustertest.Settle(5*time.Second, func() bool { return getJSON(url, &pred) == http.StatusOK }) {
+			t.Fatalf("node %d never classified job %d", i, job)
+		}
+		if got := clustertest.StampOf(pred.Probs); got != stamp {
+			t.Fatalf("node %d serves stamp %d, want %d", i, got, stamp)
+		}
+		if pred.ClassName != want[pred.Class] {
+			t.Errorf("node %d serves class_name %q for class %d, want %q", i, pred.ClassName, pred.Class, want[pred.Class])
+		}
+	}
+}
+
 // TestClusterStallMidSwapServesOldGeneration holds one replica's prepare
 // mid-roll and pins the torn-generation invariant: while any node has not
 // prepared, every node keeps serving the old generation — the staged one

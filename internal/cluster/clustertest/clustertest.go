@@ -1,8 +1,9 @@
 // Package clustertest runs a real multi-node serving cluster inside one
-// test process: N wccserve stacks (shard.Core → cluster.Node →
-// server.Server) on loopback listeners, talking real HTTP through a
-// fault-injecting transport. Everything runs under plain `go test` and
-// `-race` — no containers, no sleeps standing in for synchronisation.
+// test process: N wccserve stacks (a shard.Core under a cluster.Node, which
+// builds its own server.Server) on loopback listeners, talking real HTTP
+// through a fault-injecting transport. Everything runs under plain
+// `go test` and `-race` — no containers, no sleeps standing in for
+// synchronisation.
 //
 // The harness offers the failure levers the cluster tests need:
 //
@@ -114,7 +115,6 @@ type Member struct {
 	URL     string
 	Core    *shard.Core
 	Cluster *cluster.Node
-	Server  *server.Server
 
 	httpSrv *http.Server
 	alive   bool
@@ -184,10 +184,8 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		Self:           id,
 		Peers:          c.URLs,
 		Core:           core,
+		Serve:          server.Config{TickEvery: o.TickEvery, Now: o.Now},
 		Dir:            filepath.Join(c.dir, fmt.Sprintf("node%d", id)),
-		Window:         o.Window,
-		Sensors:        o.Sensors,
-		Scaler:         o.Scaler,
 		HeartbeatEvery: o.HeartbeatEvery,
 		DeadAfter:      o.DeadAfter,
 		RPCTimeout:     o.RPCTimeout,
@@ -199,12 +197,7 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 	if err != nil {
 		c.T.Fatalf("clustertest: node %d cluster: %v", id, err)
 	}
-	srv, err := server.New(server.Config{Monitor: node.Monitor(), TickEvery: o.TickEvery, Now: o.Now})
-	if err != nil {
-		c.T.Fatalf("clustertest: node %d server: %v", id, err)
-	}
-	handler := node.AttachServer(srv)
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: node.Handler()}
 	go hs.Serve(ln)
 	node.Start()
 	c.members[id] = &Member{
@@ -212,7 +205,6 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		URL:     c.URLs[id],
 		Core:    core,
 		Cluster: node,
-		Server:  srv,
 		httpSrv: hs,
 		alive:   true,
 	}
@@ -234,7 +226,7 @@ func (c *Cluster) Kill(i int) {
 	m.alive = false
 	m.httpSrv.Close()
 	m.Cluster.Stop()
-	m.Server.Close()
+	m.Cluster.Server().Close()
 }
 
 // Restart boots a fresh stack for node i on its original address — the
@@ -443,8 +435,16 @@ func StampModel(t *testing.T, sensors, stamp int) *forest.Classifier {
 	return f
 }
 
+// StampClassNames is what a stamp artifact calls the stamp model's two
+// classes. The names carry the stamp, and a test cluster boots with no
+// names at all, so they show which artifact's metadata a node installed.
+func StampClassNames(stamp int) []string {
+	return []string{fmt.Sprintf("stamp-%d/a", stamp), fmt.Sprintf("stamp-%d/b", stamp)}
+}
+
 // StampArtifact writes a real `.wcc` artifact whose model carries the
-// stamp (see StampModel) and is servable by a fleet of the given shape.
+// stamp (see StampModel), whose metadata names the classes after it (see
+// StampClassNames), and which is servable by a fleet of the given shape.
 // Distinct stamps produce distinct artifact CRC identities — the
 // replication-convergence tests depend on that.
 func StampArtifact(t *testing.T, dir string, window, sensors int, scaler *preprocess.StandardScaler, stamp int) string {
@@ -452,11 +452,12 @@ func StampArtifact(t *testing.T, dir string, window, sensors int, scaler *prepro
 	path := filepath.Join(dir, fmt.Sprintf("stamp-%03d.wcc", stamp))
 	a := &artifact.Artifact{
 		Meta: artifact.Metadata{
-			Kind:     "forest",
-			Features: "cov",
-			Window:   window,
-			Sensors:  sensors,
-			Tool:     "clustertest",
+			Kind:       "forest",
+			ClassNames: StampClassNames(stamp),
+			Features:   "cov",
+			Window:     window,
+			Sensors:    sensors,
+			Tool:       "clustertest",
 		},
 		Scaler: scaler,
 		Model:  StampModel(t, sensors, stamp),

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/events"
-	"repro/internal/server"
 )
 
 // Rolling fleet-wide swap: DistributeFile pushes one artifact through
@@ -22,10 +21,11 @@ import (
 //	           the CRC identity it computed from its own copy; a mismatch
 //	           anywhere fails the phase (corruption in transit or on disk
 //	           is caught before any node decodes a byte of it);
-//	prepare    every node decodes its copy, runs the same
-//	           server.ServableModel compatibility gates a local hot-swap
-//	           runs, and stages the model without serving it;
-//	commit     only after EVERY node acked prepare does any node install;
+//	prepare    every node decodes its copy, runs the Server.ServableModel
+//	           compatibility gates a local hot-swap runs, and stages the
+//	           artifact without serving it;
+//	commit     only after EVERY node acked prepare does any node install,
+//	           through the same Server.Install a local hot-swap ends in;
 //	           a prepare failure or timeout anywhere aborts everywhere.
 //
 // The invariant the phases exist for: no node ever serves a generation
@@ -64,9 +64,9 @@ var ErrSwapInFlight = errors.New("cluster: a swap is already in flight")
 
 // DistributeFile runs one rolling fleet-wide swap of the artifact at
 // path: replicate to every alive node, prepare on all, then commit on
-// all. It returns the artifact's metadata on success, and is the
-// function a server.WatchConfig.Distribute hook points at — the watcher
-// detects the retrained artifact, the cluster installs it everywhere.
+// all. It returns the artifact's metadata on success, and is what a
+// cluster node's server.WatchConfig.Swap points at — the watcher detects
+// the retrained artifact, the cluster installs it everywhere.
 func (n *Node) DistributeFile(path string) (artifact.Metadata, error) {
 	select {
 	case n.distSem <- struct{}{}:
@@ -166,7 +166,7 @@ func (n *Node) abortAll(gen uint64, targets []int) {
 
 // publishSwapPhase narrates one rolling-swap phase on the push plane.
 func (n *Node) publishSwapPhase(phase string, gen uint64) {
-	n.bus().Publish(events.Event{Type: events.TypeClusterSwap, Phase: phase, Node: events.Intp(n.self)})
+	n.srv.Events().Publish(events.Event{Type: events.TypeClusterSwap, Phase: phase, Node: events.Intp(n.self)})
 	n.logf("cluster: gen %d %s", gen, phase)
 }
 
@@ -227,8 +227,7 @@ func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, er
 	if err != nil {
 		return artifact.Metadata{}, err
 	}
-	cls, err := server.ServableModel(a, n.cfg.Window, n.cfg.Sensors, n.cfg.Scaler)
-	if err != nil {
+	if _, err := n.srv.ServableModel(a); err != nil {
 		return artifact.Metadata{}, err
 	}
 	n.mu.Lock()
@@ -236,14 +235,15 @@ func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, er
 	if gen <= n.gen {
 		return artifact.Metadata{}, fmt.Errorf("gen %d is not newer than committed gen %d", gen, n.gen)
 	}
-	n.staged = &stagedModel{gen: gen, identity: ident, path: path, cls: cls, drift: a.Drift, meta: a.Meta}
+	n.staged = &stagedModel{gen: gen, identity: ident, path: path, art: a}
 	return a.Meta, nil
 }
 
-// applyCommit installs the staged generation on the local core. The
-// actual installation happens outside the node's state lock — the core's
-// own swap lock orders it against ticks — and the generation bookkeeping
-// flips after the install succeeds.
+// applyCommit installs the staged generation through the server's one
+// installer — coordinator, peer commit and catch-up alike. The
+// installation happens outside the node's state lock — the core's own
+// swap lock orders it against ticks — and the generation bookkeeping flips
+// after the install succeeds.
 func (n *Node) applyCommit(gen uint64) error {
 	n.mu.Lock()
 	st := n.staged
@@ -257,7 +257,7 @@ func (n *Node) applyCommit(gen uint64) error {
 	n.staged = nil
 	n.mu.Unlock()
 
-	if err := n.core.SwapClassifierDrift(st.cls, st.drift); err != nil {
+	if err := n.srv.Install(st.art); err != nil {
 		return err
 	}
 	n.mu.Lock()

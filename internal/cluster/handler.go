@@ -16,10 +16,6 @@ import (
 // plus the largest artifact a replicate may carry.
 const maxControlBody = MaxFrameArtifactBytes + 1024
 
-// maxPeerIngestBody caps one forwarded-ingest body, mirroring the serving
-// layer's default ingest cap.
-const maxPeerIngestBody = 16 << 20
-
 // buildHandler assembles the cluster-aware route table over the serving
 // layer's handler:
 //
@@ -202,15 +198,16 @@ type peerIngestResponse struct {
 // handlePeerIngest ingests peer-forwarded samples directly into the local
 // core — no ownership re-check, because re-routing a forwarded sample
 // could loop during a membership disagreement; the forwarding node
-// already decided ownership and the sample lands here exactly once.
+// already decided ownership and the sample lands here exactly once. The
+// body is capped where the public ingest route's is by default.
 func (n *Node) handlePeerIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPeerIngestBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, server.DefaultMaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, "cluster: reading forwarded batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(body) > maxPeerIngestBody {
-		http.Error(w, fmt.Sprintf("cluster: forwarded batch exceeds %d bytes", maxPeerIngestBody), http.StatusRequestEntityTooLarge)
+	if len(body) > server.DefaultMaxBodyBytes {
+		http.Error(w, fmt.Sprintf("cluster: forwarded batch exceeds %d bytes", server.DefaultMaxBodyBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
 	dec := wire.NewIngestDecoder(body)
@@ -282,12 +279,9 @@ type HealthResponse struct {
 // an unconverged cluster is visible but not unhealthy — convergence is
 // eventual by design while a swap rolls or a node catches up.
 func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{Cluster: n.Status()}
-	if n.srv != nil {
-		resp.HealthResponse = n.srv.Health()
-	}
+	resp := HealthResponse{HealthResponse: n.srv.Health(), Cluster: n.Status()}
 	code := http.StatusOK
-	if resp.Status != "ok" && resp.Status != "" {
+	if resp.Status != "ok" {
 		code = http.StatusServiceUnavailable
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -296,31 +290,35 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeClusterMetrics appends the wcc_cluster_* series to a /metrics
-// response already written by the serving layer.
+// response already written by the serving layer, in the same exposition.
 func (n *Node) writeClusterMetrics(w io.Writer) {
 	st := n.Status()
-	fmt.Fprintf(w, "# cluster plane (node %d of %d)\n", st.Node, st.Nodes)
-	fmt.Fprintf(w, "wcc_cluster_node %d\n", st.Node)
-	fmt.Fprintf(w, "wcc_cluster_nodes %d\n", st.Nodes)
-	fmt.Fprintf(w, "wcc_cluster_generation %d\n", st.Gen)
-	fmt.Fprintf(w, "wcc_cluster_converged %d\n", boolMetric(st.Converged))
+	mw := server.Metrics{W: w}
+	mw.Gauge("wcc_cluster_node", "This node's ID.", float64(st.Node))
+	mw.Gauge("wcc_cluster_nodes", "Cluster size fixed at boot.", float64(st.Nodes))
+	mw.Gauge("wcc_cluster_generation", "Model generation committed on this node.", float64(st.Gen))
+	mw.Gauge("wcc_cluster_converged", "1 when every alive peer advertises this node's generation and artifact identity.", boolMetric(st.Converged))
+	mw.Family("wcc_cluster_peer_alive", "This node's liveness belief about each node.", "gauge")
 	for _, p := range st.Peers {
-		fmt.Fprintf(w, "wcc_cluster_peer_alive{node=\"%d\"} %d\n", p.Node, boolMetric(p.Alive))
+		fmt.Fprintf(w, "wcc_cluster_peer_alive{node=\"%d\"} %g\n", p.Node, boolMetric(p.Alive))
+	}
+	mw.Family("wcc_cluster_peer_generation", "Each node's last advertised model generation.", "gauge")
+	for _, p := range st.Peers {
 		fmt.Fprintf(w, "wcc_cluster_peer_generation{node=\"%d\"} %d\n", p.Node, p.Gen)
 	}
-	fmt.Fprintf(w, "wcc_cluster_forwarded_samples_total %d\n", n.forwarded.Load())
-	fmt.Fprintf(w, "wcc_cluster_forward_dropped_total %d\n", n.forwardDropped.Load())
-	fmt.Fprintf(w, "wcc_cluster_forward_errors_total %d\n", n.forwardErrors.Load())
-	fmt.Fprintf(w, "wcc_cluster_forward_received_total %d\n", n.forwardReceived.Load())
-	fmt.Fprintf(w, "wcc_cluster_redirects_total %d\n", n.redirects.Load())
-	fmt.Fprintf(w, "wcc_cluster_replications_total %d\n", n.replications.Load())
-	fmt.Fprintf(w, "wcc_cluster_swaps_total %d\n", n.clusterSwaps.Load())
-	fmt.Fprintf(w, "wcc_cluster_aborts_total %d\n", n.clusterAborts.Load())
-	fmt.Fprintf(w, "wcc_cluster_heartbeats_total %d\n", n.heartbeats.Load())
-	fmt.Fprintf(w, "wcc_cluster_heartbeat_failures_total %d\n", n.heartbeatFails.Load())
+	mw.Counter("wcc_cluster_forwarded_samples_total", "Samples handed to a peer's forwarding queue.", n.forwarded.Load())
+	mw.Counter("wcc_cluster_forward_dropped_total", "Samples rejected by a full forwarding queue.", n.forwardDropped.Load())
+	mw.Counter("wcc_cluster_forward_errors_total", "Samples lost to failed forwarded POSTs.", n.forwardErrors.Load())
+	mw.Counter("wcc_cluster_forward_received_total", "Forwarded samples this node ingested for peers.", n.forwardReceived.Load())
+	mw.Counter("wcc_cluster_redirects_total", "Job reads answered 307 to their owner.", n.redirects.Load())
+	mw.Counter("wcc_cluster_replications_total", "Artifacts persisted by the replicate phase.", n.replications.Load())
+	mw.Counter("wcc_cluster_swaps_total", "Generations committed on this node.", n.clusterSwaps.Load())
+	mw.Counter("wcc_cluster_aborts_total", "Staged generations dropped by an abort.", n.clusterAborts.Load())
+	mw.Counter("wcc_cluster_heartbeats_total", "Heartbeat pings sent.", n.heartbeats.Load())
+	mw.Counter("wcc_cluster_heartbeat_failures_total", "Heartbeat pings that failed.", n.heartbeatFails.Load())
 }
 
-func boolMetric(b bool) int {
+func boolMetric(b bool) float64 {
 	if b {
 		return 1
 	}

@@ -24,15 +24,6 @@ func (s *Server) ClassNames() []string {
 	return s.classNames
 }
 
-// SetClassNames replaces the class-name mapping, typically after an adapt
-// promotion widened the class set with novel-N families. Prediction
-// responses and /healthz pick the new names up on their next read.
-func (s *Server) SetClassNames(names []string) {
-	s.namesMu.Lock()
-	s.classNames = names
-	s.namesMu.Unlock()
-}
-
 // handleAdapt serves the flywheel's lifecycle status.
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Adapt == nil {

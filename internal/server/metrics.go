@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -9,6 +10,29 @@ import (
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
+
+// Metrics writes Prometheus text exposition. Every series the process
+// exports — serving layer here, wcc_cluster_* in internal/cluster — goes
+// through it, so each one carries its # HELP and # TYPE lines.
+type Metrics struct{ W io.Writer }
+
+// Family writes the HELP/TYPE header of one metric; labelled series follow
+// it as plain sample lines written by the caller.
+func (m Metrics) Family(name, help, typ string) {
+	fmt.Fprintf(m.W, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Counter writes one unlabelled counter.
+func (m Metrics) Counter(name, help string, v uint64) {
+	m.Family(name, help, "counter")
+	fmt.Fprintf(m.W, "%s %d\n", name, v)
+}
+
+// Gauge writes one unlabelled gauge.
+func (m Metrics) Gauge(name, help string, v float64) {
+	m.Family(name, help, "gauge")
+	fmt.Fprintf(m.W, "%s %g\n", name, v)
+}
 
 // handleMetrics renders Prometheus-style text metrics: monotonic counters
 // for scrapers that compute their own rates, plus convenience gauges —
@@ -52,65 +76,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	mw := Metrics{W: w}
 
-	counter("wcc_samples_ingested_total", "Telemetry samples accepted into the fleet.", samples)
-	counter("wcc_classifications_total", "Per-job classifications produced by inference ticks.", classed)
-	counter("wcc_ticks_total", "Completed batched inference ticks.", s.m.Ticks())
-	counter("wcc_tick_errors_total", "Inference ticks that returned an error.", tickErrs)
-	counter("wcc_model_swaps_total", "Zero-downtime classifier hot-swaps.", s.m.Swaps())
-	counter("wcc_jobs_evicted_total", "Jobs removed from the registry (EndJob or idle eviction).", s.m.Evictions())
+	mw.Counter("wcc_samples_ingested_total", "Telemetry samples accepted into the fleet.", samples)
+	mw.Counter("wcc_classifications_total", "Per-job classifications produced by inference ticks.", classed)
+	mw.Counter("wcc_ticks_total", "Completed batched inference ticks.", s.m.Ticks())
+	mw.Counter("wcc_tick_errors_total", "Inference ticks that returned an error.", tickErrs)
+	mw.Counter("wcc_model_swaps_total", "Zero-downtime classifier hot-swaps.", s.m.Swaps())
+	mw.Counter("wcc_jobs_evicted_total", "Jobs removed from the registry (EndJob or idle eviction).", s.m.Evictions())
 	ds := s.m.DriftStats()
-	counter("wcc_unknown_total", "Classifications rejected as unknown workloads by the open-set threshold.", ds.Unknowns)
-	gauge("wcc_drift_score", "Fleet input-drift score: maximum per-sensor PSI against the training reference.", ds.Score)
+	mw.Counter("wcc_unknown_total", "Classifications rejected as unknown workloads by the open-set threshold.", ds.Unknowns)
+	mw.Gauge("wcc_drift_score", "Fleet input-drift score: maximum per-sensor PSI against the training reference.", ds.Score)
 	if ds.Enabled {
-		fmt.Fprintf(w, "# HELP wcc_drift_sensor_psi Per-sensor PSI of live input against the training reference.\n# TYPE wcc_drift_sensor_psi gauge\n")
+		mw.Family("wcc_drift_sensor_psi", "Per-sensor PSI of live input against the training reference.", "gauge")
 		for i, v := range ds.SensorPSI {
 			fmt.Fprintf(w, "wcc_drift_sensor_psi{sensor=\"%d\"} %g\n", i, v)
 		}
 	}
-	counter("wcc_ingest_throttled_total", "Ingest requests answered 429 because the queue was full.", s.throttled.Load())
-	counter("wcc_ingest_line_errors_total", "Ingest lines rejected (malformed or unacceptable samples).", s.lineErrs.Load())
-	gauge("wcc_jobs", "Jobs currently registered in the fleet.", float64(s.m.NumJobs()))
-	gauge("wcc_ingest_queue_depth", "Parsed ingest batches waiting for a worker.", float64(len(s.queue)))
-	gauge("wcc_ingest_queue_capacity", "Bound on queued ingest batches.", float64(cap(s.queue)))
-	gauge("wcc_samples_per_second", "Ingest rate over the interval since the previous scrape.", sampleRate)
-	gauge("wcc_classifications_per_second", "Classification rate over the interval since the previous scrape.", classRate)
-	gauge("wcc_uptime_seconds", "Seconds since the serving layer started.", time.Since(s.start).Seconds())
+	mw.Counter("wcc_ingest_throttled_total", "Ingest requests answered 429 because the queue was full.", s.throttled.Load())
+	mw.Counter("wcc_ingest_line_errors_total", "Ingest lines rejected (malformed or unacceptable samples).", s.lineErrs.Load())
+	mw.Gauge("wcc_jobs", "Jobs currently registered in the fleet.", float64(s.m.NumJobs()))
+	mw.Gauge("wcc_ingest_queue_depth", "Parsed ingest batches waiting for a worker.", float64(len(s.queue)))
+	mw.Gauge("wcc_ingest_queue_capacity", "Bound on queued ingest batches.", float64(cap(s.queue)))
+	mw.Gauge("wcc_samples_per_second", "Ingest rate over the interval since the previous scrape.", sampleRate)
+	mw.Gauge("wcc_classifications_per_second", "Classification rate over the interval since the previous scrape.", classRate)
+	mw.Gauge("wcc_uptime_seconds", "Seconds since the serving layer started.", time.Since(s.start).Seconds())
 
 	if s.cfg.Adapt != nil {
-		s.writeAdaptMetrics(w, counter, gauge)
+		s.writeAdaptMetrics(mw)
 	}
 
 	es := s.bus.Stats()
-	counter("wcc_events_published_total", "Events published on the push-plane bus.", es.Published)
-	counter("wcc_events_dropped_total", "Events a subscriber missed because its queue was full.", es.Dropped)
-	counter("wcc_event_subscribers_evicted_total", "Event subscribers evicted for falling behind.", es.Evicted)
-	gauge("wcc_event_subscribers", "Live /v1/events subscribers.", float64(es.Subscribers))
+	mw.Counter("wcc_events_published_total", "Events published on the push-plane bus.", es.Published)
+	mw.Counter("wcc_events_dropped_total", "Events a subscriber missed because its queue was full.", es.Dropped)
+	mw.Counter("wcc_event_subscribers_evicted_total", "Event subscribers evicted for falling behind.", es.Evicted)
+	mw.Gauge("wcc_event_subscribers", "Live /v1/events subscribers.", float64(es.Subscribers))
 
-	fmt.Fprintf(w, "# HELP wcc_tick_latency_seconds Batched inference tick latency over the last %d ticks.\n", tickWindow)
-	fmt.Fprintf(w, "# TYPE wcc_tick_latency_seconds summary\n")
+	mw.Family("wcc_tick_latency_seconds", fmt.Sprintf("Batched inference tick latency over the last %d ticks.", tickWindow), "summary")
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		fmt.Fprintf(w, "wcc_tick_latency_seconds{quantile=%q} %g\n", fmt.Sprintf("%g", q), quantile(durs, q).Seconds())
 	}
 
-	s.writeStageMetrics(w)
-	s.writeShardMetrics(w)
+	s.writeStageMetrics(mw)
+	s.writeShardMetrics(mw)
 }
 
 // writeAdaptMetrics renders the continual-learning flywheel's state: the
 // lifecycle phase as a one-hot labelled gauge (so dashboards can plot the
 // state machine), buffer/family/candidate gauges, shadow-scoring evidence,
 // and the promotion/abort counters.
-func (s *Server) writeAdaptMetrics(w http.ResponseWriter, counter func(name, help string, v uint64), gauge func(name, help string, v float64)) {
+func (s *Server) writeAdaptMetrics(mw Metrics) {
 	st := s.cfg.Adapt.Status()
+	w := mw.W
 
-	fmt.Fprintf(w, "# HELP wcc_adapt_phase Flywheel lifecycle phase (one-hot: buffer, train, shadow, promoted, aborted).\n# TYPE wcc_adapt_phase gauge\n")
+	mw.Family("wcc_adapt_phase", "Flywheel lifecycle phase (one-hot: buffer, train, shadow, promoted, aborted).", "gauge")
 	for _, p := range []string{"buffer", "train", "shadow", "promoted", "aborted"} {
 		v := 0
 		if string(st.Phase) == p {
@@ -118,39 +137,38 @@ func (s *Server) writeAdaptMetrics(w http.ResponseWriter, counter func(name, hel
 		}
 		fmt.Fprintf(w, "wcc_adapt_phase{phase=%q} %d\n", p, v)
 	}
-	counter("wcc_adapt_observed_windows_total", "Live windows observed by the flywheel.", st.Observed)
-	gauge("wcc_adapt_buffered", "Rejected windows currently in the reservoir.", float64(st.Buffered))
-	gauge("wcc_adapt_buffer_capacity", "Reservoir capacity.", float64(st.BufferedCap))
-	counter("wcc_adapt_buffer_dropped_total", "Rejected windows reservoir-sampled away after the buffer filled.", st.Dropped)
-	gauge("wcc_adapt_families", "Candidate new-workload families from the last clustering pass.", float64(len(st.Families)))
+	mw.Counter("wcc_adapt_observed_windows_total", "Live windows observed by the flywheel.", st.Observed)
+	mw.Gauge("wcc_adapt_buffered", "Rejected windows currently in the reservoir.", float64(st.Buffered))
+	mw.Gauge("wcc_adapt_buffer_capacity", "Reservoir capacity.", float64(st.BufferedCap))
+	mw.Counter("wcc_adapt_buffer_dropped_total", "Rejected windows reservoir-sampled away after the buffer filled.", st.Dropped)
+	mw.Gauge("wcc_adapt_families", "Candidate new-workload families from the last clustering pass.", float64(len(st.Families)))
 	if st.Candidate != nil {
-		gauge("wcc_adapt_candidate_classes", "Classes in the candidate model (base plus novel).", float64(st.Candidate.Classes))
-		gauge("wcc_adapt_candidate_novel_classes", "Novel classes the candidate adds.", float64(st.Candidate.Novel))
+		mw.Gauge("wcc_adapt_candidate_classes", "Classes in the candidate model (base plus novel).", float64(st.Candidate.Classes))
+		mw.Gauge("wcc_adapt_candidate_novel_classes", "Novel classes the candidate adds.", float64(st.Candidate.Novel))
 	}
 	if st.Shadow != nil {
-		counter("wcc_adapt_shadow_windows_total", "Live windows shadow-scored by the candidate.", st.Shadow.Windows)
-		counter("wcc_adapt_shadow_compared_total", "Serving-accepted windows in the agreement denominator.", st.Shadow.Compared)
-		gauge("wcc_adapt_shadow_agreement", "Candidate/serving class agreement on accepted windows.", st.Shadow.Agreement)
-		gauge("wcc_adapt_serving_unknown_rate", "Serving model's rejected fraction of shadow-scored windows.", st.Shadow.ServingUnknownRate)
-		gauge("wcc_adapt_candidate_unknown_rate", "Candidate model's rejected fraction of shadow-scored windows.", st.Shadow.CandidateUnknownRate)
+		mw.Counter("wcc_adapt_shadow_windows_total", "Live windows shadow-scored by the candidate.", st.Shadow.Windows)
+		mw.Counter("wcc_adapt_shadow_compared_total", "Serving-accepted windows in the agreement denominator.", st.Shadow.Compared)
+		mw.Gauge("wcc_adapt_shadow_agreement", "Candidate/serving class agreement on accepted windows.", st.Shadow.Agreement)
+		mw.Gauge("wcc_adapt_serving_unknown_rate", "Serving model's rejected fraction of shadow-scored windows.", st.Shadow.ServingUnknownRate)
+		mw.Gauge("wcc_adapt_candidate_unknown_rate", "Candidate model's rejected fraction of shadow-scored windows.", st.Shadow.CandidateUnknownRate)
 	}
 	gateReady := 0.0
 	if st.GateReady {
 		gateReady = 1
 	}
-	gauge("wcc_adapt_gate_ready", "1 when the shadow candidate passes the promotion quality gate.", gateReady)
-	counter("wcc_adapt_promotions_total", "Candidates promoted into serving.", st.Promotions)
-	counter("wcc_adapt_aborts_total", "Candidates discarded by operator abort.", st.Aborts)
+	mw.Gauge("wcc_adapt_gate_ready", "1 when the shadow candidate passes the promotion quality gate.", gateReady)
+	mw.Counter("wcc_adapt_promotions_total", "Candidates promoted into serving.", st.Promotions)
+	mw.Counter("wcc_adapt_aborts_total", "Candidates discarded by operator abort.", st.Aborts)
 }
 
 // writeStageMetrics renders the per-stage serving-latency histograms as
 // proper Prometheus histogram series — cumulative _bucket rows per le
 // bound, _sum and _count — one set per pipeline stage that has recorded at
 // least one span.
-func (s *Server) writeStageMetrics(w http.ResponseWriter) {
-	snap := s.tracer.Snapshot()
-	fmt.Fprintf(w, "# HELP wcc_stage_latency_seconds Per-stage serving pipeline latency (parse, queue, ingest, collect, classify, writeback).\n")
-	fmt.Fprintf(w, "# TYPE wcc_stage_latency_seconds histogram\n")
+func (s *Server) writeStageMetrics(mw Metrics) {
+	snap, w := s.tracer.Snapshot(), mw.W
+	mw.Family("wcc_stage_latency_seconds", "Per-stage serving pipeline latency (parse, queue, ingest, collect, classify, writeback).", "histogram")
 	for _, st := range snap.Stages {
 		if st.Count == 0 {
 			continue
@@ -168,16 +186,16 @@ func (s *Server) writeStageMetrics(w http.ResponseWriter) {
 // writeShardMetrics renders the per-shard series, one HELP/TYPE block per
 // metric with a shard label per series, so a scraper can spot a cold or
 // overloaded shard that the fleet-wide sums average away.
-func (s *Server) writeShardMetrics(w http.ResponseWriter) {
-	per := s.m.ShardStats()
-	fmt.Fprintf(w, "# HELP wcc_shards Monitor shards in the serving core.\n# TYPE wcc_shards gauge\nwcc_shards %d\n", len(per))
+func (s *Server) writeShardMetrics(mw Metrics) {
+	per, w := s.m.ShardStats(), mw.W
+	mw.Gauge("wcc_shards", "Monitor shards in the serving core.", float64(len(per)))
 	shardCounter := func(name, help string, v func(shard.Stats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		mw.Family(name, help, "counter")
 		for i, st := range per {
 			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, v(st))
 		}
 	}
-	fmt.Fprintf(w, "# HELP wcc_shard_jobs Jobs currently registered on the shard.\n# TYPE wcc_shard_jobs gauge\n")
+	mw.Family("wcc_shard_jobs", "Jobs currently registered on the shard.", "gauge")
 	for i, st := range per {
 		fmt.Fprintf(w, "wcc_shard_jobs{shard=\"%d\"} %d\n", i, st.Jobs)
 	}

@@ -78,6 +78,7 @@ import (
 	"repro/internal/drift"
 	"repro/internal/events"
 	"repro/internal/fleet"
+	"repro/internal/preprocess"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -103,6 +104,9 @@ type Monitor interface {
 	Snapshot() []fleet.JobInfo
 	Window() int
 	Sensors() int
+	// Scaler is the statistics the fleet's embedders standardise with; with
+	// Window and Sensors it is what Install gates a replacement model on.
+	Scaler() *preprocess.StandardScaler
 	NumJobs() int
 	SamplesIngested() uint64
 	Classifications() uint64
@@ -137,7 +141,8 @@ type Config struct {
 	// Workers is the number of goroutines draining the ingest queue
 	// (default 4).
 	Workers int
-	// MaxBodyBytes caps one ingest request body (default 16 MiB).
+	// MaxBodyBytes caps one ingest request body (default
+	// DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// RetryAfter is the client backoff advertised on 429 (default 1s,
 	// rounded up to whole seconds on the wire).
@@ -183,6 +188,10 @@ type Config struct {
 	// tests use it to hold workers and fill the queue deterministically.
 	testHook func()
 }
+
+// DefaultMaxBodyBytes is the default cap on one ingest request body; the
+// cluster's peer-forwarded ingest route applies the same cap.
+const DefaultMaxBodyBytes = 16 << 20
 
 // tickWindow is how many recent tick durations back the /metrics latency
 // quantiles.
@@ -241,9 +250,9 @@ type Server struct {
 	lastSamples uint64
 	lastClassed uint64
 
-	// namesMu guards classNames, which starts as Config.ClassNames and can
-	// be replaced at runtime (SetClassNames) when an adapt promotion widens
-	// the class set.
+	// namesMu guards classNames, which starts as Config.ClassNames and is
+	// replaced by Install when a swapped-in artifact names its own classes
+	// (an adapt promotion widens the class set).
 	namesMu    sync.RWMutex
 	classNames []string
 }
@@ -287,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = 4
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,11 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 )
+
+// watchNames is what the replacement artifacts call their classes — not
+// what newTestServer boots with, so a swap that lands is visible in names.
+var watchNames = []string{"idle", "train", "infer", "novel-0"}
 
 // saveWatchArtifact writes a .wcc artifact with the given tool string (the
 // padding knob the size-equalisation below turns).
@@ -23,7 +27,7 @@ func saveWatchArtifact(t *testing.T, path string, scaler *preprocess.StandardSca
 	err := artifact.Save(path, &artifact.Artifact{
 		Meta: artifact.Metadata{
 			Features: "cov", Window: testWindow, Sensors: testSensors,
-			Accuracy: 0.5, CreatedUnix: 1234, Tool: tool,
+			Accuracy: 0.5, CreatedUnix: 1234, Tool: tool, ClassNames: watchNames,
 		},
 		Scaler: scaler,
 		Model:  model,
@@ -61,8 +65,9 @@ func altForest(t *testing.T) *forest.Classifier {
 // TestWatchDetectsSameStatReplacement is the regression test for the
 // stat-based watcher miss: a retrained artifact renamed into place with the
 // same byte length and the same mtime as its predecessor must still be
-// hot-swapped, because replacement detection now compares section CRCs via
-// artifact.ReadInfo rather than os.Stat.
+// hot-swapped, because replacement detection compares section CRCs via
+// artifact.Identity rather than os.Stat. The swap goes through the server's
+// installer, so it also renames the classes — with no callback involved.
 func TestWatchDetectsSameStatReplacement(t *testing.T) {
 	scaler, modelA := fixture(t)
 	modelB := altForest(t)
@@ -97,11 +102,11 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 			stA.Size(), stB.Size(), stA.ModTime(), stB.ModTime())
 	}
 	// ...but different content identity.
-	identA, err := artifactIdentity(path)
+	identA, err := artifact.Identity(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	identB, err := artifactIdentity(pathB)
+	identB, err := artifact.Identity(pathB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +114,12 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 		t.Fatal("replacement artifact has the same content identity")
 	}
 
-	monitor, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := make(chan artifact.Metadata, 1)
+	srv, monitor, ts := newTestServer(t, nil) // boots on fixture's scaler and modelA
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Watch(stop, WatchConfig{
-			Path: path, Every: 2 * time.Millisecond, Monitor: monitor,
-			Window: testWindow, Sensors: testSensors, Scaler: scaler,
-			OnSwap: func(meta artifact.Metadata) {
-				select {
-				case swapped <- meta:
-				default:
-				}
-			},
-		})
+		Watch(stop, WatchConfig{Path: path, Every: 2 * time.Millisecond, Swap: srv.InstallFile})
 	}()
 	defer func() { close(stop); <-done }()
 
@@ -138,13 +130,13 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	select {
-	case meta := <-swapped:
-		if !strings.HasPrefix(meta.Tool, "watch-test") {
-			t.Fatalf("swapped metadata %+v", meta)
+	// The names are the last thing Install sets, so seeing them means the
+	// whole swap landed.
+	for deadline := time.Now().Add(5 * time.Second); !reflect.DeepEqual(srv.ClassNames(), watchNames); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("same-size same-mtime replacement was never hot-swapped: %d swaps, class names %v, want %v",
+				monitor.Swaps(), srv.ClassNames(), watchNames)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("same-size same-mtime replacement was never hot-swapped")
 	}
 	if n := monitor.Swaps(); n != 1 {
 		t.Fatalf("monitor saw %d swaps, want 1", n)
@@ -169,6 +161,12 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 		t.Fatalf("post-swap prediction (%d, %v) does not match the replacement model (%d, %v)",
 			got.Class, got.Probability, want.Class, want.Probability)
 	}
+	// ...and the API names it the way the replacement artifact does.
+	var pr predictionResponse
+	getJSON(t, ts.URL+"/v1/jobs/21/prediction", &pr)
+	if pr.ClassName != watchNames[got.Class] {
+		t.Fatalf("served class_name %q for class %d, want %q", pr.ClassName, got.Class, watchNames[got.Class])
+	}
 }
 
 // TestWatchRejectsIncompatibleArtifact pins the swap safety boundary:
@@ -180,18 +178,14 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	path := filepath.Join(dir, "model.wcc")
 	saveWatchArtifact(t, path, scaler, modelA, "watch-test")
 
-	monitor, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, monitor, _ := newTestServer(t, nil)
 	skipped := make(chan string, 4)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		Watch(stop, WatchConfig{
-			Path: path, Every: 2 * time.Millisecond, Monitor: monitor,
-			Window: testWindow, Sensors: testSensors, Scaler: scaler,
+			Path: path, Every: 2 * time.Millisecond, Swap: srv.InstallFile,
 			Logf: func(format string, args ...any) {
 				select {
 				case skipped <- fmt.Sprintf(format, args...):
@@ -218,5 +212,8 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	}
 	if n := monitor.Swaps(); n != 0 {
 		t.Fatalf("incompatible artifact was swapped in (%d swaps)", n)
+	}
+	if got := srv.ClassNames(); reflect.DeepEqual(got, watchNames) {
+		t.Fatalf("refused artifact still renamed the classes to %v", got)
 	}
 }

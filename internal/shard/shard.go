@@ -81,6 +81,7 @@ type Core struct {
 	monitors []*fleet.Monitor
 	window   int
 	sensors  int
+	scaler   *preprocess.StandardScaler
 	drift    *drift.Calibration // nil when drift monitoring is disabled
 
 	// swapMu orders ticks against model swaps: every inference pass holds
@@ -108,6 +109,7 @@ func New(cfg Config) (*Core, error) {
 		monitors: make([]*fleet.Monitor, cfg.Shards),
 		window:   cfg.Window,
 		sensors:  cfg.Sensors,
+		scaler:   cfg.Scaler,
 		drift:    cfg.Drift,
 	}
 	for i := range c.monitors {
@@ -379,6 +381,11 @@ func (c *Core) Window() int { return c.window }
 
 // Sensors returns the per-sample sensor count the core was built with.
 func (c *Core) Sensors() int { return c.sensors }
+
+// Scaler returns the training-time statistics every job's embedder was
+// built with. Per-job window state survives a model swap, so a replacement
+// model must have been trained against exactly these.
+func (c *Core) Scaler() *preprocess.StandardScaler { return c.scaler }
 
 // NumJobs counts registered jobs across all shards.
 func (c *Core) NumJobs() int {
