@@ -201,10 +201,7 @@ func run(c config) error {
 	}
 	window, sensors := monitor.Window(), monitor.Sensors()
 
-	names := make([]string, telemetry.NumClasses)
-	for _, cl := range telemetry.AllClasses() {
-		names[int(cl)] = cl.Name()
-	}
+	names := telemetry.ClassNames()
 	if lm != nil && len(lm.Artifact.Meta.ClassNames) > 0 {
 		names = lm.Artifact.Meta.ClassNames
 	}

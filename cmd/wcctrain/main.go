@@ -329,13 +329,9 @@ func run(o opts) error {
 	}
 
 	if o.out != "" {
-		classNames := make([]string, numClasses)
-		for _, c := range telemetry.AllClasses() {
-			classNames[int(c)] = c.Name()
-		}
 		a := &artifact.Artifact{
 			Meta: artifact.Metadata{
-				ClassNames:  classNames,
+				ClassNames:  telemetry.ClassNames(),
 				Features:    featuresKind,
 				Window:      window,
 				Sensors:     sensors,
@@ -360,11 +356,7 @@ func run(o opts) error {
 	}
 
 	if o.report {
-		names := make([]string, numClasses)
-		for _, c := range telemetry.AllClasses() {
-			names[int(c)] = c.Name()
-		}
-		rep, err := metrics.Report(testY, pred, numClasses, names)
+		rep, err := metrics.Report(testY, pred, numClasses, telemetry.ClassNames())
 		if err != nil {
 			return err
 		}

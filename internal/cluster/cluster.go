@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -52,6 +53,9 @@ import (
 // MaxNodes bounds the cluster size; the alive set is kept in one atomic
 // word so the per-sample routing read is a single load.
 const MaxNodes = 64
+
+// forwardBatch caps how many samples one forwarded POST carries.
+const forwardBatch = 256
 
 // Config describes one node's place in the cluster.
 type Config struct {
@@ -64,8 +68,8 @@ type Config struct {
 	// Core is the node's local serving core. The cluster layer routes and
 	// forwards around it but never reaches into its shards.
 	Core *shard.Core
-	// Serve configures the node's serving layer. New sets its Monitor — the
-	// ownership-routed wrapper around Core — and builds the server.
+	// Serve configures the node's serving layer. New sets its Monitor to
+	// Core and builds the server.
 	Serve server.Config
 	// Dir is the artifact staging directory: replicated artifacts are
 	// persisted here (one file per generation) before prepare loads them.
@@ -84,9 +88,6 @@ type Config struct {
 	// (default 4096). A full queue rejects the sample — bounded, visible
 	// loss in the ingest accounting rather than unbounded memory.
 	ForwardBuffer int
-	// ForwardBatch caps how many samples one forwarded POST carries
-	// (default 256).
-	ForwardBatch int
 	// Transport, when non-nil, replaces the HTTP transport for every
 	// control-plane and forwarding request — the fault-injection seam the
 	// in-process cluster tests use to kill, partition and stall nodes.
@@ -166,9 +167,10 @@ type Node struct {
 }
 
 // New validates the configuration and builds the node whole: the serving
-// layer over the ownership-routed core, and the cluster-aware handler over
-// the serving layer. The server's ingest workers and tick loops run from
-// here on; the cluster's own loops (heartbeats, forwarders) wait for Start.
+// layer over the core, and the cluster-aware handler — ownership routing
+// included — over the serving layer. The server's ingest workers and tick
+// loops run from here on; the cluster's own loops (heartbeats, forwarders)
+// wait for Start.
 func New(cfg Config) (*Node, error) {
 	if cfg.Core == nil {
 		return nil, errors.New("cluster: nil core")
@@ -199,9 +201,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.ForwardBuffer <= 0 {
 		cfg.ForwardBuffer = 4096
-	}
-	if cfg.ForwardBatch <= 0 {
-		cfg.ForwardBatch = 256
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -246,7 +245,7 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.forwarders[i] = newForwarder(n, i)
 	}
-	cfg.Serve.Monitor = &routedMonitor{Core: n.core, n: n}
+	cfg.Serve.Monitor = n.core
 	srv, err := server.New(cfg.Serve)
 	if err != nil {
 		return nil, err
@@ -256,29 +255,32 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// routedMonitor is the monitor the node's server drives: the local sharded
-// core with ownership routing on the ingest path — locally owned jobs
-// ingest into the node's own core, foreign jobs are forwarded to their
-// owning peer. Embedding keeps the full Monitor surface — per-shard tick
-// loops, shard-labelled metrics, swaps — while Ingest alone is intercepted.
-type routedMonitor struct {
-	*shard.Core
-	n *Node
+// route delivers one sample that arrived on the public ingest route: into
+// the local core when this node owns the job, otherwise through the fleet's
+// sample gate — so a malformed line is refused here, with the error a single
+// node gives, instead of being acknowledged and lost at the owner — and onto
+// the owner's forwarding queue.
+func (n *Node) route(jobID int, sample []float64) error {
+	owner := n.Owner(jobID)
+	if owner == n.self {
+		return n.core.Ingest(jobID, sample)
+	}
+	if err := fleet.CheckSample(sample, n.core.Sensors()); err != nil {
+		return err
+	}
+	return n.forward(owner, jobID, sample)
 }
 
-var _ server.Monitor = (*routedMonitor)(nil)
-
-// Ingest routes one sample: into the local core when this node owns the
-// job, onto the owner's forwarding queue otherwise. The forward path
-// copies the values before enqueueing — the serving layer's pooled parse
-// scratch is reused the moment the handler returns, and a forwarded
-// sample outlives the handler.
-func (r *routedMonitor) Ingest(jobID int, sample []float64) error {
-	owner := r.n.Owner(jobID)
-	if owner == r.n.self {
-		return r.Core.Ingest(jobID, sample)
+// receive delivers one peer-forwarded sample into the local core — no
+// ownership re-check, because re-routing a forwarded sample could loop
+// during a membership disagreement; the forwarding node already decided
+// ownership and the sample lands here exactly once.
+func (n *Node) receive(jobID int, sample []float64) error {
+	err := n.core.Ingest(jobID, sample)
+	if err == nil {
+		n.forwardReceived.Add(1)
 	}
-	return r.n.forward(owner, jobID, sample)
+	return err
 }
 
 // Handler returns the cluster-aware HTTP handler: the server's routes plus

@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/wire"
@@ -21,7 +24,8 @@ import (
 // the sample with an error that surfaces in the ingest batch's per-line
 // accounting, the same visible-backpressure posture as the serving
 // layer's 429. Loss during a peer outage is therefore bounded by the
-// queue depth and counted, never silent.
+// queue depth and counted, never silent: a sample the gate passed is applied
+// by its owner, or counted in forwardDropped or forwardErrors.
 
 // fwdSample is one queued forwarded sample, or a flush marker.
 type fwdSample struct {
@@ -37,6 +41,7 @@ type forwarder struct {
 	n    *Node
 	peer int
 	ch   chan fwdSample
+	buf  []byte // the batch being framed; only run's goroutine touches it
 }
 
 func newForwarder(n *Node, peer int) *forwarder {
@@ -93,19 +98,24 @@ func (n *Node) Flush(timeout time.Duration) error {
 	return nil
 }
 
-// run drains the queue until Stop, batching up to ForwardBatch samples
-// per POST. On Stop it flushes what is queued best-effort, so a graceful
-// shutdown loses nothing that was accepted.
+// run drains the queue until Stop, batching up to forwardBatch samples per
+// POST. On Stop it posts what is still queued, so a graceful shutdown loses
+// nothing that was accepted.
 func (f *forwarder) run() {
 	defer f.n.wg.Done()
-	buf := make([]byte, 0, 4096)
 	for {
 		select {
 		case <-f.n.stop:
-			f.drainRemaining(&buf)
-			return
+			for {
+				select {
+				case s := <-f.ch:
+					f.batch(s)
+				default:
+					return
+				}
+			}
 		case s := <-f.ch:
-			f.batch(&buf, s)
+			f.batch(s)
 		}
 	}
 }
@@ -113,7 +123,7 @@ func (f *forwarder) run() {
 // batch collects the first sample plus whatever else is immediately
 // queued (up to the batch cap), posts once, then releases any flush
 // markers collected along the way.
-func (f *forwarder) batch(buf *[]byte, first fwdSample) {
+func (f *forwarder) batch(first fwdSample) {
 	var flushes []chan struct{}
 	count := 0
 	s := first
@@ -121,10 +131,10 @@ func (f *forwarder) batch(buf *[]byte, first fwdSample) {
 		if s.flush != nil {
 			flushes = append(flushes, s.flush)
 		} else {
-			*buf = wire.AppendIngestRecord(*buf, int64(s.job), s.values)
+			f.buf = wire.AppendIngestRecord(f.buf, int64(s.job), s.values)
 			count++
 		}
-		if count >= f.n.cfg.ForwardBatch {
+		if count >= forwardBatch {
 			break
 		}
 		select {
@@ -134,55 +144,57 @@ func (f *forwarder) batch(buf *[]byte, first fwdSample) {
 		}
 		break
 	}
-	f.post(buf, count)
+	if count > 0 {
+		if lost, err := f.post(f.buf, count); lost > 0 {
+			f.n.forwardErrors.Add(uint64(lost))
+			f.n.logf("cluster: forwarding %d samples to node %d: %d lost: %v", count, f.peer, lost, err)
+		}
+		f.buf = f.buf[:0]
+	}
 	for _, done := range flushes {
 		close(done)
 	}
 }
 
-// drainRemaining posts everything still queued at shutdown and releases
-// any pending flush markers.
-func (f *forwarder) drainRemaining(buf *[]byte) {
-	count := 0
-	for {
-		select {
-		case s := <-f.ch:
-			if s.flush != nil {
-				close(s.flush)
-				continue
-			}
-			*buf = wire.AppendIngestRecord(*buf, int64(s.job), s.values)
-			count++
-			if count >= f.n.cfg.ForwardBatch {
-				f.post(buf, count)
-				count = 0
-			}
-		default:
-			f.post(buf, count)
-			return
+// post ships one batch to the peer's /cluster/v1/ingest and reads the reply
+// — the public route's accepted/rejected accounting. It reports how many of
+// the batch's samples did not land: all of them on a transport error or a
+// refusing status, the peer's rejected count otherwise. A 429 says the
+// peer's ingest queue is full, not that the batch is bad: post waits the
+// advertised Retry-After and sends the same bytes again, so it is this
+// forwarder's bounded queue that backs up (and counts what it turns away),
+// and per-job order holds. Stop cuts the wait short and allows one last try.
+func (f *forwarder) post(body []byte, count int) (int, error) {
+	for stopped := false; ; {
+		resp, err := f.n.client.Post(f.n.peers[f.peer]+peerIngestPath, wire.IngestContentType, bytes.NewReader(body))
+		if err != nil {
+			return count, err
 		}
-	}
-}
-
-// post ships one batch to the peer's /cluster/v1/ingest. A failed POST
-// loses exactly this batch's samples; the loss is counted in
-// forwardErrors and bounded by the batch cap.
-func (f *forwarder) post(buf *[]byte, count int) {
-	if len(*buf) == 0 {
-		return
-	}
-	body := *buf
-	*buf = (*buf)[:0]
-	resp, err := f.n.client.Post(f.n.peers[f.peer]+peerIngestPath, wire.IngestContentType, bytes.NewReader(body))
-	if err != nil {
-		f.n.forwardErrors.Add(uint64(count))
-		f.n.logf("cluster: forwarding %d samples to node %d: %v", count, f.peer, err)
-		return
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		f.n.forwardErrors.Add(uint64(count))
-		f.n.logf("cluster: forwarding %d samples to node %d: HTTP %d", count, f.peer, resp.StatusCode)
+		var reply struct {
+			Rejected int `json:"rejected"`
+		}
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests && !stopped:
+			secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if perr != nil || secs < 0 {
+				secs = 1
+			}
+			select {
+			case <-time.After(time.Duration(secs) * time.Second):
+			case <-f.n.stop:
+				stopped = true
+			}
+		case resp.StatusCode != http.StatusOK:
+			return count, fmt.Errorf("HTTP %d", resp.StatusCode)
+		case err != nil:
+			return count, fmt.Errorf("reading the reply: %w", err)
+		default:
+			return reply.Rejected, errors.New("rejected by the peer")
+		}
 	}
 }

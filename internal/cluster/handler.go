@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 // maxControlBody caps one control-plane request body: the frame overhead
@@ -24,24 +24,56 @@ const maxControlBody = MaxFrameArtifactBytes + 1024
 //	POST /cluster/v1/swap/prepare  decode + gate + stage a generation
 //	POST /cluster/v1/swap/commit   install the staged generation
 //	POST /cluster/v1/swap/abort    drop the staged generation
-//	POST /cluster/v1/ingest        peer-forwarded samples (binary framing)
+//	POST /cluster/v1/ingest        peer-forwarded samples
 //	GET  /cluster/v1/artifact      committed artifact bytes, for catch-up
 //	GET  /cluster/v1/info          membership/convergence snapshot (JSON)
 //
-// plus three interceptions of the inner API: /healthz grows the cluster
+// plus four interceptions of the inner API: POST /v1/ingest delivers each
+// sample by job ownership (n.route), /healthz grows the cluster
 // membership/routing block, /metrics grows the wcc_cluster_* series, and
 // job-scoped reads (GET prediction, DELETE job) this node does not own
 // answer 307 with the owner's URL in Location — ingest is forwarded
 // server-side, but reads redirect, because a read proxied through the
 // wrong node would double every read's latency for no benefit.
+//
+// Both ingest routes are the serving layer's one ingest pipeline
+// (Server.IngestHandler) with a different destination, so a forwarded batch
+// meets the framing, admission, accounting and 429 a public one does.
 func (n *Node) buildHandler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pingPath, n.handlePing)
-	mux.HandleFunc("POST "+replicatePath, n.handleReplicate)
-	mux.HandleFunc("POST "+preparePath, n.handlePrepare)
-	mux.HandleFunc("POST "+commitPath, n.handleCommit)
-	mux.HandleFunc("POST "+abortPath, n.handleAbort)
-	mux.HandleFunc("POST "+peerIngestPath, n.handlePeerIngest)
+	// Hearing from a peer proves liveness in both directions: record the
+	// sender alive with its advertised generation, answer with our own.
+	mux.HandleFunc("POST "+pingPath, n.control(MsgPing, func(f Frame) (Frame, error) {
+		n.notePeer(f.Node, f.Gen, f.Identity)
+		return Frame{Gen: n.Gen(), Identity: n.Identity()}, nil
+	}))
+	// The ack carries the identity computed from the persisted copy — the
+	// coordinator compares it to its own, so corruption in transit or on
+	// disk fails the replicate phase.
+	mux.HandleFunc("POST "+replicatePath, n.control(MsgReplicate, func(f Frame) (Frame, error) {
+		ident, err := n.applyReplicate(f.Gen, f.Identity, f.Artifact)
+		return Frame{Gen: f.Gen, Identity: ident}, err
+	}))
+	// Prepare stages behind the serving gates; nothing new is served until
+	// commit installs it, and abort drops it.
+	mux.HandleFunc("POST "+preparePath, n.control(MsgPrepare, func(f Frame) (Frame, error) {
+		if _, err := n.applyPrepare(f.Gen, f.Identity); err != nil {
+			return Frame{Gen: f.Gen}, err
+		}
+		return Frame{Gen: f.Gen, Identity: f.Identity}, nil
+	}))
+	mux.HandleFunc("POST "+commitPath, n.control(MsgCommit, func(f Frame) (Frame, error) {
+		if err := n.applyCommit(f.Gen); err != nil {
+			return Frame{Gen: f.Gen}, err
+		}
+		return Frame{Gen: f.Gen, Identity: n.Identity()}, nil
+	}))
+	mux.HandleFunc("POST "+abortPath, n.control(MsgAbort, func(f Frame) (Frame, error) {
+		n.applyAbort(f.Gen)
+		return Frame{Gen: f.Gen}, nil
+	}))
+	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.route))
+	mux.Handle("POST "+peerIngestPath, n.srv.IngestHandler(n.receive))
 	mux.HandleFunc("GET "+artifactPath, n.handleArtifact)
 	mux.HandleFunc("GET "+infoPath, n.handleInfo)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
@@ -76,166 +108,39 @@ func (n *Node) redirectOrServe(inner http.Handler) http.HandlerFunc {
 	}
 }
 
-// decodeControlFrame reads and validates one control frame from a
-// request, writing the HTTP error itself on failure.
-func (n *Node) decodeControlFrame(w http.ResponseWriter, r *http.Request) (Frame, bool) {
-	f, err := DecodeFrame(io.LimitReader(r.Body, maxControlBody))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return Frame{}, false
-	}
-	if f.Node >= len(n.peers) {
-		http.Error(w, fmt.Sprintf("cluster: sender node %d out of range for %d-node cluster", f.Node, len(n.peers)), http.StatusBadRequest)
-		return Frame{}, false
-	}
-	return f, true
-}
-
-// writeAck answers one control request with an ack frame.
-func (n *Node) writeAck(w http.ResponseWriter, ack Frame) {
-	ack.Type = MsgAck
-	ack.Node = n.self
-	body, err := AppendFrame(ack)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", frameContentType)
-	w.Write(body)
-}
-
-// handlePing answers a heartbeat: record the sender as alive (hearing
-// from a peer proves liveness in both directions) along with its
-// advertised generation, and reply with this node's own state.
-func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.decodeControlFrame(w, r)
-	if !ok {
-		return
-	}
-	if f.Type != MsgPing {
-		http.Error(w, fmt.Sprintf("cluster: %s frame on the ping route", f.Type), http.StatusBadRequest)
-		return
-	}
-	n.notePeer(f.Node, f.Gen, f.Identity)
-	n.writeAck(w, Frame{OK: true, Gen: n.Gen(), Identity: n.Identity()})
-}
-
-// handleReplicate persists a pushed artifact and acks with the identity
-// computed from the persisted copy — the coordinator compares it to its
-// own, so corruption in transit or on disk fails the replicate phase.
-func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.decodeControlFrame(w, r)
-	if !ok {
-		return
-	}
-	if f.Type != MsgReplicate || len(f.Artifact) == 0 {
-		http.Error(w, "cluster: replicate needs a MsgReplicate frame with an artifact payload", http.StatusBadRequest)
-		return
-	}
-	ident, err := n.applyReplicate(f.Gen, f.Identity, f.Artifact)
-	if err != nil {
-		n.writeAck(w, Frame{OK: false, Gen: f.Gen, Identity: ident, Err: err.Error()})
-		return
-	}
-	n.writeAck(w, Frame{OK: true, Gen: f.Gen, Identity: ident})
-}
-
-// handlePrepare stages a replicated generation behind the serving
-// compatibility gates. Nothing new is served until commit.
-func (n *Node) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.decodeControlFrame(w, r)
-	if !ok {
-		return
-	}
-	if f.Type != MsgPrepare {
-		http.Error(w, fmt.Sprintf("cluster: %s frame on the prepare route", f.Type), http.StatusBadRequest)
-		return
-	}
-	if _, err := n.applyPrepare(f.Gen, f.Identity); err != nil {
-		n.writeAck(w, Frame{OK: false, Gen: f.Gen, Err: err.Error()})
-		return
-	}
-	n.writeAck(w, Frame{OK: true, Gen: f.Gen, Identity: f.Identity})
-}
-
-// handleCommit installs the staged generation.
-func (n *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.decodeControlFrame(w, r)
-	if !ok {
-		return
-	}
-	if f.Type != MsgCommit {
-		http.Error(w, fmt.Sprintf("cluster: %s frame on the commit route", f.Type), http.StatusBadRequest)
-		return
-	}
-	if err := n.applyCommit(f.Gen); err != nil {
-		n.writeAck(w, Frame{OK: false, Gen: f.Gen, Err: err.Error()})
-		return
-	}
-	n.writeAck(w, Frame{OK: true, Gen: f.Gen, Identity: n.Identity()})
-}
-
-// handleAbort drops the staged generation.
-func (n *Node) handleAbort(w http.ResponseWriter, r *http.Request) {
-	f, ok := n.decodeControlFrame(w, r)
-	if !ok {
-		return
-	}
-	if f.Type != MsgAbort {
-		http.Error(w, fmt.Sprintf("cluster: %s frame on the abort route", f.Type), http.StatusBadRequest)
-		return
-	}
-	n.applyAbort(f.Gen)
-	n.writeAck(w, Frame{OK: true, Gen: f.Gen})
-}
-
-// peerIngestResponse is the forwarded-ingest accounting.
-type peerIngestResponse struct {
-	Accepted int `json:"accepted"`
-	Rejected int `json:"rejected"`
-}
-
-// handlePeerIngest ingests peer-forwarded samples directly into the local
-// core — no ownership re-check, because re-routing a forwarded sample
-// could loop during a membership disagreement; the forwarding node
-// already decided ownership and the sample lands here exactly once. The
-// body is capped where the public ingest route's is by default.
-func (n *Node) handlePeerIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.DefaultMaxBodyBytes+1))
-	if err != nil {
-		http.Error(w, "cluster: reading forwarded batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > server.DefaultMaxBodyBytes {
-		http.Error(w, fmt.Sprintf("cluster: forwarded batch exceeds %d bytes", server.DefaultMaxBodyBytes), http.StatusRequestEntityTooLarge)
-		return
-	}
-	dec := wire.NewIngestDecoder(body)
-	var resp peerIngestResponse
-	for {
-		rec, ok := dec.Next()
-		if !ok {
-			break
+// control is the one control-plane handler: decode and validate the frame,
+// require the route's message type, apply, and answer with an ack frame
+// built from apply's reply — OK when it returned no error, its text in Err
+// otherwise.
+func (n *Node) control(want MsgType, apply func(Frame) (Frame, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		f, err := DecodeFrame(io.LimitReader(r.Body, maxControlBody))
+		switch {
+		case err != nil:
+		case f.Node >= len(n.peers):
+			err = fmt.Errorf("cluster: sender node %d out of range for %d-node cluster", f.Node, len(n.peers))
+		case want == MsgReplicate && (f.Type != want || len(f.Artifact) == 0):
+			err = errors.New("cluster: replicate needs a MsgReplicate frame with an artifact payload")
+		case f.Type != want:
+			err = fmt.Errorf("cluster: %s frame on the %s route", f.Type, want)
 		}
-		if rec.Err != nil {
-			resp.Rejected++
-			continue
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		if err := n.core.Ingest(int(rec.Job), rec.Values); err != nil {
-			resp.Rejected++
-			continue
+		ack, err := apply(f)
+		ack.Type, ack.Node, ack.OK = MsgAck, n.self, err == nil
+		if err != nil {
+			ack.Err = err.Error()
 		}
-		resp.Accepted++
+		body, err := AppendFrame(ack)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", frameContentType)
+		w.Write(body)
 	}
-	if err := dec.Err(); err != nil {
-		// Framing broke: the prefix boundaries after the break are
-		// untrustworthy, so the remainder of the batch was not decoded.
-		http.Error(w, "cluster: forwarded batch framing: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	n.forwardReceived.Add(uint64(resp.Accepted))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
 }
 
 // handleArtifact serves the committed artifact's bytes with its

@@ -55,8 +55,8 @@ const (
 	// MsgPing is the heartbeat: sender's ID, generation and artifact
 	// identity, so liveness probes double as anti-entropy advertisements.
 	MsgPing MsgType = 1
-	// MsgPingAck answers a ping with the receiver's own state.
-	MsgPingAck MsgType = 2
+	// Value 2 is unassigned — pings are answered with MsgAck — and the
+	// decoder rejects it.
 	// MsgReplicate pushes an artifact's raw bytes to a replica, which
 	// persists it and answers MsgAck with the identity it computed — the
 	// convergence check.
@@ -81,8 +81,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgPing:
 		return "ping"
-	case MsgPingAck:
-		return "ping-ack"
 	case MsgReplicate:
 		return "replicate"
 	case MsgPrepare:
@@ -174,7 +172,7 @@ func DecodeFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("cluster: %d-byte artifact exceeds the %d-byte frame cap", len(f.Artifact), MaxFrameArtifactBytes)
 	}
 	switch f.Type {
-	case MsgPing, MsgPingAck, MsgReplicate, MsgPrepare, MsgCommit, MsgAbort, MsgAck:
+	case MsgPing, MsgReplicate, MsgPrepare, MsgCommit, MsgAbort, MsgAck:
 	default:
 		return Frame{}, fmt.Errorf("cluster: unknown message type %d", uint8(f.Type))
 	}

@@ -13,7 +13,7 @@ func sampleFrames() []Frame {
 	return []Frame{
 		{Type: MsgPing, Node: 0, Gen: 0},
 		{Type: MsgPing, Node: 2, Gen: 7, Identity: "v3|meta:120:a1b2c3d4"},
-		{Type: MsgPingAck, Node: 1, Gen: 7, Identity: "v3|meta:120:a1b2c3d4", OK: true},
+		{Type: MsgAck, Node: 1, Gen: 7, Identity: "v3|meta:120:a1b2c3d4", OK: true}, // how a ping is answered
 		{Type: MsgReplicate, Node: 0, Gen: 8, Identity: "v3|meta:9:00000001", Artifact: []byte{0xde, 0xad, 0xbe, 0xef}},
 		{Type: MsgPrepare, Node: 0, Gen: 8, Identity: "v3|meta:9:00000001"},
 		{Type: MsgCommit, Node: 0, Gen: 8},
@@ -94,6 +94,11 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 			name:    "unknown message type",
 			body:    mutate(func(b []byte) []byte { b[5] = 200; return b }),
 			wantSub: "unknown message type",
+		},
+		{
+			name:    "retired message type 2",
+			body:    mutate(func(b []byte) []byte { b[5] = 2; return b }),
+			wantSub: "unknown message type 2",
 		},
 		{
 			name: "negative sender node",

@@ -256,20 +256,31 @@ func (m *Monitor) shardFor(jobID int) *shard {
 // even after eviction — so they are rejected before touching any state.
 const maxSampleMagnitude = 1e12
 
-// Ingest feeds one telemetry sample (one value per sensor) for the given
-// job, creating the job's embedder on first sight. Safe for concurrent use.
-// A sample of the wrong width, or carrying a non-finite or absurdly large
-// value, is rejected before the job registers, so a stream of invalid
-// samples (e.g. hostile ingest traffic behind the HTTP layer) cannot grow
-// the registry or corrupt a window.
-func (m *Monitor) Ingest(jobID int, sample []float64) error {
-	if len(sample) != m.cfg.Sensors {
-		return fmt.Errorf("fleet: sample has %d sensors, want %d", len(sample), m.cfg.Sensors)
+// CheckSample is the sample gate: a sample of the wrong width, or carrying
+// a non-finite or absurdly large value, is refused with the error an ingest
+// response reports for its line. Ingest runs it before touching any state;
+// a cluster node runs it before a sample leaves for the job's owner, so a
+// bad line is refused where it first arrives.
+func CheckSample(sample []float64, sensors int) error {
+	if len(sample) != sensors {
+		return fmt.Errorf("fleet: sample has %d sensors, want %d", len(sample), sensors)
 	}
 	for i, v := range sample {
 		if math.IsNaN(v) || v > maxSampleMagnitude || v < -maxSampleMagnitude {
 			return fmt.Errorf("fleet: sensor %d value %v is not a finite telemetry reading", i, v)
 		}
+	}
+	return nil
+}
+
+// Ingest feeds one telemetry sample (one value per sensor) for the given
+// job, creating the job's embedder on first sight. Safe for concurrent use.
+// A sample CheckSample refuses is rejected before the job registers, so a
+// stream of invalid samples (e.g. hostile ingest traffic behind the HTTP
+// layer) cannot grow the registry or corrupt a window.
+func (m *Monitor) Ingest(jobID int, sample []float64) error {
+	if err := CheckSample(sample, m.cfg.Sensors); err != nil {
+		return err
 	}
 	sh := m.shardFor(jobID)
 	sh.mu.Lock()

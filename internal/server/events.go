@@ -68,7 +68,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "retry: 2000\n: gen %d\n\n", s.bus.Gen())
 	fl.Flush()
 
-	hb := time.NewTicker(s.cfg.EventHeartbeat)
+	hb := time.NewTicker(eventHeartbeat)
 	defer hb.Stop()
 	for {
 		select {

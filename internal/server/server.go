@@ -3,9 +3,9 @@
 // telemetry in, operators and dashboards read classifications out, and the
 // serving process keeps hot-swapping refreshed model artifacts underneath
 // without dropping either side. The fleet behind the API is anything
-// implementing the Monitor contract — the sharded shard.Core, or the
-// cluster's routed wrapper around one — which the serving layer drives
-// with one independent tick loop per shard plus shard-labelled /metrics.
+// implementing the Monitor contract — in every production process the
+// sharded shard.Core — which the serving layer drives with one independent
+// tick loop per shard plus shard-labelled /metrics.
 //
 // docs/API.md is the complete request/response reference for this API.
 // The surface is deliberately small:
@@ -60,6 +60,11 @@
 // fixed cadence, and Close drains everything in order: queued batches are
 // ingested, loops stop, and one final tick flushes every pending window so
 // the tail of a drained stream still produces predictions.
+//
+// That ingest pipeline exists once: IngestHandler returns it for any
+// destination, POST /v1/ingest is IngestHandler(Monitor.Ingest), and a
+// cluster node mounts it again for its routed public route and its peer
+// route, so every sample entering a process passes the same admission.
 package server
 
 import (
@@ -87,8 +92,7 @@ import (
 // Monitor is the fleet contract the serving layer drives: concurrent
 // sample ingest, per-shard batched inference ticks, prediction and snapshot
 // reads, job lifecycle, zero-downtime model swaps, and the fleet-wide and
-// per-shard counters /metrics exports. *shard.Core implements it, and
-// internal/cluster wraps one to route ingest by job ownership.
+// per-shard counters /metrics exports. *shard.Core implements it.
 type Monitor interface {
 	Ingest(jobID int, sample []float64) error
 	// Tick is the whole-fleet pass; the server ticks shard by shard and
@@ -126,8 +130,7 @@ var _ Monitor = (*shard.Core)(nil)
 
 // Config sizes an HTTP serving layer over a fleet monitor.
 type Config struct {
-	// Monitor is the fleet being served — a *shard.Core, or a wrapper
-	// around one. Required.
+	// Monitor is the fleet being served — a *shard.Core. Required.
 	Monitor Monitor
 	// ClassNames optionally maps class indices to workload names in
 	// prediction responses.
@@ -135,14 +138,13 @@ type Config struct {
 	// TickEvery is the batched-inference cadence (default 10ms).
 	TickEvery time.Duration
 	// QueueDepth bounds how many parsed ingest batches may wait for a
-	// worker (default 256). A full queue makes POST /v1/ingest answer 429
-	// with Retry-After instead of blocking.
+	// worker (default 256), across every IngestHandler mount. A full queue
+	// answers 429 with Retry-After instead of blocking.
 	QueueDepth int
 	// Workers is the number of goroutines draining the ingest queue
 	// (default 4).
 	Workers int
-	// MaxBodyBytes caps one ingest request body (default
-	// DefaultMaxBodyBytes).
+	// MaxBodyBytes caps one ingest request body (default 16 MiB).
 	MaxBodyBytes int64
 	// RetryAfter is the client backoff advertised on 429 (default 1s,
 	// rounded up to whole seconds on the wire).
@@ -165,14 +167,6 @@ type Config struct {
 	// subscriber whose queue overflows is evicted — its stream ends — so a
 	// stalled reader can never backpressure tick write-back.
 	EventBuffer int
-	// EventHeartbeat is the SSE keep-alive comment cadence (default 15s),
-	// keeping idle streams alive through proxies and letting dead client
-	// connections surface as write errors.
-	EventHeartbeat time.Duration
-	// DriftPollEvery is the drift-band watcher cadence (default 1s): how
-	// often the fleet PSI score is checked against the stable/moderate/major
-	// band boundaries to emit drift events on crossings.
-	DriftPollEvery time.Duration
 	// Now, when non-nil, replaces the real clock for tick latency
 	// measurement (see fleet.Config.Now for the same knob on the monitor);
 	// nil means time.Now.
@@ -189,9 +183,17 @@ type Config struct {
 	testHook func()
 }
 
-// DefaultMaxBodyBytes is the default cap on one ingest request body; the
-// cluster's peer-forwarded ingest route applies the same cap.
-const DefaultMaxBodyBytes = 16 << 20
+// defaultMaxBodyBytes is the default cap on one ingest request body.
+const defaultMaxBodyBytes = 16 << 20
+
+// eventHeartbeat is the SSE keep-alive comment cadence: it keeps idle
+// streams alive through proxies and lets dead client connections surface as
+// write errors.
+const eventHeartbeat = 15 * time.Second
+
+// driftPollEvery is how often the fleet PSI score is checked against the
+// stable/moderate/major band boundaries to emit drift events on crossings.
+const driftPollEvery = time.Second
 
 // tickWindow is how many recent tick durations back the /metrics latency
 // quantiles.
@@ -228,7 +230,10 @@ type Server struct {
 	streamsStop      chan struct{}
 	closeStreamsOnce sync.Once
 
-	inflight  sync.WaitGroup // handlers between stop-check and result
+	// drain orders enqueues against Close: a handler holds it shared across
+	// its stop check and non-blocking enqueue, Close holds it exclusively to
+	// close the queue, so the queue is never closed under a send.
+	drain     sync.RWMutex
 	workerWG  sync.WaitGroup
 	loopWG    sync.WaitGroup
 	closeOnce sync.Once
@@ -259,6 +264,7 @@ type Server struct {
 
 type ingestBatch struct {
 	samples []sampleReq
+	apply   func(jobID int, sample []float64) error // where an accepted sample goes
 	done    chan batchResult
 	enq     time.Time // when the batch joined the queue, for the queue-wait span
 }
@@ -296,7 +302,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = 4
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+		cfg.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -309,12 +315,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 256
-	}
-	if cfg.EventHeartbeat <= 0 {
-		cfg.EventHeartbeat = 15 * time.Second
-	}
-	if cfg.DriftPollEvery <= 0 {
-		cfg.DriftPollEvery = time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -336,7 +336,7 @@ func New(cfg Config) (*Server, error) {
 	tickLoops := s.m.NumShards()
 	s.lastErrs = make([]string, tickLoops)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	s.mux.Handle("POST /v1/ingest", s.IngestHandler(s.m.Ingest))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/prediction", s.handlePrediction)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleEndJob)
@@ -384,8 +384,9 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.CloseStreams()
 		close(s.stop)
-		s.inflight.Wait()
+		s.drain.Lock()
 		close(s.queue)
+		s.drain.Unlock()
 		s.workerWG.Wait()
 		s.loopWG.Wait()
 		s.closeErr = s.finalTick()
@@ -423,7 +424,7 @@ func (s *Server) worker() {
 		ingestStart := time.Now()
 		var res batchResult
 		for _, sm := range b.samples {
-			if err := s.m.Ingest(sm.job, sm.values); err != nil {
+			if err := b.apply(sm.job, sm.values); err != nil {
 				res.errors = append(res.errors, lineError{Line: sm.line, Error: err.Error()})
 			} else {
 				res.accepted++
@@ -500,7 +501,7 @@ func (s *Server) runTick(loop int) error {
 // either direction — the push-plane counterpart of polling GET /v1/drift.
 func (s *Server) driftBandLoop() {
 	defer s.loopWG.Done()
-	t := time.NewTicker(s.cfg.DriftPollEvery)
+	t := time.NewTicker(driftPollEvery)
 	defer t.Stop()
 	last := drift.BandStable // a fleet starts undrifted: score 0
 	for {
@@ -594,13 +595,20 @@ type ingestResponse struct {
 	ErrorsTruncated bool `json:"errors_truncated,omitempty"`
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Register with the drain barrier before checking it: a handler that
-	// passes the stop check is then guaranteed to enqueue before Close
-	// closes the queue (Close waits on inflight first), and one that Adds
-	// after Close's Wait necessarily observes stop closed here.
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+// IngestHandler returns the ingest pipeline — drain barrier, pooled body
+// read under the body cap, parse by framing with all-or-nothing on a framing
+// break, the bounded queue with 429 + Retry-After, parse/queue/ingest spans
+// and per-line accounting — delivering each parsed sample to apply. Every
+// handler it returns shares the server's one queue, worker pool and
+// counters; they differ only in apply, which runs on a worker and must not
+// keep sample past its return (it aliases pooled parse scratch).
+func (s *Server) IngestHandler(apply func(jobID int, sample []float64) error) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, apply) })
+}
+
+func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(jobID int, sample []float64) error) {
+	// A draining server refuses before reading the body; the check that
+	// orders an enqueue against Close is repeated under s.drain below.
 	select {
 	case <-s.stop:
 		writeError(w, http.StatusServiceUnavailable, "server draining")
@@ -650,10 +658,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	var res batchResult
 	if len(samples) > 0 {
-		b := &ingestBatch{samples: samples, done: make(chan batchResult, 1), enq: time.Now()}
+		b := &ingestBatch{samples: samples, apply: apply, done: make(chan batchResult, 1), enq: time.Now()}
+		draining, queued := false, false
+		s.drain.RLock()
 		select {
-		case s.queue <- b:
+		case <-s.stop:
+			draining = true
 		default:
+			select {
+			case s.queue <- b:
+				queued = true
+			default:
+			}
+		}
+		s.drain.RUnlock()
+		if draining {
+			writeError(w, http.StatusServiceUnavailable, "server draining")
+			return
+		}
+		if !queued {
 			s.throttled.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 			writeError(w, http.StatusTooManyRequests, "ingest queue full")

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,11 +219,14 @@ func pingTick(m *shard.Core) error {
 
 // TestIngestBackpressure fills the bounded queue while the single worker is
 // held, and requires the next request to be refused with 429 + Retry-After
-// rather than queued without bound.
+// rather than queued without bound. The queue is the server's, not a
+// route's: a second IngestHandler mount fills it and is refused by it like
+// the public route, and Close drains the batches of both into their own
+// destinations.
 func TestIngestBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s, _, ts := newTestServer(t, func(cfg *Config) {
+	s, m, ts := newTestServer(t, func(cfg *Config) {
 		cfg.QueueDepth = 1
 		cfg.Workers = 1
 		cfg.RetryAfter = 3 * time.Second
@@ -235,16 +239,27 @@ func TestIngestBackpressure(t *testing.T) {
 	rel := func() { relOnce.Do(func() { close(release) }) }
 	defer rel() // unblock workers even on a failing path, or Cleanup deadlocks
 
+	var second atomic.Int64 // samples the second mount's destination received
+	ts2 := httptest.NewServer(s.IngestHandler(func(int, []float64) error { second.Add(1); return nil }))
+	defer ts2.Close()
+
 	line := sampleLine(1, jobSamples(1, 1)[0])
 	results := make(chan int, 2)
-	post := func() {
-		resp, _ := postNDJSON(t, ts.URL, line)
+	post := func(url string) {
+		resp, err := http.Post(url, "application/x-ndjson", strings.NewReader(line))
+		if err != nil {
+			t.Error(err)
+			results <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		results <- resp.StatusCode
 	}
 
-	go post() // occupies the worker
+	go post(ts.URL + "/v1/ingest") // occupies the worker
 	<-entered
-	go post() // occupies the queue's single slot
+	go post(ts2.URL) // occupies the queue's single slot, through the second mount
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.queue) != 1 {
 		if time.Now().After(deadline) {
@@ -253,24 +268,68 @@ func TestIngestBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d with a full queue, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want %q", ra, "3")
+	for _, url := range []string{ts.URL + "/v1/ingest", ts2.URL} {
+		resp, err := http.Post(url, "application/x-ndjson", strings.NewReader(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d with a full queue, want 429", url, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "3" {
+			t.Fatalf("%s: Retry-After %q, want %q", url, ra, "3")
+		}
 	}
 
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
 	rel()
 	for i := 0; i < 2; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("held request finished with %d, want 200", code)
 		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if m.SamplesIngested() != 1 || second.Load() != 1 {
+		t.Fatalf("drain delivered %d samples to the monitor and %d to the second mount, want 1 and 1",
+			m.SamplesIngested(), second.Load())
+	}
+}
+
+// TestCloseDuringIngest closes the server under concurrent ingest, as a
+// crashed node's listener does to requests still in flight: every request is
+// answered 200 or 503, and exactly the samples answered 200 were ingested.
+func TestCloseDuringIngest(t *testing.T) {
+	s, m, ts := newTestServer(t, nil)
+	line := sampleLine(1, jobSamples(1, 1)[0])
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				resp, ir := postNDJSON(t, ts.URL, line)
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("status %d during the drain, want 200 or 503", resp.StatusCode)
+				}
+				accepted.Add(int64(ir.Accepted))
+			}
+		}()
+	}
+	for m.SamplesIngested() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got := m.SamplesIngested(); got != uint64(accepted.Load()) {
+		t.Fatalf("monitor ingested %d samples, responses accepted %d", got, accepted.Load())
 	}
 }
 

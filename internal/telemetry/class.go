@@ -178,6 +178,16 @@ func AllClasses() []Class {
 	return out
 }
 
+// ClassNames lists the 26 class names in label order — the index-to-name
+// table artifacts, reports and the serving layer label predictions with.
+func ClassNames() []string {
+	out := make([]string, NumClasses)
+	for i := range out {
+		out[i] = Class(i).Name()
+	}
+	return out
+}
+
 // ClassByName resolves a model name (as spelled in the challenge files) to
 // its Class, reporting ok=false for unknown names.
 func ClassByName(name string) (Class, bool) {

@@ -140,10 +140,7 @@ func TrainRFCov(ds *Dataset, trees int, seed int64) (*RFCovResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, telemetry.NumClasses)
-	for _, c := range telemetry.AllClasses() {
-		names[int(c)] = c.Name()
-	}
+	names := telemetry.ClassNames()
 	// Open-set calibration: the rejection threshold comes from the held-out
 	// test probabilities and feature distances, the feature statistics from
 	// the training embeddings, and the drift reference from the raw
