@@ -627,23 +627,42 @@ func TestClusterRollingSwapsUnderChurn(t *testing.T) {
 		}(i)
 	}
 
+	retried := 0
 	for k := 1; k <= rolls; k++ {
 		if k%5 == 0 {
 			release := c.Fault.Hold(strings.TrimPrefix(c.URLs[2], "http://") + "/cluster/v1/swap/prepare")
 			time.AfterFunc(30*time.Millisecond, release)
 		}
+		// Commit rolls peer by peer, so a peer's heartbeat can see a
+		// neighbour already on the new generation and start an anti-entropy
+		// catch-up, which holds that peer's swap semaphore for a moment after
+		// the roll has returned; a peer whose commit RPC failed is brought
+		// level by the same catch-up. The artifact watcher meets
+		// ErrSwapInFlight by trying again at its next poll. So does the
+		// test, for a bounded time, and it allows a peer the same time to
+		// reach the generation.
 		coord := c.Member(k % 3).Cluster
-		if _, err := coord.DistributeFile(arts[k]); err != nil {
-			t.Fatalf("roll %d via node %d: %v", k, k%3, err)
+		var err error
+		if !clustertest.Settle(3*time.Second, func() bool {
+			_, err = coord.DistributeFile(arts[k])
+			if errors.Is(err, cluster.ErrSwapInFlight) {
+				retried++
+				return false
+			}
+			return true
+		}) || err != nil {
+			t.Fatalf("roll %d via node %d (%d retries so far): %v", k, k%3, retried, err)
 		}
 		for i := 0; i < 3; i++ {
-			if gen := c.Member(i).Cluster.Gen(); gen != uint64(k) {
-				t.Fatalf("after roll %d node %d is at gen %d", k, i, gen)
+			node := c.Member(i).Cluster
+			if !clustertest.Settle(3*time.Second, func() bool { return node.Gen() == uint64(k) }) {
+				t.Fatalf("after roll %d node %d is at gen %d", k, i, node.Gen())
 			}
 		}
 	}
 	close(done)
 	wg.Wait()
+	t.Logf("%d rolls, %d retried after ErrSwapInFlight", rolls, retried)
 
 	ident := c.Member(0).Cluster.Identity()
 	for i := 1; i < 3; i++ {

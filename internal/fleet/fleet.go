@@ -11,10 +11,12 @@
 //     shards, each shard guarded by its own mutex, so concurrent ingest from
 //     many collector goroutines contends only within a shard;
 //   - an ingest path (Ingest) accepting one telemetry sample for any job,
-//     creating the job's embedder on first sight;
-//   - a batched inference engine (Tick) that coalesces every window that
-//     changed since the last tick into a single N×F feature matrix and runs
-//     one batched PredictProba call instead of N single-row calls;
+//     creating the job's embedder on first sight and, when the sample leaves
+//     a full window unscored, appending the job to its shard's dirty queue;
+//   - a batched inference engine (Tick) that drains those queues into a
+//     single N×F feature matrix and runs one batched PredictProba call
+//     instead of N single-row calls — a tick costs what it classifies, not
+//     what is resident, and a failed tick puts what it drained back;
 //   - a zero-downtime model refresh (SwapClassifierDrift) that installs a
 //     retrained classifier and its drift calibration between inference
 //     ticks — the in-flight batch finishes on the old model, ingest never
@@ -123,10 +125,13 @@ const registryStripes = 32
 
 // jobState is one job's slot in the registry, guarded by its shard's mutex.
 type jobState struct {
-	id       int    // the job's fleet ID, for event emission at write-back
-	home     *shard // owning shard, for lock re-acquisition at write-back
-	emb      *stream.WindowedEmbedder
-	dirty    bool // samples arrived since the job was last classified
+	id   int    // the job's fleet ID, for event emission at write-back
+	home *shard // owning shard, for lock re-acquisition at write-back
+	emb  *stream.WindowedEmbedder
+	// dirty: the window is full and holds samples no prediction reflects yet.
+	// A dirty job is in home.queue exactly once, or in the running tick's
+	// batch — the flag is what keeps it to one entry.
+	dirty    bool
 	pred     *stream.Prediction
 	samples  uint64
 	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
@@ -135,6 +140,13 @@ type jobState struct {
 type shard struct {
 	mu   sync.Mutex
 	jobs map[int]*jobState
+	// queue holds the shard's dirty jobs in the order they turned dirty:
+	// Ingest appends, Tick drains. Removal leaves a queued job in place; the
+	// drain skips entries the registry no longer maps.
+	queue []*jobState
+	// unfilled counts registered jobs whose window has not filled
+	// (TickStats.Pending), kept at create, fill and remove.
+	unfilled int
 	// dw accumulates the shard's input-drift histogram counts against the
 	// reference dref (both nil when drift monitoring is disabled); guarded
 	// by mu like the registry, and replaced together on a drift swap.
@@ -293,10 +305,20 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 		}
 		js = &jobState{id: jobID, home: sh, emb: emb}
 		sh.jobs[jobID] = js
+		sh.unfilled++
 	}
+	filled := js.emb.Ready()
 	err := js.emb.Push(sample)
 	if err == nil {
-		js.dirty = true
+		if js.emb.Ready() {
+			if !filled {
+				sh.unfilled--
+			}
+			if !js.dirty {
+				js.dirty = true
+				sh.queue = append(sh.queue, js)
+			}
+		}
 		js.samples++
 		js.lastSeen = m.now().UnixNano()
 		if sh.dw != nil {
@@ -327,13 +349,16 @@ type collected struct {
 	seen uint64
 }
 
-// Tick runs one batched inference pass: every job whose window is full and
-// has received samples since its last classification is embedded into one
-// N×F matrix and scored with a single (batched, when available) model call.
-// Concurrent Ingest during a tick is safe; such samples are picked up by the
-// next tick. A tick that fails (embedding error, model error, row-count
-// mismatch) leaves every collected job dirty, so the next tick re-scores
-// them — a transient error never silently drops pending classifications.
+// Tick runs one batched inference pass: the shards' dirty queues are
+// drained, every queued job still registered is embedded into one N×F
+// matrix, and a single (batched, when available) model call scores it. A
+// tick costs what it classifies; with nothing queued it takes the shard
+// locks once and allocates nothing. Concurrent Ingest during a tick is safe;
+// a job dirtied after its shard was counted, or while inference ran, is
+// scored by the next tick. A tick that fails (embedding error, model error,
+// row-count mismatch) puts every job it drained back on its queue, so the
+// next tick re-scores them — a transient error never silently drops pending
+// classifications.
 //
 //wcc:tickpath reads the clock only through the injected m.now
 func (m *Monitor) Tick() (TickStats, error) {
@@ -341,26 +366,39 @@ func (m *Monitor) Tick() (TickStats, error) {
 	defer m.tickMu.Unlock()
 
 	var stats TickStats
-	var batch []collected
-	var feats []float64
 	collectStart := m.now()
-	for _, sh := range m.shards {
+	// The queue lengths fix the batch height, so the batch and its feature
+	// matrix are allocated once at their final size. A job queued after its
+	// shard was counted stays queued for the next tick.
+	var take [registryStripes]int
+	n := 0
+	for i, sh := range m.shards {
 		sh.mu.Lock()
-		for _, js := range sh.jobs {
-			if !js.emb.Ready() {
-				stats.Pending++
-				continue
+		take[i] = len(sh.queue)
+		stats.Pending += sh.unfilled
+		sh.mu.Unlock()
+		n += take[i]
+	}
+	batch := make([]collected, 0, n)
+	feats := make([]float64, n*m.dim)
+	for i, sh := range m.shards {
+		if take[i] == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		for k, js := range sh.queue[:take[i]] {
+			if sh.jobs[js.id] != js {
+				continue // ended or evicted while queued
 			}
-			if !js.dirty {
-				continue
-			}
-			feats = append(feats, make([]float64, m.dim)...)
-			if err := js.emb.FeaturesInto(feats[len(feats)-m.dim:]); err != nil {
+			if err := js.emb.FeaturesInto(feats[len(batch)*m.dim : (len(batch)+1)*m.dim]); err != nil {
+				sh.dequeue(k) // js and everything behind it stay queued
 				sh.mu.Unlock()
+				m.requeue(batch)
 				return stats, err
 			}
 			batch = append(batch, collected{js: js, seen: js.samples})
 		}
+		sh.dequeue(take[i])
 		sh.mu.Unlock()
 	}
 	if len(batch) == 0 {
@@ -372,7 +410,7 @@ func (m *Monitor) Tick() (TickStats, error) {
 	// trace endpoint serves.
 	m.tracer.Observe(trace.StageCollect, collectStart, m.now().Sub(collectStart), len(batch))
 
-	x := &mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats}
+	x := &mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats[:len(batch)*m.dim]}
 	classifyStart := m.now()
 	var probs *mat.Matrix
 	var err error
@@ -382,10 +420,12 @@ func (m *Monitor) Tick() (TickStats, error) {
 		probs, err = m.cfg.Model.PredictProba(x)
 	}
 	if err != nil {
+		m.requeue(batch)
 		return stats, err
 	}
 	m.tracer.Observe(trace.StageClassify, classifyStart, m.now().Sub(classifyStart), len(batch))
 	if probs.Rows != len(batch) {
+		m.requeue(batch)
 		return stats, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
 	}
 
@@ -393,7 +433,8 @@ func (m *Monitor) Tick() (TickStats, error) {
 	// flag and pred field belong to the shard mutex, so re-lock per shard
 	// ordering doesn't matter — each job is visited once. The dirty flag is
 	// retired only here, after the model call succeeded; a job that received
-	// more samples while inference ran stays dirty for the next tick.
+	// more samples while inference ran stays dirty and goes back on its
+	// queue for the next tick.
 	writeStart := m.now()
 	for i, c := range batch {
 		row := probs.Row(i)
@@ -416,6 +457,8 @@ func (m *Monitor) Tick() (TickStats, error) {
 		c.js.pred = pred
 		if c.js.samples == c.seen {
 			c.js.dirty = false
+		} else {
+			c.js.home.queue = append(c.js.home.queue, c.js)
 		}
 		c.js.home.mu.Unlock()
 		// Adapt observation, outside the job lock like event emission below:
@@ -460,6 +503,24 @@ func (m *Monitor) Tick() (TickStats, error) {
 	m.ticks.Add(1)
 	m.classed.Add(uint64(len(batch)))
 	return stats, nil
+}
+
+// dequeue drops the first k queue entries, keeping the rest in order and
+// leaving no job pointer behind in the freed tail; callers hold sh.mu.
+func (sh *shard) dequeue(k int) {
+	rest := copy(sh.queue, sh.queue[k:])
+	clear(sh.queue[rest:])
+	sh.queue = sh.queue[:rest]
+}
+
+// requeue returns a failed tick's batch to the dirty queues. The jobs are
+// still dirty, so no Ingest queued them in the meantime.
+func (m *Monitor) requeue(batch []collected) {
+	for _, c := range batch {
+		c.js.home.mu.Lock()
+		c.js.home.queue = append(c.js.home.queue, c.js)
+		c.js.home.mu.Unlock()
+	}
 }
 
 // SwapClassifierDrift atomically installs a new model, together with its
@@ -578,6 +639,15 @@ func (m *Monitor) Prediction(jobID int) (*stream.Prediction, bool) {
 	return p, true
 }
 
+// remove unregisters js; callers hold sh.mu. A queued job stays in the
+// queue, where the next drain finds it unmapped and skips it.
+func (sh *shard) remove(js *jobState) {
+	delete(sh.jobs, js.id)
+	if !js.emb.Ready() {
+		sh.unfilled--
+	}
+}
+
 // EndJob removes a finished job from the registry, releasing its embedder,
 // and returns the job's final published prediction (nil if it was never
 // classified) plus whether the job was registered at all. A sample arriving
@@ -590,7 +660,7 @@ func (m *Monitor) EndJob(jobID int) (*stream.Prediction, bool) {
 	var pred *stream.Prediction
 	if js != nil {
 		pred = js.pred
-		delete(sh.jobs, jobID)
+		sh.remove(js)
 	}
 	sh.mu.Unlock()
 	if js == nil {
@@ -614,9 +684,9 @@ func (m *Monitor) EvictIdle(maxIdle time.Duration) int {
 	n := 0
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for id, js := range sh.jobs {
+		for _, js := range sh.jobs {
 			if js.lastSeen <= cutoff {
-				delete(sh.jobs, id)
+				sh.remove(js)
 				n++
 			}
 		}
