@@ -46,7 +46,7 @@ func fixtures(b *testing.B) {
 			panic(err)
 		}
 		spec, _ := dataset.SpecByName("60-middle-1")
-		fixMid, err = core.BuildDataset(fixSim, spec, p)
+		fixMid, err = core.BuildDataset(fixSim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 		if err != nil {
 			panic(err)
 		}
@@ -349,7 +349,7 @@ func BenchmarkAblationStartPhase(b *testing.B) {
 			p.MaxTrain = 260
 			p.MaxTest = 130
 			spec, _ := dataset.SpecByName("60-start-1")
-			ch, err := core.BuildDataset(sim, spec, p)
+			ch, err := core.BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Command wccserve is the serving process: it obtains the paper's best
-// baseline — either trained offline at startup, or loaded in milliseconds
-// from a .wcc artifact written by wcctrain -o / repro.SaveModel — and
-// serves it over the HTTP API (see internal/server; docs/API.md is the full
+// baseline as one model artifact — either trained offline at startup, or
+// loaded in milliseconds from a .wcc file written by wcctrain -o /
+// repro.SaveModel — and serves it over the HTTP API (see internal/server; docs/API.md is the full
 // reference) from the sharded core (internal/shard): jobs hash to
 // independent monitor shards (-shards, default GOMAXPROCS), each ticking on
 // its own goroutine.
@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -58,8 +59,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -158,52 +157,57 @@ func validate(c config) error {
 	return nil
 }
 
-// acquireModel produces the sharded serving core — by training offline, or
-// by loading an artifact (milliseconds to first classification), in which
-// case the loaded model is returned too.
-func acquireModel(c config) (*shard.Core, *repro.LoadedModel, error) {
+// acquireModel produces generation 0 as the one model value everything
+// below consumes: trained offline and bundled in memory, or loaded from the
+// -model file (milliseconds to first classification).
+func acquireModel(c config, out io.Writer) (*artifact.Artifact, error) {
 	if c.model == "" {
-		fmt.Printf("offline phase: training RF-Cov (%d trees) on 60-middle-1 at scale %.2f...\n", c.trees, c.scale)
+		fmt.Fprintf(out, "offline phase: training RF-Cov (%d trees) on 60-middle-1 at scale %.2f...\n", c.trees, c.scale)
 		ds, err := repro.GenerateDataset("60-middle-1", c.scale, c.seed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res, err := repro.TrainRFCov(ds, c.trees, c.seed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		fmt.Printf("  offline test accuracy: %.2f%%\n\n", res.Accuracy*100)
-		monitor, err := repro.NewShardedFleet(ds, res, c.shards)
-		return monitor, nil, err
+		fmt.Fprintf(out, "  offline test accuracy: %.2f%%\n\n", res.Accuracy*100)
+		return res.Artifact(ds), nil
 	}
 
 	t0 := time.Now()
-	lm, err := repro.LoadModel(c.model)
+	a, err := artifact.Load(c.model)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	meta := lm.Artifact.Meta
-	fmt.Printf("loaded %s artifact %s in %s (dataset %s, scale %.2f, seed %d, offline accuracy %.2f%%)\n\n",
-		meta.Kind, c.model, time.Since(t0).Round(time.Millisecond), meta.Dataset, meta.Scale, meta.Seed, meta.Accuracy*100)
-	monitor, err := lm.NewShardedFleet(c.shards)
-	return monitor, lm, err
+	fmt.Fprintf(out, "loaded %s artifact %s in %s (dataset %s, scale %.2f, seed %d, offline accuracy %.2f%%)\n\n",
+		a.Meta.Kind, c.model, time.Since(t0).Round(time.Millisecond), a.Meta.Dataset, a.Meta.Scale, a.Meta.Seed, a.Meta.Accuracy*100)
+	return a, nil
 }
 
-// run puts the fleet behind the HTTP API, with the artifact watcher
-// hot-swapping underneath and a graceful drain on SIGINT/SIGTERM.
+// run serves until SIGINT/SIGTERM, then drains.
 func run(c config) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serve(ctx, c, os.Stdout)
+}
+
+// serve puts the fleet behind the HTTP API, with the artifact watcher
+// hot-swapping underneath, until ctx is cancelled; then it drains
+// gracefully. Progress lines go to out.
+func serve(ctx context.Context, c config, out io.Writer) error {
 	if err := validate(c); err != nil {
 		return err
 	}
-	monitor, lm, err := acquireModel(c)
+	a, err := acquireModel(c, out)
 	if err != nil {
 		return err
 	}
-	window, sensors := monitor.Window(), monitor.Sensors()
-
-	names := telemetry.ClassNames()
-	if lm != nil && len(lm.Artifact.Meta.ClassNames) > 0 {
-		names = lm.Artifact.Meta.ClassNames
+	// Boot is install minus the live comparisons: the same gate, then the
+	// one constructor.
+	monitor, err := server.NewCore(a, c.shards, nil)
+	if err != nil {
+		return err
 	}
 
 	// One shared event bus: the fleet publishes prediction/unknown/swap
@@ -219,39 +223,39 @@ func run(c config) error {
 	// so promotion and a manual `cp new.wcc model.wcc` take the same path.
 	var mgr *adapt.Manager
 	if c.adapt {
-		if lm.Artifact.Drift == nil {
+		if a.Drift == nil {
 			return fmt.Errorf("-adapt needs a drift calibration in the artifact (train with wcctrain -drift): without open-set rejection nothing feeds the buffer")
 		}
 		mgr, err = adapt.New(adapt.Config{
-			FeatureDim:       adapt.FeatureDimFor(sensors),
+			FeatureDim:       adapt.FeatureDimFor(a.Meta.Sensors),
 			MinSupport:       c.adaptMinSupport,
 			Radius:           c.adaptRadius,
-			Calibration:      lm.Artifact.Drift,
+			Calibration:      a.Drift,
 			ShadowMinWindows: c.adaptShadowMin,
 			AutoPromote:      c.adaptAuto,
 			Seed:             c.seed,
 			Logf:             logf,
 			Trainer: &adapt.ProvenanceTrainer{
-				Meta:   lm.Artifact.Meta,
-				Scaler: lm.Artifact.Scaler,
-				Base:   lm.Artifact.Model,
+				Meta:   a.Meta,
+				Scaler: a.Scaler,
+				Base:   a.Model,
 				Logf:   logf,
 			},
 			Events: bus,
-			Promote: func(a *artifact.Artifact) error {
-				return artifact.Save(c.model, a)
+			Promote: func(candidate *artifact.Artifact) error {
+				return artifact.Save(c.model, candidate)
 			},
 		})
 		if err != nil {
 			return err
 		}
 		monitor.SetAdaptObserver(mgr)
-		fmt.Printf("adapt flywheel on: min-support %d, shadow-min %d, auto-promote %v (drive via /v1/adapt)\n",
+		fmt.Fprintf(out, "adapt flywheel on: min-support %d, shadow-min %d, auto-promote %v (drive via /v1/adapt)\n",
 			c.adaptMinSupport, c.adaptShadowMin, c.adaptAuto)
 	}
 
 	scfg := server.Config{
-		ClassNames: names,
+		ClassNames: a.Meta.ClassNames,
 		TickEvery:  c.tick,
 		Workers:    c.workers,
 		EvictAfter: c.evictAfter,
@@ -297,7 +301,7 @@ func run(c config) error {
 
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
-	if lm != nil && c.modelPoll > 0 {
+	if c.model != "" && c.modelPoll > 0 {
 		go func() {
 			defer close(watchDone)
 			server.Watch(stopWatch, watch)
@@ -332,7 +336,7 @@ func run(c config) error {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		debugSrv = &http.Server{Handler: mux}
-		fmt.Printf("pprof debug listener on http://%s/debug/pprof/\n", dln.Addr())
+		fmt.Fprintf(out, "pprof debug listener on http://%s/debug/pprof/\n", dln.Addr())
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "wccserve: debug listener: %v\n", err)
@@ -345,10 +349,10 @@ func run(c config) error {
 		return err
 	}
 	if node != nil {
-		fmt.Printf("cluster node %d of %d (artifact dir %s)\n", node.Self(), node.NumNodes(), c.clusterDir)
+		fmt.Fprintf(out, "cluster node %d of %d (artifact dir %s)\n", node.Self(), node.NumNodes(), c.clusterDir)
 	}
-	fmt.Printf("serving HTTP API on http://%s (%dx%d windows, %d shards, tick %s)\n",
-		ln.Addr(), window, sensors, monitor.NumShards(), c.tick)
+	fmt.Fprintf(out, "serving HTTP API on http://%s (%dx%d windows, %d shards, tick %s)\n",
+		ln.Addr(), a.Meta.Window, a.Meta.Sensors, monitor.NumShards(), c.tick)
 	httpSrv := &http.Server{Handler: handler}
 	// SSE streams hold their connections open indefinitely; ending them at
 	// shutdown lets the graceful drain below complete instead of timing out.
@@ -359,22 +363,21 @@ func run(c config) error {
 		node.Start()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		return err // Serve never returns nil before Shutdown
-	case got := <-sig:
-		fmt.Printf("\nreceived %s, draining...\n", got)
+	case <-ctx.Done():
+		fmt.Fprintln(out, "\nshutdown requested, draining...")
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	// ctx is already cancelled; the drain gets its own deadline.
+	drainCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "wccserve: http shutdown: %v\n", err)
 	}
 	if debugSrv != nil {
-		if err := debugSrv.Shutdown(ctx); err != nil {
+		if err := debugSrv.Shutdown(drainCtx); err != nil {
 			fmt.Fprintf(os.Stderr, "wccserve: debug shutdown: %v\n", err)
 		}
 	}
@@ -388,7 +391,7 @@ func run(c config) error {
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("final drain tick: %w", err)
 	}
-	fmt.Printf("drained: %d samples ingested into %d jobs, %d classifications over %d ticks, %d swaps, %d evictions\n",
+	fmt.Fprintf(out, "drained: %d samples ingested into %d jobs, %d classifications over %d ticks, %d swaps, %d evictions\n",
 		monitor.SamplesIngested(), monitor.NumJobs(), monitor.Classifications(),
 		monitor.Ticks(), monitor.Swaps(), monitor.Evictions())
 	return nil

@@ -168,11 +168,7 @@ func run(o opts) error {
 	if err != nil {
 		return err
 	}
-	p := core.PresetScaled()
-	p.Seed = o.seed
-	p.MaxTrain = o.maxTrain
-	p.MaxTest = o.maxTest
-	ch, err := core.BuildDataset(sim, spec, p)
+	ch, err := core.BuildDataset(sim, spec, o.seed, o.maxTrain, o.maxTest)
 	if err != nil {
 		return err
 	}

@@ -214,27 +214,7 @@ type ProvenanceTrainer struct {
 
 // Train implements Trainer.
 func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
-	if t.Scaler == nil {
-		return nil, errors.New("adapt: provenance trainer needs the serving scaler")
-	}
-	spec, ok := dataset.SpecByName(t.Meta.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("adapt: artifact provenance names unknown dataset %q", t.Meta.Dataset)
-	}
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: t.Meta.Seed, Scale: t.Meta.Scale, GapRate: 1})
-	if err != nil {
-		return nil, err
-	}
-	p := core.PresetScaled()
-	p.Seed = t.Meta.Seed
-	p.MaxTrain = t.Meta.MaxTrain
-	p.MaxTest = t.Meta.MaxTest
-	t.logf("adapt: regenerating %s (scale %g, seed %d) for candidate training", t.Meta.Dataset, t.Meta.Scale, t.Meta.Seed)
-	ch, err := core.BuildDataset(sim, spec, p)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := core.CovFeaturesWith(ch, t.Scaler)
+	fp, raw, err := t.baseFeatures()
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +222,7 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	if f, ok := t.Base.(*forest.Classifier); ok {
 		trees = f.NumTrees()
 	}
-	a, err := BuildCandidateArtifact(fp, core.RawSensorSamples(ch.Train.X), fams, CandidateOptions{
+	a, err := BuildCandidateArtifact(fp, raw, fams, CandidateOptions{
 		BaseMeta:     t.Meta,
 		Trees:        trees,
 		Seed:         t.Meta.Seed,
@@ -256,6 +236,34 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	t.logf("adapt: candidate trained: %d classes (%d novel), base accuracy %.3f",
 		len(a.Meta.ClassNames), len(fams), a.Meta.Accuracy)
 	return a, nil
+}
+
+// baseFeatures regenerates the base set the serving model was fitted on —
+// same simulator, same build call, same caps as the producer recorded — and
+// embeds it with the serving scaler; raw is its training windows' sensor
+// samples for the candidate's PSI reference.
+func (t *ProvenanceTrainer) baseFeatures() (*core.FeaturePair, *mat.Matrix, error) {
+	if t.Scaler == nil {
+		return nil, nil, errors.New("adapt: provenance trainer needs the serving scaler")
+	}
+	spec, ok := dataset.SpecByName(t.Meta.Dataset)
+	if !ok {
+		return nil, nil, fmt.Errorf("adapt: artifact provenance names unknown dataset %q", t.Meta.Dataset)
+	}
+	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: t.Meta.Seed, Scale: t.Meta.Scale, GapRate: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	t.logf("adapt: regenerating %s (scale %g, seed %d) for candidate training", t.Meta.Dataset, t.Meta.Scale, t.Meta.Seed)
+	ch, err := core.BuildDataset(sim, spec, t.Meta.Seed, t.Meta.MaxTrain, t.Meta.MaxTest)
+	if err != nil {
+		return nil, nil, err
+	}
+	fp, err := core.CovFeaturesWith(ch, t.Scaler)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fp, core.RawSensorSamples(ch.Train.X), nil
 }
 
 func (t *ProvenanceTrainer) logf(format string, args ...any) {

@@ -225,9 +225,7 @@ func TestProvenanceTrainerReadsCapsAndSizeFromTheBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.PresetScaled()
-	p.Seed, p.MaxTrain, p.MaxTest = meta.Seed, meta.MaxTrain, meta.MaxTest
-	ch, err := core.BuildDataset(sim, spec, p)
+	ch, err := core.BuildDataset(sim, spec, meta.Seed, meta.MaxTrain, meta.MaxTest)
 	if err != nil {
 		t.Fatal(err)
 	}

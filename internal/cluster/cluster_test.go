@@ -8,14 +8,18 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
+	"repro/internal/drift"
+	"repro/internal/events"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
@@ -582,6 +586,87 @@ func TestClusterStallTimeoutAborts(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if got := stampServedBy(t, c.Member(i), window, sensors); got != 2 {
 			t.Errorf("node %d serves stamp %d after the retry, want 2", i, got)
+		}
+	}
+}
+
+// TestClusterPrepareProvesWhatCommitNeeds offers a 3-node fleet of 3-sensor
+// cores an artifact whose drift reference covers 4 sensors. Commit would
+// refuse it on every node (the core checks a calibration against its sensor
+// count), so prepare must: the coordinator's own prepare fails, the roll
+// aborts before any peer stages it, and nothing is committed or logged as a
+// commit failure anywhere.
+func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
+	const (
+		window  = 6
+		sensors = 3
+	)
+	var (
+		logMu sync.Mutex
+		lines []string
+	)
+	c := clustertest.Start(t, clustertest.Options{
+		Nodes: 3, Window: window, Sensors: sensors,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+
+	model := clustertest.StampModel(t, sensors, 1)
+	probs, err := model.PredictProbaBatch(mat.New(8, preprocess.CovarianceDim(sensors)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := mat.New(200, sensors+1) // one raw column more than the fleet has sensors
+	for i := range raw.Data {
+		raw.Data[i] = float64(i % 13)
+	}
+	cal, err := drift.Fit(drift.FitInput{Probs: probs, RawSamples: raw}, drift.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := filepath.Join(t.TempDir(), "misfit.wcc")
+	if err := artifact.Save(art, &artifact.Artifact{
+		Meta:   artifact.Metadata{Features: "cov", Window: window, Sensors: sensors, ClassNames: clustertest.StampClassNames(1)},
+		Scaler: c.Opts.Scaler,
+		Drift:  cal,
+		Model:  model,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := c.Member(0).Cluster.Server().Events().Subscribe(events.SubOptions{Types: []events.Type{events.TypeClusterSwap}})
+	defer sub.Close()
+	_, err = c.Member(0).Cluster.DistributeFile(art)
+	if err == nil || !strings.Contains(err.Error(), "preparing gen 1 locally") ||
+		!strings.Contains(err.Error(), "drift reference covers 4 sensors, fleet has 3") {
+		t.Fatalf("DistributeFile = %v, want the coordinator's prepare to refuse the calibration", err)
+	}
+
+	// Phases are published synchronously by the roll, so they are all queued.
+	var phases []string
+	for len(sub.Events()) > 0 {
+		phases = append(phases, (<-sub.Events()).Phase)
+	}
+	if got := strings.Join(phases, ","); got != "replicated,aborted" {
+		t.Errorf("swap phases %q, want replicated,aborted (prepared must never be published)", got)
+	}
+	logMu.Lock()
+	for _, l := range lines {
+		if strings.Contains(l, "commit") {
+			t.Errorf("a commit was attempted: %q", l)
+		}
+	}
+	logMu.Unlock()
+	for i := 0; i < 3; i++ {
+		m := c.Member(i)
+		if gen, swaps := m.Cluster.Gen(), m.Core.Swaps(); gen != 0 || swaps != 0 {
+			t.Errorf("node %d at gen %d after %d swaps, want gen 0 untouched", i, gen, swaps)
+		}
+		if st := m.Cluster.Status(); !st.Converged || st.StagedGen != 0 {
+			t.Errorf("node %d: converged %v, staged gen %d; want converged with nothing staged", i, st.Converged, st.StagedGen)
 		}
 	}
 }

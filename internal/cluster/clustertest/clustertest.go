@@ -168,15 +168,14 @@ func Start(t *testing.T, opts Options) *Cluster {
 func (c *Cluster) startMember(id int, ln net.Listener) {
 	c.T.Helper()
 	o := c.Opts
-	core, err := shard.New(shard.Config{
-		Window:  o.Window,
-		Sensors: o.Sensors,
-		Scaler:  o.Scaler,
-		Model:   o.Model,
-		Shards:  o.Shards,
-		Drift:   o.Drift,
-		Now:     o.Now,
-	})
+	// Generation 0 is an in-memory artifact with no class names (see
+	// StampClassNames), booted the way wccserve boots one.
+	core, err := server.NewCore(&artifact.Artifact{
+		Meta:   artifact.Metadata{Features: "cov", Window: o.Window, Sensors: o.Sensors},
+		Scaler: o.Scaler,
+		Drift:  o.Drift,
+		Model:  o.Model,
+	}, o.Shards, o.Now)
 	if err != nil {
 		c.T.Fatalf("clustertest: node %d core: %v", id, err)
 	}

@@ -21,8 +21,9 @@ import (
 //	           the CRC identity it computed from its own copy; a mismatch
 //	           anywhere fails the phase (corruption in transit or on disk
 //	           is caught before any node decodes a byte of it);
-//	prepare    every node decodes its copy, runs the Server.ServableModel
-//	           compatibility gates a local hot-swap runs, and stages the
+//	prepare    every node decodes its copy, runs Server.ServableModel — the
+//	           whole gate Install runs, calibration fit included, so
+//	           nothing commit checks is left unproven — and stages the
 //	           artifact without serving it;
 //	commit     only after EVERY node acked prepare does any node install,
 //	           through the same Server.Install a local hot-swap ends in;
@@ -120,8 +121,8 @@ func (n *Node) distribute(data []byte) (artifact.Metadata, error) {
 	}
 	n.publishSwapPhase("prepared", gen)
 
-	// Every node has proven it can serve gen: commit rolls through the
-	// fleet. Peers first, coordinator last, so the coordinator's own
+	// Every node has proven it can serve gen — prepare ran the very gate
+	// commit's Install runs — so commit rolls through the fleet. Peers first, coordinator last, so the coordinator's own
 	// generation (the one the watcher and anti-entropy compare against)
 	// only advances once the roll is complete. A peer that dies between
 	// its prepare ack and its commit converges by anti-entropy on return.
@@ -212,8 +213,9 @@ func (n *Node) applyReplicate(gen uint64, wantIdent string, data []byte) (string
 	return ident, nil
 }
 
-// applyPrepare decodes the staged artifact for gen, runs the serving
-// compatibility gates, and holds the model ready without installing it.
+// applyPrepare decodes the staged artifact for gen, runs the serving gate
+// (everything Install will check), and holds the model ready without
+// installing it.
 func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, error) {
 	path := n.stagePath(gen)
 	ident, err := artifact.Identity(path)

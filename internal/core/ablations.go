@@ -36,7 +36,7 @@ func RunStartPhaseAblation(p Preset) (*StartPhaseAblation, error) {
 			return nil, err
 		}
 		spec, _ := dataset.SpecByName("60-start-1")
-		ch, err := BuildDataset(sim, spec, p)
+		ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,7 @@ type EmbeddingRow struct {
 // RunEmbeddingAblation executes the comparison on 60-middle-1.
 func RunEmbeddingAblation(sim *telemetry.Simulator, p Preset) (*EmbeddingAblation, error) {
 	spec, _ := dataset.SpecByName("60-middle-1")
-	ch, err := BuildDataset(sim, spec, p)
+	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ type EigensolverAblation struct {
 // RunEigensolverAblation executes the comparison.
 func RunEigensolverAblation(sim *telemetry.Simulator, p Preset) (*EigensolverAblation, error) {
 	spec, _ := dataset.SpecByName("60-middle-1")
-	ch, err := BuildDataset(sim, spec, p)
+	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func TestPresetGridsMatchPaper(t *testing.T) {
 func TestCovFeatureShapes(t *testing.T) {
 	sim := smokeSim(t)
 	p := PresetSmoke()
-	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[1], p)
+	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[1], p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCovFeatureShapes(t *testing.T) {
 func TestPCAFeatureShapes(t *testing.T) {
 	sim := smokeSim(t)
 	p := PresetSmoke()
-	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[1], p)
+	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[1], p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCovFeatureNames(t *testing.T) {
 func TestBuildDatasetCaps(t *testing.T) {
 	sim := smokeSim(t)
 	p := PresetSmoke()
-	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[0], p)
+	ch, err := BuildDataset(sim, dataset.ChallengeSpecs[0], p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func RunTable5(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 	}
 	for _, spec := range dataset.ChallengeSpecs {
 		res.Datasets = append(res.Datasets, spec.Name)
-		ch, err := BuildDataset(sim, spec, p)
+		ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 		if err != nil {
 			return nil, err
 		}

@@ -83,10 +83,7 @@ func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 		if !ok {
 			return nil, fmt.Errorf("core: dataset %s missing", dsName)
 		}
-		capped := p
-		capped.MaxTrain = p.RNN.MaxTrain
-		capped.MaxTest = p.RNN.MaxTest
-		ch, err := BuildDataset(sim, spec, capped)
+		ch, err := BuildDataset(sim, spec, p.Seed, p.RNN.MaxTrain, p.RNN.MaxTest)
 		if err != nil {
 			return nil, err
 		}

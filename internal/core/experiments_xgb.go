@@ -36,7 +36,7 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (
 	if !ok {
 		return nil, fmt.Errorf("core: 60-random-1 spec missing")
 	}
-	ch, err := BuildDataset(sim, spec, p)
+	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		return nil, err
 	}

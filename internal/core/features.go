@@ -18,7 +18,7 @@ type FeaturePair struct {
 	TestY  []int
 	// Scaler carries the training-set statistics the features were
 	// standardised with, so serving paths can standardise live windows the
-	// exact same way (see repro.NewFleet).
+	// exact same way (it travels in the model artifact).
 	Scaler *preprocess.StandardScaler
 	// PCA carries the fitted projection when the PCA pipeline produced the
 	// features (nil for the covariance pipeline); model artifacts bundle it
@@ -138,16 +138,20 @@ func CovFeatureNames() []string {
 	return preprocess.CovariancePairNames(sensors)
 }
 
-// BuildDataset constructs one Table IV dataset under the preset's caps.
-func BuildDataset(sim *telemetry.Simulator, spec dataset.Spec, p Preset) (*dataset.Challenge, error) {
+// BuildDataset constructs one Table IV dataset: the challenge's 80/20 split
+// shuffled by seed, then truncated to maxTrain/maxTest trials (0 = no cap).
+// It is the one dataset-build path outside benchmark/ — the experiment
+// suite, the facade, wcctrain and the adapt flywheel's provenance retrain
+// all call it, which is what lets a retrain regenerate, from an artifact's
+// recorded seed and caps, exactly the rows its model was fitted on.
+func BuildDataset(sim *telemetry.Simulator, spec dataset.Spec, seed int64, maxTrain, maxTest int) (*dataset.Challenge, error) {
 	opts := dataset.DefaultBuildOptions()
-	opts.Seed = p.Seed
-	opts.MaxTrialsPerSet = 0
+	opts.Seed = seed
 	ch, err := dataset.Build(sim, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	return capChallenge(ch, p.MaxTrain, p.MaxTest), nil
+	return capChallenge(ch, maxTrain, maxTest), nil
 }
 
 // capChallenge truncates splits to the preset budget (the split shuffle has

@@ -145,7 +145,7 @@ type FusedResult struct {
 // reproducing the §IV-B analysis in its original (CPU+GPU) feature space.
 func RunFusedImportance(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*FusedResult, error) {
 	spec, _ := dataset.SpecByName("60-random-1")
-	ch, err := BuildDataset(sim, spec, p)
+	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestFusedCovFeatureShapes(t *testing.T) {
 	p.MaxTrain = 60
 	p.MaxTest = 30
 	spec, _ := dataset.SpecByName("60-middle-1")
-	ch, err := BuildDataset(sim, spec, p)
+	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("fleet: nil model")
 	}
-	if err := validateDrift(cfg.Drift, cfg.Sensors); err != nil {
+	if err := CheckCalibration(cfg.Drift, cfg.Sensors); err != nil {
 		return nil, err
 	}
 	m := &Monitor{
@@ -228,13 +228,15 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// validateDrift checks a calibration against the fleet's window shape
-// before it can reach the hot path: a reference over the wrong sensor
-// count would mis-bin every sample, and feature statistics of the wrong
-// width would index out of the embedding row on the first scored tick — a
-// crafted or mismatched artifact must fail construction, never panic
-// serving. nil (detection disabled) is always valid.
-func validateDrift(cal *drift.Calibration, sensors int) error {
+// CheckCalibration is the calibration-fit check: a reference over the wrong
+// sensor count would mis-bin every sample, and feature statistics of the
+// wrong width would index out of the embedding row on the first scored tick
+// — a crafted or mismatched artifact must be refused, never panic serving.
+// New and SwapClassifierDrift run it, and the serving gate (server.Servable)
+// runs it on an artifact before a core is built or a swap is prepared, so a
+// calibration is judged the same wherever it first arrives. nil (detection
+// disabled) is always valid.
+func CheckCalibration(cal *drift.Calibration, sensors int) error {
 	if cal == nil {
 		return nil
 	}
@@ -543,7 +545,7 @@ func (m *Monitor) SwapClassifierDrift(model stream.Classifier, cal *drift.Calibr
 	if model == nil {
 		return errors.New("fleet: cannot swap in a nil model")
 	}
-	if err := validateDrift(cal, m.cfg.Sensors); err != nil {
+	if err := CheckCalibration(cal, m.cfg.Sensors); err != nil {
 		return err
 	}
 	m.tickMu.Lock()

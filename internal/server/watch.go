@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/fleet"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -68,15 +70,13 @@ func Watch(stop <-chan struct{}, cfg WatchConfig) {
 	}
 }
 
-// ServableModel validates that a decoded artifact can serve the fleet this
-// server drives and returns its classifier. The gates exist because per-job
-// window state survives a swap: the replacement must consume the same
-// window shape and the exact scaler statistics the fleet's embedders were
-// built with, and the fleet itself is where those are read from. Install
-// runs the gates before every swap; the cluster control plane runs them on
-// every node during a rolling swap's prepare phase, so an incompatible
-// artifact is refused fleet-wide before any node commits.
-func (s *Server) ServableModel(a *artifact.Artifact) (stream.Classifier, error) {
+// Servable is the static half of "can this artifact serve live telemetry":
+// covariance features, a streaming classifier, a valid window shape, a
+// scaler fitted for that shape, and a drift calibration (if any) that fits
+// the sensor count and embedding width. It reads the artifact alone, so it
+// is the whole gate at boot (NewCore) and for a caller that only loads
+// (repro.LoadModel); ServableModel adds the comparisons a live fleet needs.
+func Servable(a *artifact.Artifact) (stream.Classifier, error) {
 	if a.Meta.Features != "cov" {
 		return nil, fmt.Errorf("artifact has %q features; live serving needs a covariance-feature model", a.Meta.Features)
 	}
@@ -84,12 +84,61 @@ func (s *Server) ServableModel(a *artifact.Artifact) (stream.Classifier, error) 
 	if !ok {
 		return nil, fmt.Errorf("%s models cannot serve streaming windows", a.Meta.Kind)
 	}
+	if a.Meta.Window < 2 || a.Meta.Sensors < 1 {
+		return nil, fmt.Errorf("artifact window shape %dx%d is invalid", a.Meta.Window, a.Meta.Sensors)
+	}
+	if a.Scaler == nil {
+		return nil, errors.New("artifact carries no scaler; live windows cannot be standardised")
+	}
+	if len(a.Scaler.Means) != a.Meta.Window*a.Meta.Sensors {
+		return nil, fmt.Errorf("artifact scaler covers %d columns, a %dx%d window has %d",
+			len(a.Scaler.Means), a.Meta.Window, a.Meta.Sensors, a.Meta.Window*a.Meta.Sensors)
+	}
+	if err := fleet.CheckCalibration(a.Drift, a.Meta.Sensors); err != nil {
+		return nil, err
+	}
+	return cls, nil
+}
+
+// NewCore is the one way an artifact becomes a serving core: gate it, then
+// build the sharded core from nothing but the artifact — window shape,
+// scaler, classifier and calibration all come from it, which is what makes
+// generation 0 the same kind of thing as every generation Install brings
+// later. shards ≤ 0 selects GOMAXPROCS; now, when non-nil, is the core's
+// injected clock.
+func NewCore(a *artifact.Artifact, shards int, now func() time.Time) (*shard.Core, error) {
+	cls, err := Servable(a)
+	if err != nil {
+		return nil, err
+	}
+	return shard.New(shard.Config{
+		Window:  a.Meta.Window,
+		Sensors: a.Meta.Sensors,
+		Scaler:  a.Scaler,
+		Model:   cls,
+		Shards:  shards,
+		Drift:   a.Drift,
+		Now:     now,
+	})
+}
+
+// ServableModel validates that a decoded artifact can serve the fleet this
+// server drives and returns its classifier: Servable, plus the two
+// comparisons only a live fleet can make. Per-job window state survives a
+// swap, so the replacement must consume the same window shape and the exact
+// scaler statistics the fleet's embedders were built with, and the fleet
+// itself is where those are read from. Install runs the gate before every
+// swap; the cluster control plane runs it on every node during a rolling
+// swap's prepare phase, so an artifact that commit would refuse is refused
+// fleet-wide before any node commits.
+func (s *Server) ServableModel(a *artifact.Artifact) (stream.Classifier, error) {
+	cls, err := Servable(a)
+	if err != nil {
+		return nil, err
+	}
 	if window, sensors := s.m.Window(), s.m.Sensors(); a.Meta.Window != window || a.Meta.Sensors != sensors {
 		return nil, fmt.Errorf("window shape %dx%d differs from serving %dx%d",
 			a.Meta.Window, a.Meta.Sensors, window, sensors)
-	}
-	if a.Scaler == nil {
-		return nil, errors.New("artifact carries no scaler")
 	}
 	if !a.Scaler.Equal(s.m.Scaler()) {
 		return nil, errors.New("scaler statistics differ from the serving scaler")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/drift"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
@@ -170,8 +171,10 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 }
 
 // TestWatchRejectsIncompatibleArtifact pins the swap safety boundary:
-// per-job window state survives a swap, so an artifact with different
-// scaler statistics must be skipped, not installed.
+// per-job window state survives a swap, so an artifact the gate refuses —
+// different scaler statistics, or a calibration that does not fit the
+// fleet's sensor count or embedding width — is skipped with the gate's
+// reason, not installed, and the core and the class names stay untouched.
 func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	scaler, modelA := fixture(t)
 	dir := t.TempDir()
@@ -195,23 +198,80 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 		})
 	}()
 	defer func() { close(stop); <-done }()
-
 	time.Sleep(50 * time.Millisecond)
+
 	other := *scaler
 	other.Means = append([]float64(nil), scaler.Means...)
 	other.Means[0] += 1 // different training statistics
-	saveWatchArtifact(t, path, &other, modelA, "watch-test-2")
 
-	select {
-	case msg := <-skipped:
-		if !strings.Contains(msg, "scaler") {
-			t.Fatalf("skip reason %q, want a scaler mismatch", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("incompatible artifact never reported as skipped")
+	// A reference fitted over one raw column too many: the artifact the
+	// cluster prepare-phase test offers a 3-node fleet.
+	wideRaw := mat.New(400, testSensors+1)
+	for i := range wideRaw.Data {
+		wideRaw.Data[i] = float64(i % 17)
 	}
+	wideRef, err := drift.FitReference(wideRaw, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := driftCalibration(t, modelA)
+	fourSensors, wrongWidth, noRef := *fits, *fits, *fits
+	fourSensors.Ref = wideRef
+	wrongWidth.Feat = &drift.FeatureStats{
+		Means: fits.Feat.Means[1:], Stds: fits.Feat.Stds[1:],
+		Train: mat.New(1, len(fits.Feat.Means)-1),
+	}
+	noRef.Ref = nil
+
+	for _, tc := range []struct {
+		name   string
+		scaler *preprocess.StandardScaler
+		cal    *drift.Calibration
+		want   string
+	}{
+		{"scaler statistics differ", &other, nil, "scaler statistics differ"},
+		{"reference over 4 sensors", scaler, &fourSensors, "drift reference covers 4 sensors, fleet has 3"},
+		{"feature statistics of the wrong width", scaler, &wrongWidth, "drift feature statistics cover 5 features, embedding has 6"},
+	} {
+		err := artifact.Save(path, &artifact.Artifact{
+			Meta: artifact.Metadata{
+				Features: "cov", Window: testWindow, Sensors: testSensors,
+				Tool: tc.name, ClassNames: watchNames,
+			},
+			Scaler: tc.scaler,
+			Drift:  tc.cal,
+			Model:  modelA,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		select {
+		case msg := <-skipped:
+			if !strings.Contains(msg, "model reload skipped") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("%s: skip reason %q, want %q", tc.name, msg, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: incompatible artifact never reported as skipped", tc.name)
+		}
+	}
+
+	// A calibration with no input reference cannot be written to a file (the
+	// codec refuses it), so it can only reach Install in memory.
+	err = srv.Install(&artifact.Artifact{
+		Meta:   artifact.Metadata{Features: "cov", Window: testWindow, Sensors: testSensors, ClassNames: watchNames},
+		Scaler: scaler,
+		Drift:  &noRef,
+		Model:  modelA,
+	})
+	if err == nil || !strings.Contains(err.Error(), "carries no input reference") {
+		t.Fatalf("Install with a reference-less calibration = %v, want the gate's refusal", err)
+	}
+
 	if n := monitor.Swaps(); n != 0 {
 		t.Fatalf("incompatible artifact was swapped in (%d swaps)", n)
+	}
+	if monitor.DriftStats().Enabled {
+		t.Fatal("a refused calibration reached the core")
 	}
 	if got := srv.ClassNames(); reflect.DeepEqual(got, watchNames) {
 		t.Fatalf("refused artifact still renamed the classes to %v", got)

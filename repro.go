@@ -10,28 +10,21 @@
 //   - TrainRFCov: the paper's best baseline (random forest on covariance
 //     features), fitted and evaluated in one call.
 //   - RunExperiment: regenerate a paper table by name.
-//   - NewFleet: a single in-process fleet monitor classifying live
-//     telemetry from many concurrent jobs — the reference the serving
-//     core is pinned bit-identical to.
-//   - NewShardedFleet: the same fleet partitioned across independent
-//     monitor shards with per-shard tick loops — the serving core that
-//     scales with the machine's cores instead of one lock.
-//   - NewServer: the HTTP serving layer over the sharded core — NDJSON
-//     batch ingest with bounded-queue backpressure, prediction reads,
-//     health and shard-labelled Prometheus-style metrics, graceful drain
-//     (cmd/wccserve serves it, cmd/wccload load-tests it; docs/API.md is
-//     the request/response reference).
 //   - Open-set serving: TrainRFCov also calibrates a drift.Calibration
-//     (rejection threshold + input reference histograms), so every fleet
-//     built from the result flags unknown workloads, and DriftStats /
+//     (rejection threshold + input reference histograms), so a core built
+//     from the result flags unknown workloads, and DriftStats /
 //     GET /v1/drift report input drift against the training distribution.
-//   - SaveModel / LoadModel: persist a trained RF-Cov pipeline as a
-//     versioned .wcc artifact (model + scaler + drift calibration +
-//     provenance) and restore it,
-//     so serving starts in milliseconds instead of a training run;
-//     LoadedModel.NewShardedFleet builds the serving core straight from
-//     the artifact, and its SwapClassifierDrift rolls a newer artifact's
-//     model and calibration into a live fleet with zero downtime.
+//   - (*RFCovResult).Artifact / SaveModel / LoadModel: the trained pipeline
+//     as one value — model + scaler + drift calibration + provenance, an
+//     *artifact.Artifact — persisted as a versioned .wcc file and restored,
+//     so serving starts in milliseconds instead of a training run.
+//
+// Serving starts from that one value: server.NewCore(artifact, shards, nil)
+// gates it and builds the sharded serving core, server.New puts the HTTP
+// API over the core (cmd/wccserve does exactly this, cmd/wccload
+// load-tests it; docs/API.md is the request/response reference), and
+// Server.Install rolls a newer artifact into the live fleet with zero
+// downtime through the same gate.
 //
 // For anything beyond these — other baselines, custom grids, npz interop —
 // import the internal packages directly; they are documented and tested as
@@ -39,22 +32,19 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/drift"
-	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/preprocess"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -82,9 +72,7 @@ func GenerateDataset(name string, scale float64, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := dataset.DefaultBuildOptions()
-	opts.Seed = seed
-	ch, err := dataset.Build(sim, spec, opts)
+	ch, err := core.BuildDataset(sim, spec, seed, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -157,64 +145,14 @@ func TrainRFCov(ds *Dataset, trees int, seed int64) (*RFCovResult, error) {
 	return &RFCovResult{Accuracy: acc, Confusion: cm, Model: f, ClassNames: names, Scaler: fp.Scaler, Drift: cal}, nil
 }
 
-// NewFleet builds a fleet monitor that serves the trained model over live
-// telemetry shaped like the dataset's windows (540×7 for the challenge
-// datasets): jobs stream samples through Ingest from any number of
-// goroutines, and each Tick classifies every changed window in one batched
-// model call. The live windows are standardised with the very scaler the
-// offline pipeline fitted (res.Scaler), so fleet predictions match what
-// TrainRFCov's model would say about the same window offline.
-func NewFleet(ds *Dataset, res *RFCovResult) (*fleet.Monitor, error) {
-	return fleet.New(fleet.Config{
-		Window:  ds.Challenge.Train.X.T,
-		Sensors: ds.Challenge.Train.X.C,
-		Scaler:  res.Scaler,
-		Model:   res.Model,
-		Drift:   res.Drift,
-	})
-}
-
-// NewShardedFleet builds the sharded serving core over the trained model:
-// jobs are hash-routed to independent monitor shards (shards ≤ 0 selects
-// GOMAXPROCS) that tick on independent goroutines, classifier hot-swaps
-// install atomically on every shard, and predictions stay bit-identical to
-// a single NewFleet monitor fed the same streams — sharding changes
-// throughput, not predictions.
-func NewShardedFleet(ds *Dataset, res *RFCovResult, shards int) (*shard.Core, error) {
-	return shard.New(shard.Config{
-		Window:  ds.Challenge.Train.X.T,
-		Sensors: ds.Challenge.Train.X.C,
-		Scaler:  res.Scaler,
-		Model:   res.Model,
-		Shards:  shards,
-		Drift:   res.Drift,
-	})
-}
-
-// NewServer wraps a fleet monitor in the HTTP serving layer: NDJSON batch
-// ingest with per-request error accounting and bounded-queue backpressure
-// (429 + Retry-After), per-job prediction reads and a fleet snapshot, job
-// lifecycle (DELETE ends a job; idle eviction is configurable on the
-// underlying server.Config), /healthz, and Prometheus-style /metrics.
-// Mount the returned server's Handler on an http.Server and Close it after
-// the listener shuts down — the final inference tick flushes pending
-// windows, so a drained stream's last samples still produce predictions.
-// classNames optionally labels predictions; tickEvery ≤ 0 selects the
-// default inference cadence. m is a *shard.Core (NewShardedFleet): the layer
-// runs one tick loop per shard and labels /metrics by shard. For the full
-// knob set import internal/server directly.
-func NewServer(m server.Monitor, classNames []string, tickEvery time.Duration) (*server.Server, error) {
-	return server.New(server.Config{Monitor: m, ClassNames: classNames, TickEvery: tickEvery})
-}
-
-// SaveModel writes a trained RF-Cov pipeline to path as a versioned .wcc
-// artifact: the fitted forest, the scaler its features were standardised
-// with, and training provenance (dataset, scale, seed, class names, test
-// accuracy). The write is atomic, so a serving process polling the path for
-// hot-swaps never observes a half-written model.
-func SaveModel(path string, ds *Dataset, res *RFCovResult) error {
-	return artifact.Save(path, &artifact.Artifact{
+// Artifact bundles the trained pipeline with its provenance as the one
+// model value serving consumes: server.NewCore boots a core from it,
+// SaveModel persists it, and a reloaded copy serves bit-identically. ds is
+// the dataset the result was trained on.
+func (res *RFCovResult) Artifact(ds *Dataset) *artifact.Artifact {
+	return &artifact.Artifact{
 		Meta: artifact.Metadata{
+			Kind:        artifact.KindForest,
 			ClassNames:  res.ClassNames,
 			Features:    "cov",
 			Window:      ds.Challenge.Train.X.T,
@@ -224,81 +162,46 @@ func SaveModel(path string, ds *Dataset, res *RFCovResult) error {
 			Seed:        ds.Seed,
 			Accuracy:    res.Accuracy,
 			CreatedUnix: time.Now().Unix(),
-			Tool:        "repro.SaveModel",
+			Tool:        "repro.TrainRFCov",
 		},
 		Scaler: res.Scaler,
 		Drift:  res.Drift,
 		Model:  res.Model,
-	})
+	}
 }
 
-// LoadedModel is a deserialised serving artifact.
-type LoadedModel struct {
-	// Artifact holds the metadata, scaler and model as decoded.
-	Artifact *artifact.Artifact
+// SaveModel writes a trained RF-Cov pipeline to path as a versioned .wcc
+// artifact (see Artifact). The write is atomic, so a serving process
+// polling the path for hot-swaps never observes a half-written model.
+func SaveModel(path string, ds *Dataset, res *RFCovResult) error {
+	return artifact.Save(path, res.Artifact(ds))
 }
 
-// LoadModel reads a .wcc artifact and validates it is servable over live
-// telemetry: a covariance-feature model implementing the streaming
-// classifier contract, bundled with its scaler.
-func LoadModel(path string) (*LoadedModel, error) {
+// LoadModel reads a .wcc artifact and checks it through the serving gate
+// (server.Servable): a covariance-feature model implementing the streaming
+// classifier contract, bundled with a scaler and a calibration that fit
+// its window shape.
+func LoadModel(path string) (*artifact.Artifact, error) {
 	a, err := artifact.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	if a.Meta.Features != "cov" {
-		return nil, fmt.Errorf("repro: artifact has %q features; live serving needs a covariance-feature model", a.Meta.Features)
+	if _, err := server.Servable(a); err != nil {
+		return nil, fmt.Errorf("repro: %s: %w", path, err)
 	}
-	if a.Scaler == nil {
-		return nil, errors.New("repro: artifact carries no scaler; live windows cannot be standardised")
-	}
-	if a.Meta.Window < 2 || a.Meta.Sensors < 1 {
-		return nil, fmt.Errorf("repro: artifact window shape %dx%d is invalid", a.Meta.Window, a.Meta.Sensors)
-	}
-	if _, ok := a.Model.(stream.Classifier); !ok {
-		return nil, fmt.Errorf("repro: %s models cannot serve streaming windows", a.Meta.Kind)
-	}
-	return &LoadedModel{Artifact: a}, nil
+	return a, nil
 }
 
-// Classifier returns the artifact's model as a streaming classifier.
-func (lm *LoadedModel) Classifier() stream.Classifier {
-	return lm.Artifact.Model.(stream.Classifier)
-}
-
-// NewFleet builds a fleet monitor serving the loaded artifact, the
-// zero-training counterpart of NewFleet: window shape and scaler come from
-// the artifact, so the monitor classifies live telemetry exactly as the
-// training-time pipeline would.
-func (lm *LoadedModel) NewFleet() (*fleet.Monitor, error) {
-	return fleet.New(fleet.Config{
-		Window:  lm.Artifact.Meta.Window,
-		Sensors: lm.Artifact.Meta.Sensors,
-		Scaler:  lm.Artifact.Scaler,
-		Model:   lm.Classifier(),
-		Drift:   lm.Artifact.Drift,
-	})
-}
-
-// NewShardedFleet builds the sharded serving core straight from the
-// artifact, the zero-training counterpart of NewShardedFleet: window
-// shape and scaler come from the artifact, shards ≤ 0 selects GOMAXPROCS.
-func (lm *LoadedModel) NewShardedFleet(shards int) (*shard.Core, error) {
-	return shard.New(shard.Config{
-		Window:  lm.Artifact.Meta.Window,
-		Sensors: lm.Artifact.Meta.Sensors,
-		Scaler:  lm.Artifact.Scaler,
-		Model:   lm.Classifier(),
-		Shards:  shards,
-		Drift:   lm.Artifact.Drift,
-	})
-}
-
-// RunExperiment regenerates a paper table by name ("1", "2", "4", "5", "6",
-// "7", "xgb") under the named preset ("smoke", "scaled", "full") and
-// returns the rendered table text.
+// RunExperiment regenerates a paper table by name (core.Tables lists them:
+// "1", "2", "4", "5", "6", "7", "xgb", "fused", "ablations", or "all") under
+// the named preset ("smoke", "scaled", "full") and returns the rendered
+// table text.
 func RunExperiment(table, preset string) (string, error) {
 	p, err := core.PresetByName(preset)
+	if err != nil {
+		return "", err
+	}
+	tables, err := core.Tables(table)
 	if err != nil {
 		return "", err
 	}
@@ -306,37 +209,11 @@ func RunExperiment(table, preset string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	switch table {
-	case "1":
-		return core.FormatTable1(core.RunTable1(sim)), nil
-	case "2", "3":
-		return core.FormatTables2And3(), nil
-	case "4":
-		rows, err := core.RunTable4(sim, p.Seed)
-		if err != nil {
+	out := make([]string, len(tables))
+	for i, t := range tables {
+		if out[i], err = t.Run(sim, p, nil); err != nil {
 			return "", err
 		}
-		return core.FormatTable4(rows), nil
-	case "5":
-		res, err := core.RunTable5(sim, p, nil)
-		if err != nil {
-			return "", err
-		}
-		return core.FormatTable5(res), nil
-	case "6":
-		res, err := core.RunTable6(sim, p, nil)
-		if err != nil {
-			return "", err
-		}
-		return core.FormatTable6(res), nil
-	case "7", "8", "9":
-		return core.FormatTables789(core.RunTables789(sim)), nil
-	case "xgb":
-		res, err := core.RunXGBoost(sim, p, nil)
-		if err != nil {
-			return "", err
-		}
-		return core.FormatXGB(res), nil
 	}
-	return "", fmt.Errorf("repro: unknown table %q", table)
+	return strings.Join(out, "\n"), nil
 }

@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/fleet"
+	"repro/internal/artifact"
+	"repro/internal/nn"
+	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -75,6 +78,11 @@ func TestRunExperimentMetaTables(t *testing.T) {
 	}
 }
 
+// TestFleetFacade pins the train → serve hand-over: the artifact TrainRFCov's
+// result bundles boots a sharded serving core through the one constructor,
+// and live telemetry streamed through it classifies. (That sharding never
+// changes a prediction bit is internal/shard's
+// TestShardedMatchesSingleMonitor.)
 func TestFleetFacade(t *testing.T) {
 	ds, err := repro.GenerateDataset("60-middle-1", 0.05, 1)
 	if err != nil {
@@ -84,9 +92,12 @@ func TestFleetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := repro.NewFleet(ds, res)
+	m, err := server.NewCore(res.Artifact(ds), 4, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m.NumShards(); got != 4 {
+		t.Fatalf("NumShards = %d, want 4", got)
 	}
 
 	// Stream a handful of live jobs through the fleet via the multi-job
@@ -134,89 +145,6 @@ func TestFleetFacade(t *testing.T) {
 	}
 }
 
-// TestShardedFleetFacade checks the sharded serving core built by the
-// facade classifies the same replay bit-identically to the single-monitor
-// facade fleet: sharding changes throughput, never predictions.
-func TestShardedFleetFacade(t *testing.T) {
-	ds, err := repro.GenerateDataset("60-middle-1", 0.05, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := repro.TrainRFCov(ds, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := repro.NewFleet(ds, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := repro.NewShardedFleet(ds, res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := core.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4", got)
-	}
-
-	var live []*telemetry.Job
-	for _, j := range ds.Sim.Jobs() {
-		if j.Duration >= 62 {
-			live = append(live, j)
-		}
-		if len(live) == 4 {
-			break
-		}
-	}
-	if len(live) == 0 {
-		t.Fatal("no streamable jobs at this scale")
-	}
-	r, err := telemetry.NewReplay(live, 0, 0, 61.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		s, ok := r.Next()
-		if !ok {
-			break
-		}
-		if err := single.Ingest(s.JobID, s.Values); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.Ingest(s.JobID, s.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := single.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := core.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Classified != len(live) {
-		t.Fatalf("sharded core classified %d jobs, want %d", stats.Classified, len(live))
-	}
-	for _, j := range live {
-		want, ok := single.Prediction(j.ID)
-		if !ok {
-			t.Fatalf("job %d: single monitor has no prediction", j.ID)
-		}
-		got, ok := core.Prediction(j.ID)
-		if !ok {
-			t.Fatalf("job %d: sharded core has no prediction", j.ID)
-		}
-		if got.Class != want.Class || got.Probability != want.Probability {
-			t.Fatalf("job %d: sharded (%d, %v) vs single (%d, %v)",
-				j.ID, got.Class, got.Probability, want.Class, want.Probability)
-		}
-		for c := range want.Probs {
-			if got.Probs[c] != want.Probs[c] {
-				t.Fatalf("job %d class %d: not bit-identical", j.ID, c)
-			}
-		}
-	}
-}
-
 // TestSaveLoadModelFacade pins the offline-train / online-serve split: a
 // model saved with SaveModel and restored with LoadModel must classify live
 // windows bit-identically to the in-memory pipeline, without any retraining.
@@ -233,11 +161,11 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	if err := repro.SaveModel(path, ds, res); err != nil {
 		t.Fatal(err)
 	}
-	lm, err := repro.LoadModel(path)
+	loaded, err := repro.LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := lm.Artifact.Meta
+	meta := loaded.Meta
 	if meta.Dataset != "60-middle-1" || meta.Scale != 0.05 || meta.Seed != 1 {
 		t.Fatalf("provenance did not survive: %+v", meta)
 	}
@@ -250,21 +178,21 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	if res.Drift == nil {
 		t.Fatal("TrainRFCov did not calibrate open-set drift")
 	}
-	if lm.Artifact.Drift == nil {
+	if loaded.Drift == nil {
 		t.Fatal("drift calibration did not survive the artifact")
 	}
-	if lm.Artifact.Drift.Threshold != res.Drift.Threshold {
+	if loaded.Drift.Threshold != res.Drift.Threshold {
 		t.Fatalf("threshold drifted through the artifact: %+v vs %+v",
-			lm.Artifact.Drift.Threshold, res.Drift.Threshold)
+			loaded.Drift.Threshold, res.Drift.Threshold)
 	}
 
-	// Serve identical telemetry through a fleet from the in-memory model and
-	// one from the artifact; predictions must agree bit for bit.
-	mMem, err := repro.NewFleet(ds, res)
+	// Serve identical telemetry through a core from the in-memory artifact
+	// and one from the reloaded file; predictions must agree bit for bit.
+	mMem, err := server.NewCore(res.Artifact(ds), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mArt, err := lm.NewFleet()
+	mArt, err := server.NewCore(loaded, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +208,7 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	if len(live) == 0 {
 		t.Fatal("no streamable jobs at this scale")
 	}
-	for _, monitor := range []*fleet.Monitor{mMem, mArt} {
+	for _, monitor := range []*shard.Core{mMem, mArt} {
 		r, err := telemetry.NewReplay(live, 0, 0, 61.5)
 		if err != nil {
 			t.Fatal(err)
@@ -329,12 +257,39 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	if _, err := repro.LoadModel(filepath.Join(t.TempDir(), "missing.wcc")); err == nil {
 		t.Error("loading a missing artifact should fail")
 	}
+
+	// LoadModel refuses what the serving gate refuses, in the gate's words.
+	seq, err := nn.NewBiLSTMClassifier(meta.Sensors, 2, 4, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusals := []struct {
+		name   string
+		mutate func(a *artifact.Artifact)
+		want   string
+	}{
+		{"pca features", func(a *artifact.Artifact) { a.Meta.Features = "pca" }, `has "pca" features`},
+		{"no scaler", func(a *artifact.Artifact) { a.Scaler = nil }, "carries no scaler"},
+		{"sequence model", func(a *artifact.Artifact) { a.Meta.Kind, a.Model, a.Drift = "", seq, nil }, "cannot serve streaming windows"},
+	}
+	for _, tc := range refusals {
+		a := res.Artifact(ds)
+		tc.mutate(a)
+		bad := filepath.Join(t.TempDir(), "bad.wcc")
+		if err := artifact.Save(bad, a); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := repro.LoadModel(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadModel = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
-// TestNewServerFacade pins the public HTTP-serving entry point: train at
-// tiny scale, serve the fleet over a real loopback listener, ingest one
-// job's window as batched NDJSON, and read the classification back.
-func TestNewServerFacade(t *testing.T) {
+// TestServeFacadeArtifact pins the public path to HTTP serving: train at
+// tiny scale, boot a core from the result's artifact, serve it over a real
+// loopback listener, ingest one job's window as batched NDJSON, and read
+// the classification back under the artifact's class names.
+func TestServeFacadeArtifact(t *testing.T) {
 	ds, err := repro.GenerateDataset("60-middle-1", 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +298,12 @@ func TestNewServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := repro.NewShardedFleet(ds, res, 1)
+	a := res.Artifact(ds)
+	m, err := server.NewCore(a, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := repro.NewServer(m, res.ClassNames, time.Hour)
+	srv, err := server.New(server.Config{Monitor: m, ClassNames: a.Meta.ClassNames, TickEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
