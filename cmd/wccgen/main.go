@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
 )
@@ -37,7 +38,7 @@ func main() {
 }
 
 func run(scale float64, seed int64, out, datasets string, schedLog bool) error {
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: seed, Scale: scale, GapRate: 1})
+	sim, err := core.Provenance{Scale: scale, Seed: seed}.Simulator()
 	if err != nil {
 		return err
 	}

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -203,7 +204,7 @@ func run(c config) error {
 	}
 
 	// Fleet job k replays source k % len(sources).
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: c.seed, Scale: c.scale, GapRate: 1})
+	sim, err := core.Provenance{Scale: c.scale, Seed: c.seed}.Simulator()
 	if err != nil {
 		return err
 	}

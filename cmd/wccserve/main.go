@@ -235,13 +235,8 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 			AutoPromote:      c.adaptAuto,
 			Seed:             c.seed,
 			Logf:             logf,
-			Trainer: &adapt.ProvenanceTrainer{
-				Meta:   a.Meta,
-				Scaler: a.Scaler,
-				Base:   a.Model,
-				Logf:   logf,
-			},
-			Events: bus,
+			Trainer:          adapt.NewProvenanceTrainer(a, logf),
+			Events:           bus,
 			Promote: func(candidate *artifact.Artifact) error {
 				return artifact.Save(c.model, candidate)
 			},

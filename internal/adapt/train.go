@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/forest"
 	"repro/internal/mat"
@@ -30,14 +28,14 @@ type Trainer interface {
 // CandidateOptions parameterises BuildCandidateArtifact.
 type CandidateOptions struct {
 	// BaseMeta is the serving artifact's metadata; the candidate inherits
-	// its provenance fields and appends novel class names to its
+	// its provenance and window shape — never its Kind, which follows the
+	// candidate's own model — and appends novel class names to its
 	// ClassNames. len(ClassNames), when non-zero, fixes the base class
 	// count.
 	BaseMeta artifact.Metadata
-	// Trees sizes the candidate forest (default 50).
+	// Trees sizes the candidate forest (default 50); BaseMeta.Seed seeds
+	// its fit.
 	Trees int
-	// Seed seeds the forest fit (default BaseMeta.Seed).
-	Seed int64
 	// Quantile and FeatQuantile configure the refreshed drift calibration
 	// (package drift defaults when zero).
 	Quantile     float64
@@ -52,13 +50,14 @@ type CandidateOptions struct {
 // model did not memorise.
 const heldOutEvery = 4
 
-// BuildCandidateArtifact trains a candidate model over the base feature
-// pair widened with one new class per family, and calibrates a fresh drift
-// section over the widened class set. fp must be built against the serving
-// scaler (core.CovFeaturesWith) — the candidate reuses it verbatim, which
-// is what lets the hot-swap compatibility gate accept the artifact — and
-// family rows must be in the same feature space, which they are by
-// construction (they came from the serving embedders). raw holds raw
+// BuildCandidateArtifact widens the base feature pair with one new class per
+// family and hands it to core.TrainArtifact — the training path every
+// artifact comes through — which fits the candidate forest and calibrates a
+// fresh drift section over the widened class set. fp must be built against
+// the serving scaler (core.CovFeaturesWith) — the candidate reuses it
+// verbatim, which is what lets the hot-swap compatibility gate accept the
+// artifact — and family rows must be in the same feature space, which they
+// are by construction (they came from the serving embedders). raw holds raw
 // telemetry samples for the PSI reference, typically the regenerated
 // training windows.
 //
@@ -87,115 +86,56 @@ func BuildCandidateArtifact(fp *core.FeaturePair, raw *mat.Matrix, fams []Family
 	if o.Trees <= 0 {
 		o.Trees = 50
 	}
-	if o.Seed == 0 {
-		o.Seed = o.BaseMeta.Seed
-	}
 	if o.Tool == "" {
 		o.Tool = "adapt"
 	}
 
-	// Split each family into train and held-out rows, then assemble the
-	// widened matrices: base rows keep their labels, family i becomes class
-	// numBase+i.
-	trainRows, testRows := fp.TrainX.Rows, fp.TestX.Rows
-	var famTrain, famHeld int
-	for _, f := range fams {
-		if f.Rows == nil || f.Rows.Cols != dim {
-			return nil, fmt.Errorf("adapt: family %d rows have %d features, base has %d", f.ID, f.Rows.Cols, dim)
-		}
-		h := f.Rows.Rows / heldOutEvery
-		if h == 0 && f.Rows.Rows > 1 {
-			h = 1
-		}
-		famHeld += h
-		famTrain += f.Rows.Rows - h
-	}
-	trainX := mat.New(trainRows+famTrain, dim)
-	trainY := make([]int, 0, trainRows+famTrain)
-	copy(trainX.Data, fp.TrainX.Data)
-	trainY = append(trainY, fp.TrainY...)
-	heldX := mat.New(testRows+famHeld, dim)
-	copy(heldX.Data, fp.TestX.Data)
-
-	ti, hi := trainRows, testRows
+	// Widen: base rows keep their labels, family i becomes class numBase+i,
+	// and every heldOutEvery-th family row joins the held-out rows instead,
+	// after the base test split — whose labels alone (fp.TestY) measure the
+	// candidate's accuracy.
+	trainX := &mat.Matrix{Cols: dim, Data: append([]float64(nil), fp.TrainX.Data...)}
+	trainY := append([]int(nil), fp.TrainY...)
+	heldX := &mat.Matrix{Cols: dim, Data: append([]float64(nil), fp.TestX.Data...)}
 	for fi, f := range fams {
-		label := numBase + fi
+		if f.Rows == nil || f.Rows.Cols != dim {
+			return nil, fmt.Errorf("adapt: family %d rows do not have the base's %d features", f.ID, dim)
+		}
 		for r := 0; r < f.Rows.Rows; r++ {
-			row := f.Rows.Row(r)
-			if r%heldOutEvery == heldOutEvery-1 && hi < heldX.Rows {
-				copy(heldX.Data[hi*dim:(hi+1)*dim], row)
-				hi++
+			if r%heldOutEvery == heldOutEvery-1 {
+				heldX.Data = append(heldX.Data, f.Rows.Row(r)...)
 				continue
 			}
-			copy(trainX.Data[ti*dim:(ti+1)*dim], row)
-			trainY = append(trainY, label)
-			ti++
+			trainX.Data = append(trainX.Data, f.Rows.Row(r)...)
+			trainY = append(trainY, numBase+fi)
 		}
 	}
-	// Rounding drift between the size pre-pass and the modulo split can
-	// leave a row of slack; trim to what actually landed.
-	trainX = &mat.Matrix{Rows: ti, Cols: dim, Data: trainX.Data[:ti*dim]}
-	heldX = &mat.Matrix{Rows: hi, Cols: dim, Data: heldX.Data[:hi*dim]}
-
-	numClasses := numBase + len(fams)
-	f := forest.New(forest.Config{NumTrees: o.Trees, Bootstrap: true, Seed: o.Seed})
-	if err := f.Fit(trainX, trainY, numClasses); err != nil {
-		return nil, fmt.Errorf("adapt: fitting candidate forest: %w", err)
-	}
-
-	probs, err := f.PredictProbaBatch(heldX)
-	if err != nil {
-		return nil, fmt.Errorf("adapt: scoring held-out rows: %w", err)
-	}
-	// Base-split accuracy from the same probability rows (the first
-	// testRows held-out rows are the base test split, in order).
-	correct := 0
-	for i, y := range fp.TestY {
-		if mat.ArgMax(probs.Row(i)) == y {
-			correct++
-		}
-	}
-	acc := 0.0
-	if len(fp.TestY) > 0 {
-		acc = float64(correct) / float64(len(fp.TestY))
-	}
-
-	cal, err := drift.Fit(drift.FitInput{
-		Probs:           probs,
-		TrainFeatures:   trainX,
-		HeldOutFeatures: heldX,
-		RawSamples:      raw,
-	}, drift.Options{Quantile: o.Quantile, FeatQuantile: o.FeatQuantile})
-	if err != nil {
-		return nil, fmt.Errorf("adapt: calibrating candidate drift: %w", err)
-	}
+	trainX.Rows, heldX.Rows = len(trainY), len(heldX.Data)/dim
+	wide := &core.FeaturePair{TrainX: trainX, TrainY: trainY, TestX: heldX, TestY: fp.TestY, Scaler: fp.Scaler}
 
 	meta := o.BaseMeta
-	meta.ClassNames = append(append([]string(nil), o.BaseMeta.ClassNames...), novelNames(o.BaseMeta.NovelClasses, len(fams))...)
-	meta.Accuracy = acc
-	meta.NovelClasses = o.BaseMeta.NovelClasses + len(fams)
-	meta.AdaptedFrom = fmt.Sprintf("%s/%d-class base", o.BaseMeta.Tool, numBase)
-	meta.CreatedUnix = time.Now().Unix()
 	meta.Tool = o.Tool
-	return &artifact.Artifact{Meta: meta, Scaler: fp.Scaler, Drift: cal, Model: f}, nil
-}
-
-// novelNames labels count new classes appended after start already-grown
-// novel classes. Numbering continues across generations: a base that
-// already grew novel classes keeps them and the new ones pick up where it
-// left off.
-func novelNames(start, count int) []string {
-	names := make([]string, count)
-	for i := range names {
-		names[i] = telemetry.NovelClassName(start + i)
+	f := forest.New(forest.Config{NumTrees: o.Trees, Bootstrap: true, Seed: meta.Seed})
+	fit := func() error { return f.Fit(wide.TrainX, wide.TrainY, numBase+len(fams)) }
+	a, _, err := core.TrainArtifact(meta, wide, f, fit, raw, drift.Options{Quantile: o.Quantile, FeatQuantile: o.FeatQuantile})
+	if err != nil {
+		return nil, fmt.Errorf("adapt: training candidate: %w", err)
 	}
-	return names
+	// Novel numbering continues across generations: a base that already
+	// grew novel classes keeps them and the new ones pick up after.
+	a.Meta.ClassNames = append([]string(nil), meta.ClassNames...)
+	for range fams {
+		a.Meta.ClassNames = append(a.Meta.ClassNames, telemetry.NovelClassName(a.Meta.NovelClasses))
+		a.Meta.NovelClasses++
+	}
+	a.Meta.AdaptedFrom = fmt.Sprintf("%s/%d-class base", o.BaseMeta.Tool, numBase)
+	return a, nil
 }
 
 // ProvenanceTrainer is the production Trainer: it regenerates the base
-// training set from the serving artifact's recorded provenance (dataset
-// spec, scale, seed, trial caps), re-embeds it with the serving scaler —
-// never refits one — and widens it with the clustered families.
+// training set from the serving artifact's recorded provenance
+// (core.Provenance.Regenerate), re-embeds it with the serving scaler — never
+// refits one — and widens it with the clustered families.
 type ProvenanceTrainer struct {
 	// Meta is the serving artifact's metadata (Dataset, Scale, Seed,
 	// MaxTrain, MaxTest, ClassNames drive regeneration).
@@ -206,10 +146,25 @@ type ProvenanceTrainer struct {
 	// a base forest has (CandidateOptions' default when Base is anything
 	// else, or nil).
 	Base any
-	// Quantile and FeatQuantile configure the refreshed calibration.
+	// Quantile and FeatQuantile configure the refreshed calibration
+	// (package drift defaults when zero).
 	Quantile, FeatQuantile float64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
+}
+
+// NewProvenanceTrainer is the trainer for candidates grown from base:
+// everything a retrain inherits from the serving artifact — provenance,
+// scaler, forest size, and the quantile its calibration recorded, so a base
+// calibrated off the default is not silently re-calibrated at it. The
+// feature-gate quantile is not persisted in the drift section, so
+// FeatQuantile starts at the package default.
+func NewProvenanceTrainer(base *artifact.Artifact, logf func(format string, args ...any)) *ProvenanceTrainer {
+	t := &ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model, Logf: logf}
+	if base.Drift != nil {
+		t.Quantile = base.Drift.Threshold.Quantile
+	}
+	return t
 }
 
 // Train implements Trainer.
@@ -225,7 +180,6 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	a, err := BuildCandidateArtifact(fp, raw, fams, CandidateOptions{
 		BaseMeta:     t.Meta,
 		Trees:        trees,
-		Seed:         t.Meta.Seed,
 		Quantile:     t.Quantile,
 		FeatQuantile: t.FeatQuantile,
 		Tool:         "wccserve-adapt",
@@ -238,24 +192,15 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	return a, nil
 }
 
-// baseFeatures regenerates the base set the serving model was fitted on —
-// same simulator, same build call, same caps as the producer recorded — and
+// baseFeatures regenerates the base set the serving model was fitted on and
 // embeds it with the serving scaler; raw is its training windows' sensor
 // samples for the candidate's PSI reference.
 func (t *ProvenanceTrainer) baseFeatures() (*core.FeaturePair, *mat.Matrix, error) {
 	if t.Scaler == nil {
 		return nil, nil, errors.New("adapt: provenance trainer needs the serving scaler")
 	}
-	spec, ok := dataset.SpecByName(t.Meta.Dataset)
-	if !ok {
-		return nil, nil, fmt.Errorf("adapt: artifact provenance names unknown dataset %q", t.Meta.Dataset)
-	}
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: t.Meta.Seed, Scale: t.Meta.Scale, GapRate: 1})
-	if err != nil {
-		return nil, nil, err
-	}
 	t.logf("adapt: regenerating %s (scale %g, seed %d) for candidate training", t.Meta.Dataset, t.Meta.Scale, t.Meta.Seed)
-	ch, err := core.BuildDataset(sim, spec, t.Meta.Seed, t.Meta.MaxTrain, t.Meta.MaxTest)
+	_, ch, err := core.ProvenanceOf(t.Meta).Regenerate()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -62,16 +62,7 @@ func CovFeatures(ch *dataset.Challenge) (*FeaturePair, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, c := ch.Train.X.T, ch.Train.X.C
-	trainF, err := preprocess.CovarianceEmbed(trainZ, t, c)
-	if err != nil {
-		return nil, err
-	}
-	testF, err := preprocess.CovarianceEmbed(testZ, t, c)
-	if err != nil {
-		return nil, err
-	}
-	return &FeaturePair{TrainX: trainF, TrainY: ch.Train.Y, TestX: testF, TestY: ch.Test.Y, Scaler: scaler}, nil
+	return covEmbedded(ch, trainZ, testZ, scaler)
 }
 
 // CovFeaturesWith runs the covariance pipeline against an already-fitted
@@ -90,6 +81,11 @@ func CovFeaturesWith(ch *dataset.Challenge, scaler *preprocess.StandardScaler) (
 	if err != nil {
 		return nil, err
 	}
+	return covEmbedded(ch, trainZ, testZ, scaler)
+}
+
+// covEmbedded embeds both standardised splits.
+func covEmbedded(ch *dataset.Challenge, trainZ, testZ *mat.Matrix, scaler *preprocess.StandardScaler) (*FeaturePair, error) {
 	t, c := ch.Train.X.T, ch.Train.X.C
 	trainF, err := preprocess.CovarianceEmbed(trainZ, t, c)
 	if err != nil {
@@ -140,10 +136,9 @@ func CovFeatureNames() []string {
 
 // BuildDataset constructs one Table IV dataset: the challenge's 80/20 split
 // shuffled by seed, then truncated to maxTrain/maxTest trials (0 = no cap).
-// It is the one dataset-build path outside benchmark/ — the experiment
-// suite, the facade, wcctrain and the adapt flywheel's provenance retrain
-// all call it, which is what lets a retrain regenerate, from an artifact's
-// recorded seed and caps, exactly the rows its model was fitted on.
+// It is the one dataset-build path outside benchmark/: the experiment suite
+// calls it with a preset's simulator, and every artifact producer reaches it
+// through Provenance.Regenerate.
 func BuildDataset(sim *telemetry.Simulator, spec dataset.Spec, seed int64, maxTrain, maxTest int) (*dataset.Challenge, error) {
 	opts := dataset.DefaultBuildOptions()
 	opts.Seed = seed
@@ -177,5 +172,5 @@ func capChallenge(ch *dataset.Challenge, maxTrain, maxTest int) *dataset.Challen
 
 // NewSimulator builds the simulator for a preset.
 func NewSimulator(p Preset) (*telemetry.Simulator, error) {
-	return telemetry.NewSimulator(telemetry.Config{Seed: p.Seed, Scale: p.Scale, GapRate: 1})
+	return Provenance{Scale: p.Scale, Seed: p.Seed}.Simulator()
 }

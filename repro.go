@@ -6,9 +6,11 @@
 // downstream user needs:
 //
 //   - GenerateDataset: simulate the labelled dataset and extract one of the
-//     seven Table IV challenge datasets.
+//     seven Table IV challenge datasets (core.Provenance.Regenerate).
 //   - TrainRFCov: the paper's best baseline (random forest on covariance
-//     features), fitted and evaluated in one call.
+//     features), fitted and evaluated in one call — a view of
+//     core.TrainArtifact, the one function wcctrain and the adapt
+//     flywheel's retrain also make their artifacts through.
 //   - RunExperiment: regenerate a paper table by name.
 //   - Open-set serving: TrainRFCov also calibrates a drift.Calibration
 //     (rejection threshold + input reference histograms), so a core built
@@ -34,14 +36,12 @@ package repro
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/forest"
-	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/preprocess"
 	"repro/internal/server"
@@ -64,15 +64,7 @@ type Dataset struct {
 // the named challenge dataset ("60-start-1", "60-middle-1", "60-random-1"
 // … "60-random-5") with the challenge's 80/20 split.
 func GenerateDataset(name string, scale float64, seed int64) (*Dataset, error) {
-	spec, ok := dataset.SpecByName(name)
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown dataset %q", name)
-	}
-	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: seed, Scale: scale, GapRate: 1})
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.BuildDataset(sim, spec, seed, 0, 0)
+	sim, ch, err := core.Provenance{Dataset: name, Scale: scale, Seed: seed}.Regenerate()
 	if err != nil {
 		return nil, err
 	}
@@ -97,52 +89,33 @@ type RFCovResult struct {
 	Drift *drift.Calibration
 }
 
+// metadata starts the record of an RF-Cov model trained on ds (the facade
+// builds uncapped datasets).
+func (ds *Dataset) metadata() artifact.Metadata {
+	p := core.Provenance{Dataset: ds.Name, Scale: ds.Scale, Seed: ds.Seed}
+	return p.Metadata(ds.Challenge.Train.X, "cov", "repro.TrainRFCov")
+}
+
 // TrainRFCov runs the paper's strongest baseline end to end: standardise,
-// covariance-embed, fit a random forest, and score the held-out test split.
+// covariance-embed, fit a random forest, score the held-out test split and
+// calibrate open-set rejection on it (core.TrainArtifact, the training path
+// wcctrain and the adapt flywheel share).
 func TrainRFCov(ds *Dataset, trees int, seed int64) (*RFCovResult, error) {
 	fp, err := core.CovFeatures(ds.Challenge)
 	if err != nil {
 		return nil, err
 	}
 	f := forest.New(forest.Config{NumTrees: trees, Bootstrap: true, Seed: seed})
-	if err := f.Fit(fp.TrainX, fp.TrainY, int(telemetry.NumClasses)); err != nil {
-		return nil, err
-	}
-	// One batched inference pass serves both the accuracy report and the
-	// drift calibration below: Predict is the argmax of these very rows
-	// (bit-identical per forest's contract), so deriving it avoids scoring
-	// the test split twice.
-	probs, err := f.PredictProbaBatch(fp.TestX)
+	fit := func() error { return f.Fit(fp.TrainX, fp.TrainY, int(telemetry.NumClasses)) }
+	a, held, err := core.TrainArtifact(ds.metadata(), fp, f, fit, core.RawSensorSamples(ds.Challenge.Train.X), drift.Options{})
 	if err != nil {
 		return nil, err
 	}
-	pred := make([]int, probs.Rows)
-	for i := range pred {
-		pred[i] = mat.ArgMax(probs.Row(i))
-	}
-	acc, err := metrics.Accuracy(fp.TestY, pred)
+	cm, err := metrics.NewConfusionMatrix(fp.TestY, held.Pred, int(telemetry.NumClasses))
 	if err != nil {
 		return nil, err
 	}
-	cm, err := metrics.NewConfusionMatrix(fp.TestY, pred, int(telemetry.NumClasses))
-	if err != nil {
-		return nil, err
-	}
-	names := telemetry.ClassNames()
-	// Open-set calibration: the rejection threshold comes from the held-out
-	// test probabilities and feature distances, the feature statistics from
-	// the training embeddings, and the drift reference from the raw
-	// training windows.
-	cal, err := drift.Fit(drift.FitInput{
-		Probs:           probs,
-		TrainFeatures:   fp.TrainX,
-		HeldOutFeatures: fp.TestX,
-		RawSamples:      core.RawSensorSamples(ds.Challenge.Train.X),
-	}, drift.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &RFCovResult{Accuracy: acc, Confusion: cm, Model: f, ClassNames: names, Scaler: fp.Scaler, Drift: cal}, nil
+	return &RFCovResult{Accuracy: a.Meta.Accuracy, Confusion: cm, Model: f, ClassNames: a.Meta.ClassNames, Scaler: a.Scaler, Drift: a.Drift}, nil
 }
 
 // Artifact bundles the trained pipeline with its provenance as the one
@@ -150,24 +123,14 @@ func TrainRFCov(ds *Dataset, trees int, seed int64) (*RFCovResult, error) {
 // SaveModel persists it, and a reloaded copy serves bit-identically. ds is
 // the dataset the result was trained on.
 func (res *RFCovResult) Artifact(ds *Dataset) *artifact.Artifact {
-	return &artifact.Artifact{
-		Meta: artifact.Metadata{
-			Kind:        artifact.KindForest,
-			ClassNames:  res.ClassNames,
-			Features:    "cov",
-			Window:      ds.Challenge.Train.X.T,
-			Sensors:     ds.Challenge.Train.X.C,
-			Dataset:     ds.Name,
-			Scale:       ds.Scale,
-			Seed:        ds.Seed,
-			Accuracy:    res.Accuracy,
-			CreatedUnix: time.Now().Unix(),
-			Tool:        "repro.TrainRFCov",
-		},
-		Scaler: res.Scaler,
-		Drift:  res.Drift,
-		Model:  res.Model,
+	meta := ds.metadata()
+	meta.ClassNames = res.ClassNames
+	a, err := core.Bundle(meta, res.Model, res.Accuracy)
+	if err != nil {
+		panic(err) // unreachable: a *forest.Classifier always has a kind
 	}
+	a.Scaler, a.Drift = res.Scaler, res.Drift
+	return a
 }
 
 // SaveModel writes a trained RF-Cov pipeline to path as a versioned .wcc
