@@ -78,6 +78,9 @@ func Decode(r io.Reader) (*Calibration, error) {
 		if c.Feat.Train == nil || c.Feat.Train.Rows == 0 || c.Feat.Train.Cols != len(c.Feat.Means) {
 			return nil, errors.New("drift: corrupt calibration: feature reference rows missing or misshapen")
 		}
+		if err := c.Feat.check(); err != nil {
+			return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
+		}
 	}
 	sensors := rr.U32()
 	bins := rr.U32()
@@ -113,5 +116,8 @@ func Decode(r io.Reader) (*Calibration, error) {
 		}
 	}
 	c.Ref = ref
+	if c.Feat != nil {
+		c.Feat.index() // built here, not by the first tick that scores against it
+	}
 	return c, nil
 }

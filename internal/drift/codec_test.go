@@ -2,6 +2,7 @@ package drift
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,6 +53,34 @@ func TestCalibrationCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Ref, c.Ref) {
 			t.Fatal("reference drifted through the codec")
+		}
+	}
+}
+
+// TestDecodeRefusesNonFiniteFeatureStats: a calibration whose feature
+// statistics cannot measure a distance is corrupt, however cleanly it
+// parses. A zero, negative or non-finite std, or any non-finite mean or
+// reference value, makes every distance NaN or +Inf and the gate accept
+// everything.
+func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
+	for name, corrupt := range map[string]func(fs *FeatureStats){
+		"zero std":      func(fs *FeatureStats) { fs.Stds[2] = 0 },
+		"negative std":  func(fs *FeatureStats) { fs.Stds[2] = -1 },
+		"NaN std":       func(fs *FeatureStats) { fs.Stds[2] = math.NaN() },
+		"infinite std":  func(fs *FeatureStats) { fs.Stds[2] = math.Inf(1) },
+		"NaN mean":      func(fs *FeatureStats) { fs.Means[0] = math.NaN() },
+		"infinite mean": func(fs *FeatureStats) { fs.Means[0] = math.Inf(-1) },
+		"NaN reference": func(fs *FeatureStats) { fs.Train.Data[11] = math.NaN() },
+		"inf reference": func(fs *FeatureStats) { fs.Train.Data[11] = math.Inf(1) },
+	} {
+		c := testCalibration(t)
+		corrupt(c.Feat)
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("calibration with a %s decoded", name)
 		}
 	}
 }

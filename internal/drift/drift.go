@@ -19,9 +19,10 @@
 // optional section (older artifacts simply serve with drift disabled), and
 // is consumed by fleet.Monitor: every inference tick annotates predictions
 // with scores and a rejected flag, and every ingested sample lands in a
-// histogram Window that shards merge exactly like tick stats. Everything on
-// the hot path is a handful of float compares per prediction and one
-// binary search per sensor per sample.
+// histogram Window that shards merge exactly like tick stats. On the hot
+// path a sample costs one binary search per sensor, and a prediction costs
+// a handful of float compares plus one exact nearest-reference search
+// (search.go) that sums a few dozen of the stored rows, not all of them.
 package drift
 
 import (
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -168,8 +170,10 @@ func FitThreshold(probs *mat.Matrix, quantile, temperature float64) (Threshold, 
 }
 
 // MaxTrainRows caps the training embeddings a FeatureStats stores: fitting
-// subsamples evenly past this, bounding both the artifact size (a few
-// hundred KiB) and the per-prediction nearest-neighbour scan.
+// subsamples evenly past this, bounding the artifact size (a few hundred
+// KiB) and the search index built over the rows (as much again, per
+// calibration). The per-prediction search prunes, so its cost grows far
+// slower than this cap.
 const MaxTrainRows = 2048
 
 // FeatureStats is the training feature support the feature-space gate
@@ -185,11 +189,35 @@ type FeatureStats struct {
 	// Train holds the standardised training rows the distance is measured
 	// against.
 	Train *mat.Matrix
+
+	// idx is the search structure Distance runs on (search.go): derived from
+	// Train alone, never persisted, built once.
+	once sync.Once
+	idx  *searchIndex
+}
+
+// check refuses statistics the gate cannot measure against. One non-finite
+// value anywhere makes every distance +Inf or NaN, which calibrates
+// MaxFeatDist to +Inf and silently switches the gate off.
+func (fs *FeatureStats) check() error {
+	for j, m := range fs.Means {
+		if s := fs.Stds[j]; math.IsNaN(m) || math.IsInf(m, 0) || math.IsInf(s, 0) || !(s > 0) {
+			return fmt.Errorf("feature %d has mean %v, std %v", j, m, s)
+		}
+	}
+	for i, v := range fs.Train.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("reference row %d holds %v", i/fs.Train.Cols, v)
+		}
+	}
+	return nil
 }
 
 // FitFeatureStats standardises the training feature rows (constant
 // features get std 1) and stores up to MaxTrainRows of them, subsampled
-// evenly, as the nearest-neighbour reference set.
+// evenly, as the nearest-neighbour reference set. Non-finite feature values
+// (or finite ones whose variance overflows) are refused, like FitReference
+// refuses non-finite samples.
 func FitFeatureStats(x *mat.Matrix) (*FeatureStats, error) {
 	if x == nil || x.Rows == 0 || x.Cols == 0 {
 		return nil, errors.New("drift: no feature rows to fit statistics on")
@@ -227,50 +255,11 @@ func FitFeatureStats(x *mat.Matrix) (*FeatureStats, error) {
 			dst[j] = (v - fs.Means[j]) / fs.Stds[j]
 		}
 	}
+	if err := fs.check(); err != nil {
+		return nil, fmt.Errorf("drift: non-finite training features: %w", err)
+	}
+	fs.index()
 	return fs, nil
-}
-
-// stackFeatures is the widest feature row Distance standardises on the
-// stack: the covariance embedding of the challenge's 7 sensors.
-const stackFeatures = 28
-
-// Distance returns the feature-space score of one feature row: the
-// Euclidean distance, in standardised coordinates, to the nearest stored
-// training row.
-//
-//wcc:hotpath zero allocations per call at the served embedding width, pinned by an AllocsPerRun gate
-func (fs *FeatureStats) Distance(row []float64) float64 {
-	var z [stackFeatures]float64
-	if len(row) > len(z) {
-		return fs.nearest(row, make([]float64, len(row)))
-	}
-	return fs.nearest(row, z[:len(row)])
-}
-
-// nearest standardises row into z (same length) and scans the training
-// rows. The scan early-abandons rows that already exceed the best distance,
-// so the common in-distribution case touches a fraction of the reference
-// set.
-func (fs *FeatureStats) nearest(row, z []float64) float64 {
-	for j, v := range row {
-		z[j] = (v - fs.Means[j]) / fs.Stds[j]
-	}
-	best := math.Inf(1)
-	for i := 0; i < fs.Train.Rows; i++ {
-		tr := fs.Train.Row(i)[:len(z)] // one bounds check per row, none per element
-		d := 0.0
-		for j := range z {
-			diff := z[j] - tr[j]
-			d += diff * diff
-			if d >= best {
-				break
-			}
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return math.Sqrt(best)
 }
 
 // quantileOf returns the nearest-rank q-quantile of a sorted slice.

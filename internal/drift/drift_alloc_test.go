@@ -9,9 +9,9 @@ import (
 
 // TestDistanceZeroAlloc pins the //wcc:hotpath contract on the
 // feature-space gate: scoring one embedding row of the served width against
-// the stored training rows allocates nothing. The call sits in tick
-// write-back, once per prediction under the tick mutex. A wider row than the
-// stack buffer holds still scores, and to the same value.
+// the stored training rows allocates nothing. The call runs once per
+// prediction, on every goroutine of the tick's scoring pass at once. A wider
+// row than the stack buffer holds still scores, and to the same value.
 func TestDistanceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.New(64, stackFeatures)

@@ -282,6 +282,28 @@ func TestFitRejectsNonFinite(t *testing.T) {
 	if _, err := FitReference(samples, 2); err == nil {
 		t.Fatal("NaN training value accepted")
 	}
+
+	// One non-finite training feature used to fit: every distance came out
+	// +Inf, MaxFeatDist was calibrated to +Inf, and the gate then accepted a
+	// row any distance away.
+	rng := rand.New(rand.NewSource(5))
+	feats := mat.New(40, 3)
+	for i := range feats.Data {
+		feats.Data[i] = rng.NormFloat64()
+	}
+	in := FitInput{Probs: idProbs(rng, 40, 4), TrainFeatures: feats, HeldOutFeatures: feats.Clone(), RawSamples: mat.New(4, 1)}
+	if _, err := Fit(in, Options{}); err != nil {
+		t.Fatalf("finite features refused: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		feats.Data[7] = bad
+		if _, err := FitFeatureStats(feats); err == nil {
+			t.Fatalf("training feature %v accepted by FitFeatureStats", bad)
+		}
+		if cal, err := Fit(in, Options{}); err == nil {
+			t.Fatalf("training feature %v accepted by Fit: MaxFeatDist %v", bad, cal.Threshold.MaxFeatDist)
+		}
+	}
 }
 
 func TestBand(t *testing.T) {

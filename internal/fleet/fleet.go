@@ -184,7 +184,19 @@ type Monitor struct {
 	// obs is the optional adapt observer (nil = detached), guarded by tickMu
 	// like the sinks above; it sees every scored window but never a
 	// prediction's fate.
-	obs      Observer
+	obs Observer
+	// scratch is the tick's working memory, guarded by tickMu and reused
+	// across ticks: the collected jobs, their N×F feature rows and their
+	// open-set scores. Nothing keeps it past the tick — the model returns
+	// fresh probabilities and an Observer's Features are borrowed — and the
+	// job pointers are cleared when the tick ends. It only grows, to the
+	// largest batch seen: at worst every resident job at once, 28 floats of
+	// features (plus 48 bytes) each, under 1 % of that job's 30 KB ring.
+	scratch struct {
+		batch  []collected
+		feats  []float64
+		scores []drift.Score
+	}
 	samples  atomic.Uint64
 	ticks    atomic.Uint64
 	classed  atomic.Uint64
@@ -366,12 +378,13 @@ type collected struct {
 func (m *Monitor) Tick() (TickStats, error) {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
+	defer m.dropBatch()
 
 	var stats TickStats
 	collectStart := m.now()
-	// The queue lengths fix the batch height, so the batch and its feature
-	// matrix are allocated once at their final size. A job queued after its
-	// shard was counted stays queued for the next tick.
+	// The queue lengths fix the batch height, so the scratch is sized once
+	// before the batch is gathered. A job queued after its shard was counted
+	// stays queued for the next tick.
 	var take [registryStripes]int
 	n := 0
 	for i, sh := range m.shards {
@@ -381,8 +394,13 @@ func (m *Monitor) Tick() (TickStats, error) {
 		sh.mu.Unlock()
 		n += take[i]
 	}
-	batch := make([]collected, 0, n)
-	feats := make([]float64, n*m.dim)
+	if n > cap(m.scratch.batch) {
+		m.scratch.batch = make([]collected, n)
+		m.scratch.feats = make([]float64, n*m.dim)
+		m.scratch.scores = make([]drift.Score, n)
+	}
+	m.scratch.batch = m.scratch.batch[:n]
+	batch, feats := m.scratch.batch[:0], m.scratch.feats
 	for i, sh := range m.shards {
 		if take[i] == 0 {
 			continue
@@ -431,24 +449,39 @@ func (m *Monitor) Tick() (TickStats, error) {
 		return stats, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
 	}
 
-	// Write predictions back. jobState pointers are stable, but the dirty
+	// Open-set scoring: each probability row, plus the very embedding row the
+	// model consumed, against the calibration — one pass over the batch in
+	// row blocks, like the model call before it, so the nearest-reference
+	// search runs on every core and outside the per-job locks. Scores are a
+	// pure function of their row; the predictions are untouched, so enabling
+	// drift leaves in-distribution results bit-identical.
+	writeStart := m.now()
+	cal := m.dcal // tickMu held: coherent with drift swaps
+	if cal != nil {
+		scores := m.scratch.scores[:len(batch)]
+		// The block function returns no error, so neither does the pass.
+		_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				scores[i] = cal.Score(probs.Row(i), x.Row(i))
+			}
+			return nil
+		})
+	}
+
+	// Write predictions back, serially: all that is left per job is copying
+	// its score and publishing. jobState pointers are stable, but the dirty
 	// flag and pred field belong to the shard mutex, so re-lock per shard
 	// ordering doesn't matter — each job is visited once. The dirty flag is
 	// retired only here, after the model call succeeded; a job that received
 	// more samples while inference ran stays dirty and goes back on its
 	// queue for the next tick.
-	writeStart := m.now()
 	for i, c := range batch {
 		row := probs.Row(i)
 		best := mat.ArgMax(row)
 		pred := &stream.Prediction{Class: best, Probability: row[best], Probs: row}
-		if m.dcal != nil { // tickMu held: coherent with drift swaps
-			// Open-set annotation: score the probability row plus the very
-			// embedding row the model consumed against the calibrated
-			// threshold. The prediction itself is untouched, so enabling
-			// drift leaves in-distribution results bit-identical.
-			sc := m.dcal.Score(row, x.Row(i))
-			rejected := m.dcal.Threshold.Reject(sc)
+		if cal != nil {
+			sc := m.scratch.scores[i]
+			rejected := cal.Threshold.Reject(sc)
 			pred.Open = &stream.OpenSet{Margin: sc.Margin, Energy: sc.Energy, FeatDist: sc.FeatDist, Rejected: rejected}
 			if rejected {
 				m.unknowns.Add(1)
@@ -505,6 +538,13 @@ func (m *Monitor) Tick() (TickStats, error) {
 	m.ticks.Add(1)
 	m.classed.Add(uint64(len(batch)))
 	return stats, nil
+}
+
+// dropBatch ends a tick's hold on the jobs it collected: the scratch is
+// kept, the pointers in it are not, so a job that ends stays collectable.
+func (m *Monitor) dropBatch() {
+	clear(m.scratch.batch)
+	m.scratch.batch = m.scratch.batch[:0]
 }
 
 // dequeue drops the first k queue entries, keeping the rest in order and

@@ -35,8 +35,8 @@ const (
 	StageCollect
 	// StageClassify is the tick's batched model call.
 	StageClassify
-	// StageWriteBack is the tick publishing predictions (and open-set
-	// verdicts) back to the registry.
+	// StageWriteBack is the tick scoring open-set verdicts for the batch and
+	// publishing the predictions back to the registry.
 	StageWriteBack
 	// NumStages bounds the per-stage tables.
 	NumStages
