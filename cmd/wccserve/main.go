@@ -65,7 +65,7 @@ func main() {
 	scale := flag.Float64("scale", 0.08, "training startup (without -model): simulation scale, 1.0 = the paper's 3,430 jobs")
 	seed := flag.Int64("seed", 1, "training startup (without -model): simulation and training seed; with -adapt: the flywheel's sampling seed")
 	trees := flag.Int("trees", 100, "training startup (without -model): random-forest ensemble size")
-	shards := flag.Int("shards", 0, "serving-core shards: independent monitors with their own tick loops (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "serving-core shards: partitions of the one monitor, each with its own tick loop (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "ingest worker pool size")
 	tick := flag.Duration("tick", 10*time.Millisecond, "per-shard batched inference interval")
 	model := flag.String("model", "", "serve this .wcc artifact instead of training at startup")

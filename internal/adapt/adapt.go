@@ -79,6 +79,17 @@ var (
 	ErrGate = errors.New("adapt: quality gate not satisfied")
 )
 
+const (
+	// maxFamilies caps how many new classes one candidate may add.
+	maxFamilies = 4
+	// gateUnknownFactor caps the candidate's unknown rate relative to
+	// serving's: candidate_rate <= factor × serving_rate. With serving_rate
+	// zero the gate never passes — there is nothing to win, and a degenerate
+	// candidate must not promote on the back of all-rejected or empty
+	// comparisons.
+	gateUnknownFactor = 0.5
+)
+
 // Config sizes a Manager. FeatureDim and Trainer are required; Promote is
 // required for promotion to work.
 type Config struct {
@@ -90,9 +101,6 @@ type Config struct {
 	// MinSupport is the smallest cluster that may become a class, and also
 	// the buffered-row count that arms candidate building (default 30).
 	MinSupport int
-	// MaxFamilies caps how many new classes one candidate may add
-	// (default 4).
-	MaxFamilies int
 	// Radius is the leader-clustering radius in normalised feature space.
 	// Zero derives it from the serving calibration's feature-distance
 	// threshold (the natural "different enough to have been rejected"
@@ -110,12 +118,6 @@ type Config struct {
 	// GateAgreement is the per-window agreement the candidate must hold on
 	// serving-accepted traffic (default 0.9).
 	GateAgreement float64
-	// GateUnknownFactor caps the candidate's unknown rate relative to
-	// serving's: candidate_rate <= factor × serving_rate (default 0.5).
-	// With serving_rate zero the gate never passes — there is nothing to
-	// win, and a degenerate candidate must not promote on the back of
-	// all-rejected or empty comparisons.
-	GateUnknownFactor float64
 	// AutoPromote lets Run promote on the gate without an operator; off,
 	// the gate only reports ready and POST /v1/adapt/promote decides.
 	AutoPromote bool
@@ -141,9 +143,6 @@ func (c *Config) fill() error {
 	if c.MinSupport <= 0 {
 		c.MinSupport = 30
 	}
-	if c.MaxFamilies <= 0 {
-		c.MaxFamilies = 4
-	}
 	if c.Radius <= 0 {
 		if c.Calibration != nil && c.Calibration.Threshold.MaxFeatDist > 0 {
 			c.Radius = c.Calibration.Threshold.MaxFeatDist
@@ -157,9 +156,6 @@ func (c *Config) fill() error {
 	if c.GateAgreement <= 0 {
 		c.GateAgreement = 0.9
 	}
-	if c.GateUnknownFactor <= 0 {
-		c.GateUnknownFactor = 0.5
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -167,9 +163,9 @@ func (c *Config) fill() error {
 }
 
 // Manager runs the flywheel. It implements fleet.Observer; attach it with
-// fleet.Monitor.SetAdaptObserver or shard.Core.SetAdaptObserver. All
-// methods are safe for concurrent use; ObserveWindow follows the Observer
-// contract (bounded compute under the tick mutex, never blocking).
+// fleet.Monitor.SetAdaptObserver (a *shard.Core is that type). All methods
+// are safe for concurrent use; ObserveWindow follows the Observer contract
+// (concurrency-safe bounded compute inside the tick, never blocking).
 type Manager struct {
 	cfg Config
 
@@ -276,7 +272,7 @@ func (m *Manager) BuildCandidate() error {
 	// function of which rows were rejected, not of goroutine scheduling.
 	slices.SortFunc(rows, slices.Compare[[]float64])
 	norm := normStats(m.cfg.Calibration, m.cfg.FeatureDim)
-	fams := Cluster(rows, norm, m.cfg.Radius, m.cfg.MinSupport, m.cfg.MaxFamilies)
+	fams := Cluster(rows, norm, m.cfg.Radius, m.cfg.MinSupport, maxFamilies)
 	if len(fams) == 0 {
 		m.endBuild(gen, nil, nil, ErrNoFamilies)
 		return ErrNoFamilies
@@ -355,7 +351,7 @@ func (m *Manager) gateReadyLocked() bool {
 	if st.ServingUnknownRate <= 0 {
 		return false // nothing to win; also avoids the 0×factor trap
 	}
-	return st.CandidateUnknownRate <= m.cfg.GateUnknownFactor*st.ServingUnknownRate
+	return st.CandidateUnknownRate <= gateUnknownFactor*st.ServingUnknownRate
 }
 
 // Promote installs the shadowing candidate through the configured Promote

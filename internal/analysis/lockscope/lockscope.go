@@ -1,7 +1,7 @@
 // Package lockscope checks that no potentially-blocking operation runs
 // while a data mutex is held — the bug class the push plane's bounded,
 // non-blocking bus design exists to prevent (DESIGN.md §12): a publish or
-// channel send under a fleet/shard/server lock would let one stalled
+// channel send under a fleet or server lock would let one stalled
 // consumer stall tick write-back for the whole fleet.
 //
 // While any sync.Mutex or sync.RWMutex is held (Lock or RLock observed
@@ -14,9 +14,11 @@
 //   - time.Sleep, package net and net/http calls, and os/exec;
 //   - sync.WaitGroup.Wait and sync.Cond.Wait.
 //
-// Some locks deliberately order publishes under them: fleet.Monitor's
-// tickMu and shard.Core's swapMu hold the swap protocol's guarantee that
-// a swap event publishes exactly when the installation is visible, and
+// Some locks deliberately order publishes under them: fleet.Monitor's swap
+// lock mu (read side: every tick, which waits for its partition goroutines
+// under it; write side: swaps) holds the swap protocol's guarantee that a
+// swap event publishes exactly when the installation is visible, a
+// partition's tickMu is held across the write-back that publishes, and
 // the bus they publish into is itself non-blocking. Such mutex fields are
 // annotated //wcc:coordlock at their declaration; Publish and Wait are
 // permitted while only coordlocks are held. Sleeps, net I/O and naked
@@ -28,8 +30,8 @@
 // common `if err != nil { mu.Unlock(); return err }` guard keeps the
 // fall-through path correctly marked as still locked. Helper functions
 // whose callers hold locks (e.g. fleet.publishSwap, documented "callers
-// hold tickMu") are analyzed in their own context; the convention there
-// remains the documented caller contract.
+// hold the write side of m.mu") are analyzed in their own context; the
+// convention there remains the documented caller contract.
 package lockscope
 
 import (

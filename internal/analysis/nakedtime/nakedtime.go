@@ -14,9 +14,9 @@
 // about where time is read, not how it is arithmetic'd.
 //
 // The annotation itself is enforced where it matters most: exported
-// methods named Tick or TickShard in internal/fleet and internal/shard —
-// the entry points the loop drivers call — must carry //wcc:tickpath, so
-// the rule cannot be silently dropped by deleting a comment.
+// methods named Tick or TickShard in internal/fleet — the entry points the
+// loop drivers call — must carry //wcc:tickpath, so the rule cannot be
+// silently dropped by deleting a comment.
 package nakedtime
 
 import (
@@ -53,7 +53,6 @@ var denied = map[string]bool{
 // points are required to carry the annotation.
 var mustAnnotate = []string{
 	"internal/fleet",
-	"internal/shard",
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

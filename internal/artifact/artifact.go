@@ -3,7 +3,7 @@
 // the preprocessing statistics it was trained under and provenance metadata,
 // so a datacenter can train offline once and serve the model continuously —
 // wcctrain -o writes artifacts, wccserve -model serves them, and
-// shard.Core.SwapClassifierDrift rolls a refreshed artifact into a live
+// fleet.Monitor.SwapClassifierDrift rolls a refreshed artifact into a live
 // fleet with zero downtime.
 //
 // # File layout (format version 1)

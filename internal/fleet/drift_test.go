@@ -248,7 +248,7 @@ func TestSwapClassifierDriftCoherence(t *testing.T) {
 	if err := m.SwapClassifierDrift(model, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.DriftEnabled() {
+	if m.DriftStats().Enabled {
 		t.Fatal("drift still enabled after swapping a nil calibration")
 	}
 	feed()
@@ -289,7 +289,7 @@ func TestDriftConfigValidation(t *testing.T) {
 	if err := good.SwapClassifierDrift(model, short); err == nil {
 		t.Fatal("feature-width mismatch accepted at swap")
 	}
-	if !good.DriftEnabled() {
+	if !good.DriftStats().Enabled {
 		t.Fatal("failed swap disturbed the live calibration")
 	}
 }

@@ -144,7 +144,7 @@ func TestPendingCountsAllUnfilledJobs(t *testing.T) {
 	if err := m.Ingest(2, make([]float64, testSensors)); err != nil {
 		t.Fatal(err)
 	}
-	sh := m.shardFor(2)
+	_, sh := m.stripeFor(2)
 	sh.mu.Lock()
 	sh.jobs[2].dirty = false
 	sh.mu.Unlock()

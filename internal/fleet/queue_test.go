@@ -159,11 +159,11 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 	// all come back.
 	for _, j := range jobs {
 		fails[fmt.Sprintf("embedding error on job %d", j)] = func(m *Monitor, fm *faulty) func() {
-			sh := m.shardFor(j)
+			_, sh := m.stripeFor(j)
 			sh.mu.Lock()
 			js := sh.jobs[j]
 			full := js.emb
-			js.emb, _ = stream.NewWindowedEmbedder(testWindow, testSensors, m.cfg.Scaler)
+			js.emb, _ = stream.NewWindowedEmbedder(testWindow, testSensors, m.scaler)
 			sh.mu.Unlock()
 			return func() {
 				sh.mu.Lock()
@@ -221,7 +221,7 @@ func TestUnreadyJobIsPendingNotQueued(t *testing.T) {
 	samples := jobSamples(1, testWindow)
 	feed(t, m, 1, samples[:testWindow-1])
 	feed(t, m, 2, jobSamples(2, 1))
-	for _, sh := range m.shards {
+	for _, sh := range m.parts[0].stripes {
 		if len(sh.queue) != 0 {
 			t.Fatalf("an unfilled job was queued: %d entries", len(sh.queue))
 		}

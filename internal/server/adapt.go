@@ -56,49 +56,31 @@ func (s *Server) handleAdaptFamilies(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// handleAdaptBuild forces a cluster+train pass now. The build runs
-// synchronously in the request (seconds for a provenance retrain), which is
-// exactly what CI smokes want: when the response comes back the candidate
-// either exists or the error explains why.
-func (s *Server) handleAdaptBuild(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Adapt == nil {
-		writeError(w, http.StatusNotFound, "adapt flywheel not enabled")
-		return
+// adaptAction is the handler for an operator action on the flywheel: 404
+// without a manager, the action's error mapped by adaptErrCode, otherwise
+// the status the action left behind. The three actions are
+//
+//   - build: force a cluster+train pass now. It runs synchronously in the
+//     request (seconds for a provenance retrain), which is exactly what CI
+//     smokes want: when the response comes back the candidate either exists
+//     or the error explains why;
+//   - promote: promote the shadow candidate unconditionally — the operator
+//     override of the quality gate. Automatic promotion goes through the gate
+//     instead (Config.AutoPromote on the manager);
+//   - abort: discard the candidate and the buffered windows behind it,
+//     restarting the flywheel from an empty buffer.
+func (s *Server) adaptAction(act func(*adapt.Manager) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.Adapt == nil {
+			writeError(w, http.StatusNotFound, "adapt flywheel not enabled")
+			return
+		}
+		if err := act(s.cfg.Adapt); err != nil {
+			writeError(w, adaptErrCode(err), err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, adaptStatusResponse{Enabled: true, Status: s.cfg.Adapt.Status()})
 	}
-	if err := s.cfg.Adapt.BuildCandidate(); err != nil {
-		writeError(w, adaptErrCode(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, adaptStatusResponse{Enabled: true, Status: s.cfg.Adapt.Status()})
-}
-
-// handleAdaptPromote promotes the shadow candidate unconditionally — the
-// operator override of the quality gate. Automatic promotion goes through
-// the gate instead (Config.AutoPromote on the manager).
-func (s *Server) handleAdaptPromote(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Adapt == nil {
-		writeError(w, http.StatusNotFound, "adapt flywheel not enabled")
-		return
-	}
-	if err := s.cfg.Adapt.Promote(); err != nil {
-		writeError(w, adaptErrCode(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, adaptStatusResponse{Enabled: true, Status: s.cfg.Adapt.Status()})
-}
-
-// handleAdaptAbort discards the candidate and the buffered windows behind
-// it, restarting the flywheel from an empty buffer.
-func (s *Server) handleAdaptAbort(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Adapt == nil {
-		writeError(w, http.StatusNotFound, "adapt flywheel not enabled")
-		return
-	}
-	if err := s.cfg.Adapt.Abort(); err != nil {
-		writeError(w, adaptErrCode(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, adaptStatusResponse{Enabled: true, Status: s.cfg.Adapt.Status()})
 }
 
 // adaptErrCode maps flywheel lifecycle errors to HTTP codes: state-machine

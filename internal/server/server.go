@@ -3,9 +3,10 @@
 // telemetry in, operators and dashboards read classifications out, and the
 // serving process keeps hot-swapping refreshed model artifacts underneath
 // without dropping either side. The fleet behind the API is anything
-// implementing the Monitor contract — in every production process the
-// sharded shard.Core — which the serving layer drives with one independent
-// tick loop per shard plus shard-labelled /metrics.
+// implementing the Monitor contract — in every production process a
+// partitioned fleet.Monitor (*shard.Core is its name here) — which the
+// serving layer drives with one independent tick loop per shard (partition)
+// plus shard-labelled /metrics.
 //
 // docs/API.md is the complete request/response reference for this API.
 // The surface is deliberately small:
@@ -92,7 +93,8 @@ import (
 // Monitor is the fleet contract the serving layer drives: concurrent
 // sample ingest, per-shard batched inference ticks, prediction and snapshot
 // reads, job lifecycle, zero-downtime model swaps, and the fleet-wide and
-// per-shard counters /metrics exports. *shard.Core implements it.
+// per-shard counters /metrics exports. *fleet.Monitor (= *shard.Core)
+// implements it.
 type Monitor interface {
 	Ingest(jobID int, sample []float64) error
 	// Tick is the whole-fleet pass; the server ticks shard by shard and
@@ -343,9 +345,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/drift", s.handleDrift)
 	s.mux.HandleFunc("GET /v1/adapt", s.handleAdapt)
 	s.mux.HandleFunc("GET /v1/adapt/families", s.handleAdaptFamilies)
-	s.mux.HandleFunc("POST /v1/adapt/build", s.handleAdaptBuild)
-	s.mux.HandleFunc("POST /v1/adapt/promote", s.handleAdaptPromote)
-	s.mux.HandleFunc("POST /v1/adapt/abort", s.handleAdaptAbort)
+	s.mux.HandleFunc("POST /v1/adapt/build", s.adaptAction((*adapt.Manager).BuildCandidate))
+	s.mux.HandleFunc("POST /v1/adapt/promote", s.adaptAction((*adapt.Manager).Promote))
+	s.mux.HandleFunc("POST /v1/adapt/abort", s.adaptAction((*adapt.Manager).Abort))
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
