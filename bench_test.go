@@ -385,25 +385,6 @@ func BenchmarkExtensionFusedFeatures(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionConvLSTM measures one training epoch of the paper's
-// future-work ConvLSTM architecture.
-func BenchmarkExtensionConvLSTM(b *testing.B) {
-	x, y := rnnFixture(b, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model, err := nn.NewConvLSTMClassifier(x.C, 4, x.T, int(telemetry.NumClasses), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := nn.DefaultTrainConfig()
-		cfg.Epochs = 1
-		cfg.Patience = 0
-		if _, err := nn.Train(model, x, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtensionStreamPush measures the incremental sliding-window
 // embedder against re-embedding from scratch (the live-monitor hot path).
 func BenchmarkExtensionStreamPush(b *testing.B) {

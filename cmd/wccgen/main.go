@@ -13,6 +13,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -31,22 +32,14 @@ func main() {
 	schedLog := flag.Bool("schedlog", true, "also write the scheduler log CSV")
 	flag.Parse()
 
-	if err := run(*scale, *seed, *out, *datasets, *schedLog); err != nil {
+	if err := run(os.Stdout, *scale, *seed, *out, *datasets, *schedLog); err != nil {
 		fmt.Fprintln(os.Stderr, "wccgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale float64, seed int64, out, datasets string, schedLog bool) error {
-	sim, err := core.Provenance{Scale: scale, Seed: seed}.Simulator()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
-	fmt.Printf("generated %d jobs, %d GPU series\n", len(sim.Jobs()), sim.TotalGPUSeries())
-
+func run(w io.Writer, scale float64, seed int64, out, datasets string, schedLog bool) error {
+	// Names first: a typo costs neither a simulation nor a directory.
 	var specs []dataset.Spec
 	if datasets == "all" {
 		specs = dataset.ChallengeSpecs
@@ -59,6 +52,14 @@ func run(scale float64, seed int64, out, datasets string, schedLog bool) error {
 			specs = append(specs, spec)
 		}
 	}
+	sim, err := core.Provenance{Scale: scale, Seed: seed}.Simulator()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "generated %d jobs, %d GPU series\n", len(sim.Jobs()), sim.TotalGPUSeries())
 
 	for _, spec := range specs {
 		opts := dataset.DefaultBuildOptions()
@@ -79,7 +80,7 @@ func run(scale float64, seed int64, out, datasets string, schedLog bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14s train=%-6d test=%-5d -> %s (%.1f MB)\n",
+		fmt.Fprintf(w, "%-14s train=%-6d test=%-5d -> %s (%.1f MB)\n",
 			spec.Name, ch.Train.Len(), ch.Test.Len(), path, float64(fi.Size())/1e6)
 	}
 
@@ -88,7 +89,7 @@ func run(scale float64, seed int64, out, datasets string, schedLog bool) error {
 		if err := writeSchedLog(sim, path); err != nil {
 			return err
 		}
-		fmt.Printf("scheduler log -> %s\n", path)
+		fmt.Fprintf(w, "scheduler log -> %s\n", path)
 	}
 	return nil
 }

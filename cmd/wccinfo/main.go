@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -36,24 +37,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: wccinfo [-stats] <file.npz | file.wcc>")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *stats); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "wccinfo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, stats bool) error {
+func run(w io.Writer, path string, stats bool) error {
 	if artifact.Sniff(path) {
-		return runArtifact(path)
+		return runArtifact(w, path)
 	}
 	ar, err := npz.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s:\n", path)
+	fmt.Fprintf(w, "%s:\n", path)
 	for _, name := range ar.Names() {
 		a, _ := ar.Get(name)
-		fmt.Printf("  %-12s shape=%v dtype=%s\n", name, a.Shape, a.DType)
+		fmt.Fprintf(w, "  %-12s shape=%v dtype=%s\n", name, a.Shape, a.DType)
 	}
 
 	if ya, ok := ar.Get("y_train"); ok {
@@ -70,7 +71,7 @@ func run(path string, stats bool) error {
 			classes = append(classes, c)
 		}
 		sort.Ints(classes)
-		fmt.Printf("\n  label distribution (train, %d classes):\n", len(classes))
+		fmt.Fprintf(w, "\n  label distribution (train, %d classes):\n", len(classes))
 		var names []string
 		if ma, ok := ar.Get("model_train"); ok {
 			names = ma.Strings
@@ -85,7 +86,7 @@ func run(path string, stats bool) error {
 					}
 				}
 			}
-			fmt.Printf("    %-16s %5d\n", label, counts[c])
+			fmt.Fprintf(w, "    %-16s %5d\n", label, counts[c])
 		}
 	}
 
@@ -99,7 +100,7 @@ func run(path string, stats bool) error {
 			return err
 		}
 		n, t, c := xa.Shape[0], xa.Shape[1], xa.Shape[2]
-		fmt.Printf("\n  per-sensor statistics over %d trials x %d samples:\n", n, t)
+		fmt.Fprintf(w, "\n  per-sensor statistics over %d trials x %d samples:\n", n, t)
 		for ch := 0; ch < c; ch++ {
 			var sum, sq, min, max float64
 			min = 1e300
@@ -128,7 +129,7 @@ func run(path string, stats bool) error {
 			if ch < int(telemetry.NumGPUSensors) {
 				name = telemetry.GPUSensor(ch).String()
 			}
-			fmt.Printf("    %-24s mean=%10.2f std²=%12.2f min=%10.2f max=%10.2f\n",
+			fmt.Fprintf(w, "    %-24s mean=%10.2f std²=%12.2f min=%10.2f max=%10.2f\n",
 				name, mean, std, min, max)
 		}
 	}
@@ -137,49 +138,49 @@ func run(path string, stats bool) error {
 
 // runArtifact prints a .wcc model artifact's metadata, drift calibration
 // and section table without decoding the model payload.
-func runArtifact(path string) error {
+func runArtifact(w io.Writer, path string) error {
 	info, err := artifact.ReadInfoDetail(path)
 	if err != nil {
 		return err
 	}
 	m := info.Meta
-	fmt.Printf("%s: model artifact (format v%d)\n", path, info.FormatVersion)
-	fmt.Printf("  kind:      %s\n", m.Kind)
+	fmt.Fprintf(w, "%s: model artifact (format v%d)\n", path, info.FormatVersion)
+	fmt.Fprintf(w, "  kind:      %s\n", m.Kind)
 	if m.Features != "" {
-		fmt.Printf("  features:  %s\n", m.Features)
+		fmt.Fprintf(w, "  features:  %s\n", m.Features)
 	}
 	if m.Window > 0 && m.Sensors > 0 {
-		fmt.Printf("  window:    %dx%d\n", m.Window, m.Sensors)
+		fmt.Fprintf(w, "  window:    %dx%d\n", m.Window, m.Sensors)
 	}
 	if m.Dataset != "" {
-		fmt.Printf("  trained:   %s (scale %.2f, seed %d)\n", m.Dataset, m.Scale, m.Seed)
+		fmt.Fprintf(w, "  trained:   %s (scale %.2f, seed %d)\n", m.Dataset, m.Scale, m.Seed)
 	}
 	if m.Accuracy > 0 {
-		fmt.Printf("  accuracy:  %.2f%% on the held-out test split\n", m.Accuracy*100)
+		fmt.Fprintf(w, "  accuracy:  %.2f%% on the held-out test split\n", m.Accuracy*100)
 	}
 	if m.CreatedUnix > 0 {
-		fmt.Printf("  created:   %s", time.Unix(m.CreatedUnix, 0).UTC().Format(time.RFC3339))
+		fmt.Fprintf(w, "  created:   %s", time.Unix(m.CreatedUnix, 0).UTC().Format(time.RFC3339))
 		if m.Tool != "" {
-			fmt.Printf(" by %s", m.Tool)
+			fmt.Fprintf(w, " by %s", m.Tool)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(m.ClassNames) > 0 {
-		fmt.Printf("  classes:   %d (%s, ...)\n", len(m.ClassNames),
+		fmt.Fprintf(w, "  classes:   %d (%s, ...)\n", len(m.ClassNames),
 			strings.Join(m.ClassNames[:min(4, len(m.ClassNames))], ", "))
 	}
 	if d := info.Drift; d != nil {
-		fmt.Printf("  drift:     open-set rejection at quantile %.3g (min conf %.3f, min margin %.3f, max energy %.3f, T %.2g)",
+		fmt.Fprintf(w, "  drift:     open-set rejection at quantile %.3g (min conf %.3f, min margin %.3f, max energy %.3f, T %.2g)",
 			d.Threshold.Quantile, d.Threshold.MinConf, d.Threshold.MinMargin,
 			d.Threshold.MaxEnergy, d.Threshold.Temperature)
 		if d.Feat != nil && d.Threshold.MaxFeatDist > 0 {
-			fmt.Printf("; feature gate over %d train rows (max distance %.3f)", d.Feat.Train.Rows, d.Threshold.MaxFeatDist)
+			fmt.Fprintf(w, "; feature gate over %d train rows (max distance %.3f)", d.Feat.Train.Rows, d.Threshold.MaxFeatDist)
 		}
-		fmt.Printf("; reference %d sensors x %d bins\n", d.Ref.Sensors(), d.Ref.Bins)
+		fmt.Fprintf(w, "; reference %d sensors x %d bins\n", d.Ref.Sensors(), d.Ref.Bins)
 	}
-	fmt.Println("  sections:")
+	fmt.Fprintln(w, "  sections:")
 	for _, s := range info.Sections {
-		fmt.Printf("    %-8s %8d bytes  crc32 %08x\n", s.Name, s.Length, s.CRC)
+		fmt.Fprintf(w, "    %-8s %8d bytes  crc32 %08x\n", s.Name, s.Length, s.CRC)
 	}
 	return nil
 }

@@ -9,16 +9,20 @@
 //	wcctrain -model xgb -features cov -rounds 40 -gamma 0.5
 //	wcctrain -model lstm -hidden 32 -epochs 10 -stride 10
 //
-// With -o the fitted estimator is persisted as a versioned .wcc artifact
-// bundling the model, its preprocessing statistics (scaler, and PCA when
-// -features pca), and training provenance; wccserve -model serves it and
-// wccinfo inspects it:
+// Every arm trains and reports. With -o the fitted estimator is also
+// persisted as a versioned .wcc artifact bundling the model, its scaler, the
+// open-set drift calibration and training provenance; wccserve -model serves
+// it and wccinfo inspects it:
 //
 //	wcctrain -model rf -features cov -trees 100 -o rf-cov.wcc
 //
+// A .wcc is a model a core can load, so -o takes -model rf or xgb on
+// -features cov and is refused, before anything is simulated, with the rest.
+//
 // The flags choose a core.Provenance (regenerated into the dataset) and an
-// estimator; core.TrainArtifact — the training path repro.TrainRFCov and the
-// adapt flywheel share — fits, scores the test split once, calibrates, bundles.
+// estimator; for rf and xgb on cov features core.TrainArtifact — the training
+// path repro.TrainRFCov and the adapt flywheel share — fits, scores the test
+// split once, calibrates, bundles.
 package main
 
 import (
@@ -51,8 +55,8 @@ func main() {
 	flag.IntVar(&o.maxTrain, "max-train", 800, "training trials cap (0 = all)")
 	flag.IntVar(&o.maxTest, "max-test", 400, "test trials cap (0 = all)")
 	flag.BoolVar(&o.report, "report", false, "print the per-class report")
-	flag.StringVar(&o.out, "o", "", "write the fitted model as a .wcc artifact to this path")
-	flag.BoolVar(&o.driftOn, "drift", true, "with -o and cov features: calibrate and persist the open-set drift section (unknown-workload rejection threshold + input reference)")
+	flag.StringVar(&o.out, "o", "", "write the fitted model as a .wcc artifact to this path (-model rf or xgb with -features cov: the models wccserve can load)")
+	flag.BoolVar(&o.driftOn, "drift", true, "with -o: calibrate and persist the open-set drift section (unknown-workload rejection threshold + input reference)")
 	flag.Float64Var(&o.driftQ, "drift-quantile", drift.DefaultQuantile, "calibration quantile of the probability rejection rules (confidence, margin, energy) over held-out in-distribution scores; with -families the default is the quantile -base was calibrated at")
 	flag.Float64Var(&o.driftFeatQ, "drift-feat-quantile", drift.DefaultFeatQuantile, "calibration quantile of the feature-space distance gate — the rule that carries most rejection recall; raise it to trade recall for fewer in-distribution false flags")
 
@@ -160,10 +164,30 @@ type opts struct {
 	hidden, epochs, stride  int
 }
 
+// servable reports whether the flags name a model a .wcc can carry.
+func (o opts) servable() bool {
+	return (o.model == "rf" || o.model == "xgb") && o.features == "cov"
+}
+
+// outcome is what a training arm reports: accuracy and predictions on the
+// test split and, for a servable model, the artifact -o saves.
+type outcome struct {
+	accuracy float64
+	pred     []int
+	artifact *artifact.Artifact
+}
+
+// scored measures pred against the test labels.
+func scored(truth, pred []int) (outcome, error) {
+	acc, err := metrics.Accuracy(truth, pred)
+	return outcome{accuracy: acc, pred: pred}, err
+}
+
 func run(w io.Writer, o opts) error {
-	// Refuse what no arm below handles before paying for a simulation
-	// (Regenerate does the same for the dataset name).
-	var train func(io.Writer, opts, core.Provenance, *dataset.Challenge) (*artifact.Artifact, []int, error)
+	// Refuse what no arm below handles, and a -o that could only write a
+	// file no core loads, before paying for a simulation (Regenerate does
+	// the same for the dataset name).
+	var train func(io.Writer, opts, core.Provenance, *dataset.Challenge) (outcome, error)
 	switch o.model {
 	case "rf", "svm", "linear-svm", "xgb":
 		if o.features != "cov" && o.features != "pca" {
@@ -175,6 +199,9 @@ func run(w io.Writer, o opts) error {
 	default:
 		return fmt.Errorf("unknown model %q", o.model)
 	}
+	if o.out != "" && !o.servable() {
+		return fmt.Errorf("-o needs -model rf or xgb with -features cov: nothing else can be served, so nothing else is saved")
+	}
 	p := core.Provenance{Dataset: o.dsName, Scale: o.scale, Seed: o.seed, MaxTrain: o.maxTrain, MaxTest: o.maxTest}
 	_, ch, err := p.Regenerate()
 	if err != nil {
@@ -182,24 +209,24 @@ func run(w io.Writer, o opts) error {
 	}
 	fmt.Fprintf(w, "dataset %s: %d train / %d test trials\n", o.dsName, ch.Train.Len(), ch.Test.Len())
 
-	a, pred, err := train(w, o, p, ch)
+	res, err := train(w, o, p, ch)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "test accuracy: %.2f%%\n", a.Meta.Accuracy*100)
-	if a.Drift != nil {
+	fmt.Fprintf(w, "test accuracy: %.2f%%\n", res.accuracy*100)
+	if a := res.artifact; a != nil && a.Drift != nil {
 		thr := a.Drift.Threshold
 		fmt.Fprintf(w, "calibrated open-set rejection at quantile %.3g (min conf %.3f, min margin %.3f, max energy %.3f; feature gate at quantile %.3g, max distance %.3f)\n",
 			thr.Quantile, thr.MinConf, thr.MinMargin, thr.MaxEnergy, o.driftFeatQ, thr.MaxFeatDist)
 	}
 	if o.out != "" {
-		if err := artifact.Save(o.out, a); err != nil {
+		if err := artifact.Save(o.out, res.artifact); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "saved %s artifact to %s\n", a.Meta.Kind, o.out)
+		fmt.Fprintf(w, "saved %s artifact to %s\n", res.artifact.Meta.Kind, o.out)
 	}
 	if o.report {
-		rep, err := metrics.Report(ch.Test.Y, pred, int(telemetry.NumClasses), telemetry.ClassNames())
+		rep, err := metrics.Report(ch.Test.Y, res.pred, int(telemetry.NumClasses), telemetry.ClassNames())
 		if err != nil {
 			return err
 		}
@@ -208,10 +235,10 @@ func run(w io.Writer, o opts) error {
 	return nil
 }
 
-// trainClassical embeds the challenge, picks the estimator and hands both to
-// core.TrainArtifact, which fits, scores the test split once, calibrates and
-// bundles. It returns the artifact and the test-split predictions.
-func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challenge) (*artifact.Artifact, []int, error) {
+// trainClassical embeds the challenge, picks the estimator and fits it. A
+// servable one goes through core.TrainArtifact, which fits, scores the test
+// split once, calibrates and bundles; the rest are fitted and scored here.
+func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challenge) (outcome, error) {
 	var fp *core.FeaturePair
 	var err error
 	if o.features == "cov" {
@@ -220,15 +247,18 @@ func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challeng
 		fp, err = core.PCAFeatures(ch, o.pcaDim, o.seed)
 	}
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	numClasses := int(telemetry.NumClasses)
-	var model core.Model
+	var model interface {
+		Predict(x *mat.Matrix) ([]int, error)
+	}
+	var carried artifact.Model // the rf and xgb arms: what an artifact can carry
 	var fit func() error
 	switch o.model {
 	case "rf":
 		m := forest.New(forest.Config{NumTrees: o.trees, Bootstrap: true, Seed: o.seed})
-		model, fit = m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses) }
+		model, carried, fit = m, m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses) }
 	case "svm":
 		m := svm.New(svm.Config{C: o.c, Seed: o.seed})
 		model, fit = m, func() error { return m.Fit(fp.TrainX, fp.TrainY) }
@@ -241,32 +271,41 @@ func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challeng
 			Gamma: o.gamma, Lambda: o.lambda, Alpha: o.alpha,
 			MinChildWeight: 1, Subsample: 1, Seed: o.seed,
 		})
-		model, fit = m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses, nil, nil) }
+		model, carried, fit = m, m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses, nil, nil) }
 	}
-	// The open-set drift section is for servable artifacts: covariance
-	// features, written with -o.
+	if !o.servable() {
+		if err := fit(); err != nil {
+			return outcome{}, err
+		}
+		pred, err := model.Predict(fp.TestX)
+		if err != nil {
+			return outcome{}, err
+		}
+		return scored(fp.TestY, pred)
+	}
+	// The open-set drift section is for artifacts that get written.
 	var raw *mat.Matrix
-	if o.out != "" && o.driftOn && o.features == "cov" {
+	if o.out != "" && o.driftOn {
 		raw = core.RawSensorSamples(ch.Train.X)
 	}
-	a, held, err := core.TrainArtifact(p.Metadata(ch.Train.X, o.features, "wcctrain"), fp, model, fit,
+	a, held, err := core.TrainArtifact(p.Metadata(ch.Train.X, "cov", "wcctrain"), fp, carried, fit,
 		raw, drift.Options{Quantile: o.driftQ, FeatQuantile: o.driftFeatQ})
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
-	if m, ok := model.(*xgb.Classifier); ok && o.features == "cov" {
+	if m, ok := model.(*xgb.Classifier); ok {
 		names := core.CovFeatureNames()
 		fmt.Fprintln(w, "top-3 features by gain importance:")
 		for i, f := range m.TopFeatures(xgb.ImportanceGain, 3) {
 			fmt.Fprintf(w, "  %d. %s\n", i+1, names[f])
 		}
 	}
-	return a, held.Pred, nil
+	return outcome{accuracy: a.Meta.Accuracy, pred: held.Pred, artifact: a}, nil
 }
 
-// trainSequence trains an RNN on the raw (downsampled) windows — no scaler,
-// PCA or calibration — and bundles it under the same metadata.
-func trainSequence(_ io.Writer, o opts, p core.Provenance, ch *dataset.Challenge) (*artifact.Artifact, []int, error) {
+// trainSequence trains an RNN on the raw (downsampled) windows and scores
+// the test split.
+func trainSequence(_ io.Writer, o opts, _ core.Provenance, ch *dataset.Challenge) (outcome, error) {
 	trainT := ch.Train.X.Downsample(o.stride)
 	testT := ch.Test.X.Downsample(o.stride)
 	numClasses := int(telemetry.NumClasses)
@@ -281,23 +320,18 @@ func trainSequence(_ io.Writer, o opts, p core.Provenance, ch *dataset.Challenge
 		m, err = nn.NewCNNLSTMClassifier(trainT.C, trainT.T, numClasses, nn.CNNLSTMOptions{Hidden: o.hidden, Seed: o.seed})
 	}
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	cfg := nn.DefaultTrainConfig()
 	cfg.Epochs = o.epochs
 	cfg.Seed = o.seed
 	cfg.Logf = logf
 	if _, err := nn.Train(m, trainT, ch.Train.Y, cfg); err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
 	pred, err := nn.Predict(m, testT, nil, cfg.BatchSize)
 	if err != nil {
-		return nil, nil, err
+		return outcome{}, err
 	}
-	acc, err := metrics.Accuracy(ch.Test.Y, pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	a, err := core.Bundle(p.Metadata(trainT, "sequence", "wcctrain"), m, acc)
-	return a, pred, err
+	return scored(ch.Test.Y, pred)
 }

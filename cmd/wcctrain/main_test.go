@@ -22,6 +22,7 @@ import (
 // its scale error would surface instead of the one the row expects; nothing,
 // not even the dataset banner, is printed.
 func TestRunRefusesBeforeSimulating(t *testing.T) {
+	const needsServable = "-o needs -model rf or xgb with -features cov"
 	for _, tc := range []struct {
 		name string
 		o    opts
@@ -31,6 +32,11 @@ func TestRunRefusesBeforeSimulating(t *testing.T) {
 		{"unknown features", opts{model: "rf", features: "fft", dsName: "60-middle-1"}, `unknown features "fft"`},
 		{"unknown dataset", opts{model: "rf", features: "cov", dsName: "61-nowhere"}, `unknown dataset "61-nowhere"`},
 		{"unknown dataset, sequence model", opts{model: "lstm", dsName: "61-nowhere"}, `unknown dataset "61-nowhere"`},
+		{"-o with svm", opts{model: "svm", features: "cov", dsName: "60-middle-1", out: "m.wcc"}, needsServable},
+		{"-o with linear-svm", opts{model: "linear-svm", features: "cov", dsName: "60-middle-1", out: "m.wcc"}, needsServable},
+		{"-o with lstm", opts{model: "lstm", features: "cov", dsName: "60-middle-1", out: "m.wcc"}, needsServable},
+		{"-o with cnnlstm", opts{model: "cnnlstm", features: "cov", dsName: "60-middle-1", out: "m.wcc"}, needsServable},
+		{"-o with rf on pca", opts{model: "rf", features: "pca", dsName: "60-middle-1", out: "m.wcc"}, needsServable},
 	} {
 		var out bytes.Buffer
 		err := run(&out, tc.o)
@@ -197,62 +203,65 @@ func TestFamiliesMatchesInProcessTrainer(t *testing.T) {
 	}
 }
 
-// TestArtifactsRoundTrip: what wcctrain -o writes, artifact.Load reads back
-// with the metadata wccinfo prints — for a servable booster with its drift
-// section, and for a PCA pipeline, which carries its projection and no
-// calibration.
+// TestArtifactsRoundTrip: what wcctrain -model xgb -o writes, artifact.Load
+// reads back servable, with the metadata wccinfo prints and its drift section.
 func TestArtifactsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		model, features, kind string
-		servable              bool
-	}{
-		{"xgb", "cov", artifact.KindXGB, true},
-		{"rf", "pca", artifact.KindForest, false},
-	} {
-		path := filepath.Join(dir, tc.model+"-"+tc.features+".wcc")
-		var out bytes.Buffer
-		if err := run(&out, trainOpts(tc.model, tc.features, 40, 20, path)); err != nil {
-			t.Fatalf("%s-%s: %v", tc.model, tc.features, err)
+	path := filepath.Join(t.TempDir(), "xgb-cov.wcc")
+	var out bytes.Buffer
+	if err := run(&out, trainOpts("xgb", "cov", 40, 20, path)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := artifact.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := a.Meta
+	want := artifact.Metadata{
+		Kind: artifact.KindXGB, ClassNames: telemetry.ClassNames(), Features: "cov",
+		Window: 540, Sensors: int(telemetry.NumGPUSensors),
+		Dataset: "60-middle-1", Scale: 0.03, Seed: 1, MaxTrain: 40, MaxTest: 20,
+		Accuracy: m.Accuracy, CreatedUnix: m.CreatedUnix, Tool: "wcctrain",
+	}
+	if m.Accuracy <= 0 || m.CreatedUnix <= 0 || !reflect.DeepEqual(m, want) {
+		t.Errorf("metadata %+v, want %+v with an accuracy and a creation time", m, want)
+	}
+	if a.Scaler == nil {
+		t.Error("no scaler")
+	}
+	if _, err := server.Servable(a); err != nil {
+		t.Errorf("Servable = %v", err)
+	}
+	// wccinfo's path to the drift line.
+	info, err := artifact.ReadInfoDetail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := info.Drift
+	if d == nil || d.Feat == nil || d.Ref == nil || d.Threshold.Quantile != drift.DefaultQuantile || d.Ref.Sensors() != m.Sensors {
+		t.Errorf("drift section %+v, want a full calibration at the default quantile", d)
+	}
+	if !strings.Contains(out.String(), "top-3 features by gain importance:") {
+		t.Errorf("output lacks the importance report:\n%s", out.String())
+	}
+}
+
+// TestUnsavedArmsStillReport: the arms -o refuses keep training and printing
+// accuracy and the per-class report, and build no artifact to calibrate.
+func TestUnsavedArmsStillReport(t *testing.T) {
+	o := trainOpts("svm", "cov", 40, 20, "")
+	o.report = true
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"dataset 60-middle-1: 40 train / 20 test trials", "test accuracy: ", telemetry.ClassNames()[0]} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
-		a, err := artifact.Load(path)
-		if err != nil {
-			t.Fatalf("%s-%s: %v", tc.model, tc.features, err)
-		}
-		m := a.Meta
-		want := artifact.Metadata{
-			Kind: tc.kind, ClassNames: telemetry.ClassNames(), Features: tc.features,
-			Window: 540, Sensors: int(telemetry.NumGPUSensors),
-			Dataset: "60-middle-1", Scale: 0.03, Seed: 1, MaxTrain: 40, MaxTest: 20,
-			Accuracy: m.Accuracy, CreatedUnix: m.CreatedUnix, Tool: "wcctrain",
-		}
-		if m.Accuracy <= 0 || m.CreatedUnix <= 0 || !reflect.DeepEqual(m, want) {
-			t.Errorf("%s-%s: metadata %+v, want %+v with an accuracy and a creation time", tc.model, tc.features, m, want)
-		}
-		if a.Scaler == nil {
-			t.Errorf("%s-%s: no scaler", tc.model, tc.features)
-		}
-		if _, err := server.Servable(a); (err == nil) != tc.servable {
-			t.Errorf("%s-%s: Servable = %v, want servable %v", tc.model, tc.features, err, tc.servable)
-		}
-		// wccinfo's path to the drift line.
-		info, err := artifact.ReadInfoDetail(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.features == "cov" {
-			d := info.Drift
-			if d == nil || d.Feat == nil || d.Ref == nil || d.Threshold.Quantile != drift.DefaultQuantile || d.Ref.Sensors() != m.Sensors {
-				t.Errorf("%s-%s: drift section %+v, want a full calibration at the default quantile", tc.model, tc.features, d)
-			}
-			if a.PCA != nil {
-				t.Errorf("%s-%s: carries a PCA", tc.model, tc.features)
-			}
-			if !strings.Contains(out.String(), "top-3 features by gain importance:") {
-				t.Errorf("%s-%s: output lacks the importance report:\n%s", tc.model, tc.features, out.String())
-			}
-		} else if info.Drift != nil || a.Drift != nil || a.PCA == nil {
-			t.Errorf("%s-%s: drift %v, pca %v; want a projection and no calibration", tc.model, tc.features, a.Drift, a.PCA)
+	}
+	for _, not := range []string{"calibrated", "saved"} {
+		if strings.Contains(out.String(), not) {
+			t.Errorf("output mentions %q:\n%s", not, out.String())
 		}
 	}
 }

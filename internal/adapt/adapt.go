@@ -279,10 +279,8 @@ func (m *Manager) BuildCandidate() error {
 	}
 	m.logf("adapt: clustered %d buffered unknown windows into %d family(ies); training candidate", len(rows), len(fams))
 	a, err := m.cfg.Trainer.Train(fams)
-	if err == nil && a != nil {
-		if _, ok := a.Model.(probaClassifier); !ok {
-			err = fmt.Errorf("adapt: trainer returned unservable model %T", a.Model)
-		}
+	if err == nil && a != nil && a.Model == nil {
+		err = errors.New("adapt: trainer returned an artifact with no model")
 	}
 	return m.endBuild(gen, fams, a, err)
 }
@@ -309,7 +307,7 @@ func (m *Manager) endBuild(gen uint64, fams []Family, a *artifact.Artifact, err 
 		m.fams = fams
 		m.cand = a
 		m.candDesc = fmt.Sprintf("%s %d-class (%d novel)", a.Meta.Kind, len(a.Meta.ClassNames), len(fams))
-		m.shadow = newShadowState(a.Model.(probaClassifier), a.Drift, m.cfg.FeatureDim)
+		m.shadow = newShadowState(a.Model, a.Drift, m.cfg.FeatureDim)
 		m.phase = PhaseShadow
 		m.lastErr = ""
 		evs = append(evs,

@@ -12,8 +12,13 @@ import (
 	"repro/internal/mat"
 )
 
-// stubModel always predicts one class with full probability.
-type stubModel struct{ class, classes int }
+// stubModel always predicts one class with full probability. The embedded
+// nil interface stands in for the rest of artifact.Model, which the manager
+// never calls.
+type stubModel struct {
+	artifact.Model
+	class, classes int
+}
 
 func (s stubModel) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 	p := mat.New(x.Rows, s.classes)

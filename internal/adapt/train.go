@@ -145,7 +145,7 @@ type ProvenanceTrainer struct {
 	// Base is the serving model: the candidate forest gets as many trees as
 	// a base forest has (CandidateOptions' default when Base is anything
 	// else, or nil).
-	Base any
+	Base artifact.Model
 	// Quantile and FeatQuantile configure the refreshed calibration
 	// (package drift defaults when zero).
 	Quantile, FeatQuantile float64

@@ -27,10 +27,12 @@
 //
 //	meta    JSON-encoded Metadata (always present, always first)
 //	scaler  preprocess.StandardScaler wire encoding (optional)
-//	pca     preprocess.PCA wire encoding (optional)
 //	drift   drift.Calibration wire encoding (optional): the open-set
 //	        rejection threshold and input-drift reference histograms
 //	model   estimator wire encoding, dispatched on Metadata.Kind
+//
+// A pca section, written by earlier builds for models no core could serve,
+// is retired: readers skip it like any unknown section.
 //
 // The drift section was introduced after the first v1 artifacts shipped;
 // because unknown sections are skipped, older readers still load newer
@@ -51,9 +53,8 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/forest"
-	"repro/internal/nn"
+	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/svm"
 	"repro/internal/wire"
 	"repro/internal/xgb"
 )
@@ -65,20 +66,18 @@ var Magic = [8]byte{0x89, 'W', 'C', 'C', '\r', '\n', 0x1a, '\n'}
 // reads.
 const FormatVersion = 1
 
-// Model kinds recorded in Metadata.Kind. Sequence models use the
-// nn.Kind* vocabulary ("bilstm", "cnnlstm", "convlstm").
+// Model kinds recorded in Metadata.Kind: the estimators a serving core can
+// load. A file naming any other kind is refused as unknown before its model
+// payload is looked at.
 const (
-	KindForest    = "forest"
-	KindXGB       = "xgb"
-	KindSVM       = "svm"
-	KindLinearSVM = "linear-svm"
+	KindForest = "forest"
+	KindXGB    = "xgb"
 )
 
 // Section names.
 const (
 	sectionMeta   = "meta"
 	sectionScaler = "scaler"
-	sectionPCA    = "pca"
 	sectionDrift  = "drift"
 	sectionModel  = "model"
 )
@@ -92,12 +91,14 @@ const maxSectionLen = 1 << 30
 // Metadata is the artifact's provenance record: what the model is, what it
 // was trained on, and the accuracy observed on the held-out test split.
 type Metadata struct {
-	// Kind identifies the estimator ("forest", "xgb", "svm", "linear-svm",
-	// "bilstm", "cnnlstm", "convlstm") and selects the model-section codec.
+	// Kind identifies the estimator ("forest" or "xgb") and selects the
+	// model-section codec.
 	Kind string `json:"kind"`
 	// ClassNames maps class indices to the paper's workload names.
 	ClassNames []string `json:"class_names,omitempty"`
-	// Features names the feature pipeline ("cov", "pca", "sequence").
+	// Features names the feature pipeline. Every producer writes "cov", the
+	// streaming covariance embedding; it stays a field because a file from
+	// outside can say anything, and server.Servable refuses the rest.
 	Features string `json:"features,omitempty"`
 	// Window and Sensors give the telemetry window shape the model consumes
 	// (540×7 for the challenge datasets).
@@ -131,79 +132,50 @@ type Metadata struct {
 	Tool string `json:"tool,omitempty"`
 }
 
+// Model is the estimator an artifact carries, and all a serving core, a
+// calibration pass or the encoder asks of it: class probabilities a row at a
+// time (what a stream.Classifier serves from) and batched, labels, and its
+// own wire encoding. *forest.Classifier and *xgb.Classifier implement it;
+// being one of them is what makes a model's Kind known.
+type Model interface {
+	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
+	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+	Predict(x *mat.Matrix) ([]int, error)
+	Encode(w io.Writer) error
+}
+
 // Artifact is a decoded model bundle.
 type Artifact struct {
 	Meta   Metadata
 	Scaler *preprocess.StandardScaler // nil when the model has no scaler
-	PCA    *preprocess.PCA            // nil unless Features == "pca"
 	// Drift carries the open-set rejection threshold and input-drift
 	// reference fitted at training time; nil for artifacts written before
 	// drift calibration existed (serving then runs with drift disabled).
 	Drift *drift.Calibration
-	Model any // *forest.Classifier, *xgb.Classifier, *svm.Classifier, *svm.LinearClassifier, or nn.SequenceClassifier
+	Model Model
 }
 
 // ModelKind infers the Metadata.Kind string for a model value.
-func ModelKind(model any) (string, error) {
-	switch m := model.(type) {
+func ModelKind(model Model) (string, error) {
+	switch model.(type) {
 	case *forest.Classifier:
 		return KindForest, nil
 	case *xgb.Classifier:
 		return KindXGB, nil
-	case *svm.Classifier:
-		return KindSVM, nil
-	case *svm.LinearClassifier:
-		return KindLinearSVM, nil
-	case nn.SequenceClassifier:
-		return nn.ModelKind(m)
 	default:
 		return "", fmt.Errorf("artifact: unsupported model type %T", model)
 	}
 }
 
-func encodeModelPayload(model any) ([]byte, error) {
-	var buf bytes.Buffer
-	var err error
-	switch m := model.(type) {
-	case *forest.Classifier:
-		err = m.Encode(&buf)
-	case *xgb.Classifier:
-		err = m.Encode(&buf)
-	case *svm.Classifier:
-		err = m.Encode(&buf)
-	case *svm.LinearClassifier:
-		err = m.Encode(&buf)
-	case nn.SequenceClassifier:
-		err = nn.EncodeModel(&buf, m)
-	default:
-		err = fmt.Errorf("artifact: unsupported model type %T", model)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeModelPayload(kind string, payload []byte) (any, error) {
+// decodeModelPayload is the decode surface a peer or a dropped file reaches:
+// kind comes from outside, and only these two codecs run on its say-so.
+func decodeModelPayload(kind string, payload []byte) (Model, error) {
 	r := bytes.NewReader(payload)
 	switch kind {
 	case KindForest:
 		return forest.Decode(r)
 	case KindXGB:
 		return xgb.Decode(r)
-	case KindSVM:
-		return svm.Decode(r)
-	case KindLinearSVM:
-		return svm.DecodeLinear(r)
-	case nn.KindBiLSTM, nn.KindCNNLSTM, nn.KindConvLSTM:
-		m, err := nn.DecodeModel(r)
-		if err != nil {
-			return nil, err
-		}
-		if k, _ := nn.ModelKind(m); k != kind {
-			return nil, fmt.Errorf("artifact: metadata kind %q but model payload is %q", kind, k)
-		}
-		return m, nil
 	default:
 		return nil, fmt.Errorf("artifact: unknown model kind %q", kind)
 	}
@@ -241,13 +213,6 @@ func Encode(w io.Writer, a *Artifact) error {
 		}
 		sections = append(sections, section{sectionScaler, buf.Bytes()})
 	}
-	if a.PCA != nil {
-		var buf bytes.Buffer
-		if err := a.PCA.Encode(&buf); err != nil {
-			return err
-		}
-		sections = append(sections, section{sectionPCA, buf.Bytes()})
-	}
 	if a.Drift != nil {
 		var buf bytes.Buffer
 		if err := a.Drift.Encode(&buf); err != nil {
@@ -255,11 +220,11 @@ func Encode(w io.Writer, a *Artifact) error {
 		}
 		sections = append(sections, section{sectionDrift, buf.Bytes()})
 	}
-	modelPayload, err := encodeModelPayload(a.Model)
-	if err != nil {
+	var model bytes.Buffer
+	if err := a.Model.Encode(&model); err != nil {
 		return err
 	}
-	sections = append(sections, section{sectionModel, modelPayload})
+	sections = append(sections, section{sectionModel, model.Bytes()})
 
 	var head bytes.Buffer
 	hw := wire.NewWriter(&head)
@@ -359,13 +324,12 @@ func readHeader(r io.Reader) (*header, error) {
 	return h, nil
 }
 
-// readSection consumes and verifies the next payload from r.
+// readSection consumes and verifies the next payload from r. The table's
+// length is a claim (the header CRC covers it, but whoever wrote the file
+// wrote that too), so the buffer grows with the bytes that arrive.
 func readSection(r io.Reader, info SectionInfo) ([]byte, error) {
-	payload := make([]byte, info.Length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := wire.ReadFull(r, int(info.Length))
+	if err != nil {
 		return nil, fmt.Errorf("artifact: section %q truncated: %w", info.Name, err)
 	}
 	if crc := crc32.ChecksumIEEE(payload); crc != info.CRC {
@@ -398,10 +362,6 @@ func Decode(r io.Reader) (*Artifact, error) {
 			sawMeta = true
 		case sectionScaler:
 			if a.Scaler, err = preprocess.DecodeScaler(bytes.NewReader(payload)); err != nil {
-				return nil, err
-			}
-		case sectionPCA:
-			if a.PCA, err = preprocess.DecodePCA(bytes.NewReader(payload)); err != nil {
 				return nil, err
 			}
 		case sectionDrift:

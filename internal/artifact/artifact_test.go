@@ -7,14 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/forest"
 	"repro/internal/mat"
-	"repro/internal/nn"
 	"repro/internal/preprocess"
-	"repro/internal/svm"
 	"repro/internal/wire"
 	"repro/internal/xgb"
 )
@@ -123,27 +122,17 @@ func TestRoundTripEveryKind(t *testing.T) {
 	if err := xg.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	sv := svm.New(svm.Config{C: 1, Seed: 2})
-	if err := sv.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	lin := svm.NewLinear(svm.LinearConfig{C: 1, Epochs: 20, Seed: 2})
-	if err := lin.Fit(x, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	lstm, err := nn.NewBiLSTMClassifier(3, 4, 5, 3, 1, 2)
-	if err != nil {
+	rf := forest.New(forest.Config{NumTrees: 4, MaxDepth: 3, Seed: 2})
+	if err := rf.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
 
 	cases := []struct {
 		kind  string
-		model any
+		model Model
 	}{
+		{KindForest, rf},
 		{KindXGB, xg},
-		{KindSVM, sv},
-		{KindLinearSVM, lin},
-		{nn.KindBiLSTM, lstm},
 	}
 	for _, tc := range cases {
 		raw := encodeToBytes(t, &Artifact{Model: tc.model})
@@ -167,7 +156,8 @@ func TestEncodeValidation(t *testing.T) {
 	if err := Encode(&bytes.Buffer{}, &Artifact{}); err == nil {
 		t.Error("nil model should fail")
 	}
-	if err := Encode(&bytes.Buffer{}, &Artifact{Model: 42}); err == nil {
+	// A Model that is neither estimator has no kind to record.
+	if err := Encode(&bytes.Buffer{}, &Artifact{Model: struct{ Model }{}}); err == nil {
 		t.Error("unsupported model type should fail")
 	}
 	f, _, _ := fixtureForest(t, 3)
@@ -257,13 +247,18 @@ func TestDecodeCraftedCorruption(t *testing.T) {
 		payload []byte
 	}
 
-	// Unknown model kind in otherwise-valid metadata.
-	raw := craftContainer(t, FormatVersion, []sec{
-		{"meta", []byte(`{"kind":"quantum-forest"}`)},
-		{"model", []byte{1, 0}},
-	})
-	if _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unknown model kind") {
-		t.Errorf("unknown kind err = %v", err)
+	// Unknown model kind in otherwise-valid metadata — a kind no build
+	// ever wrote, and the kinds earlier builds wrote for models no core
+	// could serve.
+	var raw []byte
+	for _, kind := range []string{"quantum-forest", "svm", "linear-svm", "bilstm", "cnnlstm", "convlstm"} {
+		raw = craftContainer(t, FormatVersion, []sec{
+			{"meta", []byte(`{"kind":"` + kind + `"}`)},
+			{"model", []byte{1, 0}},
+		})
+		if _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unknown model kind") {
+			t.Errorf("kind %q err = %v", kind, err)
+		}
 	}
 
 	// Missing model section.
@@ -289,7 +284,8 @@ func TestDecodeCraftedCorruption(t *testing.T) {
 }
 
 // TestDecodeSkipsUnknownSections pins minor-version forward compatibility: a
-// file carrying an extra section a newer writer added still loads.
+// file carrying an extra section a newer writer added still loads, and so
+// does one carrying the retired pca section, whatever is in it.
 func TestDecodeSkipsUnknownSections(t *testing.T) {
 	f, _, eval := fixtureForest(t, 7)
 	var model bytes.Buffer
@@ -302,6 +298,7 @@ func TestDecodeSkipsUnknownSections(t *testing.T) {
 	}{
 		{"meta", []byte(`{"kind":"forest"}`)},
 		{"calibration", []byte("future section payload")},
+		{"pca", []byte{1, 0}},
 		{"model", model.Bytes()},
 	})
 	got, err := Decode(bytes.NewReader(raw))
@@ -370,5 +367,48 @@ func TestSaveLoadAndReadInfo(t *testing.T) {
 	}
 	if names[0] != "meta" || len(names) != 3 {
 		t.Fatalf("sections %v", names)
+	}
+}
+
+// TestLyingSectionLengthAllocatesLittle: a 45-byte file with a valid header
+// CRC and one section claiming maxSectionLen fails as truncated having
+// allocated for the bytes present, not the gigabyte claimed — through Decode
+// (a swap, a peer's replicate) and through Identity (the watcher's poll).
+func TestLyingSectionLengthAllocatesLittle(t *testing.T) {
+	var head bytes.Buffer
+	ww := wire.NewWriter(&head)
+	ww.U32(FormatVersion)
+	ww.U32(1)
+	ww.String(sectionModel)
+	ww.U64(maxSectionLen)
+	ww.U32(0)
+	if err := ww.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	file.Write(Magic[:])
+	file.Write(head.Bytes())
+	wire.NewWriter(&file).U32(crc32.ChecksumIEEE(head.Bytes()))
+	if file.Len() != 45 {
+		t.Fatalf("crafted file is %d bytes", file.Len())
+	}
+	path := filepath.Join(t.TempDir(), "liar.wcc")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() error{
+		"Decode":   func() error { _, err := Decode(bytes.NewReader(file.Bytes())); return err },
+		"Identity": func() error { _, err := Identity(path); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s = %v, want a truncated-section error", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s allocated %d bytes for a %d-byte file", name, got, file.Len())
+		}
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"repro/internal/preprocess"
 	"repro/internal/server"
 	"repro/internal/shard"
-	"repro/internal/stream"
 )
 
 // Options sizes a test cluster. Zero values pick test-friendly defaults.
@@ -51,7 +50,7 @@ type Options struct {
 	Scaler *preprocess.StandardScaler
 	// Model is the initial classifier on every node; nil builds a stamped
 	// model with stamp 0.
-	Model stream.Classifier
+	Model artifact.Model
 	// Shards is each node's local shard count (default 2, so the
 	// node-then-shard two-level routing is actually exercised).
 	Shards int

@@ -54,8 +54,9 @@ func (p Provenance) Regenerate() (*telemetry.Simulator, *dataset.Challenge, erro
 }
 
 // Metadata starts the record of a model trained on rows regenerated from p:
-// provenance, class names, the feature pipeline ("cov", "pca", "sequence"),
-// the shape of the windows x it consumes, and the producing tool.
+// provenance, class names, the feature pipeline ("cov" from every producer;
+// see artifact.Metadata.Features), the shape of the windows x it consumes,
+// and the producing tool.
 func (p Provenance) Metadata(x *dataset.Tensor3, features, tool string) artifact.Metadata {
 	return artifact.Metadata{
 		ClassNames: telemetry.ClassNames(), Features: features, Window: x.T, Sensors: x.C,
@@ -68,7 +69,7 @@ func (p Provenance) Metadata(x *dataset.Tensor3, features, tool string) artifact
 // model's kind, always derived from the model and never taken from meta, the
 // held-out accuracy, the creation time — and pairs it with the model. Every
 // artifact.Metadata of a trained model passes through here.
-func Bundle(meta artifact.Metadata, model any, accuracy float64) (*artifact.Artifact, error) {
+func Bundle(meta artifact.Metadata, model artifact.Model, accuracy float64) (*artifact.Artifact, error) {
 	kind, err := artifact.ModelKind(model)
 	if err != nil {
 		return nil, err
@@ -77,15 +78,9 @@ func Bundle(meta artifact.Metadata, model any, accuracy float64) (*artifact.Arti
 	return &artifact.Artifact{Meta: meta, Model: model}, nil
 }
 
-// Model is what TrainArtifact asks of an estimator; one that also offers
-// PredictProbaBatch (the forest and the booster) is scored through it.
-type Model interface {
-	Predict(x *mat.Matrix) ([]int, error)
-}
-
 // HeldOut is the one scoring pass TrainArtifact makes over fp.TestX: a
-// probability row per held-out row (nil for a model without probabilities)
-// and the predicted labels, the arg-max of those rows where there are any.
+// probability row per held-out row and the predicted labels, the arg-max of
+// those rows.
 type HeldOut struct {
 	Probs *mat.Matrix
 	Pred  []int
@@ -94,15 +89,14 @@ type HeldOut struct {
 // TrainArtifact is the one way a trained model becomes an artifact: run fit
 // (which fits model on fp's training rows), score the held-out rows once,
 // measure accuracy, calibrate the open-set drift section, and bundle the
-// result under meta with fp's scaler and PCA. The facade, wcctrain and the
-// adapt flywheel's candidates all come through here.
+// result under meta with fp's scaler. The facade, wcctrain and the adapt
+// flywheel's candidates all come through here.
 //
 // fp.TestY labels the leading rows of fp.TestX; further rows (the flywheel's
 // held-out family rows) take part in calibration only. raw holds raw
 // telemetry samples for the input-drift reference (RawSensorSamples of the
-// training windows); nil skips calibration, as does a model without
-// probabilities.
-func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model Model, fit func() error, raw *mat.Matrix, opts drift.Options) (*artifact.Artifact, *HeldOut, error) {
+// training windows); nil skips calibration.
+func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model artifact.Model, fit func() error, raw *mat.Matrix, opts drift.Options) (*artifact.Artifact, *HeldOut, error) {
 	if err := fit(); err != nil {
 		return nil, nil, fmt.Errorf("core: fitting model: %w", err)
 	}
@@ -118,8 +112,8 @@ func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model Model, fit fun
 	if err != nil {
 		return nil, nil, err
 	}
-	a.Scaler, a.PCA = fp.Scaler, fp.PCA
-	if raw != nil && held.Probs != nil {
+	a.Scaler = fp.Scaler
+	if raw != nil {
 		in := drift.FitInput{Probs: held.Probs, TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}
 		if a.Drift, err = drift.Fit(in, opts); err != nil {
 			return nil, nil, fmt.Errorf("core: calibrating drift: %w", err)
@@ -128,20 +122,12 @@ func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model Model, fit fun
 	return a, held, nil
 }
 
-// scoreHeldOut scores x once, batched where model offers it. Batched
-// probabilities are bit-identical to PredictProba's by the forest's and the
-// booster's contracts, and a label is the arg-max of its row (the forest's
-// Predict by definition; the booster's, over its pre-softmax scores, by
-// monotonicity).
-func scoreHeldOut(model Model, x *mat.Matrix) (*HeldOut, error) {
-	batched, ok := model.(interface {
-		PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
-	})
-	if !ok {
-		pred, err := model.Predict(x)
-		return &HeldOut{Pred: pred}, err
-	}
-	probs, err := batched.PredictProbaBatch(x)
+// scoreHeldOut scores x once, batched. Batched probabilities are
+// bit-identical to PredictProba's by the forest's and the booster's
+// contracts, and a label is the arg-max of its row (the forest's Predict by
+// definition; the booster's, over its pre-softmax scores, by monotonicity).
+func scoreHeldOut(model artifact.Model, x *mat.Matrix) (*HeldOut, error) {
+	probs, err := model.PredictProbaBatch(x)
 	if err != nil {
 		return nil, err
 	}

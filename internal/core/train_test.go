@@ -36,7 +36,7 @@ func TestTrainArtifact(t *testing.T) {
 
 	for _, tc := range []struct {
 		name  string
-		model Model
+		model artifact.Model
 		fit   func() error
 	}{
 		{"forest", rf, func() error { return rf.Fit(fp.TrainX, fp.TrainY, numClasses) }},

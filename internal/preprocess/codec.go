@@ -8,9 +8,8 @@ import (
 	"repro/internal/wire"
 )
 
-// codecVersion is the preprocess payload format (scaler and PCA); bump on
-// incompatible layout changes so old readers fail descriptively instead of
-// misloading.
+// codecVersion is the scaler payload format; bump on incompatible layout
+// changes so old readers fail descriptively instead of misloading.
 const codecVersion = 1
 
 // Encode serialises the fitted scaler's column statistics. The scaler must
@@ -59,34 +58,4 @@ func (s *StandardScaler) Equal(o *StandardScaler) bool {
 		}
 	}
 	return true
-}
-
-// Encode serialises the fitted PCA projection.
-func (p *PCA) Encode(w io.Writer) error {
-	if p.Components == nil {
-		return errors.New("preprocess: cannot encode an unfitted PCA")
-	}
-	ww := wire.NewWriter(w)
-	ww.U16(codecVersion)
-	ww.Matrix(p.Components)
-	ww.F64s(p.Means)
-	ww.F64s(p.ExplainedVar)
-	return ww.Err()
-}
-
-// DecodePCA reads a PCA previously written by Encode.
-func DecodePCA(r io.Reader) (*PCA, error) {
-	rr := wire.NewReader(r)
-	if v := rr.U16(); rr.Err() == nil && v != codecVersion {
-		return nil, fmt.Errorf("preprocess: unsupported codec version %d (this build reads %d)", v, codecVersion)
-	}
-	p := &PCA{Components: rr.Matrix(), Means: rr.F64s(), ExplainedVar: rr.F64s()}
-	if err := rr.Err(); err != nil {
-		return nil, err
-	}
-	if p.Components.Rows < 1 || p.Components.Cols < 1 ||
-		len(p.Means) != p.Components.Rows || len(p.ExplainedVar) != p.Components.Cols {
-		return nil, errors.New("preprocess: corrupt PCA shapes")
-	}
-	return p, nil
 }

@@ -66,52 +66,14 @@ func TestScalerEqual(t *testing.T) {
 	}
 }
 
-// TestPCACodecRoundTrip pins the PCA projection bit-identical through a
-// round trip.
-func TestPCACodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	x := mat.New(40, 9)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	p, err := FitPCA(x, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePCA(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Transform(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, err := got.Transform(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if have.Data[i] != want.Data[i] {
-			t.Fatalf("proj[%d]: %v vs %v (not bit-identical)", i, have.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestCodecUnfittedAndCorrupt(t *testing.T) {
 	if err := (&StandardScaler{}).Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("encoding an unfitted scaler should fail")
 	}
-	if err := (&PCA{}).Encode(&bytes.Buffer{}); err == nil {
-		t.Fatal("encoding an unfitted PCA should fail")
-	}
 	if _, err := DecodeScaler(bytes.NewReader(nil)); err == nil {
 		t.Fatal("decoding empty input should fail")
 	}
-	if _, err := DecodePCA(bytes.NewReader([]byte{1, 0})); err == nil {
-		t.Fatal("decoding truncated PCA should fail")
+	if _, err := DecodeScaler(bytes.NewReader([]byte{1, 0})); err == nil {
+		t.Fatal("decoding a truncated scaler should fail")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"time"
 
@@ -101,6 +102,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Gauge("wcc_samples_per_second", "Ingest rate over the interval since the previous scrape.", sampleRate)
 	mw.Gauge("wcc_classifications_per_second", "Classification rate over the interval since the previous scrape.", classRate)
 	mw.Gauge("wcc_uptime_seconds", "Seconds since the serving layer started.", time.Since(s.start).Seconds())
+	writeRuntimeMetrics(mw)
 
 	if s.cfg.Adapt != nil {
 		s.writeAdaptMetrics(mw)
@@ -119,6 +121,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	s.writeStageMetrics(mw)
 	s.writeShardMetrics(mw)
+}
+
+// writeRuntimeMetrics renders the Go runtime's health, read with
+// runtime/metrics: unlike runtime.ReadMemStats it does not stop the world,
+// so a scrape costs the ingest and tick paths nothing.
+func writeRuntimeMetrics(mw Metrics) {
+	rt := []metrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
+	}
+	metrics.Read(rt)
+	mw.Gauge("wcc_go_goroutines", "Live goroutines.", float64(rt[0].Value.Uint64()))
+	mw.Gauge("wcc_go_heap_live_bytes", "Heap bytes occupied by objects the last garbage collection found live.", float64(rt[1].Value.Uint64()))
+	mw.Family("wcc_go_gc_pause_cpu_seconds_total", "Cumulative CPU seconds the process spent paused by the garbage collector (pause time x GOMAXPROCS).", "counter")
+	fmt.Fprintf(mw.W, "wcc_go_gc_pause_cpu_seconds_total %g\n", rt[2].Value.Float64())
 }
 
 // writeAdaptMetrics renders the continual-learning flywheel's state: the

@@ -436,6 +436,9 @@ func TestReadEndpoints(t *testing.T) {
 		`wcc_tick_latency_seconds{quantile="0.95"}`,
 		"wcc_model_swaps_total 0",
 		"wcc_jobs_evicted_total 0",
+		"\nwcc_go_goroutines ",
+		"\nwcc_go_heap_live_bytes ",
+		"# TYPE wcc_go_gc_pause_cpu_seconds_total counter\nwcc_go_gc_pause_cpu_seconds_total ",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)

@@ -71,18 +71,18 @@ func Watch(stop <-chan struct{}, cfg WatchConfig) {
 }
 
 // Servable is the static half of "can this artifact serve live telemetry":
-// covariance features, a streaming classifier, a valid window shape, a
-// scaler fitted for that shape, and a drift calibration (if any) that fits
-// the sensor count and embedding width. It reads the artifact alone, so it
+// covariance features, a model, a valid window shape, a scaler fitted for
+// that shape, and a drift calibration (if any) that fits the sensor count
+// and embedding width. That the model can classify a stream is its type
+// (artifact.Model), not a check made here. It reads the artifact alone, so it
 // is the whole gate at boot (NewCore) and for a caller that only loads
 // (repro.LoadModel); ServableModel adds the comparisons a live fleet needs.
 func Servable(a *artifact.Artifact) (stream.Classifier, error) {
 	if a.Meta.Features != "cov" {
 		return nil, fmt.Errorf("artifact has %q features; live serving needs a covariance-feature model", a.Meta.Features)
 	}
-	cls, ok := a.Model.(stream.Classifier)
-	if !ok {
-		return nil, fmt.Errorf("%s models cannot serve streaming windows", a.Meta.Kind)
+	if a.Model == nil {
+		return nil, errors.New("artifact carries no model")
 	}
 	if a.Meta.Window < 2 || a.Meta.Sensors < 1 {
 		return nil, fmt.Errorf("artifact window shape %dx%d is invalid", a.Meta.Window, a.Meta.Sensors)
@@ -97,7 +97,7 @@ func Servable(a *artifact.Artifact) (stream.Classifier, error) {
 	if err := fleet.CheckCalibration(a.Drift, a.Meta.Sensors); err != nil {
 		return nil, err
 	}
-	return cls, nil
+	return a.Model, nil
 }
 
 // NewCore is the one way an artifact becomes a serving core: gate it, then

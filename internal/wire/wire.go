@@ -1,13 +1,14 @@
 // Package wire provides the little-endian binary primitives shared by the
-// model serialization codecs (internal/tree, forest, xgb, svm, nn,
-// preprocess) and the artifact container (internal/artifact).
+// model serialization codecs (internal/tree, forest, xgb, preprocess, drift),
+// the cluster's peer framing and the artifact container (internal/artifact).
 //
 // Writer and Reader are error-sticky: after the first failure every further
 // call is a no-op, so codecs can encode a whole structure and check the
 // error once at the end. The Reader is written for hostile input — every
-// length prefix is bounds-checked before allocation, so a truncated or
-// corrupted stream produces a descriptive error, never a panic or a
-// multi-gigabyte allocation.
+// length prefix is bounds-checked, and what is allocated for it follows the
+// bytes that actually arrive (ReadFull), so a truncated or corrupted stream
+// produces a descriptive error, never a panic or an allocation far beyond
+// the input's own size.
 package wire
 
 import (
@@ -112,14 +113,6 @@ func (w *Writer) F64s(vs []float64) {
 	w.write(buf)
 }
 
-// Ints writes a length-prefixed int slice (as int64s).
-func (w *Writer) Ints(vs []int) {
-	w.U64(uint64(len(vs)))
-	for _, v := range vs {
-		w.I64(int64(v))
-	}
-}
-
 // Matrix writes a dense matrix (rows, cols, row-major data). m must be
 // non-nil; codecs reject unfitted models before getting here.
 func (w *Writer) Matrix(m *mat.Matrix) {
@@ -166,6 +159,47 @@ func (r *Reader) read(p []byte) bool {
 		return false
 	}
 	return true
+}
+
+// readN reads the n bytes a length prefix announced.
+func (r *Reader) readN(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	buf, err := ReadFull(r.r, n)
+	if err != nil {
+		r.err = fmt.Errorf("wire: truncated input: %w", err)
+		return nil
+	}
+	return buf
+}
+
+// allocStep is the most ReadFull allocates before any byte has arrived.
+const allocStep = 64 << 10
+
+// ReadFull reads exactly n bytes from r into a new slice, for an n that came
+// from the input itself (a length prefix, a section table). The slice starts
+// at allocStep and doubles only once everything allocated so far has been
+// filled, so whatever n claims, no allocation is longer than twice the bytes
+// that have arrived (allocStep at the start). A short stream is
+// io.ErrUnexpectedEOF.
+func ReadFull(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, allocStep))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		filled = len(buf)
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // U8 reads one byte.
@@ -222,7 +256,7 @@ func (r *Reader) Bool() bool {
 // F64 reads a float64 bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// sliceLen validates a length prefix before anything is allocated.
+// sliceLen validates a length prefix before anything is read for it.
 func (r *Reader) sliceLen(what string) int {
 	n := r.U64()
 	if r.err != nil {
@@ -241,26 +275,17 @@ func (r *Reader) String() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	buf := make([]byte, n)
-	if !r.read(buf) {
-		return ""
-	}
-	return string(buf)
+	return string(r.readN(n))
 }
 
 // Bytes reads a length-prefixed byte slice. The same sanity cap as every
-// other length prefix applies, so a hostile prefix cannot provoke a
-// multi-gigabyte allocation.
+// other length prefix applies.
 func (r *Reader) Bytes() []byte {
 	n := r.sliceLen("byte slice")
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	buf := make([]byte, n)
-	if !r.read(buf) {
-		return nil
-	}
-	return buf
+	return r.readN(n)
 }
 
 // F64s reads a length-prefixed float64 slice.
@@ -269,29 +294,13 @@ func (r *Reader) F64s() []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	buf := make([]byte, 8*n)
-	if !r.read(buf) {
+	buf := r.readN(8 * n)
+	if buf == nil {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out
-}
-
-// Ints reads a length-prefixed int slice.
-func (r *Reader) Ints() []int {
-	n := r.sliceLen("int slice")
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
-	}
-	if r.err != nil {
-		return nil
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,7 +29,6 @@ func TestRoundTrip(t *testing.T) {
 	w.String("")
 	w.F64s(nil)
 	w.F64s([]float64{1.5, -2.25, 0})
-	w.Ints([]int{3, -1, 0})
 	m := mat.New(2, 3)
 	for i := range m.Data {
 		m.Data[i] = float64(i) * 1.25
@@ -83,16 +83,6 @@ func TestRoundTrip(t *testing.T) {
 	for i := range wantF {
 		if gotF[i] != wantF[i] {
 			t.Errorf("F64s[%d] = %v", i, gotF[i])
-		}
-	}
-	wantI := []int{3, -1, 0}
-	gotI := r.Ints()
-	if len(gotI) != len(wantI) {
-		t.Fatalf("Ints = %v", gotI)
-	}
-	for i := range wantI {
-		if gotI[i] != wantI[i] {
-			t.Errorf("Ints[%d] = %d", i, gotI[i])
 		}
 	}
 	gm := r.Matrix()
@@ -150,6 +140,49 @@ func TestInsaneLengthRejected(t *testing.T) {
 	r.F64s()
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "sanity limit") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestUnbackedLengthAllocatesLittle: a length prefix inside the sanity limit
+// that the stream does not back costs what the stream holds, not what the
+// prefix claims (8 GiB for a float slice at the limit).
+func TestUnbackedLengthAllocatesLittle(t *testing.T) {
+	raw := make([]byte, 8+100)
+	binary.LittleEndian.PutUint64(raw, maxElems)
+	for name, read := range map[string]func(*Reader){
+		"F64s":   func(r *Reader) { r.F64s() },
+		"Bytes":  func(r *Reader) { r.Bytes() },
+		"String": func(r *Reader) { _ = r.String() },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(bytes.NewReader(raw))
+		read(r)
+		runtime.ReadMemStats(&after)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: err = %v, want truncated input", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s allocated %d bytes over a %d-byte stream", name, got, len(raw))
+		}
+	}
+}
+
+// TestReadFullGrowsToAnyLength covers the sizes around ReadFull's growth
+// steps: whatever n is, the n bytes written come back.
+func TestReadFullGrowsToAnyLength(t *testing.T) {
+	src := make([]byte, 5*allocStep)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	for _, n := range []int{0, 1, allocStep - 1, allocStep, allocStep + 1, 2 * allocStep, 3*allocStep + 17, len(src)} {
+		got, err := ReadFull(bytes.NewReader(src), n)
+		if err != nil || !bytes.Equal(got, src[:n]) {
+			t.Errorf("n=%d: %d bytes, err %v", n, len(got), err)
+		}
+		if _, err := ReadFull(bytes.NewReader(src[:n]), n+1); err != io.ErrUnexpectedEOF {
+			t.Errorf("n=%d of %d: err = %v, want io.ErrUnexpectedEOF", n, n+1, err)
+		}
 	}
 }
 

@@ -141,8 +141,8 @@ func SaveModel(path string, ds *Dataset, res *RFCovResult) error {
 }
 
 // LoadModel reads a .wcc artifact and checks it through the serving gate
-// (server.Servable): a covariance-feature model implementing the streaming
-// classifier contract, bundled with a scaler and a calibration that fit
+// (server.Servable): a covariance-feature model — a forest or a booster, the
+// kinds a .wcc can carry — bundled with a scaler and a calibration that fit
 // its window shape.
 func LoadModel(path string) (*artifact.Artifact, error) {
 	a, err := artifact.Load(path)

@@ -1,10 +1,13 @@
 package repro_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,10 +15,10 @@ import (
 
 	"repro"
 	"repro/internal/artifact"
-	"repro/internal/nn"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func TestGenerateDatasetErrors(t *testing.T) {
@@ -259,10 +262,6 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	}
 
 	// LoadModel refuses what the serving gate refuses, in the gate's words.
-	seq, err := nn.NewBiLSTMClassifier(meta.Sensors, 2, 4, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	refusals := []struct {
 		name   string
 		mutate func(a *artifact.Artifact)
@@ -270,7 +269,6 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	}{
 		{"pca features", func(a *artifact.Artifact) { a.Meta.Features = "pca" }, `has "pca" features`},
 		{"no scaler", func(a *artifact.Artifact) { a.Scaler = nil }, "carries no scaler"},
-		{"sequence model", func(a *artifact.Artifact) { a.Meta.Kind, a.Model, a.Drift = "", seq, nil }, "cannot serve streaming windows"},
 	}
 	for _, tc := range refusals {
 		a := res.Artifact(ds)
@@ -282,6 +280,41 @@ func TestSaveLoadModelFacade(t *testing.T) {
 		if _, err := repro.LoadModel(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: LoadModel = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+
+	// A file an earlier build wrote for a sequence model names a kind this
+	// build has no codec for; it is refused by name, its payload unread.
+	sections := []struct {
+		name    string
+		payload []byte
+	}{
+		{"meta", []byte(`{"kind":"bilstm","features":"sequence"}`)},
+		{"model", []byte("weights")},
+	}
+	var head, file bytes.Buffer
+	hw := wire.NewWriter(&head)
+	hw.U32(artifact.FormatVersion)
+	hw.U32(uint32(len(sections)))
+	for _, sec := range sections {
+		hw.String(sec.name)
+		hw.U64(uint64(len(sec.payload)))
+		hw.U32(crc32.ChecksumIEEE(sec.payload))
+	}
+	if err := hw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	file.Write(artifact.Magic[:])
+	file.Write(head.Bytes())
+	wire.NewWriter(&file).U32(crc32.ChecksumIEEE(head.Bytes()))
+	for _, sec := range sections {
+		file.Write(sec.payload)
+	}
+	old := filepath.Join(t.TempDir(), "bilstm.wcc")
+	if err := os.WriteFile(old, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repro.LoadModel(old); err == nil || !strings.Contains(err.Error(), `unknown model kind "bilstm"`) {
+		t.Errorf("bilstm file: LoadModel = %v, want unknown model kind", err)
 	}
 }
 
