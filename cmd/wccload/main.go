@@ -78,7 +78,7 @@ func main() {
 	adaptReport := flag.Bool("adapt", false, "read GET /v1/adapt after the run and report the continual-learning flywheel's state")
 	flag.Parse()
 
-	if err := run(config{
+	if err := run(os.Stdout, config{
 		addr: *addr, jobs: *jobs, scale: *scale, seed: *seed,
 		start: *start, seconds: *seconds, batch: *batch, conns: *conns,
 		unknownFrac: *unknownFrac, framing: *framing, events: *events,
@@ -106,10 +106,9 @@ type config struct {
 
 // health mirrors the server's /healthz payload.
 type health struct {
-	Status  string `json:"status"`
-	Window  int    `json:"window"`
-	Sensors int    `json:"sensors"`
-	Shards  int    `json:"shards"`
+	Window  int `json:"window"`
+	Sensors int `json:"sensors"`
+	Shards  int `json:"shards"`
 }
 
 // ingestResponse mirrors the server's per-request ingest accounting.
@@ -158,13 +157,16 @@ type reqBody struct {
 	data []byte
 }
 
-func run(c config) error {
+// run is the whole command behind flag parsing: check the configuration,
+// prepare the replay, drive it, and write the report to out.
+func run(out io.Writer, c config) error {
 	if c.jobs < 1 || c.batch < 1 {
 		return fmt.Errorf("need jobs ≥ 1 and batch ≥ 1")
 	}
 	contentType := "application/x-ndjson"
 	switch c.framing {
 	case "", "ndjson":
+		c.framing = "ndjson"
 	case "binary":
 		contentType = wire.IngestContentType
 	default:
@@ -183,15 +185,11 @@ func run(c config) error {
 			nodes[i] = strings.TrimRight(strings.TrimSpace(nodes[i]), "/")
 		}
 	}
-	nodeOf := func(job int) int {
-		if len(nodes) == 1 {
-			return 0
-		}
-		return int(shard.JobHash(job) % uint64(len(nodes)))
-	}
+	nodeOf := func(job int) int { return int(shard.JobHash(job) % uint64(len(nodes))) }
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: c.conns}}
-	hl, err := fetchHealth(client, nodes[0])
+	defer client.CloseIdleConnections()
+	hl, err := getJSON[health](client, nodes[0]+"/healthz") // 503 unless healthy
 	if err != nil {
 		return fmt.Errorf("server not reachable at %s: %w", nodes[0], err)
 	}
@@ -291,14 +289,10 @@ func run(c config) error {
 	for w := range bodies {
 		requests += len(bodies[w])
 	}
-	framingName := "ndjson"
-	if contentType == wire.IngestContentType {
-		framingName = "binary"
-	}
-	fmt.Printf("driving %d fleet jobs (%d out-of-distribution) over %d telemetry series into %d serving shards: %d samples in %d requests (%d-sample %s batches) across %d connections\n",
-		c.jobs, mix.UnknownJobs, replay.NumJobs(), hl.Shards, totalSamples, requests, c.batch, framingName, c.conns)
+	fmt.Fprintf(out, "driving %d fleet jobs (%d out-of-distribution) over %d telemetry series into %d serving shards: %d samples in %d requests (%d-sample %s batches) across %d connections\n",
+		c.jobs, mix.UnknownJobs, replay.NumJobs(), hl.Shards, totalSamples, requests, c.batch, c.framing, c.conns)
 	if len(nodes) > 1 {
-		fmt.Printf("cluster mode: %d nodes, batches routed by client-side job hash\n", len(nodes))
+		fmt.Fprintf(out, "cluster mode: %d nodes, batches routed by client-side job hash\n", len(nodes))
 	}
 
 	// Optional event-plane audit: hold one SSE subscription open across the
@@ -341,11 +335,11 @@ func run(c config) error {
 		return fmt.Errorf("ingest failed: %s", all.firstErr)
 	}
 
-	fmt.Printf("\nsent %d samples in %s\n", totalSamples, elapsed.Round(time.Millisecond))
-	fmt.Printf("  ingest throughput: %.0f samples/sec (client-observed, end to end)\n", float64(all.accepted)/elapsed.Seconds())
-	fmt.Printf("  requests:          %d ok, %d throttled (429, retried), %d rerouted, %d line errors\n",
+	fmt.Fprintf(out, "\nsent %d samples in %s\n", totalSamples, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "  ingest throughput: %.0f samples/sec (client-observed, end to end)\n", float64(all.accepted)/elapsed.Seconds())
+	fmt.Fprintf(out, "  requests:          %d ok, %d throttled (429, retried), %d rerouted, %d line errors\n",
 		all.requests, all.throttled, all.rerouted, all.rejected)
-	fmt.Printf("  request latency:   p50 %s  p95 %s  p99 %s  max %s\n",
+	fmt.Fprintf(out, "  request latency:   p50 %s  p95 %s  p99 %s  max %s\n",
 		percentile(all.latencies, 0.50), percentile(all.latencies, 0.95),
 		percentile(all.latencies, 0.99), percentile(all.latencies, 1.0))
 	if all.accepted != totalSamples {
@@ -354,7 +348,7 @@ func run(c config) error {
 		}
 		// A cluster replay that crossed a node failure has bounded,
 		// accounted loss: report it instead of failing the run.
-		fmt.Printf("  note: cluster accepted %d of %d samples (%d lost across reroutes)\n",
+		fmt.Fprintf(out, "  note: cluster accepted %d of %d samples (%d lost across reroutes)\n",
 			all.accepted, totalSamples, totalSamples-all.accepted)
 	}
 
@@ -365,10 +359,10 @@ func run(c config) error {
 	// the union is the fleet.
 	snap := &snapshot{}
 	for _, nd := range nodes {
-		s, err := fetchSnapshot(client, nd)
+		s, err := getJSON[snapshot](client, nd+"/v1/jobs")
 		if err != nil {
 			if len(nodes) > 1 {
-				fmt.Printf("  note: snapshot from %s failed (%v); its jobs are missing from the score\n", nd, err)
+				fmt.Fprintf(out, "  note: snapshot from %s failed (%v); its jobs are missing from the score\n", nd, err)
 				continue
 			}
 			return err
@@ -391,34 +385,34 @@ func run(c config) error {
 			correct++
 		}
 	}
-	fmt.Printf("  fleet snapshot:    %d jobs registered on the server\n", snap.Count)
+	fmt.Fprintf(out, "  fleet snapshot:    %d jobs registered on the server\n", snap.Count)
 	if scored > 0 {
-		fmt.Printf("  live accuracy:     %.1f%% (%d/%d labelled jobs classified)\n",
+		fmt.Fprintf(out, "  live accuracy:     %.1f%% (%d/%d labelled jobs classified)\n",
 			100*float64(correct)/float64(scored), scored, mix.IDJobs)
 	}
-	switch ds, err := fetchDrift(client, nodes[0]); {
+	switch ds, err := getJSON[driftState](client, nodes[0]+"/v1/drift"); {
 	case err != nil:
 		// A transport or server failure is not "drift disabled": say so,
 		// or an operator (and CI's recall gate) mis-diagnoses the cause.
 		return fmt.Errorf("reading /v1/drift: %w", err)
 	case ds.Enabled:
-		fmt.Printf("  drift score:       %.3f (server-side max per-sensor PSI, %d unknown verdicts)\n", ds.Score, ds.Unknowns)
-		fmt.Print(tally.Report())
+		fmt.Fprintf(out, "  drift score:       %.3f (server-side max per-sensor PSI, %d unknown verdicts)\n", ds.Score, ds.Unknowns)
+		fmt.Fprint(out, tally.Report())
 	case mix.UnknownJobs > 0:
-		fmt.Printf("  note: %d out-of-distribution jobs injected but the server reports no drift calibration\n", mix.UnknownJobs)
+		fmt.Fprintf(out, "  note: %d out-of-distribution jobs injected but the server reports no drift calibration\n", mix.UnknownJobs)
 	}
 	if c.adapt {
-		as, err := fetchAdapt(client, nodes[0])
+		as, err := getJSON[adaptState](client, nodes[0]+"/v1/adapt")
 		if err != nil {
 			return fmt.Errorf("reading /v1/adapt: %w", err)
 		}
 		if !as.Enabled {
-			fmt.Printf("  adapt flywheel:    disabled on the server (wccserve -adapt)\n")
+			fmt.Fprintf(out, "  adapt flywheel:    disabled on the server (wccserve -adapt)\n")
 		} else {
-			fmt.Printf("  adapt flywheel:    phase %s, %d/%d rejected windows buffered, %d families, gate ready %v, %d promotions\n",
+			fmt.Fprintf(out, "  adapt flywheel:    phase %s, %d/%d rejected windows buffered, %d families, gate ready %v, %d promotions\n",
 				as.Phase, as.Buffered, as.BufferCapacity, len(as.Families), as.GateReady, as.Promotions)
 			if as.Shadow != nil {
-				fmt.Printf("  adapt shadow:      %d windows, agreement %.3f, unknown rate serving %.3f vs candidate %.3f\n",
+				fmt.Fprintf(out, "  adapt shadow:      %d windows, agreement %.3f, unknown rate serving %.3f vs candidate %.3f\n",
 					as.Shadow.Windows, as.Shadow.Agreement, as.Shadow.ServingUnknownRate, as.Shadow.CandidateUnknownRate)
 			}
 		}
@@ -435,12 +429,12 @@ func run(c config) error {
 		if len(parts) > 0 {
 			line = strings.Join(parts, ", ")
 		}
-		fmt.Printf("  events delivered:  %d over SSE (%s)\n", total, line)
+		fmt.Fprintf(out, "  events delivered:  %d over SSE (%s)\n", total, line)
 		if evicted {
-			fmt.Printf("  note: the event subscription was evicted for falling behind (queue overflow)\n")
+			fmt.Fprintf(out, "  note: the event subscription was evicted for falling behind (queue overflow)\n")
 		}
 		if readErr != nil {
-			fmt.Printf("  note: the event stream failed mid-run (%v); delivery counts are a lower bound\n", readErr)
+			fmt.Fprintf(out, "  note: the event stream failed mid-run (%v); delivery counts are a lower bound\n", readErr)
 		}
 	}
 	return nil
@@ -538,38 +532,6 @@ type adaptState struct {
 	} `json:"shadow"`
 }
 
-func fetchAdapt(client *http.Client, addr string) (*adaptState, error) {
-	resp, err := client.Get(addr + "/v1/adapt")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("adapt status %d", resp.StatusCode)
-	}
-	var a adaptState
-	if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-func fetchDrift(client *http.Client, addr string) (*driftState, error) {
-	resp, err := client.Get(addr + "/v1/drift")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("drift status %d", resp.StatusCode)
-	}
-	var d driftState
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
 // sendAll posts one connection's bodies in order, retrying 429s after the
 // server's advertised backoff. A node that fails at the transport or
 // answers 5xx does not kill the run: the batch reroutes to the next node
@@ -583,12 +545,17 @@ func sendAll(client *http.Client, nodes []string, contentType string, bodies []r
 			addr := nodes[(body.node+shift)%len(nodes)]
 			reqStart := time.Now()
 			resp, err := client.Post(addr+"/v1/ingest", contentType, bytes.NewReader(body.data))
+			if err == nil && resp.StatusCode >= 500 {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				err = fmt.Errorf("status %d from %s", resp.StatusCode, addr)
+			}
 			if err != nil {
 				if shift++; shift < len(nodes) {
 					st.rerouted++
 					continue
 				}
-				st.firstErr = err.Error()
+				st.firstErr = fmt.Sprintf("no node took the batch; the last said: %v", err)
 				return
 			}
 			if resp.StatusCode == http.StatusTooManyRequests {
@@ -597,16 +564,6 @@ func sendAll(client *http.Client, nodes []string, contentType string, bodies []r
 				st.throttled++
 				time.Sleep(retryAfter(resp))
 				continue
-			}
-			if resp.StatusCode >= 500 {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if shift++; shift < len(nodes) {
-					st.rerouted++
-					continue
-				}
-				st.firstErr = fmt.Sprintf("status %d from every node", resp.StatusCode)
-				return
 			}
 			var ir ingestResponse
 			decErr := json.NewDecoder(resp.Body).Decode(&ir)
@@ -638,36 +595,21 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 50 * time.Millisecond
 }
 
-func fetchHealth(client *http.Client, addr string) (*health, error) {
-	resp, err := client.Get(addr + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var h health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, err
-	}
-	if h.Status != "ok" {
-		return nil, fmt.Errorf("server health is %q", h.Status)
-	}
-	return &h, nil
-}
-
-func fetchSnapshot(client *http.Client, addr string) (*snapshot, error) {
-	resp, err := client.Get(addr + "/v1/jobs")
+// getJSON reads one of the server's JSON read endpoints into a T.
+func getJSON[T any](client *http.Client, url string) (*T, error) {
+	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("snapshot status %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	var s snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return &v, nil
 }
 
 // percentile returns the q-quantile of the observed durations (nearest-rank).

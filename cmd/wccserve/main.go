@@ -29,9 +29,9 @@
 // With -cluster (requires -model) the process joins an N-node serving
 // fleet: jobs hash across nodes, ingest for peer-owned jobs is forwarded
 // over the binary peer protocol, job reads redirect to the owner, and a
-// changed artifact rolls out fleet-wide via the two-phase
-// replicate/prepare/commit control plane (see internal/cluster and
-// docs/API.md):
+// changed artifact rolls out fleet-wide via the two-phase prepare/commit
+// control plane, each node pulling the bytes it is asked to prepare (see
+// internal/cluster and docs/API.md):
 //
 //	wccserve -model rf-cov.wcc -listen :8077 \
 //	    -cluster http://n0:8077,http://n1:8077,http://n2:8077 -node 0
@@ -75,7 +75,7 @@ func main() {
 	evictAfter := flag.Duration("evict-after", 0, "evict jobs idle longer than this (0 disables)")
 	clusterURLs := flag.String("cluster", "", "with -model: comma-separated base URLs of every cluster node in ID order; this process becomes node -node of that fleet")
 	clusterNode := flag.Int("node", 0, "with -cluster: this process's node ID (index into the -cluster list)")
-	clusterDir := flag.String("cluster-dir", "", "with -cluster: directory for replicated .wcc artifacts (default: a per-node dir under the OS temp dir)")
+	clusterDir := flag.String("cluster-dir", "", "with -cluster: staging directory for the .wcc artifacts this node pulls from peers, and serves to them (default: a per-node dir under the OS temp dir)")
 	adaptOn := flag.Bool("adapt", false, "with -model: run the continual-learning flywheel — buffer rejected windows, cluster candidate families, shadow-score a retrained candidate, promote through the hot-swap path (see /v1/adapt)")
 	adaptMinSupport := flag.Int("adapt-min-support", 30, "with -adapt: rejected windows a cluster needs before it becomes a candidate class")
 	adaptRadius := flag.Float64("adapt-radius", 0, "with -adapt: leader-clustering radius in standardised feature space (0 = the calibration's feature-gate cut point; raise it when rejected traffic spans several loose archetypes that should fold into one family)")
@@ -140,7 +140,7 @@ func clusterPeers(list string) []string {
 func validate(c config) error {
 	if c.cluster != "" {
 		if c.model == "" {
-			return fmt.Errorf("-cluster needs -model: the rolling-swap control plane replicates artifacts")
+			return fmt.Errorf("-cluster needs -model: the rolling-swap control plane distributes artifact files")
 		}
 		if n := len(clusterPeers(c.cluster)); c.node < 0 || c.node >= n {
 			return fmt.Errorf("-node %d out of range for the %d nodes in -cluster", c.node, n)
@@ -276,7 +276,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 		// Cluster mode: this process becomes one node of a replicated serving
 		// fleet. Ingest routes by job hash (forwarded to the owning peer), job
 		// reads redirect, and a changed artifact rolls out fleet-wide through
-		// the two-phase replicate/prepare/commit control plane.
+		// the two-phase prepare/commit control plane.
 		if c.clusterDir == "" {
 			c.clusterDir = filepath.Join(os.TempDir(), fmt.Sprintf("wcc-cluster-node%d", c.node))
 		}

@@ -4,8 +4,9 @@
 //
 // The paper's framing is a lifecycle, not a one-shot model: detect workloads
 // the classifier was never trained on, then incorporate them. PR 5 built the
-// detect half (internal/drift); this package is the incorporate half, a
-// five-stage state machine riding the serving plane's existing machinery:
+// detect half (internal/drift); this package is the incorporate half, five
+// stages riding the serving plane's existing machinery (the lifecycle state
+// that steps through them is Manager.phase, moved only by Manager.to):
 //
 //	buffer  — rejected windows from fleet tick write-back land in a bounded,
 //	          generation-aware reservoir (fleet.Observer; never blocks a tick)
@@ -55,11 +56,10 @@ const (
 	PhaseTrain Phase = "train"
 	// PhaseShadow means a candidate is being scored against live traffic.
 	PhaseShadow Phase = "shadow"
-	// PhasePromoted and PhaseAborted are terminal for one cycle; the next
-	// observed window after the swap (or an operator action) returns the
-	// flywheel to PhaseBuffer.
+	// PhasePromoted means the promotion hook took the candidate and the swap
+	// it triggers has not been observed yet; the first window of the new
+	// generation returns the flywheel to PhaseBuffer.
 	PhasePromoted Phase = "promoted"
-	PhaseAborted  Phase = "aborted"
 )
 
 // Errors the lifecycle methods return for expected conditions.
@@ -170,18 +170,46 @@ type Manager struct {
 	cfg Config
 
 	mu       sync.Mutex
-	phase    Phase
+	phase    Phase  // the one lifecycle state; only to changes it
 	gen      uint64 // swap generation the buffered/shadow state belongs to
 	observed uint64 // windows seen since attach (all verdicts)
 	res      *reservoir
-	training bool
-	fams     []Family // families behind the current candidate
+	// What PhaseShadow owns — the candidate, the families behind it and its
+	// live comparison — set on entering that phase and dropped by to on
+	// leaving it, so each is non-nil exactly while phase is PhaseShadow.
+	fams     []Family
 	cand     *artifact.Artifact
 	candDesc string
 	shadow   *shadowState
 	promos   uint64
 	aborts   uint64
 	lastErr  string
+}
+
+// to is the one place the lifecycle moves. The legal edges:
+//
+//	buffer   → train     BuildCandidate took a snapshot worth clustering
+//	promoted → train     the same, asked for by hand while a swap is awaited
+//	train    → shadow    the build produced a candidate for its generation
+//	train    → buffer    the build failed, found no family, or went stale
+//	shadow   → promoted  the promotion hook took the candidate
+//	shadow   → buffer    Abort, or a swap observed: the candidate was judged
+//	                     against a model no longer served
+//	promoted → buffer    the awaited swap (or any other) observed
+//
+// Anything else is a bug in the caller, which has just read phase under the
+// same lock. Callers hold m.mu.
+func (m *Manager) to(next Phase) {
+	switch [2]Phase{m.phase, next} {
+	case [2]Phase{PhaseBuffer, PhaseTrain}, [2]Phase{PhasePromoted, PhaseTrain},
+		[2]Phase{PhaseTrain, PhaseShadow}, [2]Phase{PhaseTrain, PhaseBuffer},
+		[2]Phase{PhaseShadow, PhasePromoted}, [2]Phase{PhaseShadow, PhaseBuffer},
+		[2]Phase{PhasePromoted, PhaseBuffer}:
+	default:
+		panic(fmt.Sprintf("adapt: illegal lifecycle transition %s → %s", m.phase, next))
+	}
+	m.phase = next
+	m.fams, m.cand, m.candDesc, m.shadow = nil, nil, "", nil
 }
 
 // New validates the configuration and returns a Manager in PhaseBuffer.
@@ -218,14 +246,11 @@ func (m *Manager) ObserveWindow(o fleet.Observation) {
 		// A swap landed (a promotion from this flywheel, or any other
 		// artifact roll): everything buffered or shadowing was scored by
 		// the previous model. Start the cycle over against the new one.
+		// A build in flight finds out when it ends (ErrStale).
 		m.gen = o.Gen
 		m.res.reset()
-		m.shadow = nil
-		m.cand = nil
-		m.candDesc = ""
-		m.fams = nil
-		if m.phase == PhaseShadow || m.phase == PhasePromoted || m.phase == PhaseAborted {
-			m.phase = PhaseBuffer
+		if m.phase == PhaseShadow || m.phase == PhasePromoted {
+			m.to(PhaseBuffer)
 		}
 	}
 	m.observed++
@@ -248,11 +273,11 @@ func (m *Manager) ObserveWindow(o fleet.Observation) {
 // the expected non-fatal outcomes.
 func (m *Manager) BuildCandidate() error {
 	m.mu.Lock()
-	if m.training {
+	if m.phase == PhaseTrain {
 		m.mu.Unlock()
 		return ErrBusy
 	}
-	if m.shadow != nil {
+	if m.phase == PhaseShadow {
 		m.mu.Unlock()
 		return fmt.Errorf("adapt: candidate already in shadow: %w", ErrBusy)
 	}
@@ -262,8 +287,7 @@ func (m *Manager) BuildCandidate() error {
 	}
 	rows := m.res.snapshot()
 	gen := m.gen
-	m.training = true
-	m.phase = PhaseTrain
+	m.to(PhaseTrain)
 	m.mu.Unlock()
 
 	// Cluster is deterministic in the row order, and the reservoir's order
@@ -274,12 +298,11 @@ func (m *Manager) BuildCandidate() error {
 	norm := normStats(m.cfg.Calibration, m.cfg.FeatureDim)
 	fams := Cluster(rows, norm, m.cfg.Radius, m.cfg.MinSupport, maxFamilies)
 	if len(fams) == 0 {
-		m.endBuild(gen, nil, nil, ErrNoFamilies)
-		return ErrNoFamilies
+		return m.endBuild(gen, nil, nil, ErrNoFamilies)
 	}
 	m.logf("adapt: clustered %d buffered unknown windows into %d family(ies); training candidate", len(rows), len(fams))
 	a, err := m.cfg.Trainer.Train(fams)
-	if err == nil && a != nil && a.Model == nil {
+	if err == nil && (a == nil || a.Model == nil) {
 		err = errors.New("adapt: trainer returned an artifact with no model")
 	}
 	return m.endBuild(gen, fams, a, err)
@@ -288,41 +311,28 @@ func (m *Manager) BuildCandidate() error {
 // endBuild finishes a BuildCandidate pass under the lock and publishes the
 // outcome after releasing it.
 func (m *Manager) endBuild(gen uint64, fams []Family, a *artifact.Artifact, err error) error {
-	var evs []events.Event
 	m.mu.Lock()
-	m.training = false
-	switch {
-	case err != nil:
-		m.lastErr = err.Error()
-		if m.phase == PhaseTrain {
-			m.phase = PhaseBuffer
-		}
-	case m.gen != gen:
+	if err == nil && m.gen != gen {
 		// The serving model moved while we trained: the candidate was built
 		// from stale rejections. Drop it; buffering has already restarted.
 		err = ErrStale
+	}
+	if err != nil {
 		m.lastErr = err.Error()
-		m.phase = PhaseBuffer
-	default:
-		m.fams = fams
-		m.cand = a
-		m.candDesc = fmt.Sprintf("%s %d-class (%d novel)", a.Meta.Kind, len(a.Meta.ClassNames), len(fams))
-		m.shadow = newShadowState(a.Model, a.Drift, m.cfg.FeatureDim)
-		m.phase = PhaseShadow
-		m.lastErr = ""
-		evs = append(evs,
-			events.Event{Type: events.TypeAdapt, Phase: "candidate", Model: m.candDesc},
-			events.Event{Type: events.TypeAdapt, Phase: "shadow", Model: m.candDesc},
-		)
+		m.to(PhaseBuffer)
+		m.mu.Unlock()
+		return err
 	}
+	desc := fmt.Sprintf("%s %d-class (%d novel)", a.Meta.Kind, len(a.Meta.ClassNames), len(fams))
+	m.to(PhaseShadow)
+	m.fams, m.cand, m.candDesc = fams, a, desc
+	m.shadow = newShadowState(a.Model, a.Drift, m.cfg.FeatureDim)
+	m.lastErr = ""
 	m.mu.Unlock()
-	for _, e := range evs {
-		m.publish(e)
-	}
-	if err == nil {
-		m.logf("adapt: candidate in shadow: %s", m.candDesc)
-	}
-	return err
+	m.publish(events.Event{Type: events.TypeAdapt, Phase: "candidate", Model: desc})
+	m.publish(events.Event{Type: events.TypeAdapt, Phase: "shadow", Model: desc})
+	m.logf("adapt: candidate in shadow: %s", desc)
+	return nil
 }
 
 // GateReady reports whether the promotion quality gate currently passes.
@@ -355,7 +365,8 @@ func (m *Manager) gateReadyLocked() bool {
 // Promote installs the shadowing candidate through the configured Promote
 // hook, unconditionally (the operator's explicit decision). The swap it
 // triggers advances the fleet generation, which resets the flywheel to
-// buffering on the next observed window.
+// buffering on the first window observed under it — whether that window
+// comes before or after the hook returns.
 func (m *Manager) Promote() error {
 	m.mu.Lock()
 	cand := m.cand
@@ -367,18 +378,21 @@ func (m *Manager) Promote() error {
 	if m.cfg.Promote == nil {
 		return errors.New("adapt: no promotion hook configured")
 	}
-	if err := m.cfg.Promote(cand); err != nil {
-		m.mu.Lock()
+	err := m.cfg.Promote(cand)
+	m.mu.Lock()
+	if err != nil {
 		m.lastErr = err.Error()
 		m.mu.Unlock()
 		return err
 	}
-	m.mu.Lock()
 	m.promos++
-	m.phase = PhasePromoted
-	m.shadow = nil
-	m.cand = nil
 	m.lastErr = ""
+	// The lock was released around the hook. If this candidate is no longer
+	// the one in shadow, its swap has been observed already (or it was
+	// aborted meanwhile): that reset stands, and there is no swap to await.
+	if m.cand == cand {
+		m.to(PhasePromoted)
+	}
 	m.mu.Unlock()
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "promoted", Model: desc})
 	m.logf("adapt: promoted candidate: %s", desc)
@@ -388,10 +402,7 @@ func (m *Manager) Promote() error {
 // PromoteIfReady promotes only when the quality gate passes, returning
 // ErrGate otherwise.
 func (m *Manager) PromoteIfReady() error {
-	m.mu.Lock()
-	ready := m.gateReadyLocked()
-	m.mu.Unlock()
-	if !ready {
+	if !m.GateReady() {
 		return ErrGate
 	}
 	return m.Promote()
@@ -402,18 +413,14 @@ func (m *Manager) PromoteIfReady() error {
 // returns the flywheel to buffering.
 func (m *Manager) Abort() error {
 	m.mu.Lock()
-	if m.cand == nil && m.shadow == nil {
+	if m.phase != PhaseShadow {
 		m.mu.Unlock()
 		return ErrNoCandidate
 	}
 	desc := m.candDesc
-	m.cand = nil
-	m.candDesc = ""
-	m.shadow = nil
-	m.fams = nil
+	m.to(PhaseBuffer)
 	m.res.reset()
 	m.aborts++
-	m.phase = PhaseBuffer
 	m.mu.Unlock()
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "aborted", Model: desc})
 	m.logf("adapt: aborted candidate: %s", desc)
@@ -460,10 +467,9 @@ func (m *Manager) step() {
 	m.mu.Lock()
 	buffered := len(m.res.rows)
 	phase := m.phase
-	training := m.training
 	m.mu.Unlock()
 	switch {
-	case phase == PhaseBuffer && !training && buffered >= m.cfg.MinSupport:
+	case phase == PhaseBuffer && buffered >= m.cfg.MinSupport:
 		if err := m.BuildCandidate(); err != nil && !errors.Is(err, ErrNotReady) && !errors.Is(err, ErrBusy) {
 			m.logf("adapt: candidate build: %v", err)
 		}
@@ -523,7 +529,7 @@ func (m *Manager) Status() Status {
 		BufferedCap: m.res.cap,
 		Dropped:     m.res.dropped,
 		MinSupport:  m.cfg.MinSupport,
-		Training:    m.training,
+		Training:    m.phase == PhaseTrain,
 		AutoPromote: m.cfg.AutoPromote,
 		GateReady:   m.gateReadyLocked(),
 		Promotions:  m.promos,

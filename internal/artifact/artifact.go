@@ -509,9 +509,9 @@ func readInfo(path string, wantDrift bool) (*Info, error) {
 // identical stat signatures but different payloads still compare as
 // different, and two replicas holding the same payload compare as equal.
 // The serving watcher polls it to detect replacements, and the cluster
-// control plane (internal/cluster) uses it as the replication-convergence
-// check: every replica must report the same identity before a rolling
-// swap may prepare.
+// control plane (internal/cluster) uses it as the convergence check: a
+// rolling swap names an artifact by it, and every node must compute the
+// same identity from its own copy before it prepares.
 func (info *Info) Identity() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d", info.FormatVersion)

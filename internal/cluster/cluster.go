@@ -1,10 +1,10 @@
 // Package cluster scales the serving plane from one process to N: a
 // node-membership and routing layer in which every wccserve node owns a
-// stable slice of the splitmix64 keyspace, a replication control plane
-// that pushes `.wcc` artifacts to every replica and converges on the
-// artifact's CRC identity, and a rolling fleet-wide swap protocol —
-// prepare on all nodes, then commit — so no node ever serves a model
-// generation some peer cannot.
+// stable slice of the splitmix64 keyspace, a control plane whose frames
+// name a `.wcc` artifact (generation + CRC identity) while every replica
+// pulls the bytes over one route and converges on that identity, and a
+// rolling fleet-wide swap protocol — prepare on all nodes, then commit —
+// so no node ever serves a model generation some peer cannot.
 //
 // The layer deliberately reuses the single-process building blocks one
 // level up:
@@ -14,9 +14,10 @@
 //     (node count, then shard count within the owning node);
 //   - forwarded samples travel in the binary ingest framing of
 //     internal/wire, the same frames POST /v1/ingest accepts;
-//   - replicated artifacts are verified by artifact.Identity, the same
-//     section-CRC fingerprint the hot-swap watcher uses for change
-//     detection; identity equality across nodes IS the convergence check;
+//   - every node verifies its own copy of an artifact by
+//     artifact.Identity, the same section-CRC fingerprint the hot-swap
+//     watcher uses for change detection; identity equality across nodes IS
+//     the convergence check;
 //   - the prepare phase runs Server.ServableModel and commit calls
 //     Server.Install — the gates and the installer a single process's
 //     artifact watcher uses — so an artifact that cannot serve this fleet
@@ -30,8 +31,9 @@
 // and artifact identity, so liveness probes double as anti-entropy
 // advertisements: a node that learns an alive peer serves a newer
 // generation fetches that peer's artifact and installs it through the
-// same prepare/commit path — this is how a restarted node converges back
-// to the fleet's live CRC without operator action.
+// same fetch/prepare/commit calls a coordinated swap makes on a peer —
+// this is how a restarted node converges back to the fleet's live CRC
+// without operator action.
 package cluster
 
 import (
@@ -71,8 +73,9 @@ type Config struct {
 	// Serve configures the node's serving layer. New sets its Monitor to
 	// Core and builds the server.
 	Serve server.Config
-	// Dir is the artifact staging directory: replicated artifacts are
-	// persisted here (one file per generation) before prepare loads them.
+	// Dir is the artifact staging directory: artifacts are persisted here
+	// (one file per generation) before prepare loads them, and served from
+	// here to peers that pull them.
 	Dir string
 	// HeartbeatEvery is the peer ping cadence (default 500ms).
 	HeartbeatEvery time.Duration
@@ -104,7 +107,6 @@ type Config struct {
 type stagedModel struct {
 	gen      uint64
 	identity string
-	path     string
 	art      *artifact.Artifact
 }
 
@@ -116,11 +118,14 @@ type Node struct {
 	self  int
 	peers []string
 	core  *shard.Core
-	// client carries every control-plane and forwarding request; its
-	// transport is the fault-injection seam.
+	// client carries every control-plane, artifact and forwarding request;
+	// its transport is the fault-injection seam.
 	client *http.Client
-	logf   func(format string, args ...any)
-	now    func() time.Time
+	// artifactCap is MaxArtifactBytes, a field so a test can reach the cap
+	// without writing 128 MiB.
+	artifactCap int64
+	logf        func(format string, args ...any)
+	now         func() time.Time
 
 	// aliveMask is the routing read: bit i set means node i is believed
 	// alive. Owner loads it once per sample — no lock on the ingest path.
@@ -136,7 +141,6 @@ type Node struct {
 	peerIdent []string
 	gen       uint64
 	identity  string
-	artPath   string // committed artifact file in cfg.Dir ("" before the first swap)
 	staged    *stagedModel
 
 	// distSem serialises swap orchestration (local DistributeFile and
@@ -159,7 +163,7 @@ type Node struct {
 	forwardErrors   atomic.Uint64 // samples lost to failed forwarded POSTs
 	forwardReceived atomic.Uint64 // forwarded samples ingested for peers
 	redirects       atomic.Uint64 // job reads 307-redirected to their owner
-	replications    atomic.Uint64 // artifacts staged by replicate
+	replications    atomic.Uint64 // artifacts fetched (or staged locally) and persisted
 	clusterSwaps    atomic.Uint64 // generations committed on this node
 	clusterAborts   atomic.Uint64 // staged generations dropped
 	heartbeats      atomic.Uint64 // pings sent
@@ -214,20 +218,21 @@ func New(cfg Config) (*Node, error) {
 		logf = func(string, ...any) {}
 	}
 	n := &Node{
-		cfg:        cfg,
-		self:       cfg.Self,
-		peers:      append([]string(nil), cfg.Peers...),
-		core:       cfg.Core,
-		client:     &http.Client{Transport: transport, Timeout: cfg.RPCTimeout},
-		logf:       logf,
-		now:        cfg.Now,
-		alive:      make([]bool, len(cfg.Peers)),
-		failCount:  make([]int, len(cfg.Peers)),
-		peerGen:    make([]uint64, len(cfg.Peers)),
-		peerIdent:  make([]string, len(cfg.Peers)),
-		distSem:    make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		forwarders: make([]*forwarder, len(cfg.Peers)),
+		cfg:         cfg,
+		self:        cfg.Self,
+		peers:       append([]string(nil), cfg.Peers...),
+		core:        cfg.Core,
+		client:      &http.Client{Transport: transport, Timeout: cfg.RPCTimeout},
+		artifactCap: MaxArtifactBytes,
+		logf:        logf,
+		now:         cfg.Now,
+		alive:       make([]bool, len(cfg.Peers)),
+		failCount:   make([]int, len(cfg.Peers)),
+		peerGen:     make([]uint64, len(cfg.Peers)),
+		peerIdent:   make([]string, len(cfg.Peers)),
+		distSem:     make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		forwarders:  make([]*forwarder, len(cfg.Peers)),
 	}
 	// A node starts optimistic: every peer is presumed alive until
 	// DeadAfter heartbeats say otherwise, so boot-time routing matches the
@@ -528,19 +533,16 @@ func (n *Node) storeAliveMaskLocked() {
 }
 
 // catchUp is the anti-entropy pull: when an alive peer advertises a newer
-// generation than this node serves, fetch its artifact and install it
-// through the same replicate → prepare → commit path a coordinated swap
-// uses. This is how a restarted node converges back to the fleet's live
-// artifact CRC.
+// generation than this node serves, install it with the three calls a
+// peer-driven swap makes here — fetch, applyPrepare, applyCommit — driven by
+// this node instead of a coordinator. This is how a restarted node
+// converges back to the fleet's live artifact CRC.
 func (n *Node) catchUp() {
 	n.mu.Lock()
-	best, bestGen := -1, n.gen
+	best, gen, ident := -1, n.gen, ""
 	for i := range n.peers {
-		if i == n.self || !n.alive[i] {
-			continue
-		}
-		if n.peerGen[i] > bestGen {
-			best, bestGen = i, n.peerGen[i]
+		if i != n.self && n.alive[i] && n.peerGen[i] > gen {
+			best, gen, ident = i, n.peerGen[i], n.peerIdent[i]
 		}
 	}
 	n.mu.Unlock()
@@ -553,7 +555,20 @@ func (n *Node) catchUp() {
 		return // a swap is in flight; next round will re-check
 	}
 	defer func() { <-n.distSem }()
-	if err := n.pullArtifact(best); err != nil {
-		n.logf("cluster: catch-up from node %d failed: %v", best, err)
+	if n.Gen() >= gen {
+		return // a coordinator's commit landed while this round was pinging
 	}
+	err := n.fetch(best, gen, ident)
+	if err == nil {
+		_, err = n.applyPrepare(gen, ident)
+	}
+	if err == nil {
+		err = n.applyCommit(gen)
+	}
+	if err != nil {
+		n.logf("cluster: catch-up from node %d failed: %v", best, err)
+		return
+	}
+	n.logf("cluster: caught up to gen %d (identity %s) from node %d", gen, ident, best)
+	n.publishSwapPhase("caught-up", gen)
 }

@@ -594,8 +594,9 @@ func TestClusterStallTimeoutAborts(t *testing.T) {
 // cores an artifact whose drift reference covers 4 sensors. Commit would
 // refuse it on every node (the core checks a calibration against its sensor
 // count), so prepare must: the coordinator's own prepare fails, the roll
-// aborts before any peer stages it, and nothing is committed or logged as a
-// commit failure anywhere.
+// aborts before any peer is asked to pull it — a refused artifact never
+// leaves the coordinator — and nothing is committed or logged as a commit
+// failure anywhere.
 func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
 	const (
 		window  = 6
@@ -650,8 +651,13 @@ func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
 	for len(sub.Events()) > 0 {
 		phases = append(phases, (<-sub.Events()).Phase)
 	}
-	if got := strings.Join(phases, ","); got != "replicated,aborted" {
-		t.Errorf("swap phases %q, want replicated,aborted (prepared must never be published)", got)
+	if got := strings.Join(phases, ","); got != "aborted" {
+		t.Errorf("swap phases %q, want aborted (prepared must never be published)", got)
+	}
+	for i := 1; i < 3; i++ {
+		if got := metricValue(t, c.URLs[i], "wcc_cluster_replications_total"); got != 0 {
+			t.Errorf("node %d fetched and persisted %v artifacts, want 0", i, got)
+		}
 	}
 	logMu.Lock()
 	for _, l := range lines {

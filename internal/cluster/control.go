@@ -8,39 +8,39 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"repro/internal/artifact"
 	"repro/internal/events"
 )
 
-// Rolling fleet-wide swap: DistributeFile pushes one artifact through
-// three phases across every alive node —
+// Rolling fleet-wide swap (DESIGN.md §14): DistributeFile takes one
+// artifact through two RPC rounds across every alive node. Control frames
+// only name the artifact (generation + identity); its bytes move one way,
+// by fetch —
 //
-//	replicate  every node persists the artifact bytes and answers with
-//	           the CRC identity it computed from its own copy; a mismatch
-//	           anywhere fails the phase (corruption in transit or on disk
-//	           is caught before any node decodes a byte of it);
-//	prepare    every node decodes its copy, runs Server.ServableModel — the
-//	           whole gate Install runs, calibration fit included, so
-//	           nothing commit checks is left unproven — and stages the
-//	           artifact without serving it;
+//	stage      the coordinator persists the file into its own staging dir
+//	           and fingerprints that copy;
+//	prepare    the coordinator first — what it refuses never leaves it —
+//	           then every peer: pull the artifact from the coordinator,
+//	           verify the identity of the node's own copy before decoding a
+//	           byte of it, run Server.ServableModel (the whole gate Install
+//	           runs, so nothing commit checks is left unproven) and stage
+//	           it without serving it;
 //	commit     only after EVERY node acked prepare does any node install,
-//	           through the same Server.Install a local hot-swap ends in;
-//	           a prepare failure or timeout anywhere aborts everywhere.
+//	           through the same Server.Install a local hot-swap ends in.
 //
-// The invariant the phases exist for: no node ever serves a generation
-// some peer has not proven it can serve. A node that dies mid-swap is
-// detected by the membership layer and skipped; it converges through
-// anti-entropy when it returns. A node that merely stalls fails its
-// prepare RPC by timeout, which aborts the whole swap — the fleet
-// prefers staying on generation G everywhere over splitting between G
-// and G+1.
+// Anti-entropy catch-up is the three calls a peer makes — fetch,
+// applyPrepare, applyCommit — driven by the node itself; pull is the one
+// transport because catch-up cannot be pushed. The invariant: no node ever
+// serves a generation some peer has not proven it can serve. A node that
+// dies mid-swap is skipped and converges by anti-entropy on return; one
+// that stalls, refuses, or cannot reach the coordinator back fails its
+// prepare, which aborts everywhere — generation G on every node beats a
+// fleet split between G and G+1.
 
 // Control-plane route paths, shared by handlers and clients.
 const (
 	pingPath       = "/cluster/v1/ping"
-	replicatePath  = "/cluster/v1/replicate"
 	preparePath    = "/cluster/v1/swap/prepare"
 	commitPath     = "/cluster/v1/swap/commit"
 	abortPath      = "/cluster/v1/swap/abort"
@@ -53,21 +53,26 @@ const (
 const frameContentType = "application/x-wcc-cluster"
 
 // genHeader and identHeader carry a served artifact's generation and
-// identity on GET /cluster/v1/artifact responses.
+// identity on artifact responses.
 const (
 	genHeader   = "X-WCC-Generation"
 	identHeader = "X-WCC-Identity"
 )
+
+// MaxArtifactBytes caps the artifact one fetch will persist. Far above any
+// real .wcc (the smoke models are ~100 KiB) and far below anything that
+// could hurt the disk.
+const MaxArtifactBytes = 1 << 27
 
 // ErrSwapInFlight reports a DistributeFile refused because another swap
 // (local or anti-entropy) is mid-flight on this node.
 var ErrSwapInFlight = errors.New("cluster: a swap is already in flight")
 
 // DistributeFile runs one rolling fleet-wide swap of the artifact at
-// path: replicate to every alive node, prepare on all, then commit on
-// all. It returns the artifact's metadata on success, and is what a
-// cluster node's server.WatchConfig.Swap points at — the watcher detects
-// the retrained artifact, the cluster installs it everywhere.
+// path: stage it here, prepare on all, then commit on all. It returns the
+// artifact's metadata on success, and is what a cluster node's
+// server.WatchConfig.Swap points at — the watcher detects the retrained
+// artifact, the cluster installs it everywhere.
 func (n *Node) DistributeFile(path string) (artifact.Metadata, error) {
 	select {
 	case n.distSem <- struct{}{}:
@@ -75,44 +80,31 @@ func (n *Node) DistributeFile(path string) (artifact.Metadata, error) {
 		return artifact.Metadata{}, ErrSwapInFlight
 	}
 	defer func() { <-n.distSem }()
+	return n.distribute(path)
+}
 
-	data, err := os.ReadFile(path)
+// distribute is the orchestration: stage → prepare self → prepare peers
+// (each pulls) → commit peers → commit self.
+func (n *Node) distribute(path string) (artifact.Metadata, error) {
+	gen := n.Gen() + 1
+	src, err := os.Open(path)
 	if err != nil {
 		return artifact.Metadata{}, fmt.Errorf("cluster: reading artifact: %w", err)
 	}
-	return n.distribute(data)
-}
-
-// distribute is the three-phase orchestration over one artifact's bytes.
-func (n *Node) distribute(data []byte) (artifact.Metadata, error) {
-	n.mu.Lock()
-	gen := n.gen + 1
-	n.mu.Unlock()
-
-	// Replicate to self first: the local copy's identity is the reference
-	// every peer's copy must match.
-	ident, err := n.applyReplicate(gen, "", data)
+	ident, err := n.persist(gen, "", src)
+	src.Close()
 	if err != nil {
 		return artifact.Metadata{}, fmt.Errorf("cluster: staging local copy: %w", err)
 	}
-	targets := n.aliveTargets()
-	for _, peer := range targets {
-		ack, err := n.rpc(peer, replicatePath, Frame{Type: MsgReplicate, Node: n.self, Gen: gen, Identity: ident, Artifact: data})
-		if err != nil {
-			return artifact.Metadata{}, fmt.Errorf("cluster: replicating gen %d to node %d: %w", gen, peer, err)
-		}
-		if ack.Identity != ident {
-			return artifact.Metadata{}, fmt.Errorf("cluster: node %d persisted identity %q, want %q", peer, ack.Identity, ident)
-		}
-	}
-	n.publishSwapPhase("replicated", gen)
 
-	// Prepare on all — self included — before anything commits.
+	// Prepare on all before anything commits, self first: what this node
+	// refuses, no peer is asked to pull.
 	meta, err := n.applyPrepare(gen, ident)
 	if err != nil {
-		n.abortAll(gen, targets)
+		n.abortAll(gen, nil)
 		return artifact.Metadata{}, fmt.Errorf("cluster: preparing gen %d locally: %w", gen, err)
 	}
+	targets := n.aliveTargets()
 	for _, peer := range targets {
 		if _, err := n.rpc(peer, preparePath, Frame{Type: MsgPrepare, Node: n.self, Gen: gen, Identity: ident}); err != nil {
 			n.abortAll(gen, targets)
@@ -122,10 +114,11 @@ func (n *Node) distribute(data []byte) (artifact.Metadata, error) {
 	n.publishSwapPhase("prepared", gen)
 
 	// Every node has proven it can serve gen — prepare ran the very gate
-	// commit's Install runs — so commit rolls through the fleet. Peers first, coordinator last, so the coordinator's own
-	// generation (the one the watcher and anti-entropy compare against)
-	// only advances once the roll is complete. A peer that dies between
-	// its prepare ack and its commit converges by anti-entropy on return.
+	// commit's Install runs — so commit rolls through the fleet. Peers first,
+	// coordinator last, so the coordinator's own generation (the one the
+	// watcher and anti-entropy compare against) only advances once the roll
+	// is complete. A peer that dies between its prepare ack and its commit
+	// converges by anti-entropy on return.
 	for _, peer := range targets {
 		if _, err := n.rpc(peer, commitPath, Frame{Type: MsgCommit, Node: n.self, Gen: gen}); err != nil {
 			n.logf("cluster: commit of gen %d on node %d failed (will converge by anti-entropy): %v", gen, peer, err)
@@ -172,57 +165,78 @@ func (n *Node) publishSwapPhase(phase string, gen uint64) {
 }
 
 // stagePath is the staging file for one generation, deterministic so
-// replicate and prepare agree without passing paths over the wire.
+// the node that serves it and the node that prepares from it agree without
+// passing paths over the wire.
 func (n *Node) stagePath(gen uint64) string {
 	return filepath.Join(n.cfg.Dir, fmt.Sprintf("gen-%08d.wcc", gen))
 }
 
-// applyReplicate persists one replicated artifact atomically (temp file +
-// rename, the artifact.Save discipline, so a concurrent prepare never
-// reads a torn file) and returns the identity computed from the written
-// copy. A non-empty wantIdent that differs from the computed identity is
-// a transit/disk corruption error.
-func (n *Node) applyReplicate(gen uint64, wantIdent string, data []byte) (string, error) {
-	path := n.stagePath(gen)
+// fetch is the one way artifact bytes reach this node from another: GET
+// the peer's staged-or-committed file for gen and persist it. A copy with
+// the wanted identity already in staging (an aborted roll retried, a
+// restart over the same directory) is not fetched again.
+func (n *Node) fetch(from int, gen uint64, ident string) error {
+	if have, err := artifact.Identity(n.stagePath(gen)); err == nil && have == ident {
+		return nil
+	}
+	resp, err := n.client.Get(fmt.Sprintf("%s%s?gen=%d", n.peers[from], artifactPath, gen))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("node %d: HTTP %d: %s", from, resp.StatusCode, bytes.TrimSpace(body))
+	}
+	_, err = n.persist(gen, ident, resp.Body)
+	return err
+}
+
+// persist streams one artifact into the staging file for gen and returns
+// the identity computed from the written copy. The copy lands under a
+// temporary name and is renamed only once it is whole, under the size cap
+// and — when want is non-empty — fingerprinted as want, so prepare never
+// reads a torn file and a copy corrupted in transit never reaches staging.
+func (n *Node) persist(gen uint64, want string, r io.Reader) (string, error) {
 	tmp, err := os.CreateTemp(n.cfg.Dir, ".gen-*.tmp")
 	if err != nil {
 		return "", err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	defer os.Remove(tmp.Name()) // gone already once renamed
+	size, err := io.Copy(tmp, io.LimitReader(r, n.artifactCap+1))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", err
+	if size > n.artifactCap {
+		return "", fmt.Errorf("artifact exceeds the %d-byte cap", n.artifactCap)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return "", err
-	}
-	ident, err := artifact.Identity(path)
+	ident, err := artifact.Identity(tmp.Name())
 	if err != nil {
 		return "", fmt.Errorf("fingerprinting persisted artifact: %w", err)
 	}
-	if wantIdent != "" && ident != wantIdent {
-		return ident, fmt.Errorf("persisted identity %q differs from coordinator's %q", ident, wantIdent)
+	if want != "" && ident != want {
+		return "", fmt.Errorf("persisted identity %q differs from the wanted %q", ident, want)
+	}
+	if err := os.Rename(tmp.Name(), n.stagePath(gen)); err != nil {
+		return "", err
 	}
 	n.replications.Add(1)
 	return ident, nil
 }
 
-// applyPrepare decodes the staged artifact for gen, runs the serving gate
-// (everything Install will check), and holds the model ready without
-// installing it.
+// applyPrepare decodes the staged artifact for gen — once its identity is
+// the one asked for — runs the serving gate (everything Install will
+// check), and holds the model ready without installing it.
 func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, error) {
 	path := n.stagePath(gen)
 	ident, err := artifact.Identity(path)
 	if err != nil {
-		return artifact.Metadata{}, fmt.Errorf("no replicated artifact for gen %d: %w", gen, err)
+		return artifact.Metadata{}, fmt.Errorf("no staged artifact for gen %d: %w", gen, err)
 	}
-	if wantIdent != "" && ident != wantIdent {
+	if ident != wantIdent {
 		return artifact.Metadata{}, fmt.Errorf("staged identity %q differs from prepare's %q", ident, wantIdent)
 	}
 	a, err := artifact.Load(path)
@@ -237,7 +251,7 @@ func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, er
 	if gen <= n.gen {
 		return artifact.Metadata{}, fmt.Errorf("gen %d is not newer than committed gen %d", gen, n.gen)
 	}
-	n.staged = &stagedModel{gen: gen, identity: ident, path: path, art: a}
+	n.staged = &stagedModel{gen: gen, identity: ident, art: a}
 	return a.Meta, nil
 }
 
@@ -265,7 +279,6 @@ func (n *Node) applyCommit(gen uint64) error {
 	n.mu.Lock()
 	n.gen = st.gen
 	n.identity = st.identity
-	n.artPath = st.path
 	n.mu.Unlock()
 	n.clusterSwaps.Add(1)
 	return nil
@@ -284,50 +297,6 @@ func (n *Node) applyAbort(gen uint64) {
 	}
 }
 
-// pullArtifact is the anti-entropy fetch-and-install: GET the peer's
-// committed artifact and install it locally through the same
-// replicate/prepare/commit path a coordinated swap uses. Callers hold
-// the distribute semaphore.
-func (n *Node) pullArtifact(peer int) error {
-	resp, err := n.client.Get(n.peers[peer] + artifactPath)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	gen, err := strconv.ParseUint(resp.Header.Get(genHeader), 10, 64)
-	if err != nil {
-		return fmt.Errorf("parsing %s header: %w", genHeader, err)
-	}
-	wantIdent := resp.Header.Get(identHeader)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxFrameArtifactBytes+1))
-	if err != nil {
-		return err
-	}
-	if len(data) > MaxFrameArtifactBytes {
-		return fmt.Errorf("artifact exceeds the %d-byte cap", MaxFrameArtifactBytes)
-	}
-	if n.Gen() >= gen {
-		return nil // converged (or passed) while the fetch was in flight
-	}
-	ident, err := n.applyReplicate(gen, wantIdent, data)
-	if err != nil {
-		return err
-	}
-	if _, err := n.applyPrepare(gen, ident); err != nil {
-		return err
-	}
-	if err := n.applyCommit(gen); err != nil {
-		return err
-	}
-	n.logf("cluster: caught up to gen %d (identity %s) from node %d", gen, ident, peer)
-	n.publishSwapPhase("caught-up", gen)
-	return nil
-}
-
 // rpc posts one control frame to a peer and decodes the ack. A non-OK
 // ack surfaces as an error carrying the peer's reason.
 func (n *Node) rpc(peer int, path string, f Frame) (Frame, error) {
@@ -344,7 +313,7 @@ func (n *Node) rpc(peer int, path string, f Frame) (Frame, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return Frame{}, fmt.Errorf("node %d: HTTP %d: %s", peer, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	ack, err := DecodeFrame(io.LimitReader(resp.Body, MaxFrameArtifactBytes+1024))
+	ack, err := DecodeFrame(resp.Body)
 	if err != nil {
 		return Frame{}, fmt.Errorf("node %d: %w", peer, err)
 	}

@@ -2,30 +2,24 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 
+	"repro/internal/artifact"
 	"repro/internal/server"
 )
-
-// maxControlBody caps one control-plane request body: the frame overhead
-// plus the largest artifact a replicate may carry.
-const maxControlBody = MaxFrameArtifactBytes + 1024
 
 // buildHandler assembles the cluster-aware route table over the serving
 // layer's handler:
 //
 //	POST /cluster/v1/ping          heartbeat + anti-entropy advertisement
-//	POST /cluster/v1/replicate     persist a pushed artifact, ack its CRC identity
-//	POST /cluster/v1/swap/prepare  decode + gate + stage a generation
+//	POST /cluster/v1/swap/prepare  pull + decode + gate + stage a generation
 //	POST /cluster/v1/swap/commit   install the staged generation
 //	POST /cluster/v1/swap/abort    drop the staged generation
 //	POST /cluster/v1/ingest        peer-forwarded samples
-//	GET  /cluster/v1/artifact      committed artifact bytes, for catch-up
+//	GET  /cluster/v1/artifact      a staged or committed generation's bytes (?gen=)
 //	GET  /cluster/v1/info          membership/convergence snapshot (JSON)
 //
 // plus four interceptions of the inner API: POST /v1/ingest delivers each
@@ -47,26 +41,20 @@ func (n *Node) buildHandler(inner http.Handler) http.Handler {
 		n.notePeer(f.Node, f.Gen, f.Identity)
 		return Frame{Gen: n.Gen(), Identity: n.Identity()}, nil
 	}))
-	// The ack carries the identity computed from the persisted copy — the
-	// coordinator compares it to its own, so corruption in transit or on
-	// disk fails the replicate phase.
-	mux.HandleFunc("POST "+replicatePath, n.control(MsgReplicate, func(f Frame) (Frame, error) {
-		ident, err := n.applyReplicate(f.Gen, f.Identity, f.Artifact)
-		return Frame{Gen: f.Gen, Identity: ident}, err
-	}))
-	// Prepare stages behind the serving gates; nothing new is served until
-	// commit installs it, and abort drops it.
+	// Prepare pulls the named artifact from the sender, then stages it
+	// behind the serving gates; nothing new is served until commit installs
+	// it, and abort drops it. A sender this node cannot reach back fails the
+	// prepare, and with it the roll.
 	mux.HandleFunc("POST "+preparePath, n.control(MsgPrepare, func(f Frame) (Frame, error) {
-		if _, err := n.applyPrepare(f.Gen, f.Identity); err != nil {
-			return Frame{Gen: f.Gen}, err
+		err := n.fetch(f.Node, f.Gen, f.Identity)
+		if err == nil {
+			_, err = n.applyPrepare(f.Gen, f.Identity)
 		}
-		return Frame{Gen: f.Gen, Identity: f.Identity}, nil
+		return Frame{Gen: f.Gen, Identity: f.Identity}, err
 	}))
 	mux.HandleFunc("POST "+commitPath, n.control(MsgCommit, func(f Frame) (Frame, error) {
-		if err := n.applyCommit(f.Gen); err != nil {
-			return Frame{Gen: f.Gen}, err
-		}
-		return Frame{Gen: f.Gen, Identity: n.Identity()}, nil
+		err := n.applyCommit(f.Gen)
+		return Frame{Gen: f.Gen, Identity: n.Identity()}, err
 	}))
 	mux.HandleFunc("POST "+abortPath, n.control(MsgAbort, func(f Frame) (Frame, error) {
 		n.applyAbort(f.Gen)
@@ -108,19 +96,21 @@ func (n *Node) redirectOrServe(inner http.Handler) http.HandlerFunc {
 	}
 }
 
-// control is the one control-plane handler: decode and validate the frame,
-// require the route's message type, apply, and answer with an ack frame
-// built from apply's reply — OK when it returned no error, its text in Err
-// otherwise.
+// control is the one control-plane handler: decode and validate the frame
+// — which is all the body may hold, MaxFrameBytes at most — require the
+// route's message type, apply, and answer with an ack frame built from
+// apply's reply — OK when it returned no error, its text in Err otherwise.
 func (n *Node) control(want MsgType, apply func(Frame) (Frame, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		f, err := DecodeFrame(io.LimitReader(r.Body, maxControlBody))
+		body := http.MaxBytesReader(w, r.Body, MaxFrameBytes)
+		f, err := DecodeFrame(body)
+		extra, _ := io.Copy(io.Discard, body) // reads up to the cap, keeps nothing
 		switch {
 		case err != nil:
+		case extra > 0:
+			err = fmt.Errorf("cluster: control body runs past its %s frame (%d bytes at most)", f.Type, MaxFrameBytes)
 		case f.Node >= len(n.peers):
 			err = fmt.Errorf("cluster: sender node %d out of range for %d-node cluster", f.Node, len(n.peers))
-		case want == MsgReplicate && (f.Type != want || len(f.Artifact) == 0):
-			err = errors.New("cluster: replicate needs a MsgReplicate frame with an artifact payload")
 		case f.Type != want:
 			err = fmt.Errorf("cluster: %s frame on the %s route", f.Type, want)
 		}
@@ -132,37 +122,41 @@ func (n *Node) control(want MsgType, apply func(Frame) (Frame, error)) http.Hand
 		ack.Type, ack.Node, ack.OK = MsgAck, n.self, err == nil
 		if err != nil {
 			ack.Err = err.Error()
+			ack.Err = ack.Err[:min(len(ack.Err), MaxFrameBytes/4)]
 		}
-		body, err := AppendFrame(ack)
+		reply, err := AppendFrame(ack)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", frameContentType)
-		w.Write(body)
+		w.Write(reply)
 	}
 }
 
-// handleArtifact serves the committed artifact's bytes with its
-// generation and identity in headers — the anti-entropy fetch a
-// rejoining node converges from.
+// handleArtifact streams the staging file of one generation — ?gen=G,
+// staged or committed; the committed one without it — with its generation
+// and identity in headers. It is the one route artifact bytes leave a node
+// by: a peer's prepare and a rejoining node's catch-up both pull from it.
 func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	path, gen, ident := n.artPath, n.gen, n.identity
-	n.mu.Unlock()
-	if path == "" {
-		http.Error(w, "cluster: no committed artifact on this node yet", http.StatusNotFound)
-		return
+	gen := n.Gen()
+	if q := r.URL.Query().Get("gen"); q != "" {
+		var err error
+		if gen, err = strconv.ParseUint(q, 10, 64); err != nil {
+			http.Error(w, "cluster: gen: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
-	data, err := os.ReadFile(path)
+	path := n.stagePath(gen)
+	ident, err := artifact.Identity(path)
 	if err != nil {
-		http.Error(w, "cluster: reading committed artifact: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, fmt.Sprintf("cluster: no artifact for gen %d on this node", gen), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(genHeader, strconv.FormatUint(gen, 10))
 	w.Header().Set(identHeader, ident)
-	w.Write(data)
+	http.ServeFile(w, r, path)
 }
 
 // handleInfo serves the membership/convergence snapshot as JSON.
@@ -216,7 +210,7 @@ func (n *Node) writeClusterMetrics(w io.Writer) {
 	mw.Counter("wcc_cluster_forward_errors_total", "Samples lost to failed forwarded POSTs.", n.forwardErrors.Load())
 	mw.Counter("wcc_cluster_forward_received_total", "Forwarded samples this node ingested for peers.", n.forwardReceived.Load())
 	mw.Counter("wcc_cluster_redirects_total", "Job reads answered 307 to their owner.", n.redirects.Load())
-	mw.Counter("wcc_cluster_replications_total", "Artifacts persisted by the replicate phase.", n.replications.Load())
+	mw.Counter("wcc_cluster_replications_total", "Artifacts fetched (or staged by a coordinator) and persisted.", n.replications.Load())
 	mw.Counter("wcc_cluster_swaps_total", "Generations committed on this node.", n.clusterSwaps.Load())
 	mw.Counter("wcc_cluster_aborts_total", "Staged generations dropped by an abort.", n.clusterAborts.Load())
 	mw.Counter("wcc_cluster_heartbeats_total", "Heartbeat pings sent.", n.heartbeats.Load())

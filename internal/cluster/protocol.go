@@ -10,25 +10,25 @@ import (
 )
 
 // Control protocol: the binary frames cluster nodes exchange for
-// membership (ping/ack), artifact replication, and the two-phase rolling
-// swap (prepare/commit/abort + ack). Frames ride POST bodies between
-// nodes; the layout reuses internal/wire's error-sticky primitives, so
-// the decoder inherits the same hostile-input posture as the artifact and
-// ingest codecs: every length prefix is bounds-checked before allocation,
-// a truncated or corrupted frame produces a descriptive error, never a
-// panic.
+// membership (ping/ack) and the two-phase rolling swap
+// (prepare/commit/abort + ack). Frames ride POST bodies between nodes and
+// carry no payload: they name an artifact (generation + identity), and the
+// bytes move only by GET /cluster/v1/artifact (see fetch). The layout
+// reuses internal/wire's error-sticky primitives, so the decoder inherits
+// the same hostile-input posture as the artifact and ingest codecs: every
+// length prefix is bounds-checked before allocation, a truncated or
+// corrupted frame produces a descriptive error, never a panic.
 //
-// Frame layout (little-endian):
+// Frame layout (little-endian), at most MaxFrameBytes in all:
 //
 //	magic    4 bytes  "WCCC"
-//	version  u8       protocol version (1)
+//	version  u8       protocol version (2)
 //	type     u8       message type (see MsgType)
 //	node     i64      sender node ID
 //	gen      u64      generation the message speaks about
 //	identity string   artifact CRC identity (u64-len prefixed)
 //	ok       bool     ack verdict (1 byte, 0 or 1)
 //	errmsg   string   ack failure reason ("" on success)
-//	artifact bytes    artifact payload (u64-len prefixed; replicate only)
 //
 // Every frame carries every field — the cost is a few bytes of zero-value
 // prefixes on small messages, and in exchange the decoder is a single
@@ -39,14 +39,15 @@ import (
 // scanner might throw at the endpoint.
 var protoMagic = [4]byte{'W', 'C', 'C', 'C'}
 
-// ProtoVersion is the control protocol version this build speaks.
-const ProtoVersion = 1
+// ProtoVersion is the control protocol version this build speaks. Version
+// 1 frames ended in an artifact payload (the retired replicate push); a
+// version-1 frame is refused like any other unknown version.
+const ProtoVersion = 2
 
-// MaxFrameArtifactBytes caps the artifact payload one replicate frame may
-// carry; larger declared lengths are treated as corruption. Far above any
-// real .wcc (the smoke models are ~100 KiB) and far below anything that
-// could hurt the process.
-const MaxFrameArtifactBytes = 1 << 27
+// MaxFrameBytes caps one encoded control frame, request or ack. The
+// decoder never reads past it whatever a length prefix claims, so a control
+// route costs a hostile sender's frame a few KiB of this process at most.
+const MaxFrameBytes = 4 << 10
 
 // MsgType discriminates control frames.
 type MsgType uint8
@@ -55,14 +56,12 @@ const (
 	// MsgPing is the heartbeat: sender's ID, generation and artifact
 	// identity, so liveness probes double as anti-entropy advertisements.
 	MsgPing MsgType = 1
-	// Value 2 is unassigned — pings are answered with MsgAck — and the
-	// decoder rejects it.
-	// MsgReplicate pushes an artifact's raw bytes to a replica, which
-	// persists it and answers MsgAck with the identity it computed — the
-	// convergence check.
-	MsgReplicate MsgType = 3
-	// MsgPrepare asks a replica to stage the replicated artifact for the
-	// given generation: decode it, run the serving-compatibility gates,
+	// Values 2 and 3 are unassigned — pings are answered with MsgAck, and
+	// artifact bytes are pulled, never pushed — and the decoder rejects
+	// them.
+	// MsgPrepare asks a replica to stage the named artifact for the given
+	// generation: pull it from the sender unless a copy with that identity
+	// is already staged, decode it, run the serving-compatibility gates,
 	// hold the model ready — and serve NOTHING new yet.
 	MsgPrepare MsgType = 4
 	// MsgCommit asks a replica to install its staged generation. Sent only
@@ -81,8 +80,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgPing:
 		return "ping"
-	case MsgReplicate:
-		return "replicate"
 	case MsgPrepare:
 		return "prepare"
 	case MsgCommit:
@@ -104,15 +101,14 @@ type Frame struct {
 	Identity string // artifact CRC identity
 	OK       bool   // ack verdict
 	Err      string // ack failure reason
-	Artifact []byte // replicate payload
 }
 
-// EncodeFrame serialises one control frame.
-func EncodeFrame(w io.Writer, f Frame) error {
-	if len(f.Artifact) > MaxFrameArtifactBytes {
-		return fmt.Errorf("cluster: %d-byte artifact exceeds the %d-byte frame cap", len(f.Artifact), MaxFrameArtifactBytes)
-	}
-	ww := wire.NewWriter(w)
+// AppendFrame encodes the frame into a fresh byte slice — the form the
+// HTTP client posts. A frame DecodeFrame would refuse for its size is
+// refused here.
+func AppendFrame(f Frame) ([]byte, error) {
+	var buf bytes.Buffer
+	ww := wire.NewWriter(&buf)
 	for _, b := range protoMagic {
 		ww.U8(b)
 	}
@@ -123,16 +119,11 @@ func EncodeFrame(w io.Writer, f Frame) error {
 	ww.String(f.Identity)
 	ww.Bool(f.OK)
 	ww.String(f.Err)
-	ww.Bytes(f.Artifact)
-	return ww.Err()
-}
-
-// AppendFrame encodes the frame into a fresh byte slice — the form the
-// HTTP client posts.
-func AppendFrame(f Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, f); err != nil {
+	if err := ww.Err(); err != nil {
 		return nil, err
+	}
+	if buf.Len() > MaxFrameBytes {
+		return nil, fmt.Errorf("cluster: %d-byte %s frame exceeds the %d-byte cap", buf.Len(), f.Type, MaxFrameBytes)
 	}
 	return buf.Bytes(), nil
 }
@@ -141,7 +132,7 @@ func AppendFrame(f Frame) ([]byte, error) {
 // descriptive and sticky (first failure wins); the function never panics
 // on truncation, wrong magic, or hostile length prefixes.
 func DecodeFrame(r io.Reader) (Frame, error) {
-	rr := wire.NewReader(r)
+	rr := wire.NewReader(io.LimitReader(r, MaxFrameBytes))
 	var magic [4]byte
 	for i := range magic {
 		magic[i] = rr.U8()
@@ -164,15 +155,11 @@ func DecodeFrame(r io.Reader) (Frame, error) {
 		OK:       rr.Bool(),
 		Err:      rr.String(),
 	}
-	f.Artifact = rr.Bytes()
 	if err := rr.Err(); err != nil {
 		return Frame{}, fmt.Errorf("cluster: decoding %s frame: %w", f.Type, err)
 	}
-	if len(f.Artifact) > MaxFrameArtifactBytes {
-		return Frame{}, fmt.Errorf("cluster: %d-byte artifact exceeds the %d-byte frame cap", len(f.Artifact), MaxFrameArtifactBytes)
-	}
 	switch f.Type {
-	case MsgPing, MsgReplicate, MsgPrepare, MsgCommit, MsgAbort, MsgAck:
+	case MsgPing, MsgPrepare, MsgCommit, MsgAbort, MsgAck:
 	default:
 		return Frame{}, fmt.Errorf("cluster: unknown message type %d", uint8(f.Type))
 	}

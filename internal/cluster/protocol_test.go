@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 )
@@ -14,13 +15,24 @@ func sampleFrames() []Frame {
 		{Type: MsgPing, Node: 0, Gen: 0},
 		{Type: MsgPing, Node: 2, Gen: 7, Identity: "v3|meta:120:a1b2c3d4"},
 		{Type: MsgAck, Node: 1, Gen: 7, Identity: "v3|meta:120:a1b2c3d4", OK: true}, // how a ping is answered
-		{Type: MsgReplicate, Node: 0, Gen: 8, Identity: "v3|meta:9:00000001", Artifact: []byte{0xde, 0xad, 0xbe, 0xef}},
 		{Type: MsgPrepare, Node: 0, Gen: 8, Identity: "v3|meta:9:00000001"},
 		{Type: MsgCommit, Node: 0, Gen: 8},
 		{Type: MsgAbort, Node: 0, Gen: 8},
 		{Type: MsgAck, Node: 1, Gen: 8, OK: true, Identity: "v3|meta:9:00000001"},
 		{Type: MsgAck, Node: 1, Gen: 8, OK: false, Err: "gen 8 is not newer than committed gen 9"},
 	}
+}
+
+// v1ReplicateFrame is a frame as protocol version 1 laid it out: type 3
+// (replicate), ending in a length-prefixed artifact payload.
+func v1ReplicateFrame(t testing.TB) []byte {
+	body, err := AppendFrame(Frame{Type: MsgPing, Node: 0, Gen: 8, Identity: "v3|meta:9:00000001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[4], body[5] = 1, 3
+	body = binary.LittleEndian.AppendUint64(body, 4)
+	return append(body, 0xde, 0xad, 0xbe, 0xef)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -34,8 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("decoding %v: %v", f.Type, err)
 		}
 		if got.Type != f.Type || got.Node != f.Node || got.Gen != f.Gen ||
-			got.Identity != f.Identity || got.OK != f.OK || got.Err != f.Err ||
-			!bytes.Equal(got.Artifact, f.Artifact) {
+			got.Identity != f.Identity || got.OK != f.OK || got.Err != f.Err {
 			t.Errorf("%v round-trip mismatch:\n got %+v\nwant %+v", f.Type, got, f)
 		}
 	}
@@ -45,7 +56,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // each prefix must produce a descriptive error — never a panic, never a
 // silently-zero frame.
 func TestDecodeFrameTruncation(t *testing.T) {
-	full, err := AppendFrame(Frame{Type: MsgReplicate, Node: 1, Gen: 3, Identity: "v3|m:1:ff", Artifact: []byte{1, 2, 3, 4, 5}})
+	full, err := AppendFrame(Frame{Type: MsgAck, Node: 1, Gen: 3, Identity: "v3|m:1:ff", Err: "no staged model for gen 3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +102,11 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 			wantSub: "not supported",
 		},
 		{
+			name:    "retired protocol version 1",
+			body:    v1ReplicateFrame(t),
+			wantSub: "protocol version 1 not supported",
+		},
+		{
 			name:    "unknown message type",
 			body:    mutate(func(b []byte) []byte { b[5] = 200; return b }),
 			wantSub: "unknown message type",
@@ -99,6 +115,11 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 			name:    "retired message type 2",
 			body:    mutate(func(b []byte) []byte { b[5] = 2; return b }),
 			wantSub: "unknown message type 2",
+		},
+		{
+			name:    "retired message type 3",
+			body:    mutate(func(b []byte) []byte { b[5] = 3; return b }),
+			wantSub: "unknown message type 3",
 		},
 		{
 			name: "negative sender node",
@@ -139,28 +160,32 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameArtifactCap pins that a declared artifact length beyond
-// the frame cap is rejected as corruption rather than honoured.
-func TestDecodeFrameArtifactCap(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, Frame{Type: MsgReplicate, Node: 0, Gen: 1}); err != nil {
+// TestFrameCap pins both ends of the frame cap: the decoder stops at
+// MaxFrameBytes whatever a length prefix claims, and the encoder refuses a
+// frame the decoder would.
+func TestFrameCap(t *testing.T) {
+	if _, err := AppendFrame(Frame{Type: MsgAck, Err: strings.Repeat("x", MaxFrameBytes)}); err == nil {
+		t.Error("a frame over the cap encoded without error")
+	}
+	body, err := AppendFrame(Frame{Type: MsgPing, Node: 0, Gen: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	// The artifact length prefix is the final 8 bytes of a payload-less frame.
-	binary.LittleEndian.PutUint64(b[len(b)-8:], uint64(MaxFrameArtifactBytes)+1)
-	if _, err := DecodeFrame(bytes.NewReader(b)); err == nil {
-		t.Fatal("oversized artifact length decoded without error")
+	// The errmsg length prefix is the final 8 bytes of a frame with no
+	// reason; claim 64 MiB and supply it.
+	binary.LittleEndian.PutUint64(body[len(body)-8:], 64<<20)
+	padded := io.MultiReader(bytes.NewReader(body), io.LimitReader(zeroes{}, 64<<20))
+	if _, err := DecodeFrame(padded); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("DecodeFrame of a 64 MiB frame = %v, want it cut short at the cap", err)
 	}
 }
 
-// TestEncodeFrameRefusesOversizedArtifact pins the producer-side cap.
-func TestEncodeFrameRefusesOversizedArtifact(t *testing.T) {
-	var buf bytes.Buffer
-	err := EncodeFrame(&buf, Frame{Type: MsgReplicate, Artifact: make([]byte, MaxFrameArtifactBytes+1)})
-	if err == nil {
-		t.Fatal("oversized artifact encoded without error")
-	}
+// zeroes is an endless stream of zero bytes that allocates nothing.
+type zeroes struct{}
+
+func (zeroes) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // FuzzDecodeFrame throws arbitrary bytes at the control-protocol decoder:
@@ -174,6 +199,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add(v1ReplicateFrame(f))
 	f.Add([]byte("WCCC"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -190,8 +216,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
 		if again.Type != fr.Type || again.Node != fr.Node || again.Gen != fr.Gen ||
-			again.Identity != fr.Identity || again.OK != fr.OK || again.Err != fr.Err ||
-			!bytes.Equal(again.Artifact, fr.Artifact) {
+			again.Identity != fr.Identity || again.OK != fr.OK || again.Err != fr.Err {
 			t.Fatalf("re-decode mismatch:\n got %+v\nwant %+v", again, fr)
 		}
 	})

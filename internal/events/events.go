@@ -2,7 +2,9 @@
 // generation-aware event bus carrying the discrete moments polling smears
 // — a job's classification changing, an open-set verdict rejecting a
 // workload as unknown, the fleet drift score crossing a PSI band, a model
-// hot-swap installing, a shard tick loop failing or recovering.
+// hot-swap installing, a shard tick loop failing or recovering, and, in a
+// cluster, a peer's liveness flipping or a rolling swap being prepared,
+// committed, aborted or caught up with.
 //
 // The bus is built for untrusted, possibly stalled consumers:
 //
@@ -57,8 +59,9 @@ const (
 	// after rejoining (see internal/cluster).
 	TypeMembership Type = "membership"
 	// TypeClusterSwap fires as a rolling fleet-wide swap advances through
-	// its phases — replicated, prepared, committed, aborted — on the
-	// orchestrating node. Per-node model installs still publish TypeSwap on
+	// its phases — prepared, committed, aborted — on the orchestrating node,
+	// and when a node that missed a generation has caught up by itself
+	// ("caught-up"). Per-node model installs still publish TypeSwap on
 	// each node's own bus; TypeClusterSwap narrates the cross-node protocol.
 	TypeClusterSwap Type = "cluster_swap"
 	// TypeAdapt fires as the continual-learning flywheel advances through
@@ -118,8 +121,8 @@ type Event struct {
 
 	// Node and Phase describe cluster events: Node is the peer a membership
 	// event speaks about (or the node a cluster-swap phase just covered),
-	// Phase is the rolling-swap phase reached ("replicated", "prepared",
-	// "committed", "aborted"). Adapt events reuse Phase for the lifecycle
+	// Phase is the rolling-swap phase reached ("prepared", "committed",
+	// "aborted", "caught-up"). Adapt events reuse Phase for the lifecycle
 	// step reached ("candidate", "shadow", "promoted", "aborted") and Model
 	// for the candidate artifact description.
 	Node  *int   `json:"node,omitempty"`

@@ -126,7 +126,7 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Monitor: served, TickEvery: 2 * time.Millisecond, QueueDepth: 64, Workers: 4})
+	srv, err := New(Config{Monitor: served, TickEvery: 2 * time.Millisecond, queueDepth: 64, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	opts := events.SubOptions{Buffer: s.cfg.EventBuffer}
+	opts := events.SubOptions{Buffer: s.cfg.eventBuffer}
 	if raw := r.URL.Query().Get("type"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			t := events.Type(strings.TrimSpace(part))

@@ -188,7 +188,7 @@ func waitSubscribers(t *testing.T, s *Server, n int) {
 // path) never blocks, and the handler goroutine does not leak once the
 // connection dies.
 func TestEventsSlowClientEvicted(t *testing.T) {
-	s, _, ts := newTestServer(t, func(c *Config) { c.EventBuffer = 2 })
+	s, _, ts := newTestServer(t, func(c *Config) { c.eventBuffer = 2 })
 	before := runtime.NumGoroutine()
 
 	resp, err := http.Get(ts.URL + "/v1/events")

@@ -159,7 +159,7 @@ func FuzzBinaryIngestFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := New(Config{Monitor: m, TickEvery: time.Hour, MaxBodyBytes: 1 << 20})
+	s, err := New(Config{Monitor: m, TickEvery: time.Hour, maxBodyBytes: 1 << 20})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func FuzzIngestHTTP(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := New(Config{Monitor: m, TickEvery: time.Hour, MaxBodyBytes: 1 << 20})
+	s, err := New(Config{Monitor: m, TickEvery: time.Hour, maxBodyBytes: 1 << 20})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -147,8 +147,8 @@ func (s *Server) writeAdaptMetrics(mw Metrics) {
 	st := s.cfg.Adapt.Status()
 	w := mw.W
 
-	mw.Family("wcc_adapt_phase", "Flywheel lifecycle phase (one-hot: buffer, train, shadow, promoted, aborted).", "gauge")
-	for _, p := range []string{"buffer", "train", "shadow", "promoted", "aborted"} {
+	mw.Family("wcc_adapt_phase", "Flywheel lifecycle phase (one-hot: buffer, train, shadow, promoted).", "gauge")
+	for _, p := range []string{"buffer", "train", "shadow", "promoted"} {
 		v := 0
 		if string(st.Phase) == p {
 			v = 1

@@ -69,6 +69,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,24 +140,13 @@ type Config struct {
 	ClassNames []string
 	// TickEvery is the batched-inference cadence (default 10ms).
 	TickEvery time.Duration
-	// QueueDepth bounds how many parsed ingest batches may wait for a
-	// worker (default 256), across every IngestHandler mount. A full queue
-	// answers 429 with Retry-After instead of blocking.
-	QueueDepth int
 	// Workers is the number of goroutines draining the ingest queue
 	// (default 4).
 	Workers int
-	// MaxBodyBytes caps one ingest request body (default 16 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the client backoff advertised on 429 (default 1s,
-	// rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 	// EvictAfter > 0 enables idle-job eviction: jobs idle longer than this
-	// are removed from the registry every EvictEvery (default EvictAfter/4),
-	// bounding memory on fleets whose producers never call DELETE.
+	// are removed from the registry every EvictAfter/4, bounding memory on
+	// fleets whose producers never call DELETE.
 	EvictAfter time.Duration
-	// EvictEvery overrides the eviction sweep interval.
-	EvictEvery time.Duration
 	// Logf, when non-nil, receives operational log lines (tick errors,
 	// eviction sweeps).
 	Logf func(format string, args ...any)
@@ -165,10 +155,6 @@ type Config struct {
 	// so prediction, unknown and swap events flow, and the server adds
 	// drift-band and shard-health events on top.
 	Events *events.Bus
-	// EventBuffer bounds each SSE subscriber's queue (default 256). A
-	// subscriber whose queue overflows is evicted — its stream ends — so a
-	// stalled reader can never backpressure tick write-back.
-	EventBuffer int
 	// Now, when non-nil, replaces the real clock for tick latency
 	// measurement (see fleet.Config.Now for the same knob on the monitor);
 	// nil means time.Now.
@@ -180,13 +166,32 @@ type Config struct {
 	// caller's model path and watcher.
 	Adapt *adapt.Manager
 
-	// testHook, when non-nil, runs at the top of every worker batch —
-	// tests use it to hold workers and fill the queue deterministically.
-	testHook func()
+	// The rest is set by this package's tests only. testHook, when non-nil,
+	// runs at the top of every worker batch, to hold workers and fill the
+	// queue deterministically; each of the others replaces, when non-zero,
+	// the default no caller ever changed.
+	testHook     func()
+	queueDepth   int           // defaultQueueDepth
+	maxBodyBytes int64         // defaultMaxBodyBytes
+	retryAfter   time.Duration // defaultRetryAfter
+	evictEvery   time.Duration // EvictAfter/4
+	eventBuffer  int           // defaultEventBuffer
 }
 
-// defaultMaxBodyBytes is the default cap on one ingest request body.
-const defaultMaxBodyBytes = 16 << 20
+const (
+	// defaultQueueDepth bounds how many parsed ingest batches may wait for a
+	// worker, across every IngestHandler mount. A full queue answers 429
+	// with Retry-After (defaultRetryAfter, in whole seconds) instead of
+	// blocking.
+	defaultQueueDepth = 256
+	defaultRetryAfter = time.Second
+	// defaultMaxBodyBytes caps one ingest request body.
+	defaultMaxBodyBytes = 16 << 20
+	// defaultEventBuffer bounds each SSE subscriber's queue. A subscriber
+	// whose queue overflows is evicted — its stream ends — so a stalled
+	// reader can never backpressure tick write-back.
+	defaultEventBuffer = 256
+)
 
 // eventHeartbeat is the SSE keep-alive comment cadence: it keeps idle
 // streams alive through proxies and lets dead client connections surface as
@@ -297,26 +302,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 10 * time.Millisecond
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.EvictAfter > 0 && cfg.EvictEvery <= 0 {
-		cfg.EvictEvery = cfg.EvictAfter / 4
-	}
+	cfg.queueDepth = cmp.Or(cfg.queueDepth, defaultQueueDepth)
+	cfg.maxBodyBytes = cmp.Or(cfg.maxBodyBytes, defaultMaxBodyBytes)
+	cfg.retryAfter = cmp.Or(cfg.retryAfter, defaultRetryAfter)
+	cfg.evictEvery = cmp.Or(cfg.evictEvery, cfg.EvictAfter/4)
+	cfg.eventBuffer = cmp.Or(cfg.eventBuffer, defaultEventBuffer)
 	if cfg.Events == nil {
 		cfg.Events = events.NewBus()
-	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 256
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -324,7 +319,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		m:           cfg.Monitor,
-		queue:       make(chan *ingestBatch, cfg.QueueDepth),
+		queue:       make(chan *ingestBatch, cfg.queueDepth),
 		stop:        make(chan struct{}),
 		start:       time.Now(),
 		now:         cfg.Now,
@@ -541,7 +536,7 @@ func (s *Server) lastTickErr() string {
 
 func (s *Server) evictLoop() {
 	defer s.loopWG.Done()
-	t := time.NewTicker(s.cfg.EvictEvery)
+	t := time.NewTicker(s.cfg.evictEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -628,7 +623,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 	defer ingestScratchPool.Put(sc)
 
 	parseStart := time.Now()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	var err error
 	sc.body, err = readBody(sc.body[:0], body)
 	if err != nil {
@@ -680,7 +675,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 		}
 		if !queued {
 			s.throttled.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.retryAfter)))
 			writeError(w, http.StatusTooManyRequests, "ingest queue full")
 			return
 		}

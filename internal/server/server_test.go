@@ -227,9 +227,9 @@ func TestIngestBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s, m, ts := newTestServer(t, func(cfg *Config) {
-		cfg.QueueDepth = 1
+		cfg.queueDepth = 1
 		cfg.Workers = 1
-		cfg.RetryAfter = 3 * time.Second
+		cfg.retryAfter = 3 * time.Second
 		cfg.testHook = func() {
 			entered <- struct{}{}
 			<-release
@@ -517,7 +517,7 @@ func TestCloseFlushesPendingWindows(t *testing.T) {
 // TestIngestBodyTooLarge pins the request-level failure mode: an oversized
 // batch is rejected whole with 413 before anything is ingested.
 func TestIngestBodyTooLarge(t *testing.T) {
-	_, m, ts := newTestServer(t, func(cfg *Config) { cfg.MaxBodyBytes = 64 })
+	_, m, ts := newTestServer(t, func(cfg *Config) { cfg.maxBodyBytes = 64 })
 	line := sampleLine(1, jobSamples(1, 1)[0])
 	resp, _ := postNDJSON(t, ts.URL, strings.Repeat(line+"\n", 10))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -533,7 +533,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 func TestIdleEvictionLoop(t *testing.T) {
 	_, m, ts := newTestServer(t, func(cfg *Config) {
 		cfg.EvictAfter = 10 * time.Millisecond
-		cfg.EvictEvery = 2 * time.Millisecond
+		cfg.evictEvery = 2 * time.Millisecond
 	})
 	if resp, ir := postNDJSON(t, ts.URL, sampleLine(1, jobSamples(1, 1)[0])); resp.StatusCode != 200 || ir.Accepted != 1 {
 		t.Fatalf("ingest: %d / %+v", resp.StatusCode, ir)
