@@ -25,8 +25,9 @@
 //
 // -scale and -seed must match the serving model's training provenance for
 // the accuracy report to be meaningful: wccinfo shows an artifact's
-// provenance, and the defaults here match wccserve's training defaults
-// (scale 0.08, seed 1) so the two commands agree out of the box.
+// provenance, and the defaults here match wcctrain's (scale 0.15, seed 1)
+// so an artifact made with wcctrain -o and no sizing flags is scored
+// correctly out of the box.
 //
 // With -cluster (comma-separated node URLs of a wccserve -cluster fleet)
 // each job's batches are sent straight to the node that owns the job —
@@ -57,7 +58,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/shard"
+	"repro/internal/fleet"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -65,7 +66,7 @@ import (
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8077", "base URL of the wccserve -listen API")
 	jobs := flag.Int("jobs", 256, "number of concurrent fleet jobs to drive")
-	scale := flag.Float64("scale", 0.08, "simulation scale; must match the serving model's training provenance (wccinfo shows it) for the accuracy report to mean anything")
+	scale := flag.Float64("scale", 0.15, "simulation scale; must match the serving model's training provenance (wccinfo shows it) for the accuracy report to mean anything")
 	seed := flag.Int64("seed", 1, "simulation seed; must match the serving model's training provenance")
 	start := flag.Float64("start", 120, "job time at which replay begins (skips the class-agnostic startup phase)")
 	seconds := flag.Float64("seconds", 120, "seconds of telemetry to replay per job (must exceed the server's window)")
@@ -185,7 +186,7 @@ func run(out io.Writer, c config) error {
 			nodes[i] = strings.TrimRight(strings.TrimSpace(nodes[i]), "/")
 		}
 	}
-	nodeOf := func(job int) int { return int(shard.JobHash(job) % uint64(len(nodes))) }
+	nodeOf := func(job int) int { return int(fleet.JobHash(job) % uint64(len(nodes))) }
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: c.conns}}
 	defer client.CloseIdleConnections()

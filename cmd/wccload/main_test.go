@@ -27,8 +27,8 @@ func testConfig() config {
 	return config{jobs: testJobs, scale: 0.02, seed: 1, start: 120, seconds: 6, batch: 16, conns: 2}
 }
 
-// fleet boots n in-process nodes sized for the simulator's seven sensors.
-func fleet(t *testing.T, n int) *clustertest.Cluster {
+// bootFleet boots n in-process nodes sized for the simulator's seven sensors.
+func bootFleet(t *testing.T, n int) *clustertest.Cluster {
 	t.Helper()
 	return clustertest.Start(t, clustertest.Options{Nodes: n, Window: testWindow, Sensors: 7})
 }
@@ -62,7 +62,7 @@ func TestRunOneNodeBothFramings(t *testing.T) {
 	sent := map[string]int{}
 	for _, framing := range []string{"ndjson", "binary"} {
 		t.Run(framing, func(t *testing.T) {
-			c := fleet(t, 1)
+			c := bootFleet(t, 1)
 			cfg := testConfig()
 			cfg.addr, cfg.framing = c.URLs[0], framing
 			var out bytes.Buffer
@@ -93,7 +93,7 @@ func TestRunOneNodeBothFramings(t *testing.T) {
 // that owns its jobs, so a healthy fleet reroutes nothing, forwards nothing
 // server-side, and the union of the nodes' snapshots is the whole fleet.
 func TestRunClusterRoutesByOwner(t *testing.T) {
-	c := fleet(t, 3)
+	c := bootFleet(t, 3)
 	cfg := testConfig()
 	cfg.cluster = strings.Join(c.URLs, ", ")
 	var out bytes.Buffer
@@ -120,7 +120,7 @@ func TestRunClusterRoutesByOwner(t *testing.T) {
 // reroute to the next node (counted), the run still succeeds, and the report
 // says whose snapshot is missing instead of failing.
 func TestRunClusterSurvivesADeadNode(t *testing.T) {
-	c := fleet(t, 3)
+	c := bootFleet(t, 3)
 	c.Kill(1)
 	if !clustertest.Settle(3*time.Second, func() bool {
 		return !c.Member(0).Cluster.Alive()[1] && !c.Member(2).Cluster.Alive()[1]

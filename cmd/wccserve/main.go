@@ -1,16 +1,14 @@
-// Command wccserve is the serving process: it obtains the paper's best
-// baseline as one model artifact — either trained offline at startup, or
-// loaded in milliseconds from a .wcc file written by wcctrain -o /
-// repro.SaveModel — and serves it over the HTTP API (see internal/server; docs/API.md is the full
-// reference) from the sharded core (internal/shard): jobs hash to
-// independent monitor shards (-shards, default GOMAXPROCS), each ticking on
-// its own goroutine.
+// Command wccserve is the serving process: it loads the paper's best
+// baseline as one model artifact — a .wcc file written by wcctrain -o /
+// repro.SaveModel, in milliseconds — and serves it over the HTTP API (see
+// internal/server; docs/API.md is the full reference) from the sharded
+// core (fleet.Monitor): jobs hash to independent monitor shards (-shards,
+// default GOMAXPROCS), each ticking on its own goroutine.
 //
 // Usage:
 //
-//	wccserve
-//	wccserve -scale 0.05 -trees 50 -workers 8 -tick 10ms -shards 4
-//	wccserve -model rf-cov.wcc -listen 127.0.0.1:8077 -shards 8
+//	wccserve -model rf-cov.wcc
+//	wccserve -model rf-cov.wcc -listen 127.0.0.1:8077 -tick 10ms -shards 8
 //
 // The API offers NDJSON or binary batch ingest with bounded-queue
 // backpressure, prediction reads, /healthz and /metrics with per-shard
@@ -19,19 +17,19 @@
 // cmd/wccload is the matching load generator; it reports ingest throughput,
 // live accuracy, rejection quality and drift score over HTTP.
 //
-// With -model no training happens: the artifact supplies the classifier,
-// the scaler, the drift calibration and the window shape. While serving,
-// the artifact path is polled (-model-poll) and a replaced artifact —
-// detected by its section CRCs, so even a same-size, same-mtime rewrite is
-// caught — is hot-swapped into the live fleet with zero downtime,
-// installing on every shard atomically.
+// -model is required and no training happens here: the artifact supplies
+// the classifier, the scaler, the drift calibration and the window shape.
+// While serving, the artifact path is polled (-model-poll) and a replaced
+// artifact — detected by its section CRCs, so even a same-size,
+// same-mtime rewrite is caught — is hot-swapped into the live fleet with
+// zero downtime, installing on every shard atomically.
 //
-// With -cluster (requires -model) the process joins an N-node serving
-// fleet: jobs hash across nodes, ingest for peer-owned jobs is forwarded
-// over the binary peer protocol, job reads redirect to the owner, and a
-// changed artifact rolls out fleet-wide via the two-phase prepare/commit
-// control plane, each node pulling the bytes it is asked to prepare (see
-// internal/cluster and docs/API.md):
+// With -cluster the process joins an N-node serving fleet: jobs hash
+// across nodes, ingest for peer-owned jobs is forwarded over the binary
+// peer protocol, job reads redirect to the owner, and a changed artifact
+// rolls out fleet-wide via the two-phase prepare/commit control plane,
+// each node pulling the bytes it is asked to prepare (see internal/cluster
+// and docs/API.md):
 //
 //	wccserve -model rf-cov.wcc -listen :8077 \
 //	    -cluster http://n0:8077,http://n1:8077,http://n2:8077 -node 0
@@ -48,12 +46,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/adapt"
 	"repro/internal/artifact"
 	"repro/internal/cluster"
@@ -62,21 +58,17 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.08, "training startup (without -model): simulation scale, 1.0 = the paper's 3,430 jobs")
-	seed := flag.Int64("seed", 1, "training startup (without -model): simulation and training seed; with -adapt: the flywheel's sampling seed")
-	trees := flag.Int("trees", 100, "training startup (without -model): random-forest ensemble size")
 	shards := flag.Int("shards", 0, "serving-core shards: partitions of the one monitor, each with its own tick loop (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "ingest worker pool size")
 	tick := flag.Duration("tick", 10*time.Millisecond, "per-shard batched inference interval")
-	model := flag.String("model", "", "serve this .wcc artifact instead of training at startup")
-	modelPoll := flag.Duration("model-poll", 2*time.Second, "with -model: poll interval for hot-swapping a changed artifact (0 disables)")
+	model := flag.String("model", "", "the .wcc artifact to serve (required; write one with wcctrain -o)")
+	modelPoll := flag.Duration("model-poll", 2*time.Second, "poll interval for hot-swapping a changed artifact (0 disables)")
 	listen := flag.String("listen", "127.0.0.1:8077", "serve the HTTP API on this address")
 	debugAddr := flag.String("debug-addr", "", "mount net/http/pprof on this separate address (off by default; keep it loopback-only)")
 	evictAfter := flag.Duration("evict-after", 0, "evict jobs idle longer than this (0 disables)")
-	clusterURLs := flag.String("cluster", "", "with -model: comma-separated base URLs of every cluster node in ID order; this process becomes node -node of that fleet")
+	clusterURLs := flag.String("cluster", "", "comma-separated base URLs of every cluster node in ID order; this process becomes node -node of that fleet")
 	clusterNode := flag.Int("node", 0, "with -cluster: this process's node ID (index into the -cluster list)")
 	clusterDir := flag.String("cluster-dir", "", "with -cluster: staging directory for the .wcc artifacts this node pulls from peers, and serves to them (default: a per-node dir under the OS temp dir)")
-	adaptOn := flag.Bool("adapt", false, "with -model: run the continual-learning flywheel — buffer rejected windows, cluster candidate families, shadow-score a retrained candidate, promote through the hot-swap path (see /v1/adapt)")
+	adaptOn := flag.Bool("adapt", false, "run the continual-learning flywheel — buffer rejected windows, cluster candidate families, shadow-score a retrained candidate, promote through the hot-swap path (see /v1/adapt)")
 	adaptMinSupport := flag.Int("adapt-min-support", 30, "with -adapt: rejected windows a cluster needs before it becomes a candidate class")
 	adaptRadius := flag.Float64("adapt-radius", 0, "with -adapt: leader-clustering radius in standardised feature space (0 = the calibration's feature-gate cut point; raise it when rejected traffic spans several loose archetypes that should fold into one family)")
 	adaptAuto := flag.Bool("adapt-auto-promote", false, "with -adapt: promote automatically when the shadow candidate passes the quality gate")
@@ -85,8 +77,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(config{
-		scale: *scale, seed: *seed, trees: *trees, shards: *shards, workers: *workers,
-		tick: *tick, model: *model, modelPoll: *modelPoll,
+		shards: *shards, tick: *tick, model: *model, modelPoll: *modelPoll,
 		listen: *listen, debugAddr: *debugAddr, evictAfter: *evictAfter,
 		cluster: *clusterURLs, node: *clusterNode, clusterDir: *clusterDir,
 		adapt: *adaptOn, adaptMinSupport: *adaptMinSupport, adaptRadius: *adaptRadius, adaptAuto: *adaptAuto,
@@ -98,11 +89,7 @@ func main() {
 }
 
 type config struct {
-	scale      float64
-	seed       int64
-	trees      int
 	shards     int
-	workers    int
 	tick       time.Duration
 	model      string
 	modelPoll  time.Duration
@@ -136,52 +123,32 @@ func clusterPeers(list string) []string {
 }
 
 // validate rejects the flag combinations that need no artifact to judge, so
-// a mistyped command line fails before any training or loading starts.
+// a mistyped command line fails before the artifact is loaded.
 func validate(c config) error {
+	if c.model == "" {
+		return fmt.Errorf("-model is required: write an artifact with wcctrain -o and serve that")
+	}
 	if c.cluster != "" {
-		if c.model == "" {
-			return fmt.Errorf("-cluster needs -model: the rolling-swap control plane distributes artifact files")
-		}
 		if n := len(clusterPeers(c.cluster)); c.node < 0 || c.node >= n {
 			return fmt.Errorf("-node %d out of range for the %d nodes in -cluster", c.node, n)
 		}
 	}
-	if c.adapt {
-		if c.model == "" {
-			return fmt.Errorf("-adapt needs -model: candidate retraining uses the artifact's provenance")
-		}
-		if c.modelPoll <= 0 {
-			return fmt.Errorf("-adapt needs -model-poll > 0: promotion installs candidates through the artifact watcher")
-		}
+	if c.adapt && c.modelPoll <= 0 {
+		return fmt.Errorf("-adapt needs -model-poll > 0: promotion installs candidates through the artifact watcher")
 	}
 	return nil
 }
 
-// acquireModel produces generation 0 as the one model value everything
-// below consumes: trained offline and bundled in memory, or loaded from the
-// -model file (milliseconds to first classification).
-func acquireModel(c config, out io.Writer) (*artifact.Artifact, error) {
-	if c.model == "" {
-		fmt.Fprintf(out, "offline phase: training RF-Cov (%d trees) on 60-middle-1 at scale %.2f...\n", c.trees, c.scale)
-		ds, err := repro.GenerateDataset("60-middle-1", c.scale, c.seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := repro.TrainRFCov(ds, c.trees, c.seed)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "  offline test accuracy: %.2f%%\n\n", res.Accuracy*100)
-		return res.Artifact(ds), nil
-	}
-
+// loadModel loads generation 0, the one model value everything below
+// consumes, from the -model file (milliseconds to first classification).
+func loadModel(path string, out io.Writer) (*artifact.Artifact, error) {
 	t0 := time.Now()
-	a, err := artifact.Load(c.model)
+	a, err := artifact.Load(path)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(out, "loaded %s artifact %s in %s (dataset %s, scale %.2f, seed %d, offline accuracy %.2f%%)\n\n",
-		a.Meta.Kind, c.model, time.Since(t0).Round(time.Millisecond), a.Meta.Dataset, a.Meta.Scale, a.Meta.Seed, a.Meta.Accuracy*100)
+		a.Meta.Kind, path, time.Since(t0).Round(time.Millisecond), a.Meta.Dataset, a.Meta.Scale, a.Meta.Seed, a.Meta.Accuracy*100)
 	return a, nil
 }
 
@@ -199,7 +166,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 	if err := validate(c); err != nil {
 		return err
 	}
-	a, err := acquireModel(c, out)
+	a, err := loadModel(c.model, out)
 	if err != nil {
 		return err
 	}
@@ -233,7 +200,6 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 			Calibration:      a.Drift,
 			ShadowMinWindows: c.adaptShadowMin,
 			AutoPromote:      c.adaptAuto,
-			Seed:             c.seed,
 			Logf:             logf,
 			Trainer:          adapt.NewProvenanceTrainer(a, logf),
 			Events:           bus,
@@ -252,7 +218,6 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 	scfg := server.Config{
 		ClassNames: a.Meta.ClassNames,
 		TickEvery:  c.tick,
-		Workers:    c.workers,
 		EvictAfter: c.evictAfter,
 		Events:     bus,
 		Adapt:      mgr,
@@ -296,7 +261,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 
 	stopWatch := make(chan struct{})
 	watchDone := make(chan struct{})
-	if c.model != "" && c.modelPoll > 0 {
+	if c.modelPoll > 0 {
 		go func() {
 			defer close(watchDone)
 			server.Watch(stopWatch, watch)

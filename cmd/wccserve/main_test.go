@@ -21,11 +21,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRunValidatesBeforeTraining drives bad flag combinations through run.
-// Every row leaves scale at 0 and, where it names a model, points at a path
-// that does not exist — so if run reached the trainer or the loader before
-// validate, the simulator's scale error or a file error would surface
-// instead of the flag error the row expects.
+// TestRunValidatesBeforeTraining drives bad flag combinations through
+// serve. Every row that names a model points at a path that does not exist,
+// so if serve reached the loader before validate, a file error would
+// surface instead of the flag error the row expects; and no row may get as
+// far as opening its listener.
 func TestRunValidatesBeforeTraining(t *testing.T) {
 	const missing = "testdata/does-not-exist.wcc"
 	cases := []struct {
@@ -33,17 +33,23 @@ func TestRunValidatesBeforeTraining(t *testing.T) {
 		c    config
 		want string
 	}{
-		{"cluster without model", config{cluster: "http://a,http://b"}, "-cluster needs -model"},
+		{"no model", config{}, "-model is required: write an artifact with wcctrain -o"},
+		{"cluster without model", config{cluster: "http://a,http://b"}, "-model is required"},
 		{"node past the list", config{cluster: "http://a,http://b", node: 2, model: missing}, "-node 2 out of range for the 2 nodes"},
 		{"negative node", config{cluster: "http://a,http://b", node: -1, model: missing}, "-node -1 out of range"},
-		{"adapt without model", config{adapt: true, modelPoll: time.Second}, "-adapt needs -model:"},
+		{"adapt without model", config{adapt: true, modelPoll: time.Second}, "-model is required"},
 		{"adapt without poll", config{adapt: true, model: missing}, "-adapt needs -model-poll > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.c)
+			tc.c.listen = "127.0.0.1:0"
+			var out bytes.Buffer
+			err := serve(context.Background(), tc.c, &out)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("run = %v, want an error containing %q", err, tc.want)
+				t.Fatalf("serve = %v, want an error containing %q", err, tc.want)
+			}
+			if servingLine.MatchString(out.String()) {
+				t.Fatalf("listener opened before the refusal:\n%s", out.String())
 			}
 		})
 	}
@@ -77,7 +83,6 @@ func boot(t *testing.T, c config) (url string, out *syncBuffer, stop func() erro
 	t.Helper()
 	c.listen = "127.0.0.1:0"
 	c.tick = 5 * time.Millisecond
-	c.workers = 2
 	out = &syncBuffer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -116,8 +121,8 @@ func getHealth(t *testing.T, url string) server.HealthResponse {
 	return h
 }
 
-// tinyArtifact trains the facade pipeline at the scale the tests below boot
-// at, as the value wccserve would train itself without -model.
+// tinyArtifact trains the facade pipeline at a small scale into the value
+// wcctrain -o would write for wccserve to load.
 func tinyArtifact(t *testing.T) *artifact.Artifact {
 	t.Helper()
 	ds, err := repro.GenerateDataset("60-middle-1", 0.05, 1)
@@ -131,26 +136,11 @@ func tinyArtifact(t *testing.T) *artifact.Artifact {
 	return res.Artifact(ds)
 }
 
-// TestServeTrainedAndLoadedBootAlike boots wccserve the two ways generation
-// 0 can arrive — trained at startup (no -model) and loaded from a saved
-// artifact — and checks both report the same serving shape, each under its
-// artifact's class names, and drain on cancellation.
-func TestServeTrainedAndLoadedBootAlike(t *testing.T) {
-	url, out, stop := boot(t, config{scale: 0.05, seed: 1, trees: 5})
-	trained := getHealth(t, url)
-	if err := stop(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if !strings.Contains(out.String(), "offline phase: training") || !strings.Contains(out.String(), "drained:") {
-		t.Errorf("trained boot printed:\n%s", out.String())
-	}
-	if trained.Window != 540 || trained.Sensors != int(telemetry.NumGPUSensors) || trained.Shards != runtime.GOMAXPROCS(0) {
-		t.Errorf("trained boot serves %dx%d over %d shards", trained.Window, trained.Sensors, trained.Shards)
-	}
-	if !reflect.DeepEqual(trained.Classes, telemetry.ClassNames()) {
-		t.Errorf("trained boot names classes %v", trained.Classes)
-	}
-
+// TestServeLoadedBoot boots wccserve from a saved artifact twice: at the
+// default shard count, which NewCore sizes to GOMAXPROCS, and at -shards 1,
+// which is the same serving shape rather than a separate one. Both serve
+// the artifact's class names and drain on cancellation.
+func TestServeLoadedBoot(t *testing.T) {
 	// The saved artifact renames its classes, so the names served can only
 	// have come from the file.
 	a := tinyArtifact(t)
@@ -162,33 +152,40 @@ func TestServeTrainedAndLoadedBootAlike(t *testing.T) {
 	if err := artifact.Save(path, a); err != nil {
 		t.Fatal(err)
 	}
-	url, out, stop = boot(t, config{model: path, modelPoll: time.Second, shards: 1})
-	loaded := getHealth(t, url)
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if !strings.Contains(out.String(), "loaded forest artifact") || !strings.Contains(out.String(), "drained:") {
-		t.Errorf("loaded boot printed:\n%s", out.String())
-	}
-	if loaded.Window != trained.Window || loaded.Sensors != trained.Sensors {
-		t.Errorf("loaded boot serves %dx%d, trained boot %dx%d", loaded.Window, loaded.Sensors, trained.Window, trained.Sensors)
-	}
-	if !reflect.DeepEqual(loaded.Classes, a.Meta.ClassNames) {
-		t.Errorf("loaded boot names classes %v, want the artifact's", loaded.Classes)
-	}
-	// One shard is the same serving shape, not a separate one.
-	if loaded.Shards != 1 || !strings.Contains(string(metrics), `wcc_shard_ticks_total{shard="0"}`) {
-		t.Errorf("-shards 1: /healthz shards %d, shard-labelled series present %v",
-			loaded.Shards, strings.Contains(string(metrics), `wcc_shard_ticks_total{shard="0"}`))
+
+	for _, shards := range []int{0, 1} {
+		url, out, stop := boot(t, config{model: path, modelPoll: time.Second, shards: shards})
+		h := getHealth(t, url)
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stop(); err != nil {
+			t.Fatalf("-shards %d: drain: %v", shards, err)
+		}
+		if !strings.Contains(out.String(), "loaded forest artifact") || !strings.Contains(out.String(), "drained:") {
+			t.Errorf("-shards %d: boot printed:\n%s", shards, out.String())
+		}
+		if h.Window != 540 || h.Sensors != int(telemetry.NumGPUSensors) {
+			t.Errorf("-shards %d: serves %dx%d windows", shards, h.Window, h.Sensors)
+		}
+		if !reflect.DeepEqual(h.Classes, a.Meta.ClassNames) {
+			t.Errorf("-shards %d: names classes %v, want the artifact's", shards, h.Classes)
+		}
+		want := shards
+		if shards == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		series := strings.Contains(string(metrics), `wcc_shard_ticks_total{shard="0"}`)
+		if h.Shards != want || !series {
+			t.Errorf("-shards %d: /healthz shards %d (want %d), shard-labelled series present %v",
+				shards, h.Shards, want, series)
+		}
 	}
 }
 

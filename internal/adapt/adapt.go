@@ -163,7 +163,7 @@ func (c *Config) fill() error {
 }
 
 // Manager runs the flywheel. It implements fleet.Observer; attach it with
-// fleet.Monitor.SetAdaptObserver (a *shard.Core is that type). All methods
+// fleet.Monitor.SetAdaptObserver. All methods
 // are safe for concurrent use; ObserveWindow follows the Observer contract
 // (concurrency-safe bounded compute inside the tick, never blocking).
 type Manager struct {

@@ -9,7 +9,7 @@
 // The layer deliberately reuses the single-process building blocks one
 // level up:
 //
-//   - routing hashes job IDs with shard.JobHash, the same splitmix64
+//   - routing hashes job IDs with fleet.JobHash, the same splitmix64
 //     finalizer the in-process shard router uses — one hash, two moduli
 //     (node count, then shard count within the owning node);
 //   - forwarded samples travel in the binary ingest framing of
@@ -49,7 +49,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // MaxNodes bounds the cluster size; the alive set is kept in one atomic
@@ -69,7 +68,7 @@ type Config struct {
 	Peers []string
 	// Core is the node's local serving core. The cluster layer routes and
 	// forwards around it but never reaches into its shards.
-	Core *shard.Core
+	Core *fleet.Monitor
 	// Serve configures the node's serving layer. New sets its Monitor to
 	// Core and builds the server.
 	Serve server.Config
@@ -117,7 +116,7 @@ type Node struct {
 	cfg   Config
 	self  int
 	peers []string
-	core  *shard.Core
+	core  *fleet.Monitor
 	// client carries every control-plane, artifact and forwarding request;
 	// its transport is the fault-injection seam.
 	client *http.Client
@@ -352,7 +351,7 @@ func (n *Node) Identity() string {
 func (n *Node) Owner(jobID int) int {
 	mask := n.aliveMask.Load()
 	size := len(n.peers)
-	start := int(shard.JobHash(jobID) % uint64(size))
+	start := int(fleet.JobHash(jobID) % uint64(size))
 	for i := 0; i < size; i++ {
 		node := (start + i) % size
 		if mask&(1<<uint(node)) != 0 {

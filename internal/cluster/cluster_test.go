@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster/clustertest"
 	"repro/internal/drift"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
@@ -315,7 +316,7 @@ func TestClusterKillNodeBoundedLoss(t *testing.T) {
 	// to a live owner and classify there.
 	dead := -1
 	for j := jobs; j < jobs+64; j++ {
-		if int(shard.JobHash(j)%3) == 2 {
+		if int(fleet.JobHash(j)%3) == 2 {
 			dead = j
 			break
 		}

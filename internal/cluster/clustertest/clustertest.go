@@ -1,5 +1,5 @@
 // Package clustertest runs a real multi-node serving cluster inside one
-// test process: N wccserve stacks (a shard.Core under a cluster.Node, which
+// test process: N wccserve stacks (a fleet.Monitor under a cluster.Node, which
 // builds its own server.Server) on loopback listeners, talking real HTTP
 // through a fault-injecting transport. Everything runs under plain
 // `go test` and `-race` — no containers, no sleeps standing in for
@@ -30,11 +30,11 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/cluster"
 	"repro/internal/drift"
+	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // Options sizes a test cluster. Zero values pick test-friendly defaults.
@@ -112,7 +112,7 @@ func (o *Options) fill() {
 type Member struct {
 	ID      int
 	URL     string
-	Core    *shard.Core
+	Core    *fleet.Monitor
 	Cluster *cluster.Node
 
 	httpSrv *http.Server

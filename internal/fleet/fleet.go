@@ -123,8 +123,8 @@ type Config struct {
 	// BatchClassifier, ticks use the batched path. Partitions tick
 	// concurrently, so it must tolerate concurrent predict calls.
 	Model stream.Classifier
-	// Shards is the partition count (default 1; shard.New defaults it to
-	// GOMAXPROCS). The count is fixed at construction; job routing depends
+	// Shards is the partition count (default 1; server.NewCore defaults it
+	// to GOMAXPROCS). The count is fixed at construction; job routing depends
 	// on it.
 	Shards int
 	// Drift, when non-nil, enables open-set detection and input-drift

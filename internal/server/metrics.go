@@ -8,7 +8,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/shard"
+	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
@@ -36,31 +36,9 @@ func (m Metrics) Gauge(name, help string, v float64) {
 }
 
 // handleMetrics renders Prometheus-style text metrics: monotonic counters
-// for scrapers that compute their own rates, plus convenience gauges —
-// samples/sec and classifications/sec over the interval since the previous
-// scrape (since start on the first), and tick-latency quantiles over the
-// last tickWindow ticks.
+// for scrapers that compute their own rates, plus gauges — among them
+// tick-latency quantiles over the last tickWindow ticks.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	samples := s.m.SamplesIngested()
-	classed := s.m.Classifications()
-
-	s.scrapeMu.Lock()
-	since := s.start
-	prevSamples, prevClassed := uint64(0), uint64(0)
-	if !s.lastScrape.IsZero() {
-		since = s.lastScrape
-		prevSamples, prevClassed = s.lastSamples, s.lastClassed
-	}
-	dt := now.Sub(since).Seconds()
-	var sampleRate, classRate float64
-	if dt > 0 {
-		sampleRate = float64(samples-prevSamples) / dt
-		classRate = float64(classed-prevClassed) / dt
-	}
-	s.lastScrape, s.lastSamples, s.lastClassed = now, samples, classed
-	s.scrapeMu.Unlock()
-
 	// The tick ring is shared with every tick loop's hot path, so the
 	// scrape must hold tickMu only to copy: the allocation happens before
 	// taking the lock and the O(n log n) sort after releasing it — a slow
@@ -79,8 +57,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	mw := Metrics{W: w}
 
-	mw.Counter("wcc_samples_ingested_total", "Telemetry samples accepted into the fleet.", samples)
-	mw.Counter("wcc_classifications_total", "Per-job classifications produced by inference ticks.", classed)
+	mw.Counter("wcc_samples_ingested_total", "Telemetry samples accepted into the fleet.", s.m.SamplesIngested())
+	mw.Counter("wcc_classifications_total", "Per-job classifications produced by inference ticks.", s.m.Classifications())
 	mw.Counter("wcc_ticks_total", "Completed batched inference ticks.", s.m.Ticks())
 	mw.Counter("wcc_tick_errors_total", "Inference ticks that returned an error.", tickErrs)
 	mw.Counter("wcc_model_swaps_total", "Zero-downtime classifier hot-swaps.", s.m.Swaps())
@@ -99,8 +77,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Gauge("wcc_jobs", "Jobs currently registered in the fleet.", float64(s.m.NumJobs()))
 	mw.Gauge("wcc_ingest_queue_depth", "Parsed ingest batches waiting for a worker.", float64(len(s.queue)))
 	mw.Gauge("wcc_ingest_queue_capacity", "Bound on queued ingest batches.", float64(cap(s.queue)))
-	mw.Gauge("wcc_samples_per_second", "Ingest rate over the interval since the previous scrape.", sampleRate)
-	mw.Gauge("wcc_classifications_per_second", "Classification rate over the interval since the previous scrape.", classRate)
 	mw.Gauge("wcc_uptime_seconds", "Seconds since the serving layer started.", time.Since(s.start).Seconds())
 	writeRuntimeMetrics(mw)
 
@@ -207,7 +183,7 @@ func (s *Server) writeStageMetrics(mw Metrics) {
 func (s *Server) writeShardMetrics(mw Metrics) {
 	per, w := s.m.ShardStats(), mw.W
 	mw.Gauge("wcc_shards", "Monitor shards in the serving core.", float64(len(per)))
-	shardCounter := func(name, help string, v func(shard.Stats) uint64) {
+	shardCounter := func(name, help string, v func(fleet.ShardStats) uint64) {
 		mw.Family(name, help, "counter")
 		for i, st := range per {
 			fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, v(st))
@@ -218,13 +194,13 @@ func (s *Server) writeShardMetrics(mw Metrics) {
 		fmt.Fprintf(w, "wcc_shard_jobs{shard=\"%d\"} %d\n", i, st.Jobs)
 	}
 	shardCounter("wcc_shard_samples_ingested_total", "Telemetry samples accepted by the shard.",
-		func(st shard.Stats) uint64 { return st.Samples })
+		func(st fleet.ShardStats) uint64 { return st.Samples })
 	shardCounter("wcc_shard_classifications_total", "Per-job classifications produced by the shard's ticks.",
-		func(st shard.Stats) uint64 { return st.Classifications })
+		func(st fleet.ShardStats) uint64 { return st.Classifications })
 	shardCounter("wcc_shard_ticks_total", "Completed inference passes on the shard.",
-		func(st shard.Stats) uint64 { return st.Ticks })
+		func(st fleet.ShardStats) uint64 { return st.Ticks })
 	shardCounter("wcc_shard_jobs_evicted_total", "Jobs removed from the shard's registry.",
-		func(st shard.Stats) uint64 { return st.Evictions })
+		func(st fleet.ShardStats) uint64 { return st.Evictions })
 }
 
 // quantile returns the nearest-rank q-quantile of sorted durations.

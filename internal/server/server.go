@@ -4,9 +4,8 @@
 // serving process keeps hot-swapping refreshed model artifacts underneath
 // without dropping either side. The fleet behind the API is anything
 // implementing the Monitor contract — in every production process a
-// partitioned fleet.Monitor (*shard.Core is its name here) — which the
-// serving layer drives with one independent tick loop per shard (partition)
-// plus shard-labelled /metrics.
+// partitioned fleet.Monitor — which the serving layer drives with one
+// independent tick loop per shard (partition) plus shard-labelled /metrics.
 //
 // docs/API.md is the complete request/response reference for this API.
 // The surface is deliberately small:
@@ -74,6 +73,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,7 +86,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -94,8 +93,7 @@ import (
 // Monitor is the fleet contract the serving layer drives: concurrent
 // sample ingest, per-shard batched inference ticks, prediction and snapshot
 // reads, job lifecycle, zero-downtime model swaps, and the fleet-wide and
-// per-shard counters /metrics exports. *fleet.Monitor (= *shard.Core)
-// implements it.
+// per-shard counters /metrics exports. *fleet.Monitor implements it.
 type Monitor interface {
 	Ingest(jobID int, sample []float64) error
 	// Tick is the whole-fleet pass; the server ticks shard by shard and
@@ -103,7 +101,7 @@ type Monitor interface {
 	Tick() (fleet.TickStats, error)
 	NumShards() int
 	TickShard(i int) (fleet.TickStats, error)
-	ShardStats() []shard.Stats
+	ShardStats() []fleet.ShardStats
 	SwapClassifierDrift(model stream.Classifier, cal *drift.Calibration) error
 	Prediction(jobID int) (*stream.Prediction, bool)
 	EndJob(jobID int) (*stream.Prediction, bool)
@@ -129,11 +127,11 @@ type Monitor interface {
 // it goes with the next benchmark-archetype PR.
 type Sharded = Monitor
 
-var _ Monitor = (*shard.Core)(nil)
+var _ Monitor = (*fleet.Monitor)(nil)
 
 // Config sizes an HTTP serving layer over a fleet monitor.
 type Config struct {
-	// Monitor is the fleet being served — a *shard.Core. Required.
+	// Monitor is the fleet being served — a *fleet.Monitor. Required.
 	Monitor Monitor
 	// ClassNames optionally maps class indices to workload names in
 	// prediction responses.
@@ -141,7 +139,7 @@ type Config struct {
 	// TickEvery is the batched-inference cadence (default 10ms).
 	TickEvery time.Duration
 	// Workers is the number of goroutines draining the ingest queue
-	// (default 4).
+	// (default GOMAXPROCS).
 	Workers int
 	// EvictAfter > 0 enables idle-job eviction: jobs idle longer than this
 	// are removed from the registry every EvictAfter/4, bounding memory on
@@ -257,11 +255,6 @@ type Server struct {
 	// a success), so one healthy shard cannot clear another's failure.
 	lastErrs []string
 
-	scrapeMu    sync.Mutex
-	lastScrape  time.Time
-	lastSamples uint64
-	lastClassed uint64
-
 	// namesMu guards classNames, which starts as Config.ClassNames and is
 	// replaced by Install when a swapped-in artifact names its own classes
 	// (an adapt promotion widens the class set).
@@ -303,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.TickEvery = 10 * time.Millisecond
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	cfg.queueDepth = cmp.Or(cfg.queueDepth, defaultQueueDepth)
 	cfg.maxBodyBytes = cmp.Or(cfg.maxBodyBytes, defaultMaxBodyBytes)

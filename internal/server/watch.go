@@ -3,11 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/fleet"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -106,12 +106,15 @@ func Servable(a *artifact.Artifact) (stream.Classifier, error) {
 // generation 0 the same kind of thing as every generation Install brings
 // later. shards ≤ 0 selects GOMAXPROCS; now, when non-nil, is the core's
 // injected clock.
-func NewCore(a *artifact.Artifact, shards int, now func() time.Time) (*shard.Core, error) {
+func NewCore(a *artifact.Artifact, shards int, now func() time.Time) (*fleet.Monitor, error) {
 	cls, err := Servable(a)
 	if err != nil {
 		return nil, err
 	}
-	return shard.New(shard.Config{
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return fleet.New(fleet.Config{
 		Window:  a.Meta.Window,
 		Sensors: a.Meta.Sensors,
 		Scaler:  a.Scaler,

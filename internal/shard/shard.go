@@ -1,11 +1,11 @@
-// Package shard is the set of names the frozen benchmark (benchmark/) and
-// the serving layer's signatures use for the partitioned serving core. The
-// core itself is fleet.Monitor: the partitions ("shards" — the only thing
-// that word means in this repository), the per-partition tick loops' entry
-// point TickShard, the fleet-wide atomic swap and the merged reads all live
-// there, once. What this package adds is one default: New sizes the core to
-// the machine (Shards = GOMAXPROCS) where a bare fleet.New means one
-// partition.
+// Package shard is the set of names the frozen benchmark (benchmark/) uses
+// for the partitioned serving core; no other non-test package imports it.
+// The core itself is fleet.Monitor: the partitions ("shards" — the only
+// thing that word means in this repository), the per-partition tick loops'
+// entry point TickShard, the fleet-wide atomic swap and the merged reads
+// all live there, once. What this package adds is one default: New sizes
+// the core to the machine (Shards = GOMAXPROCS) where a bare fleet.New
+// means one partition — the same default server.NewCore applies.
 //
 // Its tests stay here, unchanged, as the proof that P partitions equal one
 // monitor bit for bit: the same per-job streams through New(Shards: 4) and
@@ -24,9 +24,6 @@ type Core = fleet.Monitor
 // Config sizes a Core; New defaults Shards to GOMAXPROCS.
 type Config = fleet.Config
 
-// Stats is one partition's counters, for shard-labelled observability.
-type Stats = fleet.ShardStats
-
 // New validates the configuration and builds an empty core with one
 // partition per schedulable CPU unless cfg.Shards says otherwise.
 func New(cfg Config) (*Core, error) {
@@ -35,7 +32,3 @@ func New(cfg Config) (*Core, error) {
 	}
 	return fleet.New(cfg)
 }
-
-// JobHash is the stable job-routing hash the in-process partition router and
-// the cluster's node router share (fleet.JobHash).
-func JobHash(jobID int) uint64 { return fleet.JobHash(jobID) }
