@@ -1,11 +1,12 @@
 // Command wccbench regenerates the paper's tables from the simulated
-// labelled dataset.
+// labelled dataset. Its standard output is a Markdown document: each table
+// under a "###" heading, and Tables V and VI and §IV-B one row per cell with
+// the paper's value beside ours. RESULTS.md is that output for the scaled
+// preset:
 //
-// Usage:
-//
-//	wccbench -preset scaled -table all
+//	wccbench -preset scaled -table all > RESULTS.md
 //	wccbench -preset smoke -table 5
-//	wccbench -preset scaled -table ablations -v
+//	wccbench -preset scaled -table 6 -rnn-stride 20   # the sequence-stride ablation
 //
 // Tables: 1, 2 (prints II and III), 4, 5, 6, 7 (prints VII-IX), xgb, fused,
 // ablations, all — the names core.Tables resolves. Serving-plane
@@ -67,8 +68,8 @@ func run(w io.Writer, presetName, table string, verbose bool, rnnEpochs, rnnMaxT
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "preset %s: %d jobs, %d GPU series (paper: 3,430 jobs, >17k series)\n\n",
-		p.Name, len(sim.Jobs()), sim.TotalGPUSeries())
+	fmt.Fprintf(w, "# wccbench -preset %s -table %s\n\npreset %s: %d jobs, %d GPU series (paper: 3,430 jobs, >17k series)\n\n",
+		p.Name, table, p.Name, len(sim.Jobs()), sim.TotalGPUSeries())
 
 	start := time.Now()
 	for _, t := range tables {

@@ -226,11 +226,20 @@ func run(w io.Writer, o opts) error {
 		fmt.Fprintf(w, "saved %s artifact to %s\n", res.artifact.Meta.Kind, o.out)
 	}
 	if o.report {
-		rep, err := metrics.Report(ch.Test.Y, res.pred, int(telemetry.NumClasses), telemetry.ClassNames())
+		names := telemetry.ClassNames()
+		rep, err := metrics.Report(ch.Test.Y, res.pred, len(names), names)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, rep)
+		cm, err := metrics.NewConfusionMatrix(ch.Test.Y, res.pred, len(names))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "most-confused class pairs:")
+		for _, c := range cm.MostConfused(5) {
+			fmt.Fprintf(w, "  %-14s mistaken for %-14s %d times\n", names[c[0]], names[c[1]], c[2])
+		}
 	}
 	return nil
 }
@@ -303,14 +312,15 @@ func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challeng
 	return outcome{accuracy: a.Meta.Accuracy, pred: held.Pred, artifact: a}, nil
 }
 
-// trainSequence trains an RNN on the raw (downsampled) windows and scores
-// the test split.
+// trainSequence trains an RNN on the standardised, downsampled windows Table
+// VI trains on (core.SequenceTensors) and scores the test split.
 func trainSequence(_ io.Writer, o opts, _ core.Provenance, ch *dataset.Challenge) (outcome, error) {
-	trainT := ch.Train.X.Downsample(o.stride)
-	testT := ch.Test.X.Downsample(o.stride)
+	trainT, testT, err := core.SequenceTensors(ch, o.stride)
+	if err != nil {
+		return outcome{}, err
+	}
 	numClasses := int(telemetry.NumClasses)
 	var m nn.SequenceClassifier
-	var err error
 	switch o.model {
 	case "lstm":
 		m, err = nn.NewBiLSTMClassifier(trainT.C, o.hidden, trainT.T, numClasses, 1, o.seed)

@@ -11,8 +11,10 @@ import (
 	"repro"
 	"repro/internal/adapt"
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/mat"
+	"repro/internal/nn"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -254,7 +256,7 @@ func TestUnsavedArmsStillReport(t *testing.T) {
 	if err := run(&out, o); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"dataset 60-middle-1: 40 train / 20 test trials", "test accuracy: ", telemetry.ClassNames()[0]} {
+	for _, want := range []string{"dataset 60-middle-1: 40 train / 20 test trials", "test accuracy: ", telemetry.ClassNames()[0], "most-confused class pairs:\n", " mistaken for "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
@@ -263,5 +265,48 @@ func TestUnsavedArmsStillReport(t *testing.T) {
 		if strings.Contains(out.String(), not) {
 			t.Errorf("output mentions %q:\n%s", not, out.String())
 		}
+	}
+}
+
+// TestSequenceArmTrainsOnTable6Input: the lstm arm standardises before it
+// downsamples, as Table VI and the paper do, so at a tiny 2-epoch setting
+// it predicts exactly what a network trained on core.SequenceTensors does.
+func TestSequenceArmTrainsOnTable6Input(t *testing.T) {
+	o := trainOpts("lstm", "cov", 40, 20, "")
+	o.hidden, o.epochs, o.stride = 4, 2, 20
+	p := core.Provenance{Dataset: o.dsName, Scale: o.scale, Seed: o.seed, MaxTrain: o.maxTrain, MaxTest: o.maxTest}
+	_, ch, err := p.Regenerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trainSequence(nil, o, p, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trainT, testT, err := core.SequenceTensors(ch, o.stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewBiLSTMClassifier(trainT.C, o.hidden, trainT.T, int(telemetry.NumClasses), 1, o.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := nn.DefaultTrainConfig()
+	cfg.Epochs, cfg.Seed = o.epochs, o.seed
+	if _, err := nn.Train(m, trainT, ch.Train.Y, cfg); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := nn.Predict(m, testT, nil, cfg.BatchSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scored(ch.Test.Y, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.accuracy != want.accuracy || !reflect.DeepEqual(got.pred, want.pred) {
+		t.Errorf("lstm arm: accuracy %.4f, predictions %v; on core.SequenceTensors: %.4f, %v",
+			got.accuracy, got.pred, want.accuracy, want.pred)
 	}
 }

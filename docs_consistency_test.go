@@ -37,8 +37,9 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // TestDocsConsistency holds the written contract to the code: docs/API.md
 // names every HTTP route the server and the cluster control plane register
 // and every wcc_* metric either exports, every internal package carries
-// package godoc, and — one training path (DESIGN.md §7) — only internal/core
-// calibrates a drift section or spells out the simulation settings.
+// package godoc, every test the docs cite exists, and — one training path
+// (DESIGN.md §7) — only internal/core calibrates a drift section or spells
+// out the simulation settings.
 func TestDocsConsistency(t *testing.T) {
 	doc, err := os.ReadFile("docs/API.md")
 	if err != nil {
@@ -93,23 +94,35 @@ func TestDocsConsistency(t *testing.T) {
 	}
 
 	stray := regexp.MustCompile(`drift\.Fit\(|GapRate: 1`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	var testFuncs []string
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			switch filepath.ToSlash(path) {
-			case "benchmark", "vendor", ".git", "internal/telemetry", "internal/core":
+			case "vendor", ".git":
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				testFuncs = append(testFuncs, string(m[1]))
+			}
+			return nil
+		}
+		switch dir := filepath.ToSlash(filepath.Dir(path)); {
+		case dir == "benchmark", dir == "internal/telemetry", dir == "internal/core":
+			return nil
 		}
 		if loc := stray.Find(src); loc != nil {
 			t.Errorf("%s: %s outside internal/core (use core.TrainArtifact / core.Provenance)", path, loc)
@@ -118,5 +131,19 @@ func TestDocsConsistency(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// Every test, benchmark or fuzz target the docs cite exists; a trailing
+	// * cites every function with that prefix, and at least one must exist.
+	cites := `\b(?:Test|Benchmark|Fuzz)[A-Z]\w*\*?`
+	for _, name := range quoted(t, cites, "README.md", "DESIGN.md", "CONTRIBUTING.md", "docs/API.md", ".claude/skills/verify/SKILL.md") {
+		prefix, wild := strings.CutSuffix(name, "*")
+		found := false
+		for _, f := range testFuncs {
+			found = found || f == name || wild && strings.HasPrefix(f, prefix)
+		}
+		if !found {
+			t.Errorf("the docs cite %s, which no _test.go declares", name)
+		}
 	}
 }

@@ -329,12 +329,20 @@ func TestTable6SpecNames(t *testing.T) {
 func TestRenderTable(t *testing.T) {
 	out := RenderTable("Title", []string{"A", "Long header"},
 		[][]string{{"x", "1"}, {"longer cell", "2"}})
-	if !strings.Contains(out, "Title") || !strings.Contains(out, "Long header") {
-		t.Errorf("render:\n%s", out)
+	want := "### Title\n\n| A | Long header |\n|---|---|\n| x | 1 |\n| longer cell | 2 |\n"
+	if out != want {
+		t.Errorf("render:\n%s\nwant:\n%s", out, want)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Errorf("got %d lines:\n%s", len(lines), out)
+}
+
+// TestRenderAgainstPaper: Δ is the difference of the two printed values, so
+// it never disagrees with them in the last digit.
+func TestRenderAgainstPaper(t *testing.T) {
+	out := renderAgainstPaper("T", []againstPaper{{"d", "m", 93.02, 0.715}, {"d", "n", 50, 0.5}})
+	for _, want := range []string{"| d | m | 93.02 | 71.50 | -21.52 |", "| d | n | 50.00 | 50.00 | +0.00 |"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
 	}
 }
 

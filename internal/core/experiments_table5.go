@@ -199,36 +199,14 @@ var paperTable5 = map[Table5Model]map[string]float64{
 // PaperTable5 exposes the published Table V accuracies (percent).
 func PaperTable5() map[Table5Model]map[string]float64 { return paperTable5 }
 
-// FormatTable5 renders measured accuracies with the paper's values beside
-// them.
+// FormatTable5 renders measured accuracies one row per cell, with the
+// paper's value beside each.
 func FormatTable5(res *Table5Result) string {
-	headers := []string{"Model"}
+	var cells []againstPaper
 	for _, d := range res.Datasets {
-		headers = append(headers, shortName(d))
-	}
-	var cells [][]string
-	for _, m := range Table5Models {
-		row := []string{string(m)}
-		for _, d := range res.Datasets {
-			row = append(row, pct(res.Cells[m][d].Accuracy))
+		for _, m := range Table5Models {
+			cells = append(cells, againstPaper{d, string(m), paperTable5[m][d], res.Cells[m][d].Accuracy})
 		}
-		cells = append(cells, row)
-		paperRow := []string{"  (paper)"}
-		for _, d := range res.Datasets {
-			paperRow = append(paperRow, fmt.Sprintf("%.2f", paperTable5[m][d]))
-		}
-		cells = append(cells, paperRow)
 	}
-	return RenderTable("Table V: SVM and RF test accuracy (%)", headers, cells)
-}
-
-func shortName(d string) string {
-	switch d {
-	case "60-start-1":
-		return "Start"
-	case "60-middle-1":
-		return "Middle"
-	default:
-		return "R" + d[len(d)-1:]
-	}
+	return renderAgainstPaper("Table V: SVM and RF test accuracy (%)", cells)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/mat"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/telemetry"
@@ -60,6 +59,8 @@ type Table6Result struct {
 	Cells    map[string]map[string]Table6Cell
 	Models   []string
 	Datasets []string
+	// Setting names where the preset departs from the paper's protocol.
+	Setting string
 }
 
 // RunTable6 reproduces Table VI: the six Section V architectures trained on
@@ -77,6 +78,7 @@ func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 	if scale < 1 {
 		scale = 1
 	}
+	res.Setting = fmt.Sprintf("hidden sizes ÷%d, stride %d, at most %d epochs", scale, p.RNN.Stride, p.RNN.Epochs)
 
 	for _, dsName := range table6Datasets {
 		spec, ok := dataset.SpecByName(dsName)
@@ -88,14 +90,10 @@ func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 			return nil, err
 		}
 
-		// Standardise per the paper (no other preprocessing), then reshape
-		// back to sequences, optionally downsampled for the scaled presets.
-		trainZ, testZ, _, err := standardised(ch)
+		trainT, testT, err := SequenceTensors(ch, p.RNN.Stride)
 		if err != nil {
 			return nil, err
 		}
-		trainT := tensorFromFlat(trainZ, ch.Train.X.T, ch.Train.X.C).Downsample(p.RNN.Stride)
-		testT := tensorFromFlat(testZ, ch.Test.X.T, ch.Test.X.C).Downsample(p.RNN.Stride)
 		seqLen := trainT.T
 		numClasses := int(telemetry.NumClasses)
 
@@ -152,14 +150,4 @@ func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 		}
 	}
 	return res, nil
-}
-
-// tensorFromFlat reshapes a flattened standardised matrix (n×(T·C)) back to
-// a sequence tensor.
-func tensorFromFlat(z *mat.Matrix, t, c int) *dataset.Tensor3 {
-	out := dataset.NewTensor3(z.Rows, t, c)
-	for i, v := range z.Data {
-		out.Data[i] = float32(v)
-	}
-	return out
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // paperTable6 holds the published RNN accuracies (%) for side-by-side
 // reporting.
 var paperTable6 = map[string]map[string]float64{
@@ -16,21 +14,15 @@ var paperTable6 = map[string]map[string]float64{
 // PaperTable6 exposes the published Table VI accuracies (percent).
 func PaperTable6() map[string]map[string]float64 { return paperTable6 }
 
-// FormatTable6 renders measured RNN accuracies with the paper's values.
+// FormatTable6 renders measured RNN accuracies one row per cell, with the
+// paper's value beside each and the run's departures from the paper's
+// protocol in the heading.
 func FormatTable6(res *Table6Result) string {
-	headers := []string{"Model", "Start", "Middle", "Random"}
-	var cells [][]string
-	for _, m := range res.Models {
-		row := []string{m}
-		for _, d := range res.Datasets {
-			row = append(row, pct(res.Cells[m][d].TestAccuracy))
+	var cells []againstPaper
+	for _, d := range res.Datasets {
+		for _, m := range res.Models {
+			cells = append(cells, againstPaper{d, m, paperTable6[m][d], res.Cells[m][d].TestAccuracy})
 		}
-		cells = append(cells, row)
-		paperRow := []string{"  (paper)"}
-		for _, d := range res.Datasets {
-			paperRow = append(paperRow, fmt.Sprintf("%.2f", paperTable6[m][d]))
-		}
-		cells = append(cells, paperRow)
 	}
-	return RenderTable("Table VI: RNN test accuracy (%)", headers, cells)
+	return renderAgainstPaper("Table VI: RNN test accuracy (%), "+res.Setting, cells)
 }

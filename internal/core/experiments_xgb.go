@@ -117,19 +117,26 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (
 	return res, nil
 }
 
-// FormatXGB renders the §IV-B result block.
+// FormatXGB renders the §IV-B results: the accuracy against the paper's,
+// the test accuracy every 5th round (the paper's plateau at about 40), and
+// the gain-importance ranking.
 func FormatXGB(res *XGBResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "XGBoost on 60-random-1 (covariance features)\n")
-	fmt.Fprintf(&b, "  test accuracy: %s%%   (paper: %.2f%%)\n", pct(res.Accuracy), PaperXGBAccuracy)
-	fmt.Fprintf(&b, "  best grid point: %s (cv %.4f), %d rounds, final train loss %.4f\n",
+	b.WriteString(renderAgainstPaper("§IV-B: XGBoost test accuracy (%), covariance features",
+		[]againstPaper{{"60-random-1", "XGBoost", PaperXGBAccuracy, res.Accuracy}}))
+	fmt.Fprintf(&b, "\nBest grid point %s (cv %.4f), %d rounds, final train loss %.4f.\n\n",
 		res.BestParams, res.CVScore, res.Rounds, res.FinalLoss)
-	fmt.Fprintf(&b, "  top-3 covariances by gain importance:\n")
-	for i, name := range res.TopFeatures {
-		fmt.Fprintf(&b, "    %d. %-55s %.3f\n", i+1, name, res.TopShares[i])
+	var rounds [][]string
+	for r := 5; r <= len(res.EvalAccuracy); r += 5 {
+		rounds = append(rounds, []string{fmt.Sprint(r), pct(res.EvalAccuracy[r-1])})
 	}
-	fmt.Fprintf(&b, "  paper's top-3: cov(gpu util, cpu util)*, var(gpu util), var(power draw)\n")
-	fmt.Fprintf(&b, "  * the challenge tensors carry GPU sensors only; the closest\n")
-	fmt.Fprintf(&b, "    available pairing is cov(utilization_gpu_pct, utilization_memory_pct)\n")
+	b.WriteString(RenderTable("§IV-B: test accuracy by boosting round (%)", []string{"round", "ours"}, rounds))
+	var top [][]string
+	for i, name := range res.TopFeatures {
+		top = append(top, []string{fmt.Sprint(i + 1), name, fmt.Sprintf("%.3f", res.TopShares[i])})
+	}
+	b.WriteString("\n" + RenderTable("§IV-B: top-3 covariances by gain importance", []string{"rank", "feature", "share"}, top))
+	b.WriteString("\nThe paper's top 3 are cov(gpu util, cpu util), var(gpu util) and var(power draw). " +
+		"The challenge tensors carry GPU sensors only; `-table fused` adds the CPU series.\n")
 	return b.String()
 }

@@ -55,6 +55,26 @@ func standardised(ch *dataset.Challenge) (trainZ, testZ *mat.Matrix, scaler *pre
 	return trainZ, testZ, scaler, nil
 }
 
+// SequenceTensors is the paper's RNN input (§V): both splits standardised
+// with training-set statistics and nothing else, reshaped back to sequences
+// and downsampled by stride (1 keeps every sample).
+func SequenceTensors(ch *dataset.Challenge, stride int) (train, test *dataset.Tensor3, err error) {
+	trainZ, testZ, _, err := standardised(ch)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tensorFromFlat(trainZ, ch.Train.X).Downsample(stride), tensorFromFlat(testZ, ch.Test.X).Downsample(stride), nil
+}
+
+// tensorFromFlat reshapes a flattened n×(T·C) matrix back to like's shape.
+func tensorFromFlat(z *mat.Matrix, like *dataset.Tensor3) *dataset.Tensor3 {
+	out := dataset.NewTensor3(z.Rows, like.T, like.C)
+	for i, v := range z.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
 // CovFeatures runs the paper's covariance pipeline: standardise, then embed
 // every trial as the 28 unique sensor variances/covariances.
 func CovFeatures(ch *dataset.Challenge) (*FeaturePair, error) {

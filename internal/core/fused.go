@@ -230,21 +230,25 @@ func isCrossDevice(name string) bool {
 // FormatFused renders the fused-features experiment.
 func FormatFused(res *FusedResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fused CPU+GPU covariance features (60-random-1, XGBoost)\n")
-	fmt.Fprintf(&b, "  GPU-only (28 features):  %s%%\n", pct(res.GPUOnlyAccuracy))
-	fmt.Fprintf(&b, "  CPU+GPU (120 features):  %s%%\n", pct(res.FusedAccuracy))
-	fmt.Fprintf(&b, "  top-10 by gain importance:\n")
+	b.WriteString(RenderTable("Fused CPU+GPU covariance features (60-random-1, XGBoost)",
+		[]string{"features", "accuracy (%)"}, [][]string{
+			{"GPU only (28)", pct(res.GPUOnlyAccuracy)},
+			{"CPU+GPU (120)", pct(res.FusedAccuracy)},
+		}))
+	var top [][]string
 	for i, name := range res.TopFeatures {
-		marker := ""
+		device := "-"
 		if isCrossDevice(name) {
-			marker = "  << cross-device"
+			device = "GPU x CPU"
 		}
-		fmt.Fprintf(&b, "    %2d. %-62s %.3f%s\n", i+1, name, res.TopShares[i], marker)
+		top = append(top, []string{fmt.Sprint(i + 1), name, fmt.Sprintf("%.3f", res.TopShares[i]), device})
 	}
+	b.WriteString("\n" + RenderTable("Fused features: top-10 by gain importance",
+		[]string{"rank", "feature", "share", "cross-device"}, top))
 	if res.CrossRank > 0 {
-		fmt.Fprintf(&b, "  first GPU x CPU covariance at rank %d (paper: rank 1, cov(gpu util, cpu util))\n", res.CrossRank)
+		fmt.Fprintf(&b, "\nThe first GPU x CPU covariance is at rank %d (paper: rank 1, cov(gpu util, cpu util)).\n", res.CrossRank)
 	} else {
-		fmt.Fprintf(&b, "  no cross-device covariance in the top 10 (paper: rank 1)\n")
+		fmt.Fprintf(&b, "\nNo cross-device covariance is in the top 10 (paper: rank 1).\n")
 	}
 	return b.String()
 }

@@ -100,8 +100,9 @@ func PresetSmoke() Preset {
 }
 
 // PresetScaled is the default: the whole suite runs on one CPU core in tens
-// of minutes while preserving the paper's comparisons. Deviations from the
-// paper's protocol are documented in EXPERIMENTS.md.
+// of minutes. RESULTS.md is its output, each cell beside the paper's; the
+// paper's orderings it does not keep are listed in the repository root's
+// TestResultsAgainstThePaper.
 func PresetScaled() Preset {
 	return Preset{
 		Name:     "scaled",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/telemetry"
@@ -101,41 +102,16 @@ func Tables(name string) ([]Table, error) {
 	return nil, fmt.Errorf("core: unknown table %q (want %s or all)", name, strings.Join(known, ", "))
 }
 
-// RenderTable renders an aligned plain-text table with a header rule,
-// matching the layout the benchmark harness prints for each paper table.
+// RenderTable renders a GitHub pipe table under a "###" heading. Cells are
+// not padded, so a row's bytes depend on its own cells only.
 func RenderTable(title string, headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
 	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
+	fmt.Fprintf(&b, "### %s\n\n", title)
 	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
 	}
 	writeRow(headers)
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	b.WriteString(strings.Repeat("-", total+2*(len(widths)-1)))
-	b.WriteByte('\n')
+	b.WriteString(strings.Repeat("|---", len(headers)) + "|\n")
 	for _, row := range rows {
 		writeRow(row)
 	}
@@ -144,3 +120,22 @@ func RenderTable(title string, headers []string, rows [][]string) string {
 
 // pct formats an accuracy as the paper prints them (two decimals, percent).
 func pct(v float64) string { return fmt.Sprintf("%.2f", v*100) }
+
+// againstPaper is one reproduced accuracy next to the published one.
+type againstPaper struct {
+	dataset, model string
+	paper, ours    float64 // percent, and a fraction
+}
+
+// renderAgainstPaper renders reproduced accuracies one row per cell:
+// dataset | model | paper | ours | Δ pp. Δ is taken between the two printed
+// values, in hundredths, so it is exactly ours − paper as a reader sees them.
+func renderAgainstPaper(title string, cells []againstPaper) string {
+	rows := make([][]string, len(cells))
+	for i, c := range cells {
+		ours, paper := math.Round(c.ours*1e4), math.Round(c.paper*100)
+		rows[i] = []string{c.dataset, c.model, fmt.Sprintf("%.2f", paper/100),
+			fmt.Sprintf("%.2f", ours/100), fmt.Sprintf("%+.2f", (ours-paper)/100)}
+	}
+	return RenderTable(title, []string{"dataset", "model", "paper", "ours", "Δ pp"}, rows)
+}

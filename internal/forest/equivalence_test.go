@@ -95,6 +95,26 @@ func TestEquivalenceFlatForest(t *testing.T) {
 	}
 }
 
+// BenchmarkPredictProbaBatch times the flat kernel on the shape one fleet
+// tick hands it: 256 rows of the 28 covariance features, 26 classes, the
+// 50-tree forest of Table V's smallest grid point.
+func BenchmarkPredictProbaBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randomProblem(rng, 512, 28, 26)
+	f := New(Config{NumTrees: 50, Bootstrap: true, Seed: 1})
+	if err := f.Fit(x, y, 26); err != nil {
+		b.Fatal(err)
+	}
+	batch, _ := randomProblem(rng, 256, 28, 26)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := f.PredictProbaBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 // TestFlatForestCompiledShape checks the relayout invariants the kernel
 // relies on: one root per tree, right child adjacent to left, and leaf
 // probability blocks of exactly numClasses.

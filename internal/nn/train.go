@@ -57,7 +57,8 @@ type TrainConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultTrainConfig returns the scaled defaults used by examples/tests.
+// DefaultTrainConfig returns the scaled defaults wcctrain's sequence arms
+// and the tests train with.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
 		Epochs:      20,

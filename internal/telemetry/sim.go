@@ -26,11 +26,6 @@ type Config struct {
 	GapRate float64
 }
 
-// DefaultConfig is the scaled generation preset used by tests and examples.
-func DefaultConfig() Config {
-	return Config{Seed: 1, Scale: 1.0, GapRate: 1.0}
-}
-
 // Simulator generates the labelled dataset: jobs, their telemetry and the
 // scheduler log.
 type Simulator struct {

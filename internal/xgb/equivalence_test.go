@@ -93,6 +93,26 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 	}
 }
 
+// BenchmarkPredictProbaBatch times the flat kernel on the shape one fleet
+// tick hands it: 256 rows of the 28 covariance features, 26 classes, the
+// §IV-B booster (40 rounds, depth 6).
+func BenchmarkPredictProbaBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randomProblem(rng, 512, 28, 26)
+	c := New(Config{NumRounds: 40, LearningRate: 0.3, MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1})
+	if err := c.Fit(x, y, 26, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	batch, _ := randomProblem(rng, 256, 28, 26)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.PredictProbaBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 // TestFlatXGBCompiledShape checks the relayout invariants the kernel
 // relies on: one root per (round, class) tree in boosting order and
 // adjacent sibling children.

@@ -11,7 +11,6 @@
 //     features), fitted and evaluated in one call — a view of
 //     core.TrainArtifact, the one function wcctrain and the adapt
 //     flywheel's retrain also make their artifacts through.
-//   - RunExperiment: regenerate a paper table by name.
 //   - Open-set serving: TrainRFCov also calibrates a drift.Calibration
 //     (rejection threshold + input reference histograms), so a core built
 //     from the result flags unknown workloads, and DriftStats /
@@ -28,14 +27,15 @@
 // Server.Install rolls a newer artifact into the live fleet with zero
 // downtime through the same gate.
 //
-// For anything beyond these — other baselines, custom grids, npz interop —
-// import the internal packages directly; they are documented and tested as
-// the real API surface.
+// The paper's tables are not a library call: cmd/wccbench regenerates them
+// (core.Tables), and RESULTS.md is its scaled run, each reproduced cell next
+// to the published one. For anything beyond these entry points — other
+// baselines, custom grids, npz interop — import the internal packages
+// directly; they are documented and tested as the real API surface.
 package repro
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -153,30 +153,4 @@ func LoadModel(path string) (*artifact.Artifact, error) {
 		return nil, fmt.Errorf("repro: %s: %w", path, err)
 	}
 	return a, nil
-}
-
-// RunExperiment regenerates a paper table by name (core.Tables lists them:
-// "1", "2", "4", "5", "6", "7", "xgb", "fused", "ablations", or "all") under
-// the named preset ("smoke", "scaled", "full") and returns the rendered
-// table text.
-func RunExperiment(table, preset string) (string, error) {
-	p, err := core.PresetByName(preset)
-	if err != nil {
-		return "", err
-	}
-	tables, err := core.Tables(table)
-	if err != nil {
-		return "", err
-	}
-	sim, err := core.NewSimulator(p)
-	if err != nil {
-		return "", err
-	}
-	out := make([]string, len(tables))
-	for i, t := range tables {
-		if out[i], err = t.Run(sim, p, nil); err != nil {
-			return "", err
-		}
-	}
-	return strings.Join(out, "\n"), nil
 }

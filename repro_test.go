@@ -56,31 +56,6 @@ func TestGenerateAndTrainFacade(t *testing.T) {
 	}
 }
 
-func TestRunExperimentMetaTables(t *testing.T) {
-	for _, table := range []string{"1", "2", "7"} {
-		out, err := repro.RunExperiment(table, "smoke")
-		if err != nil {
-			t.Fatalf("table %s: %v", table, err)
-		}
-		if len(out) == 0 {
-			t.Errorf("table %s produced no output", table)
-		}
-	}
-	out, err := repro.RunExperiment("4", "smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "60-middle-1") {
-		t.Errorf("table 4 output missing datasets:\n%s", out)
-	}
-	if _, err := repro.RunExperiment("12", "smoke"); err == nil {
-		t.Error("unknown table should fail")
-	}
-	if _, err := repro.RunExperiment("1", "warp"); err == nil {
-		t.Error("unknown preset should fail")
-	}
-}
-
 // TestFleetFacade pins the train → serve hand-over: the artifact TrainRFCov's
 // result bundles boots a sharded serving core through the one constructor,
 // and live telemetry streamed through it classifies. (That sharding never
