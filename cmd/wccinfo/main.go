@@ -170,11 +170,11 @@ func runArtifact(w io.Writer, path string) error {
 			strings.Join(m.ClassNames[:min(4, len(m.ClassNames))], ", "))
 	}
 	if d := info.Drift; d != nil {
-		fmt.Fprintf(w, "  drift:     open-set rejection at quantile %.3g (min conf %.3f, min margin %.3f, max energy %.3f, T %.2g)",
-			d.Threshold.Quantile, d.Threshold.MinConf, d.Threshold.MinMargin,
-			d.Threshold.MaxEnergy, d.Threshold.Temperature)
 		if d.Feat != nil && d.Threshold.MaxFeatDist > 0 {
-			fmt.Fprintf(w, "; feature gate over %d train rows (max distance %.3f)", d.Feat.Train.Rows, d.Threshold.MaxFeatDist)
+			fmt.Fprintf(w, "  drift:     open-set feature gate over %d train rows at quantile %.3g (max distance %.3f)",
+				d.Feat.Train.Rows, d.Threshold.Quantile, d.Threshold.MaxFeatDist)
+		} else {
+			fmt.Fprint(w, "  drift:     open-set feature gate off")
 		}
 		fmt.Fprintf(w, "; reference %d sensors x %d bins\n", d.Ref.Sensors(), d.Ref.Bins)
 	}

@@ -57,8 +57,7 @@ func main() {
 	flag.BoolVar(&o.report, "report", false, "print the per-class report")
 	flag.StringVar(&o.out, "o", "", "write the fitted model as a .wcc artifact to this path (-model rf or xgb with -features cov: the models wccserve can load)")
 	flag.BoolVar(&o.driftOn, "drift", true, "with -o: calibrate and persist the open-set drift section (unknown-workload rejection threshold + input reference)")
-	flag.Float64Var(&o.driftQ, "drift-quantile", drift.DefaultQuantile, "calibration quantile of the probability rejection rules (confidence, margin, energy) over held-out in-distribution scores; with -families the default is the quantile -base was calibrated at")
-	flag.Float64Var(&o.driftFeatQ, "drift-feat-quantile", drift.DefaultFeatQuantile, "calibration quantile of the feature-space distance gate — the rule that carries most rejection recall; raise it to trade recall for fewer in-distribution false flags")
+	flag.Float64Var(&o.driftQ, "drift-quantile", drift.DefaultQuantile, "calibration quantile of the open-set feature gate over held-out in-distribution distances; raise it to trade rejection recall for fewer in-distribution false flags; with -families the default is the quantile -base was calibrated at")
 
 	flag.IntVar(&o.pcaDim, "pca-dim", 64, "PCA dimensions")
 	flag.Float64Var(&o.c, "C", 1, "SVM regularisation")
@@ -86,7 +85,7 @@ func main() {
 				q = o.driftQ
 			}
 		})
-		err = runFamilies(os.Stdout, *families, *baseArt, o.out, q, o.driftFeatQ)
+		err = runFamilies(os.Stdout, *families, *baseArt, o.out, q)
 	} else {
 		err = run(os.Stdout, o)
 	}
@@ -104,7 +103,7 @@ func main() {
 // this command's flags (driftQ 0 keeps the base's quantile). The result
 // drops onto the watched model path (or cluster distribution) like any
 // other artifact.
-func runFamilies(w io.Writer, famPath, basePath, out string, driftQ, driftFeatQ float64) error {
+func runFamilies(w io.Writer, famPath, basePath, out string, driftQ float64) error {
 	if basePath == "" {
 		return fmt.Errorf("-families needs -base: the serving artifact the candidate extends")
 	}
@@ -133,7 +132,6 @@ func runFamilies(w io.Writer, famPath, basePath, out string, driftQ, driftFeatQ 
 	if driftQ != 0 {
 		trainer.Quantile = driftQ
 	}
-	trainer.FeatQuantile = driftFeatQ
 	cand, err := trainer.Train(fams)
 	if err != nil {
 		return err
@@ -158,7 +156,7 @@ type opts struct {
 	report                  bool
 	out                     string
 	driftOn                 bool
-	driftQ, driftFeatQ      float64
+	driftQ                  float64
 	pcaDim, trees, rounds   int
 	c, gamma, lambda, alpha float64
 	hidden, epochs, stride  int
@@ -216,8 +214,8 @@ func run(w io.Writer, o opts) error {
 	fmt.Fprintf(w, "test accuracy: %.2f%%\n", res.accuracy*100)
 	if a := res.artifact; a != nil && a.Drift != nil {
 		thr := a.Drift.Threshold
-		fmt.Fprintf(w, "calibrated open-set rejection at quantile %.3g (min conf %.3f, min margin %.3f, max energy %.3f; feature gate at quantile %.3g, max distance %.3f)\n",
-			thr.Quantile, thr.MinConf, thr.MinMargin, thr.MaxEnergy, o.driftFeatQ, thr.MaxFeatDist)
+		fmt.Fprintf(w, "calibrated open-set rejection at quantile %.3g (feature gate, max distance %.3f)\n",
+			thr.Quantile, thr.MaxFeatDist)
 	}
 	if o.out != "" {
 		if err := artifact.Save(o.out, res.artifact); err != nil {
@@ -298,7 +296,7 @@ func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challeng
 		raw = core.RawSensorSamples(ch.Train.X)
 	}
 	a, held, err := core.TrainArtifact(p.Metadata(ch.Train.X, "cov", "wcctrain"), fp, carried, fit,
-		raw, drift.Options{Quantile: o.driftQ, FeatQuantile: o.driftFeatQ})
+		raw, drift.Options{Quantile: o.driftQ})
 	if err != nil {
 		return outcome{}, err
 	}

@@ -55,7 +55,7 @@ func TestRunRefusesBeforeSimulating(t *testing.T) {
 		{"families without output", missing, "", "-families needs -o"},
 	} {
 		var out bytes.Buffer
-		err := runFamilies(&out, missing, tc.base, tc.out, 0, 0)
+		err := runFamilies(&out, missing, tc.base, tc.out, 0)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: runFamilies = %v, want an error containing %q", tc.name, err, tc.want)
 		}
@@ -103,7 +103,7 @@ func trainOpts(model, features string, maxTrain, maxTest int, path string) opts 
 	return opts{
 		model: model, features: features, dsName: "60-middle-1", scale: 0.03, seed: 1,
 		maxTrain: maxTrain, maxTest: maxTest, out: path,
-		driftOn: true, driftQ: drift.DefaultQuantile, driftFeatQ: drift.DefaultFeatQuantile,
+		driftOn: true, driftQ: drift.DefaultQuantile,
 		pcaDim: 8, c: 1, trees: 7, rounds: 3, lambda: 1,
 	}
 }
@@ -118,7 +118,7 @@ func TestRFCovMatchesFacade(t *testing.T) {
 	if err := run(&out, trainOpts("rf", "cov", 0, 0, cli)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"dataset 60-middle-1:", "test accuracy:", "calibrated open-set rejection at quantile 0.99", "saved forest artifact to " + cli} {
+	for _, want := range []string{"dataset 60-middle-1:", "test accuracy:", "calibrated open-set rejection at quantile 0.95 (feature gate, max distance ", "saved forest artifact to " + cli} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
@@ -185,7 +185,7 @@ func TestFamiliesMatchesInProcessTrainer(t *testing.T) {
 
 	offline := filepath.Join(dir, "offline.wcc")
 	var out bytes.Buffer
-	if err := runFamilies(&out, famPath, basePath, offline, 0, drift.DefaultFeatQuantile); err != nil {
+	if err := runFamilies(&out, famPath, basePath, offline, 0); err != nil {
 		t.Fatal(err)
 	}
 	if want := "saved 27-class candidate (1 novel,"; !strings.Contains(out.String(), want) {
@@ -193,15 +193,15 @@ func TestFamiliesMatchesInProcessTrainer(t *testing.T) {
 	}
 	sameCRCs(t, "wcctrain -families vs ProvenanceTrainer", payloadCRCs(t, offline), payloadCRCs(t, inProcess))
 
-	if err := runFamilies(&bytes.Buffer{}, famPath, basePath, offline, 0.95, drift.DefaultFeatQuantile); err != nil {
+	if err := runFamilies(&bytes.Buffer{}, famPath, basePath, offline, 0.97); err != nil {
 		t.Fatal(err)
 	}
 	explicit, err := artifact.Load(offline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := explicit.Drift.Threshold.Quantile; got != 0.95 {
-		t.Errorf("-drift-quantile 0.95 calibrated the candidate at %v", got)
+	if got := explicit.Drift.Threshold.Quantile; got != 0.97 {
+		t.Errorf("-drift-quantile 0.97 calibrated the candidate at %v", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package adapt_test
 import (
 	"bytes"
 	"math"
+	"os"
 	"testing"
 
 	"repro"
@@ -96,8 +97,9 @@ func TestProvenanceTrainerRegeneratesTheFittedRows(t *testing.T) {
 // it is a 50-tree forest and says so — it used to inherit the base's "xgb",
 // which artifact.Encode refuses, so no promotion could ever be saved. The
 // same base, calibrated off the default quantile, also pins what
-// NewProvenanceTrainer inherits: the candidate is calibrated where the base
-// was, not back at the default.
+// NewProvenanceTrainer inherits: the candidate's feature gate is calibrated
+// where the base's was, not back at the default — and at the default when
+// the base's section predates the gate-only rule and recorded no quantile.
 func TestCandidateFromNonForestBase(t *testing.T) {
 	p := core.Provenance{Dataset: "60-middle-1", Scale: 0.03, Seed: 1, MaxTrain: 40, MaxTest: 20}
 	_, ch, err := p.Regenerate()
@@ -124,6 +126,17 @@ func TestCandidateFromNonForestBase(t *testing.T) {
 		fam.Rows.Data[i] = 50 + float64(i%5)
 	}
 
+	// A base whose drift section was written when the verdict still ORed
+	// probability cut points into the gate records no gate quantile.
+	legacy := *base
+	raw, err := os.ReadFile("../drift/testdata/legacy_v1.drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Drift, err = drift.Decode(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		name         string
 		trainer      *adapt.ProvenanceTrainer
@@ -131,6 +144,7 @@ func TestCandidateFromNonForestBase(t *testing.T) {
 	}{
 		{"literal trainer, no quantile", &adapt.ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model}, drift.DefaultQuantile},
 		{"trainer for the base artifact", adapt.NewProvenanceTrainer(base, nil), baseQuantile},
+		{"trainer for a base with a legacy drift section", adapt.NewProvenanceTrainer(&legacy, nil), drift.DefaultQuantile},
 	} {
 		cand, err := tc.trainer.Train([]adapt.Family{fam})
 		if err != nil {

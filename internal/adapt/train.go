@@ -36,18 +36,17 @@ type CandidateOptions struct {
 	// Trees sizes the candidate forest (default 50); BaseMeta.Seed seeds
 	// its fit.
 	Trees int
-	// Quantile and FeatQuantile configure the refreshed drift calibration
-	// (package drift defaults when zero).
-	Quantile     float64
-	FeatQuantile float64
+	// Quantile is the refreshed drift calibration's feature-gate quantile
+	// (drift.DefaultQuantile when zero).
+	Quantile float64
 	// Tool names the producer in the candidate's metadata (default
 	// "adapt").
 	Tool string
 }
 
 // heldOutEvery reserves every n-th family row for calibration instead of
-// training, so the refreshed threshold sees held-out novel-class scores the
-// model did not memorise.
+// training, so the refreshed gate's cut point sees novel-class rows that are
+// not in the reference set it measures against.
 const heldOutEvery = 4
 
 // BuildCandidateArtifact widens the base feature pair with one new class per
@@ -117,7 +116,7 @@ func BuildCandidateArtifact(fp *core.FeaturePair, raw *mat.Matrix, fams []Family
 	meta.Tool = o.Tool
 	f := forest.New(forest.Config{NumTrees: o.Trees, Bootstrap: true, Seed: meta.Seed})
 	fit := func() error { return f.Fit(wide.TrainX, wide.TrainY, numBase+len(fams)) }
-	a, _, err := core.TrainArtifact(meta, wide, f, fit, raw, drift.Options{Quantile: o.Quantile, FeatQuantile: o.FeatQuantile})
+	a, _, err := core.TrainArtifact(meta, wide, f, fit, raw, drift.Options{Quantile: o.Quantile})
 	if err != nil {
 		return nil, fmt.Errorf("adapt: training candidate: %w", err)
 	}
@@ -146,19 +145,19 @@ type ProvenanceTrainer struct {
 	// a base forest has (CandidateOptions' default when Base is anything
 	// else, or nil).
 	Base artifact.Model
-	// Quantile and FeatQuantile configure the refreshed calibration
-	// (package drift defaults when zero).
-	Quantile, FeatQuantile float64
+	// Quantile is the refreshed calibration's feature-gate quantile
+	// (drift.DefaultQuantile when zero).
+	Quantile float64
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
 
 // NewProvenanceTrainer is the trainer for candidates grown from base:
 // everything a retrain inherits from the serving artifact — provenance,
-// scaler, forest size, and the quantile its calibration recorded, so a base
-// calibrated off the default is not silently re-calibrated at it. The
-// feature-gate quantile is not persisted in the drift section, so
-// FeatQuantile starts at the package default.
+// scaler, forest size, and the feature-gate quantile its calibration
+// recorded, so a base calibrated off the default is not silently
+// re-calibrated at it. A section that recorded none (Quantile 0) leaves the
+// default.
 func NewProvenanceTrainer(base *artifact.Artifact, logf func(format string, args ...any)) *ProvenanceTrainer {
 	t := &ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model, Logf: logf}
 	if base.Drift != nil {
@@ -178,11 +177,10 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 		trees = f.NumTrees()
 	}
 	a, err := BuildCandidateArtifact(fp, raw, fams, CandidateOptions{
-		BaseMeta:     t.Meta,
-		Trees:        trees,
-		Quantile:     t.Quantile,
-		FeatQuantile: t.FeatQuantile,
-		Tool:         "wccserve-adapt",
+		BaseMeta: t.Meta,
+		Trees:    trees,
+		Quantile: t.Quantile,
+		Tool:     "wccserve-adapt",
 	})
 	if err != nil {
 		return nil, err

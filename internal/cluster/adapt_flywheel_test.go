@@ -179,9 +179,9 @@ func (ft *fwTrainer) Train(fams []adapt.Family) (*artifact.Artifact, error) {
 		},
 		Trees: 30,
 		// The held-out set carries only a handful of family rows, and they
-		// dominate the distance tail; the default 0.95 feature quantile
-		// would cut into the family region itself.
-		FeatQuantile: 0.99,
+		// dominate the distance tail; the default 0.95 quantile would cut
+		// into the family region itself.
+		Quantile: 0.99,
 	})
 }
 

@@ -114,7 +114,7 @@ func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model artifact.Model
 	}
 	a.Scaler = fp.Scaler
 	if raw != nil {
-		in := drift.FitInput{Probs: held.Probs, TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}
+		in := drift.FitInput{TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}
 		if a.Drift, err = drift.Fit(in, opts); err != nil {
 			return nil, nil, fmt.Errorf("core: calibrating drift: %w", err)
 		}

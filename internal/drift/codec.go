@@ -29,9 +29,12 @@ func (c *Calibration) Encode(w io.Writer) error {
 	ww.U32(codecVersion)
 	ww.F64(c.Threshold.Temperature)
 	ww.F64(c.Threshold.Quantile)
-	ww.F64(c.Threshold.MinConf)
-	ww.F64(c.Threshold.MinMargin)
-	ww.F64(c.Threshold.MaxEnergy)
+	// The legacy slots once held the MinConf, MinMargin and MaxEnergy cut points.
+	// 0, 0 and +Inf never reject, so a reader that still applies them gives
+	// the verdicts the feature gate alone gives.
+	ww.F64(0)
+	ww.F64(0)
+	ww.F64(math.Inf(1))
 	ww.F64(c.Threshold.MaxFeatDist)
 	ww.Bool(c.Feat != nil)
 	if c.Feat != nil {
@@ -60,15 +63,23 @@ func Decode(r io.Reader) (*Calibration, error) {
 	c := &Calibration{}
 	c.Threshold.Temperature = rr.F64()
 	c.Threshold.Quantile = rr.F64()
-	c.Threshold.MinConf = rr.F64()
-	c.Threshold.MinMargin = rr.F64()
-	c.Threshold.MaxEnergy = rr.F64()
+	rr.F64()
+	rr.F64()
+	if energy := rr.F64(); !math.IsInf(energy, 1) {
+		// Written when the legacy slots still held cut points: Quantile is
+		// theirs, not the feature gate's, so the section records none.
+		c.Threshold.Quantile = 0
+	}
 	c.Threshold.MaxFeatDist = rr.F64()
 	if rr.Bool() {
 		c.Feat = &FeatureStats{Means: rr.F64s(), Stds: rr.F64s(), Train: rr.Matrix()}
 	}
 	if err := rr.Err(); err != nil {
 		return nil, err
+	}
+	// A NaN, infinite or negative cut point would accept every row.
+	if d := c.Threshold.MaxFeatDist; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return nil, fmt.Errorf("drift: corrupt calibration: feature distance cut point %v", d)
 	}
 	if c.Feat != nil {
 		if len(c.Feat.Means) == 0 || len(c.Feat.Means) != len(c.Feat.Stds) {

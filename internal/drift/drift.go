@@ -4,11 +4,12 @@
 // them. This package supplies the two signals the serving plane needs to
 // notice:
 //
-//   - per-prediction open-set scores — max-softmax confidence, top-two
-//     margin, and an energy-style score over the classifier's class
-//     probabilities — with a rejection Threshold calibrated on held-out
-//     in-distribution scores at training time, so a live prediction can be
-//     flagged "unknown" without changing the prediction itself;
+//   - a per-prediction open-set verdict — the distance of the embedding row
+//     from the training support, against a cut point calibrated on held-out
+//     in-distribution rows at training time — so a live prediction can be
+//     flagged "unknown" without changing the prediction itself (the top-two
+//     margin and an energy score over the class probabilities ride along as
+//     description, and decide nothing);
 //   - windowed input-drift statistics — a per-sensor Population Stability
 //     Index (PSI) of the live telemetry against a Reference histogram
 //     fitted on the raw training windows, aggregated into one fleet drift
@@ -21,7 +22,7 @@
 // with scores and a rejected flag, and every ingested sample lands in a
 // histogram Window that shards merge exactly like tick stats. On the hot
 // path a sample costs one binary search per sensor, and a prediction costs
-// a handful of float compares plus one exact nearest-reference search
+// one pass over its probabilities plus one exact nearest-reference search
 // (search.go) that sums a few dozen of the stored rows, not all of them.
 package drift
 
@@ -35,22 +36,15 @@ import (
 	"repro/internal/mat"
 )
 
-// Defaults for Options; FitThreshold and FitReference apply them when a
-// field is zero.
+// Defaults for Options; Fit and FitReference apply them when a field is
+// zero.
 const (
-	// DefaultQuantile is the calibration quantile: each score threshold is
-	// placed so roughly (1-q) of held-out in-distribution predictions land
-	// past it.
-	DefaultQuantile = 0.99
+	// DefaultQuantile is the feature-space gate's calibration quantile: the
+	// cut point is placed so roughly (1-q) of held-out in-distribution rows
+	// land past it.
+	DefaultQuantile = 0.95
 	// DefaultTemperature sharpens the energy score; see ScoreProbs.
 	DefaultTemperature = 0.5
-	// DefaultFeatQuantile is the feature-space gate's calibration
-	// quantile. It sits below DefaultQuantile deliberately: the
-	// nearest-neighbour distance is the only score that catches
-	// confidently-misrouted far-OOD inputs, so its rule trades a few
-	// percent of in-distribution false flags for most of the rejection
-	// recall.
-	DefaultFeatQuantile = 0.95
 	// DefaultBins is the per-sensor histogram resolution of a Reference.
 	DefaultBins = 16
 )
@@ -59,11 +53,9 @@ const (
 // (tree ensembles emit exact zeros for classes no tree voted for).
 const probFloor = 1e-12
 
-// Score is one prediction's open-set evidence. Higher Conf and Margin mean
-// more in-distribution; higher Energy and FeatDist mean less.
+// Score is one prediction's open-set evidence. Only FeatDist decides a
+// verdict; Margin and Energy describe the probability row.
 type Score struct {
-	// Conf is the max-softmax confidence: the winning class's probability.
-	Conf float64
 	// Margin is the gap between the top two class probabilities.
 	Margin float64
 	// Energy is -T·log Σᵢ exp(log(pᵢ)/T): near zero for a confident
@@ -73,14 +65,13 @@ type Score struct {
 	// FeatDist is the feature-space distance from the training support:
 	// the Euclidean distance, in per-feature standardised coordinates, to
 	// the nearest stored training embedding (see FeatureStats).
-	// Probability scores alone cannot flag inputs far outside the training
+	// Probability scores cannot flag inputs far outside the training
 	// support — an ensemble routes such points down consistent paths and
-	// votes *confidently* on them — so this is the score that catches
-	// workloads whose covariance structure training never produced.
+	// votes *confidently* on them — so this is the score the verdict uses.
 	FeatDist float64
 }
 
-// ScoreProbs computes the open-set scores for one probability row.
+// ScoreProbs computes the descriptive scores for one probability row.
 // temperature ≤ 0 selects DefaultTemperature.
 func ScoreProbs(p []float64, temperature float64) Score {
 	if temperature <= 0 {
@@ -95,78 +86,29 @@ func ScoreProbs(p []float64, temperature float64) Score {
 		}
 		sum += math.Exp(math.Log(math.Max(v, probFloor)) / temperature)
 	}
-	return Score{Conf: best, Margin: best - second, Energy: -temperature * math.Log(sum)}
+	return Score{Margin: best - second, Energy: -temperature * math.Log(sum)}
 }
 
-// Threshold is a calibrated rejection rule over open-set scores. A
-// prediction is rejected as unknown when any score lands past its
-// calibrated tail: confidence or margin below the in-distribution
-// (1-Quantile) tail, or energy / feature distance above the Quantile tail.
+// Threshold is the open-set rule: a prediction is unknown when its feature
+// distance lies past the cut point calibrated on held-out in-distribution
+// rows.
 type Threshold struct {
-	// Temperature is the energy temperature the thresholds were fitted
-	// with; serving must score with the same value.
+	// Temperature is the energy temperature the descriptive scores are
+	// computed with.
 	Temperature float64
-	// Quantile records the calibration quantile, for provenance.
+	// Quantile is the calibration quantile the cut point was placed at; 0
+	// when the section predates the feature-only rule and recorded none.
 	Quantile float64
-	// MinConf, MinMargin, MaxEnergy and MaxFeatDist are the fitted cut
-	// points. MaxFeatDist 0 disables the feature gate (calibrations fitted
-	// without feature rows).
-	MinConf     float64
-	MinMargin   float64
-	MaxEnergy   float64
+	// MaxFeatDist is the cut point. 0 disables the gate (calibrations
+	// fitted without feature rows).
 	MaxFeatDist float64
 }
 
-// Reject reports whether the scores fall outside the calibrated
-// in-distribution region. Comparisons are strict, so scores exactly on a
-// cut point (common with small ensembles whose probabilities are coarse
-// vote fractions) stay accepted.
+// Reject reports whether the prediction lies outside the calibrated
+// in-distribution region. The comparison is strict, so a row exactly on the
+// cut point stays accepted.
 func (t *Threshold) Reject(s Score) bool {
-	if s.Conf < t.MinConf || s.Margin < t.MinMargin || s.Energy > t.MaxEnergy {
-		return true
-	}
 	return t.MaxFeatDist > 0 && s.FeatDist > t.MaxFeatDist
-}
-
-// FitThreshold calibrates a rejection threshold on held-out
-// in-distribution probability rows (typically the test split's predicted
-// probabilities): each cut point is placed at the requested quantile of
-// the observed scores, so roughly (1-quantile) of in-distribution
-// predictions trip each rule. quantile ≤ 0 selects DefaultQuantile,
-// temperature ≤ 0 DefaultTemperature.
-func FitThreshold(probs *mat.Matrix, quantile, temperature float64) (Threshold, error) {
-	if probs == nil || probs.Rows == 0 || probs.Cols == 0 {
-		return Threshold{}, errors.New("drift: no probability rows to calibrate on")
-	}
-	if quantile <= 0 {
-		quantile = DefaultQuantile
-	}
-	if quantile >= 1 {
-		return Threshold{}, fmt.Errorf("drift: calibration quantile %v must be in (0, 1)", quantile)
-	}
-	if temperature <= 0 {
-		temperature = DefaultTemperature
-	}
-	confs := make([]float64, probs.Rows)
-	margins := make([]float64, probs.Rows)
-	energies := make([]float64, probs.Rows)
-	for i := 0; i < probs.Rows; i++ {
-		s := ScoreProbs(probs.Row(i), temperature)
-		if math.IsNaN(s.Conf) || math.IsNaN(s.Energy) {
-			return Threshold{}, fmt.Errorf("drift: non-finite score on calibration row %d", i)
-		}
-		confs[i], margins[i], energies[i] = s.Conf, s.Margin, s.Energy
-	}
-	sort.Float64s(confs)
-	sort.Float64s(margins)
-	sort.Float64s(energies)
-	return Threshold{
-		Temperature: temperature,
-		Quantile:    quantile,
-		MinConf:     quantileOf(confs, 1-quantile),
-		MinMargin:   quantileOf(margins, 1-quantile),
-		MaxEnergy:   quantileOf(energies, quantile),
-	}, nil
 }
 
 // MaxTrainRows caps the training embeddings a FeatureStats stores: fitting
@@ -532,9 +474,8 @@ func (t *RejectionTally) Report() string {
 
 // Calibration bundles everything drift-aware serving needs, fitted at
 // training time and persisted as an optional .wcc artifact section: the
-// rejection threshold over open-set scores, the training feature
-// statistics behind the feature-space gate, and the input reference
-// histograms.
+// feature-space gate's cut point, the training feature statistics it
+// measures against, and the input reference histograms.
 type Calibration struct {
 	Threshold Threshold
 	// Feat backs the feature-space distance score; nil when the
@@ -543,9 +484,9 @@ type Calibration struct {
 	Ref  *Reference
 }
 
-// Score computes a prediction's full open-set evidence: the probability
-// scores plus, when the calibration carries feature statistics, the
-// feature-space distance of the embedding row the prediction came from.
+// Score computes a prediction's full open-set evidence: the descriptive
+// probability scores plus, when the calibration carries feature statistics,
+// the feature-space distance of the embedding row the prediction came from.
 func (c *Calibration) Score(probs, features []float64) Score {
 	s := ScoreProbs(probs, c.Threshold.Temperature)
 	if c.Feat != nil {
@@ -556,12 +497,9 @@ func (c *Calibration) Score(probs, features []float64) Score {
 
 // Options configures Fit. Zero fields select the package defaults.
 type Options struct {
-	// Quantile is the probability-score calibration quantile
+	// Quantile is the feature-space gate's calibration quantile
 	// (DefaultQuantile).
 	Quantile float64
-	// FeatQuantile is the feature-space gate's calibration quantile
-	// (DefaultFeatQuantile).
-	FeatQuantile float64
 	// Temperature is the energy temperature (DefaultTemperature).
 	Temperature float64
 	// Bins is the per-sensor reference histogram resolution (DefaultBins).
@@ -570,13 +508,13 @@ type Options struct {
 
 // FitInput carries the training and held-out material Fit calibrates on.
 type FitInput struct {
-	// Probs holds held-out in-distribution probability rows (typically
-	// the model's predictions on the test split). Required.
+	// Probs is ignored. Only the frozen benchmark/setup.go still sets it,
+	// and it goes when that file next changes.
 	Probs *mat.Matrix
 	// TrainFeatures holds the training feature rows the feature-space
-	// statistics are fitted on, and HeldOutFeatures the held-out rows the
-	// distance cut point is calibrated on (row i must correspond to
-	// Probs row i). Both nil disables the feature gate.
+	// statistics are fitted on, and HeldOutFeatures the held-out
+	// in-distribution rows the distance cut point is calibrated on. Both nil
+	// disables the feature gate.
 	TrainFeatures   *mat.Matrix
 	HeldOutFeatures *mat.Matrix
 	// RawSamples holds raw telemetry samples (rows samples, columns
@@ -585,29 +523,27 @@ type FitInput struct {
 	RawSamples *mat.Matrix
 }
 
-// Fit calibrates a full drift calibration: the rejection threshold from
-// held-out in-distribution scores, feature statistics from the training
-// rows, and the input reference from raw training samples.
+// Fit calibrates a full drift calibration: feature statistics from the
+// training rows, the gate's cut point at the Quantile of the held-out rows'
+// distances, and the input reference from raw training samples.
 func Fit(in FitInput, opts Options) (*Calibration, error) {
-	thr, err := FitThreshold(in.Probs, opts.Quantile, opts.Temperature)
-	if err != nil {
-		return nil, err
+	q, temp := opts.Quantile, opts.Temperature
+	if q <= 0 {
+		q = DefaultQuantile
 	}
-	c := &Calibration{Threshold: thr}
+	if q >= 1 {
+		return nil, fmt.Errorf("drift: calibration quantile %v must be in (0, 1)", q)
+	}
+	if temp <= 0 {
+		temp = DefaultTemperature
+	}
+	c := &Calibration{Threshold: Threshold{Temperature: temp, Quantile: q}}
 	if (in.TrainFeatures == nil) != (in.HeldOutFeatures == nil) {
 		return nil, errors.New("drift: feature gating needs both training and held-out feature rows")
 	}
 	if in.TrainFeatures != nil {
-		if in.HeldOutFeatures.Rows != in.Probs.Rows {
-			return nil, fmt.Errorf("drift: %d held-out feature rows for %d probability rows",
-				in.HeldOutFeatures.Rows, in.Probs.Rows)
-		}
-		fq := opts.FeatQuantile
-		if fq <= 0 {
-			fq = DefaultFeatQuantile
-		}
-		if fq >= 1 {
-			return nil, fmt.Errorf("drift: feature calibration quantile %v must be in (0, 1)", fq)
+		if in.HeldOutFeatures.Rows == 0 {
+			return nil, errors.New("drift: no held-out feature rows to calibrate on")
 		}
 		fs, err := FitFeatureStats(in.TrainFeatures)
 		if err != nil {
@@ -619,7 +555,7 @@ func Fit(in FitInput, opts Options) (*Calibration, error) {
 		}
 		sort.Float64s(dists)
 		c.Feat = fs
-		c.Threshold.MaxFeatDist = quantileOf(dists, fq)
+		c.Threshold.MaxFeatDist = quantileOf(dists, q)
 	}
 	ref, err := FitReference(in.RawSamples, opts.Bins)
 	if err != nil {

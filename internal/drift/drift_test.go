@@ -13,9 +13,6 @@ func TestScoreProbsConfidentVsUniform(t *testing.T) {
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
 	sc := ScoreProbs(confident, 0)
 	su := ScoreProbs(uniform, 0)
-	if sc.Conf != 0.9 || su.Conf != 0.25 {
-		t.Fatalf("conf: got %v and %v", sc.Conf, su.Conf)
-	}
 	if got := sc.Margin; math.Abs(got-0.85) > 1e-12 {
 		t.Fatalf("margin: got %v, want 0.85", got)
 	}
@@ -37,63 +34,14 @@ func TestScoreProbsZeroProbabilitiesFinite(t *testing.T) {
 	if math.IsNaN(s.Energy) || math.IsInf(s.Energy, 0) {
 		t.Fatalf("energy not finite on exact-zero probs: %v", s.Energy)
 	}
-	if s.Conf != 1 || s.Margin != 1 {
-		t.Fatalf("got conf %v margin %v", s.Conf, s.Margin)
-	}
-}
-
-// idProbs builds confident in-distribution-looking probability rows.
-func idProbs(rng *rand.Rand, rows, classes int) *mat.Matrix {
-	probs := mat.New(rows, classes)
-	for i := 0; i < rows; i++ {
-		row := probs.Row(i)
-		win := rng.Intn(classes)
-		p := 0.6 + 0.35*rng.Float64()
-		row[win] = p
-		rest := 1 - p
-		for c := range row {
-			if c != win {
-				row[c] = rest / float64(classes-1)
-			}
-		}
-	}
-	return probs
-}
-
-func TestFitThresholdCalibration(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	probs := idProbs(rng, 2000, 26)
-	thr, err := FitThreshold(probs, 0.99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thr.Temperature != DefaultTemperature || thr.Quantile != 0.99 {
-		t.Fatalf("defaults not recorded: %+v", thr)
-	}
-	// In-distribution false rejections stay near the calibrated tails:
-	// three rules at 1% each bound the union at 3%.
-	rejected := 0
-	for i := 0; i < probs.Rows; i++ {
-		if thr.Reject(ScoreProbs(probs.Row(i), thr.Temperature)) {
-			rejected++
-		}
-	}
-	if frac := float64(rejected) / float64(probs.Rows); frac > 0.03 {
-		t.Fatalf("in-distribution rejection %v exceeds calibrated bound", frac)
-	}
-	// A near-uniform row must be rejected.
-	flat := make([]float64, 26)
-	for i := range flat {
-		flat[i] = 1.0 / 26
-	}
-	if !thr.Reject(ScoreProbs(flat, thr.Temperature)) {
-		t.Fatal("uniform probabilities not rejected")
+	if s.Margin != 1 {
+		t.Fatalf("got margin %v", s.Margin)
 	}
 }
 
 func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	// In-distribution features: standard normal. Probabilities: confident.
+	// In-distribution features: standard normal.
 	feats := mat.New(2000, 10)
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
@@ -102,13 +50,11 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	for i := range held.Data {
 		held.Data[i] = rng.NormFloat64()
 	}
-	probs := idProbs(rng, 500, 26)
 	samples := mat.New(500, 2)
 	for i := range samples.Data {
 		samples.Data[i] = rng.NormFloat64()
 	}
-	cal, err := Fit(FitInput{Probs: probs, TrainFeatures: feats, HeldOutFeatures: held, RawSamples: samples},
-		Options{})
+	cal, err := Fit(FitInput{TrainFeatures: feats, HeldOutFeatures: held, RawSamples: samples}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +62,8 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 		t.Fatalf("feature gate not fitted: %+v", cal.Threshold)
 	}
 	// A *confident* prediction on a feature row far outside the training
-	// support must still be rejected — the scenario probability scores
-	// alone cannot catch (ensembles vote confidently on far-OOD points).
+	// support must be rejected — ensembles vote confidently on far-OOD
+	// points, so no probability score could catch it.
 	confident := make([]float64, 26)
 	confident[3] = 1
 	ood := make([]float64, 10)
@@ -135,15 +81,6 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	id := make([]float64, 10)
 	if cal.Threshold.Reject(cal.Score(confident, id)) {
 		t.Fatal("confident in-distribution prediction rejected")
-	}
-}
-
-func TestFitThresholdRejectsBadInput(t *testing.T) {
-	if _, err := FitThreshold(nil, 0, 0); err == nil {
-		t.Fatal("nil probs accepted")
-	}
-	if _, err := FitThreshold(mat.New(3, 4), 1.5, 0); err == nil {
-		t.Fatal("quantile 1.5 accepted")
 	}
 }
 
@@ -291,7 +228,7 @@ func TestFitRejectsNonFinite(t *testing.T) {
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
 	}
-	in := FitInput{Probs: idProbs(rng, 40, 4), TrainFeatures: feats, HeldOutFeatures: feats.Clone(), RawSamples: mat.New(4, 1)}
+	in := FitInput{TrainFeatures: feats, HeldOutFeatures: feats.Clone(), RawSamples: mat.New(4, 1)}
 	if _, err := Fit(in, Options{}); err != nil {
 		t.Fatalf("finite features refused: %v", err)
 	}

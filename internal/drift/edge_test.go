@@ -10,9 +10,8 @@ import (
 // The continual-learning flywheel calibrates candidates from whatever the
 // reservoir happened to buffer, so the fitting paths must behave on the
 // degenerate sets that pipeline can produce: empty held-out splits,
-// single-sample calibration sets, and all-rejected traffic. Every cut
-// point must stay finite — a NaN threshold silently accepts (or rejects)
-// everything.
+// single-sample calibration sets, and all-rejected traffic. The cut point
+// must stay finite — a NaN threshold silently accepts everything.
 
 // mustMat builds a small literal matrix.
 func mustMat(rows, cols int, vals ...float64) *mat.Matrix {
@@ -21,38 +20,6 @@ func mustMat(rows, cols int, vals ...float64) *mat.Matrix {
 		panic(err)
 	}
 	return m
-}
-
-func TestFitThresholdEmptyCalibrationSets(t *testing.T) {
-	for name, probs := range map[string]*mat.Matrix{
-		"nil":       nil,
-		"zero rows": mat.New(0, 4),
-		"zero cols": mat.New(4, 0),
-	} {
-		if _, err := FitThreshold(probs, 0, 0); err == nil {
-			t.Fatalf("%s probability matrix accepted", name)
-		}
-	}
-}
-
-func TestFitThresholdSingleSample(t *testing.T) {
-	probs := mustMat(1, 3, 0.7, 0.2, 0.1)
-	thr, err := FitThreshold(probs, 0, 0)
-	if err != nil {
-		t.Fatalf("single calibration row refused: %v", err)
-	}
-	for name, v := range map[string]float64{
-		"MinConf": thr.MinConf, "MinMargin": thr.MinMargin, "MaxEnergy": thr.MaxEnergy,
-	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("%s = %v from a single sample", name, v)
-		}
-	}
-	// Comparisons are strict, so the calibration row itself — sitting
-	// exactly on every cut point — stays accepted.
-	if thr.Reject(ScoreProbs(probs.Row(0), thr.Temperature)) {
-		t.Fatal("single-sample threshold rejects its own calibration row")
-	}
 }
 
 func TestFitFeatureStatsDegenerateSets(t *testing.T) {
@@ -82,14 +49,14 @@ func TestFitFeatureStatsDegenerateSets(t *testing.T) {
 }
 
 func TestFitSingleSampleCalibration(t *testing.T) {
-	// One held-out row end to end: threshold, feature gate and reference
-	// all fit without a division by zero, and the resulting calibration
-	// accepts its own calibration point.
+	// One held-out row end to end: feature gate and reference fit without a
+	// division by zero, and the resulting calibration accepts its own
+	// calibration point.
 	probs := mustMat(1, 2, 0.9, 0.1)
 	train := mustMat(1, 2, 1, 2)
 	held := mustMat(1, 2, 1, 2)
 	raw := mustMat(2, 3, 5, 5, 5, 6, 6, 6)
-	cal, err := Fit(FitInput{Probs: probs, TrainFeatures: train, HeldOutFeatures: held, RawSamples: raw}, Options{})
+	cal, err := Fit(FitInput{TrainFeatures: train, HeldOutFeatures: held, RawSamples: raw}, Options{})
 	if err != nil {
 		t.Fatalf("single-sample calibration refused: %v", err)
 	}
@@ -101,16 +68,24 @@ func TestFitSingleSampleCalibration(t *testing.T) {
 	}
 }
 
-func TestFitMismatchedHeldOutRows(t *testing.T) {
-	probs := mustMat(2, 2, 0.9, 0.1, 0.8, 0.2)
+// TestFitRefusesIncompleteInput: Fit refuses what it cannot calibrate a cut
+// point from, rather than fitting a gate that is silently off.
+func TestFitRefusesIncompleteInput(t *testing.T) {
 	train := mustMat(1, 2, 1, 2)
-	held := mustMat(1, 2, 1, 2) // 1 row for 2 probability rows
 	raw := mustMat(1, 3, 5, 5, 5)
-	if _, err := Fit(FitInput{Probs: probs, TrainFeatures: train, HeldOutFeatures: held, RawSamples: raw}, Options{}); err == nil {
-		t.Fatal("held-out/probs row mismatch accepted")
-	}
-	if _, err := Fit(FitInput{Probs: probs, TrainFeatures: train, RawSamples: raw}, Options{}); err == nil {
-		t.Fatal("train features without held-out features accepted")
+	for name, tc := range map[string]struct {
+		in   FitInput
+		opts Options
+	}{
+		"training features without held-out ones": {FitInput{TrainFeatures: train, RawSamples: raw}, Options{}},
+		"held-out features without training ones": {FitInput{HeldOutFeatures: train, RawSamples: raw}, Options{}},
+		"no held-out rows":                        {FitInput{TrainFeatures: train, HeldOutFeatures: mat.New(0, 2), RawSamples: raw}, Options{}},
+		"quantile 1":                              {FitInput{TrainFeatures: train, HeldOutFeatures: train, RawSamples: raw}, Options{Quantile: 1}},
+		"quantile 1.5":                            {FitInput{RawSamples: raw}, Options{Quantile: 1.5}},
+	} {
+		if _, err := Fit(tc.in, tc.opts); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/forest"
 	"repro/internal/mat"
-	"repro/internal/telemetry"
 )
 
 // exhaustive is the oracle the search is checked against: the scan Distance
@@ -183,30 +181,22 @@ func covFeatures(tb testing.TB, p core.Provenance) (*core.FeaturePair, *mat.Matr
 }
 
 // featQuantile is the cut point Fit calibrates from held-out distances: their
-// nearest-rank DefaultFeatQuantile.
+// nearest-rank DefaultQuantile.
 func featQuantile(dists []float64) float64 {
 	sorted := append([]float64(nil), dists...)
 	sort.Float64s(sorted)
-	return sorted[int(drift.DefaultFeatQuantile*float64(len(sorted))+0.5)-1]
+	return sorted[int(drift.DefaultQuantile*float64(len(sorted))+0.5)-1]
 }
 
 // TestFitMatchesExhaustiveCalibration pins the calibration of the
-// smoke-preset seed-1 model to the one the exhaustive scan yields: the same
+// smoke-preset seed-1 features to the one the exhaustive scan yields: the same
 // MaxFeatDist bits, hence the same encoded bytes — the index is not in them.
 func TestFitMatchesExhaustiveCalibration(t *testing.T) {
 	smoke := core.PresetSmoke()
 	fp, raw := covFeatures(t, core.Provenance{
 		Dataset: "60-middle-1", Scale: smoke.Scale, Seed: smoke.Seed, MaxTrain: smoke.MaxTrain, MaxTest: smoke.MaxTest,
 	})
-	rf := forest.New(forest.Config{NumTrees: smoke.RFTrees[0], Bootstrap: true, Seed: smoke.Seed})
-	if err := rf.Fit(fp.TrainX, fp.TrainY, int(telemetry.NumClasses)); err != nil {
-		t.Fatal(err)
-	}
-	probs, err := rf.PredictProbaBatch(fp.TestX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := drift.Fit(drift.FitInput{Probs: probs, TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}, drift.Options{})
+	cal, err := drift.Fit(drift.FitInput{TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}, drift.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

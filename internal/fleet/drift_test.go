@@ -131,7 +131,7 @@ func TestDriftUnknownCounting(t *testing.T) {
 	cal := fitTestCalibration(t, model)
 	// A maximally strict threshold: everything is rejected. This isolates
 	// the counting path from the model's actual score distribution.
-	cal.Threshold.MinConf = 2
+	cal.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
 	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestSwapClassifierDriftCoherence(t *testing.T) {
 	// Swap in the same model with a reject-everything calibration: the
 	// new thresholds must govern immediately and the histograms restart.
 	strict := fitTestCalibration(t, model)
-	strict.Threshold.MinConf = 2
+	strict.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
 	if err := m.SwapClassifierDrift(model, strict); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/events"
@@ -192,7 +193,7 @@ func TestEventsUnknownTransition(t *testing.T) {
 	cal := fitTestCalibration(t, model)
 	// A maximally strict threshold: everything is rejected, so the first
 	// classification is also the false→true verdict transition.
-	cal.Threshold.MinConf = 2
+	cal.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
 	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)

@@ -690,6 +690,8 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 // fields (confidence through unknown) are present only when the serving
 // fleet carries a drift calibration; confidence duplicates probability
 // under its open-set name so drift-aware clients read one coherent block.
+// Confidence, margin and energy describe the probabilities; unknown is
+// feature_distance past the calibrated cut point, and nothing else.
 type predictionResponse struct {
 	Job         int       `json:"job"`
 	Class       int       `json:"class"`

@@ -159,19 +159,21 @@ func (p *Prediction) Unknown() bool {
 }
 
 // OpenSet is one prediction's open-set verdict: the scores beyond the
-// winning probability and whether the calibrated threshold rejected the
+// winning probability and whether the calibrated feature gate rejected the
 // prediction as an unknown workload.
 type OpenSet struct {
-	// Margin is the gap between the top two class probabilities.
+	// Margin is the gap between the top two class probabilities; it
+	// describes the prediction and decides nothing.
 	Margin float64
-	// Energy is the energy-style uncertainty score (see drift.ScoreProbs).
+	// Energy is the energy-style uncertainty score (see drift.ScoreProbs);
+	// descriptive, like Margin.
 	Energy float64
 	// FeatDist is the feature-space distance from the training
 	// distribution (see drift.FeatureStats); 0 when the calibration has
 	// no feature gate.
 	FeatDist float64
-	// Rejected marks the prediction as outside the calibrated
-	// in-distribution region — an unknown workload.
+	// Rejected marks FeatDist as past the calibrated cut point — an
+	// unknown workload.
 	Rejected bool
 }
 

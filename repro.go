@@ -82,9 +82,9 @@ type RFCovResult struct {
 	// preprocessed exactly as the model was trained.
 	Scaler *preprocess.StandardScaler
 	// Drift is the open-set calibration fitted alongside the model: a
-	// rejection threshold calibrated on the held-out test split's
-	// predicted probabilities, and input reference histograms over the
-	// raw training windows. Serving fleets built from this result flag
+	// feature-distance cut point calibrated on the held-out test split's
+	// embeddings, and input reference histograms over the raw training
+	// windows. Serving fleets built from this result flag
 	// unknown workloads and report input drift (see internal/drift).
 	Drift *drift.Calibration
 }
