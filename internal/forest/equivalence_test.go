@@ -1,11 +1,13 @@
 package forest
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/wire"
 )
 
 // randomProblem builds an n-row, d-feature training set with k random
@@ -76,23 +78,129 @@ func TestEquivalenceFlatForest(t *testing.T) {
 				t.Fatal("PredictProbaBatch accepted a classifier with no compiled flat form")
 			}
 			for _, rows := range []int{0, 1, 37} {
-				ev := hostileRows(rng, rows, tc.d)
-				got, err := f.PredictProbaBatch(ev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial, err := f.PredictProba(ev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range serial.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
-						t.Fatalf("rows=%d: element %d: flat %v vs serial %v", rows, i, got.Data[i], serial.Data[i])
-					}
-				}
+				requireBitIdentical(t, f, hostileRows(rng, rows, tc.d))
 			}
 		})
 	}
+}
+
+// requireBitIdentical fails unless the flat kernel's scores for ev match
+// the serial pointer walk's under math.Float64bits.
+func requireBitIdentical(t *testing.T, f *Classifier, ev *mat.Matrix) {
+	t.Helper()
+	got, err := f.PredictProbaBatch(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := f.PredictProba(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
+			t.Fatalf("rows=%d: element %d: flat %v vs serial %v", ev.Rows, i, got.Data[i], serial.Data[i])
+		}
+	}
+}
+
+// hostileLeafPayload hand-writes a forest payload of three 4-class trees
+// over 2 features whose leaves hold what no fit produces — −0, NaN, ±Inf,
+// negative values and all-zero distributions — beside one-hot and
+// multi-entry ones. Each tree is a full depth-2 split on both features.
+func hostileLeafPayload(t *testing.T) []byte {
+	t.Helper()
+	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
+	leaves := [][4][]float64{
+		{{0, 0, 1, 0}, {negZero, 0, 0, 0}, {-0.5, 1.5, 0, negZero}, {0, 0, 0, 0}},
+		{{0, negZero, 0, -2}, {negZero, 0.25, negZero, 0.75}, {nan, 0, 0, 0}, {0, 1, 0, 0}},
+		{{math.Inf(1), 0, math.Inf(-1), 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0.125, negZero, -3, 4}},
+	}
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.U16(codecVersion)
+	w.Int(len(leaves))
+	w.Int(0)     // MaxDepth
+	w.Int(0)     // MaxFeatures
+	w.Int(0)     // MinSamplesLeaf
+	w.Bool(true) // Bootstrap
+	w.Int(1)     // Workers
+	w.I64(0)     // Seed
+	w.Int(4)     // classes
+	w.Int(2)     // features
+	w.Int(len(leaves))
+	for ti, ls := range leaves {
+		w.U16(1) // tree codec version
+		w.Int(0) // MaxDepth
+		w.Int(2) // MinSamplesSplit
+		w.Int(1) // MinSamplesLeaf
+		w.Int(2) // MaxFeatures
+		w.I64(int64(ti))
+		w.Int(4) // classes
+		w.Int(2) // features
+		w.Int(7) // nodes
+		split := func(feat int, thr float64, left, right int) {
+			w.Bool(false)
+			w.Int(feat)
+			w.F64(thr)
+			w.Int(left)
+			w.Int(right)
+		}
+		split(0, 0, 1, 2)
+		split(1, -0.5, 3, 4)
+		split(1, 0.5, 5, 6)
+		for _, p := range ls {
+			w.Bool(true)
+			w.F64s(p)
+		}
+		w.F64s([]float64{0.5, 0.5}) // importances
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEquivalenceFlatForestSparseLeaves pins the sparse leaf encoding
+// bit-identical to the serial walk where it is not one-hot: multi-entry
+// leaves of a fitted MinSamplesLeaf forest, and a decoded payload whose
+// leaves hold −0, NaN, ±Inf, negative values and all-zero distributions.
+func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	t.Run("min-samples-leaf", func(t *testing.T) {
+		x, y := randomProblem(rng, 240, 5, 4)
+		f := New(Config{NumTrees: 12, MinSamplesLeaf: 8, Seed: 5, Bootstrap: true, Workers: 2})
+		if err := f.Fit(x, y, 4); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.flat.entries) == 0 {
+			t.Fatal("MinSamplesLeaf 8 compiled no multi-entry leaf")
+		}
+		for _, rows := range []int{1, 37} {
+			requireBitIdentical(t, f, hostileRows(rng, rows, 5))
+		}
+	})
+	t.Run("hostile-payload", func(t *testing.T) {
+		f, err := Decode(bytes.NewReader(hostileLeafPayload(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.flat.entries) == 0 {
+			t.Fatal("hostile payload compiled no multi-entry leaf")
+		}
+		leaves := 0
+		for _, ft := range f.flat.feat {
+			if ft < 0 {
+				leaves++
+			}
+		}
+		if leaves != 12 {
+			t.Fatalf("%d of 12 leaves compiled as leaves", leaves)
+		}
+		for _, rows := range []int{1, 37, 64} {
+			requireBitIdentical(t, f, hostileRows(rng, rows, 2))
+		}
+	})
 }
 
 // BenchmarkPredictProbaBatch times the flat kernel on the shape one fleet
@@ -116,8 +224,10 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 }
 
 // TestFlatForestCompiledShape checks the relayout invariants the kernel
-// relies on: one root per tree, right child adjacent to left, and leaf
-// probability blocks of exactly numClasses.
+// relies on: one root per tree, right child adjacent to left, inline leaves
+// of an in-range class, and k-entry leaves whose entries lie in the table,
+// are nonzero, and name a class below numClasses. An unpruned forest's
+// leaves are one-hot, so it must compile to inline leaves only.
 func TestFlatForestCompiledShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x, y := randomProblem(rng, 120, 4, 3)
@@ -132,18 +242,52 @@ func TestFlatForestCompiledShape(t *testing.T) {
 	if len(fl.feat) != len(fl.thr) || len(fl.feat) != len(fl.kids) {
 		t.Fatalf("ragged arrays: %d/%d/%d", len(fl.feat), len(fl.thr), len(fl.kids))
 	}
-	if len(fl.probs)%fl.numClasses != 0 {
-		t.Fatalf("probs length %d not a multiple of %d classes", len(fl.probs), fl.numClasses)
+	for i, root := range fl.roots {
+		if i > 0 && root <= fl.roots[i-1] {
+			t.Fatalf("root %d at %d does not follow root %d at %d", i, root, i-1, fl.roots[i-1])
+		}
 	}
+	if multi := checkFlatShape(t, fl); multi == 0 {
+		t.Fatal("MaxDepth 5 compiled no multi-entry leaf")
+	}
+
+	unpruned := New(Config{NumTrees: 8, Seed: 3, Bootstrap: true})
+	if err := unpruned.Fit(x, y, 3); err != nil {
+		t.Fatal(err)
+	}
+	if multi := checkFlatShape(t, unpruned.flat); multi != 0 || len(unpruned.flat.entries) != 0 {
+		t.Fatalf("unpruned forest compiled %d multi-entry leaves and a %d-entry table, want inline leaves only",
+			multi, len(unpruned.flat.entries))
+	}
+}
+
+// checkFlatShape checks every node of fl and returns how many leaves use
+// the entry table.
+func checkFlatShape(t *testing.T, fl *flatForest) (multi int) {
+	t.Helper()
+	nc := int32(fl.numClasses)
 	for id, ft := range fl.feat {
-		if ft < 0 {
-			if off := int(fl.kids[id]); off < 0 || off+fl.numClasses > len(fl.probs) {
-				t.Fatalf("leaf %d has out-of-range probs offset %d", id, off)
+		switch {
+		case ft >= 0:
+			if k := int(fl.kids[id]); k <= id || k+1 >= len(fl.feat) {
+				t.Fatalf("node %d has out-of-range children at %d", id, k)
 			}
-			continue
-		}
-		if k := int(fl.kids[id]); k <= id || k+1 >= len(fl.feat) {
-			t.Fatalf("node %d has out-of-range children at %d", id, k)
+		case ft == -1:
+			if c := fl.kids[id]; c < 0 || c >= nc || fl.thr[id] == 0 {
+				t.Fatalf("inline leaf %d holds %v for class %d of %d", id, fl.thr[id], c, nc)
+			}
+		default:
+			multi++
+			off, k := int(fl.kids[id]), int(-ft)
+			if off < 0 || off+k > len(fl.entries) {
+				t.Fatalf("leaf %d has %d entries at out-of-range offset %d", id, k, off)
+			}
+			for _, e := range fl.entries[off : off+k] {
+				if e.class < 0 || e.class >= nc || e.value == 0 {
+					t.Fatalf("leaf %d holds %v for class %d of %d", id, e.value, e.class, nc)
+				}
+			}
 		}
 	}
+	return multi
 }

@@ -14,16 +14,26 @@ import (
 //
 // Per node:
 //
-//	feat[id]  split feature index, or -1 for a leaf
-//	thr[id]   split threshold (unused for leaves)
+//	feat[id]  internal node: split feature index (≥ 0). Leaf: -k, where k
+//	          is the number of class entries the leaf adds.
+//	thr[id]   internal node: split threshold. One-entry leaf: the value.
 //	kids[id]  internal node: index of the left child; the right child is
 //	          always kids[id]+1 (breadth-first relayout guarantees the
-//	          pair is adjacent). Leaf: offset of the node's class
-//	          distribution in probs.
+//	          pair is adjacent). One-entry leaf: the class. Leaf with
+//	          k ≥ 2 entries: offset of its first entry in entries.
 //
-// probs concatenates every leaf's numClasses-wide distribution. The walk
-// uses the same `value <= threshold` comparison as the pointer tree — NaN
-// routes right on both — and the batch kernel accumulates tree
+// A leaf stores only the nonzero entries of its class distribution. Every
+// leaf of an unpruned tree is one-hot, so it lives inline in its node, the
+// form xgb's flat kernel uses for leaf weights; only leaves of pruned trees
+// (MaxDepth, MinSamplesLeaf) or decoded artifacts reach the shared entries
+// table. A leaf with no nonzero entry keeps one inline +0 for class 0, so it
+// never encodes as feat 0, which would read as a split.
+//
+// Dropping zero entries is exact: accumulators start at +0, and under
+// round-to-nearest no sum of the kept terms is ever −0, so adding ±0 leaves
+// every accumulator's bits unchanged. NaN and negative entries are kept. The
+// walk uses the same `value <= threshold` comparison as the pointer tree —
+// NaN routes right on both — and the batch kernel accumulates tree
 // contributions in ensemble order followed by one scaling, exactly as
 // predictProbaInto, so results are bit-identical to the pointer paths.
 type flatForest struct {
@@ -32,12 +42,18 @@ type flatForest struct {
 	feat       []int32
 	thr        []float64
 	kids       []int32
-	probs      []float64
+	entries    []leafEntry
+}
+
+// leafEntry is one nonzero class entry of a leaf with two or more.
+type leafEntry struct {
+	class int32
+	value float64
 }
 
 // compileFlat flattens the ensemble. Each tree is relaid breadth-first so
-// sibling children occupy adjacent slots; node count and leaf distributions
-// are preserved exactly.
+// sibling children occupy adjacent slots; node count and every nonzero leaf
+// entry are preserved exactly.
 func compileFlat(trees []*tree.Classifier, numClasses int) *flatForest {
 	f := &flatForest{
 		numClasses: numClasses,
@@ -61,9 +77,7 @@ func compileFlat(trees []*tree.Classifier, numClasses int) *flatForest {
 			queue = queue[1:]
 			nd := &nodes[p.orig]
 			if nd.Leaf {
-				f.feat[p.slot] = -1
-				f.kids[p.slot] = int32(len(f.probs))
-				f.probs = append(f.probs, nd.Probs...)
+				f.setLeaf(p.slot, nd.Probs)
 				continue
 			}
 			left := int32(len(f.feat))
@@ -79,6 +93,34 @@ func compileFlat(trees []*tree.Classifier, numClasses int) *flatForest {
 	return f
 }
 
+// setLeaf encodes the leaf distribution probs at slot: its one nonzero
+// entry inline, or its k ≥ 2 nonzero entries appended to entries.
+func (f *flatForest) setLeaf(slot int32, probs []float64) {
+	k, last := 0, 0
+	for c, v := range probs {
+		if v != 0 { // NaN != 0: NaN entries are kept
+			k, last = k+1, c
+		}
+	}
+	if k <= 1 {
+		// An all-zero leaf (k == 0, last == 0) adds +0 to class 0, which
+		// changes no bit.
+		v := 0.0
+		if k == 1 {
+			v = probs[last]
+		}
+		f.feat[slot], f.thr[slot], f.kids[slot] = -1, v, int32(last)
+		return
+	}
+	f.feat[slot] = -int32(k)
+	f.kids[slot] = int32(len(f.entries))
+	for c, v := range probs {
+		if v != 0 {
+			f.entries = append(f.entries, leafEntry{class: int32(c), value: v})
+		}
+	}
+}
+
 // scoreBlock accumulates the ensemble's averaged leaf distributions for
 // rows [lo, hi) into out. Tree-outer iteration keeps the flat arrays hot in
 // cache while each tree sweeps the block, and the sweep walks four rows at
@@ -92,7 +134,7 @@ func compileFlat(trees []*tree.Classifier, numClasses int) *flatForest {
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (f *flatForest) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 	nc := f.numClasses
-	feat, thr, kids, probs := f.feat, f.thr, f.kids, f.probs
+	feat, thr, kids := f.feat, f.thr, f.kids
 	xd, xc := x.Data, x.Cols
 	od, oc := out.Data, out.Cols
 	for _, root := range f.roots {
@@ -138,19 +180,16 @@ func (f *flatForest) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 					f3 = feat[id3]
 				}
 			}
-			addLeaf(od[(i+0)*oc:(i+0)*oc+nc], probs, int(kids[id0]), nc)
-			addLeaf(od[(i+1)*oc:(i+1)*oc+nc], probs, int(kids[id1]), nc)
-			addLeaf(od[(i+2)*oc:(i+2)*oc+nc], probs, int(kids[id2]), nc)
-			addLeaf(od[(i+3)*oc:(i+3)*oc+nc], probs, int(kids[id3]), nc)
+			f.addLeaf(od[(i+0)*oc:(i+0)*oc+nc], id0, f0)
+			f.addLeaf(od[(i+1)*oc:(i+1)*oc+nc], id1, f1)
+			f.addLeaf(od[(i+2)*oc:(i+2)*oc+nc], id2, f2)
+			f.addLeaf(od[(i+3)*oc:(i+3)*oc+nc], id3, f3)
 		}
 		for ; i < hi; i++ {
 			row := xd[i*xc : (i+1)*xc]
 			id := root
-			for {
-				ft := feat[id]
-				if ft < 0 {
-					break
-				}
+			ft := feat[id]
+			for ft >= 0 {
 				// Conditional-select phrasing (not a guarded increment)
 				// so the compiler emits SETcc instead of a branch: the
 				// split direction is data-dependent and near 50/50.
@@ -160,8 +199,9 @@ func (f *flatForest) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 					step = 0
 				}
 				id = kids[id] + step
+				ft = feat[id]
 			}
-			addLeaf(od[i*oc:i*oc+nc], probs, int(kids[id]), nc)
+			f.addLeaf(od[i*oc:i*oc+nc], id, ft)
 		}
 	}
 	inv := 1.0 / float64(len(f.roots))
@@ -173,12 +213,16 @@ func (f *flatForest) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 	}
 }
 
-// addLeaf adds the nc-wide leaf distribution at probs[off:] into dst. The
-// full-slice reslices let the compiler drop bounds checks from the add loop.
-func addLeaf(dst, probs []float64, off, nc int) {
-	src := probs[off : off+nc : off+nc]
-	dst = dst[:nc:nc]
-	for c, v := range src {
-		dst[c] += v
+// addLeaf adds the entries of leaf id, whose feat is ft, into the row dst.
+// A one-entry leaf is one add from its own node; the entry table is read
+// only for leaves with two or more.
+func (f *flatForest) addLeaf(dst []float64, id, ft int32) {
+	if ft == -1 {
+		dst[f.kids[id]] += f.thr[id]
+		return
+	}
+	off := f.kids[id]
+	for _, e := range f.entries[off : off-ft] {
+		dst[e.class] += e.value
 	}
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // minBlockRows is the fewest rows worth a goroutine of their own. A
-// flat-kernel row costs ~6 µs once a block amortises its start-up (the
-// 250-row figure in benchmark/README.md's cost budget), and a goroutine
-// hand-off plus the wait for it is a few tens of µs on a busy host, so
-// below ~32 rows a second block costs more than it saves.
+// flat-kernel row costs ~3 µs once a block amortises its start-up
+// (forest.classify_ns_per_row on a traced 250-row tick-full run, 2 vCPUs),
+// and a goroutine hand-off plus the wait for it is a few tens of µs on a
+// busy host, so a block of fewer than ~32 rows (under ~100 µs of kernel
+// work) saves too little to pay for its hand-off.
 const minBlockRows = 32
 
 // ParallelRowBlocks splits rows into contiguous blocks — at most workers of
