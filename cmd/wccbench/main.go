@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"time"
 
@@ -32,13 +33,19 @@ func main() {
 	rnnStride := flag.Int("rnn-stride", 0, "override the preset's RNN sequence stride")
 	flag.Parse()
 
-	if err := run(os.Stdout, *preset, *table, *verbose, *rnnEpochs, *rnnMaxTrain, *rnnStride); err != nil {
+	// -v shows the per-cell (info) records, never the per-epoch (debug) ones.
+	level := slog.LevelWarn
+	if *verbose {
+		level = slog.LevelInfo
+	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+	if err := run(os.Stdout, *preset, *table, *rnnEpochs, *rnnMaxTrain, *rnnStride); err != nil {
 		fmt.Fprintln(os.Stderr, "wccbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, presetName, table string, verbose bool, rnnEpochs, rnnMaxTrain, rnnStride int) error {
+func run(w io.Writer, presetName, table string, rnnEpochs, rnnMaxTrain, rnnStride int) error {
 	p, err := core.PresetByName(presetName)
 	if err != nil {
 		return err
@@ -52,13 +59,6 @@ func run(w io.Writer, presetName, table string, verbose bool, rnnEpochs, rnnMaxT
 	if rnnStride > 0 {
 		p.RNN.Stride = rnnStride
 	}
-	var logf func(string, ...any)
-	if verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		}
-	}
-
 	tables, err := core.Tables(table)
 	if err != nil {
 		return err
@@ -73,7 +73,7 @@ func run(w io.Writer, presetName, table string, verbose bool, rnnEpochs, rnnMaxT
 
 	start := time.Now()
 	for _, t := range tables {
-		out, err := t.Run(sim, p, logf)
+		out, err := t.Run(sim, p)
 		if err != nil {
 			return err
 		}

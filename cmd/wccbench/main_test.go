@@ -15,7 +15,7 @@ import (
 func TestRunRejectsUnknownTableBeforeSimulating(t *testing.T) {
 	for _, table := range []string{"10", "nope"} {
 		var out bytes.Buffer
-		err := run(&out, "smoke", table, false, 0, 0, 0)
+		err := run(&out, "smoke", table, 0, 0, 0)
 		if err == nil || !strings.Contains(err.Error(), "unknown table") {
 			t.Errorf("-table %s: run = %v, want an unknown-table error", table, err)
 		}
@@ -27,7 +27,7 @@ func TestRunRejectsUnknownTableBeforeSimulating(t *testing.T) {
 
 func TestRunPrintsTable1(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "smoke", "1", false, 0, 0, 0); err != nil {
+	if err := run(&out, "smoke", "1", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# wccbench -preset smoke -table 1\n", "preset smoke:", "### Table I:", "elapsed:"} {
@@ -41,7 +41,7 @@ func TestRunPrintsTable1(t *testing.T) {
 // the descriptive tables render, and Table IV names all seven datasets.
 func TestRunMetaTables(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "warp", "1", false, 0, 0, 0); err == nil || !strings.Contains(err.Error(), "unknown preset") {
+	if err := run(&out, "warp", "1", 0, 0, 0); err == nil || !strings.Contains(err.Error(), "unknown preset") {
 		t.Errorf("-preset warp: run = %v, want an unknown-preset error", err)
 	}
 	if out.Len() != 0 {
@@ -49,7 +49,7 @@ func TestRunMetaTables(t *testing.T) {
 	}
 	for table, want := range map[string]string{"2": "### Table III:", "7": "### Tables VII-IX:"} {
 		out.Reset()
-		if err := run(&out, "smoke", table, false, 0, 0, 0); err != nil {
+		if err := run(&out, "smoke", table, 0, 0, 0); err != nil {
 			t.Fatalf("table %s: %v", table, err)
 		}
 		if !strings.Contains(out.String(), want) {
@@ -57,7 +57,7 @@ func TestRunMetaTables(t *testing.T) {
 		}
 	}
 	out.Reset()
-	if err := run(&out, "smoke", "4", false, 0, 0, 0); err != nil {
+	if err := run(&out, "smoke", "4", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range dataset.ChallengeSpecs {

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -76,6 +77,8 @@ func main() {
 	adaptShadowMin := flag.Int("adapt-shadow-min", 200, "with -adapt: live windows the candidate must shadow-score before the quality gate opens")
 	flag.Parse()
 
+	// The process log: one structured record a line on standard error.
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	if err := run(config{
 		shards: *shards, tick: *tick, model: *model, modelPoll: *modelPoll,
 		listen: *listen, debugAddr: *debugAddr, evictAfter: *evictAfter,
@@ -106,11 +109,6 @@ type config struct {
 	adaptAuto       bool
 	adaptEvery      time.Duration
 	adaptShadowMin  int
-}
-
-// logf is the process's operational log: prefixed lines on standard error.
-func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "wccserve: "+format+"\n", args...)
 }
 
 // clusterPeers splits the -cluster list into normalised base URLs.
@@ -200,8 +198,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 			Calibration:      a.Drift,
 			ShadowMinWindows: c.adaptShadowMin,
 			AutoPromote:      c.adaptAuto,
-			Logf:             logf,
-			Trainer:          adapt.NewProvenanceTrainer(a, logf),
+			Trainer:          adapt.NewProvenanceTrainer(a),
 			Events:           bus,
 			Promote: func(candidate *artifact.Artifact) error {
 				return artifact.Save(c.model, candidate)
@@ -221,11 +218,10 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 		EvictAfter: c.evictAfter,
 		Events:     bus,
 		Adapt:      mgr,
-		Logf:       logf,
 	}
 	// Either way a changed -model artifact enters through the server's one
 	// installer; what differs is who drives it.
-	watch := server.WatchConfig{Path: c.model, Every: c.modelPoll, Logf: logf}
+	watch := server.WatchConfig{Path: c.model, Every: c.modelPoll}
 	var (
 		srv     *server.Server
 		handler http.Handler
@@ -251,7 +247,6 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 			Core:  monitor,
 			Serve: scfg,
 			Dir:   c.clusterDir,
-			Logf:  logf,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster setup: %w", err)
@@ -299,7 +294,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 		fmt.Fprintf(out, "pprof debug listener on http://%s/debug/pprof/\n", dln.Addr())
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "wccserve: debug listener: %v\n", err)
+				slog.Error("debug listener failed", "err", err)
 			}
 		}()
 	}
@@ -334,11 +329,11 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "wccserve: http shutdown: %v\n", err)
+		slog.Error("http shutdown failed", "err", err)
 	}
 	if debugSrv != nil {
 		if err := debugSrv.Shutdown(drainCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "wccserve: debug shutdown: %v\n", err)
+			slog.Error("debug listener shutdown failed", "err", err)
 		}
 	}
 	close(stopAdapt)

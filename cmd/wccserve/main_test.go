@@ -17,6 +17,7 @@ import (
 
 	"repro"
 	"repro/internal/artifact"
+	"repro/internal/logtest"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -207,5 +208,50 @@ func TestServeAdaptNeedsDriftBeforeListening(t *testing.T) {
 	}
 	if servingLine.MatchString(out.String()) {
 		t.Fatalf("listener opened before the refusal:\n%s", out.String())
+	}
+}
+
+// TestServeLogsWatcherRecords pins the process log of the artifact watcher:
+// a re-saved compatible artifact at the -model path is one hot-swap info
+// record naming the model kind, and an artifact the gate refuses is one
+// warning whose err carries the gate's reason. Neither reaches stdout.
+func TestServeLogsWatcherRecords(t *testing.T) {
+	a := tinyArtifact(t)
+	path := filepath.Join(t.TempDir(), "m.wcc")
+	if err := artifact.Save(path, a); err != nil {
+		t.Fatal(err)
+	}
+	logs := logtest.Capture(t)
+	_, out, stop := boot(t, config{model: path, modelPoll: 5 * time.Millisecond})
+	time.Sleep(50 * time.Millisecond) // let the watcher record the boot artifact
+
+	resaved := *a
+	resaved.Meta.Tool = "wccserve-test resave"
+	if err := artifact.Save(path, &resaved); err != nil {
+		t.Fatal(err)
+	}
+	logs.Wait(t, 1, "level=INFO", "hot-swapped", "kind=forest")
+
+	scaler := *a.Scaler
+	scaler.Means = append([]float64(nil), scaler.Means...)
+	scaler.Means[0]++
+	refused := resaved
+	refused.Scaler = &scaler
+	if err := artifact.Save(path, &refused); err != nil {
+		t.Fatal(err)
+	}
+	logs.Wait(t, 1, "level=WARN", `msg="model reload skipped"`, `err="scaler statistics differ from the serving scaler"`)
+
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := logs.Lines("hot-swapped"); len(got) != 1 {
+		t.Errorf("one compatible replacement logged %d swap records: %q", len(got), got)
+	}
+	if got := logs.Lines("model reload skipped"); len(got) != 1 {
+		t.Errorf("one refused replacement logged %d skip records: %q", len(got), got)
+	}
+	if s := out.String(); strings.Contains(s, "hot-swapped") || strings.Contains(s, "reload skipped") {
+		t.Errorf("watcher records reached stdout:\n%s", s)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"repro/internal/adapt"
@@ -75,6 +76,8 @@ func main() {
 	baseArt := flag.String("base", "", "with -families: the serving .wcc artifact the candidate extends (source of provenance, trial caps, forest size and scaler)")
 	flag.Parse()
 
+	// Training progress, per-epoch lines included, goes to standard error.
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	var err error
 	if *families != "" {
 		// Only a -drift-quantile given on the command line overrides the
@@ -128,7 +131,7 @@ func runFamilies(w io.Writer, famPath, basePath, out string, driftQ float64) err
 	}
 	fmt.Fprintf(w, "widening %d-class %s base with %d famil(ies) from %s\n",
 		len(base.Meta.ClassNames), base.Meta.Kind, len(fams), famPath)
-	trainer := adapt.NewProvenanceTrainer(base, logf)
+	trainer := adapt.NewProvenanceTrainer(base)
 	if driftQ != 0 {
 		trainer.Quantile = driftQ
 	}
@@ -143,9 +146,6 @@ func runFamilies(w io.Writer, famPath, basePath, out string, driftQ float64) err
 		len(cand.Meta.ClassNames), cand.Meta.NovelClasses, cand.Meta.Accuracy*100, out)
 	return nil
 }
-
-// logf reports training progress on stderr.
-func logf(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 // opts holds the flags of a plain training run.
 type opts struct {
@@ -333,7 +333,6 @@ func trainSequence(_ io.Writer, o opts, _ core.Provenance, ch *dataset.Challenge
 	cfg := nn.DefaultTrainConfig()
 	cfg.Epochs = o.epochs
 	cfg.Seed = o.seed
-	cfg.Logf = logf
 	if _, err := nn.Train(m, trainT, ch.Train.Y, cfg); err != nil {
 		return outcome{}, err
 	}

@@ -172,7 +172,7 @@ func TestFamiliesMatchesInProcessTrainer(t *testing.T) {
 	}
 
 	inProcess := filepath.Join(dir, "in-process.wcc")
-	cand, err := adapt.NewProvenanceTrainer(base, nil).Train(fams)
+	cand, err := adapt.NewProvenanceTrainer(base).Train(fams)
 	if err != nil {
 		t.Fatal(err)
 	}

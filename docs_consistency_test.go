@@ -37,9 +37,11 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // TestDocsConsistency holds the written contract to the code: docs/API.md
 // names every HTTP route the server and the cluster control plane register
 // and every wcc_* metric either exports, every internal package carries
-// package godoc, every test the docs cite exists, and — one training path
-// (DESIGN.md §7) — only internal/core calibrates a drift section or spells
-// out the simulation settings.
+// package godoc, and every test the docs cite exists. Two one-way rules
+// hold too: only internal/core calibrates a drift section or spells out the
+// simulation settings (one training path, DESIGN.md §7), and no code outside
+// benchmark/ declares a printf-style Logf/logf func field, parameter or
+// variable (one log, log/slog's default logger: DESIGN.md §12).
 func TestDocsConsistency(t *testing.T) {
 	doc, err := os.ReadFile("docs/API.md")
 	if err != nil {
@@ -94,6 +96,7 @@ func TestDocsConsistency(t *testing.T) {
 	}
 
 	stray := regexp.MustCompile(`drift\.Fit\(|GapRate: 1`)
+	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	var testFuncs []string
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -120,8 +123,12 @@ func TestDocsConsistency(t *testing.T) {
 			}
 			return nil
 		}
-		switch dir := filepath.ToSlash(filepath.Dir(path)); {
-		case dir == "benchmark", dir == "internal/telemetry", dir == "internal/core":
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if loc := logPlumbing.Find(src); loc != nil && dir != "benchmark" {
+			t.Errorf("%s: %s declares a log func; call log/slog instead", path, loc)
+		}
+		switch dir {
+		case "benchmark", "internal/telemetry", "internal/core":
 			return nil
 		}
 		if loc := stray.Find(src); loc != nil {

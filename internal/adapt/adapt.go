@@ -32,6 +32,7 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"slices"
 	"sync"
@@ -129,8 +130,6 @@ type Config struct {
 	Events events.Sink
 	// Seed makes reservoir sampling deterministic (default 1).
 	Seed int64
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
 }
 
 func (c *Config) fill() error {
@@ -300,7 +299,7 @@ func (m *Manager) BuildCandidate() error {
 	if len(fams) == 0 {
 		return m.endBuild(gen, nil, nil, ErrNoFamilies)
 	}
-	m.logf("adapt: clustered %d buffered unknown windows into %d family(ies); training candidate", len(rows), len(fams))
+	slog.Info("adapt: training candidate", "phase", PhaseTrain, "buffered", len(rows), "families", len(fams))
 	a, err := m.cfg.Trainer.Train(fams)
 	if err == nil && (a == nil || a.Model == nil) {
 		err = errors.New("adapt: trainer returned an artifact with no model")
@@ -331,7 +330,7 @@ func (m *Manager) endBuild(gen uint64, fams []Family, a *artifact.Artifact, err 
 	m.mu.Unlock()
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "candidate", Model: desc})
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "shadow", Model: desc})
-	m.logf("adapt: candidate in shadow: %s", desc)
+	slog.Info("adapt: candidate in shadow", "phase", PhaseShadow, "model", desc)
 	return nil
 }
 
@@ -395,7 +394,7 @@ func (m *Manager) Promote() error {
 	}
 	m.mu.Unlock()
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "promoted", Model: desc})
-	m.logf("adapt: promoted candidate: %s", desc)
+	slog.Info("adapt: promoted candidate", "phase", PhasePromoted, "model", desc)
 	return nil
 }
 
@@ -423,7 +422,7 @@ func (m *Manager) Abort() error {
 	m.aborts++
 	m.mu.Unlock()
 	m.publish(events.Event{Type: events.TypeAdapt, Phase: "aborted", Model: desc})
-	m.logf("adapt: aborted candidate: %s", desc)
+	slog.Info("adapt: aborted candidate", "phase", "aborted", "model", desc)
 	return nil
 }
 
@@ -471,11 +470,11 @@ func (m *Manager) step() {
 	switch {
 	case phase == PhaseBuffer && buffered >= m.cfg.MinSupport:
 		if err := m.BuildCandidate(); err != nil && !errors.Is(err, ErrNotReady) && !errors.Is(err, ErrBusy) {
-			m.logf("adapt: candidate build: %v", err)
+			slog.Warn("adapt: candidate build failed", "err", err)
 		}
 	case phase == PhaseShadow && m.cfg.AutoPromote:
 		if err := m.PromoteIfReady(); err != nil && !errors.Is(err, ErrGate) {
-			m.logf("adapt: auto-promotion: %v", err)
+			slog.Warn("adapt: auto-promotion failed", "err", err)
 		}
 	}
 }
@@ -561,12 +560,6 @@ func (m *Manager) Status() Status {
 func (m *Manager) publish(e events.Event) {
 	if m.cfg.Events != nil {
 		m.cfg.Events.Publish(e)
-	}
-}
-
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
 	}
 }
 

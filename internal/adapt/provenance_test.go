@@ -143,8 +143,8 @@ func TestCandidateFromNonForestBase(t *testing.T) {
 		wantQuantile float64
 	}{
 		{"literal trainer, no quantile", &adapt.ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model}, drift.DefaultQuantile},
-		{"trainer for the base artifact", adapt.NewProvenanceTrainer(base, nil), baseQuantile},
-		{"trainer for a base with a legacy drift section", adapt.NewProvenanceTrainer(&legacy, nil), drift.DefaultQuantile},
+		{"trainer for the base artifact", adapt.NewProvenanceTrainer(base), baseQuantile},
+		{"trainer for a base with a legacy drift section", adapt.NewProvenanceTrainer(&legacy), drift.DefaultQuantile},
 	} {
 		cand, err := tc.trainer.Train([]adapt.Family{fam})
 		if err != nil {

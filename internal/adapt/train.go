@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -148,8 +149,6 @@ type ProvenanceTrainer struct {
 	// Quantile is the refreshed calibration's feature-gate quantile
 	// (drift.DefaultQuantile when zero).
 	Quantile float64
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
 }
 
 // NewProvenanceTrainer is the trainer for candidates grown from base:
@@ -158,8 +157,8 @@ type ProvenanceTrainer struct {
 // recorded, so a base calibrated off the default is not silently
 // re-calibrated at it. A section that recorded none (Quantile 0) leaves the
 // default.
-func NewProvenanceTrainer(base *artifact.Artifact, logf func(format string, args ...any)) *ProvenanceTrainer {
-	t := &ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model, Logf: logf}
+func NewProvenanceTrainer(base *artifact.Artifact) *ProvenanceTrainer {
+	t := &ProvenanceTrainer{Meta: base.Meta, Scaler: base.Scaler, Base: base.Model}
 	if base.Drift != nil {
 		t.Quantile = base.Drift.Threshold.Quantile
 	}
@@ -185,8 +184,7 @@ func (t *ProvenanceTrainer) Train(fams []Family) (*artifact.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.logf("adapt: candidate trained: %d classes (%d novel), base accuracy %.3f",
-		len(a.Meta.ClassNames), len(fams), a.Meta.Accuracy)
+	slog.Info("adapt: candidate trained", "classes", len(a.Meta.ClassNames), "novel", len(fams), "base_accuracy", a.Meta.Accuracy)
 	return a, nil
 }
 
@@ -197,7 +195,7 @@ func (t *ProvenanceTrainer) baseFeatures() (*core.FeaturePair, *mat.Matrix, erro
 	if t.Scaler == nil {
 		return nil, nil, errors.New("adapt: provenance trainer needs the serving scaler")
 	}
-	t.logf("adapt: regenerating %s (scale %g, seed %d) for candidate training", t.Meta.Dataset, t.Meta.Scale, t.Meta.Seed)
+	slog.Info("adapt: regenerating the base set for candidate training", "dataset", t.Meta.Dataset, "scale", t.Meta.Scale, "seed", t.Meta.Seed)
 	_, ch, err := core.ProvenanceOf(t.Meta).Regenerate()
 	if err != nil {
 		return nil, nil, err
@@ -207,12 +205,6 @@ func (t *ProvenanceTrainer) baseFeatures() (*core.FeaturePair, *mat.Matrix, erro
 		return nil, nil, err
 	}
 	return fp, core.RawSensorSamples(ch.Train.X), nil
-}
-
-func (t *ProvenanceTrainer) logf(format string, args ...any) {
-	if t.Logf != nil {
-		t.Logf(format, args...)
-	}
 }
 
 // familiesFile is the JSON wire form of an exported family set, served on

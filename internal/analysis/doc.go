@@ -4,9 +4,10 @@
 // reviewer memory. One subpackage per invariant:
 //
 //   - lockscope: no potentially-blocking call (event publish, naked
-//     channel send, time.Sleep, net I/O, WaitGroup.Wait) while holding a
-//     data mutex; locks whose protocol deliberately orders publishes
-//     under them are annotated //wcc:coordlock at the field.
+//     channel send, time.Sleep, net I/O, log and log/slog records,
+//     WaitGroup.Wait) while holding a data mutex; locks whose protocol
+//     deliberately orders publishes under them are annotated
+//     //wcc:coordlock at the field.
 //   - hotpath: functions annotated //wcc:hotpath must stay free of
 //     categorically-allocating calls (encoding/json, fmt, reflect, ...)
 //     outside early-return guard blocks, and every annotation must be

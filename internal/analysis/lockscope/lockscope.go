@@ -12,6 +12,9 @@
 //     non-blocking form events.Bus.Publish uses);
 //   - calls to any method named Publish (the push-plane emission verbs);
 //   - time.Sleep, package net and net/http calls, and os/exec;
+//   - logging: log.Print*/Fatal*/Panic* and slog's Debug/Info/Warn/Error/
+//     Log/LogAttrs (package functions and *slog.Logger methods), because a
+//     handler writes to a file or pipe that can block;
 //   - sync.WaitGroup.Wait and sync.Cond.Wait.
 //
 // Some locks deliberately order publishes under them: fleet.Monitor's swap
@@ -21,8 +24,8 @@
 // partition's tickMu is held across the write-back that publishes, and
 // the bus they publish into is itself non-blocking. Such mutex fields are
 // annotated //wcc:coordlock at their declaration; Publish and Wait are
-// permitted while only coordlocks are held. Sleeps, net I/O and naked
-// sends stay forbidden even under a coordlock.
+// permitted while only coordlocks are held. Sleeps, net I/O, logging and
+// naked sends stay forbidden even under a coordlock.
 //
 // The analysis is intra-procedural and tracks lock state sequentially
 // through each function body: a branch that terminates (returns or
@@ -37,6 +40,7 @@ package lockscope
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -47,7 +51,7 @@ import (
 // Analyzer is the lockscope invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockscope",
-	Doc:  "report potentially-blocking calls (Publish, channel sends, sleeps, net I/O) while holding a data mutex",
+	Doc:  "report potentially-blocking calls (Publish, channel sends, sleeps, net I/O, logging) while holding a data mutex",
 	Run:  run,
 }
 
@@ -394,6 +398,9 @@ func (w *walker) checkBlocking(call *ast.CallExpr) {
 		hardBlock = pkgPath + "." + name
 	case pkgPath == "os/exec":
 		hardBlock = "os/exec." + name
+	case pkgPath == "log" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fatal") || strings.HasPrefix(name, "Panic")),
+		pkgPath == "log/slog" && slices.Contains([]string{"Debug", "Info", "Warn", "Error", "Log", "LogAttrs"}, strings.TrimSuffix(name, "Context")):
+		hardBlock = pkgPath + "." + name
 	}
 	if hardBlock != "" {
 		w.pass.Reportf(call.Pos(), "potentially-blocking call to %s while holding mutex %q", hardBlock, w.held[len(w.held)-1].name)

@@ -4,6 +4,8 @@
 package fixture
 
 import (
+	"log"
+	"log/slog"
 	"sync"
 	"time"
 )
@@ -105,4 +107,19 @@ func (s *state) goroutineFresh() {
 		s.mu.Unlock()
 	}()
 	s.mu.Unlock()
+}
+
+// Logging is I/O: a handler writes to a file or pipe, so no record is
+// written under a data mutex or a coordlock, only after the unlock.
+func (s *state) logUnderLock(l *slog.Logger) {
+	s.mu.Lock()
+	log.Printf("n=%d", s.n)       // want `log.Printf`
+	slog.Info("tick", "n", s.n)   // want `log/slog.Info`
+	l.Warn("tick slow", "n", s.n) // want `log/slog.Warn`
+	s.mu.Unlock()
+	s.tickMu.Lock()
+	l.LogAttrs(nil, slog.LevelError, "swap") // want `log/slog.LogAttrs`
+	s.tickMu.Unlock()
+	slog.Error("tick failed")
+	l.Debug("tick done")
 }

@@ -39,6 +39,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"sync"
@@ -57,6 +58,11 @@ const MaxNodes = 64
 
 // forwardBatch caps how many samples one forwarded POST carries.
 const forwardBatch = 256
+
+// forwardBuffer bounds each per-peer forwarding queue in samples. A full
+// queue rejects the sample — bounded, visible loss in the ingest accounting
+// rather than unbounded memory.
+const forwardBuffer = 4096
 
 // Config describes one node's place in the cluster.
 type Config struct {
@@ -86,19 +92,10 @@ type Config struct {
 	// torn-generation invariant prefers no new generation anywhere over a
 	// partial one somewhere.
 	RPCTimeout time.Duration
-	// ForwardBuffer bounds each per-peer forwarding queue in samples
-	// (default 4096). A full queue rejects the sample — bounded, visible
-	// loss in the ingest accounting rather than unbounded memory.
-	ForwardBuffer int
 	// Transport, when non-nil, replaces the HTTP transport for every
 	// control-plane and forwarding request — the fault-injection seam the
 	// in-process cluster tests use to kill, partition and stall nodes.
 	Transport http.RoundTripper
-	// Now, when non-nil, replaces the real clock for membership
-	// bookkeeping; nil means time.Now.
-	Now func() time.Time
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
 }
 
 // stagedModel is a prepared-but-not-committed generation: decoded, gated,
@@ -123,8 +120,7 @@ type Node struct {
 	// artifactCap is MaxArtifactBytes, a field so a test can reach the cap
 	// without writing 128 MiB.
 	artifactCap int64
-	logf        func(format string, args ...any)
-	now         func() time.Time
+	log         *slog.Logger // slog's default with this node's ID attached
 
 	// aliveMask is the routing read: bit i set means node i is believed
 	// alive. Owner loads it once per sample — no lock on the ingest path.
@@ -202,19 +198,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 5 * time.Second
 	}
-	if cfg.ForwardBuffer <= 0 {
-		cfg.ForwardBuffer = 4096
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	transport := cfg.Transport
 	if transport == nil {
 		transport = http.DefaultTransport
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	n := &Node{
 		cfg:         cfg,
@@ -223,8 +209,7 @@ func New(cfg Config) (*Node, error) {
 		core:        cfg.Core,
 		client:      &http.Client{Transport: transport, Timeout: cfg.RPCTimeout},
 		artifactCap: MaxArtifactBytes,
-		logf:        logf,
-		now:         cfg.Now,
+		log:         slog.With("node", cfg.Self),
 		alive:       make([]bool, len(cfg.Peers)),
 		failCount:   make([]int, len(cfg.Peers)),
 		peerGen:     make([]uint64, len(cfg.Peers)),
@@ -492,7 +477,7 @@ func (n *Node) noteFailure(peer int, err error) {
 	}
 	n.mu.Unlock()
 	if died {
-		n.logf("cluster: node %d marked dead after %d failed probes (last: %v)", peer, n.cfg.DeadAfter, err)
+		n.log.Warn("cluster: peer marked dead", "peer", peer, "failed_probes", n.cfg.DeadAfter, "err", err)
 		n.srv.Events().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(false), Error: err.Error()})
 	}
 }
@@ -515,7 +500,7 @@ func (n *Node) notePeer(peer int, gen uint64, ident string) {
 	n.peerIdent[peer] = ident
 	n.mu.Unlock()
 	if revived {
-		n.logf("cluster: node %d alive again", peer)
+		n.log.Info("cluster: peer alive again", "peer", peer)
 		n.srv.Events().Publish(events.Event{Type: events.TypeMembership, Node: events.Intp(peer), Healthy: events.Boolp(true)})
 	}
 }
@@ -565,9 +550,9 @@ func (n *Node) catchUp() {
 		err = n.applyCommit(gen)
 	}
 	if err != nil {
-		n.logf("cluster: catch-up from node %d failed: %v", best, err)
+		n.log.Warn("cluster: catch-up failed", "peer", best, "gen", gen, "err", err)
 		return
 	}
-	n.logf("cluster: caught up to gen %d (identity %s) from node %d", gen, ident, best)
+	n.log.Info("cluster: caught up", "gen", gen, "identity", ident, "peer", best)
 	n.publishSwapPhase("caught-up", gen)
 }

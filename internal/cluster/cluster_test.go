@@ -22,6 +22,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/forest"
+	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
 	"repro/internal/shard"
@@ -603,18 +604,8 @@ func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
 		window  = 6
 		sensors = 3
 	)
-	var (
-		logMu sync.Mutex
-		lines []string
-	)
-	c := clustertest.Start(t, clustertest.Options{
-		Nodes: 3, Window: window, Sensors: sensors,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
-	})
+	logs := logtest.Capture(t)
+	c := clustertest.Start(t, clustertest.Options{Nodes: 3, Window: window, Sensors: sensors})
 
 	model := clustertest.StampModel(t, sensors, 1)
 	probs, err := model.PredictProbaBatch(mat.New(8, preprocess.CovarianceDim(sensors)))
@@ -660,13 +651,12 @@ func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
 			t.Errorf("node %d fetched and persisted %v artifacts, want 0", i, got)
 		}
 	}
-	logMu.Lock()
-	for _, l := range lines {
-		if strings.Contains(l, "commit") {
-			t.Errorf("a commit was attempted: %q", l)
-		}
+	if got := logs.Lines("phase=aborted", "node=0"); len(got) != 1 {
+		t.Errorf("coordinator logged %d abort records, want 1: %q", len(got), got)
 	}
-	logMu.Unlock()
+	for _, l := range logs.Lines("commit") {
+		t.Errorf("a commit was attempted: %q", l)
+	}
 	for i := 0; i < 3; i++ {
 		m := c.Member(i)
 		if gen, swaps := m.Cluster.Gen(), m.Core.Swaps(); gen != 0 || swaps != 0 {

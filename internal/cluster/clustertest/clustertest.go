@@ -56,23 +56,18 @@ type Options struct {
 	Shards int
 	// Drift optionally enables open-set scoring on every node.
 	Drift *drift.Calibration
-	// TickEvery is each server's inference cadence (default 2ms).
-	TickEvery time.Duration
-	// HeartbeatEvery is the membership ping cadence (default 25ms).
-	HeartbeatEvery time.Duration
-	// DeadAfter is the consecutive-failure death threshold (default 2).
-	DeadAfter int
 	// RPCTimeout bounds control-plane calls (default 2s). Stall tests
 	// that hold a prepare want it larger than the hold window.
 	RPCTimeout time.Duration
-	// ForwardBuffer bounds each per-peer forward queue (default 4096).
-	ForwardBuffer int
-	// Now, when non-nil, is the injected clock handed to every core and
-	// server (fleet idle-eviction and tick latency read it).
-	Now func() time.Time
-	// Logf, when non-nil, receives every node's operational log lines.
-	Logf func(format string, args ...any)
 }
+
+// Every test cluster ticks every 2ms and pings every 25ms, and a peer
+// is dead after two failed pings, so failure tests converge fast.
+const (
+	tickEvery      = 2 * time.Millisecond
+	heartbeatEvery = 25 * time.Millisecond
+	deadAfter      = 2
+)
 
 func (o *Options) fill() {
 	if o.Nodes <= 0 {
@@ -86,15 +81,6 @@ func (o *Options) fill() {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 2
-	}
-	if o.TickEvery <= 0 {
-		o.TickEvery = 2 * time.Millisecond
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = 2
 	}
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 2 * time.Second
@@ -174,7 +160,7 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		Scaler: o.Scaler,
 		Drift:  o.Drift,
 		Model:  o.Model,
-	}, o.Shards, o.Now)
+	}, o.Shards, nil)
 	if err != nil {
 		c.T.Fatalf("clustertest: node %d core: %v", id, err)
 	}
@@ -182,15 +168,12 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		Self:           id,
 		Peers:          c.URLs,
 		Core:           core,
-		Serve:          server.Config{TickEvery: o.TickEvery, Now: o.Now},
+		Serve:          server.Config{TickEvery: tickEvery},
 		Dir:            filepath.Join(c.dir, fmt.Sprintf("node%d", id)),
-		HeartbeatEvery: o.HeartbeatEvery,
-		DeadAfter:      o.DeadAfter,
+		HeartbeatEvery: heartbeatEvery,
+		DeadAfter:      deadAfter,
 		RPCTimeout:     o.RPCTimeout,
-		ForwardBuffer:  o.ForwardBuffer,
 		Transport:      c.Fault,
-		Now:            o.Now,
-		Logf:           o.Logf,
 	})
 	if err != nil {
 		c.T.Fatalf("clustertest: node %d cluster: %v", id, err)

@@ -121,7 +121,7 @@ func (n *Node) distribute(path string) (artifact.Metadata, error) {
 	// converges by anti-entropy on return.
 	for _, peer := range targets {
 		if _, err := n.rpc(peer, commitPath, Frame{Type: MsgCommit, Node: n.self, Gen: gen}); err != nil {
-			n.logf("cluster: commit of gen %d on node %d failed (will converge by anti-entropy): %v", gen, peer, err)
+			n.log.Warn("cluster: peer commit failed; it converges by anti-entropy", "gen", gen, "peer", peer, "err", err)
 		}
 	}
 	if err := n.applyCommit(gen); err != nil {
@@ -152,7 +152,7 @@ func (n *Node) abortAll(gen uint64, targets []int) {
 	n.applyAbort(gen)
 	for _, peer := range targets {
 		if _, err := n.rpc(peer, abortPath, Frame{Type: MsgAbort, Node: n.self, Gen: gen}); err != nil {
-			n.logf("cluster: aborting gen %d on node %d: %v", gen, peer, err)
+			n.log.Warn("cluster: peer abort failed", "gen", gen, "peer", peer, "err", err)
 		}
 	}
 	n.publishSwapPhase("aborted", gen)
@@ -161,7 +161,7 @@ func (n *Node) abortAll(gen uint64, targets []int) {
 // publishSwapPhase narrates one rolling-swap phase on the push plane.
 func (n *Node) publishSwapPhase(phase string, gen uint64) {
 	n.srv.Events().Publish(events.Event{Type: events.TypeClusterSwap, Phase: phase, Node: events.Intp(n.self)})
-	n.logf("cluster: gen %d %s", gen, phase)
+	n.log.Info("cluster: swap phase", "gen", gen, "phase", phase)
 }
 
 // stagePath is the staging file for one generation, deterministic so

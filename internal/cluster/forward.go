@@ -45,7 +45,7 @@ type forwarder struct {
 }
 
 func newForwarder(n *Node, peer int) *forwarder {
-	return &forwarder{n: n, peer: peer, ch: make(chan fwdSample, n.cfg.ForwardBuffer)}
+	return &forwarder{n: n, peer: peer, ch: make(chan fwdSample, forwardBuffer)}
 }
 
 // forward enqueues one sample for the owning peer, copying the values
@@ -147,7 +147,7 @@ func (f *forwarder) batch(first fwdSample) {
 	if count > 0 {
 		if lost, err := f.post(f.buf, count); lost > 0 {
 			f.n.forwardErrors.Add(uint64(lost))
-			f.n.logf("cluster: forwarding %d samples to node %d: %d lost: %v", count, f.peer, lost, err)
+			f.n.log.Warn("cluster: forwarded samples lost", "peer", f.peer, "samples", count, "lost", lost, "err", err)
 		}
 		f.buf = f.buf[:0]
 	}

@@ -200,7 +200,7 @@ func TestRunTable5Smoke(t *testing.T) {
 		t.Skip("table 5 smoke run takes ~a minute")
 	}
 	sim := smokeSim(t)
-	res, err := RunTable5(sim, PresetSmoke(), nil)
+	res, err := RunTable5(sim, PresetSmoke())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRunXGBoostSmoke(t *testing.T) {
 		t.Skip("xgboost smoke run takes tens of seconds")
 	}
 	sim := smokeSim(t)
-	res, err := RunXGBoost(sim, PresetSmoke(), nil)
+	res, err := RunXGBoost(sim, PresetSmoke())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRunTable6Smoke(t *testing.T) {
 		t.Skip("table 6 smoke run takes ~a minute")
 	}
 	sim := smokeSim(t)
-	res, err := RunTable6(sim, PresetSmoke(), nil)
+	res, err := RunTable6(sim, PresetSmoke())
 	if err != nil {
 		t.Fatal(err)
 	}

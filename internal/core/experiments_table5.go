@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 
 	"repro/internal/dataset"
 	"repro/internal/forest"
@@ -127,7 +128,7 @@ func runPCAGrid(ch *dataset.Challenge, dims []int,
 // RunTable5 reproduces Table V: SVM and RF, each with PCA and covariance
 // dimensionality reduction, grid-searched with stratified k-fold CV on all
 // seven datasets, reporting held-out test accuracy.
-func RunTable5(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*Table5Result, error) {
+func RunTable5(sim *telemetry.Simulator, p Preset) (*Table5Result, error) {
 	res := &Table5Result{Cells: map[Table5Model]map[string]Table5Cell{}}
 	for _, m := range Table5Models {
 		res.Cells[m] = map[string]Table5Cell{}
@@ -150,18 +151,14 @@ func RunTable5(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 			return nil, fmt.Errorf("core: %s SVM Cov: %w", spec.Name, err)
 		}
 		res.Cells[SVMCov][spec.Name] = cell
-		if logf != nil {
-			logf("table5 %-12s %-8s acc=%.4f (%s)", spec.Name, SVMCov, cell.Accuracy, cell.BestParams)
-		}
+		slog.Info("table5 cell", "dataset", spec.Name, "model", SVMCov, "acc", cell.Accuracy, "params", cell.BestParams)
 
 		cell, err = runGrid(rfCandidates(p.RFTrees, numClasses, p.Seed), cov, p.Folds, p.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s RF Cov: %w", spec.Name, err)
 		}
 		res.Cells[RFCov][spec.Name] = cell
-		if logf != nil {
-			logf("table5 %-12s %-8s acc=%.4f (%s)", spec.Name, RFCov, cell.Accuracy, cell.BestParams)
-		}
+		slog.Info("table5 cell", "dataset", spec.Name, "model", RFCov, "acc", cell.Accuracy, "params", cell.BestParams)
 
 		cell, err = runPCAGrid(ch, p.PCADims, func() []modelsel.Candidate {
 			return svmCandidates(p.SVMCs, p.Seed)
@@ -170,9 +167,7 @@ func RunTable5(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 			return nil, fmt.Errorf("core: %s SVM PCA: %w", spec.Name, err)
 		}
 		res.Cells[SVMPCA][spec.Name] = cell
-		if logf != nil {
-			logf("table5 %-12s %-8s acc=%.4f (%s)", spec.Name, SVMPCA, cell.Accuracy, cell.BestParams)
-		}
+		slog.Info("table5 cell", "dataset", spec.Name, "model", SVMPCA, "acc", cell.Accuracy, "params", cell.BestParams)
 
 		cell, err = runPCAGrid(ch, p.PCADims, func() []modelsel.Candidate {
 			return rfCandidates(p.RFTrees, numClasses, p.Seed)
@@ -181,9 +176,7 @@ func RunTable5(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 			return nil, fmt.Errorf("core: %s RF PCA: %w", spec.Name, err)
 		}
 		res.Cells[RFPCA][spec.Name] = cell
-		if logf != nil {
-			logf("table5 %-12s %-8s acc=%.4f (%s)", spec.Name, RFPCA, cell.Accuracy, cell.BestParams)
-		}
+		slog.Info("table5 cell", "dataset", spec.Name, "model", RFPCA, "acc", cell.Accuracy, "params", cell.BestParams)
 	}
 	return res, nil
 }

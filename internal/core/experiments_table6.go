@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -66,7 +67,7 @@ type Table6Result struct {
 // RunTable6 reproduces Table VI: the six Section V architectures trained on
 // the start, middle and random-1 datasets with standardisation only, Adam,
 // a cyclical cosine LR schedule and early stopping on validation accuracy.
-func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*Table6Result, error) {
+func RunTable6(sim *telemetry.Simulator, p Preset) (*Table6Result, error) {
 	res := &Table6Result{Cells: map[string]map[string]Table6Cell{}}
 	for _, spec := range Table6Specs {
 		res.Models = append(res.Models, spec.PaperName())
@@ -143,10 +144,7 @@ func RunTable6(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*
 				Epochs:       len(tr.History),
 				EarlyStopped: tr.EarlyStopped,
 			}
-			if logf != nil {
-				logf("table6 %-12s %-32s acc=%.4f (val %.4f, %d epochs)",
-					dsName, ms.PaperName(), acc, tr.BestValAcc, len(tr.History))
-			}
+			slog.Info("table6 cell", "dataset", dsName, "model", ms.PaperName(), "acc", acc, "val_acc", tr.BestValAcc, "epochs", len(tr.History))
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"strings"
 
 	"repro/internal/dataset"
@@ -31,7 +32,7 @@ const PaperXGBAccuracy = 88.47
 // RunXGBoost reproduces §IV-B: standardisation + covariance reduction on
 // 60-random-1, 5-fold grid search over γ/λ/α, 40 boosting rounds, and the
 // gain-importance ranking of sensor covariances.
-func RunXGBoost(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*XGBResult, error) {
+func RunXGBoost(sim *telemetry.Simulator, p Preset) (*XGBResult, error) {
 	spec, ok := dataset.SpecByName("60-random-1")
 	if !ok {
 		return nil, fmt.Errorf("core: 60-random-1 spec missing")
@@ -77,9 +78,7 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (
 			break
 		}
 	}
-	if logf != nil {
-		logf("xgboost grid winner: %s (cv %.4f)", bestName, results[0].MeanScore)
-	}
+	slog.Info("xgboost grid winner", "params", bestName, "cv", results[0].MeanScore)
 
 	// Refit the winner on the full training split with eval tracking.
 	final := xgb.New(xgb.Config{

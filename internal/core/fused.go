@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"strings"
 
 	"repro/internal/dataset"
@@ -143,7 +144,7 @@ type FusedResult struct {
 // RunFusedImportance trains XGBoost on GPU-only vs fused covariance
 // features of 60-random-1 and ranks the fused features by gain importance,
 // reproducing the §IV-B analysis in its original (CPU+GPU) feature space.
-func RunFusedImportance(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (*FusedResult, error) {
+func RunFusedImportance(sim *telemetry.Simulator, p Preset) (*FusedResult, error) {
 	spec, _ := dataset.SpecByName("60-random-1")
 	ch, err := BuildDataset(sim, spec, p.Seed, p.MaxTrain, p.MaxTest)
 	if err != nil {
@@ -171,9 +172,7 @@ func RunFusedImportance(sim *telemetry.Simulator, p Preset, logf func(string, ..
 	if err != nil {
 		return nil, err
 	}
-	if logf != nil {
-		logf("fused: GPU-only accuracy %.4f", gpuAcc)
-	}
+	slog.Info("fused: GPU-only accuracy", "acc", gpuAcc)
 
 	fusedFP, err := FusedCovFeatures(sim, ch)
 	if err != nil {
@@ -191,9 +190,7 @@ func RunFusedImportance(sim *telemetry.Simulator, p Preset, logf func(string, ..
 	if err != nil {
 		return nil, err
 	}
-	if logf != nil {
-		logf("fused: CPU+GPU accuracy %.4f", fusedAcc)
-	}
+	slog.Info("fused: CPU+GPU accuracy", "acc", fusedAcc)
 
 	names := preprocess.CovariancePairNames(FusedSensorNames())
 	top := fusedModel.TopFeatures(xgb.ImportanceGain, 10)

@@ -68,7 +68,7 @@ func TestRunFusedImportanceSmoke(t *testing.T) {
 	p.MaxTrain = 120
 	p.MaxTest = 60
 	p.XGBRounds = 8
-	res, err := RunFusedImportance(sim, p, nil)
+	res, err := RunFusedImportance(sim, p)
 	if err != nil {
 		t.Fatal(err)
 	}

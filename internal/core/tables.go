@@ -15,58 +15,34 @@ type Table struct {
 	// aliases for tables printed together with it (II with III, VII-IX).
 	names []string
 	// Run regenerates the table over the simulated labelled dataset and
-	// returns the rendered text. logf, when non-nil, receives progress.
-	Run func(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (string, error)
+	// returns the rendered text.
+	Run func(sim *telemetry.Simulator, p Preset) (string, error)
 }
 
 // tables is the one name → run-and-format registry, in the order "all"
 // prints them (the cheap descriptive tables first).
 var tables = []Table{
-	{[]string{"1"}, func(sim *telemetry.Simulator, _ Preset, _ func(string, ...any)) (string, error) {
+	{[]string{"1"}, func(sim *telemetry.Simulator, _ Preset) (string, error) {
 		return FormatTable1(RunTable1(sim)), nil
 	}},
-	{[]string{"2", "3"}, func(*telemetry.Simulator, Preset, func(string, ...any)) (string, error) {
+	{[]string{"2", "3"}, func(*telemetry.Simulator, Preset) (string, error) {
 		return FormatTables2And3(), nil
 	}},
-	{[]string{"4"}, func(sim *telemetry.Simulator, p Preset, _ func(string, ...any)) (string, error) {
+	{[]string{"4"}, func(sim *telemetry.Simulator, p Preset) (string, error) {
 		rows, err := RunTable4(sim, p.Seed)
 		if err != nil {
 			return "", err
 		}
 		return FormatTable4(rows), nil
 	}},
-	{[]string{"7", "8", "9"}, func(sim *telemetry.Simulator, _ Preset, _ func(string, ...any)) (string, error) {
+	{[]string{"7", "8", "9"}, func(sim *telemetry.Simulator, _ Preset) (string, error) {
 		return FormatTables789(RunTables789(sim)), nil
 	}},
-	{[]string{"5"}, func(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (string, error) {
-		res, err := RunTable5(sim, p, logf)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable5(res), nil
-	}},
-	{[]string{"xgb"}, func(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (string, error) {
-		res, err := RunXGBoost(sim, p, logf)
-		if err != nil {
-			return "", err
-		}
-		return FormatXGB(res), nil
-	}},
-	{[]string{"6"}, func(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (string, error) {
-		res, err := RunTable6(sim, p, logf)
-		if err != nil {
-			return "", err
-		}
-		return FormatTable6(res), nil
-	}},
-	{[]string{"fused"}, func(sim *telemetry.Simulator, p Preset, logf func(string, ...any)) (string, error) {
-		res, err := RunFusedImportance(sim, p, logf)
-		if err != nil {
-			return "", err
-		}
-		return FormatFused(res), nil
-	}},
-	{[]string{"ablations"}, func(sim *telemetry.Simulator, p Preset, _ func(string, ...any)) (string, error) {
+	{[]string{"5"}, rendered(RunTable5, FormatTable5)},
+	{[]string{"xgb"}, rendered(RunXGBoost, FormatXGB)},
+	{[]string{"6"}, rendered(RunTable6, FormatTable6)},
+	{[]string{"fused"}, rendered(RunFusedImportance, FormatFused)},
+	{[]string{"ablations"}, func(sim *telemetry.Simulator, p Preset) (string, error) {
 		sp, err := RunStartPhaseAblation(p)
 		if err != nil {
 			return "", err
@@ -81,6 +57,18 @@ var tables = []Table{
 		}
 		return FormatAblations(sp, emb, eig), nil
 	}},
+}
+
+// rendered is the Run of an experiment that needs only the simulator and
+// the preset: run it, then format its result.
+func rendered[R any](run func(*telemetry.Simulator, Preset) (R, error), format func(R) string) func(*telemetry.Simulator, Preset) (string, error) {
+	return func(sim *telemetry.Simulator, p Preset) (string, error) {
+		res, err := run(sim, p)
+		if err != nil {
+			return "", err
+		}
+		return format(res), nil
+	}
 }
 
 // Tables resolves a table name to the tables it selects, in print order:

@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 
@@ -53,8 +54,6 @@ type TrainConfig struct {
 	MaxGradNorm float64
 	// Seed drives shuffling and the validation split.
 	Seed int64
-	// Logf receives progress lines when non-nil.
-	Logf func(format string, args ...any)
 }
 
 // DefaultTrainConfig returns the scaled defaults wcctrain's sequence arms
@@ -92,7 +91,8 @@ type TrainResult struct {
 
 // Train fits the model with Adam under the cyclical cosine schedule,
 // early-stopping on validation accuracy and restoring the best weights, as
-// the paper's protocol reports best-validation-epoch numbers.
+// the paper's protocol reports best-validation-epoch numbers. Each epoch
+// logs one debug record.
 func Train(model SequenceClassifier, x SeqSource, y []int, cfg TrainConfig) (*TrainResult, error) {
 	n, _, _ := x.Dims()
 	if n != len(y) {
@@ -170,9 +170,7 @@ func Train(model SequenceClassifier, x SeqSource, y []int, cfg TrainConfig) (*Tr
 			return nil, err
 		}
 		res.History = append(res.History, EpochStats{Epoch: epoch, TrainLoss: epochLoss, ValAcc: valAcc, LR: lr})
-		if cfg.Logf != nil {
-			cfg.Logf("epoch %3d  loss %.4f  val acc %.4f  lr %.5f", epoch, epochLoss, valAcc, lr)
-		}
+		slog.Debug("nn: epoch", "epoch", epoch, "loss", epochLoss, "val_acc", valAcc, "lr", lr)
 
 		if valAcc > res.BestValAcc {
 			res.BestValAcc = valAcc

@@ -72,6 +72,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sort"
@@ -145,9 +146,6 @@ type Config struct {
 	// are removed from the registry every EvictAfter/4, bounding memory on
 	// fleets whose producers never call DELETE.
 	EvictAfter time.Duration
-	// Logf, when non-nil, receives operational log lines (tick errors,
-	// eviction sweeps).
-	Logf func(format string, args ...any)
 	// Events is the push-plane bus GET /v1/events serves; nil means the
 	// server creates its own. Either way the bus is wired into the monitor
 	// so prediction, unknown and swap events flow, and the server adds
@@ -398,12 +396,6 @@ func (s *Server) CloseStreams() {
 // its HTTP subscribers read.
 func (s *Server) Events() *events.Bus { return s.bus }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for b := range s.queue {
@@ -436,9 +428,7 @@ func (s *Server) tickLoop(loop int) {
 		case <-s.stop:
 			return
 		case <-t.C:
-			if err := s.runTick(loop); err != nil {
-				s.logf("tick error (loop %d): %v", loop, err)
-			}
+			_ = s.runTick(loop) // runTick already logs and publishes the error's edges
 		}
 	}
 }
@@ -474,12 +464,15 @@ func (s *Server) runTick(loop int) error {
 		s.lastErrs[loop] = ""
 	}
 	s.tickMu.Unlock()
-	// Health is an edge, not a level: emit only when a loop's error state
-	// flips — first failure after successes, first success after a failure.
+	// Health is an edge, not a level: emit and log only when a loop's error
+	// state flips — first failure after successes, first success after one.
 	if failed := err != nil; failed == (prevErr == "") {
 		e := events.Event{Type: events.TypeShardHealth, Shard: events.Intp(loop), Healthy: events.Boolp(!failed)}
 		if err != nil {
 			e.Error = err.Error()
+			slog.Error("tick loop failing", "shard", loop, "err", err)
+		} else {
+			slog.Info("tick loop recovered", "shard", loop)
 		}
 		s.bus.Publish(e)
 	}
@@ -537,7 +530,7 @@ func (s *Server) evictLoop() {
 			return
 		case <-t.C:
 			if n := s.m.EvictIdle(s.cfg.EvictAfter); n > 0 {
-				s.logf("evicted %d jobs idle longer than %s", n, s.cfg.EvictAfter)
+				slog.Info("evicted idle jobs", "jobs", n, "idle_after", s.cfg.EvictAfter)
 			}
 		}
 	}

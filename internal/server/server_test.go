@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/forest"
+	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
 	"repro/internal/shard"
@@ -547,5 +550,43 @@ func TestIdleEvictionLoop(t *testing.T) {
 	}
 	if m.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1", m.Evictions())
+	}
+}
+
+// failingTicks fails its next n TickShard calls, then ticks the core it
+// wraps: a model that errors for a while and then recovers.
+type failingTicks struct {
+	Monitor
+	n atomic.Int32
+}
+
+func (f *failingTicks) TickShard(i int) (fleet.TickStats, error) {
+	if f.n.Add(-1) >= 0 {
+		return fleet.TickStats{}, errors.New("classifier unavailable")
+	}
+	return f.Monitor.TickShard(i)
+}
+
+// TestTickLoopLogsErrorEdges pins the tick loop's log to the shard-health
+// edge: a shard that fails its next ticks and then succeeds logs one error
+// record when it starts failing and one info record when it recovers, not
+// one record per failed tick.
+func TestTickLoopLogsErrorEdges(t *testing.T) {
+	const failures = 25
+	logs := logtest.Capture(t)
+	newTestServer(t, func(cfg *Config) {
+		m := &failingTicks{Monitor: cfg.Monitor}
+		m.n.Store(failures)
+		cfg.Monitor = m
+		cfg.TickEvery = time.Millisecond
+	})
+	logs.Wait(t, 1, `msg="tick loop recovered"`, "shard=0")
+	failing := logs.Lines(`msg="tick loop failing"`)
+	if len(failing) != 1 || !strings.Contains(failing[0], "level=ERROR") || !strings.Contains(failing[0], "shard=0") ||
+		!strings.Contains(failing[0], `err="classifier unavailable"`) {
+		t.Fatalf("%d failed ticks logged %q, want one error record with shard and err", failures, failing)
+	}
+	if got := logs.Lines("tick loop recovered"); len(got) != 1 || !strings.Contains(got[0], "level=INFO") {
+		t.Fatalf("recovery logged %q, want one info record", got)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"time"
 
@@ -23,8 +24,6 @@ type WatchConfig struct {
 	// or the cluster control plane's fleet-wide rolling swap
 	// (cluster.Node.DistributeFile). Required.
 	Swap func(path string) (artifact.Metadata, error)
-	// Logf, when non-nil, receives one line per swap or skipped reload.
-	Logf func(format string, args ...any)
 }
 
 // Watch polls the artifact path until stop is closed, handing each content
@@ -35,18 +34,15 @@ type WatchConfig struct {
 // same size and a same-granularity mtime (coarse filesystem timestamps make
 // that a real occurrence for fast retrain loops). artifact.Save renames
 // atomically, so a poll never reads a torn file; a path that is briefly
-// unreadable is retried next poll.
+// unreadable is retried next poll. Each swap logs one info record and each
+// refused reload one warning carrying the gate's reason.
 func Watch(stop <-chan struct{}, cfg WatchConfig) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if cfg.Every <= 0 {
 		cfg.Every = 2 * time.Second
 	}
 	last, err := artifact.Identity(cfg.Path)
 	if err != nil {
-		logf("artifact watch: initial read of %s: %v", cfg.Path, err)
+		slog.Warn("artifact watch: initial read failed", "path", cfg.Path, "err", err)
 	}
 	t := time.NewTicker(cfg.Every)
 	defer t.Stop()
@@ -62,10 +58,10 @@ func Watch(stop <-chan struct{}, cfg WatchConfig) {
 			last = ident
 			meta, err := cfg.Swap(cfg.Path)
 			if err != nil {
-				logf("model reload skipped: %v", err)
+				slog.Warn("model reload skipped", "path", cfg.Path, "err", err)
 				continue
 			}
-			logf("hot-swapped %s model (accuracy %.2f%%) into the live fleet", meta.Kind, meta.Accuracy*100)
+			slog.Info("hot-swapped model into the live fleet", "path", cfg.Path, "kind", meta.Kind, "accuracy", meta.Accuracy)
 		}
 	}
 }

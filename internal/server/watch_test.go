@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/drift"
 	"repro/internal/forest"
+	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
 )
@@ -182,20 +182,12 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	saveWatchArtifact(t, path, scaler, modelA, "watch-test")
 
 	srv, monitor, _ := newTestServer(t, nil)
-	skipped := make(chan string, 4)
+	logs := logtest.Capture(t)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Watch(stop, WatchConfig{
-			Path: path, Every: 2 * time.Millisecond, Swap: srv.InstallFile,
-			Logf: func(format string, args ...any) {
-				select {
-				case skipped <- fmt.Sprintf(format, args...):
-				default:
-				}
-			},
-		})
+		Watch(stop, WatchConfig{Path: path, Every: 2 * time.Millisecond, Swap: srv.InstallFile})
 	}()
 	defer func() { close(stop); <-done }()
 	time.Sleep(50 * time.Millisecond)
@@ -245,14 +237,10 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		select {
-		case msg := <-skipped:
-			if !strings.Contains(msg, "model reload skipped") || !strings.Contains(msg, tc.want) {
-				t.Fatalf("%s: skip reason %q, want %q", tc.name, msg, tc.want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: incompatible artifact never reported as skipped", tc.name)
-		}
+		logs.Wait(t, 1, "level=WARN", `msg="model reload skipped"`, tc.want)
+	}
+	if got := logs.Lines("model reload skipped"); len(got) != 3 {
+		t.Fatalf("%d skip records for 3 refused artifacts: %q", len(got), got)
 	}
 
 	// A calibration with no input reference cannot be written to a file (the
