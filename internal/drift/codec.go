@@ -104,8 +104,10 @@ func Decode(r io.Reader) (*Calibration, error) {
 	if bins < 2 || bins > maxBins {
 		return nil, fmt.Errorf("drift: corrupt calibration: %d bins", bins)
 	}
-	if c.Threshold.Temperature <= 0 || math.IsNaN(c.Threshold.Temperature) {
-		return nil, fmt.Errorf("drift: corrupt calibration: temperature %v", c.Threshold.Temperature)
+	// A temperature outside the range makes Energy infinite on ordinary
+	// rows, and the prediction read cannot encode that.
+	if err := checkTemperature(c.Threshold.Temperature); err != nil {
+		return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
 	}
 	ref := &Reference{
 		Bins:  int(bins),

@@ -66,7 +66,9 @@ func TestCalibrationCodecRoundTrip(t *testing.T) {
 // cleanly it parses. A zero, negative or non-finite std, or any non-finite
 // mean or reference value, makes every distance NaN or +Inf; a NaN,
 // infinite or negative cut point switches the gate off. Either way the gate
-// accepts everything.
+// accepts everything. A temperature outside [minTemperature,
+// maxTemperature] makes Energy infinite, which a prediction read cannot
+// encode.
 func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 	for name, corrupt := range map[string]func(c *Calibration){
 		"zero std":               func(c *Calibration) { c.Feat.Stds[2] = 0 },
@@ -82,6 +84,10 @@ func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 		"-infinite cut point":    func(c *Calibration) { c.Threshold.MaxFeatDist = math.Inf(-1) },
 		"negative cut point":     func(c *Calibration) { c.Threshold.MaxFeatDist = -1 },
 		"gateless NaN cut point": func(c *Calibration) { c.Feat, c.Threshold.MaxFeatDist = nil, math.NaN() },
+		"infinite temperature":   func(c *Calibration) { c.Threshold.Temperature = math.Inf(1) },
+		"huge temperature":       func(c *Calibration) { c.Threshold.Temperature = 1e308 },
+		"tiny temperature":       func(c *Calibration) { c.Threshold.Temperature = 1e-300 },
+		"NaN temperature":        func(c *Calibration) { c.Threshold.Temperature = math.NaN() },
 	} {
 		c := testCalibration(t)
 		corrupt(c)

@@ -53,6 +53,25 @@ const (
 // (tree ensembles emit exact zeros for classes no tree voted for).
 const probFloor = 1e-12
 
+// The energy temperatures a calibration may carry. Energy is finite for any
+// probability row of 1 to 1 024 entries in [0, 1], the all-zero row
+// included, at every T in [minTemperature, maxTemperature]: each entry adds
+// exp(ln max(p, probFloor)/T), between exp(−27.64/T) and 1, so the sum S
+// lies in [exp(−27.64/T), 1024]. At T ≥ 0.05 the lower end is ≥ e^−553 ≈
+// 10^−240, a normal float, so ln S lies in [−27.64/T, 6.94] and
+// Energy = −T·ln S in [−6.94·T, 27.64], finite for T ≤ 100. Past the range
+// either end breaks: at T = 10^−300 every entry below 1 adds exp(−Inf) = 0,
+// so a row without a 1 has S = 0 and Energy = +Inf; at T = 10^308,
+// T·ln S overflows. Decode and Fit refuse a temperature outside it, because
+// the prediction read encodes Energy as JSON, which has no Inf.
+const (
+	minTemperature = 0.05
+	maxTemperature = 100
+)
+
+// logFloor is ln(probFloor), the log every floored entry takes.
+var logFloor = math.Log(probFloor)
+
 // Score is one prediction's open-set evidence. Only FeatDist decides a
 // verdict; Margin and Energy describe the probability row.
 type Score struct {
@@ -72,11 +91,17 @@ type Score struct {
 }
 
 // ScoreProbs computes the descriptive scores for one probability row.
-// temperature ≤ 0 selects DefaultTemperature.
+// temperature ≤ 0 selects DefaultTemperature. Every entry at or below
+// probFloor (the exact zeros, most of a forest's row) adds the same term,
+// exp(ln(probFloor)/T), so it is computed once per call and added in place:
+// the sum sees the same values in the same order, and Energy keeps the bits
+// of evaluating the formula entry by entry. NaN is not ≤ probFloor and takes
+// the formula.
 func ScoreProbs(p []float64, temperature float64) Score {
 	if temperature <= 0 {
 		temperature = DefaultTemperature
 	}
+	floor := math.Exp(logFloor / temperature)
 	var best, second, sum float64
 	for _, v := range p {
 		if v > best {
@@ -84,9 +109,22 @@ func ScoreProbs(p []float64, temperature float64) Score {
 		} else if v > second {
 			second = v
 		}
-		sum += math.Exp(math.Log(math.Max(v, probFloor)) / temperature)
+		if v <= probFloor {
+			sum += floor
+		} else {
+			sum += math.Exp(math.Log(v) / temperature)
+		}
 	}
 	return Score{Margin: best - second, Energy: -temperature * math.Log(sum)}
+}
+
+// checkTemperature refuses an energy temperature outside
+// [minTemperature, maxTemperature], NaN included.
+func checkTemperature(t float64) error {
+	if !(t >= minTemperature && t <= maxTemperature) {
+		return fmt.Errorf("temperature %v outside [%v, %v]", t, minTemperature, maxTemperature)
+	}
+	return nil
 }
 
 // Threshold is the open-set rule: a prediction is unknown when its feature
@@ -488,11 +526,21 @@ type Calibration struct {
 // probability scores plus, when the calibration carries feature statistics,
 // the feature-space distance of the embedding row the prediction came from.
 func (c *Calibration) Score(probs, features []float64) Score {
-	s := ScoreProbs(probs, c.Threshold.Temperature)
-	if c.Feat != nil {
-		s.FeatDist = c.Feat.Distance(features)
-	}
+	s, _ := c.ScoreFrom(probs, features, -1)
 	return s
+}
+
+// ScoreFrom is Score with the nearest-reference search started from the row
+// of the feature statistics' Train named by from (see
+// FeatureStats.DistanceFrom); it also returns the row that won, -1 when the
+// calibration carries no feature statistics or no row is at a finite
+// distance. The score has Score's bits whatever from is.
+func (c *Calibration) ScoreFrom(probs, features []float64, from int) (Score, int) {
+	s, near := ScoreProbs(probs, c.Threshold.Temperature), -1
+	if c.Feat != nil {
+		s.FeatDist, near = c.Feat.DistanceFrom(features, from)
+	}
+	return s, near
 }
 
 // Options configures Fit. Zero fields select the package defaults.
@@ -500,7 +548,8 @@ type Options struct {
 	// Quantile is the feature-space gate's calibration quantile
 	// (DefaultQuantile).
 	Quantile float64
-	// Temperature is the energy temperature (DefaultTemperature).
+	// Temperature is the energy temperature (DefaultTemperature); non-zero,
+	// it must lie in [0.05, 100].
 	Temperature float64
 	// Bins is the per-sensor reference histogram resolution (DefaultBins).
 	Bins int
@@ -534,8 +583,11 @@ func Fit(in FitInput, opts Options) (*Calibration, error) {
 	if q >= 1 {
 		return nil, fmt.Errorf("drift: calibration quantile %v must be in (0, 1)", q)
 	}
-	if temp <= 0 {
+	if temp == 0 {
 		temp = DefaultTemperature
+	}
+	if err := checkTemperature(temp); err != nil {
+		return nil, fmt.Errorf("drift: energy %w", err)
 	}
 	c := &Calibration{Threshold: Threshold{Temperature: temp, Quantile: q}}
 	if (in.TrainFeatures == nil) != (in.HeldOutFeatures == nil) {

@@ -9,9 +9,10 @@ import (
 
 // TestDistanceZeroAlloc pins the //wcc:hotpath contract on the
 // feature-space gate: scoring one embedding row of the served width against
-// the stored training rows allocates nothing. The call runs once per
-// prediction, on every goroutine of the tick's scoring pass at once. A wider
-// row than the stack buffer holds still scores, and to the same value.
+// the stored training rows allocates nothing, started cold or from a row.
+// The call runs once per prediction, on every goroutine of the tick's
+// scoring pass at once. A wider row than the stack buffer holds still
+// scores, and to the same value.
 func TestDistanceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.New(64, stackFeatures)
@@ -33,6 +34,15 @@ func TestDistanceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Distance allocates %.1f times per row, want 0", allocs)
+	}
+	near := -1
+	allocs = testing.AllocsPerRun(200, func() {
+		var d float64
+		d, near = fs.DistanceFrom(row, near)
+		sink += d
+	})
+	if allocs != 0 || near < 0 {
+		t.Fatalf("DistanceFrom allocates %.1f times per row (winner %d), want 0", allocs, near)
 	}
 	if sink <= 0 {
 		t.Fatalf("distances summed to %v, want positive", sink)

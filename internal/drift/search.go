@@ -61,6 +61,10 @@ type searchIndex struct {
 	// order of the first; rows holds the reference rows in the same order.
 	proj []float64
 	rows []float64
+	// train maps a position in that order to the row of Train it holds, and
+	// at the inverse: the handles DistanceFrom takes and returns are rows of
+	// Train, so they mean the same thing to every caller.
+	train, at []int32
 	// slack is absSlack·cols²·(largest ‖t‖²): the reference half of the
 	// absolute pruning slack.
 	slack float64
@@ -96,10 +100,12 @@ func (fs *FeatureStats) buildIndex() {
 	})
 	ix.proj = make([]float64, n*pruneAxes)
 	ix.rows = make([]float64, n*cols)
+	ix.train, ix.at = make([]int32, n), make([]int32, n)
 	norm2 := 0.0
 	for at, i := range order {
 		copy(ix.proj[at*pruneAxes:(at+1)*pruneAxes], proj[i*pruneAxes:(i+1)*pruneAxes])
 		copy(ix.rows[at*cols:(at+1)*cols], train.Row(i))
+		ix.train[at], ix.at[i] = int32(i), int32(at)
 		norm2 = math.Max(norm2, mat.Dot(train.Row(i), train.Row(i)))
 	}
 	ix.slack = absSlack * float64(cols) * float64(cols) * norm2
@@ -153,33 +159,49 @@ func principalAxes(train *mat.Matrix) []float64 {
 	return axes
 }
 
-// stackFeatures is the widest feature row Distance standardises on the
+// stackFeatures is the widest feature row DistanceFrom standardises on the
 // stack: the covariance embedding of the challenge's 7 sensors.
 const stackFeatures = 28
 
 // Distance returns the feature-space score of one feature row: the
 // Euclidean distance, in standardised coordinates, to the nearest stored
 // training row.
-//
-//wcc:hotpath zero allocations per call at the served embedding width, pinned by an AllocsPerRun gate
 func (fs *FeatureStats) Distance(row []float64) float64 {
-	var z [stackFeatures]float64
-	if len(row) > len(z) {
-		d, _ := fs.nearest(row, make([]float64, len(row)))
-		return d
-	}
-	d, _ := fs.nearest(row, z[:len(row)])
+	d, _ := fs.DistanceFrom(row, -1)
 	return d
 }
 
+// DistanceFrom is Distance with a starting guess: from names a row of Train
+// (typically the one the same job's previous window was nearest to), and
+// the search sums it before anything else, so its distance prunes from the
+// first row the walk visits. It also returns the row of Train that won, the
+// guess to pass next time, or -1 when no row is at a finite distance. The
+// distance has Distance's bits whatever from is; a value that names no row
+// (-1, or a handle kept across a change of reference set) only makes the
+// search start cold.
+//
+//wcc:hotpath zero allocations per call at the served embedding width, pinned by an AllocsPerRun gate
+func (fs *FeatureStats) DistanceFrom(row []float64, from int) (dist float64, nearest int) {
+	var z [stackFeatures]float64
+	if len(row) > len(z) {
+		d, near, _ := fs.nearest(row, make([]float64, len(row)), from)
+		return d, near
+	}
+	d, near, _ := fs.nearest(row, z[:len(row)], from)
+	return d, near
+}
+
 // nearest standardises row into z (same length) and finds the nearest
-// reference row, also reporting how many reference rows it looked at. The
-// search is exact: the distance it returns has the bits an early-abandoning
-// scan of every row in Train would return, because the minimum over rows
-// does not depend on the order they are visited in, every row it skips is
-// proven (see relSlack) to sum to no less than the best found, and every
-// row it does not skip is summed coordinate by coordinate exactly as that
-// scan would.
+// reference row, starting from the row of Train named by from when there is
+// one; it returns the distance, the winning row of Train (-1 if none won)
+// and how many reference rows it looked at. The search is exact: the
+// distance it returns has the bits an early-abandoning scan of every row in
+// Train would return, because the minimum over rows does not depend on the
+// order they are visited in, every row it skips is proven (see relSlack) to
+// sum to no less than the best found, and every row it does not skip is
+// summed coordinate by coordinate exactly as that scan would. The starting
+// row is one more row visited first: summed in full, in the same coordinate
+// order, and then skipped by the walk.
 //
 // Reference rows sit in order of their projection on the leading axis. The
 // search starts where the query's projection falls and walks outward, down
@@ -189,7 +211,7 @@ func (fs *FeatureStats) Distance(row []float64) float64 {
 // bound from all pruneAxes projections does not clear it either. Every
 // prune is a `bound > cut` test, false for NaN and for best = +Inf, so a
 // query with a non-finite coordinate prunes nothing and returns +Inf.
-func (fs *FeatureStats) nearest(row, z []float64) (dist float64, visited int) {
+func (fs *FeatureStats) nearest(row, z []float64, from int) (dist float64, near, visited int) {
 	ix := fs.index()
 	zz := 0.0
 	for j, v := range row {
@@ -203,6 +225,16 @@ func (fs *FeatureStats) nearest(row, z []float64) (dist float64, visited int) {
 	abs := absSlack*float64(ix.cols)*float64(ix.cols)*zz + ix.slack + tinySlack
 
 	proj, n := ix.proj, len(ix.proj)/pruneAxes
+	best, cut, won, seed := math.Inf(1), math.Inf(1), -1, -1
+	if uint(from) < uint(n) {
+		seed = int(ix.at[from])
+		visited++
+		if d := sqDist(z, ix.rows[seed*ix.cols:], best); d < best {
+			best, won = d, seed
+			cut = best + best*relSlack + abs
+		}
+	}
+
 	lo, hi := 0, n // first row whose leading projection is not below the query's
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -216,7 +248,6 @@ func (fs *FeatureStats) nearest(row, z []float64) (dist float64, visited int) {
 	// Side 0 walks down from the last row below the query's projection,
 	// side 1 up from the first row not below it.
 	step, end := [2]int{-1, 1}, [2]int{-1, n}
-	best, cut := math.Inf(1), math.Inf(1)
 	for s, start := range [2]int{hi - 1, hi} {
 		for i := start; i != end[s]; i += step[s] {
 			p := proj[i*pruneAxes : (i+1)*pruneAxes : (i+1)*pruneAxes]
@@ -224,6 +255,9 @@ func (fs *FeatureStats) nearest(row, z []float64) (dist float64, visited int) {
 			bound := g * g
 			if bound > cut {
 				break // rows further out on this side are further off still
+			}
+			if i == seed {
+				continue
 			}
 			visited++
 			for k := 1; k < pruneAxes; k++ {
@@ -233,20 +267,30 @@ func (fs *FeatureStats) nearest(row, z []float64) (dist float64, visited int) {
 			if bound > cut {
 				continue
 			}
-			tr := ix.rows[i*ix.cols:][:len(z)] // one bounds check per row, none per element
-			d := 0.0
-			for j := range z {
-				diff := z[j] - tr[j]
-				d += diff * diff
-				if d >= best {
-					break
-				}
-			}
-			if d < best {
-				best = d
+			if d := sqDist(z, ix.rows[i*ix.cols:], best); d < best {
+				best, won = d, i
 				cut = best + best*relSlack + abs
 			}
 		}
 	}
-	return math.Sqrt(best), visited
+	if won >= 0 {
+		won = int(ix.train[won])
+	}
+	return math.Sqrt(best), won, visited
+}
+
+// sqDist is the scan's per-row sum: ‖z−tr‖² over the first len(z) values of
+// tr, accumulated in coordinate order and abandoned (returning a partial sum
+// ≥ best) once it reaches best.
+func sqDist(z, tr []float64, best float64) float64 {
+	tr = tr[:len(z)] // one bounds check per row, none per element
+	d := 0.0
+	for j := range z {
+		diff := z[j] - tr[j]
+		d += diff * diff
+		if d >= best {
+			break
+		}
+	}
+	return d
 }

@@ -13,6 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/mat"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 // exhaustive is the oracle the search is checked against: the scan Distance
@@ -47,13 +49,28 @@ func exhaustive(fs *drift.FeatureStats, row []float64) float64 {
 // covering new sets.
 var driftSeed = flag.Int64("drift.seed", 0, "replay TestSearchModelCheck with this seed only")
 
+// fullSum is the distance of row to one reference row, summed in the scan's
+// coordinate order with nothing abandoned.
+func fullSum(fs *drift.FeatureStats, row []float64, ref int) float64 {
+	d := 0.0
+	for j, v := range fs.Train.Row(ref) {
+		diff := (row[j]-fs.Means[j])/fs.Stds[j] - v
+		d += diff * diff
+	}
+	return math.Sqrt(d)
+}
+
 // TestSearchModelCheck compares Distance with the exhaustive scan, bit for
 // bit, on random reference sets chosen to be hard for a pruned search:
 // degenerate sizes and widths, heavy tails, duplicates, constant columns,
 // rows on a line (where the projection bound is tight and only the slack
 // separates a near-tie from a wrong answer), clusters far from the origin
 // (where projections cancel), and queries that are reference rows, one ulp
-// off them, midway between two of them, far away, or not finite.
+// off them, midway between two of them, far away, or not finite. Every
+// query also runs DistanceFrom from starts that name no row (-1, n,
+// MaxInt32), from both ends of Train, from a random row, from the previous
+// query's winner and from its own, and each must return the scan's bits and
+// a winning row at exactly that distance.
 func TestSearchModelCheck(t *testing.T) {
 	seeds := make([]int64, 0, 41)
 	for s := int64(1); s <= 40; s++ {
@@ -118,6 +135,9 @@ func checkSearchAgainstOracle(t *testing.T, seed int64) {
 		}
 	}
 
+	// Starts draw from their own stream, so the queries are the ones every
+	// earlier version of this check generated for the seed.
+	starts, prev := rand.New(rand.NewSource(^seed)), -1
 	check := func(what string, q []float64) {
 		t.Helper()
 		want, got := exhaustive(fs, q), fs.Distance(q)
@@ -125,6 +145,26 @@ func checkSearchAgainstOracle(t *testing.T, seed int64) {
 			t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s: Distance %v (%#x), exhaustive scan %v (%#x)",
 				seed, n, cols, shape, scale, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
+		_, own := fs.DistanceFrom(q, -1)
+		for _, from := range []int{-1, 0, n - 1, n, math.MaxInt32, starts.Intn(n), prev, own} {
+			got, near := fs.DistanceFrom(q, from)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s from %d: DistanceFrom %v (%#x), exhaustive scan %v (%#x)",
+					seed, n, cols, shape, scale, what, from, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			switch {
+			case near == -1:
+				if !math.IsInf(want, 1) {
+					t.Fatalf("seed %d %s from %d: no winning row at distance %v", seed, what, from, want)
+				}
+			case near < 0 || near >= n:
+				t.Fatalf("seed %d %s from %d: winning row %d of %d", seed, what, from, near, n)
+			case math.Float64bits(fullSum(fs, q, near)) != math.Float64bits(got):
+				t.Fatalf("seed %d %s from %d: winning row %d sums to %v, search returned %v",
+					seed, what, from, near, fullSum(fs, q, near), got)
+			}
+		}
+		prev = own
 	}
 	q := make([]float64, cols)
 	for k := 0; k < 60; k++ {
@@ -225,13 +265,61 @@ func TestFitMatchesExhaustiveCalibration(t *testing.T) {
 	}
 }
 
+// liveWindows streams jobs of a simulation the reference set never saw (the
+// benchmark's live seed) through the serving embedder and returns, per job,
+// the feature rows of steps windows one sample apart.
+func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [][][]float64 {
+	window := len(fp.Scaler.Means) / sensors
+	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: 1009, Scale: 0.08, GapRate: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const start = 120.0 // seconds in: past the class-agnostic start-up phase
+	var out [][][]float64
+	for _, j := range sim.Jobs() {
+		n := window + steps - 1
+		if len(out) == jobs || start+float64(n)*telemetry.GPUSampleDT > j.Duration {
+			continue
+		}
+		samples, err := j.GPUWindow(0, start, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		emb, err := stream.NewWindowedEmbedder(window, sensors, fp.Scaler)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rows [][]float64
+		for i := 0; i < n; i++ {
+			if err := emb.Push(samples.Row(i)); err != nil {
+				b.Fatal(err)
+			}
+			if emb.Ready() {
+				row := make([]float64, emb.FeatureDim())
+				if err := emb.FeaturesInto(row); err != nil {
+					b.Fatal(err)
+				}
+				rows = append(rows, row)
+			}
+		}
+		out = append(out, rows)
+	}
+	if len(out) == 0 {
+		b.Fatal("no simulated job runs long enough")
+	}
+	return out
+}
+
 // BenchmarkDistance is the drift stage's steady-state rung: one
 // nearest-reference search against the reference set the benchmark's model
-// serves with (60-middle-1, scale 0.08, seed 1: 1223×28), for rows the gate
-// accepts, held-out rows it rejects, and rows far outside the support.
-// visited/op is how many of the reference rows a search looked at.
+// serves with (60-middle-1, scale 0.08, seed 1: 1223×28), started cold for
+// rows the gate accepts, held-out rows it rejects, and rows far outside the
+// support, and started warm, as a tick starts it, for live windows one
+// sample apart seeded with the previous window's winner. visited/op is how
+// many of the reference rows a search looked at, and start-won the share of
+// warm searches the start row won.
 func BenchmarkDistance(b *testing.B) {
-	fp, _ := covFeatures(b, core.Provenance{Dataset: "60-middle-1", Scale: 0.08, Seed: 1})
+	fp, raw := covFeatures(b, core.Provenance{Dataset: "60-middle-1", Scale: 0.08, Seed: 1})
 	fs, err := drift.FitFeatureStats(fp.TrainX)
 	if err != nil {
 		b.Fatal(err)
@@ -242,32 +330,53 @@ func BenchmarkDistance(b *testing.B) {
 	}
 	cut := featQuantile(dists)
 
-	rows := map[string][][]float64{}
+	// A search is a row and the row of Train it starts from.
+	type search struct {
+		row  []float64
+		from int
+	}
+	sets := map[string][]search{}
 	for i, d := range dists {
 		row := fp.TestX.Row(i)
 		if d <= cut {
-			rows["accepted"] = append(rows["accepted"], row)
+			sets["accepted"] = append(sets["accepted"], search{row, -1})
 		} else {
-			rows["rejected"] = append(rows["rejected"], row)
+			sets["rejected"] = append(sets["rejected"], search{row, -1})
 		}
 		far := make([]float64, len(row))
 		for j, v := range row {
 			far[j] = v * 1e3
 		}
-		rows["far"] = append(rows["far"], far)
+		sets["far"] = append(sets["far"], search{far, -1})
 	}
-	for _, name := range []string{"accepted", "rejected", "far"} {
+	won := 0
+	for _, job := range liveWindows(b, fp, raw.Cols, 16, 64) {
+		_, near := fs.DistanceFrom(job[0], -1)
+		for _, row := range job[1:] {
+			sets["warm"] = append(sets["warm"], search{row, near})
+			from := near
+			if _, near = fs.DistanceFrom(row, from); near == from {
+				won++
+			}
+		}
+	}
+	for _, name := range []string{"accepted", "rejected", "far", "warm"} {
 		b.Run(name, func(b *testing.B) {
-			set, visited := rows[name], 0
-			for _, row := range set {
-				visited += fs.Visited(row)
+			set, visited := sets[name], 0
+			for _, s := range set {
+				visited += fs.Visited(s.row, s.from)
 			}
 			var sink float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink += fs.Distance(set[i%len(set)])
+				s := set[i%len(set)]
+				d, _ := fs.DistanceFrom(s.row, s.from)
+				sink += d
 			}
 			b.ReportMetric(float64(visited)/float64(len(set)), "visited/op")
+			if name == "warm" {
+				b.ReportMetric(float64(won)/float64(len(set)), "start-won")
+			}
 			if sink <= 0 {
 				b.Fatal("distances summed to", sink)
 			}

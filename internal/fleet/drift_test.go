@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/mat"
+	"repro/internal/stream"
 )
 
 // fitTestCalibration builds a calibration whose threshold comes from the
@@ -16,9 +17,17 @@ func fitTestCalibration(t *testing.T, model interface {
 	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
 }) *drift.Calibration {
 	t.Helper()
+	return fitCalibrationOn(t, model, 400)
+}
+
+// fitCalibrationOn is fitTestCalibration with trainRows reference rows.
+func fitCalibrationOn(t *testing.T, model interface {
+	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+}, trainRows int) *drift.Calibration {
+	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	// CovarianceDim(3) = 6: the same space the model was fitted on.
-	trainFeats := mat.New(400, 6)
+	trainFeats := mat.New(trainRows, 6)
 	for i := range trainFeats.Data {
 		trainFeats.Data[i] = rng.NormFloat64()
 	}
@@ -121,6 +130,97 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 	}
 	if plainStats := plain.DriftStats(); plainStats.Enabled {
 		t.Fatal("drift stats enabled on a plain monitor")
+	}
+}
+
+// TestWarmStartScoresLikeColdSearch pins the nearest-reference handle a job
+// carries between ticks: each search starts from the row the job's last
+// window won, and no start ever shows in a score. Jobs on two partitions tick
+// after every sample, so their handles are warm; then a calibration with a
+// smaller reference set swaps in, so some handles name no row of it and the
+// rest name unrelated rows. Before and after, every published FeatDist has
+// the bits of a cold search by the active calibration over the same window,
+// rebuilt on a shadow embedder.
+func TestWarmStartScoresLikeColdSearch(t *testing.T) {
+	scaler, model := fixture(t)
+	cal := fitTestCalibration(t, model)
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: 2, Drift: cal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, steps = 32, 8
+	samples := make([][][]float64, jobs)
+	shadows := make([]*stream.WindowedEmbedder, jobs)
+	for k := range shadows {
+		samples[k] = jobSamples(k, testWindow+2*steps)
+		if shadows[k], err = stream.NewWindowedEmbedder(testWindow, testSensors, scaler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	feed := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			for k := range samples {
+				if err := m.Ingest(k, samples[k][next]); err != nil {
+					t.Fatal(err)
+				}
+				if err := shadows[k].Push(samples[k][next]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next++
+		}
+	}
+	tickAndCheck := func(active *drift.Calibration) {
+		t.Helper()
+		if stats, err := m.Tick(); err != nil || stats.Classified != jobs {
+			t.Fatalf("after sample %d: tick %+v, %v", next, stats, err)
+		}
+		for k, shadow := range shadows {
+			row, err := shadow.Features()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, ok := m.Prediction(k)
+			if !ok || pred.Open == nil {
+				t.Fatalf("job %d: no scored prediction", k)
+			}
+			if got, want := pred.Open.FeatDist, active.Feat.Distance(row.Data); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("job %d after sample %d: published distance %v, cold search %v", k, next, got, want)
+			}
+		}
+	}
+
+	feed(testWindow)
+	tickAndCheck(cal)
+	for range steps {
+		feed(1)
+		tickAndCheck(cal)
+	}
+
+	small := fitCalibrationOn(t, model, 200)
+	if err := m.SwapClassifierDrift(model, small); err != nil {
+		t.Fatal(err)
+	}
+	past, inside := 0, 0
+	for _, p := range m.parts {
+		p.eachStripe(func(st *stripe) {
+			for _, js := range st.jobs {
+				if int(js.near) >= small.Feat.Train.Rows {
+					past++
+				} else if js.near >= 0 {
+					inside++
+				}
+			}
+		})
+	}
+	if past == 0 || inside == 0 {
+		t.Fatalf("after the swap %d handles name no row of the new set and %d name one; want both", past, inside)
+	}
+	for range steps {
+		feed(1)
+		tickAndCheck(small)
 	}
 }
 

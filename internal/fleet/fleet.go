@@ -155,7 +155,14 @@ type jobState struct {
 	// dirty: the window is full and holds samples no prediction reflects yet.
 	// A dirty job is in home.queue exactly once, or in the running tick's
 	// batch — the flag is what keeps it to one entry.
-	dirty    bool
+	dirty bool
+	// near is the row of the drift calibration's reference set this job's
+	// last scored window was nearest to, where the next window's search
+	// starts (drift.FeatureStats.DistanceFrom); -1 before the first. A
+	// window moves one sample between scorings, so it is nearly always the
+	// winner again. After a swap it may name any row of the new set, or none,
+	// which costs one cold search and never a different distance.
+	near     int32
 	pred     *stream.Prediction
 	samples  uint64
 	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
@@ -411,7 +418,7 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 			st.mu.Unlock()
 			return err
 		}
-		js = &jobState{id: jobID, home: st, emb: emb}
+		js = &jobState{id: jobID, home: st, emb: emb, near: -1}
 		st.jobs[jobID] = js
 		st.unfilled++
 	}
@@ -451,10 +458,12 @@ type TickStats struct {
 
 // collected pairs a job selected into a tick's batch with the sample count
 // observed at collection time, so write-back can tell whether new samples
-// arrived while inference ran.
+// arrived while inference ran, and with the job's nearest-reference handle,
+// which scoring starts from and replaces with its winner.
 type collected struct {
 	js   *jobState
 	seen uint64
+	near int32
 }
 
 // Tick runs one synchronised inference pass over the whole fleet: partition
@@ -561,7 +570,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 				requeue(batch)
 				return stats, err
 			}
-			batch = append(batch, collected{js: js, seen: js.samples})
+			batch = append(batch, collected{js: js, seen: js.samples, near: js.near})
 		}
 		st.dequeue(take[i])
 		st.mu.Unlock()
@@ -597,17 +606,23 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	// Open-set scoring: each probability row, plus the very embedding row the
 	// model consumed, against the calibration — one pass over the batch in
 	// row blocks, like the model call before it, so the nearest-reference
-	// search runs on every core and outside the per-job locks. Scores are a
-	// pure function of their row; the predictions are untouched, so enabling
-	// drift leaves in-distribution results bit-identical.
+	// search runs on every core and outside the per-job locks. Each search
+	// starts from the row the job's last window was nearest to. Scores are a
+	// pure function of their row, whatever the start; the predictions are
+	// untouched, so enabling drift leaves in-distribution results
+	// bit-identical.
 	writeStart := m.now()
 	cal := m.dcal
 	if cal != nil {
-		scores := p.scratch.scores[:len(batch)]
-		// The block function returns no error, so neither does the pass.
+		// The block function returns no error, so neither does the pass. It
+		// reaches the batch and its scores through p, which keeps the
+		// closure's captures small: a tick of two rows pays for them.
 		_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				scores[i] = cal.Score(probs.Row(i), x.Row(i))
+				c := &p.scratch.batch[i]
+				var near int
+				p.scratch.scores[i], near = cal.ScoreFrom(probs.Row(i), x.Row(i), int(c.near))
+				c.near = int32(near)
 			}
 			return nil
 		})
@@ -634,7 +649,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		}
 		c.js.home.mu.Lock()
 		old := c.js.pred
-		c.js.pred = pred
+		c.js.pred, c.js.near = pred, c.near
 		if c.js.samples == c.seen {
 			c.js.dirty = false
 		} else {
