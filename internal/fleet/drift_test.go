@@ -13,7 +13,7 @@ import (
 // fitTestCalibration builds a calibration whose threshold comes from the
 // fixture model's probabilities on in-distribution covariance rows and
 // whose reference histograms come from the jobSamples distribution.
-func fitTestCalibration(t *testing.T, model interface {
+func fitTestCalibration(t testing.TB, model interface {
 	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
 }) *drift.Calibration {
 	t.Helper()
@@ -21,7 +21,7 @@ func fitTestCalibration(t *testing.T, model interface {
 }
 
 // fitCalibrationOn is fitTestCalibration with trainRows reference rows.
-func fitCalibrationOn(t *testing.T, model interface {
+func fitCalibrationOn(t testing.TB, model interface {
 	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
 }, trainRows int) *drift.Calibration {
 	t.Helper()

@@ -45,15 +45,18 @@
 // count, under one RWMutex: ticks and the drift read surface hold its read
 // side, swaps and the Set* attach points its write side.
 //
-// Models that implement BatchClassifier (forest, xgb) get their worker-pool
-// batched path; any stream.Classifier still works via one multi-row
+// Models that implement IntoClassifier (forest, xgb) get their worker-pool
+// batched path scoring into the partition's scratch; a BatchClassifier gets
+// its batched path, and any stream.Classifier still works via one multi-row
 // PredictProba call. Either way per-row results are bit-identical to what a
 // per-job stream.Monitor would produce, and P partitions publish exactly
 // what one would: routing only changes which registry a job lives in, and
-// a tick scores each window independently of its batch. Partitions tick
-// concurrently against the one model, which must therefore be safe for
-// concurrent PredictProba/PredictProbaBatch calls; the serving models read
-// only fitted state and allocate per call, so they qualify.
+// a tick scores each window independently of its batch. Each job keeps its
+// last prediction inline and reads copy it out, so a steady tick allocates
+// nothing per row. Partitions tick concurrently against the one model,
+// which must therefore be safe for concurrent predict calls; the serving
+// models read only fitted state, and each call writes only its own output,
+// so they qualify.
 //
 // Package shard keeps the names the frozen benchmark uses for this type, and
 // package server puts the HTTP API in front of it.
@@ -82,6 +85,16 @@ import (
 // result must equal row i of PredictProba on the same matrix bit for bit.
 type BatchClassifier interface {
 	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+}
+
+// IntoClassifier is the batched path writing into memory the caller owns
+// (forest and xgb offer it): out is x.Rows×NumClasses(), and row i must equal
+// row i of PredictProbaBatch bit for bit, whatever out held before. Ticks of
+// a model that offers it score into their partition's scratch, so scoring
+// allocates nothing per row.
+type IntoClassifier interface {
+	NumClasses() int
+	PredictProbaBatchInto(x, out *mat.Matrix) error
 }
 
 // Observation is one scored window handed to an attached adapt observer at
@@ -120,8 +133,9 @@ type Config struct {
 	// is standardised with (see stream.NewWindowedEmbedder).
 	Scaler *preprocess.StandardScaler
 	// Model classifies embedded windows. When it also implements
-	// BatchClassifier, ticks use the batched path. Partitions tick
-	// concurrently, so it must tolerate concurrent predict calls.
+	// IntoClassifier or BatchClassifier, ticks use that batched path, in
+	// that order of preference. Partitions tick concurrently, so it must
+	// tolerate concurrent predict calls.
 	Model stream.Classifier
 	// Shards is the partition count (default 1; server.NewCore defaults it
 	// to GOMAXPROCS). The count is fixed at construction; job routing depends
@@ -148,24 +162,57 @@ type Config struct {
 const registryStripes = 32
 
 // jobState is one job's slot in the registry, guarded by its stripe's mutex.
+// The fields Ingest touches all lie in its first 48 bytes; the prediction
+// slot, which only write-back and reads touch, follows them.
 type jobState struct {
-	id   int     // the job's fleet ID, for event emission at write-back
-	home *stripe // owning stripe, for lock re-acquisition at write-back
-	emb  *stream.WindowedEmbedder
-	// dirty: the window is full and holds samples no prediction reflects yet.
-	// A dirty job is in home.queue exactly once, or in the running tick's
-	// batch — the flag is what keeps it to one entry.
-	dirty bool
+	id       int     // the job's fleet ID, for event emission at write-back
+	home     *stripe // owning stripe, for lock re-acquisition at write-back
+	emb      *stream.WindowedEmbedder
+	samples  uint64
+	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
 	// near is the row of the drift calibration's reference set this job's
 	// last scored window was nearest to, where the next window's search
 	// starts (drift.FeatureStats.DistanceFrom); -1 before the first. A
 	// window moves one sample between scorings, so it is nearly always the
 	// winner again. After a swap it may name any row of the new set, or none,
 	// which costs one cold search and never a different distance.
-	near     int32
-	pred     *stream.Prediction
-	samples  uint64
-	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
+	near int32
+	// dirty: the window is full and holds samples no prediction reflects yet.
+	// A dirty job is in home.queue exactly once, or in the running tick's
+	// batch — the flag is what keeps it to one entry.
+	dirty bool
+	// The last published prediction lives inline, overwritten in place by
+	// write-back and copied out by reads (prediction), both under the stripe
+	// mutex, so publishing allocates nothing once the job has been scored.
+	// probs is the job's own probability row: nil before the first
+	// classification, allocated then and reused while the class count fits.
+	// class indexes it; open is the open-set verdict when hasOpen.
+	hasOpen bool
+	probs   []float64
+	class   int
+	open    stream.OpenSet
+}
+
+// prediction copies the job's last published prediction out of its slot, or
+// returns nil before the first classification; callers hold the stripe
+// mutex. The copy is the caller's own: a later tick never changes it.
+func (js *jobState) prediction() *stream.Prediction {
+	if js.probs == nil {
+		return nil
+	}
+	// One allocation holds the prediction and its verdict, one the row.
+	c := &struct {
+		pred stream.Prediction
+		open stream.OpenSet
+	}{open: js.open}
+	c.pred = stream.Prediction{
+		Class: js.class, Probability: js.probs[js.class],
+		Probs: append([]float64(nil), js.probs...),
+	}
+	if js.hasOpen {
+		c.pred.Open = &c.open
+	}
+	return &c.pred
 }
 
 // stripe is one lock stripe of a partition's registry.
@@ -198,15 +245,19 @@ type partition struct {
 	//wcc:coordlock write-back publishes inside the tick it reports on
 	tickMu sync.Mutex
 	// scratch is the tick's working memory, reused across ticks: the
-	// collected jobs, their N×F feature rows and their open-set scores.
-	// Nothing keeps it past the tick — the model returns fresh probabilities
-	// and an Observer's Features are borrowed — and the job pointers are
-	// cleared when the tick ends. It only grows, to the largest batch seen:
-	// at worst every resident job at once, 28 floats of features (plus 48
-	// bytes) each, under 1 % of that job's 30 KB ring.
+	// collected jobs, their N×F feature rows, the model's N×K probability
+	// rows (an IntoClassifier's; other models return their own) and their
+	// open-set scores. Nothing keeps it past the tick — write-back copies
+	// each probability row into its job, and an Observer's Features are
+	// borrowed — and the job pointers are cleared when the tick ends. It
+	// only grows, to the largest batch seen: at worst every resident job at
+	// once, 28 floats of features, 26 of probabilities and 48 bytes more
+	// each, under 2 % of that job's 30 KB ring.
 	scratch struct {
 		batch  []collected
 		feats  []float64
+		x      mat.Matrix // the batch's view of feats
+		probs  mat.Matrix
 		scores []drift.Score
 	}
 	samples atomic.Uint64
@@ -240,6 +291,7 @@ type Monitor struct {
 	//wcc:coordlock tick barrier and swap publish order under this lock
 	mu     sync.RWMutex
 	model  stream.Classifier
+	into   IntoClassifier     // model's scratch-writing batched path, or nil
 	batch  BatchClassifier    // model's batched path, nil when it has none
 	dcal   *drift.Calibration // nil = open-set detection disabled
 	evs    events.Sink        // nil = push plane detached
@@ -286,12 +338,13 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// install sets the serving generation — the model, its batched fast path,
+// install sets the serving generation — the model, its batched fast paths,
 // the calibration — and starts every stripe's input histogram afresh against
 // the calibration's reference. Callers hold the write side of mu (New
 // excepted: the monitor is not shared yet).
 func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 	m.model = model
+	m.into, _ = model.(IntoClassifier)
 	m.batch, _ = model.(BatchClassifier)
 	m.dcal = cal
 	for _, p := range m.parts {
@@ -584,15 +637,10 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	// trace endpoint serves.
 	m.tracer.Observe(trace.StageCollect, collectStart, m.now().Sub(collectStart), len(batch))
 
-	x := &mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats[:len(batch)*m.dim]}
+	x := &p.scratch.x
+	*x = mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats[:len(batch)*m.dim]}
 	classifyStart := m.now()
-	var probs *mat.Matrix
-	var err error
-	if m.batch != nil {
-		probs, err = m.batch.PredictProbaBatch(x)
-	} else {
-		probs, err = m.model.PredictProba(x)
-	}
+	probs, err := m.classify(p, x)
 	if err != nil {
 		requeue(batch)
 		return stats, err
@@ -629,41 +677,43 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	}
 
 	// Write predictions back, serially: all that is left per job is copying
-	// its score and publishing. jobState pointers are stable, but the dirty
-	// flag and pred field belong to the stripe mutex, so re-lock per stripe
-	// ordering doesn't matter — each job is visited once. The dirty flag is
-	// retired only here, after the model call succeeded; a job that received
-	// more samples while inference ran stays dirty and goes back on its
-	// queue for the next tick.
+	// its probability row and score into the job's own slot and publishing.
+	// jobState pointers are stable, but the dirty flag and the prediction
+	// slot belong to the stripe mutex, so re-lock per stripe ordering doesn't
+	// matter — each job is visited once. Once a job has been scored, the copy
+	// lands in memory the job already owns, so write-back allocates nothing.
+	// The dirty flag is retired only here, after the model call succeeded; a
+	// job that received more samples while inference ran stays dirty and goes
+	// back on its queue for the next tick.
 	for i, c := range batch {
 		row := probs.Row(i)
-		best := mat.ArgMax(row)
-		pred := &stream.Prediction{Class: best, Probability: row[best], Probs: row}
+		class := mat.ArgMax(row)
+		var open stream.OpenSet
 		if cal != nil {
 			sc := p.scratch.scores[i]
-			rejected := cal.Threshold.Reject(sc)
-			pred.Open = &stream.OpenSet{Margin: sc.Margin, Energy: sc.Energy, FeatDist: sc.FeatDist, Rejected: rejected}
-			if rejected {
+			open = stream.OpenSet{Margin: sc.Margin, Energy: sc.Energy, FeatDist: sc.FeatDist, Rejected: cal.Threshold.Reject(sc)}
+			if open.Rejected {
 				m.unknowns.Add(1)
 			}
 		}
-		c.js.home.mu.Lock()
-		old := c.js.pred
-		c.js.pred, c.js.near = pred, c.near
-		if c.js.samples == c.seen {
-			c.js.dirty = false
+		js := c.js
+		js.home.mu.Lock()
+		first, oldClass, wasUnknown := js.probs == nil, js.class, js.hasOpen && js.open.Rejected
+		js.probs = append(js.probs[:0], row...)
+		js.class, js.open, js.hasOpen, js.near = class, open, cal != nil, c.near
+		if js.samples == c.seen {
+			js.dirty = false
 		} else {
-			c.js.home.queue = append(c.js.home.queue, c.js)
+			js.home.queue = append(js.home.queue, js)
 		}
-		c.js.home.mu.Unlock()
+		js.home.mu.Unlock()
 		// Adapt observation, outside the job lock like event emission below:
 		// the observer sees the verdict and the very feature row the model
 		// consumed (borrowed — it copies what it keeps), and can never touch
 		// the prediction already published above.
 		if m.obs != nil {
-			rejected := pred.Open != nil && pred.Open.Rejected
 			m.obs.ObserveWindow(Observation{
-				Job: c.js.id, Class: pred.Class, Rejected: rejected,
+				Job: js.id, Class: class, Rejected: open.Rejected,
 				Gen: m.swaps.Load(), Features: x.Row(i),
 			})
 		}
@@ -674,21 +724,21 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		// classification) and a verdict flipping to unknown — so steady
 		// state costs nothing and the feed carries signal, not re-scores.
 		if m.evs != nil {
-			if old == nil || old.Class != pred.Class {
+			if first || oldClass != class {
 				e := events.Event{
-					Type: events.TypePrediction, Job: events.Intp(c.js.id),
-					Class: events.Intp(pred.Class), Probability: pred.Probability,
+					Type: events.TypePrediction, Job: events.Intp(js.id),
+					Class: events.Intp(class), Probability: row[class],
 				}
-				if old != nil {
-					e.PrevClass = events.Intp(old.Class)
+				if !first {
+					e.PrevClass = events.Intp(oldClass)
 				}
 				m.evs.Publish(e)
 			}
-			if pred.Unknown() && !old.Unknown() {
+			if open.Rejected && !wasUnknown {
 				m.evs.Publish(events.Event{
-					Type: events.TypeUnknown, Job: events.Intp(c.js.id),
-					Class: events.Intp(pred.Class), Probability: pred.Probability,
-					FeatDist: pred.Open.FeatDist,
+					Type: events.TypeUnknown, Job: events.Intp(js.id),
+					Class: events.Intp(class), Probability: row[class],
+					FeatDist: open.FeatDist,
 				})
 			}
 		}
@@ -698,6 +748,26 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	p.ticks.Add(1)
 	p.classed.Add(uint64(len(batch)))
 	return stats, nil
+}
+
+// classify runs the serving model over the batch x: into the partition's
+// probability scratch when the model is an IntoClassifier, otherwise into a
+// matrix the model allocates. Callers hold p.tickMu and the read side of
+// m.mu.
+func (m *Monitor) classify(p *partition, x *mat.Matrix) (*mat.Matrix, error) {
+	switch {
+	case m.into != nil:
+		out, k := &p.scratch.probs, m.into.NumClasses()
+		if cap(out.Data) < x.Rows*k {
+			out.Data = make([]float64, x.Rows*k)
+		}
+		*out = mat.Matrix{Rows: x.Rows, Cols: k, Data: out.Data[:x.Rows*k]}
+		return out, m.into.PredictProbaBatchInto(x, out)
+	case m.batch != nil:
+		return m.batch.PredictProbaBatch(x)
+	default:
+		return m.model.PredictProba(x)
+	}
 }
 
 // dropBatch ends a tick's hold on the jobs it collected: the scratch is
@@ -803,22 +873,18 @@ func (m *Monitor) SetTraceRecorder(r *trace.Recorder) {
 // Swaps returns the number of completed classifier swaps.
 func (m *Monitor) Swaps() uint64 { return m.swaps.Load() }
 
-// Prediction returns the most recent classification for the job, or false
-// if the job is unknown or has not been classified yet. The returned
-// prediction is immutable once published.
+// Prediction returns a copy of the most recent classification for the job,
+// or false if the job is unknown or has not been classified yet. The copy
+// is the caller's: later ticks do not change it.
 func (m *Monitor) Prediction(jobID int) (*stream.Prediction, bool) {
 	_, st := m.stripeFor(jobID)
 	st.mu.Lock()
-	js := st.jobs[jobID]
 	var p *stream.Prediction
-	if js != nil {
-		p = js.pred
+	if js := st.jobs[jobID]; js != nil {
+		p = js.prediction()
 	}
 	st.mu.Unlock()
-	if p == nil {
-		return nil, false
-	}
-	return p, true
+	return p, p != nil
 }
 
 // remove unregisters js; callers hold st.mu. A queued job stays in the
@@ -841,7 +907,7 @@ func (m *Monitor) EndJob(jobID int) (*stream.Prediction, bool) {
 	js := st.jobs[jobID]
 	var pred *stream.Prediction
 	if js != nil {
-		pred = js.pred
+		pred = js.prediction()
 		st.remove(js)
 	}
 	st.mu.Unlock()
@@ -889,8 +955,8 @@ type JobInfo struct {
 	Ready bool
 	// LastSeen is when the job's most recent sample arrived (zero if none).
 	LastSeen time.Time
-	// Pred is the last published prediction, nil before the first. It is
-	// immutable once published.
+	// Pred is a copy of the last published prediction, nil before the
+	// first; later ticks do not change it.
 	Pred *stream.Prediction
 }
 
@@ -903,7 +969,7 @@ func (m *Monitor) Snapshot() []JobInfo {
 	for _, p := range m.parts {
 		p.eachStripe(func(st *stripe) {
 			for id, js := range st.jobs {
-				ji := JobInfo{JobID: id, Samples: js.samples, Ready: js.emb.Ready(), Pred: js.pred}
+				ji := JobInfo{JobID: id, Samples: js.samples, Ready: js.emb.Ready(), Pred: js.prediction()}
 				if js.lastSeen != 0 {
 					ji.LastSeen = time.Unix(0, js.lastSeen)
 				}

@@ -20,7 +20,7 @@ const (
 // fixture builds a scaler fitted for the test window shape and a small
 // random forest over the matching covariance-embedding dimension, shared by
 // the equivalence tests.
-func fixture(t *testing.T) (*preprocess.StandardScaler, *forest.Classifier) {
+func fixture(t testing.TB) (*preprocess.StandardScaler, *forest.Classifier) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	train := mat.New(40, testWindow*testSensors)

@@ -17,7 +17,12 @@ func (discard) ObserveWindow(Observation) {}
 // in the configuration wccserve runs (drift, events, trace and an observer
 // attached): a tick that scores two jobs allocates the same at 100 resident
 // jobs as at 10 000, and a tick with nothing dirty allocates nothing and
-// publishes no span.
+// publishes no span. Once every job has been scored, a tick of 30 rows
+// allocates what a tick of 2 does: the model writes into the partition's
+// scratch and each job's prediction is overwritten in place, so nothing is
+// allocated per row. (Both batches are under one row block, so neither tick
+// leaves the caller's goroutine.) A constant stream keeps every window, and
+// so every verdict, fixed, so no tick publishes a transition event.
 func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 	scaler, model := fixture(t)
 	cal := fitTestCalibration(t, model)
@@ -56,16 +61,27 @@ func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 			t.Fatalf("%d resident: idle ticks published %d collect spans", resident, got-spans)
 		}
 
-		perTick[resident] = testing.AllocsPerRun(100, func() {
-			for _, j := range []int{3, 71} {
-				if err := m.Ingest(j, sample); err != nil {
-					t.Error(err)
+		tick := func(jobs []int) float64 {
+			return testing.AllocsPerRun(100, func() {
+				for _, j := range jobs {
+					if err := m.Ingest(j, sample); err != nil {
+						t.Error(err)
+					}
 				}
-			}
-			if stats, err := m.Tick(); err != nil || stats.Classified != 2 {
-				t.Errorf("2-dirty tick %+v, %v", stats, err)
-			}
-		})
+				if stats, err := m.Tick(); err != nil || stats.Classified != len(jobs) {
+					t.Errorf("%d-dirty tick %+v, %v", len(jobs), stats, err)
+				}
+			})
+		}
+		perTick[resident] = tick([]int{3, 71})
+		wide := make([]int, 30)
+		for k := range wide {
+			wide[k] = 2 * k
+		}
+		if perRow := tick(wide); perRow != perTick[resident] {
+			t.Fatalf("%d resident: a steady tick allocates %.1f times for 2 rows and %.1f for %d, want equal",
+				resident, perTick[resident], perRow, len(wide))
+		}
 	}
 	if perTick[100] != perTick[10000] || perTick[100] == 0 {
 		t.Fatalf("a 2-dirty tick allocates %.1f times at 100 resident jobs and %.1f at 10 000, want equal",

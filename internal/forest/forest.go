@@ -187,19 +187,38 @@ func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // at Fit/Decode time (see flat.go) — no per-node pointer dereferences.
 // Results are bit-identical to PredictProba.
 func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
+	out := mat.New(x.Rows, f.numClasses)
+	if err := f.PredictProbaBatchInto(x, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PredictProbaBatchInto is PredictProbaBatch writing into out, an
+// x.Rows×NumClasses matrix the caller owns and may reuse across calls:
+// whatever out held is overwritten, so a serving loop scores every batch
+// into the same memory.
+func (f *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 	if f.flat == nil {
-		return nil, errors.New("forest: not fitted")
+		return errors.New("forest: not fitted")
 	}
 	if x.Cols != f.numFeats {
-		return nil, fmt.Errorf("forest: %d features, fitted on %d", x.Cols, f.numFeats)
+		return fmt.Errorf("forest: %d features, fitted on %d", x.Cols, f.numFeats)
 	}
-	out := mat.New(x.Rows, f.numClasses)
+	if out.Rows != x.Rows || out.Cols != f.numClasses || len(out.Data) != out.Rows*out.Cols {
+		return fmt.Errorf("forest: output is %dx%d (%d values), want %dx%d",
+			out.Rows, out.Cols, len(out.Data), x.Rows, f.numClasses)
+	}
 	_ = mat.ParallelRowBlocks(x.Rows, f.cfg.Workers, func(lo, hi int) error {
+		clear(out.Data[lo*out.Cols : hi*out.Cols])
 		f.flat.scoreBlock(x, out, lo, hi)
 		return nil
 	})
-	return out, nil
+	return nil
 }
+
+// NumClasses returns the width of a probability row, 0 before Fit.
+func (f *Classifier) NumClasses() int { return f.numClasses }
 
 // Predict labels every row by soft vote.
 func (f *Classifier) Predict(x *mat.Matrix) ([]int, error) {

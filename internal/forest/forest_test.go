@@ -222,3 +222,50 @@ func TestPredictProbaBatchUnfitted(t *testing.T) {
 		t.Error("unfitted batch predict should fail")
 	}
 }
+
+// TestPredictProbaBatchIntoOverwrites pins the caller-owned output path a
+// fleet tick scores into: whatever the buffer held before — NaN garbage or a
+// previous, larger batch — each call's rows are bit-identical to
+// PredictProbaBatch's, on one worker and several; a misshapen output or an
+// unfitted forest is refused.
+func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
+	x, y := gaussianBlobs(300, 4, 0.9, 12)
+	for _, workers := range []int{1, 3} {
+		f := New(Config{NumTrees: 20, Seed: 4, Bootstrap: true, Workers: workers})
+		if err := f.Fit(x, y, 4); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, x.Rows*f.NumClasses())
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		for _, rows := range []int{x.Rows, 97, 1, 0} {
+			ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+			out := &mat.Matrix{Rows: rows, Cols: f.NumClasses(), Data: buf[:rows*f.NumClasses()]}
+			if err := f.PredictProbaBatchInto(ev, out); err != nil {
+				t.Fatal(err)
+			}
+			want, err := f.PredictProbaBatch(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("workers=%d rows=%d: element %d: into %v vs batch %v", workers, rows, i, out.Data[i], want.Data[i])
+				}
+			}
+		}
+		for _, bad := range []*mat.Matrix{
+			mat.New(x.Rows, f.NumClasses()+1),
+			mat.New(x.Rows-1, f.NumClasses()),
+			{Rows: x.Rows, Cols: f.NumClasses(), Data: buf[:len(buf)-1]},
+		} {
+			if err := f.PredictProbaBatchInto(x, bad); err == nil {
+				t.Fatalf("workers=%d: accepted a %dx%d output of %d values", workers, bad.Rows, bad.Cols, len(bad.Data))
+			}
+		}
+	}
+	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {
+		t.Error("unfitted batch predict into should fail")
+	}
+}

@@ -397,19 +397,38 @@ func (c *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // over the flat node arrays compiled at Fit/Decode time (see flat.go) — no
 // per-node pointer dereferences. Results are bit-identical to PredictProba.
 func (c *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
-	if c.flat == nil {
-		return nil, errors.New("xgb: not fitted")
-	}
-	if err := c.checkPredictable(x); err != nil {
+	out := mat.New(x.Rows, c.numClasses)
+	if err := c.PredictProbaBatchInto(x, out); err != nil {
 		return nil, err
 	}
-	out := mat.New(x.Rows, c.numClasses)
+	return out, nil
+}
+
+// PredictProbaBatchInto is PredictProbaBatch writing into out, an
+// x.Rows×NumClasses matrix the caller owns and may reuse across calls:
+// whatever out held is overwritten, so a serving loop scores every batch
+// into the same memory.
+func (c *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
+	if c.flat == nil {
+		return errors.New("xgb: not fitted")
+	}
+	if err := c.checkPredictable(x); err != nil {
+		return err
+	}
+	if out.Rows != x.Rows || out.Cols != c.numClasses || len(out.Data) != out.Rows*out.Cols {
+		return fmt.Errorf("xgb: output is %dx%d (%d values), want %dx%d",
+			out.Rows, out.Cols, len(out.Data), x.Rows, c.numClasses)
+	}
 	_ = mat.ParallelRowBlocks(x.Rows, c.cfg.Workers, func(lo, hi int) error {
+		clear(out.Data[lo*out.Cols : hi*out.Cols])
 		c.flat.scoreBlock(x, out, lo, hi)
 		return nil
 	})
-	return out, nil
+	return nil
 }
+
+// NumClasses returns the width of a probability row, 0 before Fit.
+func (c *Classifier) NumClasses() int { return c.numClasses }
 
 // Predict labels rows by the highest boosting score.
 func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {

@@ -314,3 +314,50 @@ func TestXGBPredictProbaBatchErrors(t *testing.T) {
 		t.Error("feature-count mismatch should fail")
 	}
 }
+
+// TestXGBPredictProbaBatchIntoOverwrites pins the caller-owned output path a
+// fleet tick scores into: whatever the buffer held before — NaN garbage or a
+// previous, larger batch — each call's rows are bit-identical to
+// PredictProbaBatch's, on one worker and several; a misshapen output or an
+// unfitted booster is refused.
+func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
+	x, y := blobs(250, 3, 0.9, 15)
+	for _, workers := range []int{1, 4} {
+		c := New(Config{NumRounds: 10, MaxDepth: 4, Workers: workers, Seed: 3})
+		if err := c.Fit(x, y, 3, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, x.Rows*c.NumClasses())
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		for _, rows := range []int{x.Rows, 97, 1, 0} {
+			ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+			out := &mat.Matrix{Rows: rows, Cols: c.NumClasses(), Data: buf[:rows*c.NumClasses()]}
+			if err := c.PredictProbaBatchInto(ev, out); err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.PredictProbaBatch(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("workers=%d rows=%d: element %d: into %v vs batch %v", workers, rows, i, out.Data[i], want.Data[i])
+				}
+			}
+		}
+		for _, bad := range []*mat.Matrix{
+			mat.New(x.Rows, c.NumClasses()+1),
+			mat.New(x.Rows-1, c.NumClasses()),
+			{Rows: x.Rows, Cols: c.NumClasses(), Data: buf[:len(buf)-1]},
+		} {
+			if err := c.PredictProbaBatchInto(x, bad); err == nil {
+				t.Fatalf("workers=%d: accepted a %dx%d output of %d values", workers, bad.Rows, bad.Cols, len(bad.Data))
+			}
+		}
+	}
+	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {
+		t.Error("unfitted batch predict into should fail")
+	}
+}

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drift"
+	"repro/internal/fleet"
 	"repro/internal/forest"
 	"repro/internal/server"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -61,20 +61,17 @@ func TestOpenSetVerdictFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every window a tick publishes passes the adapt observer's hook once.
 	var windows drift.RejectionTally
 	total := 0
-	last := make([]*stream.Prediction, jobs)
+	m.SetAdaptObserver(observerFunc(func(o fleet.Observation) {
+		windows.Add(mix.IsUnknown(o.Job), o.Rejected)
+		total++
+	}))
 	tick := func() {
 		t.Helper()
 		if _, err := m.Tick(); err != nil {
 			t.Fatal(err)
-		}
-		for k := range last {
-			if pred, ok := m.Prediction(k); ok && pred != last[k] {
-				last[k] = pred
-				windows.Add(mix.IsUnknown(k), pred.Unknown())
-				total++
-			}
 		}
 	}
 	ingested := 0
@@ -95,8 +92,8 @@ func TestOpenSetVerdictFloor(t *testing.T) {
 	tick()
 
 	var final drift.RejectionTally
-	for k, pred := range last {
-		if pred != nil {
+	for k := 0; k < jobs; k++ {
+		if pred, ok := m.Prediction(k); ok {
 			final.Add(mix.IsUnknown(k), pred.Unknown())
 		}
 	}
@@ -121,3 +118,8 @@ func TestOpenSetVerdictFloor(t *testing.T) {
 		t.Errorf("per-window false-unknown rate %.3f, ceiling 0.07", falseRate)
 	}
 }
+
+// observerFunc adapts a function to fleet.Observer.
+type observerFunc func(fleet.Observation)
+
+func (f observerFunc) ObserveWindow(o fleet.Observation) { f(o) }
