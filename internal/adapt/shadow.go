@@ -61,11 +61,10 @@ func (s *shadowState) score(o fleet.Observation) {
 		}
 		return
 	}
-	prow := probs.Row(0)
-	candClass := mat.ArgMax(prow)
+	candClass := mat.ArgMax(probs.Row(0))
 	candRejected := false
 	if s.cal != nil {
-		sc := s.cal.Score(prow, o.Features)
+		sc, _ := s.cal.ScoreFrom(o.Features, -1)
 		candRejected = s.cal.Threshold.Reject(sc)
 	}
 

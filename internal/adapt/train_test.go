@@ -126,8 +126,7 @@ func TestBuildCandidateArtifactWidensClassSet(t *testing.T) {
 		if mat.ArgMax(probs.Row(i)) == 4 {
 			asNovel++
 		}
-		sc := a.Drift.Score(probs.Row(i), probe.Row(i))
-		if a.Drift.Threshold.Reject(sc) {
+		if sc, _ := a.Drift.ScoreFrom(probe.Row(i), -1); a.Drift.Threshold.Reject(sc) {
 			rejected++
 		}
 	}

@@ -315,8 +315,8 @@ func TestClusterFlywheelPromotion(t *testing.T) {
 		if postRate > 0.2*preRate {
 			for _, id := range oodC {
 				if pred, ok := c.Member(i).Core.Prediction(id); ok && pred.Open != nil {
-					t.Logf("job %d class %d prob %.3f margin %.3f energy %.3f featdist %.3f rejected %v",
-						id, pred.Class, pred.Probability, pred.Open.Margin, pred.Open.Energy, pred.Open.FeatDist, pred.Open.Rejected)
+					t.Logf("job %d class %d prob %.3f featdist %.3f rejected %v",
+						id, pred.Class, pred.Probability, pred.Open.FeatDist, pred.Open.Rejected)
 				}
 			}
 			t.Fatalf("node %d post-promotion OOD rejection rate %.2f vs pre %.2f", i, postRate, preRate)

@@ -27,11 +27,14 @@ func (c *Calibration) Encode(w io.Writer) error {
 	}
 	ww := wire.NewWriter(w)
 	ww.U32(codecVersion)
-	ww.F64(c.Threshold.Temperature)
+	// The first legacy slot once held the energy temperature; it keeps the
+	// value every calibration was fitted with, so a section's bytes do not
+	// depend on the build that wrote it.
+	ww.F64(0.5)
 	ww.F64(c.Threshold.Quantile)
-	// The legacy slots once held the MinConf, MinMargin and MaxEnergy cut points.
-	// 0, 0 and +Inf never reject, so a reader that still applies them gives
-	// the verdicts the feature gate alone gives.
+	// The next legacy slots once held the MinConf, MinMargin and MaxEnergy cut
+	// points. 0, 0 and +Inf never reject, so a reader that still applies them
+	// gives the verdicts the feature gate alone gives.
 	ww.F64(0)
 	ww.F64(0)
 	ww.F64(math.Inf(1))
@@ -61,7 +64,7 @@ func Decode(r io.Reader) (*Calibration, error) {
 		return nil, fmt.Errorf("drift: unsupported calibration version %d (this build reads %d)", v, codecVersion)
 	}
 	c := &Calibration{}
-	c.Threshold.Temperature = rr.F64()
+	rr.F64() // legacy temperature slot: no score reads it
 	c.Threshold.Quantile = rr.F64()
 	rr.F64()
 	rr.F64()
@@ -103,11 +106,6 @@ func Decode(r io.Reader) (*Calibration, error) {
 	}
 	if bins < 2 || bins > maxBins {
 		return nil, fmt.Errorf("drift: corrupt calibration: %d bins", bins)
-	}
-	// A temperature outside the range makes Energy infinite on ordinary
-	// rows, and the prediction read cannot encode that.
-	if err := checkTemperature(c.Threshold.Temperature); err != nil {
-		return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
 	}
 	ref := &Reference{
 		Bins:  int(bins),

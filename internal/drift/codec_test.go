@@ -27,7 +27,7 @@ func testCalibration(t *testing.T) *Calibration {
 		samples.Data[i] = rng.NormFloat64()*4 + 10
 	}
 	c, err := Fit(FitInput{TrainFeatures: feats, HeldOutFeatures: held, RawSamples: samples},
-		Options{Quantile: 0.9, Temperature: 0.7, Bins: 8})
+		Options{Quantile: 0.9, Bins: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +66,7 @@ func TestCalibrationCodecRoundTrip(t *testing.T) {
 // cleanly it parses. A zero, negative or non-finite std, or any non-finite
 // mean or reference value, makes every distance NaN or +Inf; a NaN,
 // infinite or negative cut point switches the gate off. Either way the gate
-// accepts everything. A temperature outside [minTemperature,
-// maxTemperature] makes Energy infinite, which a prediction read cannot
-// encode.
+// accepts everything.
 func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 	for name, corrupt := range map[string]func(c *Calibration){
 		"zero std":               func(c *Calibration) { c.Feat.Stds[2] = 0 },
@@ -84,10 +82,6 @@ func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 		"-infinite cut point":    func(c *Calibration) { c.Threshold.MaxFeatDist = math.Inf(-1) },
 		"negative cut point":     func(c *Calibration) { c.Threshold.MaxFeatDist = -1 },
 		"gateless NaN cut point": func(c *Calibration) { c.Feat, c.Threshold.MaxFeatDist = nil, math.NaN() },
-		"infinite temperature":   func(c *Calibration) { c.Threshold.Temperature = math.Inf(1) },
-		"huge temperature":       func(c *Calibration) { c.Threshold.Temperature = 1e308 },
-		"tiny temperature":       func(c *Calibration) { c.Threshold.Temperature = 1e-300 },
-		"NaN temperature":        func(c *Calibration) { c.Threshold.Temperature = math.NaN() },
 	} {
 		c := testCalibration(t)
 		corrupt(c)
@@ -101,9 +95,11 @@ func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 	}
 }
 
-// TestEncodeFillsLegacySlots: the three slots after Quantile once held the
-// probability cut points. A section written now fills them with 0, 0 and
-// +Inf, which no score can fall past, so a reader that still applies them
+// TestEncodeFillsLegacySlots: the slot before Quantile once held the energy
+// temperature, and the three after it the probability cut points. A section
+// written now fills the first with 0.5, the temperature every calibration was
+// fitted with, so its bytes match an older build's, and the others with 0, 0
+// and +Inf, which no score can fall past, so a reader that still applies them
 // reaches the verdicts the feature gate alone reaches.
 func TestEncodeFillsLegacySlots(t *testing.T) {
 	var buf bytes.Buffer
@@ -112,11 +108,14 @@ func TestEncodeFillsLegacySlots(t *testing.T) {
 	}
 	rr := wire.NewReader(&buf)
 	rr.U32()
-	rr.F64()
+	temp := rr.F64()
 	rr.F64()
 	conf, margin, energy := rr.F64(), rr.F64(), rr.F64()
 	if err := rr.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if temp != 0.5 {
+		t.Fatalf("temperature slot holds %v; want 0.5", temp)
 	}
 	if conf != 0 || margin != 0 || !math.IsInf(energy, 1) {
 		t.Fatalf("legacy slots hold %v, %v, %v; want 0, 0, +Inf", conf, margin, energy)

@@ -7,9 +7,7 @@
 //   - a per-prediction open-set verdict — the distance of the embedding row
 //     from the training support, against a cut point calibrated on held-out
 //     in-distribution rows at training time — so a live prediction can be
-//     flagged "unknown" without changing the prediction itself (the top-two
-//     margin and an energy score over the class probabilities ride along as
-//     description, and decide nothing);
+//     flagged "unknown" without changing the prediction itself;
 //   - windowed input-drift statistics — a per-sensor Population Stability
 //     Index (PSI) of the live telemetry against a Reference histogram
 //     fitted on the raw training windows, aggregated into one fleet drift
@@ -19,11 +17,11 @@
 // A Calibration bundles both, travels inside the .wcc artifact as an
 // optional section (older artifacts simply serve with drift disabled), and
 // is consumed by fleet.Monitor: every inference tick annotates predictions
-// with scores and a rejected flag, and every ingested sample lands in a
-// histogram Window that shards merge exactly like tick stats. On the hot
-// path a sample costs one binary search per sensor, and a prediction costs
-// one pass over its probabilities plus one exact nearest-reference search
-// (search.go) that sums a few dozen of the stored rows, not all of them.
+// with a feature distance and a rejected flag, and every ingested sample
+// lands in a histogram Window that shards merge exactly like tick stats. On
+// the hot path a sample costs one binary search per sensor, and a prediction
+// costs one exact nearest-reference search (search.go) that sums a few dozen
+// of the stored rows, not all of them. The probabilities play no part.
 package drift
 
 import (
@@ -43,44 +41,12 @@ const (
 	// cut point is placed so roughly (1-q) of held-out in-distribution rows
 	// land past it.
 	DefaultQuantile = 0.95
-	// DefaultTemperature sharpens the energy score; see ScoreProbs.
-	DefaultTemperature = 0.5
 	// DefaultBins is the per-sensor histogram resolution of a Reference.
 	DefaultBins = 16
 )
 
-// probFloor keeps log-probabilities finite for zero class probabilities
-// (tree ensembles emit exact zeros for classes no tree voted for).
-const probFloor = 1e-12
-
-// The energy temperatures a calibration may carry. Energy is finite for any
-// probability row of 1 to 1 024 entries in [0, 1], the all-zero row
-// included, at every T in [minTemperature, maxTemperature]: each entry adds
-// exp(ln max(p, probFloor)/T), between exp(−27.64/T) and 1, so the sum S
-// lies in [exp(−27.64/T), 1024]. At T ≥ 0.05 the lower end is ≥ e^−553 ≈
-// 10^−240, a normal float, so ln S lies in [−27.64/T, 6.94] and
-// Energy = −T·ln S in [−6.94·T, 27.64], finite for T ≤ 100. Past the range
-// either end breaks: at T = 10^−300 every entry below 1 adds exp(−Inf) = 0,
-// so a row without a 1 has S = 0 and Energy = +Inf; at T = 10^308,
-// T·ln S overflows. Decode and Fit refuse a temperature outside it, because
-// the prediction read encodes Energy as JSON, which has no Inf.
-const (
-	minTemperature = 0.05
-	maxTemperature = 100
-)
-
-// logFloor is ln(probFloor), the log every floored entry takes.
-var logFloor = math.Log(probFloor)
-
-// Score is one prediction's open-set evidence. Only FeatDist decides a
-// verdict; Margin and Energy describe the probability row.
+// Score is one prediction's open-set evidence.
 type Score struct {
-	// Margin is the gap between the top two class probabilities.
-	Margin float64
-	// Energy is -T·log Σᵢ exp(log(pᵢ)/T): near zero for a confident
-	// prediction, approaching T·log(numClasses) as the class distribution
-	// flattens toward uniform.
-	Energy float64
 	// FeatDist is the feature-space distance from the training support:
 	// the Euclidean distance, in per-feature standardised coordinates, to
 	// the nearest stored training embedding (see FeatureStats).
@@ -90,50 +56,10 @@ type Score struct {
 	FeatDist float64
 }
 
-// ScoreProbs computes the descriptive scores for one probability row.
-// temperature ≤ 0 selects DefaultTemperature. Every entry at or below
-// probFloor (the exact zeros, most of a forest's row) adds the same term,
-// exp(ln(probFloor)/T), so it is computed once per call and added in place:
-// the sum sees the same values in the same order, and Energy keeps the bits
-// of evaluating the formula entry by entry. NaN is not ≤ probFloor and takes
-// the formula.
-func ScoreProbs(p []float64, temperature float64) Score {
-	if temperature <= 0 {
-		temperature = DefaultTemperature
-	}
-	floor := math.Exp(logFloor / temperature)
-	var best, second, sum float64
-	for _, v := range p {
-		if v > best {
-			best, second = v, best
-		} else if v > second {
-			second = v
-		}
-		if v <= probFloor {
-			sum += floor
-		} else {
-			sum += math.Exp(math.Log(v) / temperature)
-		}
-	}
-	return Score{Margin: best - second, Energy: -temperature * math.Log(sum)}
-}
-
-// checkTemperature refuses an energy temperature outside
-// [minTemperature, maxTemperature], NaN included.
-func checkTemperature(t float64) error {
-	if !(t >= minTemperature && t <= maxTemperature) {
-		return fmt.Errorf("temperature %v outside [%v, %v]", t, minTemperature, maxTemperature)
-	}
-	return nil
-}
-
 // Threshold is the open-set rule: a prediction is unknown when its feature
 // distance lies past the cut point calibrated on held-out in-distribution
 // rows.
 type Threshold struct {
-	// Temperature is the energy temperature the descriptive scores are
-	// computed with.
-	Temperature float64
 	// Quantile is the calibration quantile the cut point was placed at; 0
 	// when the section predates the feature-only rule and recorded none.
 	Quantile float64
@@ -522,25 +448,27 @@ type Calibration struct {
 	Ref  *Reference
 }
 
-// Score computes a prediction's full open-set evidence: the descriptive
-// probability scores plus, when the calibration carries feature statistics,
-// the feature-space distance of the embedding row the prediction came from.
+// Score is ScoreFrom with a cold search. probs is ignored: outside tests only
+// the frozen benchmark/layers.go still calls Score, and the parameter goes
+// when that file next changes.
 func (c *Calibration) Score(probs, features []float64) Score {
-	s, _ := c.ScoreFrom(probs, features, -1)
+	s, _ := c.ScoreFrom(features, -1)
 	return s
 }
 
-// ScoreFrom is Score with the nearest-reference search started from the row
-// of the feature statistics' Train named by from (see
-// FeatureStats.DistanceFrom); it also returns the row that won, -1 when the
-// calibration carries no feature statistics or no row is at a finite
-// distance. The score has Score's bits whatever from is.
-func (c *Calibration) ScoreFrom(probs, features []float64, from int) (Score, int) {
-	s, near := ScoreProbs(probs, c.Threshold.Temperature), -1
-	if c.Feat != nil {
-		s.FeatDist, near = c.Feat.DistanceFrom(features, from)
+// ScoreFrom computes a prediction's open-set evidence: the feature-space
+// distance of the embedding row the prediction came from, 0 when the
+// calibration carries no feature statistics. The nearest-reference search
+// starts from the row of the feature statistics' Train named by from (see
+// FeatureStats.DistanceFrom); ScoreFrom also returns the row that won, -1
+// when the calibration carries no feature statistics or no row is at a
+// finite distance. The score has the same bits whatever from is.
+func (c *Calibration) ScoreFrom(features []float64, from int) (Score, int) {
+	if c.Feat == nil {
+		return Score{}, -1
 	}
-	return s, near
+	d, near := c.Feat.DistanceFrom(features, from)
+	return Score{FeatDist: d}, near
 }
 
 // Options configures Fit. Zero fields select the package defaults.
@@ -548,9 +476,6 @@ type Options struct {
 	// Quantile is the feature-space gate's calibration quantile
 	// (DefaultQuantile).
 	Quantile float64
-	// Temperature is the energy temperature (DefaultTemperature); non-zero,
-	// it must lie in [0.05, 100].
-	Temperature float64
 	// Bins is the per-sensor reference histogram resolution (DefaultBins).
 	Bins int
 }
@@ -576,20 +501,14 @@ type FitInput struct {
 // training rows, the gate's cut point at the Quantile of the held-out rows'
 // distances, and the input reference from raw training samples.
 func Fit(in FitInput, opts Options) (*Calibration, error) {
-	q, temp := opts.Quantile, opts.Temperature
+	q := opts.Quantile
 	if q <= 0 {
 		q = DefaultQuantile
 	}
 	if q >= 1 {
 		return nil, fmt.Errorf("drift: calibration quantile %v must be in (0, 1)", q)
 	}
-	if temp == 0 {
-		temp = DefaultTemperature
-	}
-	if err := checkTemperature(temp); err != nil {
-		return nil, fmt.Errorf("drift: energy %w", err)
-	}
-	c := &Calibration{Threshold: Threshold{Temperature: temp, Quantile: q}}
+	c := &Calibration{Threshold: Threshold{Quantile: q}}
 	if (in.TrainFeatures == nil) != (in.HeldOutFeatures == nil) {
 		return nil, errors.New("drift: feature gating needs both training and held-out feature rows")
 	}

@@ -8,129 +8,6 @@ import (
 	"repro/internal/mat"
 )
 
-func TestScoreProbsConfidentVsUniform(t *testing.T) {
-	confident := []float64{0.9, 0.05, 0.03, 0.02}
-	uniform := []float64{0.25, 0.25, 0.25, 0.25}
-	sc := ScoreProbs(confident, 0)
-	su := ScoreProbs(uniform, 0)
-	if got := sc.Margin; math.Abs(got-0.85) > 1e-12 {
-		t.Fatalf("margin: got %v, want 0.85", got)
-	}
-	if su.Margin != 0 {
-		t.Fatalf("uniform margin: got %v, want 0", su.Margin)
-	}
-	if sc.Energy >= su.Energy {
-		t.Fatalf("energy should rise toward uniform: confident %v, uniform %v", sc.Energy, su.Energy)
-	}
-	// Uniform over K classes has the maximal energy T·log(K).
-	wantMax := DefaultTemperature * math.Log(4)
-	if math.Abs(su.Energy-wantMax) > 1e-9 {
-		t.Fatalf("uniform energy %v, want %v", su.Energy, wantMax)
-	}
-}
-
-func TestScoreProbsZeroProbabilitiesFinite(t *testing.T) {
-	s := ScoreProbs([]float64{1, 0, 0, 0}, 0)
-	if math.IsNaN(s.Energy) || math.IsInf(s.Energy, 0) {
-		t.Fatalf("energy not finite on exact-zero probs: %v", s.Energy)
-	}
-	if s.Margin != 1 {
-		t.Fatalf("got margin %v", s.Margin)
-	}
-}
-
-// directScore is ScoreProbs as the formula reads, every entry through
-// Log and Exp: the oracle TestScoreProbsMatchesDirectFormula holds it to.
-func directScore(p []float64, temperature float64) Score {
-	if temperature <= 0 {
-		temperature = DefaultTemperature
-	}
-	var best, second, sum float64
-	for _, v := range p {
-		if v > best {
-			best, second = v, best
-		} else if v > second {
-			second = v
-		}
-		sum += math.Exp(math.Log(math.Max(v, probFloor)) / temperature)
-	}
-	return Score{Margin: best - second, Energy: -temperature * math.Log(sum)}
-}
-
-// TestScoreProbsMatchesDirectFormula: adding the floored term once computed,
-// instead of evaluating it per entry, leaves Margin and Energy with the
-// formula's bits, on forest-like rows and on every value at or around the
-// floor, at every temperature a calibration may carry and the default.
-func TestScoreProbsMatchesDirectFormula(t *testing.T) {
-	odd := []float64{
-		0, math.Copysign(0, -1), -0.25, -1e-300, math.SmallestNonzeroFloat64, 1e-310,
-		math.Nextafter(probFloor, 0), probFloor, math.Nextafter(probFloor, 1), 2 * probFloor,
-		math.NaN(), math.Inf(1), math.Inf(-1), 1, 0.5,
-	}
-	var rows [][]float64
-	for _, v := range odd {
-		rows = append(rows, []float64{v}, []float64{v, 0, 0, 0.75, 0.25, v})
-	}
-	rows = append(rows, make([]float64, 26), make([]float64, 1024))
-	rng := rand.New(rand.NewSource(5))
-	for r := 0; r < 2000; r++ {
-		row := make([]float64, 1+rng.Intn(30))
-		if r%2 == 0 { // a forest's row: votes in hundredths, mostly on few classes
-			for left := 100; left > 0; {
-				k := 1 + rng.Intn(left)
-				row[rng.Intn(len(row))] += float64(k) / 100
-				left -= k
-			}
-		} else {
-			for j := range row {
-				if rng.Intn(3) == 0 {
-					row[j] = odd[rng.Intn(len(odd))]
-				} else {
-					row[j] = float64(rng.Intn(101)) / 100
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-	}
-	for _, temp := range []float64{0, minTemperature, DefaultTemperature, 0.7, maxTemperature} {
-		for i, row := range rows {
-			got, want := ScoreProbs(row, temp), directScore(row, temp)
-			if !same(got.Margin, want.Margin) || !same(got.Energy, want.Energy) {
-				t.Fatalf("T=%v row %d %v: ScoreProbs %+v, formula %+v", temp, i, row, got, want)
-			}
-		}
-	}
-}
-
-// TestEnergyFiniteAtTemperatureBounds: at both ends of the temperature range
-// Decode and Fit accept, Energy is finite on the rows furthest apart: all
-// zero, one-hot and uniform, from one entry to 1 024.
-func TestEnergyFiniteAtTemperatureBounds(t *testing.T) {
-	for _, n := range []int{1, 2, 26, 1024} {
-		zero, hot, flat := make([]float64, n), make([]float64, n), make([]float64, n)
-		hot[n-1] = 1
-		for j := range flat {
-			flat[j] = 1 / float64(n)
-		}
-		for _, temp := range []float64{minTemperature, maxTemperature} {
-			for name, row := range map[string][]float64{"all-zero": zero, "one-hot": hot, "uniform": flat} {
-				if e := ScoreProbs(row, temp).Energy; math.IsNaN(e) || math.IsInf(e, 0) {
-					t.Errorf("T=%v, %s row of %d: energy %v", temp, name, n, e)
-				}
-			}
-		}
-	}
-	for _, temp := range []float64{math.Nextafter(minTemperature, 0), math.Nextafter(maxTemperature, math.Inf(1)),
-		math.Inf(1), math.NaN(), -1} {
-		if _, err := Fit(FitInput{RawSamples: mat.New(4, 2)}, Options{Temperature: temp}); err == nil {
-			t.Errorf("Fit accepted temperature %v", temp)
-		}
-	}
-}
-
 func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	// In-distribution features: standard normal.
@@ -153,26 +30,23 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	if cal.Feat == nil || cal.Threshold.MaxFeatDist <= 0 {
 		t.Fatalf("feature gate not fitted: %+v", cal.Threshold)
 	}
-	// A *confident* prediction on a feature row far outside the training
-	// support must be rejected — ensembles vote confidently on far-OOD
+	// A feature row far outside the training support must be rejected, however
+	// confidently the model votes on it — ensembles vote confidently on far-OOD
 	// points, so no probability score could catch it.
-	confident := make([]float64, 26)
-	confident[3] = 1
 	ood := make([]float64, 10)
 	for j := range ood {
 		ood[j] = 50
 	}
-	s := cal.Score(confident, ood)
+	s, _ := cal.ScoreFrom(ood, -1)
 	if s.FeatDist < 10 {
 		t.Fatalf("OOD feature distance %v implausibly small", s.FeatDist)
 	}
 	if !cal.Threshold.Reject(s) {
 		t.Fatal("confident far-OOD prediction not rejected by the feature gate")
 	}
-	// The same confident prediction on an in-distribution row passes.
-	id := make([]float64, 10)
-	if cal.Threshold.Reject(cal.Score(confident, id)) {
-		t.Fatal("confident in-distribution prediction rejected")
+	// An in-distribution row passes.
+	if s, _ := cal.ScoreFrom(make([]float64, 10), -1); cal.Threshold.Reject(s) {
+		t.Fatal("in-distribution row rejected")
 	}
 }
 

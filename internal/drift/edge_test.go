@@ -52,7 +52,6 @@ func TestFitSingleSampleCalibration(t *testing.T) {
 	// One held-out row end to end: feature gate and reference fit without a
 	// division by zero, and the resulting calibration accepts its own
 	// calibration point.
-	probs := mustMat(1, 2, 0.9, 0.1)
 	train := mustMat(1, 2, 1, 2)
 	held := mustMat(1, 2, 1, 2)
 	raw := mustMat(2, 3, 5, 5, 5, 6, 6, 6)
@@ -63,7 +62,7 @@ func TestFitSingleSampleCalibration(t *testing.T) {
 	if math.IsNaN(cal.Threshold.MaxFeatDist) {
 		t.Fatal("MaxFeatDist is NaN")
 	}
-	if cal.Threshold.Reject(cal.Score(probs.Row(0), held.Row(0))) {
+	if s, _ := cal.ScoreFrom(held.Row(0), -1); cal.Threshold.Reject(s) {
 		t.Fatal("single-sample calibration rejects its own calibration row")
 	}
 }

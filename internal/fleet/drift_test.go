@@ -104,14 +104,14 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 		if got.Open == nil {
 			t.Fatalf("job %d: drift-enabled prediction lacks the Open annotation", k)
 		}
-		// The annotation must agree with re-scoring the published probs
-		// (the feature distance is taken from the annotation itself — the
-		// embedding row is internal to the tick).
-		sc := drift.ScoreProbs(got.Probs, cal.Threshold.Temperature)
-		sc.FeatDist = got.Open.FeatDist
-		if got.Open.Margin != sc.Margin || got.Open.Energy != sc.Energy ||
-			got.Open.Rejected != cal.Threshold.Reject(sc) {
-			t.Fatalf("job %d: annotation %+v disagrees with re-scored %+v", k, got.Open, sc)
+		// The verdict must agree with the gate applied to the annotation's own
+		// distance (the embedding row is internal to the tick), and the
+		// retired probability scores read zero.
+		if got.Open.Rejected != cal.Threshold.Reject(drift.Score{FeatDist: got.Open.FeatDist}) {
+			t.Fatalf("job %d: annotation %+v disagrees with the gate", k, got.Open)
+		}
+		if got.Open.Margin != 0 || got.Open.Energy != 0 {
+			t.Fatalf("job %d: retired scores margin %v, energy %v; want 0", k, got.Open.Margin, got.Open.Energy)
 		}
 		if cal.Feat == nil || got.Open.FeatDist <= 0 {
 			t.Fatalf("job %d: feature gate inactive (dist %v)", k, got.Open.FeatDist)

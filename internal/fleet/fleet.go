@@ -33,11 +33,11 @@
 //     went away, and Snapshot gives operators a read-only, ID-sorted view
 //     of every registered job;
 //   - optional open-set detection (Config.Drift, see internal/drift):
-//     ticks annotate every prediction with calibrated open-set scores and
-//     an unknown-workload rejection flag, ingest accumulates per-sensor
-//     input histograms, and DriftStats reports the fleet's PSI drift
-//     against the training-time reference — without changing a single
-//     in-distribution prediction bit.
+//     ticks annotate every prediction with its feature distance from the
+//     training support and an unknown-workload rejection flag, ingest
+//     accumulates per-sensor input histograms, and DriftStats reports the
+//     fleet's PSI drift against the training-time reference — without
+//     changing a single in-distribution prediction bit.
 //
 // What is being served — the model, its batched path, the drift
 // calibration, the event sink, the trace recorder, the adapt observer and
@@ -142,7 +142,7 @@ type Config struct {
 	// on it.
 	Shards int
 	// Drift, when non-nil, enables open-set detection and input-drift
-	// monitoring: every tick annotates predictions with open-set scores
+	// monitoring: every tick annotates predictions with a feature distance
 	// and a rejected flag from the calibrated threshold, and every
 	// ingested sample lands in per-sensor drift histograms (DriftStats).
 	// In-distribution predictions are bit-identical with or without it —
@@ -186,11 +186,13 @@ type jobState struct {
 	// mutex, so publishing allocates nothing once the job has been scored.
 	// probs is the job's own probability row: nil before the first
 	// classification, allocated then and reused while the class count fits.
-	// class indexes it; open is the open-set verdict when hasOpen.
-	hasOpen bool
-	probs   []float64
-	class   int
-	open    stream.OpenSet
+	// class indexes it. When hasOpen the verdict is featDist and rejected,
+	// which prediction turns into a stream.OpenSet on the way out.
+	hasOpen  bool
+	rejected bool
+	probs    []float64
+	class    int
+	featDist float64
 }
 
 // prediction copies the job's last published prediction out of its slot, or
@@ -204,7 +206,7 @@ func (js *jobState) prediction() *stream.Prediction {
 	c := &struct {
 		pred stream.Prediction
 		open stream.OpenSet
-	}{open: js.open}
+	}{open: stream.OpenSet{FeatDist: js.featDist, Rejected: js.rejected}}
 	c.pred = stream.Prediction{
 		Class: js.class, Probability: js.probs[js.class],
 		Probs: append([]float64(nil), js.probs...),
@@ -246,19 +248,18 @@ type partition struct {
 	tickMu sync.Mutex
 	// scratch is the tick's working memory, reused across ticks: the
 	// collected jobs, their N×F feature rows, the model's N×K probability
-	// rows (an IntoClassifier's; other models return their own) and their
-	// open-set scores. Nothing keeps it past the tick — write-back copies
-	// each probability row into its job, and an Observer's Features are
-	// borrowed — and the job pointers are cleared when the tick ends. It
-	// only grows, to the largest batch seen: at worst every resident job at
-	// once, 28 floats of features, 26 of probabilities and 48 bytes more
-	// each, under 2 % of that job's 30 KB ring.
+	// rows (an IntoClassifier's; other models return their own). Nothing
+	// keeps it past the tick — write-back copies each probability row into
+	// its job, and an Observer's Features are borrowed — and the job pointers
+	// are cleared when the tick ends. It only grows, to the largest batch
+	// seen: at worst every resident job at once, 28 floats of features, 26 of
+	// probabilities and 32 bytes more each, under 2 % of that job's 30 KB
+	// ring.
 	scratch struct {
-		batch  []collected
-		feats  []float64
-		x      mat.Matrix // the batch's view of feats
-		probs  mat.Matrix
-		scores []drift.Score
+		batch []collected
+		feats []float64
+		x     mat.Matrix // the batch's view of feats
+		probs mat.Matrix
 	}
 	samples atomic.Uint64
 	ticks   atomic.Uint64
@@ -512,11 +513,13 @@ type TickStats struct {
 // collected pairs a job selected into a tick's batch with the sample count
 // observed at collection time, so write-back can tell whether new samples
 // arrived while inference ran, and with the job's nearest-reference handle,
-// which scoring starts from and replaces with its winner.
+// which scoring starts from and replaces with its winner. score is the
+// window's open-set score, set by the scoring pass.
 type collected struct {
-	js   *jobState
-	seen uint64
-	near int32
+	js    *jobState
+	seen  uint64
+	score drift.Score
+	near  int32
 }
 
 // Tick runs one synchronised inference pass over the whole fleet: partition
@@ -604,7 +607,6 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	if n > cap(p.scratch.batch) {
 		p.scratch.batch = make([]collected, n)
 		p.scratch.feats = make([]float64, n*m.dim)
-		p.scratch.scores = make([]drift.Score, n)
 	}
 	p.scratch.batch = p.scratch.batch[:n]
 	batch, feats := p.scratch.batch[:0], p.scratch.feats
@@ -651,25 +653,24 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		return stats, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
 	}
 
-	// Open-set scoring: each probability row, plus the very embedding row the
-	// model consumed, against the calibration — one pass over the batch in
-	// row blocks, like the model call before it, so the nearest-reference
-	// search runs on every core and outside the per-job locks. Each search
-	// starts from the row the job's last window was nearest to. Scores are a
-	// pure function of their row, whatever the start; the predictions are
-	// untouched, so enabling drift leaves in-distribution results
-	// bit-identical.
+	// Open-set scoring: the very embedding row the model consumed, against the
+	// calibration's reference set — one pass over the batch in row blocks,
+	// like the model call before it, so the nearest-reference search runs on
+	// every core and outside the per-job locks. Each search starts from the
+	// row the job's last window was nearest to. A distance is a pure function
+	// of its row, whatever the start; the predictions are untouched, so
+	// enabling drift leaves in-distribution results bit-identical.
 	writeStart := m.now()
 	cal := m.dcal
 	if cal != nil {
 		// The block function returns no error, so neither does the pass. It
-		// reaches the batch and its scores through p, which keeps the
-		// closure's captures small: a tick of two rows pays for them.
+		// reaches the batch through p, which keeps the closure's captures
+		// small: a tick of two rows pays for them.
 		_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				c := &p.scratch.batch[i]
 				var near int
-				p.scratch.scores[i], near = cal.ScoreFrom(probs.Row(i), x.Row(i), int(c.near))
+				c.score, near = cal.ScoreFrom(x.Row(i), int(c.near))
 				c.near = int32(near)
 			}
 			return nil
@@ -677,7 +678,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	}
 
 	// Write predictions back, serially: all that is left per job is copying
-	// its probability row and score into the job's own slot and publishing.
+	// its probability row and verdict into the job's own slot and publishing.
 	// jobState pointers are stable, but the dirty flag and the prediction
 	// slot belong to the stripe mutex, so re-lock per stripe ordering doesn't
 	// matter — each job is visited once. Once a job has been scored, the copy
@@ -688,19 +689,15 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	for i, c := range batch {
 		row := probs.Row(i)
 		class := mat.ArgMax(row)
-		var open stream.OpenSet
-		if cal != nil {
-			sc := p.scratch.scores[i]
-			open = stream.OpenSet{Margin: sc.Margin, Energy: sc.Energy, FeatDist: sc.FeatDist, Rejected: cal.Threshold.Reject(sc)}
-			if open.Rejected {
-				m.unknowns.Add(1)
-			}
+		rejected := cal != nil && cal.Threshold.Reject(c.score)
+		if rejected {
+			m.unknowns.Add(1)
 		}
 		js := c.js
 		js.home.mu.Lock()
-		first, oldClass, wasUnknown := js.probs == nil, js.class, js.hasOpen && js.open.Rejected
+		first, oldClass, wasUnknown := js.probs == nil, js.class, js.rejected
 		js.probs = append(js.probs[:0], row...)
-		js.class, js.open, js.hasOpen, js.near = class, open, cal != nil, c.near
+		js.class, js.featDist, js.rejected, js.hasOpen, js.near = class, c.score.FeatDist, rejected, cal != nil, c.near
 		if js.samples == c.seen {
 			js.dirty = false
 		} else {
@@ -713,7 +710,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		// the prediction already published above.
 		if m.obs != nil {
 			m.obs.ObserveWindow(Observation{
-				Job: js.id, Class: class, Rejected: open.Rejected,
+				Job: js.id, Class: class, Rejected: rejected,
 				Gen: m.swaps.Load(), Features: x.Row(i),
 			})
 		}
@@ -734,11 +731,11 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 				}
 				m.evs.Publish(e)
 			}
-			if open.Rejected && !wasUnknown {
+			if rejected && !wasUnknown {
 				m.evs.Publish(events.Event{
 					Type: events.TypeUnknown, Job: events.Intp(js.id),
 					Class: events.Intp(class), Probability: row[class],
-					FeatDist: open.FeatDist,
+					FeatDist: c.score.FeatDist,
 				})
 			}
 		}

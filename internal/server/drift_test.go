@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -86,26 +89,19 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Prediction carries the open-set fields.
-	var pr struct {
-		Probability float64   `json:"probability"`
-		Confidence  *float64  `json:"confidence"`
-		Margin      *float64  `json:"margin"`
-		Energy      *float64  `json:"energy"`
-		Unknown     *bool     `json:"unknown"`
-		Probs       []float64 `json:"probs"`
-	}
+	// Prediction carries the open-set fields, and none of the retired
+	// probability scores.
+	var pr map[string]json.RawMessage
 	getJSON(t, ts.URL+"/v1/jobs/3/prediction", &pr)
-	if pr.Confidence == nil || pr.Margin == nil || pr.Energy == nil || pr.Unknown == nil {
-		t.Fatalf("open-set fields missing from prediction: %+v", pr)
+	for _, key := range []string{"feature_distance", "unknown"} {
+		if _, ok := pr[key]; !ok {
+			t.Fatalf("prediction lacks %q: %s", key, pr)
+		}
 	}
-	if *pr.Confidence != pr.Probability {
-		t.Fatalf("confidence %v != probability %v", *pr.Confidence, pr.Probability)
-	}
-	sc := drift.ScoreProbs(pr.Probs, drift.DefaultTemperature)
-	if *pr.Margin != sc.Margin || *pr.Energy != sc.Energy {
-		t.Fatalf("served scores (%v, %v) disagree with re-scored (%v, %v)",
-			*pr.Margin, *pr.Energy, sc.Margin, sc.Energy)
+	for _, key := range []string{"confidence", "margin", "energy"} {
+		if _, ok := pr[key]; ok {
+			t.Fatalf("prediction carries the retired %q: %s", key, pr)
+		}
 	}
 
 	// Snapshot rows carry the unknown verdict.
@@ -151,6 +147,67 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 	}
 }
 
+// TestRetiredTemperatureSlotNeverReachesAResponse: the drift section's first
+// slot once held the energy temperature, and a NaN, infinite, huge or tiny
+// one made every prediction body unencodable. The slot is now read and
+// discarded, so a section holding any of those decodes, and a server built
+// on it answers a scored job's prediction read with a finite, parseable body.
+func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
+	scaler, model := fixture(t)
+	var enc bytes.Buffer
+	if err := driftCalibration(t, model).Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, 1e-300} {
+		raw := append([]byte(nil), enc.Bytes()...)
+		binary.LittleEndian.PutUint64(raw[4:12], math.Float64bits(temp)) // after the u32 version
+		cal, err := drift.Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("temperature slot %v: %v", temp, err)
+		}
+		m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
+			Scaler: scaler, Model: model, Drift: cal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Monitor: m, TickEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		var body strings.Builder
+		for _, sm := range jobSamples(3, testWindow+1) {
+			body.WriteString(sampleLine(3, sm) + "\n")
+		}
+		postNDJSON(t, ts.URL, body.String())
+		if err := s.runTick(0); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/3/prediction")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr struct {
+			Probability *float64 `json:"probability"`
+			FeatureDist *float64 `json:"feature_distance"`
+			Unknown     *bool    `json:"unknown"`
+		}
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(got, &pr) != nil {
+			t.Fatalf("temperature slot %v: status %d, body %q", temp, resp.StatusCode, got)
+		}
+		if pr.Probability == nil || pr.FeatureDist == nil || pr.Unknown == nil {
+			t.Fatalf("temperature slot %v: prediction %s", temp, got)
+		}
+	}
+}
+
 // TestDriftEndpointDisabled pins the disabled shape: enabled=false, no PSI
 // series in /metrics, no open-set fields on predictions.
 func TestDriftEndpointDisabled(t *testing.T) {
@@ -171,11 +228,11 @@ func TestDriftEndpointDisabled(t *testing.T) {
 		t.Fatalf("disabled fleet reports drift state: %+v", dr)
 	}
 	var pr struct {
-		Confidence *float64 `json:"confidence"`
-		Unknown    *bool    `json:"unknown"`
+		FeatureDist *float64 `json:"feature_distance"`
+		Unknown     *bool    `json:"unknown"`
 	}
 	getJSON(t, ts.URL+"/v1/jobs/5/prediction", &pr)
-	if pr.Confidence != nil || pr.Unknown != nil {
+	if pr.FeatureDist != nil || pr.Unknown != nil {
 		t.Fatal("open-set fields present with drift disabled")
 	}
 	// wcc_unknown_total still scrapes (as zero) so dashboards never 404.

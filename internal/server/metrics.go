@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime/metrics"
 	"sort"
@@ -203,12 +204,13 @@ func (s *Server) writeShardMetrics(mw Metrics) {
 		func(st fleet.ShardStats) uint64 { return st.Evictions })
 }
 
-// quantile returns the nearest-rank q-quantile of sorted durations.
+// quantile returns the nearest-rank q-quantile of sorted durations: the
+// ⌈q·n⌉-th smallest.
 func quantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -24,8 +24,8 @@
 //	GET    /v1/jobs                 fleet-wide snapshot (per-job state and
 //	                                latest classification)
 //	GET    /v1/jobs/{id}/prediction latest full prediction for one job
-//	                                (with open-set confidence/unknown fields
-//	                                when the fleet carries a drift
+//	                                (with open-set feature_distance/unknown
+//	                                fields when the fleet carries a drift
 //	                                calibration)
 //	DELETE /v1/jobs/{id}            end a job, freeing its registry slot
 //	GET    /v1/drift                open-set and input-drift state: unknown
@@ -680,20 +680,15 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 }
 
 // predictionResponse is the full per-job prediction read. The open-set
-// fields (confidence through unknown) are present only when the serving
-// fleet carries a drift calibration; confidence duplicates probability
-// under its open-set name so drift-aware clients read one coherent block.
-// Confidence, margin and energy describe the probabilities; unknown is
-// feature_distance past the calibrated cut point, and nothing else.
+// fields (feature_distance and unknown) are present only when the serving
+// fleet carries a drift calibration; unknown is feature_distance past the
+// calibrated cut point, and nothing else.
 type predictionResponse struct {
 	Job         int       `json:"job"`
 	Class       int       `json:"class"`
 	ClassName   string    `json:"class_name,omitempty"`
 	Probability float64   `json:"probability"`
 	Probs       []float64 `json:"probs"`
-	Confidence  *float64  `json:"confidence,omitempty"`
-	Margin      *float64  `json:"margin,omitempty"`
-	Energy      *float64  `json:"energy,omitempty"`
 	FeatureDist *float64  `json:"feature_distance,omitempty"`
 	Unknown     *bool     `json:"unknown,omitempty"`
 }
@@ -723,9 +718,7 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request) {
 		Probability: pred.Probability, Probs: pred.Probs,
 	}
 	if o := pred.Open; o != nil {
-		conf, margin, energy, featDist, unknown := pred.Probability, o.Margin, o.Energy, o.FeatDist, o.Rejected
-		resp.Confidence, resp.Margin, resp.Energy, resp.FeatureDist, resp.Unknown =
-			&conf, &margin, &energy, &featDist, &unknown
+		resp.FeatureDist, resp.Unknown = &o.FeatDist, &o.Rejected
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -158,15 +158,14 @@ func (p *Prediction) Unknown() bool {
 	return p != nil && p.Open != nil && p.Open.Rejected
 }
 
-// OpenSet is one prediction's open-set verdict: the scores beyond the
-// winning probability and whether the calibrated feature gate rejected the
+// OpenSet is one prediction's open-set verdict: its feature distance from
+// the training support and whether the calibrated feature gate rejected the
 // prediction as an unknown workload.
 type OpenSet struct {
-	// Margin is the gap between the top two class probabilities; it
-	// describes the prediction and decides nothing.
+	// Margin and Energy are always 0. They once held probability scores that
+	// decided nothing; only the frozen benchmark/http.go still compares them,
+	// and they go when that file next changes.
 	Margin float64
-	// Energy is the energy-style uncertainty score (see drift.ScoreProbs);
-	// descriptive, like Margin.
 	Energy float64
 	// FeatDist is the feature-space distance from the training
 	// distribution (see drift.FeatureStats); 0 when the calibration has
