@@ -56,8 +56,8 @@ func TestHotpathAnnotationsHaveAllocGates(t *testing.T) {
 	// The serving plane carries at least its seven known kernels; fewer
 	// means someone un-annotated a hot path without retiring its gate
 	// story here and in DESIGN.md §13.
-	if len(annots) < 6 {
-		t.Fatalf("found only %d //wcc:hotpath annotations, want >= 6", len(annots))
+	if len(annots) < 7 {
+		t.Fatalf("found only %d //wcc:hotpath annotations, want >= 7", len(annots))
 	}
 
 	gates := map[string]string{} // dir -> concatenated *_alloc_test.go content

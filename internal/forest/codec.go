@@ -28,7 +28,7 @@ func (f *Classifier) Encode(w io.Writer) error {
 	ww.Int(f.cfg.MaxFeatures)
 	ww.Int(f.cfg.MinSamplesLeaf)
 	ww.Bool(f.cfg.Bootstrap)
-	ww.Int(f.cfg.Workers)
+	ww.Int(0) // retired Workers slot
 	ww.I64(f.cfg.Seed)
 	ww.Int(f.numClasses)
 	ww.Int(f.numFeats)
@@ -56,7 +56,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 	f.cfg.MaxFeatures = rr.Int()
 	f.cfg.MinSamplesLeaf = rr.Int()
 	f.cfg.Bootstrap = rr.Bool()
-	f.cfg.Workers = rr.Int()
+	rr.Int() // retired Workers slot
 	f.cfg.Seed = rr.I64()
 	f.numClasses = rr.Int()
 	f.numFeats = rr.Int()
@@ -82,6 +82,9 @@ func Decode(r io.Reader) (*Classifier, error) {
 		}
 		f.trees[i] = t
 	}
-	f.flat = compileFlat(f.trees, f.numClasses)
+	var err error
+	if f.flat, err = compileFlat(f.trees, f.numClasses); err != nil {
+		return nil, err
+	}
 	return f, nil
 }

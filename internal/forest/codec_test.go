@@ -3,9 +3,11 @@ package forest
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/wire"
 )
 
 func fitSmallForest(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
@@ -104,7 +106,7 @@ func TestDecodeRejectsMismatchedTreeHeader(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	// Forest header layout: u16 version, 4 int64 config fields, bool,
-	// 2 int64 (workers, seed), then numClasses at this offset.
+	// 2 int64 (retired workers slot, seed), then numClasses at this offset.
 	const numClassesOff = 2 + 4*8 + 1 + 2*8
 	if raw[numClassesOff] != 4 {
 		t.Fatalf("header layout drifted: numClasses byte = %d", raw[numClassesOff])
@@ -127,5 +129,60 @@ func TestDecodeTruncations(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
+	}
+}
+
+// sharedChildPayload hand-writes a one-tree forest payload over 2 classes
+// and 1 feature whose depth splits each send both children to the next
+// node: every child index points forward, but the chain reads as a full
+// binary tree of 2^depth leaves once each path is followed on its own.
+func sharedChildPayload(t *testing.T, depth int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.U16(codecVersion)
+	w.Int(1)     // NumTrees
+	w.Int(0)     // MaxDepth
+	w.Int(0)     // MaxFeatures
+	w.Int(0)     // MinSamplesLeaf
+	w.Bool(true) // Bootstrap
+	w.Int(0)     // retired Workers slot
+	w.I64(0)     // Seed
+	w.Int(2)     // classes
+	w.Int(1)     // features
+	w.Int(1)     // trees
+	w.U16(1)     // tree codec version
+	w.Int(0)     // MaxDepth
+	w.Int(2)     // MinSamplesSplit
+	w.Int(1)     // MinSamplesLeaf
+	w.Int(1)     // MaxFeatures
+	w.I64(0)     // Seed
+	w.Int(2)     // classes
+	w.Int(1)     // features
+	w.Int(depth + 1)
+	for i := 0; i < depth; i++ {
+		w.Bool(false)
+		w.Int(0)
+		w.F64(float64(i))
+		w.Int(i + 1)
+		w.Int(i + 1)
+	}
+	w.Bool(true)
+	w.F64s([]float64{1, 0})
+	w.F64s([]float64{1}) // importances
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsSharedChildren pins that a tree payload in which a node
+// has two parents is refused: the flat relayout would copy the shared
+// subtree once per path, so a payload of a few hundred bytes would compile
+// to millions of nodes.
+func TestDecodeRejectsSharedChildren(t *testing.T) {
+	_, err := Decode(bytes.NewReader(sharedChildPayload(t, 16)))
+	if err == nil || !strings.Contains(err.Error(), "two parents") {
+		t.Fatalf("decoded a tree whose nodes have two parents: err = %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/tree"
 	"repro/internal/wire"
 )
 
@@ -67,7 +68,7 @@ func TestEquivalenceFlatForest(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			x, y := randomProblem(rng, 240, tc.d, tc.classes)
-			f := New(Config{NumTrees: tc.trees, MaxDepth: tc.depth, Seed: 9, Bootstrap: true, Workers: 3})
+			f := New(Config{NumTrees: tc.trees, MaxDepth: tc.depth, Seed: 9, Bootstrap: true})
 			if err := f.Fit(x, y, tc.classes); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +125,7 @@ func hostileLeafPayload(t *testing.T) []byte {
 	w.Int(0)     // MaxFeatures
 	w.Int(0)     // MinSamplesLeaf
 	w.Bool(true) // Bootstrap
-	w.Int(1)     // Workers
+	w.Int(1)     // retired Workers slot, read and discarded
 	w.I64(0)     // Seed
 	w.Int(4)     // classes
 	w.Int(2)     // features
@@ -169,11 +170,11 @@ func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	t.Run("min-samples-leaf", func(t *testing.T) {
 		x, y := randomProblem(rng, 240, 5, 4)
-		f := New(Config{NumTrees: 12, MinSamplesLeaf: 8, Seed: 5, Bootstrap: true, Workers: 2})
+		f := New(Config{NumTrees: 12, MinSamplesLeaf: 8, Seed: 5, Bootstrap: true})
 		if err := f.Fit(x, y, 4); err != nil {
 			t.Fatal(err)
 		}
-		if len(f.flat.entries) == 0 {
+		if len(f.flat.Layout().Entries) == 0 {
 			t.Fatal("MinSamplesLeaf 8 compiled no multi-entry leaf")
 		}
 		for _, rows := range []int{1, 37} {
@@ -185,11 +186,11 @@ func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(f.flat.entries) == 0 {
+		if len(f.flat.Layout().Entries) == 0 {
 			t.Fatal("hostile payload compiled no multi-entry leaf")
 		}
 		leaves := 0
-		for _, ft := range f.flat.feat {
+		for _, ft := range f.flat.Layout().Feat {
 			if ft < 0 {
 				leaves++
 			}
@@ -235,19 +236,19 @@ func TestFlatForestCompiledShape(t *testing.T) {
 	if err := f.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
-	fl := f.flat
-	if len(fl.roots) != 8 {
-		t.Fatalf("%d roots for 8 trees", len(fl.roots))
+	fl := f.flat.Layout()
+	if len(fl.Roots) != 8 {
+		t.Fatalf("%d roots for 8 trees", len(fl.Roots))
 	}
-	if len(fl.feat) != len(fl.thr) || len(fl.feat) != len(fl.kids) {
-		t.Fatalf("ragged arrays: %d/%d/%d", len(fl.feat), len(fl.thr), len(fl.kids))
+	if len(fl.Feat) != len(fl.Thr) || len(fl.Feat) != len(fl.Kids) {
+		t.Fatalf("ragged arrays: %d/%d/%d", len(fl.Feat), len(fl.Thr), len(fl.Kids))
 	}
-	for i, root := range fl.roots {
-		if i > 0 && root <= fl.roots[i-1] {
-			t.Fatalf("root %d at %d does not follow root %d at %d", i, root, i-1, fl.roots[i-1])
+	for i, root := range fl.Roots {
+		if i > 0 && root <= fl.Roots[i-1] {
+			t.Fatalf("root %d at %d does not follow root %d at %d", i, root, i-1, fl.Roots[i-1])
 		}
 	}
-	if multi := checkFlatShape(t, fl); multi == 0 {
+	if multi := checkFlatShape(t, fl, 3); multi == 0 {
 		t.Fatal("MaxDepth 5 compiled no multi-entry leaf")
 	}
 
@@ -255,36 +256,36 @@ func TestFlatForestCompiledShape(t *testing.T) {
 	if err := unpruned.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
-	if multi := checkFlatShape(t, unpruned.flat); multi != 0 || len(unpruned.flat.entries) != 0 {
+	ufl := unpruned.flat.Layout()
+	if multi := checkFlatShape(t, ufl, 3); multi != 0 || len(ufl.Entries) != 0 {
 		t.Fatalf("unpruned forest compiled %d multi-entry leaves and a %d-entry table, want inline leaves only",
-			multi, len(unpruned.flat.entries))
+			multi, len(ufl.Entries))
 	}
 }
 
-// checkFlatShape checks every node of fl and returns how many leaves use
-// the entry table.
-func checkFlatShape(t *testing.T, fl *flatForest) (multi int) {
+// checkFlatShape checks every node of fl, compiled for nc classes, and
+// returns how many leaves use the entry table.
+func checkFlatShape(t *testing.T, fl tree.Layout, nc int32) (multi int) {
 	t.Helper()
-	nc := int32(fl.numClasses)
-	for id, ft := range fl.feat {
+	for id, ft := range fl.Feat {
 		switch {
 		case ft >= 0:
-			if k := int(fl.kids[id]); k <= id || k+1 >= len(fl.feat) {
+			if k := int(fl.Kids[id]); k <= id || k+1 >= len(fl.Feat) {
 				t.Fatalf("node %d has out-of-range children at %d", id, k)
 			}
 		case ft == -1:
-			if c := fl.kids[id]; c < 0 || c >= nc || fl.thr[id] == 0 {
-				t.Fatalf("inline leaf %d holds %v for class %d of %d", id, fl.thr[id], c, nc)
+			if c := fl.Kids[id]; c < 0 || c >= nc || fl.Thr[id] == 0 {
+				t.Fatalf("inline leaf %d holds %v for class %d of %d", id, fl.Thr[id], c, nc)
 			}
 		default:
 			multi++
-			off, k := int(fl.kids[id]), int(-ft)
-			if off < 0 || off+k > len(fl.entries) {
+			off, k := int(fl.Kids[id]), int(-ft)
+			if off < 0 || off+k > len(fl.Entries) {
 				t.Fatalf("leaf %d has %d entries at out-of-range offset %d", id, k, off)
 			}
-			for _, e := range fl.entries[off : off+k] {
-				if e.class < 0 || e.class >= nc || e.value == 0 {
-					t.Fatalf("leaf %d holds %v for class %d of %d", id, e.value, e.class, nc)
+			for _, e := range fl.Entries[off : off+k] {
+				if e.Class < 0 || e.Class >= nc || e.Value == 0 {
+					t.Fatalf("leaf %d holds %v for class %d of %d", id, e.Value, e.Class, nc)
 				}
 			}
 		}

@@ -7,17 +7,17 @@ import (
 	"repro/internal/mat"
 )
 
-// TestScoreBlockZeroAlloc pins the //wcc:hotpath contract on the flat
-// forest batch kernel: scoring a block into a caller-provided output
-// matrix allocates nothing. The benchmark only bounds throughput within a
-// tolerance; this gate guards the mechanism behind the PR 6 win
-// directly, so an accidental per-row allocation fails loudly instead of
-// hiding inside the regression budget.
+// TestScoreBlockZeroAlloc pins the forest's block scorer — the shared
+// //wcc:hotpath kernel (tree.Flat.ScoreBlock) plus the averaging — to zero
+// allocations when scoring into a caller-provided output matrix. The
+// benchmark only bounds throughput within a tolerance; this gate fails
+// loudly on an accidental per-row allocation instead of hiding it inside
+// the regression budget.
 func TestScoreBlockZeroAlloc(t *testing.T) {
 	const classes, d, rows = 4, 6, 32
 	rng := rand.New(rand.NewSource(7))
 	x, y := randomProblem(rng, 200, d, classes)
-	f := New(Config{NumTrees: 10, MaxDepth: 5, Seed: 3, Bootstrap: true, Workers: 1})
+	f := New(Config{NumTrees: 10, MaxDepth: 5, Seed: 3, Bootstrap: true})
 	if err := f.Fit(x, y, classes); err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func TestScoreBlockZeroAlloc(t *testing.T) {
 	out := mat.New(rows, classes)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		f.flat.scoreBlock(ev, out, 0, rows)
+		f.scoreBlock(ev, out, 0, rows)
 	})
 	if allocs != 0 {
-		t.Fatalf("flatForest.scoreBlock allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("forest scoreBlock allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -29,8 +29,6 @@ type Config struct {
 	// Bootstrap draws n samples with replacement per tree when true
 	// (scikit-learn default). When false every tree sees all rows.
 	Bootstrap bool
-	// Workers bounds fitting parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Seed makes the ensemble reproducible.
 	Seed int64
 }
@@ -49,8 +47,8 @@ type Classifier struct {
 	numFeats   int
 	// flat is the compiled contiguous inference form, built once at Fit or
 	// Decode time and immutable afterwards; PredictProbaBatch walks it
-	// instead of the pointer trees. See flat.go.
-	flat *flatForest
+	// instead of the pointer trees. See tree.Flat.
+	flat *tree.Flat
 }
 
 // New returns an unfitted forest.
@@ -86,11 +84,7 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 	f.oobIdx = make([][]int, f.cfg.NumTrees)
 	errs := make([]error, f.cfg.NumTrees)
 
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 
 	for ti := 0; ti < f.cfg.NumTrees; ti++ {
@@ -142,8 +136,9 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 			return err
 		}
 	}
-	f.flat = compileFlat(f.trees, numClasses)
-	return nil
+	flat, err := compileFlat(f.trees, numClasses)
+	f.flat = flat
+	return err
 }
 
 // predictProbaInto accumulates the ensemble's averaged leaf distribution for
@@ -182,9 +177,9 @@ func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 
 // PredictProbaBatch is the serving hot path for fleet-scale batched
 // inference: one call scores the whole matrix, splitting rows into
-// contiguous blocks over a bounded worker pool (cfg.Workers, 0 = GOMAXPROCS)
-// and sweeping each block tree by tree over the flat node arrays compiled
-// at Fit/Decode time (see flat.go) — no per-node pointer dereferences.
+// contiguous blocks over up to GOMAXPROCS goroutines and sweeping each
+// block tree by tree over the flat node arrays compiled at Fit/Decode time
+// (see tree.Flat) — no per-node pointer dereferences.
 // Results are bit-identical to PredictProba.
 func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	out := mat.New(x.Rows, f.numClasses)
@@ -209,9 +204,8 @@ func (f *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 		return fmt.Errorf("forest: output is %dx%d (%d values), want %dx%d",
 			out.Rows, out.Cols, len(out.Data), x.Rows, f.numClasses)
 	}
-	_ = mat.ParallelRowBlocks(x.Rows, f.cfg.Workers, func(lo, hi int) error {
-		clear(out.Data[lo*out.Cols : hi*out.Cols])
-		f.flat.scoreBlock(x, out, lo, hi)
+	_ = mat.ParallelRowBlocks(x.Rows, 0, func(lo, hi int) error {
+		f.scoreBlock(x, out, lo, hi)
 		return nil
 	})
 	return nil

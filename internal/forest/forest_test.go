@@ -126,7 +126,7 @@ func TestOOBScore(t *testing.T) {
 
 func TestForestDeterminism(t *testing.T) {
 	x, y := gaussianBlobs(200, 3, 1.0, 11)
-	cfg := Config{NumTrees: 20, Seed: 42, Bootstrap: true, Workers: 4}
+	cfg := Config{NumTrees: 20, Seed: 42, Bootstrap: true}
 	f1, f2 := New(cfg), New(cfg)
 	if err := f1.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
@@ -191,28 +191,25 @@ func TestNumTreesConfigDefaults(t *testing.T) {
 }
 
 // TestPredictProbaBatchBitIdentical pins the fleet serving invariant: the
-// worker-pool batched path must return exactly the probabilities the serial
-// path does, for any worker count.
+// batched path must return exactly the probabilities the serial path does.
+// How the rows split into blocks is pinned in internal/tree.
 func TestPredictProbaBatchBitIdentical(t *testing.T) {
 	x, y := gaussianBlobs(300, 4, 0.9, 11)
-	for _, workers := range []int{0, 1, 3, 16} {
-		f := New(Config{NumTrees: 25, Seed: 9, Bootstrap: true, Workers: workers})
-		if err := f.Fit(x, y, 4); err != nil {
-			t.Fatal(err)
-		}
-		want, err := f.PredictProba(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.PredictProbaBatch(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: element %d differs: batched %v vs serial %v",
-					workers, i, got.Data[i], want.Data[i])
-			}
+	f := New(Config{NumTrees: 25, Seed: 9, Bootstrap: true})
+	if err := f.Fit(x, y, 4); err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.PredictProba(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.PredictProbaBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("element %d differs: batched %v vs serial %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -226,43 +223,40 @@ func TestPredictProbaBatchUnfitted(t *testing.T) {
 // TestPredictProbaBatchIntoOverwrites pins the caller-owned output path a
 // fleet tick scores into: whatever the buffer held before — NaN garbage or a
 // previous, larger batch — each call's rows are bit-identical to
-// PredictProbaBatch's, on one worker and several; a misshapen output or an
-// unfitted forest is refused.
+// PredictProbaBatch's; a misshapen output or an unfitted forest is refused.
 func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
 	x, y := gaussianBlobs(300, 4, 0.9, 12)
-	for _, workers := range []int{1, 3} {
-		f := New(Config{NumTrees: 20, Seed: 4, Bootstrap: true, Workers: workers})
-		if err := f.Fit(x, y, 4); err != nil {
+	f := New(Config{NumTrees: 20, Seed: 4, Bootstrap: true})
+	if err := f.Fit(x, y, 4); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, x.Rows*f.NumClasses())
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	for _, rows := range []int{x.Rows, 97, 1, 0} {
+		ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+		out := &mat.Matrix{Rows: rows, Cols: f.NumClasses(), Data: buf[:rows*f.NumClasses()]}
+		if err := f.PredictProbaBatchInto(ev, out); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]float64, x.Rows*f.NumClasses())
-		for i := range buf {
-			buf[i] = math.NaN()
+		want, err := f.PredictProbaBatch(ev)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, rows := range []int{x.Rows, 97, 1, 0} {
-			ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-			out := &mat.Matrix{Rows: rows, Cols: f.NumClasses(), Data: buf[:rows*f.NumClasses()]}
-			if err := f.PredictProbaBatchInto(ev, out); err != nil {
-				t.Fatal(err)
-			}
-			want, err := f.PredictProbaBatch(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("workers=%d rows=%d: element %d: into %v vs batch %v", workers, rows, i, out.Data[i], want.Data[i])
-				}
+		for i := range want.Data {
+			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("rows=%d: element %d: into %v vs batch %v", rows, i, out.Data[i], want.Data[i])
 			}
 		}
-		for _, bad := range []*mat.Matrix{
-			mat.New(x.Rows, f.NumClasses()+1),
-			mat.New(x.Rows-1, f.NumClasses()),
-			{Rows: x.Rows, Cols: f.NumClasses(), Data: buf[:len(buf)-1]},
-		} {
-			if err := f.PredictProbaBatchInto(x, bad); err == nil {
-				t.Fatalf("workers=%d: accepted a %dx%d output of %d values", workers, bad.Rows, bad.Cols, len(bad.Data))
-			}
+	}
+	for _, bad := range []*mat.Matrix{
+		mat.New(x.Rows, f.NumClasses()+1),
+		mat.New(x.Rows-1, f.NumClasses()),
+		{Rows: x.Rows, Cols: f.NumClasses(), Data: buf[:len(buf)-1]},
+	} {
+		if err := f.PredictProbaBatchInto(x, bad); err == nil {
+			t.Fatalf("accepted a %dx%d output of %d values", bad.Rows, bad.Cols, len(bad.Data))
 		}
 	}
 	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {

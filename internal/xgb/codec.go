@@ -30,7 +30,7 @@ func (c *Classifier) Encode(w io.Writer) error {
 	ww.F64(c.cfg.Alpha)
 	ww.F64(c.cfg.MinChildWeight)
 	ww.F64(c.cfg.Subsample)
-	ww.Int(c.cfg.Workers)
+	ww.Int(0) // retired Workers slot
 	ww.I64(c.cfg.Seed)
 	ww.Int(c.numClasses)
 	ww.Int(c.numFeats)
@@ -82,7 +82,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 	c.cfg.Alpha = rr.F64()
 	c.cfg.MinChildWeight = rr.F64()
 	c.cfg.Subsample = rr.F64()
-	c.cfg.Workers = rr.Int()
+	rr.Int() // retired Workers slot
 	c.cfg.Seed = rr.I64()
 	c.numClasses = rr.Int()
 	c.numFeats = rr.Int()
@@ -115,7 +115,10 @@ func Decode(r io.Reader) (*Classifier, error) {
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	c.flat = compileFlat(c.trees, c.cfg.LearningRate, c.numClasses)
+	var err error
+	if c.flat, err = compileFlat(c.trees, c.cfg.LearningRate, c.numClasses); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 

@@ -3,6 +3,7 @@ package xgb
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -88,5 +89,27 @@ func TestDecodeTruncations(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
+	}
+}
+
+// TestDecodeRejectsSharedChildren pins that a payload whose regression tree
+// has a node with two parents is refused: the flat relayout would copy the
+// shared subtree once per path, doubling per level of such splits.
+func TestDecodeRejectsSharedChildren(t *testing.T) {
+	c, _ := fitSmallBooster(t, 5)
+	const depth = 16
+	chain := &regTree{nodes: make([]regNode, depth+1)}
+	for i := 0; i < depth; i++ {
+		chain.nodes[i] = regNode{threshold: float64(i), left: i + 1, right: i + 1}
+	}
+	chain.nodes[depth] = regNode{leaf: true, weight: 0.5}
+	c.trees[1][2] = chain
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "two parents") {
+		t.Fatalf("decoded a tree whose nodes have two parents: err = %v", err)
 	}
 }

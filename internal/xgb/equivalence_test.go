@@ -63,7 +63,7 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			x, y := randomProblem(rng, 220, tc.d, tc.classes)
-			c := New(Config{NumRounds: tc.rounds, MaxDepth: tc.depth, Workers: 3, Seed: 5})
+			c := New(Config{NumRounds: tc.rounds, MaxDepth: tc.depth, Seed: 5})
 			if err := c.Fit(x, y, tc.classes, nil, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +114,8 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 }
 
 // TestFlatXGBCompiledShape checks the relayout invariants the kernel
-// relies on: one root per (round, class) tree in boosting order and
-// adjacent sibling children.
+// relies on: one root per (round, class) tree in boosting order, adjacent
+// sibling children, and inline one-entry leaves for their tree's class.
 func TestFlatXGBCompiledShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	x, y := randomProblem(rng, 150, 4, 3)
@@ -123,19 +123,30 @@ func TestFlatXGBCompiledShape(t *testing.T) {
 	if err := c.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	fl := c.flat
-	if len(fl.roots) != 6*3 {
-		t.Fatalf("%d roots for 6 rounds × 3 classes", len(fl.roots))
+	fl := c.flat.Layout()
+	if len(fl.Roots) != 6*3 {
+		t.Fatalf("%d roots for 6 rounds × 3 classes", len(fl.Roots))
 	}
-	if len(fl.feat) != len(fl.thr) || len(fl.feat) != len(fl.kids) {
-		t.Fatalf("ragged arrays: %d/%d/%d", len(fl.feat), len(fl.thr), len(fl.kids))
+	if len(fl.Feat) != len(fl.Thr) || len(fl.Feat) != len(fl.Kids) {
+		t.Fatalf("ragged arrays: %d/%d/%d", len(fl.Feat), len(fl.Thr), len(fl.Kids))
 	}
-	for id, ft := range fl.feat {
-		if ft < 0 {
-			continue
+	if len(fl.Entries) != 0 {
+		t.Fatalf("%d multi-entry leaf entries, want inline leaves only", len(fl.Entries))
+	}
+	for ti, root := range fl.Roots {
+		end := len(fl.Feat)
+		if ti+1 < len(fl.Roots) {
+			end = int(fl.Roots[ti+1])
 		}
-		if k := int(fl.kids[id]); k <= id || k+1 >= len(fl.feat) {
-			t.Fatalf("node %d has out-of-range children at %d", id, k)
+		for id := int(root); id < end; id++ {
+			switch ft := fl.Feat[id]; {
+			case ft >= 0:
+				if k := int(fl.Kids[id]); k <= id || k+1 >= end {
+					t.Fatalf("node %d has out-of-range children at %d", id, k)
+				}
+			case ft != -1 || int(fl.Kids[id]) != ti%3:
+				t.Fatalf("leaf %d of tree %d is %d entries for class %d, want one for class %d", id, ti, -ft, fl.Kids[id], ti%3)
+			}
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/mat"
 )
 
-// TestScoreBlockZeroAlloc pins the //wcc:hotpath contract on the flat
-// boosted-ensemble batch kernel: accumulation and the in-place softmax
-// (softmaxInto with dst aliasing scores) allocate nothing per block.
+// TestScoreBlockZeroAlloc pins the booster's block scorer to zero
+// allocations: the shared //wcc:hotpath kernel (tree.Flat.ScoreBlock) and
+// the in-place softmax (softmaxInto with dst aliasing scores).
 func TestScoreBlockZeroAlloc(t *testing.T) {
 	const classes, d, rows = 5, 7, 32
 	rng := rand.New(rand.NewSource(11))
@@ -25,9 +25,9 @@ func TestScoreBlockZeroAlloc(t *testing.T) {
 	out := mat.New(rows, classes)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		c.flat.scoreBlock(ev, out, 0, rows)
+		c.scoreBlock(ev, out, 0, rows)
 	})
 	if allocs != 0 {
-		t.Fatalf("flatEnsemble.scoreBlock allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("xgb scoreBlock allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/mat"
+	"repro/internal/tree"
 )
 
 // Config controls boosting.
@@ -34,9 +35,6 @@ type Config struct {
 	MinChildWeight float64
 	// Subsample is the per-tree row sampling fraction (1 = all rows).
 	Subsample float64
-	// Workers bounds batched-prediction parallelism (0 = GOMAXPROCS),
-	// mirroring forest.Config.Workers.
-	Workers int
 	// Seed drives subsampling.
 	Seed int64
 }
@@ -90,8 +88,8 @@ type Classifier struct {
 
 	// flat is the compiled contiguous inference form, built once at Fit or
 	// Decode time and immutable afterwards; PredictProbaBatch walks it
-	// instead of the pointer trees. See flat.go.
-	flat *flatEnsemble
+	// instead of the pointer trees. See tree.Flat.
+	flat *tree.Flat
 
 	// TrainLoss records mean softmax cross-entropy per round, used to
 	// reproduce the paper's plateau/overfitting analysis.
@@ -202,8 +200,9 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 			c.EvalAccuracy = append(c.EvalAccuracy, float64(correct)/float64(evalX.Rows))
 		}
 	}
-	c.flat = compileFlat(c.trees, c.cfg.LearningRate, numClasses)
-	return nil
+	flat, err := compileFlat(c.trees, c.cfg.LearningRate, numClasses)
+	c.flat = flat
+	return err
 }
 
 // softmaxInto writes softmax(scores) into dst. dst may alias scores: the
@@ -392,10 +391,10 @@ func (c *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 
 // PredictProbaBatch is the serving hot path for fleet-scale batched
 // inference: one call scores the whole matrix, splitting rows into
-// contiguous blocks over a bounded worker pool (cfg.Workers, 0 = GOMAXPROCS,
-// mirroring forest.Config.Workers) and sweeping each block tree by tree
-// over the flat node arrays compiled at Fit/Decode time (see flat.go) — no
-// per-node pointer dereferences. Results are bit-identical to PredictProba.
+// contiguous blocks over up to GOMAXPROCS goroutines and sweeping each
+// block tree by tree over the flat node arrays compiled at Fit/Decode time
+// (see tree.Flat) — no per-node pointer dereferences. Results are
+// bit-identical to PredictProba.
 func (c *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	out := mat.New(x.Rows, c.numClasses)
 	if err := c.PredictProbaBatchInto(x, out); err != nil {
@@ -419,9 +418,8 @@ func (c *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 		return fmt.Errorf("xgb: output is %dx%d (%d values), want %dx%d",
 			out.Rows, out.Cols, len(out.Data), x.Rows, c.numClasses)
 	}
-	_ = mat.ParallelRowBlocks(x.Rows, c.cfg.Workers, func(lo, hi int) error {
-		clear(out.Data[lo*out.Cols : hi*out.Cols])
-		c.flat.scoreBlock(x, out, lo, hi)
+	_ = mat.ParallelRowBlocks(x.Rows, 0, func(lo, hi int) error {
+		c.scoreBlock(x, out, lo, hi)
 		return nil
 	})
 	return nil

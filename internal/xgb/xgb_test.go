@@ -275,28 +275,25 @@ func TestXGBDeterminism(t *testing.T) {
 }
 
 // TestXGBPredictProbaBatchBitIdentical pins the fleet serving invariant: the
-// worker-pool batched path must return exactly the probabilities the serial
-// path does, for any worker count.
+// batched path must return exactly the probabilities the serial path does.
+// How the rows split into blocks is pinned in internal/tree.
 func TestXGBPredictProbaBatchBitIdentical(t *testing.T) {
 	x, y := blobs(250, 3, 0.9, 13)
-	for _, workers := range []int{0, 1, 4, 32} {
-		c := New(Config{NumRounds: 12, MaxDepth: 4, Workers: workers, Seed: 2})
-		if err := c.Fit(x, y, 3, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		want, err := c.PredictProba(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.PredictProbaBatch(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: element %d differs: batched %v vs serial %v",
-					workers, i, got.Data[i], want.Data[i])
-			}
+	c := New(Config{NumRounds: 12, MaxDepth: 4, Seed: 2})
+	if err := c.Fit(x, y, 3, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.PredictProba(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.PredictProbaBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("element %d differs: batched %v vs serial %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -318,43 +315,40 @@ func TestXGBPredictProbaBatchErrors(t *testing.T) {
 // TestXGBPredictProbaBatchIntoOverwrites pins the caller-owned output path a
 // fleet tick scores into: whatever the buffer held before — NaN garbage or a
 // previous, larger batch — each call's rows are bit-identical to
-// PredictProbaBatch's, on one worker and several; a misshapen output or an
-// unfitted booster is refused.
+// PredictProbaBatch's; a misshapen output or an unfitted booster is refused.
 func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
 	x, y := blobs(250, 3, 0.9, 15)
-	for _, workers := range []int{1, 4} {
-		c := New(Config{NumRounds: 10, MaxDepth: 4, Workers: workers, Seed: 3})
-		if err := c.Fit(x, y, 3, nil, nil); err != nil {
+	c := New(Config{NumRounds: 10, MaxDepth: 4, Seed: 3})
+	if err := c.Fit(x, y, 3, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, x.Rows*c.NumClasses())
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	for _, rows := range []int{x.Rows, 97, 1, 0} {
+		ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
+		out := &mat.Matrix{Rows: rows, Cols: c.NumClasses(), Data: buf[:rows*c.NumClasses()]}
+		if err := c.PredictProbaBatchInto(ev, out); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]float64, x.Rows*c.NumClasses())
-		for i := range buf {
-			buf[i] = math.NaN()
+		want, err := c.PredictProbaBatch(ev)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, rows := range []int{x.Rows, 97, 1, 0} {
-			ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-			out := &mat.Matrix{Rows: rows, Cols: c.NumClasses(), Data: buf[:rows*c.NumClasses()]}
-			if err := c.PredictProbaBatchInto(ev, out); err != nil {
-				t.Fatal(err)
-			}
-			want, err := c.PredictProbaBatch(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("workers=%d rows=%d: element %d: into %v vs batch %v", workers, rows, i, out.Data[i], want.Data[i])
-				}
+		for i := range want.Data {
+			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("rows=%d: element %d: into %v vs batch %v", rows, i, out.Data[i], want.Data[i])
 			}
 		}
-		for _, bad := range []*mat.Matrix{
-			mat.New(x.Rows, c.NumClasses()+1),
-			mat.New(x.Rows-1, c.NumClasses()),
-			{Rows: x.Rows, Cols: c.NumClasses(), Data: buf[:len(buf)-1]},
-		} {
-			if err := c.PredictProbaBatchInto(x, bad); err == nil {
-				t.Fatalf("workers=%d: accepted a %dx%d output of %d values", workers, bad.Rows, bad.Cols, len(bad.Data))
-			}
+	}
+	for _, bad := range []*mat.Matrix{
+		mat.New(x.Rows, c.NumClasses()+1),
+		mat.New(x.Rows-1, c.NumClasses()),
+		{Rows: x.Rows, Cols: c.NumClasses(), Data: buf[:len(buf)-1]},
+	} {
+		if err := c.PredictProbaBatchInto(x, bad); err == nil {
+			t.Fatalf("accepted a %dx%d output of %d values", bad.Rows, bad.Cols, len(bad.Data))
 		}
 	}
 	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {
