@@ -200,6 +200,9 @@ func (f *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 	if x.Cols != f.numFeats {
 		return fmt.Errorf("forest: %d features, fitted on %d", x.Cols, f.numFeats)
 	}
+	if len(x.Data) != x.Rows*x.Cols {
+		return fmt.Errorf("forest: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
+	}
 	if out.Rows != x.Rows || out.Cols != f.numClasses || len(out.Data) != out.Rows*out.Cols {
 		return fmt.Errorf("forest: output is %dx%d (%d values), want %dx%d",
 			out.Rows, out.Cols, len(out.Data), x.Rows, f.numClasses)

@@ -263,3 +263,27 @@ func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
 		t.Error("unfitted batch predict into should fail")
 	}
 }
+
+// TestPredictProbaBatchRefusesShortInput pins that the batch entry points
+// check x.Data against x.Rows×x.Cols before any block worker slices it: a
+// Data holding fewer rows than x.Rows, with spare capacity behind it or
+// without, or more values than the shape names, is an error, never rows
+// scored from stale memory or a panic on a worker goroutine.
+func TestPredictProbaBatchRefusesShortInput(t *testing.T) {
+	x, y := gaussianBlobs(100, 4, 0.9, 13)
+	f := New(Config{NumTrees: 5, Seed: 2, Bootstrap: true})
+	if err := f.Fit(x, y, 4); err != nil {
+		t.Fatal(err)
+	}
+	half := x.Rows / 2 * x.Cols
+	for name, data := range map[string][]float64{
+		"spare capacity": x.Data[:half],
+		"exact capacity": x.Data[:half:half],
+		"too long":       append(append([]float64(nil), x.Data...), 0),
+	} {
+		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
+		if _, err := f.PredictProbaBatch(bad); err == nil {
+			t.Errorf("%s: accepted a %dx%d input of %d values", name, bad.Rows, bad.Cols, len(data))
+		}
+	}
+}

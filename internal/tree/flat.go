@@ -218,33 +218,35 @@ func (f *Flat) Layout() Layout {
 
 // ScoreBlock adds every tree's scaled leaf entries for rows [lo, hi) of x
 // into the same rows of out, whose first numClasses columns are the
-// accumulators. Tree-outer iteration keeps the flat arrays hot in cache
-// while each tree sweeps the block, and the sweep walks four rows at a
-// time: each walk is a serial chain of data-dependent loads, so four
-// independent lanes let the core overlap their latencies. Lanes that reach
-// a leaf early idle (their feat sentinel goes negative) until the slowest
-// lane finishes. Interleaving rows never reorders any single row's
-// additions.
+// accumulators. Each walk is a serial chain of data-dependent loads, so the
+// kernel walks four consecutive trees at once as four independent lanes to
+// let the core overlap their latencies; lanes that reach a leaf early idle
+// (their feat sentinel goes negative) until the slowest lane finishes. The
+// lanes run over trees, not rows, so a block of one or two rows — a sparse
+// tick — keeps four chains in flight as a full block does. Each group of
+// four trees sweeps the whole block before the next group starts, which
+// keeps the group's nodes hot in cache; the trees past the last group of
+// four sweep it one at a time. A row adds its four leaves in tree order and
+// the groups go by in ensemble order, so every row adds its trees in
+// ensemble order, however the block is split.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 	nc := f.numClasses
-	feat, thr, kids := f.feat, f.thr, f.kids
+	feat, thr, kids, roots := f.feat, f.thr, f.kids, f.roots
 	xd, xc := x.Data, x.Cols
 	od, oc := out.Data, out.Cols
-	for _, root := range f.roots {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			r0 := xd[(i+0)*xc : (i+1)*xc]
-			r1 := xd[(i+1)*xc : (i+2)*xc]
-			r2 := xd[(i+2)*xc : (i+3)*xc]
-			r3 := xd[(i+3)*xc : (i+4)*xc]
-			id0, id1, id2, id3 := root, root, root, root
+	t := 0
+	for ; t+4 <= len(roots); t += 4 {
+		root0, root1, root2, root3 := roots[t], roots[t+1], roots[t+2], roots[t+3]
+		for i := lo; i < hi; i++ {
+			row := xd[i*xc : (i+1)*xc]
+			id0, id1, id2, id3 := root0, root1, root2, root3
 			f0, f1, f2, f3 := feat[id0], feat[id1], feat[id2], feat[id3]
 			for f0 >= 0 || f1 >= 0 || f2 >= 0 || f3 >= 0 {
 				if f0 >= 0 {
 					step := int32(1)
-					if r0[f0] <= thr[id0] {
+					if row[f0] <= thr[id0] {
 						step = 0
 					}
 					id0 = kids[id0] + step
@@ -252,7 +254,7 @@ func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 				}
 				if f1 >= 0 {
 					step := int32(1)
-					if r1[f1] <= thr[id1] {
+					if row[f1] <= thr[id1] {
 						step = 0
 					}
 					id1 = kids[id1] + step
@@ -260,7 +262,7 @@ func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 				}
 				if f2 >= 0 {
 					step := int32(1)
-					if r2[f2] <= thr[id2] {
+					if row[f2] <= thr[id2] {
 						step = 0
 					}
 					id2 = kids[id2] + step
@@ -268,27 +270,31 @@ func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 				}
 				if f3 >= 0 {
 					step := int32(1)
-					if r3[f3] <= thr[id3] {
+					if row[f3] <= thr[id3] {
 						step = 0
 					}
 					id3 = kids[id3] + step
 					f3 = feat[id3]
 				}
 			}
-			f.addLeaf(od[(i+0)*oc:(i+0)*oc+nc], id0, f0)
-			f.addLeaf(od[(i+1)*oc:(i+1)*oc+nc], id1, f1)
-			f.addLeaf(od[(i+2)*oc:(i+2)*oc+nc], id2, f2)
-			f.addLeaf(od[(i+3)*oc:(i+3)*oc+nc], id3, f3)
+			dst := od[i*oc : i*oc+nc]
+			f.addLeaf(dst, id0, f0)
+			f.addLeaf(dst, id1, f1)
+			f.addLeaf(dst, id2, f2)
+			f.addLeaf(dst, id3, f3)
 		}
-		for ; i < hi; i++ {
+	}
+	for ; t < len(roots); t++ {
+		root := roots[t]
+		for i := lo; i < hi; i++ {
 			row := xd[i*xc : (i+1)*xc]
 			id := root
 			ft := feat[id]
 			for ft >= 0 {
-				// Conditional-select phrasing (not a guarded increment)
-				// so the compiler emits SETcc instead of a branch: the
-				// split direction is data-dependent and near 50/50.
-				// NaN routes right, exactly like `!(v <= thr)`.
+				// Conditional-select phrasing (not a guarded increment) so
+				// the compiler emits SETcc instead of a branch: the split
+				// direction is data-dependent and near 50/50. NaN routes
+				// right, exactly like `!(v <= thr)`.
 				step := int32(1)
 				if row[ft] <= thr[id] {
 					step = 0

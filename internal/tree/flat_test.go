@@ -17,10 +17,7 @@ const (
 )
 
 // flatEnsembles fits ten pruned trees on random labels and compiles them
-// the two ways the ensembles do: as the forest does (scale 1, each leaf its
-// class distribution, pruning leaves multi-entry ones) and as xgb does
-// (scale 0.3, tree i a tree of one-entry leaves for class i mod 4 holding
-// that class's probability).
+// the two ways the ensembles do (see compileFlats).
 func flatEnsembles(t *testing.T) (trees []*Classifier, forest, boosted *Flat) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
@@ -32,13 +29,28 @@ func flatEnsembles(t *testing.T) (trees []*Classifier, forest, boosted *Flat) {
 	for i := range y {
 		y[i] = rng.Intn(flatClasses)
 	}
-	forest, boosted = NewFlat(flatClasses, 1), NewFlat(flatClasses, boostScale)
 	for i := 0; i < 10; i++ {
 		tr := New(Config{MaxDepth: 5, MaxFeatures: 3, Seed: int64(i)})
 		if err := tr.Fit(x, y, flatClasses); err != nil {
 			t.Fatal(err)
 		}
 		trees = append(trees, tr)
+	}
+	forest, boosted = compileFlats(t, trees)
+	if len(forest.entries) == 0 {
+		t.Fatal("MaxDepth 5 compiled no multi-entry leaf")
+	}
+	return trees, forest, boosted
+}
+
+// compileFlats compiles trees as the forest does (scale 1, each leaf its
+// class distribution, pruning leaves multi-entry ones) and as xgb does
+// (scale 0.3, tree i a tree of one-entry leaves for class i mod 4 holding
+// that class's probability).
+func compileFlats(t *testing.T, trees []*Classifier) (forest, boosted *Flat) {
+	t.Helper()
+	forest, boosted = NewFlat(flatClasses, 1), NewFlat(flatClasses, boostScale)
+	for i, tr := range trees {
 		nodes := tr.ExportNodes()
 		if err := forest.Add(nodes, 0); err != nil {
 			t.Fatal(err)
@@ -53,10 +65,7 @@ func flatEnsembles(t *testing.T) (trees []*Classifier, forest, boosted *Flat) {
 			t.Fatal(err)
 		}
 	}
-	if len(forest.entries) == 0 {
-		t.Fatal("MaxDepth 5 compiled no multi-entry leaf")
-	}
-	return trees, forest, boosted
+	return forest, boosted
 }
 
 // hostileRows mixes ordinary values with NaN, ±Inf, signed zeros and
@@ -86,39 +95,50 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 
 // TestEquivalenceFlatPointerWalk pins both compiled forms bit-identical to
 // the pointer trees' own sums, in ensemble order: Σ p for the forest form
-// and Σ 0.3·p[k] for the boosted form.
+// and Σ 0.3·p[k] for the boosted form. Every row is scored in blocks of
+// one height, 1 to 5 rows or all 37. The ensemble prefixes cover fewer
+// trees than one four-tree lane group (1, 3), exactly one (4), and groups
+// followed by single-lane trees (5, 10).
 func TestEquivalenceFlatPointerWalk(t *testing.T) {
-	trees, forest, boosted := flatEnsembles(t)
+	all, _, _ := flatEnsembles(t)
 	ev := hostileRows(rand.New(rand.NewSource(5)), 37)
-	wantForest, wantBoosted := mat.New(ev.Rows, flatClasses), mat.New(ev.Rows, flatClasses)
-	for i := 0; i < ev.Rows; i++ {
-		for ti, tr := range trees {
-			p, err := tr.PredictProbaRow(ev.Row(i))
-			if err != nil {
-				t.Fatal(err)
+	for _, n := range []int{1, 3, 4, 5, 10} {
+		trees := all[:n]
+		forest, boosted := compileFlats(t, trees)
+		wantForest, wantBoosted := mat.New(ev.Rows, flatClasses), mat.New(ev.Rows, flatClasses)
+		for i := 0; i < ev.Rows; i++ {
+			for ti, tr := range trees {
+				p, err := tr.PredictProbaRow(ev.Row(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, v := range p {
+					wantForest.Row(i)[c] += v
+				}
+				k := ti % flatClasses
+				wantBoosted.Row(i)[k] += boostScale * p[k]
 			}
-			for c, v := range p {
-				wantForest.Row(i)[c] += v
-			}
-			k := ti % flatClasses
-			wantBoosted.Row(i)[k] += boostScale * p[k]
 		}
-	}
-	for _, tc := range []struct {
-		name string
-		fl   *Flat
-		want *mat.Matrix
-	}{{"forest", forest, wantForest}, {"boosted", boosted, wantBoosted}} {
-		got := mat.New(ev.Rows, flatClasses)
-		tc.fl.ScoreBlock(ev, got, 0, ev.Rows)
-		requireSameBits(t, tc.name, got.Data, tc.want.Data)
+		for _, tc := range []struct {
+			name string
+			fl   *Flat
+			want *mat.Matrix
+		}{{"forest", forest, wantForest}, {"boosted", boosted, wantBoosted}} {
+			for _, height := range []int{1, 2, 3, 4, 5, 37} {
+				got := mat.New(ev.Rows, flatClasses)
+				for lo := 0; lo < ev.Rows; lo += height {
+					tc.fl.ScoreBlock(ev, got, lo, min(lo+height, ev.Rows))
+				}
+				requireSameBits(t, fmt.Sprintf("%s, %d trees, blocks of %d rows", tc.name, n, height), got.Data, tc.want.Data)
+			}
+		}
 	}
 }
 
 // TestEquivalenceFlatBlockSplits pins that how a batch splits into blocks
 // — one per worker goroutine in the ensembles' batched predict — never
 // moves a bit: the same rows scored as one block and as blocks of 1, 3 and
-// 16 rows, covering the four-lane sweep and its remainder, agree exactly.
+// 16 rows agree exactly.
 func TestEquivalenceFlatBlockSplits(t *testing.T) {
 	_, forest, boosted := flatEnsembles(t)
 	ev := hostileRows(rand.New(rand.NewSource(6)), 61)

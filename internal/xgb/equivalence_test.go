@@ -1,6 +1,7 @@
 package xgb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,9 +94,10 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictProbaBatch times the flat kernel on the shape one fleet
-// tick hands it: 256 rows of the 28 covariance features, 26 classes, the
-// §IV-B booster (40 rounds, depth 6).
+// BenchmarkPredictProbaBatch times the flat kernel on the shapes a fleet
+// tick hands it: rows of the 28 covariance features, 26 classes, the §IV-B
+// booster (40 rounds, depth 6). rows=256 is a full tick and rows=2 a sparse
+// tick's two dirty jobs. Both rungs score rows of one seeded batch.
 func BenchmarkPredictProbaBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := randomProblem(rng, 512, 28, 26)
@@ -103,14 +105,19 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 	if err := c.Fit(x, y, 26, nil, nil); err != nil {
 		b.Fatal(err)
 	}
-	batch, _ := randomProblem(rng, 256, 28, 26)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := c.PredictProbaBatch(batch); err != nil {
-			b.Fatal(err)
-		}
+	full, _ := randomProblem(rng, 256, 28, 26)
+	for _, rows := range []int{2, 256} {
+		batch := &mat.Matrix{Rows: rows, Cols: full.Cols, Data: full.Data[:rows*full.Cols]}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := c.PredictProbaBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
-	b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // TestFlatXGBCompiledShape checks the relayout invariants the kernel

@@ -361,6 +361,9 @@ func (c *Classifier) checkPredictable(x *mat.Matrix) error {
 	if x.Cols != c.numFeats {
 		return fmt.Errorf("xgb: %d features, fitted on %d", x.Cols, c.numFeats)
 	}
+	if len(x.Data) != x.Rows*x.Cols {
+		return fmt.Errorf("xgb: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
+	}
 	return nil
 }
 

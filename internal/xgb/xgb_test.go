@@ -355,3 +355,27 @@ func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
 		t.Error("unfitted batch predict into should fail")
 	}
 }
+
+// TestXGBPredictProbaBatchRefusesShortInput pins that the batch entry
+// points check x.Data against x.Rows×x.Cols before any block worker slices
+// it: a Data holding fewer rows than x.Rows, with spare capacity behind it
+// or without, or more values than the shape names, is an error, never rows
+// scored from stale memory or a panic on a worker goroutine.
+func TestXGBPredictProbaBatchRefusesShortInput(t *testing.T) {
+	x, y := blobs(100, 3, 0.9, 16)
+	c := New(Config{NumRounds: 3, MaxDepth: 3, Seed: 2})
+	if err := c.Fit(x, y, 3, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	half := x.Rows / 2 * x.Cols
+	for name, data := range map[string][]float64{
+		"spare capacity": x.Data[:half],
+		"exact capacity": x.Data[:half:half],
+		"too long":       append(append([]float64(nil), x.Data...), 0),
+	} {
+		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
+		if _, err := c.PredictProbaBatch(bad); err == nil {
+			t.Errorf("%s: accepted a %dx%d input of %d values", name, bad.Rows, bad.Cols, len(data))
+		}
+	}
+}
