@@ -64,8 +64,7 @@ func (s *shadowState) score(o fleet.Observation) {
 	candClass := mat.ArgMax(probs.Row(0))
 	candRejected := false
 	if s.cal != nil {
-		sc, _ := s.cal.ScoreFrom(o.Features, -1)
-		candRejected = s.cal.Threshold.Reject(sc)
+		candRejected = s.cal.Threshold.Reject(s.cal.Score(nil, o.Features))
 	}
 
 	s.windows++

@@ -126,7 +126,7 @@ func TestBuildCandidateArtifactWidensClassSet(t *testing.T) {
 		if mat.ArgMax(probs.Row(i)) == 4 {
 			asNovel++
 		}
-		if sc, _ := a.Drift.ScoreFrom(probe.Row(i), -1); a.Drift.Threshold.Reject(sc) {
+		if a.Drift.Threshold.Reject(a.Drift.Score(nil, probe.Row(i))) {
 			rejected++
 		}
 	}

@@ -126,6 +126,9 @@ func Decode(r io.Reader) (*Calibration, error) {
 			return nil, fmt.Errorf("drift: corrupt calibration: sensor %d histogram shape", i)
 		}
 	}
+	if err := ref.check(); err != nil {
+		return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
+	}
 	c.Ref = ref
 	if c.Feat != nil {
 		c.Feat.index() // built here, not by the first tick that scores against it

@@ -95,6 +95,53 @@ func TestDecodeRefusesNonFiniteFeatureStats(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesUnscorableReference: a reference histogram PSI cannot
+// score is corrupt, however cleanly it parses. A NaN proportion makes its
+// sensor's PSI NaN, which the fleet score's max skips, so that sensor's
+// drift goes unseen; a +Inf one pins the fleet score at +Inf; negative mass
+// and NaN, infinite or descending edges are no histogram at all. Equal
+// edges, which equal-mass edges are on a constant sensor, still decode.
+func TestDecodeRefusesUnscorableReference(t *testing.T) {
+	for name, corrupt := range map[string]func(r *Reference){
+		"NaN proportion":      func(r *Reference) { r.Props[1][3] = math.NaN() },
+		"+Inf proportion":     func(r *Reference) { r.Props[1][3] = math.Inf(1) },
+		"negative proportion": func(r *Reference) { r.Props[1][3] = -0.125 },
+		"NaN edge":            func(r *Reference) { r.Edges[2][4] = math.NaN() },
+		"NaN first edge":      func(r *Reference) { r.Edges[2][0] = math.NaN() },
+		"infinite edge":       func(r *Reference) { r.Edges[2][6] = math.Inf(1) },
+		"-infinite edge":      func(r *Reference) { r.Edges[2][0] = math.Inf(-1) },
+		"descending edges":    func(r *Reference) { r.Edges[0][2], r.Edges[0][3] = r.Edges[0][3], r.Edges[0][2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := testCalibration(t)
+			corrupt(c.Ref)
+			var buf bytes.Buffer
+			if err := c.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+				t.Errorf("calibration with a %s decoded", name)
+			}
+		})
+	}
+
+	c := testCalibration(t)
+	for b := range c.Ref.Edges[1] {
+		c.Ref.Edges[1][b] = 4
+	}
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("a constant sensor's repeated edges were refused: %v", err)
+	}
+	if !reflect.DeepEqual(got.Ref, c.Ref) {
+		t.Fatal("reference with repeated edges drifted through the codec")
+	}
+}
+
 // TestEncodeFillsLegacySlots: the slot before Quantile once held the energy
 // temperature, and the three after it the probability cut points. A section
 // written now fills the first with 0.5, the temperature every calibration was

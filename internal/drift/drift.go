@@ -243,6 +243,30 @@ func FitReference(samples *mat.Matrix, bins int) (*Reference, error) {
 	return r, nil
 }
 
+// check refuses a histogram PSI cannot score. A NaN proportion makes its
+// sensor's PSI NaN, which FleetScore's max skips, so that sensor's drift
+// goes unseen; an infinite one pins the fleet score at +Inf, so every read
+// says major; a negative one is no mass at all. Edges must be finite and
+// must not descend, as binOf's binary search assumes; equal edges stay
+// legal, because equal-mass edges repeat on a sensor that barely varies.
+func (r *Reference) check() error {
+	for c, edges := range r.Edges {
+		for b, e := range edges {
+			if math.IsNaN(e) || math.IsInf(e, 0) || (b > 0 && e < edges[b-1]) {
+				return fmt.Errorf("sensor %d edge %d is %v after %v", c, b, e, edges[max(b-1, 0)])
+			}
+		}
+	}
+	for c, props := range r.Props {
+		for b, p := range props {
+			if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+				return fmt.Errorf("sensor %d bin %d holds proportion %v", c, b, p)
+			}
+		}
+	}
+	return nil
+}
+
 // Sensors returns the sensor count the reference was fitted for.
 func (r *Reference) Sensors() int { return len(r.Edges) }
 
@@ -448,27 +472,27 @@ type Calibration struct {
 	Ref  *Reference
 }
 
-// Score is ScoreFrom with a cold search. probs is ignored: outside tests only
-// the frozen benchmark/layers.go still calls Score, and the parameter goes
-// when that file next changes.
+// Score is the open-set evidence of a row scored on its own, with no proof
+// to start from or to keep: ScoreCert's value, from one plain search. probs
+// is ignored: the frozen benchmark/layers.go still passes it, and the
+// parameter goes when that file next changes.
 func (c *Calibration) Score(probs, features []float64) Score {
-	s, _ := c.ScoreFrom(features, -1)
-	return s
+	if c.Feat == nil {
+		return Score{}
+	}
+	return Score{FeatDist: c.Feat.Distance(features)}
 }
 
-// ScoreFrom computes a prediction's open-set evidence: the feature-space
+// ScoreCert computes a prediction's open-set evidence: the feature-space
 // distance of the embedding row the prediction came from, 0 when the
-// calibration carries no feature statistics. The nearest-reference search
-// starts from the row of the feature statistics' Train named by from (see
-// FeatureStats.DistanceFrom); ScoreFrom also returns the row that won, -1
-// when the calibration carries no feature statistics or no row is at a
-// finite distance. The score has the same bits whatever from is.
-func (c *Calibration) ScoreFrom(features []float64, from int) (Score, int) {
+// calibration carries no feature statistics. cert is the proof the same
+// caller's previous score left (FeatureStats.DistanceCert), read and renewed
+// here; the score has the same bits whatever it holds.
+func (c *Calibration) ScoreCert(features []float64, cert *Cert) Score {
 	if c.Feat == nil {
-		return Score{}, -1
+		return Score{}
 	}
-	d, near := c.Feat.DistanceFrom(features, from)
-	return Score{FeatDist: d}, near
+	return Score{FeatDist: c.Feat.DistanceCert(features, cert)}
 }
 
 // Options configures Fit. Zero fields select the package defaults.

@@ -9,9 +9,10 @@ import (
 
 // TestDistanceZeroAlloc pins the //wcc:hotpath contract on the
 // feature-space gate: scoring one embedding row of the served width against
-// the stored training rows allocates nothing, started cold or from a row.
-// The call runs once per prediction, on every goroutine of the tick's
-// scoring pass at once. A wider row than the stack buffer holds still
+// the stored training rows allocates nothing, cold or through a
+// certificate that is reused and renewed, once the certificate has held a
+// proof. The call runs once per prediction, on every goroutine of the
+// tick's scoring pass at once. A wider row than the stack buffer holds still
 // scores, and to the same value.
 func TestDistanceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -35,14 +36,28 @@ func TestDistanceZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Distance allocates %.1f times per row, want 0", allocs)
 	}
-	near := -1
+	// The row takes small steps, as a job's window does between ticks, so
+	// the certificate is both reused (a hit leaves it as it was) and renewed
+	// (a miss walks and rewrites the proof in place).
+	var c Cert
+	hits, misses := 0, 0
 	allocs = testing.AllocsPerRun(200, func() {
-		var d float64
-		d, near = fs.DistanceFrom(row, near)
-		sink += d
+		for j := range row {
+			row[j] += rng.NormFloat64() * 1e-3
+		}
+		rho := c.rho
+		sink += fs.DistanceCert(row, &c)
+		if c.rho == rho {
+			hits++
+		} else {
+			misses++
+		}
 	})
-	if allocs != 0 || near < 0 {
-		t.Fatalf("DistanceFrom allocates %.1f times per row (winner %d), want 0", allocs, near)
+	if allocs != 0 || c.Nearest() < 0 {
+		t.Fatalf("DistanceCert allocates %.1f times per row (winner %d), want 0", allocs, c.Nearest())
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("%d hits and %d misses; the gate must take both paths", hits, misses)
 	}
 	if sink <= 0 {
 		t.Fatalf("distances summed to %v, want positive", sink)
@@ -60,5 +75,8 @@ func TestDistanceZeroAlloc(t *testing.T) {
 	}
 	if got, want := wfs.Distance(append(row, 0)), fs.Distance(row); got != want {
 		t.Fatalf("row wider than the stack buffer scored %v, want %v", got, want)
+	}
+	if got, want := wfs.DistanceCert(append(row, 0), &Cert{}), fs.Distance(row); got != want {
+		t.Fatalf("row wider than the stack buffer scored %v through a certificate, want %v", got, want)
 	}
 }

@@ -37,7 +37,7 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 	for j := range ood {
 		ood[j] = 50
 	}
-	s, _ := cal.ScoreFrom(ood, -1)
+	s := cal.ScoreCert(ood, &Cert{})
 	if s.FeatDist < 10 {
 		t.Fatalf("OOD feature distance %v implausibly small", s.FeatDist)
 	}
@@ -45,7 +45,7 @@ func TestFeatureGateCatchesConfidentOOD(t *testing.T) {
 		t.Fatal("confident far-OOD prediction not rejected by the feature gate")
 	}
 	// An in-distribution row passes.
-	if s, _ := cal.ScoreFrom(make([]float64, 10), -1); cal.Threshold.Reject(s) {
+	if s := cal.ScoreCert(make([]float64, 10), &Cert{}); cal.Threshold.Reject(s) {
 		t.Fatal("in-distribution row rejected")
 	}
 }

@@ -62,7 +62,7 @@ func TestFitSingleSampleCalibration(t *testing.T) {
 	if math.IsNaN(cal.Threshold.MaxFeatDist) {
 		t.Fatal("MaxFeatDist is NaN")
 	}
-	if s, _ := cal.ScoreFrom(held.Row(0), -1); cal.Threshold.Reject(s) {
+	if s := cal.ScoreCert(held.Row(0), &Cert{}); cal.Threshold.Reject(s) {
 		t.Fatal("single-sample calibration rejects its own calibration row")
 	}
 }

@@ -1,6 +1,8 @@
 package drift
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sort"
 
@@ -62,12 +64,38 @@ type searchIndex struct {
 	proj []float64
 	rows []float64
 	// train maps a position in that order to the row of Train it holds, and
-	// at the inverse: the handles DistanceFrom takes and returns are rows of
-	// Train, so they mean the same thing to every caller.
+	// at the inverse: the row a Cert names is a row of Train, so it means
+	// the same thing to every caller.
 	train, at []int32
 	// slack is absSlack·cols²·(largest ‖t‖²): the reference half of the
 	// absolute pruning slack.
 	slack float64
+	// set identifies the reference set: a Cert proved against it records
+	// it, and one proved against any other set, of whatever shape, does not
+	// match (see setID).
+	set uint64
+}
+
+// setSeed keys setID. It is drawn once per process, so no reference set can
+// be built to collide with another.
+var setSeed = maphash.MakeSeed()
+
+// setID is the identity of a reference set: a seeded 64-bit hash of its
+// shape and of every bit of its rows, never 0, so a zero Cert names no set.
+// A proof is a statement about points in standardised space, so it holds
+// for any index over the same rows; two indexes over different rows share
+// an ID with probability 2⁻⁶⁴.
+func setID(train *mat.Matrix) uint64 {
+	var h maphash.Hash
+	h.SetSeed(setSeed)
+	var b [8]byte
+	for _, v := range [2]int{train.Rows, train.Cols} {
+		h.Write(binary.LittleEndian.AppendUint64(b[:0], uint64(v)))
+	}
+	for _, v := range train.Data {
+		h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+	}
+	return max(h.Sum64(), 1)
 }
 
 // index returns the search index, building it on first use for a
@@ -81,7 +109,7 @@ func (fs *FeatureStats) index() *searchIndex {
 func (fs *FeatureStats) buildIndex() {
 	train := fs.Train
 	n, cols := train.Rows, train.Cols
-	ix := &searchIndex{cols: cols, axes: principalAxes(train)}
+	ix := &searchIndex{cols: cols, axes: principalAxes(train), set: setID(train)}
 
 	proj := make([]float64, n*pruneAxes)
 	order := make([]int, n)
@@ -159,7 +187,94 @@ func principalAxes(train *mat.Matrix) []float64 {
 	return axes
 }
 
-// stackFeatures is the widest feature row DistanceFrom standardises on the
+// Certificate margins. A Cert says that every reference row t other than
+// its winner w lies at a real distance of at least ρ from the query z_c it
+// was proved at. For the next query z, with Δ = ‖z − z_c‖ and S(w) the full
+// sum of z against w, the triangle inequality gives ‖z − t‖ ≥ ρ − ‖z − z_c‖;
+// once ρ clears √S(w) + Δ by more than any rounding can move the three,
+// every other row sums to at least S(w), so S(w) is the scan's minimum and
+// √S(w) has the scan's bits. With u = 2⁻⁵³ and n the row width:
+//
+//   - a computed sum of n squared differences is within a factor
+//     1 ± (n+2)u of the exact one, plus an absolute error below n·2⁻¹⁰⁷³
+//     when its terms underflow, so its square root is within a factor
+//     1 ± (n+2)u of the real distance, give or take √(n·2⁻¹⁰⁷³). That holds
+//     for S(w), for Δ² and for every other row's sum;
+//   - the hit test's own roundings (two products, two additions) and those
+//     of ρ (a square root, a product, a difference) move each side by a few
+//     u more.
+//
+// certEps = 10⁻⁹ is far above (n+2)u + 8u for any width below 10⁶, so it
+// absorbs every relative term, and certTau = 10⁻¹⁵⁰ is far above the three
+// absolute ones, each ≈ 10⁻¹⁵⁸ at such widths. The test is
+// √S(w)·(1+ε) + Δ·(1+ε) + τ < ρ. It is strict, and a query that is not
+// finite makes its left side NaN or +Inf, so such a query always walks.
+//
+// The cap's slack. A certifying walk prunes and abandons against
+// cap = best·certGrow instead of best. Every row it prunes is then proved,
+// by relSlack's argument with cap for best, to lie at a real squared
+// distance of at least cap; every row it abandons has a computed sum of at
+// least cap; and every row it sums in full, other than the winner, one of
+// at least the second-smallest full sum. R = min(cap, second) thus bounds
+// every computed non-winning sum from below, and every real squared distance
+// from below up to the (n+2)u and underflow terms above, which the stored
+// ρ = √R·(1−ε) − τ gives away. R is held to MaxFloat64: a computed sum of
+// +Inf says only that the real one lies past it.
+const (
+	certEps = relSlack
+	certTau = 1e-150
+)
+
+// certMargin is m: a certifying walk proves the reference set empty out to
+// (1+m) times the winner's distance, cap = best·(1+m)². A larger m leaves a
+// larger ρ, so more of the next windows are settled without a walk, but the
+// walk that proves it visits and sums more rows. On the benchmark model's
+// reference set (1223×28) and BenchmarkDistance's cert case (16 live jobs ×
+// 63 windows one sample apart; medians of six runs on 2 shared vCPUs, whose
+// spread is a few hundred ns), with a miss priced as a certifying walk from
+// the warm case's starts (the plain warm walk: 2.5–2.9 µs, 218 rows visited):
+//
+//	m      hit share   cert ns/op   rows visited a miss   miss walk ns/op
+//	0.03   84.0 %      745          224                   3 040
+//	0.05   86.6 %      654          229                   2 800
+//	0.1    89.4 %      576          239                   2 580
+//	0.2    91.1 %      579          264                   3 630
+//	0.3    91.4 %      571          288                   4 160
+//
+// Past 0.1 the hit share barely moves while every miss gets dearer, and the
+// backfill workloads, whose ticks almost never hit, pay for every miss. It
+// is a constant with this table next to it, not a setting: the answer never
+// depends on it, only how often a walk runs to find it (DESIGN.md §10).
+const (
+	certMargin = 0.1
+	certGrow   = (1 + certMargin) * (1 + certMargin)
+)
+
+// Cert is the proof one search leaves for the next: the winning row w, the
+// standardised query z_c it won at, ρ, a lower bound rounded down on the
+// real distance from z_c to every other reference row, and the identity of
+// the reference set all three belong to (setID). A zero Cert holds no
+// proof, and one proved against another reference set is ignored, whatever
+// its shape. It belongs to one caller at a time, typically a job's sliding
+// window: the fleet keeps one per job.
+type Cert struct {
+	z   []float64
+	rho float64
+	set uint64
+	won int32
+}
+
+// Nearest returns the row of Train, in the reference set it was proved
+// against, that the proof names: the nearest row to the last query scored
+// with c. It returns -1 while c holds no proof.
+func (c *Cert) Nearest() int {
+	if c.set == 0 {
+		return -1
+	}
+	return int(c.won)
+}
+
+// stackFeatures is the widest feature row DistanceCert standardises on the
 // stack: the covariance embedding of the challenge's 7 sensors.
 const stackFeatures = 28
 
@@ -167,56 +282,98 @@ const stackFeatures = 28
 // Euclidean distance, in standardised coordinates, to the nearest stored
 // training row.
 func (fs *FeatureStats) Distance(row []float64) float64 {
-	d, _ := fs.DistanceFrom(row, -1)
+	var buf [stackFeatures]float64
+	var z []float64
+	if len(row) > len(buf) {
+		z = make([]float64, len(row))
+	} else {
+		z = buf[:len(row)]
+	}
+	fs.standardise(row, z)
+	best, _, _, _ := fs.index().walk(z, -1, 1)
+	return math.Sqrt(best)
+}
+
+// DistanceCert is Distance for a row that is scored again and again as it
+// moves, like a job's sliding window: it returns Distance's bits, and it
+// leaves in c the proof the next call starts from. When the proof already
+// in c shows, for this reference set, that its row is still the nearest,
+// the call costs two row sums and no walk; otherwise it walks once,
+// starting from that row, and proves the new winner with margin.
+//
+//wcc:hotpath zero allocations per call at the served embedding width once c has held a proof, pinned by an AllocsPerRun gate
+func (fs *FeatureStats) DistanceCert(row []float64, c *Cert) float64 {
+	var z [stackFeatures]float64
+	if len(row) > len(z) {
+		d, _ := fs.certified(row, make([]float64, len(row)), c)
+		return d
+	}
+	d, _ := fs.certified(row, z[:len(row)], c)
 	return d
 }
 
-// DistanceFrom is Distance with a starting guess: from names a row of Train
-// (typically the one the same job's previous window was nearest to), and
-// the search sums it before anything else, so its distance prunes from the
-// first row the walk visits. It also returns the row of Train that won, the
-// guess to pass next time, or -1 when no row is at a finite distance. The
-// distance has Distance's bits whatever from is; a value that names no row
-// (-1, or a handle kept across a change of reference set) only makes the
-// search start cold.
-//
-//wcc:hotpath zero allocations per call at the served embedding width, pinned by an AllocsPerRun gate
-func (fs *FeatureStats) DistanceFrom(row []float64, from int) (dist float64, nearest int) {
-	var z [stackFeatures]float64
-	if len(row) > len(z) {
-		d, near, _ := fs.nearest(row, make([]float64, len(row)), from)
-		return d, near
+// certified is DistanceCert with z (len(row)) as the standardised query's
+// scratch; it also reports whether c's proof settled the query without a
+// walk.
+func (fs *FeatureStats) certified(row, z []float64, c *Cert) (dist float64, hit bool) {
+	ix := fs.index()
+	fs.standardise(row, z)
+	seed := -1
+	if c.set == ix.set {
+		seed = int(ix.at[c.won])
+		s := math.Sqrt(sqDist(z, ix.rows[seed*ix.cols:], math.Inf(1)))
+		delta := math.Sqrt(sqDist(z, c.z, math.Inf(1)))
+		if s*(1+certEps)+delta*(1+certEps)+certTau < c.rho {
+			return s, true
+		}
 	}
-	d, near, _ := fs.nearest(row, z[:len(row)], from)
-	return d, near
+	best, floor, won, _ := ix.walk(z, seed, certGrow)
+	if won >= 0 {
+		// A query no row is at a finite distance from proves nothing; the
+		// proof already in c still holds for the query it was made at.
+		c.z = append(c.z[:0], z...)
+		c.rho = math.Sqrt(min(floor, math.MaxFloat64))*(1-certEps) - certTau
+		c.set, c.won = ix.set, int32(won)
+	}
+	return math.Sqrt(best), false
 }
 
-// nearest standardises row into z (same length) and finds the nearest
-// reference row, starting from the row of Train named by from when there is
-// one; it returns the distance, the winning row of Train (-1 if none won)
-// and how many reference rows it looked at. The search is exact: the
-// distance it returns has the bits an early-abandoning scan of every row in
-// Train would return, because the minimum over rows does not depend on the
+// standardise writes row, in the reference set's standardised coordinates,
+// into z (same length).
+func (fs *FeatureStats) standardise(row, z []float64) {
+	for j, v := range row {
+		z[j] = (v - fs.Means[j]) / fs.Stds[j]
+	}
+}
+
+// walk finds the nearest reference row to the standardised query z, starting
+// from the index position seed when it names one (-1 otherwise). It returns
+// best, the smallest sum, which is the one an early-abandoning scan of every
+// row in Train would return; floor, a lower bound on the computed sum of
+// every other row; the winning row of Train (-1 if none won) and how many
+// rows it looked at. It prunes and abandons against cap = best·grow: grow 1 is
+// the plain search, whose floor says nothing, and certGrow the certifying
+// one (see certMargin).
+//
+// The search is exact because the minimum over rows does not depend on the
 // order they are visited in, every row it skips is proven (see relSlack) to
-// sum to no less than the best found, and every row it does not skip is
-// summed coordinate by coordinate exactly as that scan would. The starting
-// row is one more row visited first: summed in full, in the same coordinate
-// order, and then skipped by the walk.
+// sum to no less than cap ≥ best, and every row it does not skip is summed
+// coordinate by coordinate exactly as that scan would. The seed row is one
+// more row visited first: summed in the same coordinate order, and then
+// skipped by the walk.
 //
 // Reference rows sit in order of their projection on the leading axis. The
 // search starts where the query's projection falls and walks outward, down
 // then up; the gap along that one axis bounds the distance from below and
 // only grows along a side, so a side ends at the first row whose gap alone
-// clears the best distance. Inside that window a row is summed only if the
-// bound from all pruneAxes projections does not clear it either. Every
-// prune is a `bound > cut` test, false for NaN and for best = +Inf, so a
-// query with a non-finite coordinate prunes nothing and returns +Inf.
-func (fs *FeatureStats) nearest(row, z []float64, from int) (dist float64, near, visited int) {
-	ix := fs.index()
+// clears the cap. Inside that window a row is summed only if the bound from
+// all pruneAxes projections does not clear it either. Every prune is a
+// `bound > cut` test, false for NaN and for cap = +Inf, so a query with a
+// non-finite coordinate prunes nothing and returns +Inf.
+func (ix *searchIndex) walk(z []float64, seed int, grow float64) (best, floor float64, won, visited int) {
 	zz := 0.0
-	for j, v := range row {
-		z[j] = (v - fs.Means[j]) / fs.Stds[j]
-		zz += z[j] * z[j]
+	for _, v := range z {
+		zz += v * v
 	}
 	var q [pruneAxes]float64
 	for k := range q {
@@ -225,13 +382,14 @@ func (fs *FeatureStats) nearest(row, z []float64, from int) (dist float64, near,
 	abs := absSlack*float64(ix.cols)*float64(ix.cols)*zz + ix.slack + tinySlack
 
 	proj, n := ix.proj, len(ix.proj)/pruneAxes
-	best, cut, won, seed := math.Inf(1), math.Inf(1), -1, -1
-	if uint(from) < uint(n) {
-		seed = int(ix.at[from])
+	best, second, cap, cut := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	won = -1
+	if uint(seed) < uint(n) {
 		visited++
-		if d := sqDist(z, ix.rows[seed*ix.cols:], best); d < best {
+		if d := sqDist(z, ix.rows[seed*ix.cols:], cap); d < best {
 			best, won = d, seed
-			cut = best + best*relSlack + abs
+			cap = best * grow
+			cut = cap + cap*relSlack + abs
 		}
 	}
 
@@ -267,28 +425,36 @@ func (fs *FeatureStats) nearest(row, z []float64, from int) (dist float64, near,
 			if bound > cut {
 				continue
 			}
-			if d := sqDist(z, ix.rows[i*ix.cols:], best); d < best {
-				best, won = d, i
-				cut = best + best*relSlack + abs
+			// second is touched only by a row summing below the cap, which
+			// in a plain walk (cap = best) is always a new best: keeping it
+			// off the common path measured 10–25 % faster on a plain walk.
+			if d := sqDist(z, ix.rows[i*ix.cols:], cap); d < cap {
+				if d < best {
+					best, second, won = d, best, i
+					cap = best * grow
+					cut = cap + cap*relSlack + abs
+				} else {
+					second = min(second, d)
+				}
 			}
 		}
 	}
 	if won >= 0 {
 		won = int(ix.train[won])
 	}
-	return math.Sqrt(best), won, visited
+	return best, min(cap, second), won, visited
 }
 
 // sqDist is the scan's per-row sum: ‖z−tr‖² over the first len(z) values of
 // tr, accumulated in coordinate order and abandoned (returning a partial sum
-// ≥ best) once it reaches best.
-func sqDist(z, tr []float64, best float64) float64 {
+// ≥ cap) once it reaches cap.
+func sqDist(z, tr []float64, cap float64) float64 {
 	tr = tr[:len(z)] // one bounds check per row, none per element
 	d := 0.0
 	for j := range z {
 		diff := z[j] - tr[j]
 		d += diff * diff
-		if d >= best {
+		if d >= cap {
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package drift_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -67,25 +68,37 @@ func fullSum(fs *drift.FeatureStats, row []float64, ref int) float64 {
 // separates a near-tie from a wrong answer), clusters far from the origin
 // (where projections cancel), and queries that are reference rows, one ulp
 // off them, midway between two of them, far away, or not finite. Every
-// query also runs DistanceFrom from starts that name no row (-1, n,
-// MaxInt32), from both ends of Train, from a random row, from the previous
-// query's winner and from its own, and each must return the scan's bits and
-// a winning row at exactly that distance.
+// query also runs both walks, plain and certifying, from starts that name
+// no row (-1, n, MaxInt32), from both ends of Train, from a random row,
+// from the previous query's winner and from its own, and each must return
+// the scan's bits and a winning row at exactly that distance. Then query
+// sequences run through one certificate each (checkCertifiedSequences);
+// over the fixed seeds the certificate must settle some steps without a
+// walk, or the check would not be checking it.
 func TestSearchModelCheck(t *testing.T) {
 	seeds := make([]int64, 0, 41)
 	for s := int64(1); s <= 40; s++ {
 		seeds = append(seeds, s)
 	}
+	fixed := len(seeds)
 	seeds = append(seeds, time.Now().UnixNano())
 	if *driftSeed != 0 {
-		seeds = []int64{*driftSeed}
+		seeds, fixed = []int64{*driftSeed}, 0
 	}
-	for _, seed := range seeds {
-		checkSearchAgainstOracle(t, seed)
+	hits := 0
+	for i, seed := range seeds {
+		if h := checkSearchAgainstOracle(t, seed); i < fixed {
+			hits += h
+		}
+	}
+	if fixed > 0 && hits == 0 {
+		t.Fatal("no step of any fixed seed's query sequences was settled by its certificate")
 	}
 }
 
-func checkSearchAgainstOracle(t *testing.T, seed int64) {
+// checkSearchAgainstOracle runs one seed's reference set and returns how
+// many sequence steps a certificate settled without a walk.
+func checkSearchAgainstOracle(t *testing.T, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(vs ...int) int { return vs[rng.Intn(len(vs))] }
 	n := pick(1, 2, 3, 40, 300, 2048)
@@ -145,23 +158,15 @@ func checkSearchAgainstOracle(t *testing.T, seed int64) {
 			t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s: Distance %v (%#x), exhaustive scan %v (%#x)",
 				seed, n, cols, shape, scale, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		_, own := fs.DistanceFrom(q, -1)
-		for _, from := range []int{-1, 0, n - 1, n, math.MaxInt32, starts.Intn(n), prev, own} {
-			got, near := fs.DistanceFrom(q, from)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s from %d: DistanceFrom %v (%#x), exhaustive scan %v (%#x)",
-					seed, n, cols, shape, scale, what, from, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			switch {
-			case near == -1:
-				if !math.IsInf(want, 1) {
-					t.Fatalf("seed %d %s from %d: no winning row at distance %v", seed, what, from, want)
+		_, own, _ := fs.WalkFrom(q, -1, false)
+		for _, certifying := range []bool{false, true} {
+			for _, from := range []int{-1, 0, n - 1, n, math.MaxInt32, starts.Intn(n), prev, own} {
+				got, near, _ := fs.WalkFrom(q, from, certifying)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s from %d (certifying %t): walk %v (%#x), exhaustive scan %v (%#x)",
+						seed, n, cols, shape, scale, what, from, certifying, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-			case near < 0 || near >= n:
-				t.Fatalf("seed %d %s from %d: winning row %d of %d", seed, what, from, near, n)
-			case math.Float64bits(fullSum(fs, q, near)) != math.Float64bits(got):
-				t.Fatalf("seed %d %s from %d: winning row %d sums to %v, search returned %v",
-					seed, what, from, near, fullSum(fs, q, near), got)
+				checkWinner(t, fs, q, near, got, fmt.Sprintf("seed %d %s from %d (certifying %t)", seed, what, from, certifying))
 			}
 		}
 		prev = own
@@ -203,6 +208,132 @@ func checkSearchAgainstOracle(t *testing.T, seed int64) {
 		q[c] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}[k%4]
 		check("non-finite coordinate", q)
 	}
+	return checkCertifiedSequences(t, seed, fs, scale, rng)
+}
+
+// checkWinner fails unless near is a row of fs.Train at exactly dist from
+// q, or -1 with dist +Inf.
+func checkWinner(t *testing.T, fs *drift.FeatureStats, q []float64, near int, dist float64, what string) {
+	t.Helper()
+	switch n := fs.Train.Rows; {
+	case near == -1:
+		if !math.IsInf(dist, 1) {
+			t.Fatalf("%s: no winning row at distance %v", what, dist)
+		}
+	case near < 0 || near >= n:
+		t.Fatalf("%s: winning row %d of %d", what, near, n)
+	case math.Float64bits(fullSum(fs, q, near)) != math.Float64bits(dist):
+		t.Fatalf("%s: winning row %d sums to %v, search returned %v", what, near, fullSum(fs, q, near), dist)
+	}
+}
+
+// checkCertifiedSequences scores query sequences through one certificate
+// each, as a job's window is scored tick after tick. A sequence is a random
+// walk from a reference row, a midpoint of two rows, a near-tie (that
+// midpoint one ulp towards one row) or a far point, with steps of 10⁻¹⁵ to
+// 1 times the set's scale. Every step must have the scan's bits, the
+// certificate's row must sum to them, and its ρ must not exceed the sum of
+// any other row at the query it was proved at. Midway through a sequence
+// one step is scored against a set of the same shape with a row planted on
+// the query, through the same certificate: a proof about one reference set
+// says nothing about another. Fs's Means are 0 and its Stds 1, so a query is
+// its own standardised form. It returns how many steps the certificate
+// settled without a walk.
+func checkCertifiedSequences(t *testing.T, seed int64, fs *drift.FeatureStats, scale float64, rng *rand.Rand) int {
+	t.Helper()
+	n, cols := fs.Train.Rows, fs.Train.Cols
+	hits := 0
+	q := make([]float64, cols)
+	for kind, what := range []string{"reference row", "midpoint", "near-tie", "far point"} {
+		ri, rj := fs.Train.Row(rng.Intn(n)), fs.Train.Row(rng.Intn(n))
+		for x := range q {
+			switch kind {
+			case 0:
+				q[x] = ri[x]
+			case 1, 2:
+				q[x] = (ri[x] + rj[x]) / 2
+			default:
+				q[x] = rng.NormFloat64() * scale * 1e3
+			}
+		}
+		if kind == 2 {
+			c := rng.Intn(cols)
+			q[c] = math.Nextafter(q[c], ri[c])
+		}
+		var cert drift.Cert
+		const steps = 24
+		for step := 0; step < steps; step++ {
+			size := scale * math.Pow(10, -15*rng.Float64())
+			for x := range q {
+				q[x] += rng.NormFloat64() * size
+			}
+			on := fs
+			if step == steps/2 {
+				on = plantedTwin(fs, q, cert.Nearest())
+			}
+			want := exhaustive(on, q)
+			got, hit := on.CertHit(q, &cert)
+			at := fmt.Sprintf("seed %d (%d×%d) %s sequence, step %d (hit %t, twin %t)", seed, n, cols, what, step, hit, on != fs)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: DistanceCert %v (%#x), exhaustive scan %v (%#x)", at, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			checkWinner(t, on, q, cert.Nearest(), got, at)
+			if hit && on != fs {
+				t.Fatalf("%s: a proof about another reference set settled the query", at)
+			}
+			zc, rho := cert.Proof()
+			for i := 0; i < n && cert.Nearest() >= 0; i++ {
+				if i != cert.Nearest() && !realDistAtLeast(zc, on.Train.Row(i), rho) {
+					t.Fatalf("%s: row %d lies %v from the query the proof was made at, inside ρ = %v",
+						at, i, fullSum(on, zc, i), rho)
+				}
+			}
+			if hit {
+				hits++
+			}
+		}
+	}
+	return hits
+}
+
+// realDistAtLeast reports whether the real distance ‖a−b‖, not its float64
+// rounding, is at least r. It sums in double-double arithmetic: each
+// difference is split exactly into two doubles and each square into two by
+// a fused multiply-add, so the sum is off the real one by a few parts in
+// 10³⁰, far inside the rounding a float64 sum makes and that ρ's margin must
+// cover. Underflowing terms are the one exception, and no set here has them.
+func realDistAtLeast(a, b []float64, r float64) bool {
+	if r <= 0 {
+		return true
+	}
+	hi, lo := 0.0, 0.0
+	for j := range a {
+		d := a[j] - b[j] // a−b = d+e exactly (TwoSum)
+		bv := d - a[j]
+		e := (a[j] - (d - bv)) + (-b[j] - bv)
+		p := d * d
+		q := math.FMA(d, d, -p) + 2*d*e + e*e
+		s := hi + p // (hi, lo) += (p, q)
+		v := s - hi
+		lo += (hi - (s - v)) + (p - v) + q
+		hi = s
+	}
+	r2 := r * r
+	return (r2-hi)+(math.FMA(r, r, -r2)-lo) <= 0
+}
+
+// plantedTwin returns a reference set of fs's shape and statistics whose
+// rows are fs's but for one, other than avoid when there are two or more,
+// moved onto q: the nearest row to q there is not fs's.
+func plantedTwin(fs *drift.FeatureStats, q []float64, avoid int) *drift.FeatureStats {
+	twin := &drift.FeatureStats{Means: fs.Means, Stds: fs.Stds, Train: mat.New(fs.Train.Rows, fs.Train.Cols)}
+	copy(twin.Train.Data, fs.Train.Data)
+	plant := 0
+	if fs.Train.Rows > 1 && avoid == 0 {
+		plant = 1
+	}
+	copy(twin.Train.Row(plant), q)
+	return twin
 }
 
 // covFeatures regenerates the covariance features of a 60-middle-1 training
@@ -314,10 +445,11 @@ func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [
 // nearest-reference search against the reference set the benchmark's model
 // serves with (60-middle-1, scale 0.08, seed 1: 1223×28), started cold for
 // rows the gate accepts, held-out rows it rejects, and rows far outside the
-// support, and started warm, as a tick starts it, for live windows one
-// sample apart seeded with the previous window's winner. visited/op is how
-// many of the reference rows a search looked at, and start-won the share of
-// warm searches the start row won.
+// support; started warm, for live windows one sample apart seeded with the
+// previous window's winner; and, as a tick scores them, for the same windows
+// through each job's certificate (cert). visited/op is how many of the
+// reference rows a search looked at, start-won the share of warm searches
+// the start row won, and hit the share of cert searches no walk ran for.
 func BenchmarkDistance(b *testing.B) {
 	fp, raw := covFeatures(b, core.Provenance{Dataset: "60-middle-1", Scale: 0.08, Seed: 1})
 	fs, err := drift.FitFeatureStats(fp.TrainX)
@@ -350,12 +482,13 @@ func BenchmarkDistance(b *testing.B) {
 		sets["far"] = append(sets["far"], search{far, -1})
 	}
 	won := 0
-	for _, job := range liveWindows(b, fp, raw.Cols, 16, 64) {
-		_, near := fs.DistanceFrom(job[0], -1)
+	jobs := liveWindows(b, fp, raw.Cols, 16, 64)
+	for _, job := range jobs {
+		_, near, _ := fs.WalkFrom(job[0], -1, false)
 		for _, row := range job[1:] {
 			sets["warm"] = append(sets["warm"], search{row, near})
 			from := near
-			if _, near = fs.DistanceFrom(row, from); near == from {
+			if _, near, _ = fs.WalkFrom(row, from, false); near == from {
 				won++
 			}
 		}
@@ -364,13 +497,14 @@ func BenchmarkDistance(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			set, visited := sets[name], 0
 			for _, s := range set {
-				visited += fs.Visited(s.row, s.from)
+				_, _, v := fs.WalkFrom(s.row, s.from, false)
+				visited += v
 			}
 			var sink float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := set[i%len(set)]
-				d, _ := fs.DistanceFrom(s.row, s.from)
+				d, _, _ := fs.WalkFrom(s.row, s.from, false)
 				sink += d
 			}
 			b.ReportMetric(float64(visited)/float64(len(set)), "visited/op")
@@ -382,6 +516,47 @@ func BenchmarkDistance(b *testing.B) {
 			}
 		})
 	}
+
+	// The same live windows scored as ticks score them: window by window
+	// across the jobs, each job through its own certificate, proved on its
+	// first window. hit is the share of searches the certificate settled
+	// without a walk, and visited/op counts a hit as the one row it sums
+	// (the distance from the proof's query is the other sum).
+	b.Run("cert", func(b *testing.B) {
+		certs := make([]drift.Cert, len(jobs))
+		hits, visited := 0, 0
+		for k, job := range jobs {
+			fs.DistanceCert(job[0], &certs[k])
+		}
+		for w := 1; w < len(jobs[0]); w++ {
+			for k, job := range jobs {
+				from := certs[k].Nearest()
+				if _, hit := fs.CertHit(job[w], &certs[k]); hit {
+					hits++
+					visited++
+				} else {
+					_, _, v := fs.WalkFrom(job[w], from, true)
+					visited += v
+				}
+			}
+		}
+		ops := len(jobs) * (len(jobs[0]) - 1)
+		for k, job := range jobs {
+			certs[k] = drift.Cert{}
+			fs.DistanceCert(job[0], &certs[k])
+		}
+		var sink float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k, w := i%len(jobs), 1+i/len(jobs)%(len(jobs[0])-1)
+			sink += fs.DistanceCert(jobs[k][w], &certs[k])
+		}
+		b.ReportMetric(float64(visited)/float64(ops), "visited/op")
+		b.ReportMetric(float64(hits)/float64(ops), "hit")
+		if sink <= 0 {
+			b.Fatal("distances summed to", sink)
+		}
+	})
 }
 
 // TestIndexBuiltOnceOnConcurrentFirstUse: a FeatureStats assembled by hand

@@ -133,14 +133,17 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartScoresLikeColdSearch pins the nearest-reference handle a job
-// carries between ticks: each search starts from the row the job's last
-// window won, and no start ever shows in a score. Jobs on two partitions tick
-// after every sample, so their handles are warm; then a calibration with a
-// smaller reference set swaps in, so some handles name no row of it and the
-// rest name unrelated rows. Before and after, every published FeatDist has
-// the bits of a cold search by the active calibration over the same window,
-// rebuilt on a shadow embedder.
+// TestWarmStartScoresLikeColdSearch pins the drift certificate a job
+// carries between ticks: each score goes through the proof the job's last
+// window left, and no proof ever shows in a score. Jobs on two partitions
+// tick after every sample, so their certificates are warm; then a
+// calibration with a smaller reference set swaps in, so some certificates
+// name no row of it and the rest name unrelated rows; then one of the same
+// shape with a row planted next to each job's window, so every certificate
+// names a row in range, still where it was, and is wrong about it being the
+// nearest. Throughout, every published
+// FeatDist has the bits of a cold search by the active calibration over the
+// same window, rebuilt on a shadow embedder.
 func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 	scaler, model := fixture(t)
 	cal := fitTestCalibration(t, model)
@@ -152,7 +155,7 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 	samples := make([][][]float64, jobs)
 	shadows := make([]*stream.WindowedEmbedder, jobs)
 	for k := range shadows {
-		samples[k] = jobSamples(k, testWindow+2*steps)
+		samples[k] = jobSamples(k, testWindow+3*steps)
 		if shadows[k], err = stream.NewWindowedEmbedder(testWindow, testSensors, scaler); err != nil {
 			t.Fatal(err)
 		}
@@ -199,28 +202,77 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 		tickAndCheck(cal)
 	}
 
+	// proved counts the jobs whose certificate names a row below rows and
+	// those whose certificate names one past it.
+	proved := func(rows int) (inside, past int) {
+		for _, p := range m.parts {
+			p.eachStripe(func(st *stripe) {
+				for _, js := range st.jobs {
+					if near := js.cert.Nearest(); near >= rows {
+						past++
+					} else if near >= 0 {
+						inside++
+					}
+				}
+			})
+		}
+		return inside, past
+	}
+
 	small := fitCalibrationOn(t, model, 200)
 	if err := m.SwapClassifierDrift(model, small); err != nil {
 		t.Fatal(err)
 	}
-	past, inside := 0, 0
-	for _, p := range m.parts {
-		p.eachStripe(func(st *stripe) {
-			for _, js := range st.jobs {
-				if int(js.near) >= small.Feat.Train.Rows {
-					past++
-				} else if js.near >= 0 {
-					inside++
-				}
-			}
-		})
-	}
-	if past == 0 || inside == 0 {
-		t.Fatalf("after the swap %d handles name no row of the new set and %d name one; want both", past, inside)
+	if inside, past := proved(small.Feat.Train.Rows); past == 0 || inside == 0 {
+		t.Fatalf("after the swap %d certificates name no row of the new set and %d name one; want both", past, inside)
 	}
 	for range steps {
 		feed(1)
 		tickAndCheck(small)
+	}
+
+	// The same shape again, but another set: small's rows, except that one
+	// row per job, never one a certificate names, moves onto that job's
+	// current window. Every certificate still names a row in range that
+	// lies where it did, and its proof might settle the next window, but a
+	// planted row is nearer now.
+	named := map[int]bool{}
+	for _, p := range m.parts {
+		p.eachStripe(func(st *stripe) {
+			for _, js := range st.jobs {
+				named[js.cert.Nearest()] = true
+			}
+		})
+	}
+	fs := small.Feat
+	planted, free := mat.New(fs.Train.Rows, fs.Train.Cols), 0
+	copy(planted.Data, fs.Train.Data)
+	for _, shadow := range shadows {
+		row, err := shadow.Features()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for named[free] {
+			free++
+		}
+		for j, v := range row.Data {
+			planted.Row(free)[j] = (v - fs.Means[j]) / fs.Stds[j]
+		}
+		free++
+	}
+	twin := &drift.Calibration{
+		Threshold: small.Threshold, Ref: small.Ref,
+		Feat: &drift.FeatureStats{Means: fs.Means, Stds: fs.Stds, Train: planted},
+	}
+	if err := m.SwapClassifierDrift(model, twin); err != nil {
+		t.Fatal(err)
+	}
+	if inside, _ := proved(twin.Feat.Train.Rows); inside != jobs {
+		t.Fatalf("after the same-shape swap %d of %d certificates name a row in range; want all", inside, jobs)
+	}
+	for range steps {
+		feed(1)
+		tickAndCheck(twin)
 	}
 }
 

@@ -161,22 +161,16 @@ type Config struct {
 // behind the value.
 const registryStripes = 32
 
-// jobState is one job's slot in the registry, guarded by its stripe's mutex.
-// The fields Ingest touches all lie in its first 48 bytes; the prediction
-// slot, which only write-back and reads touch, follows them.
+// jobState is one job's slot in the registry, guarded by its stripe's mutex
+// except where a field says otherwise. The fields Ingest touches all lie in
+// its first 48 bytes; the prediction slot and the drift certificate, which
+// only ticks and reads touch, follow them.
 type jobState struct {
 	id       int     // the job's fleet ID, for event emission at write-back
 	home     *stripe // owning stripe, for lock re-acquisition at write-back
 	emb      *stream.WindowedEmbedder
 	samples  uint64
 	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
-	// near is the row of the drift calibration's reference set this job's
-	// last scored window was nearest to, where the next window's search
-	// starts (drift.FeatureStats.DistanceFrom); -1 before the first. A
-	// window moves one sample between scorings, so it is nearly always the
-	// winner again. After a swap it may name any row of the new set, or none,
-	// which costs one cold search and never a different distance.
-	near int32
 	// dirty: the window is full and holds samples no prediction reflects yet.
 	// A dirty job is in home.queue exactly once, or in the running tick's
 	// batch — the flag is what keeps it to one entry.
@@ -186,13 +180,23 @@ type jobState struct {
 	// mutex, so publishing allocates nothing once the job has been scored.
 	// probs is the job's own probability row: nil before the first
 	// classification, allocated then and reused while the class count fits.
-	// class indexes it. When hasOpen the verdict is featDist and rejected,
-	// which prediction turns into a stream.OpenSet on the way out.
+	// class indexes it; an int32, so it shares dirty's word with the flags.
+	// When hasOpen the verdict is featDist and rejected, which prediction
+	// turns into a stream.OpenSet on the way out.
 	hasOpen  bool
 	rejected bool
+	class    int32
 	probs    []float64
-	class    int
 	featDist float64
+	// cert is the proof the job's last drift score left for the next
+	// (drift.Cert): a window moves one sample between scorings, so most
+	// scores are settled by it without a search. It belongs to the
+	// partition's tick, not the stripe mutex: only the scoring pass reads or
+	// writes it, a job is in at most one tick's batch, and a partition's
+	// ticks run one at a time. A proof about another calibration's reference
+	// set is ignored, so a swap costs each job one search, never a different
+	// distance.
+	cert drift.Cert
 }
 
 // prediction copies the job's last published prediction out of its slot, or
@@ -208,7 +212,7 @@ func (js *jobState) prediction() *stream.Prediction {
 		open stream.OpenSet
 	}{open: stream.OpenSet{FeatDist: js.featDist, Rejected: js.rejected}}
 	c.pred = stream.Prediction{
-		Class: js.class, Probability: js.probs[js.class],
+		Class: int(js.class), Probability: js.probs[js.class],
 		Probs: append([]float64(nil), js.probs...),
 	}
 	if js.hasOpen {
@@ -472,7 +476,7 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 			st.mu.Unlock()
 			return err
 		}
-		js = &jobState{id: jobID, home: st, emb: emb, near: -1}
+		js = &jobState{id: jobID, home: st, emb: emb}
 		st.jobs[jobID] = js
 		st.unfilled++
 	}
@@ -512,14 +516,12 @@ type TickStats struct {
 
 // collected pairs a job selected into a tick's batch with the sample count
 // observed at collection time, so write-back can tell whether new samples
-// arrived while inference ran, and with the job's nearest-reference handle,
-// which scoring starts from and replaces with its winner. score is the
-// window's open-set score, set by the scoring pass.
+// arrived while inference ran. score is the window's open-set score, set by
+// the scoring pass.
 type collected struct {
 	js    *jobState
 	seen  uint64
 	score drift.Score
-	near  int32
 }
 
 // Tick runs one synchronised inference pass over the whole fleet: partition
@@ -625,7 +627,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 				requeue(batch)
 				return stats, err
 			}
-			batch = append(batch, collected{js: js, seen: js.samples, near: js.near})
+			batch = append(batch, collected{js: js, seen: js.samples})
 		}
 		st.dequeue(take[i])
 		st.mu.Unlock()
@@ -656,10 +658,11 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	// Open-set scoring: the very embedding row the model consumed, against the
 	// calibration's reference set — one pass over the batch in row blocks,
 	// like the model call before it, so the nearest-reference search runs on
-	// every core and outside the per-job locks. Each search starts from the
-	// row the job's last window was nearest to. A distance is a pure function
-	// of its row, whatever the start; the predictions are untouched, so
-	// enabling drift leaves in-distribution results bit-identical.
+	// every core and outside the per-job locks. Each score goes through the
+	// job's certificate, which mostly settles it without a search. A
+	// distance is a pure function of its row, whatever the certificate
+	// holds; the predictions are untouched, so enabling drift leaves
+	// in-distribution results bit-identical.
 	writeStart := m.now()
 	cal := m.dcal
 	if cal != nil {
@@ -669,9 +672,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				c := &p.scratch.batch[i]
-				var near int
-				c.score, near = cal.ScoreFrom(x.Row(i), int(c.near))
-				c.near = int32(near)
+				c.score = cal.ScoreCert(x.Row(i), &c.js.cert)
 			}
 			return nil
 		})
@@ -695,9 +696,9 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		}
 		js := c.js
 		js.home.mu.Lock()
-		first, oldClass, wasUnknown := js.probs == nil, js.class, js.rejected
+		first, oldClass, wasUnknown := js.probs == nil, int(js.class), js.rejected
 		js.probs = append(js.probs[:0], row...)
-		js.class, js.featDist, js.rejected, js.hasOpen, js.near = class, c.score.FeatDist, rejected, cal != nil, c.near
+		js.class, js.featDist, js.rejected, js.hasOpen = int32(class), c.score.FeatDist, rejected, cal != nil
 		if js.samples == c.seen {
 			js.dirty = false
 		} else {
