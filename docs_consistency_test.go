@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,11 +40,13 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // TestDocsConsistency holds the written contract to the code: docs/API.md
 // names every HTTP route the server and the cluster control plane register
 // and every wcc_* metric either exports, every internal package carries
-// package godoc, and every test the docs cite exists. Two one-way rules
+// package godoc, and every test the docs cite exists. Three one-way rules
 // hold too: only internal/core calibrates a drift section or spells out the
-// simulation settings (one training path, DESIGN.md §7), and no code outside
-// benchmark/ declares a printf-style Logf/logf func field, parameter or
-// variable (one log, log/slog's default logger: DESIGN.md §12).
+// simulation settings (one training path, DESIGN.md §7); no code outside
+// internal/tree calls PredictProbaRow, and inside internal/xgb only Fit
+// reaches predictRow (one scoring path, tree.Flat: DESIGN.md §11); and no
+// code outside benchmark/ declares a printf-style Logf/logf func field,
+// parameter or variable (one log, log/slog's default logger: DESIGN.md §12).
 func TestDocsConsistency(t *testing.T) {
 	doc, err := os.ReadFile("docs/API.md")
 	if err != nil {
@@ -96,6 +101,7 @@ func TestDocsConsistency(t *testing.T) {
 	}
 
 	stray := regexp.MustCompile(`drift\.Fit\(|GapRate: 1`)
+	treeWalk := regexp.MustCompile(`\bPredictProbaRow\(`)
 	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	var testFuncs []string
@@ -127,6 +133,9 @@ func TestDocsConsistency(t *testing.T) {
 		if loc := logPlumbing.Find(src); loc != nil && dir != "benchmark" {
 			t.Errorf("%s: %s declares a log func; call log/slog instead", path, loc)
 		}
+		if loc := treeWalk.Find(src); loc != nil && dir != "internal/tree" {
+			t.Errorf("%s: %s walks pointer trees; score through the flat kernel (PredictProba)", path, loc)
+		}
 		switch dir {
 		case "benchmark", "internal/telemetry", "internal/core":
 			return nil
@@ -138,6 +147,16 @@ func TestDocsConsistency(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	users := predictRowUsers(t, "internal/xgb")
+	if !users["Fit"] {
+		t.Error("internal/xgb: Fit no longer calls predictRow; the one-scoring-path rule checks nothing")
+	}
+	for fn := range users {
+		if fn != "Fit" {
+			t.Errorf("internal/xgb: %s reaches predictRow; only Fit may (predict through the flat kernel)", fn)
+		}
 	}
 
 	// Every test, benchmark or fuzz target the docs cite exists; a trailing
@@ -153,4 +172,41 @@ func TestDocsConsistency(t *testing.T) {
 			t.Errorf("the docs cite %s, which no _test.go declares", name)
 		}
 	}
+}
+
+// predictRowUsers parses the non-test files of dir and returns the names of
+// the declarations that call or take the method value of predictRow, the
+// booster's per-tree pointer walk; a package-level declaration is reported
+// as "package scope". The rule needs the parser, not a regex, because Fit
+// shares its file with the predict methods.
+func predictRowUsers(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			name := "package scope"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "predictRow" {
+					users[name] = true
+				}
+				return true
+			})
+		}
+	}
+	return users
 }

@@ -156,7 +156,7 @@ func servingFixture(t *testing.T) (*preprocess.StandardScaler, *forest.Classifie
 	if err := model.Fit(trainX, trainY, e2eClasses); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := model.PredictProbaBatch(testX)
+	probs, err := model.PredictProba(testX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,8 @@ import (
 	"repro/internal/drift"
 	"repro/internal/fleet"
 	"repro/internal/mat"
+	"repro/internal/stream"
 )
-
-// probaClassifier is the slice of the model contract shadow scoring needs.
-type probaClassifier interface {
-	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
-}
 
 // shadowState scores the candidate model side-by-side with the serving
 // model on live traffic: every observed window is re-scored by the
@@ -21,7 +17,7 @@ type probaClassifier interface {
 // per-class agreement on serving-accepted windows and both models' unknown
 // rates. Guarded by the Manager's mutex.
 type shadowState struct {
-	model probaClassifier
+	model stream.Classifier
 	cal   *drift.Calibration
 	row   *mat.Matrix // reusable 1×F input for single-row inference
 
@@ -40,7 +36,7 @@ type classAgreement struct {
 	agreed  uint64
 }
 
-func newShadowState(model probaClassifier, cal *drift.Calibration, dim int) *shadowState {
+func newShadowState(model stream.Classifier, cal *drift.Calibration, dim int) *shadowState {
 	return &shadowState{
 		model:    model,
 		cal:      cal,

@@ -115,7 +115,7 @@ func TestBuildCandidateArtifactWidensClassSet(t *testing.T) {
 
 	// The candidate classifies held-back novelty rows as the new class and
 	// the refreshed feature gate accepts them.
-	model := a.Model.(probaClassifier)
+	model := a.Model
 	probe := fams[0].Rows
 	probs, err := model.PredictProba(probe)
 	if err != nil {

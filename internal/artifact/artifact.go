@@ -133,13 +133,12 @@ type Metadata struct {
 }
 
 // Model is the estimator an artifact carries, and all a serving core, a
-// calibration pass or the encoder asks of it: class probabilities a row at a
-// time (what a stream.Classifier serves from) and batched, labels, and its
-// own wire encoding. *forest.Classifier and *xgb.Classifier implement it;
-// being one of them is what makes a model's Kind known.
+// calibration pass or the encoder asks of it: class probabilities (what a
+// stream.Classifier serves from), labels, and its own wire encoding.
+// *forest.Classifier and *xgb.Classifier implement it; being one of them is
+// what makes a model's Kind known.
 type Model interface {
 	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
-	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
 	Predict(x *mat.Matrix) ([]int, error)
 	Encode(w io.Writer) error
 }

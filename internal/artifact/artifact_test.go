@@ -91,11 +91,11 @@ func TestRoundTripForestWithScaler(t *testing.T) {
 	if !ok {
 		t.Fatalf("model type %T", got.Model)
 	}
-	want, err := f.PredictProbaBatch(eval)
+	want, err := f.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := gotF.PredictProbaBatch(eval)
+	have, err := gotF.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +306,8 @@ func TestDecodeSkipsUnknownSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotF := got.Model.(*forest.Classifier)
-	want, _ := f.PredictProbaBatch(eval)
-	have, err := gotF.PredictProbaBatch(eval)
+	want, _ := f.PredictProba(eval)
+	have, err := gotF.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}

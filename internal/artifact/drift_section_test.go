@@ -29,7 +29,7 @@ func driftArtifact(t *testing.T) *Artifact {
 	if err := f.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := f.PredictProbaBatch(x)
+	probs, err := f.PredictProba(x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func goldenEval() *mat.Matrix {
 func TestGoldenArtifactCompatibility(t *testing.T) {
 	if *update {
 		a, eval := goldenModel(t)
-		probs, err := a.Model.(*forest.Classifier).PredictProbaBatch(eval)
+		probs, err := a.Model.(*forest.Classifier).PredictProba(eval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestGoldenArtifactCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	probs, err := a.Model.(*forest.Classifier).PredictProbaBatch(goldenEval())
+	probs, err := a.Model.(*forest.Classifier).PredictProba(goldenEval())
 	if err != nil {
 		t.Fatal(err)
 	}

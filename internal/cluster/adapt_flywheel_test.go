@@ -147,7 +147,7 @@ func fwFixture(t *testing.T) (*preprocess.StandardScaler, *forest.Classifier, *d
 	if err := model.Fit(trainX, trainY, fwClasses); err != nil {
 		t.Fatal(err)
 	}
-	probs, err := model.PredictProbaBatch(testX)
+	probs, err := model.PredictProba(testX)
 	if err != nil {
 		t.Fatal(err)
 	}

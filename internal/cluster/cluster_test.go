@@ -608,7 +608,7 @@ func TestClusterPrepareProvesWhatCommitNeeds(t *testing.T) {
 	c := clustertest.Start(t, clustertest.Options{Nodes: 3, Window: window, Sensors: sensors})
 
 	model := clustertest.StampModel(t, sensors, 1)
-	probs, err := model.PredictProbaBatch(mat.New(8, preprocess.CovarianceDim(sensors)))
+	probs, err := model.PredictProba(mat.New(8, preprocess.CovarianceDim(sensors)))
 	if err != nil {
 		t.Fatal(err)
 	}

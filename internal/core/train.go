@@ -122,12 +122,10 @@ func TrainArtifact(meta artifact.Metadata, fp *FeaturePair, model artifact.Model
 	return a, held, nil
 }
 
-// scoreHeldOut scores x once, batched. Batched probabilities are
-// bit-identical to PredictProba's by the forest's and the booster's
-// contracts, and a label is the arg-max of its row (the forest's Predict by
-// definition; the booster's, over its pre-softmax scores, by monotonicity).
+// scoreHeldOut scores x once. A label is the arg-max of its probability
+// row, which is what both models' Predict returns.
 func scoreHeldOut(model artifact.Model, x *mat.Matrix) (*HeldOut, error) {
-	probs, err := model.PredictProbaBatch(x)
+	probs, err := model.PredictProba(x)
 	if err != nil {
 		return nil, err
 	}

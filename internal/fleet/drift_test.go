@@ -14,7 +14,7 @@ import (
 // fixture model's probabilities on in-distribution covariance rows and
 // whose reference histograms come from the jobSamples distribution.
 func fitTestCalibration(t testing.TB, model interface {
-	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
 }) *drift.Calibration {
 	t.Helper()
 	return fitCalibrationOn(t, model, 400)
@@ -22,7 +22,7 @@ func fitTestCalibration(t testing.TB, model interface {
 
 // fitCalibrationOn is fitTestCalibration with trainRows reference rows.
 func fitCalibrationOn(t testing.TB, model interface {
-	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
 }, trainRows int) *drift.Calibration {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -35,7 +35,7 @@ func fitCalibrationOn(t testing.TB, model interface {
 	for i := range heldOut.Data {
 		heldOut.Data[i] = rng.NormFloat64()
 	}
-	probs, err := model.PredictProbaBatch(heldOut)
+	probs, err := model.PredictProba(heldOut)
 	if err != nil {
 		t.Fatal(err)
 	}

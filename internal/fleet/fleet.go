@@ -39,18 +39,17 @@
 //     fleet's PSI drift against the training-time reference — without
 //     changing a single in-distribution prediction bit.
 //
-// What is being served — the model, its batched path, the drift
+// What is being served — the model, its scratch-writing path, the drift
 // calibration, the event sink, the trace recorder, the adapt observer and
 // the swap count — is stored once on the Monitor, whatever the partition
 // count, under one RWMutex: ticks and the drift read surface hold its read
 // side, swaps and the Set* attach points its write side.
 //
-// Models that implement IntoClassifier (forest, xgb) get their worker-pool
-// batched path scoring into the partition's scratch; a BatchClassifier gets
-// its batched path, and any stream.Classifier still works via one multi-row
-// PredictProba call. Either way per-row results are bit-identical to what a
-// per-job stream.Monitor would produce, and P partitions publish exactly
-// what one would: routing only changes which registry a job lives in, and
+// Models that implement IntoClassifier (forest, xgb) score a tick into the
+// partition's scratch; any other stream.Classifier works through one
+// multi-row PredictProba call. Either way per-row results are bit-identical
+// to what a per-job stream.Monitor would produce, and P partitions publish
+// exactly what one would: routing only changes which registry a job lives in, and
 // a tick scores each window independently of its batch. Each job keeps its
 // last prediction inline and reads copy it out, so a steady tick allocates
 // nothing per row. Partitions tick concurrently against the one model,
@@ -79,18 +78,18 @@ import (
 	"repro/internal/trace"
 )
 
-// BatchClassifier is the fast path a model can offer for fleet serving: one
-// call scoring a whole N×F feature matrix, typically parallelised across
-// rows (forest.PredictProbaBatch, xgb.PredictProbaBatch). Row i of the
-// result must equal row i of PredictProba on the same matrix bit for bit.
+// BatchClassifier is the name the frozen benchmark/spans.go declares a
+// field with; no tick looks for it, and it goes when the benchmark stops
+// naming it. forest.PredictProbaBatch, an alias of PredictProba, is its one
+// implementation.
 type BatchClassifier interface {
 	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
 }
 
-// IntoClassifier is the batched path writing into memory the caller owns
+// IntoClassifier is PredictProba writing into memory the caller owns
 // (forest and xgb offer it): out is x.Rows×NumClasses(), and row i must equal
-// row i of PredictProbaBatch bit for bit, whatever out held before. Ticks of
-// a model that offers it score into their partition's scratch, so scoring
+// row i of PredictProba bit for bit, whatever out held before. Ticks of a
+// model that offers it score into their partition's scratch, so scoring
 // allocates nothing per row.
 type IntoClassifier interface {
 	NumClasses() int
@@ -133,9 +132,9 @@ type Config struct {
 	// is standardised with (see stream.NewWindowedEmbedder).
 	Scaler *preprocess.StandardScaler
 	// Model classifies embedded windows. When it also implements
-	// IntoClassifier or BatchClassifier, ticks use that batched path, in
-	// that order of preference. Partitions tick concurrently, so it must
-	// tolerate concurrent predict calls.
+	// IntoClassifier, ticks score into the partition's scratch through it;
+	// otherwise each tick makes one PredictProba call. Partitions tick
+	// concurrently, so it must tolerate concurrent predict calls.
 	Model stream.Classifier
 	// Shards is the partition count (default 1; server.NewCore defaults it
 	// to GOMAXPROCS). The count is fixed at construction; job routing depends
@@ -296,8 +295,7 @@ type Monitor struct {
 	//wcc:coordlock tick barrier and swap publish order under this lock
 	mu     sync.RWMutex
 	model  stream.Classifier
-	into   IntoClassifier     // model's scratch-writing batched path, or nil
-	batch  BatchClassifier    // model's batched path, nil when it has none
+	into   IntoClassifier     // model's scratch-writing path, or nil
 	dcal   *drift.Calibration // nil = open-set detection disabled
 	evs    events.Sink        // nil = push plane detached
 	tracer *trace.Recorder    // nil = no stage spans
@@ -343,14 +341,13 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// install sets the serving generation — the model, its batched fast paths,
+// install sets the serving generation — the model, its scratch-writing path,
 // the calibration — and starts every stripe's input histogram afresh against
 // the calibration's reference. Callers hold the write side of mu (New
 // excepted: the monitor is not shared yet).
 func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 	m.model = model
 	m.into, _ = model.(IntoClassifier)
-	m.batch, _ = model.(BatchClassifier)
 	m.dcal = cal
 	for _, p := range m.parts {
 		p.eachStripe(func(st *stripe) {
@@ -753,19 +750,15 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 // matrix the model allocates. Callers hold p.tickMu and the read side of
 // m.mu.
 func (m *Monitor) classify(p *partition, x *mat.Matrix) (*mat.Matrix, error) {
-	switch {
-	case m.into != nil:
-		out, k := &p.scratch.probs, m.into.NumClasses()
-		if cap(out.Data) < x.Rows*k {
-			out.Data = make([]float64, x.Rows*k)
-		}
-		*out = mat.Matrix{Rows: x.Rows, Cols: k, Data: out.Data[:x.Rows*k]}
-		return out, m.into.PredictProbaBatchInto(x, out)
-	case m.batch != nil:
-		return m.batch.PredictProbaBatch(x)
-	default:
+	if m.into == nil {
 		return m.model.PredictProba(x)
 	}
+	out, k := &p.scratch.probs, m.into.NumClasses()
+	if cap(out.Data) < x.Rows*k {
+		out.Data = make([]float64, x.Rows*k)
+	}
+	*out = mat.Matrix{Rows: x.Rows, Cols: k, Data: out.Data[:x.Rows*k]}
+	return out, m.into.PredictProbaBatchInto(x, out)
 }
 
 // dropBatch ends a tick's hold on the jobs it collected: the scratch is

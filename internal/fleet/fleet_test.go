@@ -237,8 +237,8 @@ func TestFleetOverlappingJobIDs(t *testing.T) {
 	}
 }
 
-// unbatched hides forest's PredictProbaBatch so the fallback single-call
-// path is exercised.
+// unbatched hides forest's PredictProbaBatchInto so the fallback
+// PredictProba path is exercised.
 type unbatched struct{ f *forest.Classifier }
 
 func (u unbatched) PredictProba(x *mat.Matrix) (*mat.Matrix, error) { return u.f.PredictProba(x) }

@@ -11,8 +11,8 @@ import (
 
 // flaky wraps a classifier with an on/off failure switch, modelling a
 // transient model error mid-serving (e.g. a half-rolled-out swap). It
-// deliberately does not implement BatchClassifier so the fallback path is
-// the one under test; wideBatch below covers the batched path.
+// deliberately does not implement IntoClassifier, so ticks score it
+// through PredictProba.
 type flaky struct {
 	inner stream.Classifier
 	fail  bool
@@ -75,12 +75,11 @@ func TestTickErrorKeepsJobsDirty(t *testing.T) {
 	}
 }
 
-// wideBatch returns one row too many, triggering the row-count mismatch
-// error path on the batched branch.
+// wideBatch returns one row too many, triggering the tick's row-count
+// mismatch error path.
 type wideBatch struct{ inner stream.Classifier }
 
-func (w wideBatch) PredictProba(x *mat.Matrix) (*mat.Matrix, error) { return w.inner.PredictProba(x) }
-func (w wideBatch) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
+func (w wideBatch) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 	p, err := w.inner.PredictProba(x)
 	if err != nil {
 		return nil, err
@@ -88,8 +87,8 @@ func (w wideBatch) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	return mat.New(p.Rows+1, p.Cols), nil
 }
 
-// TestTickRowMismatchKeepsJobsDirty covers the same loss bug on the batched
-// path's row-count validation: after the mismatch error, a classifier swap
+// TestTickRowMismatchKeepsJobsDirty covers the same loss bug on the tick's
+// row-count validation: after the mismatch error, a classifier swap
 // plus a plain retry tick must still classify the collected jobs.
 func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
 	scaler, model := fixture(t)

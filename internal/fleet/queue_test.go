@@ -32,7 +32,7 @@ func (ta *tally) take() []int {
 	return out
 }
 
-// faulty is a batched classifier with a per-call failure switch and a hook
+// faulty is a classifier with a per-call failure switch and a hook
 // that runs while "inference" is in flight — the tick holds no shard lock
 // then, so the hook may call back into Ingest/EndJob/EvictIdle.
 type faulty struct {
@@ -47,9 +47,7 @@ const (
 	modeWide // the model answers one row too many
 )
 
-func (f *faulty) PredictProba(x *mat.Matrix) (*mat.Matrix, error) { return f.PredictProbaBatch(x) }
-
-func (f *faulty) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
+func (f *faulty) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 	mode, during := f.mode, f.during
 	f.mode, f.during = modeOK, nil
 	if during != nil {

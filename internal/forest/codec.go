@@ -14,9 +14,8 @@ import (
 const codecVersion = 1
 
 // Encode serialises the fitted ensemble: config, shape, and every tree.
-// Out-of-bag row indices are training-time state and are not persisted, so
-// OOBScore is unavailable on a decoded forest; predictions are bit-identical
-// to the original model.
+// Decode compiles the flat form again, so predictions are bit-identical to
+// the original model.
 func (f *Classifier) Encode(w io.Writer) error {
 	if len(f.trees) == 0 {
 		return errors.New("forest: cannot encode an unfitted forest")

@@ -32,7 +32,7 @@ func fitSmallForest(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
 	return f, eval
 }
 
-// TestCodecRoundTrip pins Fit → Encode → Decode → PredictProbaBatch
+// TestCodecRoundTrip pins Fit → Encode → Decode → PredictProba
 // bit-identical to the in-memory forest on the same inputs.
 func TestCodecRoundTrip(t *testing.T) {
 	f, eval := fitSmallForest(t, 11)
@@ -47,11 +47,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.NumTrees() != f.NumTrees() {
 		t.Fatalf("decoded %d trees, want %d", got.NumTrees(), f.NumTrees())
 	}
-	want, err := f.PredictProbaBatch(eval)
+	want, err := f.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.PredictProbaBatch(eval)
+	have, err := got.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,25 +72,6 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestEncodeUnfitted(t *testing.T) {
 	if err := New(DefaultConfig()).Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("encoding an unfitted forest should fail")
-	}
-}
-
-// TestOOBUnavailableAfterDecode pins that a decoded forest reports a
-// descriptive error for OOBScore instead of panicking on the missing
-// training-time out-of-bag state.
-func TestOOBUnavailableAfterDecode(t *testing.T) {
-	f, eval := fitSmallForest(t, 13)
-	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]int, eval.Rows)
-	if _, err := got.OOBScore(eval, y); err == nil {
-		t.Fatal("OOBScore on a decoded forest should fail")
 	}
 }
 

@@ -47,14 +47,14 @@ func hostileRows(rng *rand.Rand, rows, d int) *mat.Matrix {
 }
 
 // pointerOnly clones a fitted forest without its flat form — the
-// hand-populated value PredictProbaBatch must refuse.
+// hand-populated value every predict method must refuse.
 func pointerOnly(f *Classifier) *Classifier {
 	return &Classifier{cfg: f.cfg, trees: f.trees, numClasses: f.numClasses, numFeats: f.numFeats}
 }
 
 // TestEquivalenceFlatForest pins the flat node-array kernel bit-identical
-// to the serial per-row pointer-tree walk, across ensemble shapes, worker
-// counts, and hostile inputs including empty and single-row batches.
+// to the per-tree pointer walk (pointerWalk), across ensemble shapes and
+// hostile inputs including empty and single-row batches.
 func TestEquivalenceFlatForest(t *testing.T) {
 	cases := []struct {
 		name                     string
@@ -76,8 +76,15 @@ func TestEquivalenceFlatForest(t *testing.T) {
 			if f.flat == nil {
 				t.Fatal("Fit left no compiled flat form")
 			}
-			if _, err := pointerOnly(f).PredictProbaBatch(x); err == nil {
+			p := pointerOnly(f)
+			if _, err := p.PredictProba(x); err == nil {
+				t.Fatal("PredictProba accepted a classifier with no compiled flat form")
+			}
+			if _, err := p.PredictProbaBatch(x); err == nil {
 				t.Fatal("PredictProbaBatch accepted a classifier with no compiled flat form")
+			}
+			if _, err := p.Predict(x); err == nil {
+				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
 			for _, rows := range []int{0, 1, 37} {
 				requireBitIdentical(t, f, hostileRows(rng, rows, tc.d))
@@ -86,21 +93,43 @@ func TestEquivalenceFlatForest(t *testing.T) {
 	}
 }
 
-// requireBitIdentical fails unless the flat kernel's scores for ev match
-// the serial pointer walk's under math.Float64bits.
+// pointerWalk is the reference the kernel is held to, independent of it:
+// for each row, every tree's tree.PredictProbaRow summed in ensemble order,
+// then each class multiplied by 1/trees.
+func pointerWalk(t *testing.T, f *Classifier, ev *mat.Matrix) *mat.Matrix {
+	t.Helper()
+	out := mat.New(ev.Rows, f.numClasses)
+	inv := 1.0 / float64(len(f.trees))
+	for i := 0; i < ev.Rows; i++ {
+		dst := out.Row(i)
+		for _, tr := range f.trees {
+			p, err := tr.PredictProbaRow(ev.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, v := range p {
+				dst[c] += v
+			}
+		}
+		for c := range dst {
+			dst[c] *= inv
+		}
+	}
+	return out
+}
+
+// requireBitIdentical fails unless PredictProba's scores for ev match the
+// pointer walk's under math.Float64bits.
 func requireBitIdentical(t *testing.T, f *Classifier, ev *mat.Matrix) {
 	t.Helper()
-	got, err := f.PredictProbaBatch(ev)
+	got, err := f.PredictProba(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := f.PredictProba(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
-			t.Fatalf("rows=%d: element %d: flat %v vs serial %v", ev.Rows, i, got.Data[i], serial.Data[i])
+	walk := pointerWalk(t, f, ev)
+	for i := range walk.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(walk.Data[i]) {
+			t.Fatalf("rows=%d: element %d: flat %v vs pointer walk %v", ev.Rows, i, got.Data[i], walk.Data[i])
 		}
 	}
 }
@@ -164,7 +193,7 @@ func hostileLeafPayload(t *testing.T) []byte {
 }
 
 // TestEquivalenceFlatForestSparseLeaves pins the sparse leaf encoding
-// bit-identical to the serial walk where it is not one-hot: multi-entry
+// bit-identical to the pointer walk where it is not one-hot: multi-entry
 // leaves of a fitted MinSamplesLeaf forest, and a decoded payload whose
 // leaves hold −0, NaN, ±Inf, negative values and all-zero distributions.
 func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
@@ -223,7 +252,7 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := f.PredictProbaBatch(batch); err != nil {
+				if _, err := f.PredictProba(batch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,7 +21,8 @@ func compileFlat(trees []*tree.Classifier, numClasses int) (*tree.Flat, error) {
 
 // scoreBlock overwrites rows [lo, hi) of out with the ensemble's averaged
 // leaf distributions: the shared kernel sums the trees in ensemble order,
-// then one scaling per entry averages, the float order of predictProbaInto.
+// then one scaling per entry averages — the float order of summing each
+// tree's tree.PredictProbaRow and multiplying by 1/trees.
 func (f *Classifier) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 	block := out.Data[lo*out.Cols : hi*out.Cols]
 	clear(block)

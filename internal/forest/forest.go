@@ -42,12 +42,11 @@ func DefaultConfig() Config {
 type Classifier struct {
 	cfg        Config
 	trees      []*tree.Classifier
-	oobIdx     [][]int // per-tree out-of-bag row indices
 	numClasses int
 	numFeats   int
 	// flat is the compiled contiguous inference form, built once at Fit or
-	// Decode time and immutable afterwards; PredictProbaBatch walks it
-	// instead of the pointer trees. See tree.Flat.
+	// Decode time and immutable afterwards; every predict method walks it.
+	// See tree.Flat.
 	flat *tree.Flat
 }
 
@@ -81,7 +80,6 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 	}
 
 	f.trees = make([]*tree.Classifier, f.cfg.NumTrees)
-	f.oobIdx = make([][]int, f.cfg.NumTrees)
 	errs := make([]error, f.cfg.NumTrees)
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -97,22 +95,10 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 			rng := rand.New(rand.NewSource(treeSeed))
 
 			idx := make([]int, x.Rows)
-			if f.cfg.Bootstrap {
-				seen := make([]bool, x.Rows)
-				for i := range idx {
-					k := rng.Intn(x.Rows)
-					idx[i] = k
-					seen[k] = true
-				}
-				var oob []int
-				for i, s := range seen {
-					if !s {
-						oob = append(oob, i)
-					}
-				}
-				f.oobIdx[ti] = oob
-			} else {
-				for i := range idx {
+			for i := range idx {
+				if f.cfg.Bootstrap {
+					idx[i] = rng.Intn(x.Rows)
+				} else {
 					idx[i] = i
 				}
 			}
@@ -141,47 +127,11 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 	return err
 }
 
-// predictProbaInto accumulates the ensemble's averaged leaf distribution for
-// one feature row into dst. Both the serial and batched predict paths go
-// through here, so their per-row results are bit-identical.
-func (f *Classifier) predictProbaInto(row, dst []float64) error {
-	for _, t := range f.trees {
-		p, err := t.PredictProbaRow(row)
-		if err != nil {
-			return err
-		}
-		for c, v := range p {
-			dst[c] += v
-		}
-	}
-	inv := 1.0 / float64(len(f.trees))
-	for c := range dst {
-		dst[c] *= inv
-	}
-	return nil
-}
-
-// PredictProba averages leaf distributions over the ensemble.
+// PredictProba averages leaf distributions over the ensemble for every row
+// of x. Rows are split into contiguous blocks over up to GOMAXPROCS
+// goroutines, and each block is swept over the flat node arrays compiled
+// at Fit/Decode time (see tree.Flat).
 func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
-	if len(f.trees) == 0 {
-		return nil, errors.New("forest: not fitted")
-	}
-	out := mat.New(x.Rows, f.numClasses)
-	for i := 0; i < x.Rows; i++ {
-		if err := f.predictProbaInto(x.Row(i), out.Row(i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// PredictProbaBatch is the serving hot path for fleet-scale batched
-// inference: one call scores the whole matrix, splitting rows into
-// contiguous blocks over up to GOMAXPROCS goroutines and sweeping each
-// block tree by tree over the flat node arrays compiled at Fit/Decode time
-// (see tree.Flat) — no per-node pointer dereferences.
-// Results are bit-identical to PredictProba.
-func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	out := mat.New(x.Rows, f.numClasses)
 	if err := f.PredictProbaBatchInto(x, out); err != nil {
 		return nil, err
@@ -189,7 +139,12 @@ func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// PredictProbaBatchInto is PredictProbaBatch writing into out, an
+// PredictProbaBatch is PredictProba under the name fleet.BatchClassifier
+// gives it. Only the frozen benchmark calls it; it goes when the benchmark
+// stops calling it.
+func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) { return f.PredictProba(x) }
+
+// PredictProbaBatchInto is PredictProba writing into out, an
 // x.Rows×NumClasses matrix the caller owns and may reuse across calls:
 // whatever out held is overwritten, so a serving loop scores every batch
 // into the same memory.
@@ -217,7 +172,8 @@ func (f *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 // NumClasses returns the width of a probability row, 0 before Fit.
 func (f *Classifier) NumClasses() int { return f.numClasses }
 
-// Predict labels every row by soft vote.
+// Predict labels every row by soft vote: the arg-max of its PredictProba
+// row, first class on ties.
 func (f *Classifier) Predict(x *mat.Matrix) ([]int, error) {
 	probs, err := f.PredictProba(x)
 	if err != nil {
@@ -228,49 +184,6 @@ func (f *Classifier) Predict(x *mat.Matrix) ([]int, error) {
 		out[i] = mat.ArgMax(probs.Row(i))
 	}
 	return out, nil
-}
-
-// OOBScore estimates generalisation accuracy from out-of-bag votes. It needs
-// Bootstrap=true and returns an error otherwise.
-func (f *Classifier) OOBScore(x *mat.Matrix, y []int) (float64, error) {
-	if len(f.trees) == 0 {
-		return 0, errors.New("forest: not fitted")
-	}
-	if !f.cfg.Bootstrap {
-		return 0, errors.New("forest: OOB score needs bootstrap sampling")
-	}
-	if len(f.oobIdx) != len(f.trees) {
-		return 0, errors.New("forest: out-of-bag indices unavailable (model decoded from an artifact)")
-	}
-	votes := mat.New(x.Rows, f.numClasses)
-	counted := make([]bool, x.Rows)
-	for ti, t := range f.trees {
-		for _, i := range f.oobIdx[ti] {
-			p, err := t.PredictProbaRow(x.Row(i))
-			if err != nil {
-				return 0, err
-			}
-			dst := votes.Row(i)
-			for c, v := range p {
-				dst[c] += v
-			}
-			counted[i] = true
-		}
-	}
-	correct, total := 0, 0
-	for i := range counted {
-		if !counted[i] {
-			continue
-		}
-		total++
-		if mat.ArgMax(votes.Row(i)) == y[i] {
-			correct++
-		}
-	}
-	if total == 0 {
-		return 0, errors.New("forest: no out-of-bag samples (too few trees)")
-	}
-	return float64(correct) / float64(total), nil
 }
 
 // FeatureImportances averages normalised Gini importances over trees.

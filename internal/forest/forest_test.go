@@ -102,28 +102,6 @@ func TestPredictProbaRowsSumToOne(t *testing.T) {
 	}
 }
 
-func TestOOBScore(t *testing.T) {
-	x, y := gaussianBlobs(300, 3, 0.5, 9)
-	f := New(Config{NumTrees: 40, Seed: 3, Bootstrap: true})
-	if err := f.Fit(x, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	oob, err := f.OOBScore(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oob < 0.9 {
-		t.Errorf("OOB score %v on separable blobs", oob)
-	}
-	noBoot := New(Config{NumTrees: 5, Seed: 3, Bootstrap: false})
-	if err := noBoot.Fit(x, y, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := noBoot.OOBScore(x, y); err == nil {
-		t.Error("OOB without bootstrap should fail")
-	}
-}
-
 func TestForestDeterminism(t *testing.T) {
 	x, y := gaussianBlobs(200, 3, 1.0, 11)
 	cfg := Config{NumTrees: 20, Seed: 42, Bootstrap: true}
@@ -190,31 +168,10 @@ func TestNumTreesConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestPredictProbaBatchBitIdentical pins the fleet serving invariant: the
-// batched path must return exactly the probabilities the serial path does.
-// How the rows split into blocks is pinned in internal/tree.
-func TestPredictProbaBatchBitIdentical(t *testing.T) {
-	x, y := gaussianBlobs(300, 4, 0.9, 11)
-	f := New(Config{NumTrees: 25, Seed: 9, Bootstrap: true})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	want, err := f.PredictProba(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.PredictProbaBatch(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs: batched %v vs serial %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestPredictProbaBatchUnfitted(t *testing.T) {
+	if _, err := New(Config{}).PredictProba(mat.New(1, 2)); err == nil {
+		t.Error("unfitted predict should fail")
+	}
 	if _, err := New(Config{}).PredictProbaBatch(mat.New(1, 2)); err == nil {
 		t.Error("unfitted batch predict should fail")
 	}
@@ -223,7 +180,7 @@ func TestPredictProbaBatchUnfitted(t *testing.T) {
 // TestPredictProbaBatchIntoOverwrites pins the caller-owned output path a
 // fleet tick scores into: whatever the buffer held before — NaN garbage or a
 // previous, larger batch — each call's rows are bit-identical to
-// PredictProbaBatch's; a misshapen output or an unfitted forest is refused.
+// PredictProba's; a misshapen output or an unfitted forest is refused.
 func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
 	x, y := gaussianBlobs(300, 4, 0.9, 12)
 	f := New(Config{NumTrees: 20, Seed: 4, Bootstrap: true})
@@ -240,13 +197,13 @@ func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
 		if err := f.PredictProbaBatchInto(ev, out); err != nil {
 			t.Fatal(err)
 		}
-		want, err := f.PredictProbaBatch(ev)
+		want, err := f.PredictProba(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
 			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("rows=%d: element %d: into %v vs batch %v", rows, i, out.Data[i], want.Data[i])
+				t.Fatalf("rows=%d: element %d: into %v vs PredictProba %v", rows, i, out.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -264,11 +221,11 @@ func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
 	}
 }
 
-// TestPredictProbaBatchRefusesShortInput pins that the batch entry points
-// check x.Data against x.Rows×x.Cols before any block worker slices it: a
-// Data holding fewer rows than x.Rows, with spare capacity behind it or
-// without, or more values than the shape names, is an error, never rows
-// scored from stale memory or a panic on a worker goroutine.
+// TestPredictProbaBatchRefusesShortInput pins that every predict entry
+// point checks x.Data against x.Rows×x.Cols before any block worker slices
+// it: a Data holding fewer rows than x.Rows, with spare capacity behind it
+// or without, or more values than the shape names, is an error, never rows
+// scored from stale memory or a panic.
 func TestPredictProbaBatchRefusesShortInput(t *testing.T) {
 	x, y := gaussianBlobs(100, 4, 0.9, 13)
 	f := New(Config{NumTrees: 5, Seed: 2, Bootstrap: true})
@@ -282,8 +239,14 @@ func TestPredictProbaBatchRefusesShortInput(t *testing.T) {
 		"too long":       append(append([]float64(nil), x.Data...), 0),
 	} {
 		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
-		if _, err := f.PredictProbaBatch(bad); err == nil {
-			t.Errorf("%s: accepted a %dx%d input of %d values", name, bad.Rows, bad.Cols, len(data))
+		for method, predict := range map[string]func(*mat.Matrix) error{
+			"PredictProba":      func(x *mat.Matrix) error { _, err := f.PredictProba(x); return err },
+			"PredictProbaBatch": func(x *mat.Matrix) error { _, err := f.PredictProbaBatch(x); return err },
+			"Predict":           func(x *mat.Matrix) error { _, err := f.Predict(x); return err },
+		} {
+			if err := predict(bad); err == nil {
+				t.Errorf("%s, %s: accepted a %dx%d input of %d values", method, name, bad.Rows, bad.Cols, len(data))
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // driftCalibration fits a calibration matched to the server test fixture.
 func driftCalibration(t *testing.T, model interface {
-	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
 }) *drift.Calibration {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
@@ -32,7 +32,7 @@ func driftCalibration(t *testing.T, model interface {
 	for i := range heldOut.Data {
 		heldOut.Data[i] = rng.NormFloat64()
 	}
-	probs, err := model.PredictProbaBatch(heldOut)
+	probs, err := model.PredictProba(heldOut)
 	if err != nil {
 		t.Fatal(err)
 	}

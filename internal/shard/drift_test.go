@@ -13,7 +13,7 @@ import (
 // threshold from the fixture model's held-out probabilities, reference
 // from the jobSamples distribution.
 func shardTestCalibration(t *testing.T, model interface {
-	PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error)
+	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
 }) *drift.Calibration {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -25,7 +25,7 @@ func shardTestCalibration(t *testing.T, model interface {
 	for i := range heldOut.Data {
 		heldOut.Data[i] = rng.NormFloat64()
 	}
-	probs, err := model.PredictProbaBatch(heldOut)
+	probs, err := model.PredictProba(heldOut)
 	if err != nil {
 		t.Fatal(err)
 	}

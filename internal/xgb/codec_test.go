@@ -31,7 +31,7 @@ func fitSmallBooster(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
 	return c, eval
 }
 
-// TestCodecRoundTrip pins Fit → Encode → Decode → PredictProbaBatch
+// TestCodecRoundTrip pins Fit → Encode → Decode → PredictProba
 // bit-identical to the in-memory booster on the same inputs.
 func TestCodecRoundTrip(t *testing.T) {
 	c, eval := fitSmallBooster(t, 7)
@@ -46,11 +46,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.NumRounds() != c.NumRounds() {
 		t.Fatalf("decoded %d rounds, want %d", got.NumRounds(), c.NumRounds())
 	}
-	want, err := c.PredictProbaBatch(eval)
+	want, err := c.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.PredictProbaBatch(eval)
+	have, err := got.PredictProba(eval)
 	if err != nil {
 		t.Fatal(err)
 	}

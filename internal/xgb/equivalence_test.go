@@ -42,13 +42,30 @@ func hostileRows(rng *rand.Rand, rows, d int) *mat.Matrix {
 }
 
 // pointerOnly clones a fitted ensemble without its flat form — the
-// hand-populated value PredictProbaBatch must refuse.
+// hand-populated value every predict method must refuse.
 func pointerOnly(c *Classifier) *Classifier {
 	return &Classifier{cfg: c.cfg, trees: c.trees, numClasses: c.numClasses, numFeats: c.numFeats}
 }
 
+// pointerWalk is the reference the kernel is held to, independent of it:
+// for each row, lr·predictRow of every tree added to its class's score in
+// (round, class) order, then the scores softmaxed.
+func pointerWalk(c *Classifier, ev *mat.Matrix) *mat.Matrix {
+	out := mat.New(ev.Rows, c.numClasses)
+	for i := 0; i < ev.Rows; i++ {
+		dst := out.Row(i)
+		for _, round := range c.trees {
+			for k, tr := range round {
+				dst[k] += c.cfg.LearningRate * tr.predictRow(ev.Row(i))
+			}
+		}
+		softmaxInto(dst, dst)
+	}
+	return out
+}
+
 // TestEquivalenceFlatXGB pins the flat node-array kernel bit-identical to
-// the serial pointer-tree PredictProba path across ensemble shapes,
+// the per-tree pointer walk (pointerWalk) across ensemble shapes,
 // including empty and single-row hostile batches.
 func TestEquivalenceFlatXGB(t *testing.T) {
 	cases := []struct {
@@ -71,22 +88,23 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 			if c.flat == nil {
 				t.Fatal("Fit left no compiled flat form")
 			}
-			if _, err := pointerOnly(c).PredictProbaBatch(x); err == nil {
-				t.Fatal("PredictProbaBatch accepted a classifier with no compiled flat form")
+			p := pointerOnly(c)
+			if _, err := p.PredictProba(x); err == nil {
+				t.Fatal("PredictProba accepted a classifier with no compiled flat form")
+			}
+			if _, err := p.Predict(x); err == nil {
+				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
 			for _, rows := range []int{0, 1, 37} {
 				ev := hostileRows(rng, rows, tc.d)
-				got, err := c.PredictProbaBatch(ev)
+				got, err := c.PredictProba(ev)
 				if err != nil {
 					t.Fatal(err)
 				}
-				serial, err := c.PredictProba(ev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range serial.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(serial.Data[i]) {
-						t.Fatalf("rows=%d: element %d: flat %v vs serial %v", rows, i, got.Data[i], serial.Data[i])
+				walk := pointerWalk(c, ev)
+				for i := range walk.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(walk.Data[i]) {
+						t.Fatalf("rows=%d: element %d: flat %v vs pointer walk %v", rows, i, got.Data[i], walk.Data[i])
 					}
 				}
 			}
@@ -111,7 +129,7 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := c.PredictProbaBatch(batch); err != nil {
+				if _, err := c.PredictProba(batch); err != nil {
 					b.Fatal(err)
 				}
 			}

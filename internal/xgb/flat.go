@@ -35,8 +35,8 @@ func (t *regTree) export() []tree.ExportNode {
 }
 
 // scoreBlock overwrites rows [lo, hi) of out with softmax probabilities:
-// the shared kernel accumulates the boosted scores in (round, class) order,
-// the order of scoreRowInto, then each row is softmaxed in place.
+// the shared kernel accumulates lr·weight in (round, class) order, the
+// order Fit adds each round's trees in, then each row is softmaxed in place.
 func (c *Classifier) scoreBlock(x, out *mat.Matrix, lo, hi int) {
 	clear(out.Data[lo*out.Cols : hi*out.Cols])
 	c.flat.ScoreBlock(x, out, lo, hi)

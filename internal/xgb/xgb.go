@@ -87,8 +87,8 @@ type Classifier struct {
 	weightImp []float64
 
 	// flat is the compiled contiguous inference form, built once at Fit or
-	// Decode time and immutable afterwards; PredictProbaBatch walks it
-	// instead of the pointer trees. See tree.Flat.
+	// Decode time and immutable afterwards; every predict method walks it.
+	// See tree.Flat.
 	flat *tree.Flat
 
 	// TrainLoss records mean softmax cross-entropy per round, used to
@@ -343,62 +343,11 @@ func (c *Classifier) grow(t *regTree, x *mat.Matrix, g, h []float64, rows []int,
 	return id
 }
 
-// scoreRowInto accumulates the boosted per-class scores for one feature row
-// into dst. Both the serial and batched predict paths go through here, so
-// their per-row results are bit-identical.
-func (c *Classifier) scoreRowInto(row, dst []float64) {
-	for _, round := range c.trees {
-		for k, tr := range round {
-			dst[k] += c.cfg.LearningRate * tr.predictRow(row)
-		}
-	}
-}
-
-func (c *Classifier) checkPredictable(x *mat.Matrix) error {
-	if c.trees == nil {
-		return errors.New("xgb: not fitted")
-	}
-	if x.Cols != c.numFeats {
-		return fmt.Errorf("xgb: %d features, fitted on %d", x.Cols, c.numFeats)
-	}
-	if len(x.Data) != x.Rows*x.Cols {
-		return fmt.Errorf("xgb: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
-	}
-	return nil
-}
-
-// PredictScores returns raw per-class boosting scores.
-func (c *Classifier) PredictScores(x *mat.Matrix) (*mat.Matrix, error) {
-	if err := c.checkPredictable(x); err != nil {
-		return nil, err
-	}
-	out := mat.New(x.Rows, c.numClasses)
-	for i := 0; i < x.Rows; i++ {
-		c.scoreRowInto(x.Row(i), out.Row(i))
-	}
-	return out, nil
-}
-
-// PredictProba returns softmax probabilities.
+// PredictProba returns softmax probabilities of the boosted per-class
+// scores for every row of x. Rows are split into contiguous blocks over up
+// to GOMAXPROCS goroutines, and each block is swept over the flat node
+// arrays compiled at Fit/Decode time (see tree.Flat).
 func (c *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
-	scores, err := c.PredictScores(x)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < scores.Rows; i++ {
-		row := scores.Row(i)
-		softmaxInto(row, append([]float64(nil), row...))
-	}
-	return scores, nil
-}
-
-// PredictProbaBatch is the serving hot path for fleet-scale batched
-// inference: one call scores the whole matrix, splitting rows into
-// contiguous blocks over up to GOMAXPROCS goroutines and sweeping each
-// block tree by tree over the flat node arrays compiled at Fit/Decode time
-// (see tree.Flat) — no per-node pointer dereferences. Results are
-// bit-identical to PredictProba.
-func (c *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	out := mat.New(x.Rows, c.numClasses)
 	if err := c.PredictProbaBatchInto(x, out); err != nil {
 		return nil, err
@@ -406,7 +355,7 @@ func (c *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// PredictProbaBatchInto is PredictProbaBatch writing into out, an
+// PredictProbaBatchInto is PredictProba writing into out, an
 // x.Rows×NumClasses matrix the caller owns and may reuse across calls:
 // whatever out held is overwritten, so a serving loop scores every batch
 // into the same memory.
@@ -414,8 +363,11 @@ func (c *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 	if c.flat == nil {
 		return errors.New("xgb: not fitted")
 	}
-	if err := c.checkPredictable(x); err != nil {
-		return err
+	if x.Cols != c.numFeats {
+		return fmt.Errorf("xgb: %d features, fitted on %d", x.Cols, c.numFeats)
+	}
+	if len(x.Data) != x.Rows*x.Cols {
+		return fmt.Errorf("xgb: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
 	}
 	if out.Rows != x.Rows || out.Cols != c.numClasses || len(out.Data) != out.Rows*out.Cols {
 		return fmt.Errorf("xgb: output is %dx%d (%d values), want %dx%d",
@@ -431,15 +383,16 @@ func (c *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
 // NumClasses returns the width of a probability row, 0 before Fit.
 func (c *Classifier) NumClasses() int { return c.numClasses }
 
-// Predict labels rows by the highest boosting score.
+// Predict labels every row by the arg-max of its PredictProba row, first
+// class on ties.
 func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {
-	scores, err := c.PredictScores(x)
+	probs, err := c.PredictProba(x)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, x.Rows)
 	for i := range out {
-		out[i] = mat.ArgMax(scores.Row(i))
+		out[i] = mat.ArgMax(probs.Row(i))
 	}
 	return out, nil
 }

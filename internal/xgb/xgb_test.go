@@ -274,40 +274,16 @@ func TestXGBDeterminism(t *testing.T) {
 	}
 }
 
-// TestXGBPredictProbaBatchBitIdentical pins the fleet serving invariant: the
-// batched path must return exactly the probabilities the serial path does.
-// How the rows split into blocks is pinned in internal/tree.
-func TestXGBPredictProbaBatchBitIdentical(t *testing.T) {
-	x, y := blobs(250, 3, 0.9, 13)
-	c := New(Config{NumRounds: 12, MaxDepth: 4, Seed: 2})
-	if err := c.Fit(x, y, 3, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.PredictProba(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.PredictProbaBatch(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs: batched %v vs serial %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestXGBPredictProbaBatchErrors(t *testing.T) {
-	if _, err := New(Config{}).PredictProbaBatch(mat.New(1, 2)); err == nil {
-		t.Error("unfitted batch predict should fail")
+	if _, err := New(Config{}).PredictProba(mat.New(1, 2)); err == nil {
+		t.Error("unfitted predict should fail")
 	}
 	x, y := blobs(60, 2, 0.5, 14)
 	c := New(Config{NumRounds: 3})
 	if err := c.Fit(x, y, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PredictProbaBatch(mat.New(4, 5)); err == nil {
+	if _, err := c.PredictProba(mat.New(4, 5)); err == nil {
 		t.Error("feature-count mismatch should fail")
 	}
 }
@@ -315,7 +291,7 @@ func TestXGBPredictProbaBatchErrors(t *testing.T) {
 // TestXGBPredictProbaBatchIntoOverwrites pins the caller-owned output path a
 // fleet tick scores into: whatever the buffer held before — NaN garbage or a
 // previous, larger batch — each call's rows are bit-identical to
-// PredictProbaBatch's; a misshapen output or an unfitted booster is refused.
+// PredictProba's; a misshapen output or an unfitted booster is refused.
 func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
 	x, y := blobs(250, 3, 0.9, 15)
 	c := New(Config{NumRounds: 10, MaxDepth: 4, Seed: 3})
@@ -332,13 +308,13 @@ func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
 		if err := c.PredictProbaBatchInto(ev, out); err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.PredictProbaBatch(ev)
+		want, err := c.PredictProba(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
 			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("rows=%d: element %d: into %v vs batch %v", rows, i, out.Data[i], want.Data[i])
+				t.Fatalf("rows=%d: element %d: into %v vs PredictProba %v", rows, i, out.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -356,11 +332,11 @@ func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
 	}
 }
 
-// TestXGBPredictProbaBatchRefusesShortInput pins that the batch entry
-// points check x.Data against x.Rows×x.Cols before any block worker slices
+// TestXGBPredictProbaBatchRefusesShortInput pins that every predict entry
+// point checks x.Data against x.Rows×x.Cols before any block worker slices
 // it: a Data holding fewer rows than x.Rows, with spare capacity behind it
 // or without, or more values than the shape names, is an error, never rows
-// scored from stale memory or a panic on a worker goroutine.
+// scored from stale memory or a panic.
 func TestXGBPredictProbaBatchRefusesShortInput(t *testing.T) {
 	x, y := blobs(100, 3, 0.9, 16)
 	c := New(Config{NumRounds: 3, MaxDepth: 3, Seed: 2})
@@ -374,8 +350,13 @@ func TestXGBPredictProbaBatchRefusesShortInput(t *testing.T) {
 		"too long":       append(append([]float64(nil), x.Data...), 0),
 	} {
 		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
-		if _, err := c.PredictProbaBatch(bad); err == nil {
-			t.Errorf("%s: accepted a %dx%d input of %d values", name, bad.Rows, bad.Cols, len(data))
+		for method, predict := range map[string]func(*mat.Matrix) error{
+			"PredictProba": func(x *mat.Matrix) error { _, err := c.PredictProba(x); return err },
+			"Predict":      func(x *mat.Matrix) error { _, err := c.Predict(x); return err },
+		} {
+			if err := predict(bad); err == nil {
+				t.Errorf("%s, %s: accepted a %dx%d input of %d values", method, name, bad.Rows, bad.Cols, len(data))
+			}
 		}
 	}
 }
