@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,9 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // reaches predictRow (one scoring path, tree.Flat: DESIGN.md §11); and no
 // code outside benchmark/ declares a printf-style Logf/logf func field,
 // parameter or variable (one log, log/slog's default logger: DESIGN.md §12).
+// DESIGN.md stays under its line ceiling and true to the code (checkDesign),
+// and every file.go:N citation in the docs points at lines that exist
+// (checkLineCitations).
 func TestDocsConsistency(t *testing.T) {
 	doc, err := os.ReadFile("docs/API.md")
 	if err != nil {
@@ -105,31 +110,21 @@ func TestDocsConsistency(t *testing.T) {
 	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	var testFuncs []string
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch filepath.ToSlash(path) {
-			case "vendor", ".git":
-				return filepath.SkipDir
-			}
-			return nil
-		}
+	for _, path := range repoFiles(t) {
 		if !strings.HasSuffix(path, ".go") {
-			return nil
+			continue
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if strings.HasSuffix(path, "_test.go") {
 			for _, m := range testFunc.FindAllSubmatch(src, -1) {
 				testFuncs = append(testFuncs, string(m[1]))
 			}
-			return nil
+			continue
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+		dir := filepath.Dir(path)
 		if loc := logPlumbing.Find(src); loc != nil && dir != "benchmark" {
 			t.Errorf("%s: %s declares a log func; call log/slog instead", path, loc)
 		}
@@ -138,15 +133,11 @@ func TestDocsConsistency(t *testing.T) {
 		}
 		switch dir {
 		case "benchmark", "internal/telemetry", "internal/core":
-			return nil
+			continue
 		}
 		if loc := stray.Find(src); loc != nil {
 			t.Errorf("%s: %s outside internal/core (use core.TrainArtifact / core.Provenance)", path, loc)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	users := predictRowUsers(t, "internal/xgb")
@@ -158,6 +149,10 @@ func TestDocsConsistency(t *testing.T) {
 			t.Errorf("internal/xgb: %s reaches predictRow; only Fit may (predict through the flat kernel)", fn)
 		}
 	}
+
+	checkDesign(t)
+	checkLineCitations(t, "DESIGN.md", "README.md", "ROADMAP.md", "CONTRIBUTING.md", "docs/API.md",
+		".claude/skills/verify/SKILL.md")
 
 	// Every test, benchmark or fuzz target the docs cite exists; a trailing
 	// * cites every function with that prefix, and at least one must exist.
@@ -209,4 +204,220 @@ func predictRowUsers(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return users
+}
+
+// designCeiling is DESIGN.md's line budget, set at the rewrite that made
+// every section invariant, test and metric. A change may lower it; one that
+// raises it says so in CHANGES.md.
+const designCeiling = 769
+
+// citedDocs are the Markdown files the project maintains. With every .go
+// and .yml file they are what a DESIGN.md section citation is checked in.
+var citedDocs = []string{"README.md", "DESIGN.md", "ROADMAP.md", "CONTRIBUTING.md", "CHANGES.md",
+	"docs/API.md", "benchmark/README.md", ".claude/skills/verify/SKILL.md"}
+
+// checkDesign holds DESIGN.md to its ceiling and to the code: every
+// "DESIGN.md §N" or "DESIGN §N" citation in the cited docs, .go and .yml
+// files, and every bare §N inside DESIGN.md, names a "## N." heading; every
+// numbered section cites a test; and every metric DESIGN.md names exists —
+// a BENCHMARK.json workload, end-to-end metric or layer, or a wcc_* series
+// some non-test Go file writes. A name counts as a metric when it is
+// backticked in a "**Priced by**" paragraph, or anywhere when it is shaped
+// like one: wcc_…, a dotted layer (fleet.tick_ns_per_row) or a snake_case
+// name ending in a unit (_ms, _s, _pct, _item, _job).
+func checkDesign(t *testing.T) {
+	t.Helper()
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(src)
+	if n := strings.Count(design, "\n"); n > designCeiling {
+		t.Errorf("DESIGN.md is %d lines, over its ceiling of %d", n, designCeiling)
+	}
+
+	sections := map[string]bool{}
+	heading := regexp.MustCompile(`(?m)^## (\d+)\. `)
+	for _, m := range heading.FindAllStringSubmatch(design, -1) {
+		sections[m[1]] = true
+	}
+	files := append([]string(nil), citedDocs...)
+	for _, f := range repoFiles(t) {
+		if ext := filepath.Ext(f); ext == ".go" || ext == ".yml" {
+			files = append(files, f)
+		}
+	}
+	citation := regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)`)
+	for _, f := range files {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range citation.FindAllSubmatch(body, -1) {
+			if !sections[string(m[1])] {
+				t.Errorf("%s cites %s, and DESIGN.md has no section %s", f, m[0], m[1])
+			}
+		}
+	}
+	for _, m := range regexp.MustCompile(`§(\d+)`).FindAllStringSubmatch(design, -1) {
+		if !sections[m[1]] {
+			t.Errorf("DESIGN.md cites §%s, which it does not have", m[1])
+		}
+	}
+
+	locs := heading.FindAllStringSubmatchIndex(design, -1)
+	if len(locs) == 0 {
+		t.Fatal("DESIGN.md has no numbered sections")
+	}
+	testName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	for i, loc := range locs {
+		end := len(design)
+		if i+1 < len(locs) {
+			end = locs[i+1][0]
+		}
+		if !testName.MatchString(design[loc[0]:end]) {
+			t.Errorf("DESIGN.md §%s cites no test", design[loc[2]:loc[3]])
+		}
+	}
+
+	known := metricNames(t)
+	metricShaped := regexp.MustCompile(`^(?:wcc_[a-z0-9_]*\*?|[a-z]+\.[a-z0-9]+(?:_[a-z0-9]+)+|[a-z0-9]+(?:_[a-z0-9]+)*_(?:ms|s|pct|item|job))$`)
+	backticked := regexp.MustCompile("`([^`\n]+)`")
+	pricedParas := 0
+	for _, para := range strings.Split(design, "\n\n") {
+		priced := strings.HasPrefix(para, "**Priced by**")
+		if priced {
+			pricedParas++
+		}
+		for _, m := range backticked.FindAllStringSubmatch(para, -1) {
+			name := m[1]
+			if !priced && !metricShaped.MatchString(name) {
+				continue
+			}
+			prefix, wild := strings.CutSuffix(name, "*")
+			found := known[name]
+			for k := range known {
+				found = found || wild && strings.HasPrefix(k, prefix)
+			}
+			if !found {
+				t.Errorf("DESIGN.md prices with %s, which is no BENCHMARK.json name and no wcc_* series", name)
+			}
+		}
+	}
+	if pricedParas < len(locs) {
+		t.Errorf("DESIGN.md has %d **Priced by** paragraphs for %d sections", pricedParas, len(locs))
+	}
+}
+
+// metricNames returns every name a DESIGN.md metric citation may use: the
+// BENCHMARK.json workloads, end-to-end metrics and layers, and the wcc_*
+// series the non-test Go outside vendor/ writes.
+func metricNames(t *testing.T) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(src, &bench); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, list := range [][]struct{ Name string }{bench.Workloads, bench.EndToEnd, bench.PerLayer} {
+		if len(list) == 0 {
+			t.Fatal("BENCHMARK.json lists no workloads, end-to-end metrics or layers")
+		}
+		for _, n := range list {
+			known[n.Name] = true
+		}
+	}
+	var gofiles []string
+	for _, f := range repoFiles(t) {
+		if strings.HasSuffix(f, ".go") && !strings.HasSuffix(f, "_test.go") && !strings.HasPrefix(f, "benchmark/") {
+			gofiles = append(gofiles, f)
+		}
+	}
+	for _, name := range quoted(t, `"wcc_[a-z0-9_]+`, gofiles...) {
+		known[name] = true
+	}
+	return known
+}
+
+// checkLineCitations holds every file.go:N or file.go:N-M citation in docs
+// to the tree: the file exists (a bare basename must name exactly one .go
+// file outside vendor/), 1 ≤ N ≤ M ≤ its line count, and a citation attached
+// to a backticked identifier — `fleet.New` (`internal/fleet/fleet.go:309`),
+// or `fleet.New` at `internal/fleet/fleet.go:309` — points at lines holding
+// the identifier's last component.
+func checkLineCitations(t *testing.T, docs ...string) {
+	t.Helper()
+	byBase := map[string][]string{}
+	for _, f := range repoFiles(t) {
+		if strings.HasSuffix(f, ".go") {
+			byBase[filepath.Base(f)] = append(byBase[filepath.Base(f)], f)
+		}
+	}
+	cite := regexp.MustCompile("(`([A-Za-z_][\\w.]*)`\\s*(?:\\(|at\\s+)`)?\\b([\\w./-]+\\.go):((\\d+)(?:-(\\d+))?)")
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(src), -1) {
+			ident, file, span := m[2], m[3], m[4]
+			path := file
+			if !strings.Contains(file, "/") {
+				if len(byBase[file]) != 1 {
+					t.Errorf("%s cites %s:%s, and %d files outside vendor/ are named %s", doc, file, span, len(byBase[file]), file)
+					continue
+				}
+				path = byBase[file][0]
+			}
+			body, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("%s cites %s:%s: %v", doc, file, span, err)
+				continue
+			}
+			lo, _ := strconv.Atoi(m[5])
+			hi, err := strconv.Atoi(m[6])
+			if err != nil {
+				hi = lo
+			}
+			lines := strings.SplitAfter(string(body), "\n")
+			if lo < 1 || hi < lo || hi > strings.Count(string(body), "\n") {
+				t.Errorf("%s cites %s:%s, outside its %d lines", doc, file, span, strings.Count(string(body), "\n"))
+				continue
+			}
+			last := ident[strings.LastIndex(ident, ".")+1:]
+			if ident != "" && !strings.Contains(strings.Join(lines[lo-1:hi], ""), last) {
+				t.Errorf("%s cites `%s` at %s:%s, and those lines do not mention %s", doc, ident, file, span, last)
+			}
+		}
+	}
+}
+
+// repoFiles lists every file of the repository outside vendor/ and .git/,
+// slash-separated and relative to the root.
+func repoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "vendor" || path == ".git"):
+			return filepath.SkipDir
+		case !d.IsDir():
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -57,7 +57,8 @@ func (c *Calibration) Encode(w io.Writer) error {
 }
 
 // Decode reads a calibration written by Encode. Corrupted or truncated
-// input returns an error; Decode never panics on hostile bytes.
+// input, or a section that parses but fails Validate, returns an error;
+// Decode never panics on hostile bytes.
 func Decode(r io.Reader) (*Calibration, error) {
 	rr := wire.NewReader(r)
 	if v := rr.U32(); rr.Err() == nil && v != codecVersion {
@@ -76,25 +77,6 @@ func Decode(r io.Reader) (*Calibration, error) {
 	c.Threshold.MaxFeatDist = rr.F64()
 	if rr.Bool() {
 		c.Feat = &FeatureStats{Means: rr.F64s(), Stds: rr.F64s(), Train: rr.Matrix()}
-	}
-	if err := rr.Err(); err != nil {
-		return nil, err
-	}
-	// A NaN, infinite or negative cut point would accept every row.
-	if d := c.Threshold.MaxFeatDist; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-		return nil, fmt.Errorf("drift: corrupt calibration: feature distance cut point %v", d)
-	}
-	if c.Feat != nil {
-		if len(c.Feat.Means) == 0 || len(c.Feat.Means) != len(c.Feat.Stds) {
-			return nil, fmt.Errorf("drift: corrupt calibration: %d feature means, %d stds",
-				len(c.Feat.Means), len(c.Feat.Stds))
-		}
-		if c.Feat.Train == nil || c.Feat.Train.Rows == 0 || c.Feat.Train.Cols != len(c.Feat.Means) {
-			return nil, errors.New("drift: corrupt calibration: feature reference rows missing or misshapen")
-		}
-		if err := c.Feat.check(); err != nil {
-			return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
-		}
 	}
 	sensors := rr.U32()
 	bins := rr.U32()
@@ -121,15 +103,10 @@ func Decode(r io.Reader) (*Calibration, error) {
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	for i := range ref.Edges {
-		if len(ref.Edges[i]) != int(bins)-1 || len(ref.Props[i]) != int(bins) {
-			return nil, fmt.Errorf("drift: corrupt calibration: sensor %d histogram shape", i)
-		}
-	}
-	if err := ref.check(); err != nil {
-		return nil, fmt.Errorf("drift: corrupt calibration: %w", err)
-	}
 	c.Ref = ref
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if c.Feat != nil {
 		c.Feat.index() // built here, not by the first tick that scores against it
 	}

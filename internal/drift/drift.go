@@ -249,8 +249,16 @@ func FitReference(samples *mat.Matrix, bins int) (*Reference, error) {
 // says major; a negative one is no mass at all. Edges must be finite and
 // must not descend, as binOf's binary search assumes; equal edges stay
 // legal, because equal-mass edges repeat on a sensor that barely varies.
+// Every sensor needs Bins−1 edges and Bins proportions, or Ingest and
+// DriftStats index past them.
 func (r *Reference) check() error {
+	if len(r.Edges) == 0 || r.Bins < 2 || len(r.Props) != len(r.Edges) {
+		return fmt.Errorf("%d sensors, %d proportion rows, %d bins", len(r.Edges), len(r.Props), r.Bins)
+	}
 	for c, edges := range r.Edges {
+		if len(edges) != r.Bins-1 || len(r.Props[c]) != r.Bins {
+			return fmt.Errorf("sensor %d histogram shape: %d edges, %d proportions", c, len(edges), len(r.Props[c]))
+		}
 		for b, e := range edges {
 			if math.IsNaN(e) || math.IsInf(e, 0) || (b > 0 && e < edges[b-1]) {
 				return fmt.Errorf("sensor %d edge %d is %v after %v", c, b, e, edges[max(b-1, 0)])
@@ -470,6 +478,35 @@ type Calibration struct {
 	// calibration was fitted without feature rows (the gate is then off).
 	Feat *FeatureStats
 	Ref  *Reference
+}
+
+// Validate refuses a calibration serving cannot score without panicking or
+// without switching the gate off: a cut point that is not finite and
+// non-negative, feature statistics of mismatched widths or values check
+// refuses, and an input reference Reference.check refuses. Decode and
+// fleet.CheckCalibration both run it, so a hand-built calibration is judged
+// as a decoded one is.
+func (c *Calibration) Validate() error {
+	if d := c.Threshold.MaxFeatDist; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return fmt.Errorf("drift: calibration: feature distance cut point %v", d)
+	}
+	if fs := c.Feat; fs != nil {
+		if t := fs.Train; len(fs.Means) == 0 || len(fs.Stds) != len(fs.Means) ||
+			t == nil || t.Rows == 0 || t.Cols != len(fs.Means) || len(t.Data) != t.Rows*t.Cols {
+			return fmt.Errorf("drift: calibration: %d feature means, %d stds, reference rows missing or misshapen",
+				len(fs.Means), len(fs.Stds))
+		}
+		if err := fs.check(); err != nil {
+			return fmt.Errorf("drift: calibration: %w", err)
+		}
+	}
+	if c.Ref == nil {
+		return errors.New("drift: calibration carries no input reference")
+	}
+	if err := c.Ref.check(); err != nil {
+		return fmt.Errorf("drift: calibration: %w", err)
+	}
+	return nil
 }
 
 // Score is the open-set evidence of a row scored on its own, with no proof

@@ -444,4 +444,32 @@ func TestDriftConfigValidation(t *testing.T) {
 	if !good.DriftStats().Enabled {
 		t.Fatal("failed swap disturbed the live calibration")
 	}
+
+	// A hand-built calibration is refused where a decoded one would be: the
+	// shapes would index out of range in Ingest, DriftStats or the tick's
+	// drift pass, and the values would switch the gate off or reject every
+	// row.
+	for name, corrupt := range map[string]func(c *drift.Calibration){
+		"more edges than Bins-1": func(c *drift.Calibration) { c.Ref.Edges[0] = append(c.Ref.Edges[0], 1e9) },
+		"Bins below the edges":   func(c *drift.Calibration) { c.Ref.Bins = 2 },
+		"short proportions":      func(c *drift.Calibration) { c.Ref.Props[1] = c.Ref.Props[1][:2] },
+		"short feature stds":     func(c *drift.Calibration) { c.Feat.Stds = c.Feat.Stds[:3] },
+		"NaN edge":               func(c *drift.Calibration) { c.Ref.Edges[0][3] = math.NaN() },
+		"NaN proportion":         func(c *drift.Calibration) { c.Ref.Props[2][1] = math.NaN() },
+		"NaN cut point":          func(c *drift.Calibration) { c.Threshold.MaxFeatDist = math.NaN() },
+		"zero feature std":       func(c *drift.Calibration) { c.Feat.Stds[2] = 0 },
+	} {
+		c := fitTestCalibration(t, model)
+		corrupt(c)
+		if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
+			Drift: c}); err == nil {
+			t.Errorf("calibration with %s accepted at construction", name)
+		}
+		if err := good.SwapClassifierDrift(model, c); err == nil {
+			t.Errorf("calibration with %s accepted at swap", name)
+		}
+	}
+	if good.Swaps() != 0 {
+		t.Fatalf("%d refused swaps installed", good.Swaps())
+	}
 }

@@ -370,20 +370,21 @@ func (p *partition) eachStripe(f func(st *stripe)) {
 	}
 }
 
-// CheckCalibration is the calibration-fit check: a reference over the wrong
-// sensor count would mis-bin every sample, and feature statistics of the
-// wrong width would index out of the embedding row on the first scored tick
-// — a crafted or mismatched artifact must be refused, never panic serving.
-// New and SwapClassifierDrift run it, and the serving gate (server.Servable)
-// runs it on an artifact before a core is built or a swap is prepared, so a
+// CheckCalibration is the calibration-fit check: a calibration that fails
+// drift's Validate, a reference over the wrong sensor count (it would mis-bin
+// every sample) or feature statistics of the wrong width (they would index
+// out of the embedding row on the first scored tick) — a crafted or
+// mismatched artifact must be refused, never panic serving. New and
+// SwapClassifierDrift run it, and the serving gate (server.Servable) runs it
+// on an artifact before a core is built or a swap is prepared, so a
 // calibration is judged the same wherever it first arrives. nil (detection
 // disabled) is always valid.
 func CheckCalibration(cal *drift.Calibration, sensors int) error {
 	if cal == nil {
 		return nil
 	}
-	if cal.Ref == nil {
-		return errors.New("fleet: drift calibration carries no input reference")
+	if err := cal.Validate(); err != nil {
+		return err
 	}
 	if got := cal.Ref.Sensors(); got != sensors {
 		return fmt.Errorf("fleet: drift reference covers %d sensors, fleet has %d", got, sensors)

@@ -66,8 +66,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 	if f.numClasses < 2 || f.numFeats < 1 || numTrees < 1 || numTrees > 1<<20 {
 		return nil, fmt.Errorf("forest: corrupt header (%d classes, %d features, %d trees)", f.numClasses, f.numFeats, numTrees)
 	}
-	f.trees = make([]*tree.Classifier, numTrees)
-	for i := range f.trees {
+	for i := 0; i < numTrees; i++ { // a claim: trees are kept as they arrive
 		t, err := tree.Decode(r)
 		if err != nil {
 			return nil, fmt.Errorf("forest: tree %d: %w", i, err)
@@ -79,7 +78,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 			return nil, fmt.Errorf("forest: tree %d fitted for %d classes / %d features, forest header says %d / %d",
 				i, t.NumClasses(), t.NumFeatures(), f.numClasses, f.numFeats)
 		}
-		f.trees[i] = t
+		f.trees = append(f.trees, t)
 	}
 	var err error
 	if f.flat, err = compileFlat(f.trees, f.numClasses); err != nil {

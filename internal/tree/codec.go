@@ -68,9 +68,9 @@ func Decode(r io.Reader) (*Classifier, error) {
 	if t.numClasses < 2 || t.numFeats < 1 || numNodes < 1 || numNodes > 1<<27 {
 		return nil, fmt.Errorf("tree: corrupt header (%d classes, %d features, %d nodes)", t.numClasses, t.numFeats, numNodes)
 	}
-	t.nodes = make([]node, numNodes)
-	for i := range t.nodes {
-		nd := &t.nodes[i]
+	t.nodes = make([]node, 0, min(numNodes, 1<<10)) // a claim: nodes are kept as they arrive
+	for i := 0; i < numNodes && rr.Err() == nil; i++ {
+		var nd node
 		nd.leaf = rr.Bool()
 		if nd.leaf {
 			nd.probs = rr.F64s()
@@ -93,6 +93,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 				}
 			}
 		}
+		t.nodes = append(t.nodes, nd)
 	}
 	t.importance = rr.F64s()
 	if err := rr.Err(); err != nil {

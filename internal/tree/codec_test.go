@@ -3,9 +3,11 @@ package tree
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/wire"
 )
 
 func fitSmallTree(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
@@ -92,5 +94,34 @@ func TestDecodeRejectsCorruptNodes(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
+	}
+}
+
+// TestDecodeNodeCountIsAClaim: a header's node count is a claim, so a few
+// bytes announcing a million nodes fail as truncated having cost kilobytes,
+// not the gigabytes the count would size.
+func TestDecodeNodeCountIsAClaim(t *testing.T) {
+	var buf bytes.Buffer
+	ww := wire.NewWriter(&buf)
+	ww.U16(codecVersion)
+	for range 4 {
+		ww.Int(0) // MaxDepth, MinSamplesSplit, MinSamplesLeaf, MaxFeatures
+	}
+	ww.I64(1)       // seed
+	ww.Int(2)       // classes
+	ww.Int(1)       // features
+	ww.Int(1 << 20) // nodes, none of which follow
+	if err := ww.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no nodes behind it decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding a %d-byte payload allocated %d bytes", buf.Len(), got)
 	}
 }

@@ -100,17 +100,16 @@ func Decode(r io.Reader) (*Classifier, error) {
 	if len(c.gainImp) != c.numFeats || len(c.weightImp) != c.numFeats {
 		return nil, fmt.Errorf("xgb: importance lengths %d/%d for %d features", len(c.gainImp), len(c.weightImp), c.numFeats)
 	}
-	c.trees = make([][]*regTree, rounds)
-	for ri := range c.trees {
-		round := make([]*regTree, c.numClasses)
-		for k := range round {
+	for ri := 0; ri < rounds; ri++ { // counts are claims: trees are kept as they arrive
+		var round []*regTree
+		for k := 0; k < c.numClasses; k++ {
 			tr, err := decodeRegTree(rr, c.numFeats)
 			if err != nil {
 				return nil, fmt.Errorf("xgb: round %d class %d: %w", ri, k, err)
 			}
-			round[k] = tr
+			round = append(round, tr)
 		}
-		c.trees[ri] = round
+		c.trees = append(c.trees, round)
 	}
 	if err := rr.Err(); err != nil {
 		return nil, err
@@ -130,9 +129,9 @@ func decodeRegTree(rr *wire.Reader, numFeats int) (*regTree, error) {
 	if numNodes < 1 || numNodes > 1<<27 {
 		return nil, fmt.Errorf("corrupt node count %d", numNodes)
 	}
-	t := &regTree{nodes: make([]regNode, numNodes)}
-	for i := range t.nodes {
-		nd := &t.nodes[i]
+	t := &regTree{nodes: make([]regNode, 0, min(numNodes, 1<<10))}
+	for i := 0; i < numNodes && rr.Err() == nil; i++ {
+		var nd regNode
 		nd.leaf = rr.Bool()
 		if nd.leaf {
 			nd.weight = rr.F64()
@@ -152,6 +151,7 @@ func decodeRegTree(rr *wire.Reader, numFeats int) (*regTree, error) {
 				}
 			}
 		}
+		t.nodes = append(t.nodes, nd)
 	}
 	if err := rr.Err(); err != nil {
 		return nil, err

@@ -3,10 +3,12 @@ package xgb
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/wire"
 )
 
 func fitSmallBooster(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
@@ -111,5 +113,46 @@ func TestDecodeRejectsSharedChildren(t *testing.T) {
 	_, err := Decode(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "two parents") {
 		t.Fatalf("decoded a tree whose nodes have two parents: err = %v", err)
+	}
+}
+
+// TestDecodeCountsAreClaims: the class count, the round count and a tree's
+// node count are claims, so a short payload announcing a million of each
+// fails as truncated having cost kilobytes, not the gigabytes the counts
+// would size.
+func TestDecodeCountsAreClaims(t *testing.T) {
+	for _, classes := range []int{1 << 20, 2} {
+		var buf bytes.Buffer
+		ww := wire.NewWriter(&buf)
+		ww.U16(codecVersion)
+		ww.Int(1)   // NumRounds
+		ww.F64(0.3) // LearningRate
+		ww.Int(3)   // MaxDepth
+		for range 5 {
+			ww.F64(0) // Gamma, Lambda, Alpha, MinChildWeight, Subsample
+		}
+		ww.Int(0) // retired Workers slot
+		ww.I64(1) // seed
+		ww.Int(classes)
+		ww.Int(1) // features
+		ww.F64s([]float64{0})
+		ww.F64s([]float64{0})
+		ww.F64s(nil)
+		ww.F64s(nil)
+		ww.Int(1 << 20) // rounds
+		ww.Int(1 << 20) // the first tree's nodes, none of which follow
+		if err := ww.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d classes: a header with no trees behind it decoded", classes)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%d classes: decoding a %d-byte payload allocated %d bytes", classes, buf.Len(), got)
+		}
 	}
 }
