@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -170,14 +171,67 @@ func FitFeatureStats(x *mat.Matrix) (*FeatureStats, error) {
 
 // quantileOf returns the nearest-rank q-quantile of a sorted slice.
 func quantileOf(sorted []float64, q float64) float64 {
-	i := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[quantileIndex(len(sorted), q)]
+}
+
+// quantileIndex is the position quantileOf reads in a sorted slice of n.
+func quantileIndex(n int, q float64) int {
+	i := int(q*float64(n)+0.5) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	if i >= n {
+		i = n - 1
 	}
-	return sorted[i]
+	return i
+}
+
+// selectRanks permutes a[lo:hi] so that a[p] holds the value a sorted
+// a[lo:hi] would hold there, for every position p in ps (ascending, repeats
+// allowed, all in [lo, hi)). It is a quickselect after several targets at
+// once, with three-way partitions so that a run of equal values — integer
+// telemetry is full of them — is settled in one pass. budget bounds the
+// partition rounds; a range left when it runs out is sorted.
+func selectRanks(a []float64, lo, hi int, ps []int, budget int) {
+	for len(ps) > 0 {
+		if hi-lo <= 16 || budget == 0 {
+			sort.Float64s(a[lo:hi])
+			return
+		}
+		budget--
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// a[lo:lt] < pivot, a[lt:gt] == pivot, a[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		below := sort.SearchInts(ps, lt)
+		selectRanks(a, lo, lt, ps[:below], budget)
+		lo, ps = gt, ps[sort.SearchInts(ps, gt):]
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Reference is the training-time input distribution: one equal-mass
@@ -216,6 +270,10 @@ func FitReference(samples *mat.Matrix, bins int) (*Reference, error) {
 		Props: make([][]float64, samples.Cols),
 	}
 	col := make([]float64, samples.Rows)
+	pos := make([]int, bins-1)
+	for k := range pos {
+		pos[k] = quantileIndex(len(col), float64(k+1)/float64(bins))
+	}
 	for c := 0; c < samples.Cols; c++ {
 		for i := 0; i < samples.Rows; i++ {
 			v := samples.Row(i)[c]
@@ -224,10 +282,13 @@ func FitReference(samples *mat.Matrix, bins int) (*Reference, error) {
 			}
 			col[i] = v
 		}
-		sort.Float64s(col)
+		// The edges are order statistics, so selecting them leaves the
+		// same values sorting col would, and the counts below do not
+		// depend on col's order.
+		selectRanks(col, 0, len(col), pos, 2*bits.Len(uint(len(col))))
 		edges := make([]float64, bins-1)
-		for k := 1; k < bins; k++ {
-			edges[k-1] = quantileOf(col, float64(k)/float64(bins))
+		for k, p := range pos {
+			edges[k] = col[p]
 		}
 		props := make([]float64, bins)
 		for _, v := range col {

@@ -60,13 +60,18 @@ func New(cfg Config) *Classifier {
 
 // Fit trains the ensemble. Trees are grown concurrently on a bounded worker
 // pool; each tree's bootstrap sample and feature subsampling derive from the
-// forest seed, so results are independent of scheduling.
+// forest seed, so results are independent of scheduling. x is ranked once
+// (tree.NewOrder), and every tree searches its splits in that one order.
 func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 	if x.Rows != len(y) {
 		return fmt.Errorf("forest: %d rows vs %d labels", x.Rows, len(y))
 	}
 	if x.Rows == 0 {
 		return errors.New("forest: empty training set")
+	}
+	ord, err := tree.NewOrder(x)
+	if err != nil {
+		return fmt.Errorf("forest: %w", err)
 	}
 	f.numClasses = numClasses
 	f.numFeats = x.Cols
@@ -109,7 +114,7 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 				MaxFeatures:    maxFeatures,
 				Seed:           treeSeed ^ 0x517cc1b7,
 			})
-			if err := t.FitIndices(x, y, idx, numClasses); err != nil {
+			if err := t.FitOrder(ord, y, idx, numClasses); err != nil {
 				errs[ti] = err
 				return
 			}

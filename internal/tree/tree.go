@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/mat"
 )
@@ -73,10 +72,23 @@ func (t *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 }
 
 // FitIndices grows the tree on the given row subset (possibly with
-// repetition — forests pass bootstrap samples this way).
+// repetition — forests pass bootstrap samples this way). It ranks x first;
+// a caller growing many trees on one matrix ranks it once with NewOrder and
+// calls FitOrder.
 func (t *Classifier) FitIndices(x *mat.Matrix, y []int, idx []int, numClasses int) error {
-	if x.Rows != len(y) {
-		return fmt.Errorf("tree: %d rows vs %d labels", x.Rows, len(y))
+	ord, err := NewOrder(x)
+	if err != nil {
+		return fmt.Errorf("tree: %w", err)
+	}
+	return t.FitOrder(ord, y, idx, numClasses)
+}
+
+// FitOrder is FitIndices on a matrix already ranked by NewOrder. The order
+// is only read, so concurrent fits may share it.
+func (t *Classifier) FitOrder(ord *Order, y []int, idx []int, numClasses int) error {
+	rows := ord.Rows()
+	if rows != len(y) {
+		return fmt.Errorf("tree: %d rows vs %d labels", rows, len(y))
 	}
 	if len(idx) == 0 {
 		return errors.New("tree: empty training subset")
@@ -85,7 +97,7 @@ func (t *Classifier) FitIndices(x *mat.Matrix, y []int, idx []int, numClasses in
 		return fmt.Errorf("tree: need at least 2 classes, got %d", numClasses)
 	}
 	for _, i := range idx {
-		if i < 0 || i >= x.Rows {
+		if i < 0 || i >= rows {
 			return fmt.Errorf("tree: index %d out of range", i)
 		}
 		if y[i] < 0 || y[i] >= numClasses {
@@ -93,21 +105,50 @@ func (t *Classifier) FitIndices(x *mat.Matrix, y []int, idx []int, numClasses in
 		}
 	}
 	t.numClasses = numClasses
-	t.numFeats = x.Cols
+	t.numFeats = ord.Cols()
 	t.nodes = t.nodes[:0]
-	t.importance = make([]float64, x.Cols)
-	rng := rand.New(rand.NewSource(t.cfg.Seed))
+	t.importance = make([]float64, ord.Cols())
+	g := &grower{
+		t:      t,
+		ord:    ord,
+		y:      y,
+		rng:    rand.New(rand.NewSource(t.cfg.Seed)),
+		rootN:  float64(len(idx)),
+		counts: make([]float64, numClasses),
+		left:   make([]float64, numClasses),
+		keys:   make([]uint32, len(idx)),
+		tmp:    make([]uint32, len(idx)),
+		spill:  make([]int, len(idx)),
+	}
 	own := make([]int, len(idx))
 	copy(own, idx)
-	t.grow(x, y, own, 0, rng, float64(len(idx)))
+	g.grow(own, 0)
 	return nil
 }
 
+// grower is one fit's scratch: the split order, the labels, and the
+// buffers a node's search and partition reuse. A node is done with them
+// before it grows its children, so one set serves the whole tree.
+type grower struct {
+	t            *Classifier
+	ord          *Order
+	y            []int
+	rng          *rand.Rand
+	rootN        float64
+	counts, left []float64
+	keys, tmp    []uint32
+	spill        []int
+}
+
 // grow builds the subtree for the samples in idx and returns its node id.
-func (t *Classifier) grow(x *mat.Matrix, y []int, idx []int, depth int, rng *rand.Rand, rootN float64) int {
-	counts := make([]float64, t.numClasses)
+// It reorders idx: each child's samples end up contiguous, in the order
+// they held in the parent.
+func (g *grower) grow(idx []int, depth int) int {
+	t := g.t
+	counts := g.counts
+	clear(counts)
 	for _, i := range idx {
-		counts[y[i]]++
+		counts[g.y[i]]++
 	}
 	n := float64(len(idx))
 	gini := giniImpurity(counts, n)
@@ -121,29 +162,22 @@ func (t *Classifier) grow(x *mat.Matrix, y []int, idx []int, depth int, rng *ran
 		return id
 	}
 
-	feat, thresh, gain, ok := t.bestSplit(x, y, idx, counts, gini, rng)
+	feat, thresh, gain, ok := g.bestSplit(idx, gini)
 	if !ok {
 		t.makeLeaf(id, counts, n)
 		return id
 	}
 
-	var left, right []int
-	for _, i := range idx {
-		if x.At(i, feat) <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < t.cfg.MinSamplesLeaf || len(right) < t.cfg.MinSamplesLeaf {
+	nl := g.ord.Partition(idx, feat, thresh, g.spill)
+	if nl < t.cfg.MinSamplesLeaf || len(idx)-nl < t.cfg.MinSamplesLeaf {
 		t.makeLeaf(id, counts, n)
 		return id
 	}
 
-	t.importance[feat] += gain * n / rootN
+	t.importance[feat] += gain * n / g.rootN
 
-	l := t.grow(x, y, left, depth+1, rng, rootN)
-	r := t.grow(x, y, right, depth+1, rng, rootN)
+	l := g.grow(idx[:nl], depth+1)
+	r := g.grow(idx[nl:], depth+1)
 	t.nodes[id] = node{feature: feat, threshold: thresh, left: l, right: r}
 	return id
 }
@@ -157,40 +191,50 @@ func (t *Classifier) makeLeaf(id int, counts []float64, n float64) {
 }
 
 // bestSplit scans candidate features for the split maximising Gini gain.
-func (t *Classifier) bestSplit(x *mat.Matrix, y []int, idx []int, counts []float64, parentGini float64, rng *rand.Rand) (feat int, thresh, gain float64, ok bool) {
-	feats := t.candidateFeatures(rng)
-	n := float64(len(idx))
-
-	sorted := make([]int, len(idx))
-	leftCounts := make([]float64, t.numClasses)
+// Each feature's samples are visited in rank order, and the children's
+// sums of squared class counts are kept as they move: the counts are
+// integers, so the sums are exact and every boundary's Gini is the one a
+// full recount gives, whatever the order of tied samples.
+func (g *grower) bestSplit(idx []int, parentGini float64) (feat int, thresh, gain float64, ok bool) {
+	t := g.t
+	m := len(idx)
+	n := float64(m)
+	var total2 float64
+	for _, c := range g.counts {
+		total2 += c * c
+	}
 	// Zero-gain splits are accepted (matching scikit-learn's
 	// min_impurity_decrease=0); XOR-like problems need them because the
 	// root split only pays off deeper down.
 	bestGain := -1.0
 
-	for _, f := range feats {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, b int) bool { return x.At(sorted[a], f) < x.At(sorted[b], f) })
-		for c := range leftCounts {
-			leftCounts[c] = 0
-		}
-		var nl float64
-		for k := 0; k < len(sorted)-1; k++ {
-			i := sorted[k]
-			leftCounts[y[i]]++
-			nl++
-			v, next := x.At(i, f), x.At(sorted[k+1], f)
+	for _, f := range t.candidateFeatures(g.rng) {
+		keys := g.ord.SortRanks(f, idx, g.keys, g.tmp)
+		vals, rows := g.ord.Values(f), g.ord.RowsByRank(f)
+		left := g.left
+		clear(left)
+		sl, sr := 0.0, total2
+		for k := 0; k < m-1; k++ {
+			r := keys[k]
+			c := g.y[rows[r]]
+			lc := left[c]
+			rc := g.counts[c] - lc
+			left[c] = lc + 1
+			sl += 2*lc + 1
+			sr -= 2*rc - 1
+			v, next := vals[r], vals[keys[k+1]]
 			if v == next {
 				continue
 			}
-			if int(nl) < t.cfg.MinSamplesLeaf || len(sorted)-int(nl) < t.cfg.MinSamplesLeaf {
+			if k+1 < t.cfg.MinSamplesLeaf || m-(k+1) < t.cfg.MinSamplesLeaf {
 				continue
 			}
+			nl := float64(k + 1)
 			nr := n - nl
-			gl := giniFromLeft(leftCounts, counts, nl, nr)
-			g := parentGini - (nl*gl.left+nr*gl.right)/n
-			if g > bestGain {
-				bestGain = g
+			gl, gr := 1-sl/(nl*nl), 1-sr/(nr*nr)
+			gn := parentGini - (nl*gl+nr*gr)/n
+			if gn > bestGain {
+				bestGain = gn
 				feat = f
 				thresh = (v + next) / 2
 				ok = true
@@ -198,26 +242,6 @@ func (t *Classifier) bestSplit(x *mat.Matrix, y []int, idx []int, counts []float
 		}
 	}
 	return feat, thresh, bestGain, ok
-}
-
-type giniPair struct{ left, right float64 }
-
-// giniFromLeft computes child impurities from left counts and totals.
-func giniFromLeft(leftCounts, total []float64, nl, nr float64) giniPair {
-	var sl, sr float64
-	for c, lc := range leftCounts {
-		rc := total[c] - lc
-		sl += lc * lc
-		sr += rc * rc
-	}
-	var g giniPair
-	if nl > 0 {
-		g.left = 1 - sl/(nl*nl)
-	}
-	if nr > 0 {
-		g.right = 1 - sr/(nr*nr)
-	}
-	return g
 }
 
 func giniImpurity(counts []float64, n float64) float64 {

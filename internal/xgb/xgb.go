@@ -135,6 +135,11 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 			return fmt.Errorf("xgb: label %d out of range", v)
 		}
 	}
+	ord, err := tree.NewOrder(x)
+	if err != nil {
+		return fmt.Errorf("xgb: %w", err)
+	}
+	b := newGrower(c, ord)
 	c.numClasses = numClasses
 	c.numFeats = x.Cols
 	c.gainImp = make([]float64, x.Cols)
@@ -177,7 +182,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 				g[i] = p - target
 				h[i] = math.Max(p*(1-p), 1e-16)
 			}
-			tr := c.buildTree(x, g, h, rows)
+			tr := b.buildTree(g, h, rows)
 			roundTrees[k] = tr
 			for i := 0; i < n; i++ {
 				scores.Set(i, k, scores.At(i, k)+c.cfg.LearningRate*tr.predictRow(x.Row(i)))
@@ -269,14 +274,41 @@ func softThreshold(g, alpha float64) float64 {
 	}
 }
 
-// buildTree grows one regression tree by exact greedy search.
-func (c *Classifier) buildTree(x *mat.Matrix, g, h []float64, rows []int) *regTree {
+// grower is one Fit's scratch: the split order and the buffers a node's
+// search and partition reuse. A node is done with them before it grows its
+// children, so one set serves every tree of the fit.
+type grower struct {
+	c         *Classifier
+	ord       *tree.Order
+	keys, tmp []uint32
+	own       []int
+	spill     []int
+}
+
+func newGrower(c *Classifier, ord *tree.Order) *grower {
+	n := ord.Rows()
+	return &grower{
+		c: c, ord: ord,
+		keys: make([]uint32, n), tmp: make([]uint32, n),
+		own: make([]int, n), spill: make([]int, n),
+	}
+}
+
+// buildTree grows one regression tree by exact greedy search on a copy of
+// rows. Each node splits its rows in place, stably, so a child's gradient
+// sums add its rows in the order the caller gave them.
+func (b *grower) buildTree(g, h []float64, rows []int) *regTree {
 	t := &regTree{}
-	c.grow(t, x, g, h, rows, 0)
+	own := b.own[:len(rows)]
+	copy(own, rows)
+	b.grow(t, g, h, own, 0)
 	return t
 }
 
-func (c *Classifier) grow(t *regTree, x *mat.Matrix, g, h []float64, rows []int, depth int) int {
+// grow scans every feature's rows in rank order — ascending value, ties by
+// ascending row — so gl and hl add tied rows in a declared order.
+func (b *grower) grow(t *regTree, g, h []float64, rows []int, depth int) int {
+	c := b.c
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += g[i]
@@ -295,16 +327,16 @@ func (c *Classifier) grow(t *regTree, x *mat.Matrix, g, h []float64, rows []int,
 	bestFeat := -1
 	var bestThresh float64
 
-	sorted := make([]int, len(rows))
-	for f := 0; f < x.Cols; f++ {
-		copy(sorted, rows)
-		sort.Slice(sorted, func(a, b int) bool { return x.At(sorted[a], f) < x.At(sorted[b], f) })
+	for f := 0; f < b.ord.Cols(); f++ {
+		keys := b.ord.SortRanks(f, rows, b.keys, b.tmp)
+		vals, byRank := b.ord.Values(f), b.ord.RowsByRank(f)
 		var gl, hl float64
-		for k := 0; k < len(sorted)-1; k++ {
-			i := sorted[k]
+		for k := 0; k < len(keys)-1; k++ {
+			r := keys[k]
+			i := byRank[r]
 			gl += g[i]
 			hl += h[i]
-			v, next := x.At(i, f), x.At(sorted[k+1], f)
+			v, next := vals[r], vals[keys[k+1]]
 			if v == next {
 				continue
 			}
@@ -329,16 +361,9 @@ func (c *Classifier) grow(t *regTree, x *mat.Matrix, g, h []float64, rows []int,
 	c.gainImp[bestFeat] += bestGain
 	c.weightImp[bestFeat]++
 
-	var left, right []int
-	for _, i := range rows {
-		if x.At(i, bestFeat) <= bestThresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	l := c.grow(t, x, g, h, left, depth+1)
-	r := c.grow(t, x, g, h, right, depth+1)
+	nl := b.ord.Partition(rows, bestFeat, bestThresh, b.spill)
+	l := b.grow(t, g, h, rows[:nl], depth+1)
+	r := b.grow(t, g, h, rows[nl:], depth+1)
 	t.nodes[id] = regNode{feature: bestFeat, threshold: bestThresh, left: l, right: r}
 	return id
 }
