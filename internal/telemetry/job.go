@@ -59,8 +59,8 @@ func (j *Job) phaseAt(t float64) (phase, float64) {
 		return phaseStartup, 0
 	}
 	tt := t - j.Startup
-	p := j.prof
-	pos := math.Mod(tt, p.EpochTime)
+	p := &j.prof
+	pos := fmod(tt, p.EpochTime)
 	valDur := p.EpochTime * p.ValFrac
 	ckpt := math.Min(p.CkptTime, p.EpochTime*0.1)
 	trainDur := p.EpochTime - valDur - ckpt
@@ -78,7 +78,7 @@ func (j *Job) phaseAt(t float64) (phase, float64) {
 // cycle at training time tt, accounting for the slow warmup of the first
 // few steps (framework autotuning).
 func (j *Job) stepState(tt float64) (stepPhase, duty, utilScale float64) {
-	p := j.prof
+	p := &j.prof
 	step := p.StepTime
 	utilScale = 1.0
 	warmup := 8 * p.StepTime
@@ -86,7 +86,7 @@ func (j *Job) stepState(tt float64) (stepPhase, duty, utilScale float64) {
 		step = p.StepTime * 2
 		utilScale = 0.75
 	}
-	stepPhase = math.Mod(tt, step) / step
+	stepPhase = fmod(tt, step) / step
 	duty = p.Duty
 	if j.NumNodes > 1 {
 		duty = clamp(duty-0.04, 0.2, 0.97) // inter-node gradient sync gap
@@ -111,36 +111,100 @@ func busyFraction(t0, dt, period, duty float64) float64 {
 	return (cum(t0+dt) - cum(t0)) / dt
 }
 
-// inStall reports whether an input-pipeline stall is active at absolute
-// time t. Stalls are scheduled deterministically per (job, gpu) in 10-second
-// blocks: a block contains a stall with probability rate·10/60, at a hashed
-// offset, lasting 0.5-3 s.
-func (j *Job) inStall(gpu int, t float64) bool {
-	const blockLen = 10.0
-	rate := j.prof.StallRate
-	if rate <= 0 {
+// fmod returns math.Mod(x, y), bit for bit, without math.Mod's
+// bit-by-bit loop on the remainders the simulator takes. The true remainder
+// x − Q·y (Q = ⌊x/y⌋) is representable, so a fused multiply-add with the
+// integer quotient Q returns it unchanged. Below 2⁵², Q and Q+1 are
+// representable and rounding is monotone, so the rounded x/y truncates to
+// one of them; Q+1 leaves a negative remainder, and one step back finds Q.
+// Zero, negative, non-finite and huge-quotient operands take math.Mod.
+func fmod(x, y float64) float64 {
+	if !(x > 0 && y > 0 && y <= math.MaxFloat64) {
+		return math.Mod(x, y)
+	}
+	q := math.Trunc(x / y)
+	if !(q < 1<<52) {
+		return math.Mod(x, y)
+	}
+	r := math.FMA(-q, y, x)
+	if r < 0 {
+		r = math.FMA(-(q - 1), y, x)
+	}
+	return r
+}
+
+// stallBlockLen is the length of the blocks input-pipeline stalls are
+// scheduled in.
+const stallBlockLen = 10.0
+
+// stallBlock is the stall a 10-second block b schedules on one GPU, if it
+// draws one: stalled with probability rate·10/60, from a hashed offset
+// inside the block, lasting 0.3-1.5 s, so it may spill into block b+1.
+type stallBlock struct {
+	b          int64
+	stalled    bool
+	start, dur float64
+}
+
+func newStallBlock(stream uint64, prob float64, b int64) stallBlock {
+	s := stallBlock{b: b}
+	if b < 0 || hashUniform(stream, 3*b) >= prob {
+		return s
+	}
+	s.stalled = true
+	s.start = float64(b)*stallBlockLen + hashUniform(stream, 3*b+1)*stallBlockLen
+	s.dur = 0.3 + 1.2*hashUniform(stream, 3*b+2)
+	return s
+}
+
+func (s stallBlock) covers(t float64) bool {
+	return s.stalled && t >= s.start && t < s.start+s.dur
+}
+
+// stallCursor answers whether a GPU is stalled at time t from the two
+// blocks a stall at t can start in, t's block and the one before. It keeps
+// both and recomputes them only when t crosses into another block, so a
+// window of samples in time order draws each block once. It starts before
+// block 0, where no block stalls.
+type stallCursor struct {
+	stream    uint64
+	prob      float64 // chance a block stalls; 0 for a class that never does
+	cur, prev stallBlock
+}
+
+func (j *Job) stallCursor(gpu int) stallCursor {
+	c := stallCursor{
+		stream: streamSeed(j.Seed, gpu, chStall),
+		cur:    stallBlock{b: -1},
+		prev:   stallBlock{b: -2},
+	}
+	if rate := j.prof.StallRate; rate > 0 {
+		c.prob = math.Min(rate*stallBlockLen/60, 0.95)
+	}
+	return c
+}
+
+func (c *stallCursor) at(t float64) bool {
+	if c.prob <= 0 {
 		return false
 	}
-	prob := rate * blockLen / 60
-	if prob > 0.95 {
-		prob = 0.95
+	b := int64(t / stallBlockLen)
+	if b != c.cur.b {
+		if b == c.cur.b+1 {
+			c.prev = c.cur
+		} else {
+			c.prev = newStallBlock(c.stream, c.prob, b-1)
+		}
+		c.cur = newStallBlock(c.stream, c.prob, b)
 	}
-	stream := streamSeed(j.Seed, gpu, chStall)
-	// A stall may spill across one block boundary; check two blocks.
-	for _, b := range []int64{int64(t / blockLen), int64(t/blockLen) - 1} {
-		if b < 0 {
-			continue
-		}
-		if hashUniform(stream, 3*b) >= prob {
-			continue
-		}
-		start := float64(b)*blockLen + hashUniform(stream, 3*b+1)*blockLen
-		dur := 0.3 + 1.2*hashUniform(stream, 3*b+2)
-		if t >= start && t < start+dur {
-			return true
-		}
-	}
-	return false
+	return c.cur.covers(t) || c.prev.covers(t)
+}
+
+// inStall reports whether an input-pipeline stall is active on the GPU at
+// absolute time t.
+func (j *Job) inStall(gpu int, t float64) bool {
+	c := j.stallCursor(gpu)
+	return c.at(t)
 }
 
 // stallFraction estimates the fraction of [t, t+dt) spent stalled on the
@@ -160,25 +224,52 @@ func (j *Job) stallFraction(gpu int, t, dt float64) float64 {
 	return float64(hit) / probes
 }
 
+// gpuStreams is what a window derives once for its GPU instead of once
+// per sample: the noise stream of each sensor channel, the slow drift's
+// phase (a uniform in [0, 1)) and the stall schedule.
+type gpuStreams struct {
+	gpu                                          int
+	util, mem, memUtil, power, tGPU, tMem, spike uint64
+	slowPhase                                    float64
+	stall                                        stallCursor
+}
+
+func (j *Job) gpuStreams(gpu int) gpuStreams {
+	return gpuStreams{
+		gpu:       gpu,
+		util:      streamSeed(j.Seed, gpu, chUtil),
+		mem:       streamSeed(j.Seed, gpu, chMem),
+		memUtil:   streamSeed(j.Seed, gpu, chMemUtil),
+		power:     streamSeed(j.Seed, gpu, chPower),
+		tGPU:      streamSeed(j.Seed, gpu, chTempGPU),
+		tMem:      streamSeed(j.Seed, gpu, chTempMem),
+		spike:     streamSeed(j.Seed, gpu, chSpike),
+		slowPhase: hashUniform(streamSeed(j.Seed, gpu, chSlowPhase), 0),
+		stall:     j.stallCursor(gpu),
+	}
+}
+
 // gpuSample computes the seven DCGM sensor values for one GPU at sample
 // index idx (absolute time idx*GPUSampleDT), given the thermal state carried
 // by the caller. It returns the raw (unquantised) values; temperature state
-// is advanced in place.
-func (j *Job) gpuSample(gpu int, idx int64, tGPU, tMem *float64) [NumGPUSensors]float64 {
+// is advanced in place. Samples of one window come in time order, which is
+// what the stall cursor in s is fastest at.
+func (j *Job) gpuSample(s *gpuStreams, idx int64, tGPU, tMem *float64) [NumGPUSensors]float64 {
 	t := float64(idx) * GPUSampleDT
-	p := j.prof
+	p := &j.prof
+	k := newNormalKey(idx)
 	ph, tt := j.phaseAt(t)
 
 	var util, memUsed, powerEff float64
 	switch ph {
 	case phaseStartup:
-		util = j.startupUtil(gpu, idx, t)
+		util = j.startupUtil(s, k, idx, t)
 		memUsed = j.startupMem(t)
 		powerEff = 0.5
 	case phaseTrain:
 		sp, duty, scale := j.stepState(tt)
 		slow := p.SlowModAmp * math.Sin(2*math.Pi*tt/p.SlowModPeriod+
-			hashUniform(streamSeed(j.Seed, gpu, chSlowPhase), 0)*2*math.Pi)
+			s.slowPhase*2*math.Pi)
 		// DCGM utilization is a counter-derived average over the sampling
 		// period, not an instantaneous reading: each sample reports the
 		// fraction of the interval the kernel queue was busy. This makes
@@ -191,43 +282,44 @@ func (j *Job) gpuSample(gpu int, idx int64, tGPU, tMem *float64) [NumGPUSensors]
 			step = p.StepTime * 2
 		}
 		frac := busyFraction(tt, GPUSampleDT, step, duty)
-		high := (p.UtilHigh+j.utilOffset[gpu])*scale + slow
+		high := (p.UtilHigh+j.utilOffset[s.gpu])*scale + slow
+		noise := k.normal(s.util)
 		util = p.UtilLow + (high-p.UtilLow)*frac +
-			(p.UtilJitter*frac+1.0)*hashNormal(streamSeed(j.Seed, gpu, chUtil), idx)
-		memUsed = j.trainMem(gpu, tt, sp, duty, idx, 1.0)
+			(p.UtilJitter*frac+1.0)*noise
+		memUsed = j.trainMem(s, k, tt, sp, duty, 1.0)
 		powerEff = p.PowerEff
-		if j.inStall(gpu, t) {
+		if s.stall.at(t) {
 			// Input-pipeline stall: the GPU starves while memory stays
 			// allocated. Stall *rate* is a class cue; the stalls themselves
 			// randomise window means.
-			util = 1 + 2*math.Abs(hashNormal(streamSeed(j.Seed, gpu, chUtil), idx))
+			util = 1 + 2*math.Abs(noise)
 			powerEff = 0.45
 		}
 	case phaseValidation:
 		// Forward-only: shorter steps, higher duty, lower power per util.
 		valStep := math.Max(p.StepTime*0.4, GPUSampleDT)
-		sp := math.Mod(tt, valStep) / valStep
+		sp := fmod(tt, valStep) / valStep
 		if sp < 0.96 {
 			util = math.Min(p.UtilHigh*1.05, 100) +
-				p.UtilJitter*0.7*hashNormal(streamSeed(j.Seed, gpu, chUtil), idx)
+				p.UtilJitter*0.7*k.normal(s.util)
 		} else {
 			util = p.UtilLow
 		}
-		memUsed = j.trainMem(gpu, tt, sp, 0.96, idx, 0.8)
+		memUsed = j.trainMem(s, k, tt, sp, 0.96, 0.8)
 		powerEff = p.PowerEff * 0.8
 	case phaseCheckpoint:
-		util = 2 + math.Abs(hashNormal(streamSeed(j.Seed, gpu, chUtil), idx))
+		util = 2 + math.Abs(k.normal(s.util))
 		memUsed = p.MemBaseMiB + p.MemActMiB*0.8
 		powerEff = 0.45
 	}
 	util = clamp(util, 0, 100)
 
 	memUtil := clamp(util*p.MemUtilRatio*
-		(1+0.05*hashNormal(streamSeed(j.Seed, gpu, chMemUtil), idx)), 0, 100)
+		(1+0.05*k.normal(s.memUtil)), 0, 100)
 
 	power := GPUPowerIdleW + (GPUPowerMaxW-GPUPowerIdleW)*powerEff*
 		(0.72*util+0.28*memUtil)/100 +
-		j.powOffset[gpu] + 1.5*hashNormal(streamSeed(j.Seed, gpu, chPower), idx)
+		j.powOffset[s.gpu] + 1.5*k.normal(s.power)
 	power = clamp(power, GPUPowerIdleW*0.85, 310)
 
 	// First-order thermal models: GPU die (fast) and HBM stacks (slow).
@@ -235,11 +327,11 @@ func (j *Job) gpuSample(gpu int, idx int64, tGPU, tMem *float64) [NumGPUSensors]
 		tauGPU, rGPU = 40.0, 0.16
 		tauMem, rMem = 60.0, 0.115
 	)
-	amb := AmbientTempC + j.tempOffset[gpu]
+	amb := AmbientTempC + j.tempOffset[s.gpu]
 	*tGPU += GPUSampleDT/tauGPU*(amb+rGPU*power-*tGPU) +
-		0.08*hashNormal(streamSeed(j.Seed, gpu, chTempGPU), idx)
+		0.08*k.normal(s.tGPU)
 	*tMem += GPUSampleDT/tauMem*(amb+rMem*power-*tMem) +
-		0.06*hashNormal(streamSeed(j.Seed, gpu, chTempMem), idx)
+		0.06*k.normal(s.tMem)
 
 	memUsed = clamp(memUsed, 0, GPUMemoryTotalMiB)
 	return [NumGPUSensors]float64{
@@ -255,15 +347,15 @@ func (j *Job) gpuSample(gpu int, idx int64, tGPU, tMem *float64) [NumGPUSensors]
 
 // startupUtil models the class-agnostic startup: an idle GPU with sparse
 // initialisation spikes while the host loads data and builds the model.
-func (j *Job) startupUtil(gpu int, idx int64, t float64) float64 {
+func (j *Job) startupUtil(s *gpuStreams, k normalKey, idx int64, t float64) float64 {
 	if t > j.Startup*0.85 {
 		// Model materialisation: first kernels warm the GPU.
-		return 8 + 10*hashUniform(streamSeed(j.Seed, gpu, chSpike), idx)
+		return 8 + 10*hashUniform(s.spike, idx)
 	}
-	if hashUniform(streamSeed(j.Seed, gpu, chSpike), idx) < 0.03 {
-		return 10 + 35*hashUniform(streamSeed(j.Seed, gpu, chSpike), idx+1<<40)
+	if hashUniform(s.spike, idx) < 0.03 {
+		return 10 + 35*hashUniform(s.spike, idx+1<<40)
 	}
-	return math.Abs(hashNormal(streamSeed(j.Seed, gpu, chUtil), idx)) * 0.8
+	return math.Abs(k.normal(s.util)) * 0.8
 }
 
 // startupMem models memory during startup: nothing, then the CUDA context,
@@ -287,8 +379,8 @@ func (j *Job) startupMem(t float64) float64 {
 // trainMem models steady-state memory: base + activation plateau (growing
 // over the first ~90 s of training as caching allocators settle) + the
 // per-step activation sawtooth.
-func (j *Job) trainMem(gpu int, tt, stepPhase, duty float64, idx int64, actScale float64) float64 {
-	p := j.prof
+func (j *Job) trainMem(s *gpuStreams, k normalKey, tt, stepPhase, duty, actScale float64) float64 {
+	p := &j.prof
 	plateau := p.MemActMiB * actScale * (1 - 0.30*math.Exp(-tt/90))
 	var saw float64
 	if stepPhase < duty {
@@ -297,7 +389,7 @@ func (j *Job) trainMem(gpu int, tt, stepPhase, duty float64, idx int64, actScale
 		saw = 1 - (stepPhase-duty)/(1-duty) // backward: freed
 	}
 	return p.MemBaseMiB + plateau + p.MemSawMiB*saw +
-		8*hashNormal(streamSeed(j.Seed, gpu, chMem), idx)
+		8*k.normal(s.mem)
 }
 
 // steadyTemps estimates the thermal state at absolute time t0 so windows can
@@ -306,7 +398,7 @@ func (j *Job) trainMem(gpu int, tt, stepPhase, duty float64, idx int64, actScale
 // younger than the thermal time constant.
 func (j *Job) steadyTemps(gpu int, t0 float64) (tGPU, tMem float64) {
 	ph, _ := j.phaseAt(t0)
-	p := j.prof
+	p := &j.prof
 	var meanUtil, eff float64
 	switch ph {
 	case phaseStartup:
@@ -335,10 +427,17 @@ func (j *Job) steadyTemps(gpu int, t0 float64) (tGPU, tMem float64) {
 // Table III sensor order. Values are quantised the way DCGM reports them
 // (integer percentages, MiB and °C; power to 0.01 W).
 //
-// The window must lie inside the job: t0 ≥ 0 and t0 + n·dt ≤ Duration.
+// The window must lie inside the job: n ≥ 0, t0 finite and ≥ 0, and
+// t0 + n·dt ≤ Duration.
 func (j *Job) GPUWindow(gpu int, t0 float64, n int) (*mat.Matrix, error) {
 	if gpu < 0 || gpu >= j.NumGPUs {
 		return nil, fmt.Errorf("telemetry: job %d has %d GPUs, requested %d", j.ID, j.NumGPUs, gpu)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("telemetry: negative window length %d", n)
+	}
+	if math.IsNaN(t0) || math.IsInf(t0, 0) {
+		return nil, fmt.Errorf("telemetry: window start %v is not finite", t0)
 	}
 	if t0 < 0 || t0+float64(n)*GPUSampleDT > j.Duration+1e-9 {
 		return nil, fmt.Errorf("telemetry: window [%.1f, %.1f) outside job duration %.1f",
@@ -346,9 +445,10 @@ func (j *Job) GPUWindow(gpu int, t0 float64, n int) (*mat.Matrix, error) {
 	}
 	out := mat.New(n, int(NumGPUSensors))
 	tGPU, tMem := j.steadyTemps(gpu, t0)
+	streams := j.gpuStreams(gpu)
 	startIdx := int64(math.Round(t0 / GPUSampleDT))
 	for i := 0; i < n; i++ {
-		s := j.gpuSample(gpu, startIdx+int64(i), &tGPU, &tMem)
+		s := j.gpuSample(&streams, startIdx+int64(i), &tGPU, &tMem)
 		row := out.Row(i)
 		row[UtilizationGPUPct] = math.Round(s[UtilizationGPUPct])
 		row[UtilizationMemoryPct] = math.Round(s[UtilizationMemoryPct])

@@ -49,6 +49,11 @@ func NewReplay(jobs []*Job, gpu int, start, horizon float64) (*Replay, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("telemetry: replay needs at least one job")
 	}
+	for _, v := range []float64{start, horizon} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("telemetry: replay span [%v, %v) is not finite", start, horizon)
+		}
+	}
 	if start < 0 {
 		return nil, fmt.Errorf("telemetry: negative replay start %.2fs", start)
 	}
