@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,5 +79,34 @@ func TestDistanceZeroAlloc(t *testing.T) {
 	}
 	if got, want := wfs.DistanceCert(append(row, 0), &Cert{}), fs.Distance(row); got != want {
 		t.Fatalf("row wider than the stack buffer scored %v through a certificate, want %v", got, want)
+	}
+}
+
+// TestWindowAddZeroAlloc pins the //wcc:hotpath contract on the drift half
+// of every ingested sample: binning a sample into a window through the
+// reference's bin table allocates nothing, whatever the values, NaN and
+// infinities included.
+func TestWindowAddZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := mat.New(2000, 7)
+	for i := range samples.Data {
+		samples.Data[i] = rng.NormFloat64()
+	}
+	ref, err := FitReference(samples, DefaultBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewBinTable(ref)
+	w := NewWindow(ref.Sensors(), ref.Bins)
+	sample := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -3, 1e300, 0.5}
+	allocs := testing.AllocsPerRun(200, func() {
+		w.Add(tab, sample)
+		sample[0] += 0.01
+	})
+	if allocs != 0 {
+		t.Fatalf("Window.Add allocates %.1f times per sample, want 0", allocs)
+	}
+	if w.Samples != 201 {
+		t.Fatalf("window counted %d samples, want 201", w.Samples)
 	}
 }

@@ -110,10 +110,11 @@ func TestPSISameDistributionNearZeroShiftedLarge(t *testing.T) {
 	}
 	same := NewWindow(2, ref.Bins)
 	shifted := NewWindow(2, ref.Bins)
+	bins := NewBinTable(ref)
 	for i := 0; i < 8000; i++ {
-		same.Add(ref, []float64{rng.NormFloat64(), rng.NormFloat64()})
+		same.Add(bins, []float64{rng.NormFloat64(), rng.NormFloat64()})
 		// Sensor 0 drifts by +2σ, sensor 1 stays put.
-		shifted.Add(ref, []float64{rng.NormFloat64() + 2, rng.NormFloat64()})
+		shifted.Add(bins, []float64{rng.NormFloat64() + 2, rng.NormFloat64()})
 	}
 	psiSame := ref.PSI(same)
 	if FleetScore(psiSame) > 0.05 {
@@ -143,13 +144,14 @@ func TestWindowMergeEqualsCombinedStream(t *testing.T) {
 	}
 	whole := NewWindow(2, 4)
 	a, b := NewWindow(2, 4), NewWindow(2, 4)
+	bins := NewBinTable(ref)
 	for i := 0; i < 500; i++ {
 		s := []float64{rng.Float64() * 12, rng.Float64() * 12}
-		whole.Add(ref, s)
+		whole.Add(bins, s)
 		if i%2 == 0 {
-			a.Add(ref, s)
+			a.Add(bins, s)
 		} else {
-			b.Add(ref, s)
+			b.Add(bins, s)
 		}
 	}
 	merged := a.Clone()

@@ -232,10 +232,12 @@ type stripe struct {
 	// (TickStats.Pending), kept at create, fill and remove.
 	unfilled int
 	// dw accumulates the stripe's input-drift histogram counts against the
-	// reference dref (both nil when drift monitoring is disabled); guarded
-	// by mu like the registry, and replaced together on a swap.
-	dw   *drift.Window
-	dref *drift.Reference
+	// reference dbins was built from (both nil when drift monitoring is
+	// disabled); guarded by mu like the registry, and replaced together on
+	// a swap. dbins is the installation's one table, shared read-only by
+	// every stripe.
+	dw    *drift.Window
+	dbins *drift.BinTable
 }
 
 // partition is the unit of inference: the jobs ShardOf routes to it, the
@@ -307,11 +309,8 @@ type Monitor struct {
 
 // New validates the configuration and returns an empty fleet monitor.
 func New(cfg Config) (*Monitor, error) {
-	if cfg.Window < 2 || cfg.Sensors < 1 {
-		return nil, fmt.Errorf("fleet: invalid window shape %dx%d", cfg.Window, cfg.Sensors)
-	}
-	if cfg.Scaler == nil || len(cfg.Scaler.Means) != cfg.Window*cfg.Sensors {
-		return nil, errors.New("fleet: scaler not fitted for this window shape")
+	if err := stream.CheckShape(cfg.Window, cfg.Sensors, cfg.Scaler); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.Model == nil {
 		return nil, errors.New("fleet: nil model")
@@ -343,18 +342,22 @@ func New(cfg Config) (*Monitor, error) {
 
 // install sets the serving generation — the model, its scratch-writing path,
 // the calibration — and starts every stripe's input histogram afresh against
-// the calibration's reference. Callers hold the write side of mu (New
-// excepted: the monitor is not shared yet).
+// the calibration's reference, through one bin table built here for all of
+// them. Callers hold the write side of mu (New excepted: the monitor is not
+// shared yet).
 func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 	m.model = model
 	m.into, _ = model.(IntoClassifier)
 	m.dcal = cal
+	var bins *drift.BinTable
+	if cal != nil {
+		bins = drift.NewBinTable(cal.Ref)
+	}
 	for _, p := range m.parts {
 		p.eachStripe(func(st *stripe) {
-			st.dw, st.dref = nil, nil
+			st.dw, st.dbins = nil, bins
 			if cal != nil {
 				st.dw = drift.NewWindow(m.sensors, cal.Ref.Bins)
-				st.dref = cal.Ref
 			}
 		})
 	}
@@ -493,7 +496,7 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 		js.samples++
 		js.lastSeen = m.now().UnixNano()
 		if st.dw != nil {
-			st.dw.Add(st.dref, sample)
+			st.dw.Add(st.dbins, sample)
 		}
 	}
 	st.mu.Unlock()

@@ -280,6 +280,13 @@ func TestFleetValidationAndLifecycle(t *testing.T) {
 	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler}); err == nil {
 		t.Error("nil model should fail")
 	}
+	// A zero std would make every job's features NaN; the fleet refuses it
+	// before any job registers.
+	poisoned := &preprocess.StandardScaler{Means: scaler.Means, Stds: append([]float64(nil), scaler.Stds...)}
+	poisoned.Stds[testSensors] = 0
+	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: poisoned, Model: model}); err == nil {
+		t.Error("a scaler with a zero std should fail")
+	}
 
 	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {

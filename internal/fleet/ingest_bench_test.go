@@ -1,0 +1,112 @@
+package fleet
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/drift"
+	"repro/internal/mat"
+	"repro/internal/preprocess"
+	"repro/internal/telemetry"
+)
+
+// noModel stands in for a classifier where nothing classifies: Ingest never
+// calls the model.
+type noModel struct{}
+
+func (noModel) PredictProba(*mat.Matrix) (*mat.Matrix, error) {
+	return nil, errors.New("fleet: no model in an ingest benchmark")
+}
+
+// BenchmarkIngest times Monitor.Ingest, the per-sample cost every served
+// sample pays under its stripe mutex, in the served shape: 7 DCGM sensors,
+// 540-sample windows and a calibration with 16-bin reference histograms, so
+// each sample is gated, pushed into its job's ring and binned. The samples
+// are simulated telemetry, each job's in stream order, in blocks of 64 per
+// job as a backfill batch delivers them, and the scaler and reference are
+// fitted on them. "fill" times samples that fill a window (a job registers
+// every 540 samples and is ended when full, outside the clock); "full"
+// times samples into 64 full windows, each evicting the sample it
+// replaces. Both report ns/sample.
+func BenchmarkIngest(b *testing.B) {
+	const (
+		window = 540
+		jobs   = 64
+		block  = 64
+	)
+	sensors := int(telemetry.NumGPUSensors)
+	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: 1, Scale: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var series []*mat.Matrix
+	for _, j := range sim.Jobs() {
+		if len(series) == jobs {
+			break
+		}
+		if j.Duration < 120+2*window*telemetry.GPUSampleDT {
+			continue
+		}
+		w, err := j.GPUWindow(0, 120, 2*window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		series = append(series, w)
+	}
+	flat := mat.New(len(series), window*sensors)
+	raw := mat.New(len(series)*2*window, sensors)
+	for k, s := range series {
+		copy(flat.Row(k), s.Data[:window*sensors])
+		copy(raw.Data[k*len(s.Data):], s.Data)
+	}
+	var scaler preprocess.StandardScaler
+	if err := scaler.Fit(flat); err != nil {
+		b.Fatal(err)
+	}
+	cal, err := drift.Fit(drift.FitInput{RawSamples: raw}, drift.Options{Bins: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := New(Config{Window: window, Sensors: sensors, Scaler: &scaler, Model: noModel{}, Drift: cal})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("fill", func(b *testing.B) {
+		id, step := 1<<20, 0
+		for b.Loop() {
+			s := series[id%len(series)]
+			if err := m.Ingest(id, s.Row(step)); err != nil {
+				b.Fatal(err)
+			}
+			if step++; step == window {
+				b.StopTimer()
+				m.EndJob(id)
+				id, step = id+1, 0
+				b.StartTimer()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sample")
+	})
+
+	b.Run("full", func(b *testing.B) {
+		for j, s := range series {
+			for i := range window {
+				if err := m.Ingest(j, s.Row(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		j, i := 0, window
+		for b.Loop() {
+			s := series[j]
+			if err := m.Ingest(j, s.Row(i%s.Rows)); err != nil {
+				b.Fatal(err)
+			}
+			if i++; i%block == 0 {
+				j = (j + 1) % len(series)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sample")
+	})
+}

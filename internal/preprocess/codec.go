@@ -36,10 +36,32 @@ func DecodeScaler(r io.Reader) (*StandardScaler, error) {
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if len(s.Means) == 0 || len(s.Means) != len(s.Stds) {
-		return nil, fmt.Errorf("preprocess: corrupt scaler (%d means, %d stds)", len(s.Means), len(s.Stds))
+	if err := s.Check(); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// Check refuses statistics that cannot standardise a value into a finite
+// one: no columns, means and stds of different lengths, a mean that is not
+// finite, or a std that is not a positive finite number. A live embedder
+// keeps running sums of standardised products, and a NaN or an infinity
+// that enters them never cancels out, so every feature it serves after
+// that is NaN. Fit never produces such a scaler (it maps a zero std to 1);
+// a corrupt artifact or a hand-built scaler can.
+func (s *StandardScaler) Check() error {
+	if len(s.Means) == 0 || len(s.Means) != len(s.Stds) {
+		return fmt.Errorf("preprocess: corrupt scaler (%d means, %d stds)", len(s.Means), len(s.Stds))
+	}
+	stds := s.Stds[:len(s.Means)]
+	for i, m := range s.Means {
+		// x−x is 0 for every finite x and NaN otherwise, and a NaN std
+		// fails sd > 0 too.
+		if sd := stds[i]; (m-m)+(sd-sd) != 0 || !(sd > 0) {
+			return fmt.Errorf("preprocess: scaler column %d has mean %v and std %v", i, m, sd)
+		}
+	}
+	return nil
 }
 
 // Equal reports whether two fitted scalers carry bit-identical statistics —

@@ -2,7 +2,10 @@ package preprocess
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -75,5 +78,48 @@ func TestCodecUnfittedAndCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeScaler(bytes.NewReader([]byte{1, 0})); err == nil {
 		t.Fatal("decoding a truncated scaler should fail")
+	}
+}
+
+// TestDecodeScalerRefusesPoison: a scaler section whose std is
+// zero, negative, NaN or infinite, or whose mean is not finite, decodes to
+// an error naming the first such column, because an embedder standardising
+// with it serves NaN features from then on. The well-formed section around
+// each bad column decodes.
+func TestDecodeScalerRefusesPoison(t *testing.T) {
+	encode := func(s *StandardScaler) *bytes.Reader {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(buf.Bytes())
+	}
+	good := func() *StandardScaler {
+		return &StandardScaler{Means: []float64{0, 1, -2, 3, 4, 5}, Stds: []float64{1, 2, 0.5, 1, 3, 1}}
+	}
+	if _, err := DecodeScaler(encode(good())); err != nil {
+		t.Fatalf("a well-formed scaler is refused: %v", err)
+	}
+	mixed := good()
+	mixed.Stds = []float64{1, 0, 1, 1, math.NaN(), -2}
+	if _, err := DecodeScaler(encode(mixed)); err == nil || !strings.Contains(err.Error(), "column 1 ") {
+		t.Fatalf("stds %v decoded with error %v, want one naming column 1", mixed.Stds, err)
+	}
+	cases := []struct {
+		col       int
+		mean, std float64
+	}{
+		{1, 1, 0}, {5, 5, -2}, {4, 4, math.NaN()}, {2, -2, math.Inf(1)},
+		{3, math.NaN(), 1}, {0, math.Inf(1), 1}, {5, math.Inf(-1), 1},
+	}
+	for _, tc := range cases {
+		s := good()
+		s.Means[tc.col], s.Stds[tc.col] = tc.mean, tc.std
+		want := fmt.Sprintf("column %d ", tc.col)
+		if _, err := DecodeScaler(encode(s)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mean %v std %v in column %d decoded with error %v, want one naming the column",
+				tc.mean, tc.std, tc.col, err)
+		}
 	}
 }

@@ -37,15 +37,19 @@ type WindowedEmbedder struct {
 	sums []float64
 }
 
+// MaxSensors is the widest sample an embedder takes: Push stages a
+// sample's standardised values in a stack buffer of this length. The
+// served shape has 7 sensors.
+const MaxSensors = 64
+
 // NewWindowedEmbedder builds an embedder for the given window length and
 // sensor count. The scaler must have been fitted on flattened training
-// windows of the same shape (window·sensors columns).
+// windows of the same shape (window·sensors columns), and must pass
+// preprocess.StandardScaler.Check: one zero, negative or NaN std would
+// turn every feature the embedder serves into NaN.
 func NewWindowedEmbedder(window, sensors int, scaler *preprocess.StandardScaler) (*WindowedEmbedder, error) {
-	if window < 2 || sensors < 1 {
-		return nil, fmt.Errorf("stream: invalid window shape %dx%d", window, sensors)
-	}
-	if scaler == nil || len(scaler.Means) != window*sensors {
-		return nil, errors.New("stream: scaler not fitted for this window shape")
+	if err := CheckShape(window, sensors, scaler); err != nil {
+		return nil, err
 	}
 	return &WindowedEmbedder{
 		window:  window,
@@ -56,9 +60,29 @@ func NewWindowedEmbedder(window, sensors int, scaler *preprocess.StandardScaler)
 	}, nil
 }
 
+// CheckShape is NewWindowedEmbedder's check, for a caller that builds
+// embedders later (fleet.New refuses a shape before its first job
+// registers): a window of at least 2 samples, 1 to MaxSensors sensors, and a
+// scaler over window·sensors columns that StandardScaler.Check accepts.
+func CheckShape(window, sensors int, scaler *preprocess.StandardScaler) error {
+	if window < 2 || sensors < 1 || sensors > MaxSensors {
+		return fmt.Errorf("stream: invalid window shape %dx%d (at most %d sensors)", window, sensors, MaxSensors)
+	}
+	if scaler == nil || len(scaler.Means) != window*sensors {
+		return errors.New("stream: scaler not fitted for this window shape")
+	}
+	if err := scaler.Check(); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	return nil
+}
+
 // Push adds one telemetry sample (one value per sensor). The sample is
 // standardised with the column statistics of the ring position it lands in,
-// matching how offline training standardised flattened windows.
+// matching how offline training standardised flattened windows. Once the
+// ring is full, one pass over the sums evicts the oldest sample and adds the
+// new one: sums[k] = (sums[k] − oldₐ·old_b) + zₐ·z_b, the order in which a
+// subtracting pass followed by an adding pass would round.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (w *WindowedEmbedder) Push(sample []float64) error {
@@ -66,33 +90,39 @@ func (w *WindowedEmbedder) Push(sample []float64) error {
 		return fmt.Errorf("stream: sample has %d sensors, want %d", len(sample), w.sensors)
 	}
 	base := w.head * w.sensors
-	// Evict the old sample's contribution once the ring is full.
+	slot := w.ring[base : base+len(sample)]
+	means := w.scaler.Means[base : base+len(sample)]
+	stds := w.scaler.Stds[base : base+len(sample)]
+	// The new standardised values wait here while the slot still holds the
+	// sample they evict.
+	var buf [MaxSensors]float64
+	z := buf[:len(sample)]
+	for c, v := range sample {
+		z[c] = (v - means[c]) / stds[c]
+	}
+	sums := w.sums
+	k := 0
 	if w.count >= w.window {
-		old := w.ring[base : base+w.sensors]
-		k := 0
-		for a := 0; a < w.sensors; a++ {
-			for b := a; b < w.sensors; b++ {
-				w.sums[k] -= old[a] * old[b]
+		for a, oa := range slot {
+			za := z[a]
+			for b := a; b < len(z); b++ {
+				sums[k] = (sums[k] - oa*slot[b]) + za*z[b]
 				k++
 			}
 		}
-	}
-	// Standardise into the ring and add the new contribution.
-	for c, v := range sample {
-		col := base + c
-		w.ring[col] = (v - w.scaler.Means[col]) / w.scaler.Stds[col]
-	}
-	cur := w.ring[base : base+w.sensors]
-	k := 0
-	for a := 0; a < w.sensors; a++ {
-		for b := a; b < w.sensors; b++ {
-			w.sums[k] += cur[a] * cur[b]
-			k++
+	} else {
+		for a, za := range z {
+			for b := a; b < len(z); b++ {
+				sums[k] += za * z[b]
+				k++
+			}
 		}
-	}
-	w.head = (w.head + 1) % w.window
-	if w.count < w.window {
 		w.count++
+	}
+	copy(slot, z)
+	w.head++
+	if w.head == w.window {
+		w.head = 0
 	}
 	return nil
 }

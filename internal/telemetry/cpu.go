@@ -30,6 +30,14 @@ func (j *Job) CPUSeries(node int) (*mat.Matrix, error) {
 
 	stream := streamSeed(j.Seed, 1000+node, chUtil)
 	freqStream := streamSeed(j.Seed, 1000+node, chPower)
+	rssStream := streamSeed(j.Seed, 1000+node, chMem)
+	// The node's first GPU carries the stall schedule the host couples to
+	// (GPU 0 when the job has fewer GPUs than the node would hold).
+	gpu := node * GPUsPerNode
+	if gpu >= j.NumGPUs {
+		gpu = 0
+	}
+	stalls := j.stallCursor(gpu)
 
 	// Cumulative counters.
 	var cpuTime, pages, readMB, writeMB float64
@@ -51,9 +59,9 @@ func (j *Job) CPUSeries(node int) (*mat.Matrix, error) {
 			// This anti-correlation between CPU and GPU utilization is the
 			// cross-device covariance the paper's §IV-B importance analysis
 			// singles out.
-			stallFrac := j.stallFraction(node*GPUsPerNode, t, CPUSampleDT)
+			stallFrac := stalls.fraction(t, CPUSampleDT)
 			util = clamp(p.CPUUtilPct+28*stallFrac+6*hashNormal(stream, int64(i)), 0, 100)
-			rss = 34000 + 2500*hashNormal(streamSeed(j.Seed, 1000+node, chMem), int64(i))*0.1
+			rss = 34000 + 2500*hashNormal(rssStream, int64(i))*0.1
 			readMB += p.ReadMBPerStep * stepsPerSample
 		case phaseValidation:
 			util = clamp(p.CPUUtilPct*0.7+5*hashNormal(stream, int64(i)), 0, 100)

@@ -23,7 +23,7 @@ const goldenWindowHash = 0xd189510ede28d8c6
 // and last GPU, a window from t=0 (startup), one straddling the end of the
 // first epoch (train, validation, checkpoint) and one in the middle of the
 // job, each 540 samples or as many as the job holds; and each job's
-// node-0 CPU series, which reads the stall schedule through stallFraction.
+// node-0 CPU series, which reads the stall schedule through one stall cursor.
 func goldenWindows(t testing.TB, visit func(j *Job, gpu int, t0 float64, w *mat.Matrix)) {
 	sim, err := NewSimulator(Config{Seed: 1, Scale: 0.02, GapRate: 1})
 	if err != nil {

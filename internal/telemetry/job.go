@@ -207,17 +207,16 @@ func (j *Job) inStall(gpu int, t float64) bool {
 	return c.at(t)
 }
 
-// stallFraction estimates the fraction of [t, t+dt) spent stalled on the
-// given GPU's input pipeline by probing inStall at sub-interval resolution.
-// Used to couple host CPU telemetry to GPU starvation.
-func (j *Job) stallFraction(gpu int, t, dt float64) float64 {
-	if gpu >= j.NumGPUs {
-		gpu = 0
-	}
+// fraction estimates the fraction of [t, t+dt) the cursor's GPU spends
+// stalled on its input pipeline by probing the schedule at sub-interval
+// resolution. CPUSeries walks one cursor through a node's rows with it, so
+// each stall block is drawn once per series. Used to couple host CPU
+// telemetry to GPU starvation.
+func (c *stallCursor) fraction(t, dt float64) float64 {
 	const probes = 20
 	hit := 0
 	for k := 0; k < probes; k++ {
-		if j.inStall(gpu, t+dt*(float64(k)+0.5)/probes) {
+		if c.at(t + dt*(float64(k)+0.5)/probes) {
 			hit++
 		}
 	}
