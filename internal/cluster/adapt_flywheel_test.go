@@ -16,7 +16,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 )
 
 // The cluster flywheel test reuses the adapt package's fixture recipe: four
@@ -188,7 +187,7 @@ func (ft *fwTrainer) Train(fams []adapt.Family) (*artifact.Artifact, error) {
 // fwDrive pushes one traffic phase directly into a node's core: idJobs
 // in-distribution jobs then oodJobs OOD jobs, one full window each, then a
 // deterministic tick. Returns the OOD job IDs.
-func fwDrive(t *testing.T, c *shard.Core, base, idJobs, oodJobs int) []int {
+func fwDrive(t *testing.T, c *fleet.Monitor, base, idJobs, oodJobs int) []int {
 	t.Helper()
 	for j := 0; j < idJobs; j++ {
 		for _, s := range fwIDSamples(j%fwClasses, base+j, fwWindow) {
@@ -213,7 +212,7 @@ func fwDrive(t *testing.T, c *shard.Core, base, idJobs, oodJobs int) []int {
 	return ood
 }
 
-func fwRejectedRate(t *testing.T, c *shard.Core, jobs []int) float64 {
+func fwRejectedRate(t *testing.T, c *fleet.Monitor, jobs []int) float64 {
 	t.Helper()
 	rejected := 0
 	for _, id := range jobs {

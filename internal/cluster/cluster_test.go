@@ -25,7 +25,6 @@ import (
 	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 )
 
 // realFixture builds a scaler and a discriminating forest (the stamp
@@ -208,7 +207,7 @@ func TestClusterEquivalenceWithSingleCore(t *testing.T) {
 
 	// The reference: one in-process sharded core, same replay, same order
 	// within each job.
-	ref, err := shard.New(shard.Config{
+	ref, err := fleet.New(fleet.Config{
 		Window: window, Sensors: sensors, Scaler: scaler, Model: model, Shards: 2,
 	})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
+	"repro/internal/fleet"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -151,7 +151,7 @@ func stubPeerNode(t *testing.T, peer http.Handler) (*cluster.Node, string) {
 	t.Helper()
 	stub := httptest.NewServer(peer)
 	t.Cleanup(stub.Close)
-	core, err := shard.New(shard.Config{
+	core, err := fleet.New(fleet.Config{
 		Window: 6, Sensors: 3, Scaler: clustertest.NewScaler(6, 3), Model: clustertest.StampModel(t, 3, 0), Shards: 1,
 	})
 	if err != nil {

@@ -30,9 +30,12 @@ func TestTensor3Basics(t *testing.T) {
 	if err := x.SetTrial(0, m); err != nil {
 		t.Fatal(err)
 	}
-	got := x.Trial(0)
-	if !mat.Equal(got, m, 1e-6) {
-		t.Errorf("Trial round trip failed: %v vs %v", got, m)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			if got := x.At(0, r, c); got != m.At(r, c) {
+				t.Errorf("SetTrial stored %v at (%d, %d), want %v", got, r, c, m.At(r, c))
+			}
+		}
 	}
 	if err := x.SetTrial(0, mat.New(2, 2)); err == nil {
 		t.Error("wrong trial shape should fail")

@@ -47,16 +47,6 @@ func (x *Tensor3) SetTrial(i int, m *mat.Matrix) error {
 	return nil
 }
 
-// Trial returns trial i as a samples×sensors float64 matrix (copied).
-func (x *Tensor3) Trial(i int) *mat.Matrix {
-	m := mat.New(x.T, x.C)
-	base := i * x.T * x.C
-	for k := range m.Data {
-		m.Data[k] = float64(x.Data[base+k])
-	}
-	return m
-}
-
 // Flatten returns the tensor reshaped to N×(T·C) float64, the layout used
 // before standardisation and PCA (the paper reshapes each trial to R^3780).
 func (x *Tensor3) Flatten() *mat.Matrix {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,91 +26,90 @@ func drainEvents(sub *events.Subscription) []events.Event {
 // TestEventsEquivalenceBitIdentical pins the tentpole invariant of the
 // observability plane: a monitor with an event bus and a trace recorder
 // attached publishes bit-identical Class/Probability/Probs to one without,
-// for every job, across multiple ticks and window wraparound. Events and
-// spans describe serving; they never participate in it.
+// for every job, across multiple ticks and window wraparound, at one
+// partition and at four. Events and spans describe serving; they never
+// participate in it.
 func TestEventsEquivalenceBitIdentical(t *testing.T) {
 	scaler, model := fixture(t)
 	const jobs = 40
 	const perJob = testWindow*2 + 3 // past wraparound
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			plain := newPartitioned(t, scaler, model, shards)
+			observed := newPartitioned(t, scaler, model, shards)
+			bus := events.NewBus()
+			sub := bus.Subscribe(events.SubOptions{Buffer: 4096})
+			defer sub.Close()
+			observed.SetEventSink(bus)
+			rec := trace.NewRecorder()
+			observed.SetTraceRecorder(rec)
 
-	plain, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := events.NewBus()
-	sub := bus.Subscribe(events.SubOptions{Buffer: 4096})
-	defer sub.Close()
-	observed.SetEventSink(bus)
-	rec := trace.NewRecorder()
-	observed.SetTraceRecorder(rec)
-
-	// Interleave ticks mid-stream on both sides so write-back runs against
-	// partially filled and already-classified jobs alike.
-	for round := 0; round < 3; round++ {
-		for k := 0; k < jobs; k++ {
-			samples := jobSamples(k, perJob)
-			lo, hi := round*perJob/3, (round+1)*perJob/3
-			for _, s := range samples[lo:hi] {
-				if err := plain.Ingest(k, s); err != nil {
+			// Interleave ticks mid-stream on both sides so write-back
+			// runs against partially filled and already-classified jobs
+			// alike.
+			for round := 0; round < 3; round++ {
+				for k := 0; k < jobs; k++ {
+					samples := jobSamples(k, perJob)
+					lo, hi := round*perJob/3, (round+1)*perJob/3
+					for _, s := range samples[lo:hi] {
+						if err := plain.Ingest(k, s); err != nil {
+							t.Fatal(err)
+						}
+						if err := observed.Ingest(k, s); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if _, err := plain.Tick(); err != nil {
 					t.Fatal(err)
 				}
-				if err := observed.Ingest(k, s); err != nil {
+				if _, err := observed.Tick(); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if _, err := plain.Tick(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := observed.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	for k := 0; k < jobs; k++ {
-		want, ok := plain.Prediction(k)
-		if !ok {
-			t.Fatalf("job %d: no plain prediction", k)
-		}
-		got, ok := observed.Prediction(k)
-		if !ok {
-			t.Fatalf("job %d: no observed prediction", k)
-		}
-		assertSamePrediction(t, k, got, want)
-	}
+			for k := 0; k < jobs; k++ {
+				want, ok := plain.Prediction(k)
+				if !ok {
+					t.Fatalf("job %d: no plain prediction", k)
+				}
+				got, ok := observed.Prediction(k)
+				if !ok {
+					t.Fatalf("job %d: no observed prediction", k)
+				}
+				assertSamePrediction(t, k, got, want)
+			}
 
-	// The recorder saw the serving stages: one observation per non-empty
-	// tick for collect/classify/write-back, none for the HTTP-side stages
-	// this package never runs.
-	snap := rec.Snapshot()
-	for _, st := range []trace.Stage{trace.StageCollect, trace.StageClassify, trace.StageWriteBack} {
-		if snap.Stages[st].Count == 0 {
-			t.Fatalf("stage %s recorded no spans", st)
-		}
-	}
-	if n := snap.Stages[trace.StageParse].Count; n != 0 {
-		t.Fatalf("parse stage recorded %d spans with no HTTP layer", n)
-	}
-	if len(snap.Spans) == 0 {
-		t.Fatal("span ring is empty after three observed ticks")
-	}
+			// The recorder saw the serving stages: one observation per
+			// non-empty tick for collect/classify/write-back, none for the
+			// HTTP-side stages this package never runs.
+			snap := rec.Snapshot()
+			for _, st := range []trace.Stage{trace.StageCollect, trace.StageClassify, trace.StageWriteBack} {
+				if snap.Stages[st].Count == 0 {
+					t.Fatalf("stage %s recorded no spans", st)
+				}
+			}
+			if n := snap.Stages[trace.StageParse].Count; n != 0 {
+				t.Fatalf("parse stage recorded %d spans with no HTTP layer", n)
+			}
+			if len(snap.Spans) == 0 {
+				t.Fatal("span ring is empty after three observed ticks")
+			}
 
-	// And events flowed: at least one prediction event per job (the first
-	// classification is always a transition).
-	evs := drainEvents(sub)
-	perJobCount := make(map[int]int)
-	for _, e := range evs {
-		if e.Type != events.TypePrediction {
-			t.Fatalf("unexpected event type %q with no swaps or drift", e.Type)
-		}
-		perJobCount[*e.Job]++
-	}
-	if len(perJobCount) != jobs {
-		t.Fatalf("prediction events covered %d jobs, want %d", len(perJobCount), jobs)
+			// And events flowed: at least one prediction event per job
+			// (the first classification is always a transition).
+			evs := drainEvents(sub)
+			perJobCount := make(map[int]int)
+			for _, e := range evs {
+				if e.Type != events.TypePrediction {
+					t.Fatalf("unexpected event type %q with no swaps or drift", e.Type)
+				}
+				perJobCount[*e.Job]++
+			}
+			if len(perJobCount) != jobs {
+				t.Fatalf("prediction events covered %d jobs, want %d", len(perJobCount), jobs)
+			}
+		})
 	}
 }
 
@@ -292,5 +292,77 @@ func TestEventsSwapAdvancesGeneration(t *testing.T) {
 	}
 	if swaps != 1 {
 		t.Fatalf("swap emitted %d swap events, want 1", swaps)
+	}
+}
+
+// TestCoreEventsSingleSwapAllShards pins the partitioned push plane:
+// prediction events flow from every partition's tick into one shared bus,
+// but a fleet-wide swap — which installs on every partition — publishes
+// exactly ONE swap event and advances the generation exactly once.
+func TestCoreEventsSingleSwapAllShards(t *testing.T) {
+	scaler, model := fixture(t)
+	c := newPartitioned(t, scaler, model, 4)
+	bus := events.NewBus()
+	sub := bus.Subscribe(events.SubOptions{Buffer: 4096})
+	defer sub.Close()
+	c.SetEventSink(bus)
+	rec := trace.NewRecorder()
+	c.SetTraceRecorder(rec)
+
+	// Enough jobs that splitmix64 routing touches every partition.
+	const jobs = 64
+	for k := 0; k < jobs; k++ {
+		for _, s := range jobSamples(k, testWindow) {
+			if err := c.Ingest(k, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapClassifierDrift(model, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	evs := drainEvents(sub)
+	var preds, swaps int
+	shardsSeen := make(map[int]bool)
+	for _, e := range evs {
+		switch e.Type {
+		case events.TypePrediction:
+			preds++
+			if e.Gen != 0 {
+				t.Fatalf("pre-swap prediction at generation %d: %+v", e.Gen, e)
+			}
+			shardsSeen[c.ShardOf(*e.Job)] = true
+		case events.TypeSwap:
+			swaps++
+			if e.Gen != 1 {
+				t.Fatalf("swap event at generation %d, want 1", e.Gen)
+			}
+		default:
+			t.Fatalf("unexpected event type %q", e.Type)
+		}
+	}
+	if preds != jobs {
+		t.Fatalf("prediction events = %d, want %d", preds, jobs)
+	}
+	if len(shardsSeen) != c.NumShards() {
+		t.Fatalf("events arrived from %d shards, want %d", len(shardsSeen), c.NumShards())
+	}
+	if swaps != 1 {
+		t.Fatalf("fleet-wide swap published %d swap events, want exactly 1", swaps)
+	}
+	if got := bus.Gen(); got != 1 {
+		t.Fatalf("bus generation %d after one swap, want 1", got)
+	}
+
+	// The shared recorder collected tick stages from every partition.
+	snap := rec.Snapshot()
+	for _, st := range []trace.Stage{trace.StageCollect, trace.StageClassify, trace.StageWriteBack} {
+		if snap.Stages[st].Count == 0 {
+			t.Fatalf("stage %s recorded no spans", st)
+		}
 	}
 }

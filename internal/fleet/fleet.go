@@ -277,12 +277,10 @@ type partition struct {
 // ticks, swaps and reads; ticks of one partition serialise internally,
 // ticks of different partitions run in parallel.
 type Monitor struct {
-	window  int
-	sensors int
-	dim     int
-	scaler  *preprocess.StandardScaler
-	now     func() time.Time // injected clock (Config.Now, default time.Now)
-	parts   []*partition
+	shape stream.Shape // checked once by New; every job's embedder is built from it
+	dim   int
+	now   func() time.Time // injected clock (Config.Now, default time.Now)
+	parts []*partition
 
 	// mu is the one swap lock, and it guards everything that describes what
 	// is being served (the fields below it). Every tick holds the read side
@@ -309,7 +307,8 @@ type Monitor struct {
 
 // New validates the configuration and returns an empty fleet monitor.
 func New(cfg Config) (*Monitor, error) {
-	if err := stream.CheckShape(cfg.Window, cfg.Sensors, cfg.Scaler); err != nil {
+	shape, err := stream.CheckShape(cfg.Window, cfg.Sensors, cfg.Scaler)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.Model == nil {
@@ -319,12 +318,10 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		window:  cfg.Window,
-		sensors: cfg.Sensors,
-		dim:     preprocess.CovarianceDim(cfg.Sensors),
-		scaler:  cfg.Scaler,
-		now:     cfg.Now,
-		parts:   make([]*partition, max(cfg.Shards, 1)),
+		shape: shape,
+		dim:   preprocess.CovarianceDim(cfg.Sensors),
+		now:   cfg.Now,
+		parts: make([]*partition, max(cfg.Shards, 1)),
 	}
 	if m.now == nil {
 		m.now = time.Now
@@ -357,7 +354,7 @@ func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 		p.eachStripe(func(st *stripe) {
 			st.dw, st.dbins = nil, bins
 			if cal != nil {
-				st.dw = drift.NewWindow(m.sensors, cal.Ref.Bins)
+				st.dw = drift.NewWindow(m.shape.Sensors(), cal.Ref.Bins)
 			}
 		})
 	}
@@ -465,19 +462,14 @@ func CheckSample(sample []float64, sensors int) error {
 // stream of invalid samples (e.g. hostile ingest traffic behind the HTTP
 // layer) cannot grow the registry or corrupt a window.
 func (m *Monitor) Ingest(jobID int, sample []float64) error {
-	if err := CheckSample(sample, m.sensors); err != nil {
+	if err := CheckSample(sample, m.shape.Sensors()); err != nil {
 		return err
 	}
 	p, st := m.stripeFor(jobID)
 	st.mu.Lock()
 	js := st.jobs[jobID]
 	if js == nil {
-		emb, err := stream.NewWindowedEmbedder(m.window, m.sensors, m.scaler)
-		if err != nil {
-			st.mu.Unlock()
-			return err
-		}
-		js = &jobState{id: jobID, home: st, emb: emb}
+		js = &jobState{id: jobID, home: st, emb: m.shape.NewEmbedder()}
 		st.jobs[jobID] = js
 		st.unfilled++
 	}
@@ -812,7 +804,7 @@ func (m *Monitor) SwapClassifierDrift(model stream.Classifier, cal *drift.Calibr
 	if model == nil {
 		return errors.New("fleet: cannot swap in a nil model")
 	}
-	if err := CheckCalibration(cal, m.sensors); err != nil {
+	if err := CheckCalibration(cal, m.shape.Sensors()); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -977,15 +969,15 @@ func (m *Monitor) Snapshot() []JobInfo {
 }
 
 // Window returns the per-job sliding-window length the monitor was built with.
-func (m *Monitor) Window() int { return m.window }
+func (m *Monitor) Window() int { return m.shape.Window() }
 
 // Sensors returns the per-sample sensor count the monitor was built with.
-func (m *Monitor) Sensors() int { return m.sensors }
+func (m *Monitor) Sensors() int { return m.shape.Sensors() }
 
 // Scaler returns the training-time statistics every job's embedder was
 // built with. Per-job window state survives a model swap, so a replacement
 // model must have been trained against exactly these.
-func (m *Monitor) Scaler() *preprocess.StandardScaler { return m.scaler }
+func (m *Monitor) Scaler() *preprocess.StandardScaler { return m.shape.Scaler() }
 
 // ShardStats is one partition's counters, for shard-labelled observability.
 type ShardStats struct {
@@ -1101,7 +1093,7 @@ func (m *Monitor) DriftStats() DriftStats {
 	if m.dcal == nil {
 		return DriftStats{}
 	}
-	w := drift.NewWindow(m.sensors, m.dcal.Ref.Bins)
+	w := drift.NewWindow(m.shape.Sensors(), m.dcal.Ref.Bins)
 	for _, p := range m.parts {
 		p.eachStripe(func(st *stripe) { w.Merge(st.dw) })
 	}

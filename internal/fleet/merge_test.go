@@ -1,4 +1,4 @@
-package shard
+package fleet
 
 import (
 	"sort"
@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// shardedIDs returns n job IDs that all route to the given shard — the
+// shardedIDs returns n job IDs that all route to the given partition — the
 // tool for building deliberately uneven job distributions.
-func shardedIDs(t *testing.T, c *Core, shard, n int) []int {
+func shardedIDs(t *testing.T, c *Monitor, shard, n int) []int {
 	t.Helper()
 	var ids []int
 	for j := 0; len(ids) < n; j++ {
@@ -17,14 +17,14 @@ func shardedIDs(t *testing.T, c *Core, shard, n int) []int {
 			ids = append(ids, j)
 		}
 		if j > 1_000_000 {
-			t.Fatalf("could not find %d jobs routing to shard %d", n, shard)
+			t.Fatalf("could not find %d jobs routing to partition %d", n, shard)
 		}
 	}
 	return ids
 }
 
 // fill pushes enough samples to fill (and wrap) the job's window.
-func fill(t *testing.T, c *Core, jobID int) {
+func fill(t *testing.T, c *Monitor, jobID int) {
 	t.Helper()
 	for _, s := range jobSamples(jobID, testWindow+1) {
 		if err := c.Ingest(jobID, s); err != nil {
@@ -33,13 +33,20 @@ func fill(t *testing.T, c *Core, jobID int) {
 	}
 }
 
-// TestMergeEmptyCore pins the degenerate merges: a core with no jobs at
-// all snapshots empty and ticks to zero stats on every shard.
+// TestMergeEmptyCore pins the degenerate merges: a partitioned monitor
+// with no jobs at all snapshots empty, ticks to zero stats on every
+// partition, and, built without a calibration, reports the zero DriftStats.
 func TestMergeEmptyCore(t *testing.T) {
 	scaler, model := fixture(t)
-	c := newCore(t, scaler, model, 4)
+	c := newPartitioned(t, scaler, model, 4)
 	if snap := c.Snapshot(); len(snap) != 0 {
 		t.Fatalf("empty core snapshot has %d rows", len(snap))
+	}
+	if st := c.DriftStats(); st.Enabled || st.Samples != 0 || st.SensorPSI != nil {
+		t.Fatalf("drift stats on a plain core: %+v", st)
+	}
+	if c.Unknowns() != 0 {
+		t.Fatal("unknowns nonzero on a plain core")
 	}
 	stats, err := c.Tick()
 	if err != nil {
@@ -53,13 +60,13 @@ func TestMergeEmptyCore(t *testing.T) {
 	}
 }
 
-// TestMergeUnevenDistribution loads every job onto one shard and leaves
-// the rest empty: the merged TickStats must equal that one shard's stats,
-// and the merged Snapshot must list exactly those jobs, ID-sorted, with
-// empty shards contributing nothing.
+// TestMergeUnevenDistribution loads every job onto one partition and
+// leaves the rest empty: the merged TickStats must equal that one
+// partition's stats, and the merged Snapshot must list exactly those jobs,
+// ID-sorted, with empty partitions contributing nothing.
 func TestMergeUnevenDistribution(t *testing.T) {
 	scaler, model := fixture(t)
-	c := newCore(t, scaler, model, 4)
+	c := newPartitioned(t, scaler, model, 4)
 	const loaded = 2
 	ids := shardedIDs(t, c, loaded, 12)
 	// Half the jobs get full windows, half stay pending.
@@ -108,12 +115,12 @@ func TestMergeUnevenDistribution(t *testing.T) {
 	}
 }
 
-// TestMergeAcrossShards spreads jobs over all shards and checks the
-// fan-in: merged TickStats equals the sum of per-shard stats, and the
-// core-level counters equal the ShardStats sums.
+// TestMergeAcrossShards spreads jobs over all partitions and checks the
+// fan-in: merged TickStats equals the sum of per-partition stats, and the
+// monitor-level counters equal the ShardStats sums.
 func TestMergeAcrossShards(t *testing.T) {
 	scaler, model := fixture(t)
-	c := newCore(t, scaler, model, 4)
+	c := newPartitioned(t, scaler, model, 4)
 	const jobs = 40
 	for j := 0; j < jobs; j++ {
 		if j%4 == 3 {
@@ -131,6 +138,10 @@ func TestMergeAcrossShards(t *testing.T) {
 	}
 	if stats.Classified != 30 || stats.Pending != 10 {
 		t.Fatalf("merged tick stats %+v, want 30 classified / 10 pending", stats)
+	}
+
+	if snap := c.Snapshot(); len(snap) != jobs {
+		t.Fatalf("merged snapshot has %d rows, want all %d jobs", len(snap), jobs)
 	}
 
 	per := c.ShardStats()
@@ -176,7 +187,7 @@ func TestMergeAcrossShards(t *testing.T) {
 // pins the merge's locking discipline against the eviction paths.
 func TestMergeWithConcurrentEviction(t *testing.T) {
 	scaler, model := fixture(t)
-	c := newCore(t, scaler, model, 4)
+	c := newPartitioned(t, scaler, model, 4)
 	const jobs = 64
 	for j := 0; j < jobs; j++ {
 		fill(t, c, j)

@@ -161,7 +161,7 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 			sh.mu.Lock()
 			js := sh.jobs[j]
 			full := js.emb
-			js.emb, _ = stream.NewWindowedEmbedder(testWindow, testSensors, m.scaler)
+			js.emb = m.shape.NewEmbedder()
 			sh.mu.Unlock()
 			return func() {
 				sh.mu.Lock()

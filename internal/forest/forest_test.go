@@ -95,7 +95,10 @@ func TestPredictProbaRowsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < probs.Rows; i++ {
-		sum := mat.SumSlice(probs.Row(i))
+		var sum float64
+		for _, p := range probs.Row(i) {
+			sum += p
+		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("row %d probs sum to %v", i, sum)
 		}

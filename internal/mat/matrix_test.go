@@ -234,14 +234,6 @@ func TestVectorKernels(t *testing.T) {
 	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
 		t.Error("Norm2 wrong")
 	}
-	v := []float64{3, 4}
-	if n := Normalize(v); math.Abs(n-5) > 1e-12 || math.Abs(Norm2(v)-1) > 1e-12 {
-		t.Errorf("Normalize gave norm %v vec %v", n, v)
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) != 0 {
-		t.Error("Normalize of zero vector should return 0")
-	}
 	if Mean([]float64{2, 4}) != 3 || Mean(nil) != 0 {
 		t.Error("Mean wrong")
 	}

@@ -23,20 +23,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// Normalize scales x to unit Euclidean norm in place and returns the
-// original norm. A zero vector is left unchanged.
-func Normalize(x []float64) float64 {
-	n := Norm2(x)
-	if n == 0 {
-		return 0
-	}
-	inv := 1 / n
-	for i := range x {
-		x[i] *= inv
-	}
-	return n
-}
-
 // Mean returns the arithmetic mean of x (0 for empty input).
 func Mean(x []float64) float64 {
 	if len(x) == 0 {
@@ -76,15 +62,6 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return bi
-}
-
-// SumSlice returns the sum of x.
-func SumSlice(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
 }
 
 // Clip limits v to the closed interval [lo, hi].

@@ -235,12 +235,6 @@ func NewCNNLSTMClassifier(inCh, seqLen, numClasses int, opt CNNLSTMOptions) (*CN
 // Name identifies the model in tables.
 func (m *CNNLSTMClassifier) Name() string { return m.name }
 
-// ReducedLen reports the sequence length after the CNN front-end for an
-// input of length t (the paper's ~8× / ~2× reduction).
-func (m *CNNLSTMClassifier) ReducedLen(t int) int {
-	return m.conv2.OutLen(m.pool.OutLen(m.conv1.OutLen(t)))
-}
-
 // Forward returns log-probabilities for the batch.
 func (m *CNNLSTMClassifier) Forward(seq []*mat.Matrix, train bool) *mat.Matrix {
 	z := m.conv1.Forward(seq)

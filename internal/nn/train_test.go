@@ -101,10 +101,10 @@ func TestCNNLSTMSequenceReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rStd := std.ReducedLen(540)
-	rSmall := small.ReducedLen(540)
 	// The paper: the standard CNN front-end shortens the sequence ~8×, the
 	// small-kernel variant keeps it longer.
+	reduced := func(m *CNNLSTMClassifier) int { return m.conv2.OutLen(m.pool.OutLen(m.conv1.OutLen(540))) }
+	rStd, rSmall := reduced(std), reduced(small)
 	if ratio := 540.0 / float64(rStd); ratio < 6 || ratio > 10 {
 		t.Errorf("standard reduction %vx (len %d), want ≈8x", ratio, rStd)
 	}

@@ -1,7 +1,6 @@
 package preprocess
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -14,10 +13,11 @@ const codecVersion = 1
 
 // Encode serialises the fitted scaler's column statistics. The scaler must
 // travel with any model it standardised features for, so live windows are
-// preprocessed exactly as the training set was.
+// preprocessed exactly as the training set was. It refuses what Check
+// refuses, so it never writes a scaler DecodeScaler would not read back.
 func (s *StandardScaler) Encode(w io.Writer) error {
-	if s.Means == nil {
-		return errors.New("preprocess: cannot encode an unfitted scaler")
+	if err := s.Check(); err != nil {
+		return err
 	}
 	ww := wire.NewWriter(w)
 	ww.U16(codecVersion)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/wire"
 )
 
 // TestScalerCodecRoundTrip pins Fit → Encode → Decode → Transform
@@ -85,12 +86,18 @@ func TestCodecUnfittedAndCorrupt(t *testing.T) {
 // zero, negative, NaN or infinite, or whose mean is not finite, decodes to
 // an error naming the first such column, because an embedder standardising
 // with it serves NaN features from then on. The well-formed section around
-// each bad column decodes.
+// each bad column decodes. Encode refuses such a scaler too, so the
+// poisoned payloads are written field by field, the way Encode lays them
+// out.
 func TestDecodeScalerRefusesPoison(t *testing.T) {
 	encode := func(s *StandardScaler) *bytes.Reader {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
+		ww := wire.NewWriter(&buf)
+		ww.U16(codecVersion)
+		ww.F64s(s.Means)
+		ww.F64s(s.Stds)
+		if err := ww.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return bytes.NewReader(buf.Bytes())
@@ -105,6 +112,9 @@ func TestDecodeScalerRefusesPoison(t *testing.T) {
 	mixed.Stds = []float64{1, 0, 1, 1, math.NaN(), -2}
 	if _, err := DecodeScaler(encode(mixed)); err == nil || !strings.Contains(err.Error(), "column 1 ") {
 		t.Fatalf("stds %v decoded with error %v, want one naming column 1", mixed.Stds, err)
+	}
+	if err := mixed.Encode(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "column 1 ") {
+		t.Fatalf("stds %v encoded with error %v, want one naming column 1", mixed.Stds, err)
 	}
 	cases := []struct {
 		col       int

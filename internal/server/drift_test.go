@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/drift"
+	"repro/internal/fleet"
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // driftCalibration fits a calibration matched to the server test fixture.
@@ -50,10 +50,10 @@ func driftCalibration(t *testing.T, model interface {
 }
 
 // newDriftServer is newTestServer over a drift-enabled monitor.
-func newDriftServer(t *testing.T) (*Server, *shard.Core, *httptest.Server) {
+func newDriftServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
 		Scaler: scaler, Model: model, Drift: driftCalibration(t, model)})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("temperature slot %v: %v", temp, err)
 		}
-		m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
+		m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
 			Scaler: scaler, Model: model, Drift: cal})
 		if err != nil {
 			t.Fatal(err)

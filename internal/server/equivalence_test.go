@@ -16,7 +16,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -122,7 +121,7 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 	// Served fleet: the same replay partitioned across conns concurrent
 	// HTTP clients (a job's samples always ride the same connection, so
 	// per-job order is preserved), while the server ticks every 2ms.
-	served, err := shard.New(shard.Config{Shards: 1, Window: window, Sensors: sensors, Scaler: scaler, Model: model})
+	served, err := fleet.New(fleet.Config{Shards: 1, Window: window, Sensors: sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

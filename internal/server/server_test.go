@@ -19,7 +19,6 @@ import (
 	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -108,10 +107,10 @@ func baseline(t testing.TB, scaler *preprocess.StandardScaler, model stream.Clas
 
 // newTestServer builds a monitor + serving layer with a very long tick
 // cadence, so tests control inference timing via runTick and Close.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *shard.Core, *httptest.Server) {
+func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	m, err := shard.New(shard.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestIngestErrorAccounting(t *testing.T) {
 	}
 }
 
-func pingTick(m *shard.Core) error {
+func pingTick(m *fleet.Monitor) error {
 	_, err := m.Tick()
 	return err
 }

@@ -12,16 +12,15 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/shard"
 )
 
-// newShardedServer builds a shard.Core-backed serving layer. The tick
-// cadence is real (per-shard loops run), short enough that predictions
-// appear promptly.
-func newShardedServer(t *testing.T, shards int) (*Server, *shard.Core, *httptest.Server) {
+// newShardedServer builds a serving layer over a partitioned fleet.Monitor.
+// The tick cadence is real (per-shard loops run), short enough that
+// predictions appear promptly.
+func newShardedServer(t *testing.T, shards int) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
 	scaler, model := fixture(t)
-	core, err := shard.New(shard.Config{
+	core, err := fleet.New(fleet.Config{
 		Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: shards,
 	})
 	if err != nil {

@@ -7,9 +7,10 @@
 // the core to the machine (Shards = GOMAXPROCS) where a bare fleet.New
 // means one partition — the same default server.NewCore applies.
 //
-// Its tests stay here, unchanged, as the proof that P partitions equal one
-// monitor bit for bit: the same per-job streams through New(Shards: 4) and
-// through fleet.New end in identical predictions, drift stats and events.
+// It has no tests of its own. The suites that prove P partitions equal one
+// monitor bit for bit (identical predictions, drift stats and events) live
+// in internal/fleet, and every test outside benchmark/ builds its core with
+// fleet.New.
 package shard
 
 import (

@@ -48,34 +48,58 @@ const MaxSensors = 64
 // preprocess.StandardScaler.Check: one zero, negative or NaN std would
 // turn every feature the embedder serves into NaN.
 func NewWindowedEmbedder(window, sensors int, scaler *preprocess.StandardScaler) (*WindowedEmbedder, error) {
-	if err := CheckShape(window, sensors, scaler); err != nil {
+	s, err := CheckShape(window, sensors, scaler)
+	if err != nil {
 		return nil, err
 	}
-	return &WindowedEmbedder{
-		window:  window,
-		sensors: sensors,
-		scaler:  scaler,
-		ring:    make([]float64, window*sensors),
-		sums:    make([]float64, preprocess.CovarianceDim(sensors)),
-	}, nil
+	return s.NewEmbedder(), nil
 }
 
-// CheckShape is NewWindowedEmbedder's check, for a caller that builds
-// embedders later (fleet.New refuses a shape before its first job
-// registers): a window of at least 2 samples, 1 to MaxSensors sensors, and a
-// scaler over window·sensors columns that StandardScaler.Check accepts.
-func CheckShape(window, sensors int, scaler *preprocess.StandardScaler) error {
+// Shape is a window shape and scaler that CheckShape accepted. Only
+// CheckShape builds one, so a caller that builds embedders later (fleet.New
+// checks once, before its first job registers) holds the proof of the check
+// and never repeats it.
+type Shape struct {
+	window, sensors int
+	scaler          *preprocess.StandardScaler
+}
+
+// CheckShape is NewWindowedEmbedder's check: a window of at least 2
+// samples, 1 to MaxSensors sensors, and a scaler over window·sensors
+// columns that StandardScaler.Check accepts.
+func CheckShape(window, sensors int, scaler *preprocess.StandardScaler) (Shape, error) {
 	if window < 2 || sensors < 1 || sensors > MaxSensors {
-		return fmt.Errorf("stream: invalid window shape %dx%d (at most %d sensors)", window, sensors, MaxSensors)
+		return Shape{}, fmt.Errorf("stream: invalid window shape %dx%d (at most %d sensors)", window, sensors, MaxSensors)
 	}
 	if scaler == nil || len(scaler.Means) != window*sensors {
-		return errors.New("stream: scaler not fitted for this window shape")
+		return Shape{}, errors.New("stream: scaler not fitted for this window shape")
 	}
 	if err := scaler.Check(); err != nil {
-		return fmt.Errorf("stream: %w", err)
+		return Shape{}, fmt.Errorf("stream: %w", err)
 	}
-	return nil
+	return Shape{window: window, sensors: sensors, scaler: scaler}, nil
 }
+
+// NewEmbedder builds an empty embedder of this shape.
+func (s Shape) NewEmbedder() *WindowedEmbedder {
+	return &WindowedEmbedder{
+		window:  s.window,
+		sensors: s.sensors,
+		scaler:  s.scaler,
+		ring:    make([]float64, s.window*s.sensors),
+		sums:    make([]float64, preprocess.CovarianceDim(s.sensors)),
+	}
+}
+
+// Window returns the sliding-window length in samples.
+func (s Shape) Window() int { return s.window }
+
+// Sensors returns the values per sample.
+func (s Shape) Sensors() int { return s.sensors }
+
+// Scaler returns the training-time statistics every window is standardised
+// with.
+func (s Shape) Scaler() *preprocess.StandardScaler { return s.scaler }
 
 // Push adds one telemetry sample (one value per sensor). The sample is
 // standardised with the column statistics of the ring position it lands in,

@@ -22,11 +22,6 @@ type LinearConfig struct {
 	Seed int64
 }
 
-// DefaultLinearConfig mirrors liblinear defaults.
-func DefaultLinearConfig() LinearConfig {
-	return LinearConfig{C: 1, Epochs: 100, Tol: 1e-4}
-}
-
 // LinearClassifier is a one-vs-rest linear SVM trained by dual coordinate
 // descent on the L1-loss (hinge) objective — the algorithm behind
 // liblinear. It trades the kernel SVC's flexibility for O(n·d) training,
@@ -39,7 +34,8 @@ type LinearClassifier struct {
 	classes  int
 }
 
-// NewLinear returns an unfitted linear classifier.
+// NewLinear returns an unfitted linear classifier. Zero fields take
+// liblinear's defaults: C 1, 100 epochs, Tol 1e-4.
 func NewLinear(cfg LinearConfig) *LinearClassifier {
 	if cfg.C <= 0 {
 		cfg.C = 1

@@ -332,14 +332,5 @@ func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {
 	return out, nil
 }
 
-// NumSupportVectors totals support vectors across pairwise machines.
-func (c *Classifier) NumSupportVectors() int {
-	total := 0
-	for _, m := range c.machines {
-		total += m.svX.Rows
-	}
-	return total
-}
-
 // Gamma returns the resolved RBF gamma (0 when not using RBF "scale").
 func (c *Classifier) Gamma() float64 { return c.gamma }

@@ -188,17 +188,6 @@ func ClassNames() []string {
 	return out
 }
 
-// ClassByName resolves a model name (as spelled in the challenge files) to
-// its Class, reporting ok=false for unknown names.
-func ClassByName(name string) (Class, bool) {
-	for i, info := range classTable {
-		if info.name == name {
-			return Class(i), true
-		}
-	}
-	return -1, false
-}
-
 // FamilyJobCount sums the job counts of all classes in family f
 // (the paper's Table I rows).
 func FamilyJobCount(f Family) int {

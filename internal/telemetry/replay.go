@@ -36,7 +36,6 @@ type Replay struct {
 	tick  int
 	cur   int // next job position within the current tick
 	left  int // samples not yet emitted
-	total int
 }
 
 // NewReplay prepares a replay over the jobs' telemetry between absolute job
@@ -84,18 +83,11 @@ func NewReplay(jobs []*Job, gpu int, start, horizon float64) (*Replay, error) {
 	if len(r.jobs) == 0 {
 		return nil, errors.New("telemetry: no job long enough to replay")
 	}
-	r.total = r.left
 	return r, nil
 }
 
 // NumJobs returns how many jobs contribute samples.
 func (r *Replay) NumJobs() int { return len(r.jobs) }
-
-// TotalSamples returns the number of samples the replay will emit in total.
-func (r *Replay) TotalSamples() int { return r.total }
-
-// Remaining returns the number of samples not yet emitted.
-func (r *Replay) Remaining() int { return r.left }
 
 // Next returns the next sample in time order and false once the stream is
 // exhausted. Jobs whose series ended simply stop contributing; the remaining

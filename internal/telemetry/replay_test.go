@@ -19,6 +19,7 @@ func TestReplayInterleavesJobsInTimeOrder(t *testing.T) {
 		t.Fatalf("replay holds %d jobs", r.NumJobs())
 	}
 
+	total := r.left
 	lastTick := map[int]int{}
 	emitted := 0
 	curTick := 0
@@ -40,11 +41,11 @@ func TestReplayInterleavesJobsInTimeOrder(t *testing.T) {
 			t.Fatalf("sample has %d sensors", len(s.Values))
 		}
 	}
-	if emitted != r.TotalSamples() {
-		t.Fatalf("emitted %d samples, total says %d", emitted, r.TotalSamples())
+	if emitted != total {
+		t.Fatalf("emitted %d samples, total says %d", emitted, total)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d samples remaining after exhaustion", r.Remaining())
+	if r.left != 0 {
+		t.Fatalf("%d samples remaining after exhaustion", r.left)
 	}
 	// Every replayed job produced a contiguous 0..n-1 tick range.
 	for id, last := range lastTick {
@@ -76,7 +77,7 @@ func TestReplayMatchesGPUWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := r.TotalSamples()
+	n := r.left
 	want, err := job.GPUWindow(0, 0, n)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func TestReplayStartOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := r.TotalSamples()
+	n := r.left
 	want, err := long.GPUWindow(0, start, n)
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,12 @@ func TestClassMetadata(t *testing.T) {
 		t.Fatalf("NumClasses = %d, want 26", NumClasses)
 	}
 	total := 0
+	named := map[string]bool{}
 	for _, c := range AllClasses() {
-		if c.Name() == "" {
-			t.Errorf("class %d has no name", c)
+		if c.Name() == "" || named[c.Name()] {
+			t.Errorf("class %d has an empty or repeated name %q", c, c.Name())
 		}
+		named[c.Name()] = true
 		if c.JobCount() <= 0 {
 			t.Errorf("class %s has job count %d", c, c.JobCount())
 		}
@@ -24,18 +26,6 @@ func TestClassMetadata(t *testing.T) {
 	}
 	if total != TotalJobs {
 		t.Errorf("total job count = %d, want %d (paper's 3,430)", total, TotalJobs)
-	}
-}
-
-func TestClassByName(t *testing.T) {
-	for _, c := range AllClasses() {
-		got, ok := ClassByName(c.Name())
-		if !ok || got != c {
-			t.Errorf("ClassByName(%q) = %v, %v", c.Name(), got, ok)
-		}
-	}
-	if _, ok := ClassByName("GPT-7"); ok {
-		t.Error("unknown class should not resolve")
 	}
 }
 

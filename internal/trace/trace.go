@@ -54,16 +54,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// ParseStage maps a metric-label name back to its Stage.
-func ParseStage(name string) (Stage, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return Stage(i), true
-		}
-	}
-	return 0, false
-}
-
 // Buckets is the histogram's upper-bound grid in seconds: 5µs to 2.5s in a
 // 1–2.5–5 progression, wide enough for a multi-millisecond batched tick
 // and fine enough to see a microsecond parse. The final implicit bucket is

@@ -211,7 +211,10 @@ func TestXGBPredictProba(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < probs.Rows; i++ {
-		sum := mat.SumSlice(probs.Row(i))
+		var sum float64
+		for _, p := range probs.Row(i) {
+			sum += p
+		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("row %d probs sum %v", i, sum)
 		}

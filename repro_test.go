@@ -15,8 +15,8 @@ import (
 
 	"repro"
 	"repro/internal/artifact"
+	"repro/internal/fleet"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -59,7 +59,7 @@ func TestGenerateAndTrainFacade(t *testing.T) {
 // TestFleetFacade pins the train → serve hand-over: the artifact TrainRFCov's
 // result bundles boots a sharded serving core through the one constructor,
 // and live telemetry streamed through it classifies. (That sharding never
-// changes a prediction bit is internal/shard's
+// changes a prediction bit is internal/fleet's
 // TestShardedMatchesSingleMonitor.)
 func TestFleetFacade(t *testing.T) {
 	ds, err := repro.GenerateDataset("60-middle-1", 0.05, 1)
@@ -186,7 +186,7 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	if len(live) == 0 {
 		t.Fatal("no streamable jobs at this scale")
 	}
-	for _, monitor := range []*shard.Core{mMem, mArt} {
+	for _, monitor := range []*fleet.Monitor{mMem, mArt} {
 		r, err := telemetry.NewReplay(live, 0, 0, 61.5)
 		if err != nil {
 			t.Fatal(err)
