@@ -549,3 +549,16 @@ func TestShardedDriftStatsMatchSingleMonitor(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedDriftDisabled pins the zero value on a partitioned monitor
+// built without a calibration.
+func TestShardedDriftDisabled(t *testing.T) {
+	scaler, model := fixture(t)
+	m := newPartitioned(t, scaler, model, 3)
+	if st := m.DriftStats(); st.Enabled || st.Samples != 0 || st.SensorPSI != nil {
+		t.Fatalf("drift stats on a plain monitor: %+v", st)
+	}
+	if m.Unknowns() != 0 {
+		t.Fatal("unknowns nonzero on a plain monitor")
+	}
+}

@@ -292,22 +292,6 @@ func TestFleetValidationAndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One partition unless Shards asks for more, and TickShard refuses an
-	// index outside them.
-	if got := m.NumShards(); got != 1 {
-		t.Fatalf("default NumShards = %d, want 1", got)
-	}
-	three := newPartitioned(t, scaler, model, 3)
-	if got := three.NumShards(); got != 3 {
-		t.Fatalf("NumShards = %d, want 3", got)
-	}
-	if _, err := three.TickShard(-1); err == nil {
-		t.Error("TickShard(-1) should fail")
-	}
-	if _, err := three.TickShard(3); err == nil {
-		t.Error("TickShard out of range should fail")
-	}
-
 	if err := m.Ingest(1, []float64{1}); err == nil {
 		t.Error("wrong sensor count should fail")
 	}

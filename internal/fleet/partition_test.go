@@ -198,3 +198,34 @@ func TestRoutingStable(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreValidation pins the partition-facing checks: a monitor holds one
+// partition unless Shards asks for more, every partition shares the
+// monitor's window shape, TickShard refuses an index outside the
+// partitions, and a nil swap is refused on a partitioned monitor.
+func TestCoreValidation(t *testing.T) {
+	scaler, model := fixture(t)
+	def, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := def.NumShards(); got != 1 {
+		t.Fatalf("default NumShards = %d, want 1", got)
+	}
+	c := newPartitioned(t, scaler, model, 3)
+	if got := c.NumShards(); got != 3 {
+		t.Fatalf("NumShards = %d, want 3", got)
+	}
+	if c.Window() != testWindow || c.Sensors() != testSensors {
+		t.Fatalf("window shape %dx%d, want %dx%d", c.Window(), c.Sensors(), testWindow, testSensors)
+	}
+	if _, err := c.TickShard(-1); err == nil {
+		t.Error("TickShard(-1) should fail")
+	}
+	if _, err := c.TickShard(3); err == nil {
+		t.Error("TickShard out of range should fail")
+	}
+	if err := c.SwapClassifierDrift(nil, nil); err == nil {
+		t.Error("nil swap should fail")
+	}
+}

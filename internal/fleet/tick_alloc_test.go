@@ -88,3 +88,34 @@ func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 			perTick[100], perTick[10000])
 	}
 }
+
+// TestOnePartitionIdleTickAllocatesNothing pins the idle tick of a monitor
+// that asks for one partition explicitly (Shards: 1, as wccserve's
+// -shards 1 does), with drift, events, trace and an observer attached and
+// every job's window wrapped: with nothing dirty the tick does no
+// collection, no batch and no event publishing, so it allocates nothing.
+func TestOnePartitionIdleTickAllocatesNothing(t *testing.T) {
+	scaler, model := fixture(t)
+	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler,
+		Model: model, Shards: 1, Drift: fitTestCalibration(t, model)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTraceRecorder(trace.NewRecorder())
+	m.SetEventSink(events.NewBus())
+	m.SetAdaptObserver(discard{})
+	const jobs = 100
+	for j := 0; j < jobs; j++ {
+		fill(t, m, j)
+	}
+	if stats, err := m.Tick(); err != nil || stats.Classified != jobs {
+		t.Fatalf("first tick %+v, %v", stats, err)
+	}
+	if idle := testing.AllocsPerRun(100, func() {
+		if stats, err := m.Tick(); err != nil || stats.Classified != 0 {
+			t.Errorf("idle tick %+v, %v", stats, err)
+		}
+	}); idle != 0 {
+		t.Fatalf("an idle Tick on a one-partition monitor allocates %.1f times, want 0", idle)
+	}
+}
