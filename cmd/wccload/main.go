@@ -56,9 +56,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drift"
-	"repro/internal/fleet"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -177,8 +177,8 @@ func run(out io.Writer, c config) error {
 		c.conns = 1
 	}
 	// In cluster mode every node URL is a routing target: job k's batches
-	// go to node JobHash(k) % N first — the same splitmix64 placement the
-	// nodes use — so the common case needs no server-side forwarding.
+	// go to node cluster.NodeOf(k, N) first — the placement the nodes use —
+	// so the common case needs no server-side forwarding.
 	nodes := []string{c.addr}
 	if c.cluster != "" {
 		nodes = strings.Split(c.cluster, ",")
@@ -186,7 +186,7 @@ func run(out io.Writer, c config) error {
 			nodes[i] = strings.TrimRight(strings.TrimSpace(nodes[i]), "/")
 		}
 	}
-	nodeOf := func(job int) int { return int(fleet.JobHash(job) % uint64(len(nodes))) }
+	nodeOf := func(job int) int { return cluster.NodeOf(job, len(nodes)) }
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: c.conns}}
 	defer client.CloseIdleConnections()

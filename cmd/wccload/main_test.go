@@ -110,7 +110,7 @@ func TestRunClusterRoutesByOwner(t *testing.T) {
 		t.Errorf("snapshot union holds %d jobs, want %d", got, testJobs)
 	}
 	for i := range c.URLs {
-		if forwarded, _, _, _ := c.Member(i).Cluster.ForwardStats(); forwarded != 0 {
+		if forwarded, _, _ := c.Member(i).Cluster.ForwardStats(); forwarded != 0 {
 			t.Errorf("node %d forwarded %d samples; client-side routing should leave none to forward", i, forwarded)
 		}
 	}

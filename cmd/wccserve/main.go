@@ -170,7 +170,7 @@ func serve(ctx context.Context, c config, out io.Writer) error {
 	}
 	// Boot is install minus the live comparisons: the same gate, then the
 	// one constructor.
-	monitor, err := server.NewCore(a, c.shards, nil)
+	monitor, err := server.NewCore(a, c.shards)
 	if err != nil {
 		return err
 	}

@@ -10,10 +10,12 @@
 // level up:
 //
 //   - routing hashes job IDs with fleet.JobHash, the same splitmix64
-//     finalizer the in-process shard router uses — one hash, two moduli
-//     (node count, then shard count within the owning node);
+//     finalizer the in-process shard router uses — the node from the
+//     hash's high word (NodeOf), the shard within it from the hash modulo
+//     the shard count, so the two placements stay independent;
 //   - forwarded samples travel in the binary ingest framing of
-//     internal/wire, the same frames POST /v1/ingest accepts;
+//     internal/wire, the same frames POST /v1/ingest accepts, inside the
+//     client's request;
 //   - every node verifies its own copy of an artifact by
 //     artifact.Identity, the same section-CRC fingerprint the hot-swap
 //     watcher uses for change detection; identity equality across nodes IS
@@ -55,14 +57,6 @@ import (
 // MaxNodes bounds the cluster size; the alive set is kept in one atomic
 // word so the per-sample routing read is a single load.
 const MaxNodes = 64
-
-// forwardBatch caps how many samples one forwarded POST carries.
-const forwardBatch = 256
-
-// forwardBuffer bounds each per-peer forwarding queue in samples. A full
-// queue rejects the sample — bounded, visible loss in the ingest accounting
-// rather than unbounded memory.
-const forwardBuffer = 4096
 
 // Config describes one node's place in the cluster.
 type Config struct {
@@ -143,9 +137,8 @@ type Node struct {
 	// while one is in flight fails fast instead of interleaving phases.
 	distSem chan struct{}
 
-	srv        *server.Server
-	handler    http.Handler
-	forwarders []*forwarder // indexed by node ID; nil at self
+	srv     *server.Server
+	handler http.Handler
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -153,9 +146,8 @@ type Node struct {
 	stopOnce  sync.Once
 
 	// counters for the wcc_cluster_* metrics series.
-	forwarded       atomic.Uint64 // samples handed to a peer forwarder
-	forwardDropped  atomic.Uint64 // samples rejected by a full forward queue
-	forwardErrors   atomic.Uint64 // samples lost to failed forwarded POSTs
+	forwarded       atomic.Uint64 // samples posted to their owners
+	forwardErrors   atomic.Uint64 // forwarded samples rejected in the reply
 	forwardReceived atomic.Uint64 // forwarded samples ingested for peers
 	redirects       atomic.Uint64 // job reads 307-redirected to their owner
 	replications    atomic.Uint64 // artifacts fetched (or staged locally) and persisted
@@ -168,8 +160,7 @@ type Node struct {
 // New validates the configuration and builds the node whole: the serving
 // layer over the core, and the cluster-aware handler — ownership routing
 // included — over the serving layer. The server's ingest workers and tick
-// loops run from here on; the cluster's own loops (heartbeats, forwarders)
-// wait for Start.
+// loops run from here on; the cluster's heartbeat loop waits for Start.
 func New(cfg Config) (*Node, error) {
 	if cfg.Core == nil {
 		return nil, errors.New("cluster: nil core")
@@ -216,7 +207,6 @@ func New(cfg Config) (*Node, error) {
 		peerIdent:   make([]string, len(cfg.Peers)),
 		distSem:     make(chan struct{}, 1),
 		stop:        make(chan struct{}),
-		forwarders:  make([]*forwarder, len(cfg.Peers)),
 	}
 	// A node starts optimistic: every peer is presumed alive until
 	// DeadAfter heartbeats say otherwise, so boot-time routing matches the
@@ -228,12 +218,6 @@ func New(cfg Config) (*Node, error) {
 		mask |= 1 << uint(i)
 	}
 	n.aliveMask.Store(mask)
-	for i := range n.peers {
-		if i == n.self {
-			continue
-		}
-		n.forwarders[i] = newForwarder(n, i)
-	}
 	cfg.Serve.Monitor = n.core
 	srv, err := server.New(cfg.Serve)
 	if err != nil {
@@ -242,22 +226,6 @@ func New(cfg Config) (*Node, error) {
 	n.srv = srv
 	n.handler = n.buildHandler(srv.Handler())
 	return n, nil
-}
-
-// route delivers one sample that arrived on the public ingest route: into
-// the local core when this node owns the job, otherwise through the fleet's
-// sample gate — so a malformed line is refused here, with the error a single
-// node gives, instead of being acknowledged and lost at the owner — and onto
-// the owner's forwarding queue.
-func (n *Node) route(jobID int, sample []float64) error {
-	owner := n.Owner(jobID)
-	if owner == n.self {
-		return n.core.Ingest(jobID, sample)
-	}
-	if err := fleet.CheckSample(sample, n.core.Sensors()); err != nil {
-		return err
-	}
-	return n.forward(owner, jobID, sample)
 }
 
 // receive delivers one peer-forwarded sample into the local core — no
@@ -282,23 +250,16 @@ func (n *Node) Handler() http.Handler { return n.handler }
 // listener to drain: CloseStreams at shutdown, Close after Stop.
 func (n *Node) Server() *server.Server { return n.srv }
 
-// Start launches the heartbeat loop and the per-peer forwarders.
+// Start launches the heartbeat loop.
 func (n *Node) Start() {
 	n.startOnce.Do(func() {
-		for _, f := range n.forwarders {
-			if f == nil {
-				continue
-			}
-			n.wg.Add(1)
-			go f.run()
-		}
 		n.wg.Add(1)
 		go n.heartbeatLoop()
 	})
 }
 
-// Stop ends the heartbeat loop and the forwarders (each flushes its
-// queue best-effort first) and waits for them.
+// Stop ends the heartbeat loop and waits for it, and cuts short any wait an
+// ingest request is in to resend a batch a peer throttled.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
@@ -327,16 +288,24 @@ func (n *Node) Identity() string {
 	return n.identity
 }
 
-// Owner returns the node that owns the job: the splitmix64 hash of the
-// job ID modulo the cluster size, probed forward past nodes this node
-// currently believes dead. With every node alive the mapping is the same
-// pure function on every node — hash mod N — which is what keeps
-// client-side routing (wccload -cluster) and server-side routing in
+// NodeOf is the job's home in a cluster of the given size: the high word
+// of the job's splitmix64 hash scaled onto the nodes. It is independent of
+// the partition the owning node puts the job in (the hash modulo the shard
+// count), so every node uses all of its partitions whatever the two counts
+// share. Owner and wccload -cluster both place jobs by it.
+func NodeOf(jobID, nodes int) int {
+	return int((fleet.JobHash(jobID) >> 32) * uint64(nodes) >> 32)
+}
+
+// Owner returns the node that owns the job: its home (NodeOf), probed
+// forward past nodes this node currently believes dead. With every node
+// alive the mapping is the same pure function on every node, which is what
+// keeps client-side routing (wccload -cluster) and server-side routing in
 // agreement without coordination.
 func (n *Node) Owner(jobID int) int {
 	mask := n.aliveMask.Load()
 	size := len(n.peers)
-	start := int(fleet.JobHash(jobID) % uint64(size))
+	start := NodeOf(jobID, size)
 	for i := 0; i < size; i++ {
 		node := (start + i) % size
 		if mask&(1<<uint(node)) != 0 {
@@ -348,13 +317,13 @@ func (n *Node) Owner(jobID int) int {
 	return n.self
 }
 
-// ForwardStats reports the forwarding-plane counters: samples enqueued
-// for peers, samples rejected by a full queue, samples lost to failed
-// forwarded POSTs, and forwarded samples this node ingested for peers.
-// The loss-accounting tests pin that every accepted sample is either
-// ingested somewhere or counted here — never silently gone.
-func (n *Node) ForwardStats() (forwarded, dropped, errs, received uint64) {
-	return n.forwarded.Load(), n.forwardDropped.Load(), n.forwardErrors.Load(), n.forwardReceived.Load()
+// ForwardStats reports the forwarding counters: samples this node posted
+// to their owners, those of them rejected in the reply, and forwarded
+// samples this node ingested for peers. Once every ingest reply is written,
+// the samples a fleet forwarded equal those its nodes received plus those
+// rejected, unless a post's outcome was unknown.
+func (n *Node) ForwardStats() (forwarded, errs, received uint64) {
+	return n.forwarded.Load(), n.forwardErrors.Load(), n.forwardReceived.Load()
 }
 
 // Alive snapshots the liveness view, indexed by node ID.

@@ -54,6 +54,9 @@ type Options struct {
 	// Shards is each node's local shard count (default 2, so the
 	// node-then-shard two-level routing is actually exercised).
 	Shards int
+	// Workers is each node's ingest worker count (default GOMAXPROCS, the
+	// serving layer's).
+	Workers int
 	// Drift optionally enables open-set scoring on every node.
 	Drift *drift.Calibration
 	// RPCTimeout bounds control-plane calls (default 2s). Stall tests
@@ -160,7 +163,7 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		Scaler: o.Scaler,
 		Drift:  o.Drift,
 		Model:  o.Model,
-	}, o.Shards, nil)
+	}, o.Shards)
 	if err != nil {
 		c.T.Fatalf("clustertest: node %d core: %v", id, err)
 	}
@@ -168,7 +171,7 @@ func (c *Cluster) startMember(id int, ln net.Listener) {
 		Self:           id,
 		Peers:          c.URLs,
 		Core:           core,
-		Serve:          server.Config{TickEvery: tickEvery},
+		Serve:          server.Config{TickEvery: tickEvery, Workers: o.Workers},
 		Dir:            filepath.Join(c.dir, fmt.Sprintf("node%d", id)),
 		HeartbeatEvery: heartbeatEvery,
 		DeadAfter:      deadAfter,

@@ -2,199 +2,190 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// Peer ingest forwarding: a sample that arrives at the wrong node rides a
-// bounded per-peer queue, is batched into the binary ingest framing of
-// internal/wire, and is POSTed to the owner's /cluster/v1/ingest. One
-// forwarder goroutine per peer keeps per-job sample order — everything a
-// given node forwards to a given peer arrives in enqueue order, so a
-// job's window fills exactly as it would have locally.
-//
-// The queue is bounded and the enqueue non-blocking: a full queue rejects
-// the sample with an error that surfaces in the ingest batch's per-line
-// accounting, the same visible-backpressure posture as the serving
-// layer's 429. Loss during a peer outage is therefore bounded by the
-// queue depth and counted, never silent: a sample the gate passed is applied
-// by its owner, or counted in forwardDropped or forwardErrors.
+// Peer ingest forwarding happens inside the client's request. The public
+// route's split keeps the samples this node owns and frames every other
+// sample that passes fleet.CheckSample into a batch for its owner, in the
+// binary ingest framing of internal/wire. Once the kept samples are admitted,
+// forward posts each batch to its owner's /cluster/v1/ingest in turn, on the
+// request's goroutine: never on an ingest worker, because the owner's route
+// waits for the owner's workers, and two nodes whose workers wait on each
+// other would deadlock. The reply waits for every owner's verdict, so each
+// line it calls accepted was applied by its owner, and nothing is queued
+// after it. A job's samples reach one owner in the client's order, so its
+// window fills exactly as it would have on a single node.
 
-// fwdSample is one queued forwarded sample, or a flush marker.
-type fwdSample struct {
-	job    int
-	values []float64 // owned copy; never aliases pooled parse scratch
-	// flush, when non-nil, marks a synchronisation point: the forwarder
-	// posts everything queued before it, then closes the channel.
-	flush chan struct{}
+// maxForwardBody caps one forwarded batch in bytes, well under the owner's
+// ingest body cap: a binary record can take twice the bytes of the NDJSON
+// line that carried it, so one owner's share of a full client body may not
+// fit in one request.
+const maxForwardBody = 4 << 20
+
+// outbox is one batch for one owner: the framed records and, per record, the
+// client's line number.
+type outbox struct {
+	owner int
+	body  []byte
+	lines []int
 }
 
-// forwarder drains one peer's queue.
-type forwarder struct {
-	n    *Node
-	peer int
-	ch   chan fwdSample
-	buf  []byte // the batch being framed; only run's goroutine touches it
-}
-
-func newForwarder(n *Node, peer int) *forwarder {
-	return &forwarder{n: n, peer: peer, ch: make(chan fwdSample, forwardBuffer)}
-}
-
-// forward enqueues one sample for the owning peer, copying the values
-// first: the caller's slice belongs to the serving layer's pooled parse
-// scratch, which is reused the moment the ingest handler returns, while
-// the queued sample lives until a forwarder batch posts it.
-func (n *Node) forward(owner, jobID int, values []float64) error {
-	f := n.forwarders[owner]
-	if f == nil {
-		return fmt.Errorf("cluster: no forwarder for node %d", owner)
-	}
-	vals := make([]float64, len(values))
-	copy(vals, values)
-	select {
-	case f.ch <- fwdSample{job: jobID, values: vals}:
-		n.forwarded.Add(1)
-		return nil
-	default:
-		n.forwardDropped.Add(1)
-		return fmt.Errorf("cluster: forward queue to node %d full", owner)
-	}
-}
-
-// Flush forces every forwarder to post its queue and waits for all of
-// them (or the timeout). Tests and drain paths use it to make "every
-// accepted sample has reached its owner" a checkable instant.
-func (n *Node) Flush(timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	var waits []chan struct{}
-	for _, f := range n.forwarders {
-		if f == nil {
+// split is the public ingest route's server.Split. It keeps, in order, the
+// samples this node owns. A peer-owned sample that fleet.CheckSample refuses
+// is rejected here with the error a single node gives; the rest are framed
+// for their owners, and forward delivers them.
+func (n *Node) split(samples []server.Sample) ([]server.Sample, func(context.Context) server.Verdict) {
+	var out []outbox
+	var open []int // per owner: 1 + the index in out of its open batch, 0 for none
+	var refused []server.LineError
+	keep := samples[:0] // writes only slots already read
+	for _, sm := range samples {
+		owner := n.Owner(sm.Job)
+		if owner == n.self {
+			keep = append(keep, sm)
 			continue
 		}
-		done := make(chan struct{})
-		select {
-		case f.ch <- fwdSample{flush: done}:
-			waits = append(waits, done)
-		case <-deadline.C:
-			return fmt.Errorf("cluster: flush timed out enqueueing marker for node %d", f.peer)
+		if err := fleet.CheckSample(sm.Values, n.core.Sensors()); err != nil {
+			refused = append(refused, server.LineError{Line: sm.Line, Error: err.Error()})
+			continue
 		}
+		if open == nil {
+			open = make([]int, len(n.peers))
+		}
+		if open[owner] == 0 || len(out[open[owner]-1].body) >= maxForwardBody {
+			out = append(out, outbox{owner: owner})
+			open[owner] = len(out)
+		}
+		ob := &out[open[owner]-1]
+		ob.body = wire.AppendIngestRecord(ob.body, int64(sm.Job), sm.Values)
+		ob.lines = append(ob.lines, sm.Line)
 	}
-	for _, done := range waits {
-		select {
-		case <-done:
-		case <-deadline.C:
-			return fmt.Errorf("cluster: flush timed out after %s", timeout)
+	if out == nil && refused == nil {
+		return keep, nil
+	}
+	return keep, func(ctx context.Context) server.Verdict {
+		v := server.Verdict{Errors: refused}
+		for i := range out {
+			n.deliver(ctx, &out[i], &v)
 		}
+		return v
+	}
+}
+
+// deliver posts one batch and adds its owner's verdict to v, each rejected
+// record under the client's line number. A batch the owner refused or never
+// answered is rejected line by line with the post's error.
+func (n *Node) deliver(ctx context.Context, ob *outbox, v *server.Verdict) {
+	n.forwarded.Add(uint64(len(ob.lines)))
+	reply, err := n.post(ctx, ob.owner, ob.body, len(ob.lines))
+	if err != nil {
+		n.forwardErrors.Add(uint64(len(ob.lines)))
+		for _, line := range ob.lines {
+			v.Errors = append(v.Errors, server.LineError{Line: line, Error: err.Error()})
+		}
+		return
+	}
+	n.forwardErrors.Add(uint64(reply.Rejected))
+	v.Accepted += reply.Accepted
+	v.Unlisted += reply.Rejected - len(reply.Errors)
+	for _, e := range reply.Errors {
+		v.Errors = append(v.Errors, server.LineError{Line: ob.lines[e.Line-1], Error: e.Error})
+	}
+}
+
+// ingestReply is the part of an owner's ingest reply forwarding reads.
+type ingestReply struct {
+	Accepted int                `json:"accepted"`
+	Rejected int                `json:"rejected"`
+	Errors   []server.LineError `json:"errors"`
+}
+
+// check holds a reply to the batch of count records it answers: every
+// record accepted or rejected, and each listed error at its own record.
+func (r *ingestReply) check(count int) error {
+	if r.Accepted < 0 || r.Rejected < len(r.Errors) || r.Accepted+r.Rejected != count {
+		return fmt.Errorf("the reply counts %d accepted and %d rejected of %d records", r.Accepted, r.Rejected, count)
+	}
+	prev := 0
+	for _, e := range r.Errors {
+		if e.Line <= prev || e.Line > count {
+			return fmt.Errorf("the reply lists record %d out of order or past the %d sent", e.Line, count)
+		}
+		prev = e.Line
 	}
 	return nil
 }
 
-// run drains the queue until Stop, batching up to forwardBatch samples per
-// POST. On Stop it posts what is still queued, so a graceful shutdown loses
-// nothing that was accepted.
-func (f *forwarder) run() {
-	defer f.n.wg.Done()
+// post sends one batch to the owner's /cluster/v1/ingest and returns the
+// owner's reply. A 429 says the owner's queue is full, not that the batch is
+// bad: post waits the advertised Retry-After and sends the same bytes again,
+// which keeps each job's samples in order, unless the client's request is
+// cancelled or the node stops first. An error is the text every record of the
+// batch is rejected with: it names the owner, and says the outcome is unknown
+// once the body was sent.
+func (n *Node) post(ctx context.Context, owner int, body []byte, count int) (ingestReply, error) {
+	var sent atomic.Bool // set by the transport's goroutine
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		WroteRequest: func(w httptrace.WroteRequestInfo) { sent.Store(w.Err == nil) },
+	})
 	for {
-		select {
-		case <-f.n.stop:
-			for {
-				select {
-				case s := <-f.ch:
-					f.batch(s)
-				default:
-					return
-				}
-			}
-		case s := <-f.ch:
-			f.batch(s)
-		}
-	}
-}
-
-// batch collects the first sample plus whatever else is immediately
-// queued (up to the batch cap), posts once, then releases any flush
-// markers collected along the way.
-func (f *forwarder) batch(first fwdSample) {
-	var flushes []chan struct{}
-	count := 0
-	s := first
-	for {
-		if s.flush != nil {
-			flushes = append(flushes, s.flush)
-		} else {
-			f.buf = wire.AppendIngestRecord(f.buf, int64(s.job), s.values)
-			count++
-		}
-		if count >= forwardBatch {
-			break
-		}
-		select {
-		case s = <-f.ch:
-			continue
-		default:
-		}
-		break
-	}
-	if count > 0 {
-		if lost, err := f.post(f.buf, count); lost > 0 {
-			f.n.forwardErrors.Add(uint64(lost))
-			f.n.log.Warn("cluster: forwarded samples lost", "peer", f.peer, "samples", count, "lost", lost, "err", err)
-		}
-		f.buf = f.buf[:0]
-	}
-	for _, done := range flushes {
-		close(done)
-	}
-}
-
-// post ships one batch to the peer's /cluster/v1/ingest and reads the reply
-// — the public route's accepted/rejected accounting. It reports how many of
-// the batch's samples did not land: all of them on a transport error or a
-// refusing status, the peer's rejected count otherwise. A 429 says the
-// peer's ingest queue is full, not that the batch is bad: post waits the
-// advertised Retry-After and sends the same bytes again, so it is this
-// forwarder's bounded queue that backs up (and counts what it turns away),
-// and per-job order holds. Stop cuts the wait short and allows one last try.
-func (f *forwarder) post(body []byte, count int) (int, error) {
-	for stopped := false; ; {
-		resp, err := f.n.client.Post(f.n.peers[f.peer]+peerIngestPath, wire.IngestContentType, bytes.NewReader(body))
+		var reply ingestReply
+		sent.Store(false)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.peers[owner]+peerIngestPath, bytes.NewReader(body))
 		if err != nil {
-			return count, err
+			return reply, fmt.Errorf("cluster: owner node %d: %w", owner, err)
 		}
-		var reply struct {
-			Rejected int `json:"rejected"`
+		req.Header.Set("Content-Type", wire.IngestContentType)
+		resp, err := n.client.Do(req)
+		if err != nil {
+			if sent.Load() {
+				return reply, fmt.Errorf("cluster: owner node %d: outcome unknown: %w", owner, err)
+			}
+			return reply, fmt.Errorf("cluster: owner node %d unreachable: %w", owner, err)
 		}
 		if resp.StatusCode == http.StatusOK {
-			err = json.NewDecoder(resp.Body).Decode(&reply)
+			if err = json.NewDecoder(resp.Body).Decode(&reply); err == nil {
+				err = reply.check(count)
+			}
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		switch {
-		case resp.StatusCode == http.StatusTooManyRequests && !stopped:
-			secs, perr := strconv.Atoi(resp.Header.Get("Retry-After"))
-			if perr != nil || secs < 0 {
-				secs = 1
-			}
-			select {
-			case <-time.After(time.Duration(secs) * time.Second):
-			case <-f.n.stop:
-				stopped = true
-			}
-		case resp.StatusCode != http.StatusOK:
-			return count, fmt.Errorf("HTTP %d", resp.StatusCode)
-		case err != nil:
-			return count, fmt.Errorf("reading the reply: %w", err)
-		default:
-			return reply.Rejected, errors.New("rejected by the peer")
+		case resp.StatusCode == http.StatusOK && err != nil:
+			return reply, fmt.Errorf("cluster: owner node %d: outcome unknown: %w", owner, err)
+		case resp.StatusCode == http.StatusOK:
+			return reply, nil
+		case resp.StatusCode != http.StatusTooManyRequests:
+			return reply, fmt.Errorf("cluster: owner node %d refused the batch: HTTP %d", owner, resp.StatusCode)
 		}
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || secs < 0 {
+			secs = 1
+		}
+		wait := time.NewTimer(time.Duration(secs) * time.Second)
+		select {
+		case <-wait.C:
+			continue
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-n.stop:
+			err = errors.New("the node is stopping")
+		}
+		wait.Stop()
+		return reply, fmt.Errorf("cluster: owner node %d refused the batch: HTTP 429, and the wait to resend it ended: %w", owner, err)
 	}
 }

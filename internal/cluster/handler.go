@@ -22,8 +22,9 @@ import (
 //	GET  /cluster/v1/artifact      a staged or committed generation's bytes (?gen=)
 //	GET  /cluster/v1/info          membership/convergence snapshot (JSON)
 //
-// plus four interceptions of the inner API: POST /v1/ingest delivers each
-// sample by job ownership (n.route), /healthz grows the cluster
+// plus four interceptions of the inner API: POST /v1/ingest applies the
+// samples this node owns and forwards the rest to their owners inside the
+// request (n.split), /healthz grows the cluster
 // membership/routing block, /metrics grows the wcc_cluster_* series, and
 // job-scoped reads (GET prediction, DELETE job) this node does not own
 // answer 307 with the owner's URL in Location — ingest is forwarded
@@ -31,8 +32,8 @@ import (
 // wrong node would double every read's latency for no benefit.
 //
 // Both ingest routes are the serving layer's one ingest pipeline
-// (Server.IngestHandler) with a different destination, so a forwarded batch
-// meets the framing, admission, accounting and 429 a public one does.
+// (Server.IngestHandler), so a forwarded batch meets the framing,
+// admission, accounting and 429 a public one does.
 func (n *Node) buildHandler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	// Hearing from a peer proves liveness in both directions: record the
@@ -60,8 +61,8 @@ func (n *Node) buildHandler(inner http.Handler) http.Handler {
 		n.applyAbort(f.Gen)
 		return Frame{Gen: f.Gen}, nil
 	}))
-	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.route))
-	mux.Handle("POST "+peerIngestPath, n.srv.IngestHandler(n.receive))
+	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.core.Ingest, n.split))
+	mux.Handle("POST "+peerIngestPath, n.srv.IngestHandler(n.receive, nil))
 	mux.HandleFunc("GET "+artifactPath, n.handleArtifact)
 	mux.HandleFunc("GET "+infoPath, n.handleInfo)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
@@ -205,9 +206,8 @@ func (n *Node) writeClusterMetrics(w io.Writer) {
 	for _, p := range st.Peers {
 		fmt.Fprintf(w, "wcc_cluster_peer_generation{node=\"%d\"} %d\n", p.Node, p.Gen)
 	}
-	mw.Counter("wcc_cluster_forwarded_samples_total", "Samples handed to a peer's forwarding queue.", n.forwarded.Load())
-	mw.Counter("wcc_cluster_forward_dropped_total", "Samples rejected by a full forwarding queue.", n.forwardDropped.Load())
-	mw.Counter("wcc_cluster_forward_errors_total", "Samples lost to failed forwarded POSTs.", n.forwardErrors.Load())
+	mw.Counter("wcc_cluster_forwarded_samples_total", "Samples posted to their owners.", n.forwarded.Load())
+	mw.Counter("wcc_cluster_forward_errors_total", "Forwarded samples rejected in the reply: refused by the owner, or not delivered.", n.forwardErrors.Load())
 	mw.Counter("wcc_cluster_forward_received_total", "Forwarded samples this node ingested for peers.", n.forwardReceived.Load())
 	mw.Counter("wcc_cluster_redirects_total", "Job reads answered 307 to their owner.", n.redirects.Load())
 	mw.Counter("wcc_cluster_replications_total", "Artifacts fetched (or staged by a coordinator) and persisted.", n.replications.Load())

@@ -43,11 +43,11 @@ func post(t *testing.T, url, contentType string, body []byte) (int, []byte) {
 
 // totals sums the cores' ingested samples and the forwarding counters over
 // every member.
-func totals(c *clustertest.Cluster) (cores, forwarded, dropped, errs, received uint64) {
+func totals(c *clustertest.Cluster) (cores, forwarded, errs, received uint64) {
 	for i := range c.URLs {
 		cores += c.Member(i).Core.SamplesIngested()
-		f, d, e, r := c.Member(i).Cluster.ForwardStats()
-		forwarded, dropped, errs, received = forwarded+f, dropped+d, errs+e, received+r
+		f, e, r := c.Member(i).Cluster.ForwardStats()
+		forwarded, errs, received = forwarded+f, errs+e, received+r
 	}
 	return
 }
@@ -92,15 +92,82 @@ func TestClusterIngestMatchesSingleNode(t *testing.T) {
 		t.Errorf("accounting %+v, want accepted 6 / rejected 8", ir)
 	}
 
-	if err := n0.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cores, forwarded, dropped, errs, received := totals(c)
+	cores, forwarded, errs, received := totals(c)
 	if cores != uint64(ir.Accepted) {
 		t.Errorf("cores hold %d samples, the response accepted %d", cores, ir.Accepted)
 	}
-	if forwarded != 4 || received != forwarded || dropped != 0 || errs != 0 {
-		t.Errorf("forwarded %d received %d dropped %d errs %d, want 4 4 0 0", forwarded, received, dropped, errs)
+	if forwarded != 4 || received != forwarded || errs != 0 {
+		t.Errorf("forwarded %d received %d errs %d, want 4 4 0", forwarded, received, errs)
+	}
+}
+
+// TestClusterUsesEveryPartition pins that node placement and partition
+// placement are independent: with as many partitions per node as nodes, a
+// batch spread over many jobs leaves jobs on every partition of every node.
+// Placing both by the hash modulo the same count would put all of a node's
+// jobs on one partition.
+func TestClusterUsesEveryPartition(t *testing.T) {
+	c := clustertest.Start(t, clustertest.Options{Nodes: 2, Shards: 2})
+	var body bytes.Buffer
+	for job := 0; job < 64; job++ {
+		fmt.Fprintf(&body, "{\"job\":%d,\"values\":[1,2,3]}\n", job)
+	}
+	if code, out := post(t, c.URLs[0]+"/v1/ingest", "application/x-ndjson", body.Bytes()); code != http.StatusOK || !bytes.HasPrefix(out, []byte(`{"accepted":64,"rejected":0}`)) {
+		t.Fatalf("ingest: status %d: %s", code, out)
+	}
+	for i := range c.URLs {
+		for p, st := range c.Member(i).Core.ShardStats() {
+			if st.Jobs == 0 {
+				t.Errorf("node %d partition %d holds no jobs", i, p)
+			}
+		}
+	}
+}
+
+// TestClusterCrossTrafficCompletes sends each of two nodes, one ingest worker
+// apiece, concurrent batches made only of the other node's jobs. Every batch
+// must be applied in full, in time: forwarding waits for the owner on the
+// request's goroutine, never on the worker the owner's own forwards need.
+func TestClusterCrossTrafficCompletes(t *testing.T) {
+	const batches, perBatch = 8, 20
+	c := clustertest.Start(t, clustertest.Options{Nodes: 2, Workers: 1})
+	done := make(chan error, 2*batches)
+	for from := range 2 {
+		for b := range batches {
+			job := ownedBy(c.Member(from).Cluster, 1-from, 1000*from+100*b)
+			var body bytes.Buffer
+			for v := range perBatch {
+				fmt.Fprintf(&body, "{\"job\":%d,\"values\":[%d,0,0]}\n", job, v)
+			}
+			go func() {
+				resp, err := http.Post(c.URLs[from]+"/v1/ingest", "application/x-ndjson", &body)
+				if err != nil {
+					done <- err
+					return
+				}
+				out, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err == nil && (resp.StatusCode != http.StatusOK || !bytes.HasPrefix(out, []byte(fmt.Sprintf(`{"accepted":%d,"rejected":0}`, perBatch)))) {
+					err = fmt.Errorf("node %d, job %d: status %d: %s", from, job, resp.StatusCode, out)
+				}
+				done <- err
+			}()
+		}
+	}
+	deadline := time.After(20 * time.Second)
+	for range 2 * batches {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			t.Fatal("cross traffic between two one-worker nodes did not finish")
+		}
+	}
+	if cores, forwarded, errs, received := totals(c); cores != 2*batches*perBatch || forwarded != cores || received != cores || errs != 0 {
+		t.Errorf("cores %d, forwarded %d, received %d, errs %d; want %d forwarded and received, none rejected",
+			cores, forwarded, received, errs, 2*batches*perBatch)
 	}
 }
 
@@ -139,7 +206,7 @@ func TestPeerIngestRouteIsThePublicPipeline(t *testing.T) {
 	if code, _ := post(t, url, wire.IngestContentType, good); code != http.StatusOK || core.SamplesIngested() != 1 {
 		t.Errorf("intact batch: status %d, %d samples ingested, want 200 and 1", code, core.SamplesIngested())
 	}
-	if _, _, _, received := c.Member(1).Cluster.ForwardStats(); received != 1 {
+	if _, _, received := c.Member(1).Cluster.ForwardStats(); received != 1 {
 		t.Errorf("received counter %d, want 1 (the applied sample only)", received)
 	}
 }
@@ -174,10 +241,12 @@ func stubPeerNode(t *testing.T, peer http.Handler) (*cluster.Node, string) {
 	return node, front.URL
 }
 
-// TestForwarderHonoursThePeersReply drives one forwarder against stub peers:
-// a 429 is waited out for the advertised Retry-After and the same bytes sent
-// again, losing nothing and keeping the job's sample order; a 200 that
-// reports rejected samples counts them as forwarding errors.
+// TestForwarderHonoursThePeersReply drives the public route's forwarding
+// against stub peers: a 429 is waited out for the advertised Retry-After and
+// the same bytes sent again, losing nothing and keeping the job's sample
+// order; the owner's per-record errors come back under the client's line
+// numbers; a refusal rejects every line the owner was sent, naming it; and
+// stopping the node ends a wait to resend.
 func TestForwarderHonoursThePeersReply(t *testing.T) {
 	ndjson := func(job, from, to int) []byte {
 		var b bytes.Buffer
@@ -218,12 +287,9 @@ func TestForwarderHonoursThePeersReply(t *testing.T) {
 		}))
 		job := ownedBy(node, 1, 0)
 		for _, part := range [][]byte{ndjson(job, 0, 5), ndjson(job, 5, 10)} {
-			if code, out := post(t, url+"/v1/ingest", "application/x-ndjson", part); code != http.StatusOK {
+			if code, out := post(t, url+"/v1/ingest", "application/x-ndjson", part); code != http.StatusOK || !bytes.HasPrefix(out, []byte(`{"accepted":5,"rejected":0}`)) {
 				t.Fatalf("ingest: status %d: %s", code, out)
 			}
-		}
-		if err := node.Flush(10 * time.Second); err != nil {
-			t.Fatal(err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -236,24 +302,86 @@ func TestForwarderHonoursThePeersReply(t *testing.T) {
 		if fmt.Sprint(applied) != "[0 1 2 3 4 5 6 7 8 9]" {
 			t.Errorf("the peer applied %v, want 0..9 in order", applied)
 		}
-		if forwarded, dropped, errs, _ := node.ForwardStats(); forwarded != 10 || dropped != 0 || errs != 0 {
-			t.Errorf("forwarded %d dropped %d errs %d, want 10 0 0", forwarded, dropped, errs)
+		if forwarded, errs, _ := node.ForwardStats(); forwarded != 10 || errs != 0 {
+			t.Errorf("forwarded %d errs %d, want 10 0", forwarded, errs)
 		}
 	})
 
 	t.Run("rejected in the reply", func(t *testing.T) {
 		node, url := stubPeerNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.Copy(io.Discard, r.Body)
-			io.WriteString(w, `{"accepted":3,"rejected":2,"errors":[{"line":1,"error":"x"},{"line":2,"error":"y"}]}`)
+			body, _ := io.ReadAll(r.Body)
+			dec, records := wire.NewIngestDecoder(body), 0
+			for _, ok := dec.Next(); ok; _, ok = dec.Next() {
+				records++
+			}
+			if err := dec.Err(); err != nil {
+				t.Errorf("forwarded batch framing: %v", err)
+			}
+			fmt.Fprintf(w, `{"accepted":%d,"rejected":2,"errors":[{"line":1,"error":"x"},{"line":3,"error":"y"}]}`, records-2)
 		}))
-		if code, out := post(t, url+"/v1/ingest", "application/x-ndjson", ndjson(ownedBy(node, 1, 0), 0, 5)); code != http.StatusOK {
-			t.Fatalf("ingest: status %d: %s", code, out)
+		// Lines alternate between a job node 0 owns and one the stub owns, so
+		// the stub's records 1 and 3 are the client's lines 2 and 6.
+		local, peer := ownedBy(node, 0, 0), ownedBy(node, 1, 0)
+		var body bytes.Buffer
+		for v := 0; v < 5; v++ {
+			body.Write(ndjson(local, v, v+1))
+			body.Write(ndjson(peer, v, v+1))
 		}
-		if err := node.Flush(5 * time.Second); err != nil {
-			t.Fatal(err)
+		code, out := post(t, url+"/v1/ingest", "application/x-ndjson", body.Bytes())
+		want := `{"accepted":8,"rejected":2,"errors":[{"line":2,"error":"x"},{"line":6,"error":"y"}]}` + "\n"
+		if code != http.StatusOK || string(out) != want {
+			t.Errorf("status %d, reply %s, want %s", code, out, want)
 		}
-		if forwarded, dropped, errs, _ := node.ForwardStats(); forwarded != 5 || dropped != 0 || errs != 2 {
-			t.Errorf("forwarded %d dropped %d errs %d, want 5 0 2", forwarded, dropped, errs)
+		if forwarded, errs, _ := node.ForwardStats(); forwarded != 5 || errs != 2 {
+			t.Errorf("forwarded %d errs %d, want 5 2", forwarded, errs)
+		}
+	})
+
+	t.Run("refused", func(t *testing.T) {
+		node, url := stubPeerNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}))
+		code, out := post(t, url+"/v1/ingest", "application/x-ndjson", ndjson(ownedBy(node, 1, 0), 0, 3))
+		var ir struct {
+			Accepted, Rejected int
+			Errors             []struct {
+				Line  int
+				Error string
+			}
+		}
+		if err := json.Unmarshal(out, &ir); code != http.StatusOK || err != nil {
+			t.Fatalf("status %d, reply %s (%v)", code, out, err)
+		}
+		if ir.Accepted != 0 || ir.Rejected != 3 || len(ir.Errors) != 3 {
+			t.Fatalf("reply %s, want all 3 lines rejected", out)
+		}
+		for i, e := range ir.Errors {
+			if e.Line != i+1 || e.Error != "cluster: owner node 1 refused the batch: HTTP 503" {
+				t.Errorf("line error %+v, want line %d refused by node 1", e, i+1)
+			}
+		}
+		if forwarded, errs, _ := node.ForwardStats(); forwarded != 3 || errs != 3 {
+			t.Errorf("forwarded %d errs %d, want 3 3", forwarded, errs)
+		}
+	})
+
+	t.Run("stop ends the wait", func(t *testing.T) {
+		posted := make(chan struct{}, 1)
+		node, url := stubPeerNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Retry-After", "60")
+			w.WriteHeader(http.StatusTooManyRequests)
+			posted <- struct{}{}
+		}))
+		go func() { <-posted; node.Stop() }()
+		start := time.Now()
+		code, out := post(t, url+"/v1/ingest", "application/x-ndjson", ndjson(ownedBy(node, 1, 0), 0, 1))
+		if time.Since(start) > 30*time.Second {
+			t.Errorf("the reply waited %s, past the node's stop", time.Since(start))
+		}
+		if code != http.StatusOK || !bytes.Contains(out, []byte(`"rejected":1`)) || !bytes.Contains(out, []byte("owner node 1 refused the batch: HTTP 429")) {
+			t.Errorf("status %d, reply %s, want the line rejected with the owner's 429", code, out)
 		}
 	})
 }

@@ -400,8 +400,9 @@ func CheckCalibration(cal *drift.Calibration, sensors int) error {
 
 // JobHash is the stable job-routing hash — the splitmix64 finalizer, so
 // adjacent IDs spread uniformly. It is shared by the in-process partition
-// router (ShardOf) and the cluster's node router (internal/cluster): both
-// layers partition the same keyspace, one hash, two moduli.
+// router (ShardOf, the hash modulo the partition count) and the cluster's
+// node router (cluster.NodeOf, the hash's high word), so a job's node and
+// its partition within the node are independent.
 func JobHash(jobID int) uint64 {
 	h := uint64(jobID)
 	h ^= h >> 30

@@ -51,16 +51,16 @@ func FuzzParseIngestLine(f *testing.F) {
 			if errp != nil {
 				t.Fatalf("accepted line also reported an error: %v", errp)
 			}
-			if sm.job < 0 {
-				t.Fatalf("accepted negative job %d", sm.job)
+			if sm.Job < 0 {
+				t.Fatalf("accepted negative job %d", sm.Job)
 			}
-			if len(sm.values) == 0 {
+			if len(sm.Values) == 0 {
 				t.Fatal("accepted a sample with no values")
 			}
 			// encoding/json cannot produce NaN/Inf — pin that assumption,
 			// since the fleet's sanity gate is the only other line of
 			// defence before the covariance sums.
-			for _, v := range sm.values {
+			for _, v := range sm.Values {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("parser let a non-finite value through: %v", v)
 				}
@@ -123,15 +123,15 @@ func FuzzParseIngestLineFast(f *testing.F) {
 		if !wok {
 			t.Fatalf("fast path accepted %q, stdlib rejected it: %v", trimmed, errp)
 		}
-		if sm.job != want.job {
-			t.Fatalf("%q: fast job %d, stdlib job %d", trimmed, sm.job, want.job)
+		if sm.Job != want.Job {
+			t.Fatalf("%q: fast job %d, stdlib job %d", trimmed, sm.Job, want.Job)
 		}
-		if len(sm.values) != len(want.values) {
-			t.Fatalf("%q: fast %d values, stdlib %d", trimmed, len(sm.values), len(want.values))
+		if len(sm.Values) != len(want.Values) {
+			t.Fatalf("%q: fast %d values, stdlib %d", trimmed, len(sm.Values), len(want.Values))
 		}
-		for i := range sm.values {
-			if math.Float64bits(sm.values[i]) != math.Float64bits(want.values[i]) {
-				t.Fatalf("%q value %d: fast %v, stdlib %v", trimmed, i, sm.values[i], want.values[i])
+		for i := range sm.Values {
+			if math.Float64bits(sm.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("%q value %d: fast %v, stdlib %v", trimmed, i, sm.Values[i], want.Values[i])
 			}
 		}
 	})

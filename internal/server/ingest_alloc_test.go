@@ -12,7 +12,7 @@ func TestParseIngestLineFastZeroAlloc(t *testing.T) {
 	arena := make([]float64, 0, 64)
 
 	sm, grown, ok := parseIngestLineFast(1, raw, arena[:0])
-	if !ok || sm.job != 42 || len(sm.values) != 7 {
+	if !ok || sm.Job != 42 || len(sm.Values) != 7 {
 		t.Fatalf("fast path rejected canonical line: ok=%v req=%+v", ok, sm)
 	}
 	arena = grown[:0]

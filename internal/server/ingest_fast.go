@@ -28,7 +28,7 @@ import (
 type ingestScratch struct {
 	body    []byte
 	values  []float64
-	samples []sampleReq
+	samples []Sample
 }
 
 var ingestScratchPool = sync.Pool{
@@ -66,29 +66,29 @@ func isBinaryIngest(ct string) bool {
 // Record-local defects land in the per-line error list under the record's
 // index; a framing-fatal defect is returned and rejects the whole batch
 // before anything is enqueued, mirroring the NDJSON scanner-error path.
-func parseBinary(sc *ingestScratch) ([]sampleReq, []lineError, error) {
+func parseBinary(sc *ingestScratch) ([]Sample, []LineError, error) {
 	dec := wire.NewIngestDecoder(sc.body)
 	dec.Arena = sc.values[:0]
 	samples := sc.samples[:0]
-	var errs []lineError
+	var errs []LineError
 	for {
 		rec, ok := dec.Next()
 		if !ok {
 			break
 		}
 		if rec.Err != nil {
-			errs = append(errs, lineError{Line: rec.Index, Error: rec.Err.Error()})
+			errs = append(errs, LineError{Line: rec.Index, Error: rec.Err.Error()})
 			continue
 		}
 		if rec.Job < 0 {
-			errs = append(errs, lineError{Line: rec.Index, Error: `missing or negative "job"`})
+			errs = append(errs, LineError{Line: rec.Index, Error: `missing or negative "job"`})
 			continue
 		}
 		if len(rec.Values) == 0 {
-			errs = append(errs, lineError{Line: rec.Index, Error: `missing or empty "values"`})
+			errs = append(errs, LineError{Line: rec.Index, Error: `missing or empty "values"`})
 			continue
 		}
-		samples = append(samples, sampleReq{line: rec.Index, job: int(rec.Job), values: rec.Values})
+		samples = append(samples, Sample{Line: rec.Index, Job: int(rec.Job), Values: rec.Values})
 	}
 	sc.values, sc.samples = dec.Arena, samples
 	return samples, errs, dec.Err()
@@ -99,10 +99,10 @@ func parseBinary(sc *ingestScratch) ([]sampleReq, []lineError, error) {
 // empty fragment is not — and parses each through the fast scanner with a
 // stdlib fallback. A line over maxLineBytes returns bufio.ErrTooLong as
 // the fatal error, matching the scanner-based path this replaces.
-func parseLines(sc *ingestScratch) ([]sampleReq, []lineError, error) {
+func parseLines(sc *ingestScratch) ([]Sample, []LineError, error) {
 	samples := sc.samples[:0]
 	arena := sc.values[:0]
-	var errs []lineError
+	var errs []LineError
 	buf := sc.body
 	line := 0
 	for off := 0; off < len(buf); {
@@ -154,9 +154,9 @@ var (
 // for both acceptance and error text.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
-func parseIngestLineFast(line int, raw []byte, arena []float64) (sampleReq, []float64, bool) {
+func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float64, bool) {
 	if !bytes.HasPrefix(raw, ingestLinePrefix) {
-		return sampleReq{}, arena, false
+		return Sample{}, arena, false
 	}
 	p := len(ingestLinePrefix)
 	job, d0 := 0, p
@@ -167,29 +167,29 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (sampleReq, []fl
 	// No digits, a JSON-invalid leading zero, or enough digits to threaten
 	// int64 all defer to the stdlib's verdict.
 	if p == d0 || p-d0 > 18 || (raw[d0] == '0' && p-d0 > 1) {
-		return sampleReq{}, arena, false
+		return Sample{}, arena, false
 	}
 	if !bytes.HasPrefix(raw[p:], ingestValuesSep) {
-		return sampleReq{}, arena, false
+		return Sample{}, arena, false
 	}
 	p += len(ingestValuesSep)
 	start := len(arena)
 	for {
 		n := jsonNumberLen(raw[p:])
 		if n == 0 {
-			return sampleReq{}, arena[:start], false
+			return Sample{}, arena[:start], false
 		}
 		// For a JSON-grammar-valid number this is exactly the conversion
 		// encoding/json performs; a range error (1e999) falls back so the
 		// stdlib's rejection is what the client sees.
 		v, err := strconv.ParseFloat(bytesString(raw[p:p+n]), 64)
 		if err != nil {
-			return sampleReq{}, arena[:start], false
+			return Sample{}, arena[:start], false
 		}
 		arena = append(arena, v)
 		p += n
 		if p >= len(raw) {
-			return sampleReq{}, arena[:start], false
+			return Sample{}, arena[:start], false
 		}
 		if raw[p] == ',' {
 			p++
@@ -199,12 +199,12 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (sampleReq, []fl
 			p++
 			break
 		}
-		return sampleReq{}, arena[:start], false
+		return Sample{}, arena[:start], false
 	}
 	if p != len(raw)-1 || raw[p] != '}' {
-		return sampleReq{}, arena[:start], false
+		return Sample{}, arena[:start], false
 	}
-	return sampleReq{line: line, job: job, values: arena[start:]}, arena, true
+	return Sample{Line: line, Job: job, Values: arena[start:]}, arena, true
 }
 
 // jsonNumberLen returns how many leading bytes of b form a complete JSON

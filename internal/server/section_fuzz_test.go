@@ -48,7 +48,7 @@ func FuzzArtifactSection(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m, err := NewCore(a, 1, nil)
+		m, err := NewCore(a, 1)
 		if err != nil {
 			return
 		}

@@ -62,13 +62,15 @@
 // the tail of a drained stream still produces predictions.
 //
 // That ingest pipeline exists once: IngestHandler returns it for any
-// destination, POST /v1/ingest is IngestHandler(Monitor.Ingest), and a
-// cluster node mounts it again for its routed public route and its peer
+// destination, POST /v1/ingest is IngestHandler(Monitor.Ingest, nil), and a
+// cluster node mounts it again for its public route, with a Split that hands
+// peer-owned samples to their owners inside the request, and for its peer
 // route, so every sample entering a process passes the same admission.
 package server
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -151,10 +153,6 @@ type Config struct {
 	// so prediction, unknown and swap events flow, and the server adds
 	// drift-band and shard-health events on top.
 	Events *events.Bus
-	// Now, when non-nil, replaces the real clock for tick latency
-	// measurement (see fleet.Config.Now for the same knob on the monitor);
-	// nil means time.Now.
-	Now func() time.Time
 	// Adapt, when non-nil, is the continual-learning flywheel the /v1/adapt
 	// routes drive. The server only reads it — wiring the manager into the
 	// monitor (SetAdaptObserver) and running its background loop is the
@@ -218,7 +216,7 @@ type Server struct {
 	queue chan *ingestBatch
 	stop  chan struct{}
 	start time.Time
-	now   func() time.Time // injected clock (Config.Now, default time.Now)
+	now   func() time.Time // the tick latency clock, read only through this field
 
 	// bus and tracer are the observability plane: the monitor publishes
 	// prediction/unknown/swap events into bus and feeds tick-stage spans to
@@ -261,28 +259,41 @@ type Server struct {
 }
 
 type ingestBatch struct {
-	samples []sampleReq
+	samples []Sample
 	apply   func(jobID int, sample []float64) error // where an accepted sample goes
-	done    chan batchResult
+	done    chan Verdict
 	enq     time.Time // when the batch joined the queue, for the queue-wait span
 }
 
-type sampleReq struct {
-	line   int
-	job    int
-	values []float64
+// Sample is one parsed ingest line. Values alias the request's pooled
+// parse scratch and are valid only until the ingest handler returns.
+type Sample struct {
+	Line   int // 1-based line number, or binary record index
+	Job    int
+	Values []float64
 }
 
-type batchResult struct {
-	accepted int
-	errors   []lineError
-}
-
-// lineError is one rejected ingest line in an ingest response.
-type lineError struct {
+// LineError is one rejected ingest line in an ingest response.
+type LineError struct {
 	Line  int    `json:"line"`
 	Error string `json:"error"`
 }
+
+// Verdict is what delivering a set of samples came to: how many were
+// applied, and the rejected lines. Unlisted counts rejected lines Errors
+// cannot name, because the reply that reported them was truncated.
+type Verdict struct {
+	Accepted int
+	Errors   []LineError
+	Unlisted int
+}
+
+// Split is a cluster node's hook on its public ingest route. It runs on the
+// request's goroutine between parse and enqueue, and returns the samples
+// the node applies itself. The rest it takes, to refuse or to deliver to
+// their owners: the handler calls forward, when non-nil, once the kept
+// samples are admitted, and adds its verdict to the reply.
+type Split func(samples []Sample) (keep []Sample, forward func(ctx context.Context) Verdict)
 
 // New validates the configuration, starts the ingest workers and one
 // inference tick loop per shard, and returns the serving layer.
@@ -304,16 +315,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Events == nil {
 		cfg.Events = events.NewBus()
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	s := &Server{
 		cfg:         cfg,
 		m:           cfg.Monitor,
 		queue:       make(chan *ingestBatch, cfg.queueDepth),
 		stop:        make(chan struct{}),
 		start:       time.Now(),
-		now:         cfg.Now,
+		now:         time.Now,
 		bus:         cfg.Events,
 		tracer:      trace.NewRecorder(),
 		streamsStop: make(chan struct{}),
@@ -324,7 +332,7 @@ func New(cfg Config) (*Server, error) {
 	tickLoops := s.m.NumShards()
 	s.lastErrs = make([]string, tickLoops)
 	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/ingest", s.IngestHandler(s.m.Ingest))
+	s.mux.Handle("POST /v1/ingest", s.IngestHandler(s.m.Ingest, nil))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/prediction", s.handlePrediction)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleEndJob)
@@ -404,12 +412,12 @@ func (s *Server) worker() {
 		}
 		s.tracer.Observe(trace.StageQueue, b.enq, time.Since(b.enq), len(b.samples))
 		ingestStart := time.Now()
-		var res batchResult
+		var res Verdict
 		for _, sm := range b.samples {
-			if err := b.apply(sm.job, sm.values); err != nil {
-				res.errors = append(res.errors, lineError{Line: sm.line, Error: err.Error()})
+			if err := b.apply(sm.Job, sm.Values); err != nil {
+				res.Errors = append(res.Errors, LineError{Line: sm.Line, Error: err.Error()})
 			} else {
-				res.accepted++
+				res.Accepted++
 			}
 		}
 		s.tracer.Observe(trace.StageIngest, ingestStart, time.Since(ingestStart), len(b.samples))
@@ -551,28 +559,28 @@ type ingestLine struct {
 // bad line never poisons the batch's valid samples. Sensor-width and
 // value-sanity checks (non-finite and absurd magnitudes) happen in
 // fleet.Monitor.Ingest, and surface per line through the same accounting.
-func parseIngestLine(line int, raw []byte) (sampleReq, *lineError, bool) {
+func parseIngestLine(line int, raw []byte) (Sample, *LineError, bool) {
 	if len(raw) == 0 {
-		return sampleReq{}, nil, false
+		return Sample{}, nil, false
 	}
 	var in ingestLine
 	if err := json.Unmarshal(raw, &in); err != nil {
-		return sampleReq{}, &lineError{Line: line, Error: "malformed JSON: " + err.Error()}, false
+		return Sample{}, &LineError{Line: line, Error: "malformed JSON: " + err.Error()}, false
 	}
 	if in.Job == nil || *in.Job < 0 {
-		return sampleReq{}, &lineError{Line: line, Error: `missing or negative "job"`}, false
+		return Sample{}, &LineError{Line: line, Error: `missing or negative "job"`}, false
 	}
 	if len(in.Values) == 0 {
-		return sampleReq{}, &lineError{Line: line, Error: `missing or empty "values"`}, false
+		return Sample{}, &LineError{Line: line, Error: `missing or empty "values"`}, false
 	}
-	return sampleReq{line: line, job: *in.Job, values: in.Values}, nil, true
+	return Sample{Line: line, Job: *in.Job, Values: in.Values}, nil, true
 }
 
 // ingestResponse is the per-request accounting an ingest returns.
 type ingestResponse struct {
 	Accepted int         `json:"accepted"`
 	Rejected int         `json:"rejected"`
-	Errors   []lineError `json:"errors,omitempty"`
+	Errors   []LineError `json:"errors,omitempty"`
 	// ErrorsTruncated reports that more lines were rejected than Errors
 	// lists; Rejected is always the exact count.
 	ErrorsTruncated bool `json:"errors_truncated,omitempty"`
@@ -584,12 +592,13 @@ type ingestResponse struct {
 // and per-line accounting — delivering each parsed sample to apply. Every
 // handler it returns shares the server's one queue, worker pool and
 // counters; they differ only in apply, which runs on a worker and must not
-// keep sample past its return (it aliases pooled parse scratch).
-func (s *Server) IngestHandler(apply func(jobID int, sample []float64) error) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, apply) })
+// keep sample past its return (it aliases pooled parse scratch), and in
+// split, nil except on a cluster node's public route.
+func (s *Server) IngestHandler(apply func(jobID int, sample []float64) error, split Split) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, apply, split) })
 }
 
-func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(jobID int, sample []float64) error) {
+func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(jobID int, sample []float64) error, split Split) {
 	// A draining server refuses before reading the body; the check that
 	// orders an enqueue against Close is repeated under s.drain below.
 	select {
@@ -623,8 +632,8 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 		return
 	}
 
-	var samples []sampleReq
-	var parseErrs []lineError
+	var samples []Sample
+	var parseErrs []LineError
 	var fatal error
 	if isBinaryIngest(r.Header.Get("Content-Type")) {
 		samples, parseErrs, fatal = parseBinary(sc)
@@ -639,9 +648,13 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 	}
 	s.tracer.Observe(trace.StageParse, parseStart, time.Since(parseStart), len(samples))
 
-	var res batchResult
+	var forward func(context.Context) Verdict
+	if split != nil {
+		samples, forward = split(samples)
+	}
+	var b *ingestBatch
 	if len(samples) > 0 {
-		b := &ingestBatch{samples: samples, apply: apply, done: make(chan batchResult, 1), enq: time.Now()}
+		b = &ingestBatch{samples: samples, apply: apply, done: make(chan Verdict, 1), enq: time.Now()}
 		draining, queued := false, false
 		s.drain.RLock()
 		select {
@@ -665,17 +678,28 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 			writeError(w, http.StatusTooManyRequests, "ingest queue full")
 			return
 		}
-		res = <-b.done
+	}
+	// The kept samples are admitted before anything is forwarded, so a 429
+	// or 503 above still means nothing in the batch was applied anywhere.
+	var res Verdict
+	if forward != nil {
+		res = forward(r.Context())
+	}
+	if b != nil {
+		local := <-b.done
+		res.Accepted += local.Accepted
+		res.Errors = append(res.Errors, local.Errors...)
 	}
 
-	all := append(parseErrs, res.errors...)
+	all := append(parseErrs, res.Errors...)
 	sort.Slice(all, func(i, j int) bool { return all[i].Line < all[j].Line })
-	s.lineErrs.Add(uint64(len(all)))
-	resp := ingestResponse{Accepted: res.accepted, Rejected: len(all), Errors: all}
+	rejected := len(all) + res.Unlisted
+	s.lineErrs.Add(uint64(rejected))
+	resp := ingestResponse{Accepted: res.Accepted, Rejected: rejected, Errors: all}
 	if len(all) > maxReportedLineErrors {
 		resp.Errors = all[:maxReportedLineErrors]
-		resp.ErrorsTruncated = true
 	}
+	resp.ErrorsTruncated = rejected > len(resp.Errors)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -100,9 +100,8 @@ func Servable(a *artifact.Artifact) (stream.Classifier, error) {
 // build the sharded core from nothing but the artifact — window shape,
 // scaler, classifier and calibration all come from it, which is what makes
 // generation 0 the same kind of thing as every generation Install brings
-// later. shards ≤ 0 selects GOMAXPROCS; now, when non-nil, is the core's
-// injected clock.
-func NewCore(a *artifact.Artifact, shards int, now func() time.Time) (*fleet.Monitor, error) {
+// later. shards ≤ 0 selects GOMAXPROCS.
+func NewCore(a *artifact.Artifact, shards int) (*fleet.Monitor, error) {
 	cls, err := Servable(a)
 	if err != nil {
 		return nil, err
@@ -117,7 +116,6 @@ func NewCore(a *artifact.Artifact, shards int, now func() time.Time) (*fleet.Mon
 		Model:   cls,
 		Shards:  shards,
 		Drift:   a.Drift,
-		Now:     now,
 	})
 }
 

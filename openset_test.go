@@ -37,7 +37,7 @@ func TestOpenSetVerdictFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := server.NewCore(a, 1, nil)
+	m, err := server.NewCore(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 //     *artifact.Artifact — persisted as a versioned .wcc file and restored,
 //     so serving starts in milliseconds instead of a training run.
 //
-// Serving starts from that one value: server.NewCore(artifact, shards, nil)
+// Serving starts from that one value: server.NewCore(artifact, shards)
 // gates it and builds the sharded serving core, server.New puts the HTTP
 // API over the core (cmd/wccserve does exactly this, cmd/wccload
 // load-tests it; docs/API.md is the request/response reference), and

@@ -70,7 +70,7 @@ func TestFleetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := server.NewCore(res.Artifact(ds), 4, nil)
+	m, err := server.NewCore(res.Artifact(ds), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestSaveLoadModelFacade(t *testing.T) {
 
 	// Serve identical telemetry through a core from the in-memory artifact
 	// and one from the reloaded file; predictions must agree bit for bit.
-	mMem, err := server.NewCore(res.Artifact(ds), 1, nil)
+	mMem, err := server.NewCore(res.Artifact(ds), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mArt, err := server.NewCore(loaded, 1, nil)
+	mArt, err := server.NewCore(loaded, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestServeFacadeArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := res.Artifact(ds)
-	m, err := server.NewCore(a, 1, nil)
+	m, err := server.NewCore(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
