@@ -41,7 +41,9 @@ func quoted(t *testing.T, re string, files ...string) []string {
 
 // TestDocsConsistency holds the written contract to the code: docs/API.md
 // names every HTTP route the server and the cluster control plane register
-// and every wcc_* metric either exports, every internal package carries
+// and every wcc_* metric either exports, every wcc_* name a non-test Go file
+// spells, comments included, is one of those series or a wcc_…_* prefix of
+// one, every internal package carries
 // package godoc, and every test the docs cite exists. Three one-way rules
 // hold too: only internal/core calibrates a drift section or spells out the
 // simulation settings (one training path, DESIGN.md §7); no code outside
@@ -69,7 +71,9 @@ func TestDocsConsistency(t *testing.T) {
 			t.Errorf("docs/API.md does not mention cluster route %s", path)
 		}
 	}
+	written := map[string]bool{}
 	for _, name := range quoted(t, `"wcc_[a-z_]+`, "internal/server/metrics.go", "internal/cluster/handler.go") {
+		written[name] = true
 		if !regexp.MustCompile(`\b` + name + `\b`).MatchString(api) {
 			t.Errorf("docs/API.md does not document metric %s", name)
 		}
@@ -109,6 +113,7 @@ func TestDocsConsistency(t *testing.T) {
 	treeWalk := regexp.MustCompile(`\bPredictProbaRow\(`)
 	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	series := regexp.MustCompile(`\bwcc_[a-z0-9_]*\*?`)
 	var testFuncs []string
 	for _, path := range repoFiles(t) {
 		if !strings.HasSuffix(path, ".go") {
@@ -124,6 +129,16 @@ func TestDocsConsistency(t *testing.T) {
 			}
 			continue
 		}
+		for _, name := range series.FindAllString(string(src), -1) {
+			prefix, wild := strings.CutSuffix(name, "_*")
+			found := written[name]
+			for w := range written {
+				found = found || wild && strings.HasPrefix(w, prefix+"_")
+			}
+			if !found {
+				t.Errorf("%s names %s, which is no series internal/server/metrics.go or internal/cluster/handler.go writes", path, name)
+			}
+		}
 		dir := filepath.Dir(path)
 		if loc := logPlumbing.Find(src); loc != nil && dir != "benchmark" {
 			t.Errorf("%s: %s declares a log func; call log/slog instead", path, loc)
@@ -131,8 +146,10 @@ func TestDocsConsistency(t *testing.T) {
 		if loc := treeWalk.Find(src); loc != nil && dir != "internal/tree" {
 			t.Errorf("%s: %s walks pointer trees; score through the flat kernel (PredictProba)", path, loc)
 		}
+		// internal/servetest is test fixtures: CI keeps it out of every
+		// non-test package's imports.
 		switch dir {
-		case "benchmark", "internal/telemetry", "internal/core":
+		case "benchmark", "internal/telemetry", "internal/core", "internal/servetest":
 			continue
 		}
 		if loc := stray.Find(src); loc != nil {

@@ -17,8 +17,9 @@ type reservoir struct {
 	rng  *rand.Rand
 	rows [][]float64
 	// seen counts rows offered since the last reset; dropped counts rows
-	// not retained, cumulatively across resets (the wcc_adapt_dropped_total
-	// counter stays monotonic through promotions).
+	// not retained, cumulatively across resets (the
+	// wcc_adapt_buffer_dropped_total counter stays monotonic through
+	// promotions).
 	seen    uint64
 	dropped uint64
 }

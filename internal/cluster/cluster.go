@@ -78,8 +78,9 @@ type Config struct {
 	Dir string
 	// HeartbeatEvery is the peer ping cadence (default 500ms).
 	HeartbeatEvery time.Duration
-	// DeadAfter is how many consecutive ping failures mark a peer dead
-	// (default 3). The first successful ping marks it alive again.
+	// DeadAfter is how many consecutive failed probes mark a peer dead
+	// (default 3): failed pings, and forwarded ingest posts that never
+	// reached the peer. The first successful ping marks it alive again.
 	DeadAfter int
 	// RPCTimeout bounds one control-plane round trip (default 5s). A
 	// prepare held longer than this fails, which aborts the swap — the

@@ -21,41 +21,11 @@ import (
 	"repro/internal/drift"
 	"repro/internal/events"
 	"repro/internal/fleet"
-	"repro/internal/forest"
 	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/servetest"
 )
-
-// realFixture builds a scaler and a discriminating forest (the stamp
-// models answer the same probabilities for every input, which would make
-// an equivalence test vacuous).
-func realFixture(t *testing.T, window, sensors int) (*preprocess.StandardScaler, *forest.Classifier) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	train := mat.New(50, window*sensors)
-	for i := range train.Data {
-		train.Data[i] = rng.NormFloat64()*20 + 40
-	}
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(train); err != nil {
-		t.Fatal(err)
-	}
-	dim := preprocess.CovarianceDim(sensors)
-	x := mat.New(300, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(8)
-	}
-	f := forest.New(forest.Config{NumTrees: 20, Bootstrap: true, Seed: 4})
-	if err := f.Fit(x, y, 8); err != nil {
-		t.Fatal(err)
-	}
-	return &scaler, f
-}
 
 // postJob sends every sample of one job as a single NDJSON ingest request
 // to the given node — one request per job keeps the job's sample order
@@ -155,7 +125,9 @@ func TestClusterEquivalenceWithSingleCore(t *testing.T) {
 		jobs    = 24
 		perJob  = 10
 	)
-	scaler, model := realFixture(t, window, sensors)
+	// A discriminating forest, not a stamp model: a stamp answers the same
+	// probabilities for every input, which would make the comparison vacuous.
+	scaler, model := servetest.Wide(t, window, sensors)
 	c := clustertest.Start(t, clustertest.Options{
 		Nodes: 3, Window: window, Sensors: sensors,
 		Scaler: scaler, Model: model,

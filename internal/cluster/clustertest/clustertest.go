@@ -263,14 +263,13 @@ func Settle(timeout time.Duration, cond func() bool) bool {
 
 // FaultInjector is an http.RoundTripper that injects failures between
 // cluster nodes: partitions (requests to a host fail), holds (requests
-// matching a URL substring block until released), and fixed delays.
+// matching a URL substring block until released).
 type FaultInjector struct {
 	base http.RoundTripper
 
 	mu      sync.Mutex
 	blocked map[string]bool
 	holds   []*holdRule
-	delay   time.Duration
 }
 
 type holdRule struct {
@@ -323,13 +322,6 @@ func (f *FaultInjector) Hold(substr string) (release func()) {
 	}
 }
 
-// SetDelay adds a fixed latency to every request (0 disables).
-func (f *FaultInjector) SetDelay(d time.Duration) {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-}
-
 func hostOf(url string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
 }
@@ -347,19 +339,9 @@ func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 			break
 		}
 	}
-	delay := f.delay
 	f.mu.Unlock()
 	if blocked {
 		return nil, fmt.Errorf("clustertest: host %s partitioned", req.URL.Host)
-	}
-	if delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-req.Context().Done():
-			t.Stop()
-			return nil, req.Context().Err()
-		}
 	}
 	if wait != nil {
 		select {

@@ -136,7 +136,9 @@ func (r *ingestReply) check(count int) error {
 // which keeps each job's samples in order, unless the client's request is
 // cancelled or the node stops first. An error is the text every record of the
 // batch is rejected with: it names the owner, and says the outcome is unknown
-// once the body was sent.
+// once the body was sent. An owner that could not be reached before the body
+// was sent counts toward Config.DeadAfter; an unknown outcome or a refusal
+// does not.
 func (n *Node) post(ctx context.Context, owner int, body []byte, count int) (ingestReply, error) {
 	var sent atomic.Bool // set by the transport's goroutine
 	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
@@ -154,6 +156,11 @@ func (n *Node) post(ctx context.Context, owner int, body []byte, count int) (ing
 		if err != nil {
 			if sent.Load() {
 				return reply, fmt.Errorf("cluster: owner node %d: outcome unknown: %w", owner, err)
+			}
+			// The owner never took the body: that is a failed probe, as a
+			// failed ping is, unless the client's request was what ended.
+			if ctx.Err() == nil {
+				n.noteFailure(owner, err)
 			}
 			return reply, fmt.Errorf("cluster: owner node %d unreachable: %w", owner, err)
 		}

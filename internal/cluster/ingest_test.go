@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -384,4 +385,62 @@ func TestForwarderHonoursThePeersReply(t *testing.T) {
 			t.Errorf("status %d, reply %s, want the line rejected with the owner's 429", code, out)
 		}
 	})
+}
+
+// TestUnreachableOwnerCountsTowardDeadAfter: a batch that never reached its
+// owner is a failed probe, as a failed ping is. With no heartbeat running
+// (the node is never started), DeadAfter requests whose node-1 lines are
+// rejected as unreachable mark node 1 dead, and the next request keeps those
+// jobs' samples and applies them locally.
+func TestUnreachableOwnerCountsTowardDeadAfter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	core, err := fleet.New(fleet.Config{
+		Window: 6, Sensors: 3, Scaler: clustertest.NewScaler(6, 3), Model: clustertest.StampModel(t, 3, 0), Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadAfter = 3
+	node, err := cluster.New(cluster.Config{
+		Self: 0, Peers: []string{"http://node0.invalid", closed}, Core: core,
+		Serve: server.Config{TickEvery: time.Hour}, Dir: t.TempDir(), DeadAfter: deadAfter,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(node.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		node.Server().Close()
+	})
+
+	job := ownedBy(node, 1, 0)
+	line := []byte(fmt.Sprintf("{\"job\":%d,\"values\":[1,2,3]}\n", job))
+	for i := 1; i <= deadAfter; i++ {
+		if !node.Alive()[1] {
+			t.Fatalf("node 1 marked dead after %d unreachable requests, want %d", i-1, deadAfter)
+		}
+		code, out := post(t, front.URL+"/v1/ingest", "application/x-ndjson", line)
+		if code != http.StatusOK || !bytes.Contains(out, []byte(`"rejected":1`)) || !bytes.Contains(out, []byte("owner node 1 unreachable")) {
+			t.Fatalf("request %d: status %d, reply %s, want the line rejected as unreachable", i, code, out)
+		}
+	}
+	if node.Alive()[1] {
+		t.Fatalf("node 1 still alive after %d unreachable requests", deadAfter)
+	}
+	if node.Owner(job) != 0 {
+		t.Fatalf("job %d routes to node %d with node 1 dead, want 0", job, node.Owner(job))
+	}
+	code, out := post(t, front.URL+"/v1/ingest", "application/x-ndjson", line)
+	if code != http.StatusOK || !bytes.HasPrefix(out, []byte(`{"accepted":1,"rejected":0`)) {
+		t.Fatalf("status %d, reply %s, want the line accepted locally", code, out)
+	}
+	if n := core.SamplesIngested(); n != 1 {
+		t.Fatalf("local core ingested %d samples, want 1", n)
+	}
 }

@@ -2,78 +2,34 @@ package fleet
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/drift"
 	"repro/internal/mat"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
-
-// fitTestCalibration builds a calibration whose threshold comes from the
-// fixture model's probabilities on in-distribution covariance rows and
-// whose reference histograms come from the jobSamples distribution.
-func fitTestCalibration(t testing.TB, model interface {
-	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
-}) *drift.Calibration {
-	t.Helper()
-	return fitCalibrationOn(t, model, 400)
-}
-
-// fitCalibrationOn is fitTestCalibration with trainRows reference rows.
-func fitCalibrationOn(t testing.TB, model interface {
-	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
-}, trainRows int) *drift.Calibration {
-	t.Helper()
-	rng := rand.New(rand.NewSource(31))
-	// CovarianceDim(3) = 6: the same space the model was fitted on.
-	trainFeats := mat.New(trainRows, 6)
-	for i := range trainFeats.Data {
-		trainFeats.Data[i] = rng.NormFloat64()
-	}
-	heldOut := mat.New(200, 6)
-	for i := range heldOut.Data {
-		heldOut.Data[i] = rng.NormFloat64()
-	}
-	probs, err := model.PredictProba(heldOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference over the raw sensor distribution jobSamples draws from
-	// (N(4, 2) per sensor).
-	ref := mat.New(4000, testSensors)
-	for i := range ref.Data {
-		ref.Data[i] = rng.NormFloat64()*2 + 4
-	}
-	cal, err := drift.Fit(drift.FitInput{
-		Probs: probs, TrainFeatures: trainFeats, HeldOutFeatures: heldOut, RawSamples: ref,
-	}, drift.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cal
-}
 
 // TestDriftEquivalenceBitIdentical pins the tentpole invariant: a
 // drift-enabled monitor and a drift-disabled monitor fed the same replay
 // publish bit-identical Class/Probability/Probs for every job; drift only
 // adds the Open annotation.
 func TestDriftEquivalenceBitIdentical(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
 
-	plain, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	plain, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scored, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+	scored, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const jobs = 48
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k, testWindow+3) {
+		for _, s := range servetest.JobSamples(k, servetest.Window+3) {
 			if err := plain.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +53,7 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: no drift-enabled prediction", k)
 		}
-		assertSamePrediction(t, k, got, want)
+		servetest.AssertSamePrediction(t, k, got, want)
 		if want.Open != nil {
 			t.Fatalf("job %d: drift-disabled prediction carries an Open annotation", k)
 		}
@@ -122,11 +78,11 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 	if !st.Enabled {
 		t.Fatal("drift stats disabled on a drift-enabled monitor")
 	}
-	if want := uint64(jobs * (testWindow + 3)); st.Samples != want {
+	if want := uint64(jobs * (servetest.Window + 3)); st.Samples != want {
 		t.Fatalf("drift stats binned %d samples, want %d", st.Samples, want)
 	}
-	if len(st.SensorPSI) != testSensors {
-		t.Fatalf("PSI over %d sensors, want %d", len(st.SensorPSI), testSensors)
+	if len(st.SensorPSI) != servetest.Sensors {
+		t.Fatalf("PSI over %d sensors, want %d", len(st.SensorPSI), servetest.Sensors)
 	}
 	if plainStats := plain.DriftStats(); plainStats.Enabled {
 		t.Fatal("drift stats enabled on a plain monitor")
@@ -145,9 +101,9 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 // FeatDist has the bits of a cold search by the active calibration over the
 // same window, rebuilt on a shadow embedder.
 func TestWarmStartScoresLikeColdSearch(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: 2, Drift: cal})
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: 2, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +111,8 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 	samples := make([][][]float64, jobs)
 	shadows := make([]*stream.WindowedEmbedder, jobs)
 	for k := range shadows {
-		samples[k] = jobSamples(k, testWindow+3*steps)
-		if shadows[k], err = stream.NewWindowedEmbedder(testWindow, testSensors, scaler); err != nil {
+		samples[k] = servetest.JobSamples(k, servetest.Window+3*steps)
+		if shadows[k], err = stream.NewWindowedEmbedder(servetest.Window, servetest.Sensors, scaler); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +151,7 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 		}
 	}
 
-	feed(testWindow)
+	feed(servetest.Window)
 	tickAndCheck(cal)
 	for range steps {
 		feed(1)
@@ -219,7 +175,7 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 		return inside, past
 	}
 
-	small := fitCalibrationOn(t, model, 200)
+	small := servetest.Calibration(t, 31, 200)
 	if err := m.SwapClassifierDrift(model, small); err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +235,17 @@ func TestWarmStartScoresLikeColdSearch(t *testing.T) {
 // TestDriftUnknownCounting feeds windows whose covariance structure is far
 // outside the threshold's calibration and checks the unknown counter moves.
 func TestDriftUnknownCounting(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
 	// A maximally strict threshold: everything is rejected. This isolates
 	// the counting path from the model's actual score distribution.
 	cal.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		for _, s := range jobSamples(k, testWindow) {
+		for _, s := range servetest.JobSamples(k, servetest.Window) {
 			if err := m.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -313,8 +269,8 @@ func TestDriftUnknownCounting(t *testing.T) {
 // absurd magnitudes are refused (without registering the job) because they
 // would permanently poison the incremental covariance sums.
 func TestIngestRejectsNonFinite(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +284,7 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 		t.Fatalf("invalid samples registered %d jobs", m.NumJobs())
 	}
 	// A job already streaming keeps its state when one sample is refused.
-	good := jobSamples(1, testWindow)
+	good := servetest.JobSamples(1, servetest.Window)
 	for _, s := range good {
 		if err := m.Ingest(1, s); err != nil {
 			t.Fatal(err)
@@ -350,16 +306,16 @@ func TestIngestRejectsNonFinite(t *testing.T) {
 // thresholds), the accumulated histograms reset for the new generation,
 // and a nil calibration disables detection.
 func TestSwapClassifierDriftCoherence(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed := func() {
 		t.Helper()
 		for k := 0; k < 6; k++ {
-			for _, s := range jobSamples(k, testWindow) {
+			for _, s := range servetest.JobSamples(k, servetest.Window) {
 				if err := m.Ingest(k, s); err != nil {
 					t.Fatal(err)
 				}
@@ -376,7 +332,7 @@ func TestSwapClassifierDriftCoherence(t *testing.T) {
 
 	// Swap in the same model with a reject-everything calibration: the
 	// new thresholds must govern immediately and the histograms restart.
-	strict := fitTestCalibration(t, model)
+	strict := servetest.Calibration(t, 31, 400)
 	strict.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
 	if err := m.SwapClassifierDrift(model, strict); err != nil {
 		t.Fatal(err)
@@ -412,29 +368,29 @@ func TestSwapClassifierDriftCoherence(t *testing.T) {
 
 // TestDriftConfigValidation pins construction-time checks.
 func TestDriftConfigValidation(t *testing.T) {
-	scaler, model := fixture(t)
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
+	scaler, model := servetest.Fixture(t)
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
 		Drift: &drift.Calibration{}}); err == nil {
 		t.Fatal("calibration without a reference accepted")
 	}
-	cal := fitTestCalibration(t, model)
+	cal := servetest.Calibration(t, 31, 400)
 	bad := &drift.Calibration{Threshold: cal.Threshold, Ref: cal.Ref}
 	bad.Ref = &drift.Reference{Bins: cal.Ref.Bins, Edges: cal.Ref.Edges[:2], Props: cal.Ref.Props[:2]}
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
 		Drift: bad}); err == nil {
 		t.Fatal("sensor-count mismatch accepted")
 	}
 	// Feature statistics of the wrong width would index out of the
 	// embedding row on the first scored tick — construction must refuse,
 	// and so must the swap path (a crafted artifact may arrive there too).
-	short := fitTestCalibration(t, model)
+	short := servetest.Calibration(t, 31, 400)
 	short.Feat.Means = short.Feat.Means[:3]
 	short.Feat.Stds = short.Feat.Stds[:3]
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
 		Drift: short}); err == nil {
 		t.Fatal("feature-width mismatch accepted at construction")
 	}
-	good, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+	good, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,9 +415,9 @@ func TestDriftConfigValidation(t *testing.T) {
 		"NaN cut point":          func(c *drift.Calibration) { c.Threshold.MaxFeatDist = math.NaN() },
 		"zero feature std":       func(c *drift.Calibration) { c.Feat.Stds[2] = 0 },
 	} {
-		c := fitTestCalibration(t, model)
+		c := servetest.Calibration(t, 31, 400)
 		corrupt(c)
-		if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
+		if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
 			Drift: c}); err == nil {
 			t.Errorf("calibration with %s accepted at construction", name)
 		}
@@ -479,15 +435,15 @@ func TestDriftConfigValidation(t *testing.T) {
 // must report bit-identical drift stats — counts are summed before the PSI
 // is computed, exactly as TickStats are merged.
 func TestShardedDriftStatsMatchSingleMonitor(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
 
-	core, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler,
+	core, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler,
 		Model: model, Shards: 4, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := New(Config{Window: testWindow, Sensors: testSensors,
+	single, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors,
 		Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +451,7 @@ func TestShardedDriftStatsMatchSingleMonitor(t *testing.T) {
 
 	const jobs = 60
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k, testWindow+2) {
+		for _, s := range servetest.JobSamples(k, servetest.Window+2) {
 			if err := core.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -553,7 +509,7 @@ func TestShardedDriftStatsMatchSingleMonitor(t *testing.T) {
 // TestShardedDriftDisabled pins the zero value on a partitioned monitor
 // built without a calibration.
 func TestShardedDriftDisabled(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	m := newPartitioned(t, scaler, model, 3)
 	if st := m.DriftStats(); st.Enabled || st.Samples != 0 || st.SensorPSI != nil {
 		t.Fatalf("drift stats on a plain monitor: %+v", st)

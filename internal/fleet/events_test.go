@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/servetest"
 	"repro/internal/trace"
 )
 
@@ -30,9 +31,9 @@ func drainEvents(sub *events.Subscription) []events.Event {
 // partition and at four. Events and spans describe serving; they never
 // participate in it.
 func TestEventsEquivalenceBitIdentical(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	const jobs = 40
-	const perJob = testWindow*2 + 3 // past wraparound
+	const perJob = servetest.Window*2 + 3 // past wraparound
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			plain := newPartitioned(t, scaler, model, shards)
@@ -49,7 +50,7 @@ func TestEventsEquivalenceBitIdentical(t *testing.T) {
 			// alike.
 			for round := 0; round < 3; round++ {
 				for k := 0; k < jobs; k++ {
-					samples := jobSamples(k, perJob)
+					samples := servetest.JobSamples(k, perJob)
 					lo, hi := round*perJob/3, (round+1)*perJob/3
 					for _, s := range samples[lo:hi] {
 						if err := plain.Ingest(k, s); err != nil {
@@ -77,7 +78,7 @@ func TestEventsEquivalenceBitIdentical(t *testing.T) {
 				if !ok {
 					t.Fatalf("job %d: no observed prediction", k)
 				}
-				assertSamePrediction(t, k, got, want)
+				servetest.AssertSamePrediction(t, k, got, want)
 			}
 
 			// The recorder saw the serving stages: one observation per
@@ -118,8 +119,8 @@ func TestEventsEquivalenceBitIdentical(t *testing.T) {
 // emits nothing, and a no-op tick emits nothing — the feed carries
 // transitions, not steady state.
 func TestEventsTransitionOnly(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEventsTransitionOnly(t *testing.T) {
 
 	const jobs = 10
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k, testWindow) {
+		for _, s := range servetest.JobSamples(k, servetest.Window) {
 			if err := m.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestEventsTransitionOnly(t *testing.T) {
 	// Re-scores only emit when the class actually changes, and then carry
 	// the class they replaced.
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k+1000, testWindow) {
+		for _, s := range servetest.JobSamples(k+1000, servetest.Window) {
 			if err := m.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -189,12 +190,12 @@ func TestEventsTransitionOnly(t *testing.T) {
 // to rejected emits exactly one unknown event per job, and staying
 // rejected on a later re-score emits nothing new.
 func TestEventsUnknownTransition(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
 	// A maximally strict threshold: everything is rejected, so the first
 	// classification is also the false→true verdict transition.
 	cal.Threshold.MaxFeatDist = math.SmallestNonzeroFloat64
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestEventsUnknownTransition(t *testing.T) {
 
 	const jobs = 6
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k, testWindow) {
+		for _, s := range servetest.JobSamples(k, servetest.Window) {
 			if err := m.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +222,7 @@ func TestEventsUnknownTransition(t *testing.T) {
 
 	// Still rejected after a re-score: no new verdict events.
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k+500, testWindow) {
+		for _, s := range servetest.JobSamples(k+500, servetest.Window) {
 			if err := m.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}
@@ -239,8 +240,8 @@ func TestEventsUnknownTransition(t *testing.T) {
 // end: predictions before a hot-swap carry generation 0, the swap emits
 // exactly one swap event, and predictions after it carry generation 1.
 func TestEventsSwapAdvancesGeneration(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestEventsSwapAdvancesGeneration(t *testing.T) {
 	defer sub.Close()
 	m.SetEventSink(bus)
 
-	for _, s := range jobSamples(1, testWindow) {
+	for _, s := range servetest.JobSamples(1, servetest.Window) {
 		if err := m.Ingest(1, s); err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func TestEventsSwapAdvancesGeneration(t *testing.T) {
 	if err := m.SwapClassifierDrift(model, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range jobSamples(2, testWindow) {
+	for _, s := range servetest.JobSamples(2, servetest.Window) {
 		if err := m.Ingest(2, s); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +301,7 @@ func TestEventsSwapAdvancesGeneration(t *testing.T) {
 // but a fleet-wide swap — which installs on every partition — publishes
 // exactly ONE swap event and advances the generation exactly once.
 func TestCoreEventsSingleSwapAllShards(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	c := newPartitioned(t, scaler, model, 4)
 	bus := events.NewBus()
 	sub := bus.Subscribe(events.SubOptions{Buffer: 4096})
@@ -312,7 +313,7 @@ func TestCoreEventsSingleSwapAllShards(t *testing.T) {
 	// Enough jobs that splitmix64 routing touches every partition.
 	const jobs = 64
 	for k := 0; k < jobs; k++ {
-		for _, s := range jobSamples(k, testWindow) {
+		for _, s := range servetest.JobSamples(k, servetest.Window) {
 			if err := c.Ingest(k, s); err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,97 +8,8 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
-	"repro/internal/stream"
+	"repro/internal/servetest"
 )
-
-const (
-	testWindow  = 6
-	testSensors = 3
-)
-
-// fixture builds a scaler fitted for the test window shape and a small
-// random forest over the matching covariance-embedding dimension, shared by
-// the equivalence tests.
-func fixture(t testing.TB) (*preprocess.StandardScaler, *forest.Classifier) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	train := mat.New(40, testWindow*testSensors)
-	for i := range train.Data {
-		train.Data[i] = rng.NormFloat64()*3 + 5
-	}
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(train); err != nil {
-		t.Fatal(err)
-	}
-
-	dim := preprocess.CovarianceDim(testSensors)
-	x := mat.New(200, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(4)
-	}
-	f := forest.New(forest.Config{NumTrees: 15, Bootstrap: true, Seed: 2})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	return &scaler, f
-}
-
-// jobSamples derives a deterministic telemetry stream for one job.
-func jobSamples(jobID, n int) [][]float64 {
-	rng := rand.New(rand.NewSource(int64(jobID)*7919 + 3))
-	out := make([][]float64, n)
-	for i := range out {
-		s := make([]float64, testSensors)
-		for c := range s {
-			s[c] = rng.NormFloat64()*2 + 4
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// baseline replays the samples through a fresh single-job stream.Monitor.
-func baseline(t *testing.T, scaler *preprocess.StandardScaler, model stream.Classifier, samples [][]float64) *stream.Prediction {
-	t.Helper()
-	emb, err := stream.NewWindowedEmbedder(testWindow, testSensors, scaler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if err := emb.Push(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pred, err := (&stream.Monitor{Embedder: emb, Model: model}).Classify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pred
-}
-
-func assertSamePrediction(t *testing.T, jobID int, got, want *stream.Prediction) {
-	t.Helper()
-	if got == nil {
-		t.Fatalf("job %d: no fleet prediction", jobID)
-	}
-	if got.Class != want.Class || got.Probability != want.Probability {
-		t.Fatalf("job %d: fleet (%d, %v) vs monitor (%d, %v)",
-			jobID, got.Class, got.Probability, want.Class, want.Probability)
-	}
-	if len(got.Probs) != len(want.Probs) {
-		t.Fatalf("job %d: %d probs vs %d", jobID, len(got.Probs), len(want.Probs))
-	}
-	for c := range want.Probs {
-		if got.Probs[c] != want.Probs[c] {
-			t.Fatalf("job %d class %d: fleet %v vs monitor %v (not bit-identical)",
-				jobID, c, got.Probs[c], want.Probs[c])
-		}
-	}
-}
 
 // TestFleetMatchesMonitorConcurrent is the core serving invariant under
 // contention: ≥64 jobs ingest their telemetry simultaneously from one
@@ -107,11 +17,11 @@ func assertSamePrediction(t *testing.T, jobID int, got, want *stream.Prediction)
 // job's final prediction must be bit-identical to a single-job
 // stream.Monitor replaying the same samples.
 func TestFleetMatchesMonitorConcurrent(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	const jobs = 80
-	const perJob = testWindow*2 + 3 // past wraparound
+	const perJob = servetest.Window*2 + 3 // past wraparound
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +49,7 @@ func TestFleetMatchesMonitorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			for _, s := range jobSamples(j, perJob) {
+			for _, s := range servetest.JobSamples(j, perJob) {
 				if err := m.Ingest(j, s); err != nil {
 					t.Error(err)
 					return
@@ -168,7 +78,7 @@ func TestFleetMatchesMonitorConcurrent(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: missing prediction", j)
 		}
-		assertSamePrediction(t, j, got, baseline(t, scaler, model, jobSamples(j, perJob)))
+		servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, model, servetest.JobSamples(j, perJob)))
 	}
 }
 
@@ -178,19 +88,19 @@ func TestFleetMatchesMonitorConcurrent(t *testing.T) {
 // result stays comparable to the single-job baseline despite write races on
 // the same embedders.
 func TestFleetOverlappingJobIDs(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	const jobs = 64
 	const writers = 8
 
 	constSample := func(j int) []float64 {
-		s := make([]float64, testSensors)
+		s := make([]float64, servetest.Sensors)
 		for c := range s {
 			s[c] = float64(j%7) + float64(c)*0.5 + 1
 		}
 		return s
 	}
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +113,7 @@ func TestFleetOverlappingJobIDs(t *testing.T) {
 			for k := 0; k < jobs; k++ {
 				j := (k*13 + w*5) % jobs
 				s := constSample(j)
-				for i := 0; i < testWindow; i++ {
+				for i := 0; i < servetest.Window; i++ {
 					if err := m.Ingest(j, s); err != nil {
 						t.Error(err)
 						return
@@ -221,11 +131,11 @@ func TestFleetOverlappingJobIDs(t *testing.T) {
 	if stats.Classified != jobs {
 		t.Fatalf("tick classified %d jobs, want %d", stats.Classified, jobs)
 	}
-	if n := m.SamplesIngested(); n != uint64(writers*jobs*testWindow) {
-		t.Fatalf("ingested %d samples, want %d", n, writers*jobs*testWindow)
+	if n := m.SamplesIngested(); n != uint64(writers*jobs*servetest.Window) {
+		t.Fatalf("ingested %d samples, want %d", n, writers*jobs*servetest.Window)
 	}
 	for j := 0; j < jobs; j++ {
-		window := make([][]float64, testWindow)
+		window := make([][]float64, servetest.Window)
 		for i := range window {
 			window[i] = constSample(j)
 		}
@@ -233,7 +143,7 @@ func TestFleetOverlappingJobIDs(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: missing prediction", j)
 		}
-		assertSamePrediction(t, j, got, baseline(t, scaler, model, window))
+		servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, model, window))
 	}
 }
 
@@ -244,12 +154,12 @@ type unbatched struct{ f *forest.Classifier }
 func (u unbatched) PredictProba(x *mat.Matrix) (*mat.Matrix, error) { return u.f.PredictProba(x) }
 
 func TestFleetFallbackWithoutBatchPath(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: unbatched{model}})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: unbatched{model}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := jobSamples(7, testWindow+2)
+	samples := servetest.JobSamples(7, servetest.Window+2)
 	for _, s := range samples {
 		if err := m.Ingest(7, s); err != nil {
 			t.Fatal(err)
@@ -262,33 +172,33 @@ func TestFleetFallbackWithoutBatchPath(t *testing.T) {
 	if !ok {
 		t.Fatal("missing prediction")
 	}
-	assertSamePrediction(t, 7, got, baseline(t, scaler, model, samples))
+	servetest.AssertSamePrediction(t, 7, got, servetest.Baseline(t, scaler, model, samples))
 }
 
 func TestFleetValidationAndLifecycle(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 
-	if _, err := New(Config{Window: 1, Sensors: testSensors, Scaler: scaler, Model: model}); err == nil {
+	if _, err := New(Config{Window: 1, Sensors: servetest.Sensors, Scaler: scaler, Model: model}); err == nil {
 		t.Error("window < 2 should fail")
 	}
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Model: model}); err == nil {
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Model: model}); err == nil {
 		t.Error("nil scaler should fail")
 	}
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors + 1, Scaler: scaler, Model: model}); err == nil {
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors + 1, Scaler: scaler, Model: model}); err == nil {
 		t.Error("scaler shape mismatch should fail")
 	}
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler}); err == nil {
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler}); err == nil {
 		t.Error("nil model should fail")
 	}
 	// A zero std would make every job's features NaN; the fleet refuses it
 	// before any job registers.
 	poisoned := &preprocess.StandardScaler{Means: scaler.Means, Stds: append([]float64(nil), scaler.Stds...)}
-	poisoned.Stds[testSensors] = 0
-	if _, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: poisoned, Model: model}); err == nil {
+	poisoned.Stds[servetest.Sensors] = 0
+	if _, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: poisoned, Model: model}); err == nil {
 		t.Error("a scaler with a zero std should fail")
 	}
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +210,7 @@ func TestFleetValidationAndLifecycle(t *testing.T) {
 	}
 
 	// A job with a part-filled window is pending, not classified.
-	if err := m.Ingest(1, make([]float64, testSensors)); err != nil {
+	if err := m.Ingest(1, make([]float64, servetest.Sensors)); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := m.Tick()

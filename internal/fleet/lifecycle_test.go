@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mat"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
 
@@ -31,16 +32,16 @@ func (f *flaky) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // the old code the dirty flag was cleared during batch collection, so the
 // second tick found nothing to do and the pending classifications vanished.
 func TestTickErrorKeepsJobsDirty(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	fc := &flaky{inner: model}
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: fc})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const jobs = 5
 	for j := 0; j < jobs; j++ {
-		for _, s := range jobSamples(j, testWindow+1) {
+		for _, s := range servetest.JobSamples(j, servetest.Window+1) {
 			if err := m.Ingest(j, s); err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func TestTickErrorKeepsJobsDirty(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: classification lost across transient model error", j)
 		}
-		assertSamePrediction(t, j, got, baseline(t, scaler, model, jobSamples(j, testWindow+1)))
+		servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, model, servetest.JobSamples(j, servetest.Window+1)))
 	}
 }
 
@@ -91,12 +92,12 @@ func (w wideBatch) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // row-count validation: after the mismatch error, a classifier swap
 // plus a plain retry tick must still classify the collected jobs.
 func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: wideBatch{model}})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: wideBatch{model}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := jobSamples(3, testWindow)
+	samples := servetest.JobSamples(3, servetest.Window)
 	for _, s := range samples {
 		if err := m.Ingest(3, s); err != nil {
 			t.Fatal(err)
@@ -119,7 +120,7 @@ func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
 	if !ok {
 		t.Fatal("classification lost across row-mismatch error")
 	}
-	assertSamePrediction(t, 3, got, baseline(t, scaler, model, samples))
+	servetest.AssertSamePrediction(t, 3, got, servetest.Baseline(t, scaler, model, samples))
 }
 
 // TestPendingCountsAllUnfilledJobs pins the documented TickStats.Pending
@@ -129,18 +130,18 @@ func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
 // jobs; the second job's state is forced to that corner directly so the
 // ordering stays pinned even though normal transitions rarely reach it.
 func TestPendingCountsAllUnfilledJobs(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Job 1: partial window, dirty.
-	if err := m.Ingest(1, make([]float64, testSensors)); err != nil {
+	if err := m.Ingest(1, make([]float64, servetest.Sensors)); err != nil {
 		t.Fatal(err)
 	}
 	// Job 2: partial window with the dirty flag lowered.
-	if err := m.Ingest(2, make([]float64, testSensors)); err != nil {
+	if err := m.Ingest(2, make([]float64, servetest.Sensors)); err != nil {
 		t.Fatal(err)
 	}
 	_, sh := m.stripeFor(2)
@@ -162,8 +163,8 @@ func TestPendingCountsAllUnfilledJobs(t *testing.T) {
 // TestRejectedSampleDoesNotRegister pins the registry-growth boundary at
 // the ingest edge: an invalid sample must not allocate a job slot.
 func TestRejectedSampleDoesNotRegister(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +182,12 @@ func TestRejectedSampleDoesNotRegister(t *testing.T) {
 // slot and returns the final prediction; a later sample re-registers the
 // job from scratch and it classifies cleanly again.
 func TestEndJobAndReRegister(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := jobSamples(11, testWindow)
+	samples := servetest.JobSamples(11, servetest.Window)
 	for _, s := range samples {
 		if err := m.Ingest(11, s); err != nil {
 			t.Fatal(err)
@@ -200,7 +201,7 @@ func TestEndJobAndReRegister(t *testing.T) {
 	if !ok {
 		t.Fatal("EndJob should find the registered job")
 	}
-	assertSamePrediction(t, 11, final, baseline(t, scaler, model, samples))
+	servetest.AssertSamePrediction(t, 11, final, servetest.Baseline(t, scaler, model, samples))
 	if n := m.NumJobs(); n != 0 {
 		t.Fatalf("registry holds %d jobs after EndJob, want 0", n)
 	}
@@ -215,7 +216,7 @@ func TestEndJobAndReRegister(t *testing.T) {
 	}
 
 	// Re-ingest: the job starts over with an empty window.
-	resamples := jobSamples(12, testWindow)
+	resamples := servetest.JobSamples(12, servetest.Window)
 	for _, s := range resamples {
 		if err := m.Ingest(11, s); err != nil {
 			t.Fatal(err)
@@ -228,21 +229,21 @@ func TestEndJobAndReRegister(t *testing.T) {
 	if !ok {
 		t.Fatal("re-registered job should classify again")
 	}
-	assertSamePrediction(t, 11, got, baseline(t, scaler, model, resamples))
+	servetest.AssertSamePrediction(t, 11, got, servetest.Baseline(t, scaler, model, resamples))
 }
 
 // TestEvictIdleShrinksRegistry pins the unbounded-growth fix: idle jobs are
 // evicted, active jobs survive, and an evicted job re-registers cleanly on
 // re-ingest.
 func TestEvictIdleShrinksRegistry(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const jobs = 40
 	for j := 0; j < jobs; j++ {
-		for _, s := range jobSamples(j, testWindow) {
+		for _, s := range servetest.JobSamples(j, servetest.Window) {
 			if err := m.Ingest(j, s); err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestEvictIdleShrinksRegistry(t *testing.T) {
 	}
 
 	// An evicted job re-registers on re-ingest and classifies again.
-	samples := jobSamples(7, testWindow)
+	samples := servetest.JobSamples(7, servetest.Window)
 	for _, s := range samples {
 		if err := m.Ingest(7, s); err != nil {
 			t.Fatal(err)
@@ -285,14 +286,14 @@ func TestEvictIdleShrinksRegistry(t *testing.T) {
 	if !ok {
 		t.Fatal("evicted job should classify again after re-ingest")
 	}
-	assertSamePrediction(t, 7, got, baseline(t, scaler, model, samples))
+	servetest.AssertSamePrediction(t, 7, got, servetest.Baseline(t, scaler, model, samples))
 }
 
 // TestSnapshotView pins the read-only fleet view the serving layer's
 // snapshot endpoint is built on.
 func TestSnapshotView(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +303,12 @@ func TestSnapshotView(t *testing.T) {
 
 	before := time.Now()
 	// Job 5: classified. Job 9: partial window.
-	for _, s := range jobSamples(5, testWindow) {
+	for _, s := range servetest.JobSamples(5, servetest.Window) {
 		if err := m.Ingest(5, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Ingest(9, jobSamples(9, 1)[0]); err != nil {
+	if err := m.Ingest(9, servetest.JobSamples(9, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Tick(); err != nil {
@@ -319,10 +320,10 @@ func TestSnapshotView(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want jobs [5 9]", snap)
 	}
 	j5, j9 := snap[0], snap[1]
-	if !j5.Ready || j5.Samples != testWindow || j5.Pred == nil {
-		t.Fatalf("job 5 snapshot %+v: want ready, %d samples, a prediction", j5, testWindow)
+	if !j5.Ready || j5.Samples != servetest.Window || j5.Pred == nil {
+		t.Fatalf("job 5 snapshot %+v: want ready, %d samples, a prediction", j5, servetest.Window)
 	}
-	assertSamePrediction(t, 5, j5.Pred, baseline(t, scaler, model, jobSamples(5, testWindow)))
+	servetest.AssertSamePrediction(t, 5, j5.Pred, servetest.Baseline(t, scaler, model, servetest.JobSamples(5, servetest.Window)))
 	if j9.Ready || j9.Samples != 1 || j9.Pred != nil {
 		t.Fatalf("job 9 snapshot %+v: want not ready, 1 sample, no prediction", j9)
 	}
@@ -332,7 +333,7 @@ func TestSnapshotView(t *testing.T) {
 		}
 	}
 
-	if w, s := m.Window(), m.Sensors(); w != testWindow || s != testSensors {
-		t.Fatalf("monitor shape %dx%d, want %dx%d", w, s, testWindow, testSensors)
+	if w, s := m.Window(), m.Sensors(); w != servetest.Window || s != servetest.Sensors {
+		t.Fatalf("monitor shape %dx%d, want %dx%d", w, s, servetest.Window, servetest.Sensors)
 	}
 }

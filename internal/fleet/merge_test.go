@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/servetest"
 )
 
 // shardedIDs returns n job IDs that all route to the given partition — the
@@ -26,7 +28,7 @@ func shardedIDs(t *testing.T, c *Monitor, shard, n int) []int {
 // fill pushes enough samples to fill (and wrap) the job's window.
 func fill(t *testing.T, c *Monitor, jobID int) {
 	t.Helper()
-	for _, s := range jobSamples(jobID, testWindow+1) {
+	for _, s := range servetest.JobSamples(jobID, servetest.Window+1) {
 		if err := c.Ingest(jobID, s); err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +39,7 @@ func fill(t *testing.T, c *Monitor, jobID int) {
 // with no jobs at all snapshots empty and ticks to zero stats on every
 // partition.
 func TestMergeEmptyCore(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	c := newPartitioned(t, scaler, model, 4)
 	if snap := c.Snapshot(); len(snap) != 0 {
 		t.Fatalf("empty core snapshot has %d rows", len(snap))
@@ -59,7 +61,7 @@ func TestMergeEmptyCore(t *testing.T) {
 // partition's stats, and the merged Snapshot must list exactly those jobs,
 // ID-sorted, with empty partitions contributing nothing.
 func TestMergeUnevenDistribution(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	c := newPartitioned(t, scaler, model, 4)
 	const loaded = 2
 	ids := shardedIDs(t, c, loaded, 12)
@@ -67,7 +69,7 @@ func TestMergeUnevenDistribution(t *testing.T) {
 	for i, id := range ids {
 		if i%2 == 0 {
 			fill(t, c, id)
-		} else if err := c.Ingest(id, jobSamples(id, 1)[0]); err != nil {
+		} else if err := c.Ingest(id, servetest.JobSamples(id, 1)[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,13 +115,13 @@ func TestMergeUnevenDistribution(t *testing.T) {
 // fan-in: merged TickStats equals the sum of per-partition stats, and the
 // monitor-level counters equal the ShardStats sums.
 func TestMergeAcrossShards(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	c := newPartitioned(t, scaler, model, 4)
 	const jobs = 40
 	for j := 0; j < jobs; j++ {
 		if j%4 == 3 {
 			// Every fourth job stays pending (window not filled).
-			if err := c.Ingest(j, jobSamples(j, 1)[0]); err != nil {
+			if err := c.Ingest(j, servetest.JobSamples(j, 1)[0]); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -180,7 +182,7 @@ func TestMergeAcrossShards(t *testing.T) {
 // free of duplicates, whatever the interleaving. Under -race this also
 // pins the merge's locking discipline against the eviction paths.
 func TestMergeWithConcurrentEviction(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	c := newPartitioned(t, scaler, model, 4)
 	const jobs = 64
 	for j := 0; j < jobs; j++ {
@@ -200,7 +202,7 @@ func TestMergeWithConcurrentEviction(t *testing.T) {
 			}
 			j := (i * 17) % jobs
 			c.EndJob(j)
-			for _, s := range jobSamples(j, testWindow+1) {
+			for _, s := range servetest.JobSamples(j, servetest.Window+1) {
 				// Ingest only fails on a wrong sensor count, which these
 				// fixtures cannot produce.
 				_ = c.Ingest(j, s)

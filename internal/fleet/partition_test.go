@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/preprocess"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
 
 // newPartitioned builds an empty monitor with the given partition count.
 func newPartitioned(t *testing.T, scaler *preprocess.StandardScaler, model stream.Classifier, shards int) *Monitor {
 	t.Helper()
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: shards})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +53,16 @@ func runTicks(t *testing.T, m *Monitor, stop <-chan struct{}, every time.Duratio
 // predictions for every job. Partitioning changes throughput, never
 // predictions.
 func TestShardedMatchesSingleMonitor(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	const jobs = 60
-	const perJob = testWindow*3 + 5 // past ring wraparound
+	const perJob = servetest.Window*3 + 5 // past ring wraparound
 
 	single := newPartitioned(t, scaler, model, 1)
 	core := newPartitioned(t, scaler, model, 4)
 
 	streams := make([][][]float64, jobs)
 	for j := range streams {
-		streams[j] = jobSamples(j, perJob)
+		streams[j] = servetest.JobSamples(j, perJob)
 	}
 	for i := 0; i < perJob; i++ {
 		for j := 0; j < jobs; j++ {
@@ -108,7 +109,7 @@ func TestShardedMatchesSingleMonitor(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: no one-partition prediction", j)
 		}
-		assertSamePrediction(t, j, got, want)
+		servetest.AssertSamePrediction(t, j, got, want)
 	}
 }
 
@@ -117,9 +118,9 @@ func TestShardedMatchesSingleMonitor(t *testing.T) {
 // against a sequential one-partition monitor. Run under -race this also
 // pins the locking discipline of Ingest/TickShard.
 func TestShardedConcurrentIngest(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	const jobs = 64
-	const perJob = testWindow*2 + 3
+	const perJob = servetest.Window*2 + 3
 
 	core := newPartitioned(t, scaler, model, 4)
 	stop := make(chan struct{})
@@ -134,7 +135,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			for _, s := range jobSamples(j, perJob) {
+			for _, s := range servetest.JobSamples(j, perJob) {
 				if err := core.Ingest(j, s); err != nil {
 					t.Error(err)
 					return
@@ -154,7 +155,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 
 	single := newPartitioned(t, scaler, model, 1)
 	for j := 0; j < jobs; j++ {
-		for _, s := range jobSamples(j, perJob) {
+		for _, s := range servetest.JobSamples(j, perJob) {
 			if err := single.Ingest(j, s); err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 			t.Fatalf("job %d: no prediction", j)
 		}
 		want, _ := single.Prediction(j)
-		assertSamePrediction(t, j, got, want)
+		servetest.AssertSamePrediction(t, j, got, want)
 	}
 }
 
@@ -177,7 +178,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 // partition count, and checks jobs spread over every partition rather than
 // clumping.
 func TestRoutingStable(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	core := newPartitioned(t, scaler, model, 8)
 	seen := make([]int, core.NumShards())
 	for j := 0; j < 4096; j++ {
@@ -204,8 +205,8 @@ func TestRoutingStable(t *testing.T) {
 // monitor's window shape, TickShard refuses an index outside the
 // partitions, and a nil swap is refused on a partitioned monitor.
 func TestCoreValidation(t *testing.T) {
-	scaler, model := fixture(t)
-	def, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	def, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +217,8 @@ func TestCoreValidation(t *testing.T) {
 	if got := c.NumShards(); got != 3 {
 		t.Fatalf("NumShards = %d, want 3", got)
 	}
-	if c.Window() != testWindow || c.Sensors() != testSensors {
-		t.Fatalf("window shape %dx%d, want %dx%d", c.Window(), c.Sensors(), testWindow, testSensors)
+	if c.Window() != servetest.Window || c.Sensors() != servetest.Sensors {
+		t.Fatalf("window shape %dx%d, want %dx%d", c.Window(), c.Sensors(), servetest.Window, servetest.Sensors)
 	}
 	if _, err := c.TickShard(-1); err == nil {
 		t.Error("TickShard(-1) should fail")

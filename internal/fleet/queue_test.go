@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mat"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
 
@@ -66,9 +67,9 @@ func (f *faulty) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // tally attached.
 func queueFixture(t *testing.T, now func() time.Time) (*Monitor, *faulty, *tally) {
 	t.Helper()
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	fm := &faulty{inner: model}
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: fm, Now: now})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: fm, Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +110,10 @@ func TestRemovedQueuedJobIsSkipped(t *testing.T) {
 		for _, reregister := range []bool{false, true} {
 			clock := time.Unix(1000, 0)
 			m, _, ta := queueFixture(t, func() time.Time { return clock })
-			feed(t, m, 2, jobSamples(2, testWindow))
+			feed(t, m, 2, servetest.JobSamples(2, servetest.Window))
 			clock = clock.Add(time.Hour)
-			feed(t, m, 1, jobSamples(1, testWindow))
-			feed(t, m, 3, jobSamples(3, testWindow))
+			feed(t, m, 1, servetest.JobSamples(1, servetest.Window))
+			feed(t, m, 3, servetest.JobSamples(3, servetest.Window))
 
 			if how == "EndJob" {
 				if _, ok := m.EndJob(2); !ok {
@@ -123,7 +124,7 @@ func TestRemovedQueuedJobIsSkipped(t *testing.T) {
 			}
 
 			want := []int{1, 3}
-			again := jobSamples(12, testWindow)
+			again := servetest.JobSamples(12, servetest.Window)
 			if reregister {
 				feed(t, m, 2, again)
 				want = []int{1, 2, 3}
@@ -135,8 +136,8 @@ func TestRemovedQueuedJobIsSkipped(t *testing.T) {
 				t.Fatalf("%s, reregister=%v: job 2 has a prediction: %v", how, reregister, ok)
 			}
 			if reregister {
-				scaler, model := fixture(t)
-				assertSamePrediction(t, 2, got, baseline(t, scaler, model, again))
+				scaler, model := servetest.Fixture(t)
+				servetest.AssertSamePrediction(t, 2, got, servetest.Baseline(t, scaler, model, again))
 			}
 		}
 	}
@@ -173,9 +174,9 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 	for name, arm := range fails {
 		m, fm, ta := queueFixture(t, nil)
 		for _, j := range jobs {
-			feed(t, m, j, jobSamples(j, testWindow))
+			feed(t, m, j, servetest.JobSamples(j, servetest.Window))
 		}
-		feed(t, m, 9, jobSamples(9, testWindow-1)) // never ready, never queued
+		feed(t, m, 9, servetest.JobSamples(9, servetest.Window-1)) // never ready, never queued
 
 		restore := arm(m, fm)
 		if _, err := m.Tick(); err == nil {
@@ -185,7 +186,7 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 		if got := ta.take(); len(got) != 0 {
 			t.Fatalf("%s: failed tick scored jobs %v", name, got)
 		}
-		feed(t, m, 4, jobSamples(40, 1)) // already queued: must not queue twice
+		feed(t, m, 4, servetest.JobSamples(40, 1)) // already queued: must not queue twice
 
 		wantTick(t, m, ta, jobs, 1)
 		wantTick(t, m, ta, []int{}, 1)
@@ -197,18 +198,18 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 // scores it — once, with the sample in.
 func TestIngestDuringInferenceRequeues(t *testing.T) {
 	m, fm, ta := queueFixture(t, nil)
-	feed(t, m, 1, jobSamples(1, testWindow))
-	feed(t, m, 2, jobSamples(2, testWindow))
-	late := jobSamples(1, testWindow+1)
-	fm.during = func() { feed(t, m, 1, late[testWindow:]) }
+	feed(t, m, 1, servetest.JobSamples(1, servetest.Window))
+	feed(t, m, 2, servetest.JobSamples(2, servetest.Window))
+	late := servetest.JobSamples(1, servetest.Window+1)
+	fm.during = func() { feed(t, m, 1, late[servetest.Window:]) }
 
 	wantTick(t, m, ta, []int{1, 2}, 0)
 	wantTick(t, m, ta, []int{1}, 0)
 	wantTick(t, m, ta, []int{}, 0)
 
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	got, _ := m.Prediction(1)
-	assertSamePrediction(t, 1, got, baseline(t, scaler, model, late))
+	servetest.AssertSamePrediction(t, 1, got, servetest.Baseline(t, scaler, model, late))
 }
 
 // TestUnreadyJobIsPendingNotQueued: a job is counted in Pending from its
@@ -216,22 +217,22 @@ func TestIngestDuringInferenceRequeues(t *testing.T) {
 // it and not before, and leaves Pending when it is removed unfilled.
 func TestUnreadyJobIsPendingNotQueued(t *testing.T) {
 	m, _, ta := queueFixture(t, nil)
-	samples := jobSamples(1, testWindow)
-	feed(t, m, 1, samples[:testWindow-1])
-	feed(t, m, 2, jobSamples(2, 1))
+	samples := servetest.JobSamples(1, servetest.Window)
+	feed(t, m, 1, samples[:servetest.Window-1])
+	feed(t, m, 2, servetest.JobSamples(2, 1))
 	for _, sh := range m.parts[0].stripes {
 		if len(sh.queue) != 0 {
 			t.Fatalf("an unfilled job was queued: %d entries", len(sh.queue))
 		}
 	}
 	wantTick(t, m, ta, []int{}, 2)
-	feed(t, m, 1, samples[testWindow-1:])
+	feed(t, m, 1, samples[servetest.Window-1:])
 	wantTick(t, m, ta, []int{1}, 1)
 	if _, ok := m.EndJob(2); !ok {
 		t.Fatal("EndJob did not find job 2")
 	}
 	wantTick(t, m, ta, []int{}, 0)
-	feed(t, m, 3, jobSamples(3, 2))
+	feed(t, m, 3, servetest.JobSamples(3, 2))
 	if n := m.EvictIdle(0); n != 2 {
 		t.Fatalf("EvictIdle(0) removed %d jobs, want 2", n)
 	}
@@ -269,7 +270,7 @@ func (o oracle) due() (ids []int, pending int) {
 	ids = []int{}
 	for id, j := range o {
 		switch {
-		case j.n < testWindow:
+		case j.n < servetest.Window:
 			pending++
 		case j.dirty:
 			ids = append(ids, id)
@@ -300,7 +301,7 @@ func checkQueueAgainstOracle(t *testing.T, seed int64) {
 	clock := time.Unix(1000, 0)
 	m, fm, ta := queueFixture(t, func() time.Time { return clock })
 	o := oracle{}
-	sample := make([]float64, testSensors)
+	sample := make([]float64, servetest.Sensors)
 
 	// mutate applies one random non-tick operation to the monitor and the
 	// oracle alike.

@@ -1,40 +1,15 @@
 package fleet
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/forest"
 	"repro/internal/mat"
-	"repro/internal/preprocess"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
-
-// swapFixture builds a scaler plus two independently trained forests so
-// their predictions on the same window differ with overwhelming probability.
-func swapFixture(t *testing.T) (*preprocess.StandardScaler, *forest.Classifier, *forest.Classifier) {
-	t.Helper()
-	scaler, modelA := fixture(t)
-
-	rng := rand.New(rand.NewSource(99))
-	dim := preprocess.CovarianceDim(testSensors)
-	x := mat.New(200, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(4)
-	}
-	modelB := forest.New(forest.Config{NumTrees: 9, MaxDepth: 5, Bootstrap: true, Seed: 77})
-	if err := modelB.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	return scaler, modelA, modelB
-}
 
 // TestSwapClassifierBitIdenticalAcrossSwap is the hot-swap acceptance
 // invariant: under concurrent ingest and continuous ticking, predictions
@@ -42,12 +17,13 @@ func swapFixture(t *testing.T) (*preprocess.StandardScaler, *forest.Classifier, 
 // baselines on the old model, and predictions after the swap to baselines on
 // the new model.
 func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
-	scaler, modelA, modelB := swapFixture(t)
+	scaler, modelA := servetest.Fixture(t)
+	modelB := servetest.AltForest(t)
 	const jobs = 48
-	const phase1 = testWindow + 2 // full window plus wraparound
+	const phase1 = servetest.Window + 2 // full window plus wraparound
 	const phase2 = 5
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +53,7 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 			wg.Add(1)
 			go func(j int) {
 				defer wg.Done()
-				samples := jobSamples(j, to)
+				samples := servetest.JobSamples(j, to)
 				for _, s := range samples[from:] {
 					if err := m.Ingest(j, s); err != nil {
 						t.Error(err)
@@ -99,7 +75,7 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: no pre-swap prediction", j)
 		}
-		assertSamePrediction(t, j, got, baseline(t, scaler, modelA, jobSamples(j, phase1)))
+		servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, modelA, servetest.JobSamples(j, phase1)))
 	}
 
 	// Swap while the background ticker is still running.
@@ -124,7 +100,7 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: no post-swap prediction", j)
 		}
-		assertSamePrediction(t, j, got, baseline(t, scaler, modelB, jobSamples(j, phase1+phase2)))
+		servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, modelB, servetest.JobSamples(j, phase1+phase2)))
 	}
 }
 
@@ -134,11 +110,12 @@ func TestSwapClassifierBitIdenticalAcrossSwap(t *testing.T) {
 // the serial baseline of model A or of model B — a torn tick (half old
 // model, half new) or a torn model install would match neither.
 func TestSwapNeverTearsATick(t *testing.T) {
-	scaler, modelA, modelB := swapFixture(t)
+	scaler, modelA := servetest.Fixture(t)
+	modelB := servetest.AltForest(t)
 	const jobs = 16
 	const rounds = 80
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,24 +140,12 @@ func TestSwapNeverTearsATick(t *testing.T) {
 		}
 	}()
 
-	matches := func(got, want *stream.Prediction) bool {
-		if got.Class != want.Class || got.Probability != want.Probability || len(got.Probs) != len(want.Probs) {
-			return false
-		}
-		for c := range want.Probs {
-			if got.Probs[c] != want.Probs[c] {
-				return false
-			}
-		}
-		return true
-	}
-
 	for r := 0; r < rounds; r++ {
 		// Fresh job IDs each round, so every window is built deterministically
 		// from scratch and classified by exactly one tick.
 		for k := 0; k < jobs; k++ {
 			j := r*jobs + k
-			for _, s := range jobSamples(j, testWindow) {
+			for _, s := range servetest.JobSamples(j, servetest.Window) {
 				if err := m.Ingest(j, s); err != nil {
 					t.Fatal(err)
 				}
@@ -195,9 +160,9 @@ func TestSwapNeverTearsATick(t *testing.T) {
 			if !ok {
 				t.Fatalf("round %d job %d: no prediction after tick", r, j)
 			}
-			samples := jobSamples(j, testWindow)
-			if !matches(got, baseline(t, scaler, modelA, samples)) &&
-				!matches(got, baseline(t, scaler, modelB, samples)) {
+			samples := servetest.JobSamples(j, servetest.Window)
+			if !servetest.SamePrediction(got, servetest.Baseline(t, scaler, modelA, samples)) &&
+				!servetest.SamePrediction(got, servetest.Baseline(t, scaler, modelB, samples)) {
 				t.Fatalf("round %d job %d: prediction matches neither baseline (torn swap?)", r, j)
 			}
 		}
@@ -210,8 +175,9 @@ func TestSwapNeverTearsATick(t *testing.T) {
 }
 
 func TestSwapValidationAndFallback(t *testing.T) {
-	scaler, modelA, modelB := swapFixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: modelA})
+	scaler, modelA := servetest.Fixture(t)
+	modelB := servetest.AltForest(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: modelA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +193,7 @@ func TestSwapValidationAndFallback(t *testing.T) {
 	if err := m.SwapClassifierDrift(unbatched{modelB}, nil); err != nil {
 		t.Fatal(err)
 	}
-	samples := jobSamples(3, testWindow)
+	samples := servetest.JobSamples(3, servetest.Window)
 	for _, s := range samples {
 		if err := m.Ingest(3, s); err != nil {
 			t.Fatal(err)
@@ -240,7 +206,7 @@ func TestSwapValidationAndFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("missing prediction")
 	}
-	assertSamePrediction(t, 3, got, baseline(t, scaler, modelB, samples))
+	servetest.AssertSamePrediction(t, 3, got, servetest.Baseline(t, scaler, modelB, samples))
 
 	// And swapping back restores the batched path.
 	if err := m.SwapClassifierDrift(modelA, nil); err != nil {
@@ -273,7 +239,7 @@ func (s stamped) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // new model while partition 3 still ticks the old one inside the same pass
 // — would surface as mixed stamps among predictions published by one tick.
 func TestSwapNeverTearsAcrossShards(t *testing.T) {
-	scaler, _ := fixture(t)
+	scaler, _ := servetest.Fixture(t)
 	modelA := stamped{stamp: 0.75}
 	modelB := stamped{stamp: 0.6}
 	core := newPartitioned(t, scaler, modelA, 4)
@@ -282,7 +248,7 @@ func TestSwapNeverTearsAcrossShards(t *testing.T) {
 	// jobs dirty and the next tick re-scores the whole fleet.
 	const jobs = 32
 	for j := 0; j < jobs; j++ {
-		for _, s := range jobSamples(j, testWindow) {
+		for _, s := range servetest.JobSamples(j, servetest.Window) {
 			if err := core.Ingest(j, s); err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +275,7 @@ func TestSwapNeverTearsAcrossShards(t *testing.T) {
 
 	for iter := 0; iter < 300; iter++ {
 		for j := 0; j < jobs; j++ {
-			if err := core.Ingest(j, jobSamples(j, 1)[0]); err != nil {
+			if err := core.Ingest(j, servetest.JobSamples(j, 1)[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -351,7 +317,7 @@ func TestSwapNeverTearsAcrossShards(t *testing.T) {
 // The assertions are loose — the point is the interleaving itself under
 // -race, plus the invariant that nothing errors and counters stay sane.
 func TestConcurrentIngestSwapEvict(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	core := newPartitioned(t, scaler, model, 4)
 
 	stop := make(chan struct{})
@@ -369,7 +335,7 @@ func TestConcurrentIngestSwapEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				for j := w; j < jobs; j += 4 {
-					for _, s := range jobSamples(j, 2) {
+					for _, s := range servetest.JobSamples(j, 2) {
 						if err := core.Ingest(j, s); err != nil {
 							t.Error(err)
 							return

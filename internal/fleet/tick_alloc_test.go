@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/servetest"
 	"repro/internal/trace"
 )
 
@@ -24,13 +25,13 @@ func (discard) ObserveWindow(Observation) {}
 // leaves the caller's goroutine.) A constant stream keeps every window, and
 // so every verdict, fixed, so no tick publishes a transition event.
 func TestTickCostFollowsDirtyNotResident(t *testing.T) {
-	scaler, model := fixture(t)
-	cal := fitTestCalibration(t, model)
-	sample := jobSamples(0, 1)[0]
+	scaler, model := servetest.Fixture(t)
+	cal := servetest.Calibration(t, 31, 400)
+	sample := servetest.JobSamples(0, 1)[0]
 
 	perTick := map[int]float64{}
 	for _, resident := range []int{100, 10000} {
-		m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: cal})
+		m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 		m.SetEventSink(events.NewBus())
 		m.SetAdaptObserver(discard{})
 		for j := 0; j < resident; j++ {
-			for i := 0; i < testWindow; i++ {
+			for i := 0; i < servetest.Window; i++ {
 				if err := m.Ingest(j, sample); err != nil {
 					t.Fatal(err)
 				}
@@ -95,9 +96,9 @@ func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 // every job's window wrapped: with nothing dirty the tick does no
 // collection, no batch and no event publishing, so it allocates nothing.
 func TestOnePartitionIdleTickAllocatesNothing(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler,
-		Model: model, Shards: 1, Drift: fitTestCalibration(t, model)})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler,
+		Model: model, Shards: 1, Drift: servetest.Calibration(t, 31, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/servetest"
 	"repro/internal/trace"
 )
 
@@ -17,9 +18,9 @@ import (
 // garbage, whatever its height. The model is the small test fixture, so
 // write-back and collect weigh more here than behind a Table V forest.
 func BenchmarkTick(b *testing.B) {
-	scaler, model := fixture(b)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
-		Drift: fitTestCalibration(b, model)})
+	scaler, model := servetest.Fixture(b)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
+		Drift: servetest.Calibration(b, 31, 400)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func BenchmarkTick(b *testing.B) {
 	const jobs = 250
 	stream := make([][][]float64, jobs)
 	for j := range stream {
-		stream[j] = jobSamples(j, testWindow)
+		stream[j] = servetest.JobSamples(j, servetest.Window)
 		for _, s := range stream[j] {
 			if err := m.Ingest(j, s); err != nil {
 				b.Fatal(err)
@@ -44,7 +45,7 @@ func BenchmarkTick(b *testing.B) {
 	for b.Loop() {
 		b.StopTimer()
 		for j := range stream {
-			if err := m.Ingest(j, stream[j][next%testWindow]); err != nil {
+			if err := m.Ingest(j, stream[j][next%servetest.Window]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,22 +9,15 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
 
-// samePrediction reports whether two predictions carry the same bits,
+// sameWithVerdict reports whether two predictions carry the same bits,
 // open-set verdict included.
-func samePrediction(a, b *stream.Prediction) bool {
-	if a.Class != b.Class || math.Float64bits(a.Probability) != math.Float64bits(b.Probability) ||
-		len(a.Probs) != len(b.Probs) || (a.Open == nil) != (b.Open == nil) {
-		return false
-	}
-	for c := range a.Probs {
-		if math.Float64bits(a.Probs[c]) != math.Float64bits(b.Probs[c]) {
-			return false
-		}
-	}
-	return a.Open == nil || *a.Open == *b.Open
+func sameWithVerdict(a, b *stream.Prediction) bool {
+	return servetest.SamePrediction(a, b) && (a.Open == nil) == (b.Open == nil) &&
+		(a.Open == nil || *a.Open == *b.Open)
 }
 
 // clonePrediction deep-copies p, so a later comparison sees what p held.
@@ -43,13 +36,13 @@ func clonePrediction(p *stream.Prediction) *stream.Prediction {
 // read taken before a tick still holds the old prediction afterwards, and
 // scribbling over a returned prediction changes nothing the fleet serves.
 func TestPredictionReadsCopyOut(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Drift: fitTestCalibration(t, model)})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: servetest.Calibration(t, 31, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := jobSamples(4, testWindow+3)
-	feed(t, m, 4, samples[:testWindow])
+	samples := servetest.JobSamples(4, servetest.Window+3)
+	feed(t, m, 4, samples[:servetest.Window])
 	if _, err := m.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +59,17 @@ func TestPredictionReadsCopyOut(t *testing.T) {
 			p.Probs[c] = math.NaN()
 		}
 		p.Open.FeatDist, p.Open.Rejected = -1, !p.Open.Rejected
-		if again, _ := m.Prediction(4); !samePrediction(again, kept) {
+		if again, _ := m.Prediction(4); !sameWithVerdict(again, kept) {
 			t.Fatalf("a write to a returned prediction reached the fleet: %+v, want %+v", again, kept)
 		}
 	}
 
 	// A later tick replaces the job's prediction, not the one already read.
-	feed(t, m, 4, samples[testWindow:])
+	feed(t, m, 4, samples[servetest.Window:])
 	if _, err := m.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if !samePrediction(before, kept) {
+	if !sameWithVerdict(before, kept) {
 		t.Fatalf("a tick changed a prediction read before it: %+v, want %+v", before, kept)
 	}
 	after, _ := m.Prediction(4)
@@ -84,13 +77,13 @@ func TestPredictionReadsCopyOut(t *testing.T) {
 	if after == again || &after.Probs[0] == &again.Probs[0] || after.Open == again.Open {
 		t.Fatal("two reads share memory")
 	}
-	assertSamePrediction(t, 4, after, baseline(t, scaler, model, samples))
-	if samePrediction(kept, after) {
+	servetest.AssertSamePrediction(t, 4, after, servetest.Baseline(t, scaler, model, samples))
+	if sameWithVerdict(kept, after) {
 		t.Fatal("the fixture's two windows predict the same bits; the test cannot tell old from new")
 	}
 
 	final, ok := m.EndJob(4)
-	if !ok || !samePrediction(final, after) {
+	if !ok || !sameWithVerdict(final, after) {
 		t.Fatalf("EndJob returned %+v, want the last published %+v", final, after)
 	}
 }
@@ -100,9 +93,9 @@ func TestPredictionReadsCopyOut(t *testing.T) {
 // publishes rows of the new width bit-identical to a single-job monitor, and
 // a prediction read under the old model keeps its own width.
 func TestSwapResizesTheInlineRow(t *testing.T) {
-	scaler, narrow := fixture(t)
+	scaler, narrow := servetest.Fixture(t)
 	rng := rand.New(rand.NewSource(5))
-	x := mat.New(240, preprocess.CovarianceDim(testSensors))
+	x := mat.New(240, preprocess.CovarianceDim(servetest.Sensors))
 	y := make([]int, x.Rows)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -115,7 +108,7 @@ func TestSwapResizesTheInlineRow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: narrow})
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: narrow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +117,7 @@ func TestSwapResizesTheInlineRow(t *testing.T) {
 	step := func(model stream.Classifier, samples int) {
 		t.Helper()
 		for j := 0; j < jobs; j++ {
-			feed(t, m, j, jobSamples(j, seen[j]+samples)[seen[j]:])
+			feed(t, m, j, servetest.JobSamples(j, seen[j]+samples)[seen[j]:])
 			seen[j] += samples
 		}
 		if stats, err := m.Tick(); err != nil || stats.Classified != jobs {
@@ -132,11 +125,11 @@ func TestSwapResizesTheInlineRow(t *testing.T) {
 		}
 		for j := 0; j < jobs; j++ {
 			got, _ := m.Prediction(j)
-			assertSamePrediction(t, j, got, baseline(t, scaler, model, jobSamples(j, seen[j])))
+			servetest.AssertSamePrediction(t, j, got, servetest.Baseline(t, scaler, model, servetest.JobSamples(j, seen[j])))
 		}
 	}
 
-	step(narrow, testWindow)
+	step(narrow, servetest.Window)
 	old, _ := m.Prediction(0)
 	for _, s := range []struct {
 		model *forest.Classifier
@@ -160,15 +153,15 @@ func TestSwapResizesTheInlineRow(t *testing.T) {
 // Probs[Class], its Class the arg-max of Probs — and, under -race, the
 // copy-out and the write-back must share no unguarded memory.
 func TestReadsNeverSeeATornPrediction(t *testing.T) {
-	scaler, model := fixture(t)
-	m, err := New(Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model,
-		Drift: fitTestCalibration(t, model), Shards: 2})
+	scaler, model := servetest.Fixture(t)
+	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
+		Drift: servetest.Calibration(t, 31, 400), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const jobs, rounds = 16, 40
 	for j := 0; j < jobs; j++ {
-		feed(t, m, j, jobSamples(j, testWindow))
+		feed(t, m, j, servetest.JobSamples(j, servetest.Window))
 	}
 	if _, err := m.Tick(); err != nil {
 		t.Fatal(err)
@@ -207,7 +200,7 @@ func TestReadsNeverSeeATornPrediction(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		for j := 0; j < jobs; j++ {
-			feed(t, m, j, jobSamples(j+100*r, 1))
+			feed(t, m, j, servetest.JobSamples(j+100*r, 1))
 		}
 		if _, err := m.Tick(); err != nil {
 			t.Error(err)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/servetest"
 	"repro/internal/wire"
 )
 
@@ -21,8 +22,8 @@ import (
 // Close, so tests control exactly when windows are classified.
 func binaryTestServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
-	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func postIngest(t *testing.T, url, contentType string, body []byte) (int, ingest
 // shortest round-tripping decimal for a float64, so both framings deliver
 // the same bits to the fleet.
 func TestBinaryIngestMatchesNDJSON(t *testing.T) {
-	const jobs, perJob = 4, testWindow + 3
+	const jobs, perJob = 4, servetest.Window + 3
 	srvA, _, tsA := binaryTestServer(t) // NDJSON
 	srvB, _, tsB := binaryTestServer(t) // binary
 
@@ -66,7 +67,7 @@ func TestBinaryIngestMatchesNDJSON(t *testing.T) {
 	var bin []byte
 	for i := 0; i < perJob; i++ {
 		for j := 0; j < jobs; j++ {
-			vals := jobSamples(j, perJob)[i]
+			vals := servetest.JobSamples(j, perJob)[i]
 			line, err := json.Marshal(struct {
 				Job    int       `json:"job"`
 				Values []float64 `json:"values"`

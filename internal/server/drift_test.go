@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,46 +14,15 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/fleet"
-	"repro/internal/mat"
+	"repro/internal/servetest"
 )
-
-// driftCalibration fits a calibration matched to the server test fixture.
-func driftCalibration(t *testing.T, model interface {
-	PredictProba(x *mat.Matrix) (*mat.Matrix, error)
-}) *drift.Calibration {
-	t.Helper()
-	rng := rand.New(rand.NewSource(61))
-	trainFeats := mat.New(400, 6)
-	for i := range trainFeats.Data {
-		trainFeats.Data[i] = rng.NormFloat64()
-	}
-	heldOut := mat.New(200, 6)
-	for i := range heldOut.Data {
-		heldOut.Data[i] = rng.NormFloat64()
-	}
-	probs, err := model.PredictProba(heldOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := mat.New(4000, testSensors)
-	for i := range ref.Data {
-		ref.Data[i] = rng.NormFloat64()*2 + 4
-	}
-	cal, err := drift.Fit(drift.FitInput{
-		Probs: probs, TrainFeatures: trainFeats, HeldOutFeatures: heldOut, RawSamples: ref,
-	}, drift.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cal
-}
 
 // newDriftServer is newTestServer over a drift-enabled monitor.
 func newDriftServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
-	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
-		Scaler: scaler, Model: model, Drift: driftCalibration(t, model)})
+	scaler, model := servetest.Fixture(t)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors,
+		Scaler: scaler, Model: model, Drift: servetest.Calibration(t, 61, 400)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +46,11 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 	s, _, ts := newDriftServer(t)
 
 	var body strings.Builder
-	for _, sm := range jobSamples(3, testWindow+1) {
+	for _, sm := range servetest.JobSamples(3, servetest.Window+1) {
 		body.WriteString(sampleLine(3, sm) + "\n")
 	}
 	resp, ir := postNDJSON(t, ts.URL, body.String())
-	if resp.StatusCode != http.StatusOK || ir.Accepted != testWindow+1 {
+	if resp.StatusCode != http.StatusOK || ir.Accepted != servetest.Window+1 {
 		t.Fatalf("ingest: status %d, accepted %d", resp.StatusCode, ir.Accepted)
 	}
 	if err := s.runTick(0); err != nil {
@@ -122,11 +90,11 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 	if !dr.Enabled {
 		t.Fatal("/v1/drift reports disabled on a drift-enabled fleet")
 	}
-	if dr.Samples != uint64(testWindow+1) {
-		t.Fatalf("/v1/drift binned %d samples, want %d", dr.Samples, testWindow+1)
+	if dr.Samples != uint64(servetest.Window+1) {
+		t.Fatalf("/v1/drift binned %d samples, want %d", dr.Samples, servetest.Window+1)
 	}
-	if len(dr.SensorPSI) != testSensors {
-		t.Fatalf("/v1/drift PSI over %d sensors, want %d", len(dr.SensorPSI), testSensors)
+	if len(dr.SensorPSI) != servetest.Sensors {
+		t.Fatalf("/v1/drift PSI over %d sensors, want %d", len(dr.SensorPSI), servetest.Sensors)
 	}
 
 	// /metrics exports the new series.
@@ -153,9 +121,9 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 // discarded, so a section holding any of those decodes, and a server built
 // on it answers a scored job's prediction read with a finite, parseable body.
 func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	var enc bytes.Buffer
-	if err := driftCalibration(t, model).Encode(&enc); err != nil {
+	if err := servetest.Calibration(t, 61, 400).Encode(&enc); err != nil {
 		t.Fatal(err)
 	}
 	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, 1e-300} {
@@ -165,7 +133,7 @@ func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("temperature slot %v: %v", temp, err)
 		}
-		m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors,
+		m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors,
 			Scaler: scaler, Model: model, Drift: cal})
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +144,7 @@ func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		var body strings.Builder
-		for _, sm := range jobSamples(3, testWindow+1) {
+		for _, sm := range servetest.JobSamples(3, servetest.Window+1) {
 			body.WriteString(sampleLine(3, sm) + "\n")
 		}
 		postNDJSON(t, ts.URL, body.String())
@@ -214,7 +182,7 @@ func TestDriftEndpointDisabled(t *testing.T) {
 	s, _, ts := newTestServer(t, nil)
 
 	var body strings.Builder
-	for _, sm := range jobSamples(5, testWindow) {
+	for _, sm := range servetest.JobSamples(5, servetest.Window) {
 		body.WriteString(sampleLine(5, sm) + "\n")
 	}
 	postNDJSON(t, ts.URL, body.String())

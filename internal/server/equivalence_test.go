@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,42 +12,10 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/forest"
-	"repro/internal/mat"
-	"repro/internal/preprocess"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
-
-// equivFixture builds a scaler and forest for an arbitrary window shape;
-// the statistics are synthetic — the equivalence invariant is about the
-// two serving paths agreeing, not about accuracy.
-func equivFixture(t *testing.T, window, sensors int) (*preprocess.StandardScaler, *forest.Classifier) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	train := mat.New(50, window*sensors)
-	for i := range train.Data {
-		train.Data[i] = rng.NormFloat64()*20 + 40
-	}
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(train); err != nil {
-		t.Fatal(err)
-	}
-	dim := preprocess.CovarianceDim(sensors)
-	x := mat.New(300, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(8)
-	}
-	f := forest.New(forest.Config{NumTrees: 20, Bootstrap: true, Seed: 4})
-	if err := f.Fit(x, y, 8); err != nil {
-		t.Fatal(err)
-	}
-	return &scaler, f
-}
 
 // TestServerMatchesInProcessFleet is the serving-layer acceptance
 // invariant: replaying the same simulated telemetry through the HTTP API
@@ -62,7 +29,7 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 		conns   = 3
 		batchSz = 32
 	)
-	scaler, model := equivFixture(t, window, sensors)
+	scaler, model := servetest.Wide(t, window, sensors)
 
 	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: 5, Scale: 0.02, GapRate: 1})
 	if err != nil {
@@ -241,7 +208,7 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 		}
 		resp.Body.Close()
 		got := &stream.Prediction{Class: pr.Class, Probability: pr.Probability, Probs: pr.Probs}
-		if !predictionEqual(got, want) {
+		if !servetest.SamePrediction(got, want) {
 			t.Fatalf("job %d: served prediction (%d, %v) not bit-identical to in-process (%d, %v)",
 				k, got.Class, got.Probs, want.Class, want.Probs)
 		}

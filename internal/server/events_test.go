@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/events"
+	"repro/internal/servetest"
 )
 
 // sseFrame is one parsed Server-Sent Events frame.
@@ -91,7 +92,7 @@ func TestEventsSSEStream(t *testing.T) {
 	frames := readSSE(resp.Body)
 
 	var lines []string
-	for _, sample := range jobSamples(1, testWindow) {
+	for _, sample := range servetest.JobSamples(1, servetest.Window) {
 		b, _ := json.Marshal(map[string]any{"job": 1, "values": sample})
 		lines = append(lines, string(b))
 	}
@@ -112,7 +113,7 @@ func TestEventsSSEStream(t *testing.T) {
 		t.Fatalf("prediction payload = %+v", pred)
 	}
 
-	_, model2 := fixture(t)
+	_, model2 := servetest.Fixture(t)
 	if err := m.SwapClassifierDrift(model2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestCloseStreamsEndsSSE(t *testing.T) {
 func TestTraceEndpoint(t *testing.T) {
 	s, _, ts := newTestServer(t, nil)
 	var lines []string
-	for _, sample := range jobSamples(3, testWindow) {
+	for _, sample := range servetest.JobSamples(3, servetest.Window) {
 		b, _ := json.Marshal(map[string]any{"job": 3, "values": sample})
 		lines = append(lines, string(b))
 	}
@@ -337,7 +338,7 @@ func TestDashboardServed(t *testing.T) {
 func TestMetricsStageHistogramAndEventCounters(t *testing.T) {
 	s, _, ts := newTestServer(t, nil)
 	var lines []string
-	for _, sample := range jobSamples(4, testWindow) {
+	for _, sample := range servetest.JobSamples(4, servetest.Window) {
 		b, _ := json.Marshal(map[string]any{"job": 4, "values": sample})
 		lines = append(lines, string(b))
 	}

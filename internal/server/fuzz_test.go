@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/servetest"
 	"repro/internal/wire"
 )
 
@@ -154,8 +155,8 @@ func FuzzBinaryIngestFrame(f *testing.F) {
 	f.Add(wire.AppendIngestRecord(nil, -9, nil))
 	f.Add(append(wire.AppendIngestRecord(nil, 3, []float64{math.Inf(1), math.NaN(), -0.0}), 0xde, 0xad))
 
-	scaler, model := fixture(f)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(f)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -189,8 +190,8 @@ func FuzzIngestHTTP(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("x"), 4096))
 	f.Add([]byte(`{"job":1,"values":[` + strings.Repeat("1,", 5000) + `1]}`))
 
-	scaler, model := fixture(f)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(f)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		f.Fatal(err)
 	}

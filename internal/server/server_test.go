@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,102 +14,17 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/forest"
 	"repro/internal/logtest"
-	"repro/internal/mat"
-	"repro/internal/preprocess"
+	"repro/internal/servetest"
 	"repro/internal/stream"
 )
-
-const (
-	testWindow  = 6
-	testSensors = 3
-)
-
-// fixture builds a scaler fitted for the test window shape and a small
-// random forest over the matching covariance-embedding dimension.
-func fixture(t testing.TB) (*preprocess.StandardScaler, *forest.Classifier) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(1))
-	train := mat.New(40, testWindow*testSensors)
-	for i := range train.Data {
-		train.Data[i] = rng.NormFloat64()*3 + 5
-	}
-	var scaler preprocess.StandardScaler
-	if _, err := scaler.FitTransform(train); err != nil {
-		t.Fatal(err)
-	}
-	dim := preprocess.CovarianceDim(testSensors)
-	x := mat.New(200, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(4)
-	}
-	f := forest.New(forest.Config{NumTrees: 15, Bootstrap: true, Seed: 2})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	return &scaler, f
-}
-
-// jobSamples derives a deterministic telemetry stream for one job.
-func jobSamples(jobID, n int) [][]float64 {
-	rng := rand.New(rand.NewSource(int64(jobID)*7919 + 3))
-	out := make([][]float64, n)
-	for i := range out {
-		s := make([]float64, testSensors)
-		for c := range s {
-			s[c] = rng.NormFloat64()*2 + 4
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// predictionEqual compares two predictions bit for bit.
-func predictionEqual(a, b *stream.Prediction) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Class != b.Class || a.Probability != b.Probability || len(a.Probs) != len(b.Probs) {
-		return false
-	}
-	for i := range a.Probs {
-		if a.Probs[i] != b.Probs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// baseline replays samples through a fresh single-job stream.Monitor.
-func baseline(t testing.TB, scaler *preprocess.StandardScaler, model stream.Classifier, samples [][]float64) *stream.Prediction {
-	t.Helper()
-	emb, err := stream.NewWindowedEmbedder(testWindow, testSensors, scaler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples {
-		if err := emb.Push(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pred, err := (&stream.Monitor{Embedder: emb, Model: model}).Classify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pred
-}
 
 // newTestServer builds a monitor + serving layer with a very long tick
 // cadence, so tests control inference timing via runTick and Close.
 func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
-	scaler, model := fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +80,8 @@ func sampleLine(job int, values []float64) string {
 func TestIngestErrorAccounting(t *testing.T) {
 	_, m, ts := newTestServer(t, nil)
 
-	s1 := jobSamples(1, testWindow)
-	s3 := jobSamples(3, 1)
+	s1 := servetest.JobSamples(1, servetest.Window)
+	s3 := servetest.JobSamples(3, 1)
 	body := strings.Join([]string{
 		sampleLine(1, s1[0]),
 		`{not json`,
@@ -203,7 +117,7 @@ func TestIngestErrorAccounting(t *testing.T) {
 		rest = append(rest, sampleLine(1, s))
 	}
 	resp, ir = postNDJSON(t, ts.URL, strings.Join(rest, "\n"))
-	if resp.StatusCode != http.StatusOK || ir.Rejected != 0 || ir.Accepted != testWindow-1 {
+	if resp.StatusCode != http.StatusOK || ir.Rejected != 0 || ir.Accepted != servetest.Window-1 {
 		t.Fatalf("follow-up batch: status %d, accounting %+v", resp.StatusCode, ir)
 	}
 	if err := pingTick(m); err != nil {
@@ -245,7 +159,7 @@ func TestIngestBackpressure(t *testing.T) {
 	ts2 := httptest.NewServer(s.IngestHandler(func(int, []float64) error { second.Add(1); return nil }, nil))
 	defer ts2.Close()
 
-	line := sampleLine(1, jobSamples(1, 1)[0])
+	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
 	results := make(chan int, 2)
 	post := func(url string) {
 		resp, err := http.Post(url, "application/x-ndjson", strings.NewReader(line))
@@ -307,7 +221,7 @@ func TestIngestBackpressure(t *testing.T) {
 // answered 200 or 503, and exactly the samples answered 200 were ingested.
 func TestCloseDuringIngest(t *testing.T) {
 	s, m, ts := newTestServer(t, nil)
-	line := sampleLine(1, jobSamples(1, 1)[0])
+	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
 	var accepted atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -340,12 +254,12 @@ func TestCloseDuringIngest(t *testing.T) {
 func TestReadEndpoints(t *testing.T) {
 	s, m, ts := newTestServer(t, nil)
 
-	samples := jobSamples(4, testWindow)
+	samples := servetest.JobSamples(4, servetest.Window)
 	var lines []string
 	for _, smp := range samples {
 		lines = append(lines, sampleLine(4, smp))
 	}
-	if resp, ir := postNDJSON(t, ts.URL, strings.Join(lines, "\n")); resp.StatusCode != 200 || ir.Accepted != testWindow {
+	if resp, ir := postNDJSON(t, ts.URL, strings.Join(lines, "\n")); resp.StatusCode != 200 || ir.Accepted != servetest.Window {
 		t.Fatalf("ingest: %d / %+v", resp.StatusCode, ir)
 	}
 	if err := s.runTick(0); err != nil {
@@ -367,7 +281,7 @@ func TestReadEndpoints(t *testing.T) {
 	}
 	want, _ := m.Prediction(4)
 	got := &stream.Prediction{Class: pr.Class, Probability: pr.Probability, Probs: pr.Probs}
-	if !predictionEqual(got, want) {
+	if !servetest.SamePrediction(got, want) {
 		t.Fatalf("HTTP prediction %+v differs from monitor %+v", pr, want)
 	}
 	if pr.Job != 4 || pr.ClassName != fmt.Sprintf("c%d", pr.Class) {
@@ -404,7 +318,7 @@ func TestReadEndpoints(t *testing.T) {
 		t.Fatalf("snapshot %+v, want exactly job 4", snap)
 	}
 	row := snap.Jobs[0]
-	if row.Job != 4 || !row.Ready || row.Samples != testWindow || row.Class == nil ||
+	if row.Job != 4 || !row.Ready || row.Samples != servetest.Window || row.Class == nil ||
 		*row.Class != want.Class || row.Probability != want.Probability || row.LastSeenUnixMS == 0 {
 		t.Fatalf("snapshot row %+v", row)
 	}
@@ -419,7 +333,7 @@ func TestReadEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if hr.Status != "ok" || hr.Jobs != 1 || hr.Window != testWindow || hr.Sensors != testSensors {
+	if hr.Status != "ok" || hr.Jobs != 1 || hr.Window != servetest.Window || hr.Sensors != servetest.Sensors {
 		t.Fatalf("healthz %+v", hr)
 	}
 
@@ -481,10 +395,10 @@ func TestReadEndpoints(t *testing.T) {
 func TestCloseFlushesPendingWindows(t *testing.T) {
 	s, m, ts := newTestServer(t, nil) // TickEvery is an hour: no cadence ticks
 	var lines []string
-	for _, smp := range jobSamples(9, testWindow) {
+	for _, smp := range servetest.JobSamples(9, servetest.Window) {
 		lines = append(lines, sampleLine(9, smp))
 	}
-	if resp, ir := postNDJSON(t, ts.URL, strings.Join(lines, "\n")); resp.StatusCode != 200 || ir.Accepted != testWindow {
+	if resp, ir := postNDJSON(t, ts.URL, strings.Join(lines, "\n")); resp.StatusCode != 200 || ir.Accepted != servetest.Window {
 		t.Fatalf("ingest: %d / %+v", resp.StatusCode, ir)
 	}
 	if _, ok := m.Prediction(9); ok {
@@ -520,7 +434,7 @@ func TestCloseFlushesPendingWindows(t *testing.T) {
 // batch is rejected whole with 413 before anything is ingested.
 func TestIngestBodyTooLarge(t *testing.T) {
 	_, m, ts := newTestServer(t, func(cfg *Config) { cfg.maxBodyBytes = 64 })
-	line := sampleLine(1, jobSamples(1, 1)[0])
+	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
 	resp, _ := postNDJSON(t, ts.URL, strings.Repeat(line+"\n", 10))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
@@ -537,7 +451,7 @@ func TestIdleEvictionLoop(t *testing.T) {
 		cfg.EvictAfter = 10 * time.Millisecond
 		cfg.evictEvery = 2 * time.Millisecond
 	})
-	if resp, ir := postNDJSON(t, ts.URL, sampleLine(1, jobSamples(1, 1)[0])); resp.StatusCode != 200 || ir.Accepted != 1 {
+	if resp, ir := postNDJSON(t, ts.URL, sampleLine(1, servetest.JobSamples(1, 1)[0])); resp.StatusCode != 200 || ir.Accepted != 1 {
 		t.Fatalf("ingest: %d / %+v", resp.StatusCode, ir)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/servetest"
 )
 
 // newShardedServer builds a serving layer over a partitioned fleet.Monitor.
@@ -19,9 +20,9 @@ import (
 // predictions appear promptly.
 func newShardedServer(t *testing.T, shards int) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
-	scaler, model := fixture(t)
+	scaler, model := servetest.Fixture(t)
 	core, err := fleet.New(fleet.Config{
-		Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model, Shards: shards,
+		Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +51,7 @@ func newShardedServer(t *testing.T, shards int) (*Server, *fleet.Monitor, *httpt
 func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 	const (
 		jobs    = 48
-		perJob  = testWindow*2 + 3
+		perJob  = servetest.Window*2 + 3
 		clients = 4
 	)
 	s, core, ts := newShardedServer(t, 4)
@@ -64,7 +65,7 @@ func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 			// rides one request stream.
 			for j := w; j < jobs; j += clients {
 				var lines []string
-				for _, smp := range jobSamples(j, perJob) {
+				for _, smp := range servetest.JobSamples(j, perJob) {
 					lines = append(lines, sampleLine(j, smp))
 				}
 				resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")))
@@ -98,13 +99,13 @@ func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 		t.Fatalf("core ingested %d samples, want %d", got, jobs*perJob)
 	}
 
-	scaler, model := fixture(t)
-	single, err := fleet.New(fleet.Config{Window: testWindow, Sensors: testSensors, Scaler: scaler, Model: model})
+	scaler, model := servetest.Fixture(t)
+	single, err := fleet.New(fleet.Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < jobs; j++ {
-		for _, smp := range jobSamples(j, perJob) {
+		for _, smp := range servetest.JobSamples(j, perJob) {
 			if err := single.Ingest(j, smp); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +156,7 @@ func TestShardedMetricsAndHealth(t *testing.T) {
 
 			var lines []string
 			for j := 0; j < 16; j++ {
-				for _, smp := range jobSamples(j, testWindow) {
+				for _, smp := range servetest.JobSamples(j, servetest.Window) {
 					lines = append(lines, sampleLine(j, smp))
 				}
 			}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/servetest"
 )
 
 // watchNames is what the replacement artifacts call their classes — not
@@ -27,7 +27,7 @@ func saveWatchArtifact(t *testing.T, path string, scaler *preprocess.StandardSca
 	t.Helper()
 	err := artifact.Save(path, &artifact.Artifact{
 		Meta: artifact.Metadata{
-			Features: "cov", Window: testWindow, Sensors: testSensors,
+			Features: "cov", Window: servetest.Window, Sensors: servetest.Sensors,
 			Accuracy: 0.5, CreatedUnix: 1234, Tool: tool, ClassNames: watchNames,
 		},
 		Scaler: scaler,
@@ -43,26 +43,6 @@ func saveWatchArtifact(t *testing.T, path string, scaler *preprocess.StandardSca
 	return st.Size()
 }
 
-// altForest trains a second forest whose predictions differ from fixture's.
-func altForest(t *testing.T) *forest.Classifier {
-	t.Helper()
-	rng := rand.New(rand.NewSource(99))
-	dim := preprocess.CovarianceDim(testSensors)
-	x := mat.New(200, dim)
-	y := make([]int, x.Rows)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = rng.Intn(4)
-	}
-	f := forest.New(forest.Config{NumTrees: 9, MaxDepth: 5, Bootstrap: true, Seed: 77})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // TestWatchDetectsSameStatReplacement is the regression test for the
 // stat-based watcher miss: a retrained artifact renamed into place with the
 // same byte length and the same mtime as its predecessor must still be
@@ -70,8 +50,8 @@ func altForest(t *testing.T) *forest.Classifier {
 // artifact.Identity rather than os.Stat. The swap goes through the server's
 // installer, so it also renames the classes — with no callback involved.
 func TestWatchDetectsSameStatReplacement(t *testing.T) {
-	scaler, modelA := fixture(t)
-	modelB := altForest(t)
+	scaler, modelA := servetest.Fixture(t)
+	modelB := servetest.AltForest(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.wcc")
 	pathB := filepath.Join(dir, "replacement.wcc")
@@ -145,7 +125,7 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 
 	// The swapped model must actually serve: predictions now come from
 	// the replacement forest.
-	samples := jobSamples(21, testWindow)
+	samples := servetest.JobSamples(21, servetest.Window)
 	for _, s := range samples {
 		if err := monitor.Ingest(21, s); err != nil {
 			t.Fatal(err)
@@ -158,7 +138,7 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 	if !ok {
 		t.Fatal("no prediction after swap")
 	}
-	if want := baseline(t, scaler, modelB, samples); !predictionEqual(got, want) {
+	if want := servetest.Baseline(t, scaler, modelB, samples); !servetest.SamePrediction(got, want) {
 		t.Fatalf("post-swap prediction (%d, %v) does not match the replacement model (%d, %v)",
 			got.Class, got.Probability, want.Class, want.Probability)
 	}
@@ -176,7 +156,7 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 // fleet's sensor count or embedding width — is skipped with the gate's
 // reason, not installed, and the core and the class names stay untouched.
 func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
-	scaler, modelA := fixture(t)
+	scaler, modelA := servetest.Fixture(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.wcc")
 	saveWatchArtifact(t, path, scaler, modelA, "watch-test")
@@ -198,7 +178,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 
 	// A reference fitted over one raw column too many: the artifact the
 	// cluster prepare-phase test offers a 3-node fleet.
-	wideRaw := mat.New(400, testSensors+1)
+	wideRaw := mat.New(400, servetest.Sensors+1)
 	for i := range wideRaw.Data {
 		wideRaw.Data[i] = float64(i % 17)
 	}
@@ -206,7 +186,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits := driftCalibration(t, modelA)
+	fits := servetest.Calibration(t, 61, 400)
 	fourSensors, wrongWidth, noRef := *fits, *fits, *fits
 	fourSensors.Ref = wideRef
 	wrongWidth.Feat = &drift.FeatureStats{
@@ -227,7 +207,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	} {
 		err := artifact.Save(path, &artifact.Artifact{
 			Meta: artifact.Metadata{
-				Features: "cov", Window: testWindow, Sensors: testSensors,
+				Features: "cov", Window: servetest.Window, Sensors: servetest.Sensors,
 				Tool: tc.name, ClassNames: watchNames,
 			},
 			Scaler: tc.scaler,
@@ -246,7 +226,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	// A calibration with no input reference cannot be written to a file (the
 	// codec refuses it), so it can only reach Install in memory.
 	err = srv.Install(&artifact.Artifact{
-		Meta:   artifact.Metadata{Features: "cov", Window: testWindow, Sensors: testSensors, ClassNames: watchNames},
+		Meta:   artifact.Metadata{Features: "cov", Window: servetest.Window, Sensors: servetest.Sensors, ClassNames: watchNames},
 		Scaler: scaler,
 		Drift:  &noRef,
 		Model:  modelA,
