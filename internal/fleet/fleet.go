@@ -169,7 +169,7 @@ type jobState struct {
 	home     *stripe // owning stripe, for lock re-acquisition at write-back
 	emb      *stream.WindowedEmbedder
 	samples  uint64
-	lastSeen int64 // UnixNano of the last successful Ingest (0 if none)
+	lastSeen time.Duration // the last successful Ingest, as an offset from Monitor.epoch (valid once samples > 0)
 	// dirty: the window is full and holds samples no prediction reflects yet.
 	// A dirty job is in home.queue exactly once, or in the running tick's
 	// batch — the flag is what keeps it to one entry.
@@ -280,6 +280,8 @@ type Monitor struct {
 	shape stream.Shape // checked once by New; every job's embedder is built from it
 	dim   int
 	now   func() time.Time // injected clock (Config.Now, default time.Now)
+	clock func() time.Time // Config.Now as given: nil stamps lastSeen with time.Since(epoch)
+	epoch time.Time        // m.now() at New; lastSeen stamps are offsets from it
 	parts []*partition
 
 	// mu is the one swap lock, and it guards everything that describes what
@@ -321,11 +323,13 @@ func New(cfg Config) (*Monitor, error) {
 		shape: shape,
 		dim:   preprocess.CovarianceDim(cfg.Sensors),
 		now:   cfg.Now,
+		clock: cfg.Now,
 		parts: make([]*partition, max(cfg.Shards, 1)),
 	}
 	if m.now == nil {
 		m.now = time.Now
 	}
+	m.epoch = m.now()
 	for i := range m.parts {
 		p := &partition{stripes: make([]*stripe, registryStripes)}
 		for k := range p.stripes {
@@ -457,6 +461,16 @@ func CheckSample(sample []float64, sensors int) error {
 	return nil
 }
 
+// sinceEpoch is the clock lastSeen stamps and eviction cutoffs read: an
+// offset from the epoch New took. With the real clock it is one monotonic
+// read, so a wall-clock step cannot age (or rejuvenate) every job at once.
+func (m *Monitor) sinceEpoch() time.Duration {
+	if m.clock != nil {
+		return m.clock().Sub(m.epoch)
+	}
+	return time.Since(m.epoch)
+}
+
 // Ingest feeds one telemetry sample (one value per sensor) for the given
 // job, creating the job's embedder on first sight. Safe for concurrent use.
 // A sample CheckSample refuses is rejected before the job registers, so a
@@ -487,7 +501,7 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 			}
 		}
 		js.samples++
-		js.lastSeen = m.now().UnixNano()
+		js.lastSeen = m.sinceEpoch()
 		if st.dw != nil {
 			st.dw.Add(st.dbins, sample)
 		}
@@ -916,13 +930,13 @@ func (m *Monitor) EvictIdle(maxIdle time.Duration) int {
 	if maxIdle < 0 {
 		maxIdle = 0
 	}
-	cutoff := m.now().Add(-maxIdle).UnixNano()
+	cutoff := m.sinceEpoch() - maxIdle
 	total := 0
 	for _, p := range m.parts {
 		n := 0
 		p.eachStripe(func(st *stripe) {
 			for _, js := range st.jobs {
-				if js.lastSeen <= cutoff {
+				if js.samples == 0 || js.lastSeen <= cutoff {
 					st.remove(js)
 					n++
 				}
@@ -958,8 +972,8 @@ func (m *Monitor) Snapshot() []JobInfo {
 		p.eachStripe(func(st *stripe) {
 			for id, js := range st.jobs {
 				ji := JobInfo{JobID: id, Samples: js.samples, Ready: js.emb.Ready(), Pred: js.prediction()}
-				if js.lastSeen != 0 {
-					ji.LastSeen = time.Unix(0, js.lastSeen)
+				if js.samples != 0 {
+					ji.LastSeen = m.epoch.Add(js.lastSeen)
 				}
 				out = append(out, ji)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,9 @@ func FuzzParseIngestLineFast(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	for _, num := range numberEdges {
+		f.Add([]byte(`{"job":1,"values":[` + num + `]}`))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		trimmed := bytes.TrimSpace(raw)
 		if len(trimmed) == 0 {
@@ -136,6 +140,39 @@ func FuzzParseIngestLineFast(f *testing.F) {
 			}
 		}
 	})
+}
+
+// numberEdges sit at the edges of parseJSONNumber's exact path: around
+// 2^53 and 10^22, past 19 significant digits, decimals no float64 holds
+// exactly, signed zeros, and the subnormal, normal and overflow extremes.
+var numberEdges = []string{
+	"9007199254740992", "9007199254740993",
+	"1e22", "1e23", "1e-22", "1e-23",
+	"123456789012345678", "1234567890123456789012",
+	"0.1", "0.30000000000000004", "100.00",
+	"-0", "-0.0",
+	"5e-324", "2.2250738585072014e-308", "0.0000000000000000000000123",
+	"1.7976931348623157e308", "1e309",
+}
+
+// TestParseJSONNumberEdges pins parseJSONNumber to strconv.ParseFloat on
+// the edge numbers, so the fuzz seeds built from them compare values the
+// fast path really accepted: each in-range edge decodes whole, to the same
+// bits, and an out-of-range one declines.
+func TestParseJSONNumberEdges(t *testing.T) {
+	for _, num := range numberEdges {
+		want, err := strconv.ParseFloat(num, 64)
+		v, n, ok := parseJSONNumber([]byte(num + "]"))
+		if err != nil {
+			if ok {
+				t.Errorf("%s: accepted %v, strconv refused it: %v", num, v, err)
+			}
+			continue
+		}
+		if !ok || n != len(num) || math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("%s: got %v (%d bytes, ok=%v), want %v (%d bytes)", num, v, n, ok, want, len(num))
+		}
+	}
 }
 
 // FuzzBinaryIngestFrame fuzzes the binary framing end to end over a real

@@ -31,3 +31,23 @@ func TestParseIngestLineFastZeroAlloc(t *testing.T) {
 		t.Fatalf("parseIngestLineFast allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestParseJSONNumberZeroAlloc pins the //wcc:hotpath contract on the
+// number decoder, on both its exact path and its strconv fallback.
+func TestParseJSONNumberZeroAlloc(t *testing.T) {
+	nums := [][]byte{[]byte("163.55,"), []byte("-21847]"), []byte("0.30000000000000004,"), []byte("1e23]")}
+	bad := false
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, b := range nums {
+			if _, n, ok := parseJSONNumber(b); !ok || n != len(b)-1 {
+				bad = true
+			}
+		}
+	})
+	if bad {
+		t.Fatal("parseJSONNumber rejected a valid number during measurement")
+	}
+	if allocs != 0 {
+		t.Fatalf("parseJSONNumber allocates %.1f times per call, want 0", allocs)
+	}
+}

@@ -175,15 +175,8 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float
 	p += len(ingestValuesSep)
 	start := len(arena)
 	for {
-		n := jsonNumberLen(raw[p:])
-		if n == 0 {
-			return Sample{}, arena[:start], false
-		}
-		// For a JSON-grammar-valid number this is exactly the conversion
-		// encoding/json performs; a range error (1e999) falls back so the
-		// stdlib's rejection is what the client sees.
-		v, err := strconv.ParseFloat(bytesString(raw[p:p+n]), 64)
-		if err != nil {
+		v, n, ok := parseJSONNumber(raw[p:])
+		if !ok {
 			return Sample{}, arena[:start], false
 		}
 		arena = append(arena, v)
@@ -207,51 +200,96 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float
 	return Sample{Line: line, Job: job, Values: arena[start:]}, arena, true
 }
 
-// jsonNumberLen returns how many leading bytes of b form a complete JSON
-// number (RFC 8259 grammar: no leading zeros, no bare '.', no Inf/NaN
-// spellings), or 0 if they don't.
-func jsonNumberLen(b []byte) int {
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// parseJSONNumber decodes the JSON number (RFC 8259 grammar: no leading
+// zeros, no bare '.', no Inf/NaN spellings) at the head of b in one pass,
+// returning its value and length; ok=false means b does not start with
+// one, or its value is out of float64 range. The scan folds the digits
+// into a uint64 mantissa and counts the decimal exponent. When there are
+// at most 19 digits (so the mantissa did not wrap), the mantissa is at
+// most 2^53 and the exponent at most 22 in magnitude, both operands are
+// exact in float64, so one multiply or divide by a power of ten is the
+// correctly rounded value: the bits strconv.ParseFloat returns, -0
+// included. Any other number falls back to strconv.ParseFloat on the span
+// the scan validated, which is the conversion encoding/json performs.
+//
+//wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
+func parseJSONNumber(b []byte) (float64, int, bool) {
 	i := 0
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	if i >= len(b) {
-		return 0
+		return 0, 0, false
 	}
-	switch {
-	case b[i] == '0':
+	var mant uint64
+	d := i
+	switch c := b[i]; {
+	case c == '0':
 		i++
-	case b[i] >= '1' && b[i] <= '9':
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
+	case c >= '1' && c <= '9':
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
 	default:
-		return 0
+		return 0, 0, false
 	}
+	digits, exp := i-d, 0
 	if i < len(b) && b[i] == '.' {
 		i++
-		d := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
+		d = i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
 		if i == d {
-			return 0
+			return 0, 0, false
 		}
+		digits += i - d
+		exp = d - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		d := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
+		d, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // past any float64 exponent; the fallback reads the rest
+				e = e*10 + int(b[i]-'0')
+			}
 		}
 		if i == d {
-			return 0
+			return 0, 0, false
 		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	return i
+	if digits <= 19 && mant <= 1<<53 && exp >= -22 && exp <= 22 {
+		v := float64(mant)
+		if neg {
+			v = -v
+		}
+		if exp < 0 {
+			return v / exactPow10[-exp], i, true
+		}
+		return v * exactPow10[exp], i, true
+	}
+	// A range error (1e999) declines, so the stdlib's rejection is what the
+	// client sees.
+	v, err := strconv.ParseFloat(bytesString(b[:i]), 64)
+	if err != nil {
+		return 0, 0, false
+	}
+	return v, i, true
 }
 
 // bytesString views b as a string without copying; the result must not
