@@ -334,8 +334,8 @@ func (n *Node) Alive() []bool {
 	return append([]bool(nil), n.alive...)
 }
 
-// PeerStatus is one row of the membership table /healthz and
-// /cluster/v1/info report.
+// PeerStatus is one row of the membership table in the cluster block
+// of /healthz.
 type PeerStatus struct {
 	Node int    `json:"node"`
 	URL  string `json:"url"`
@@ -424,7 +424,7 @@ func (n *Node) heartbeat() {
 			continue
 		}
 		n.heartbeats.Add(1)
-		ack, err := n.rpc(peer, pingPath, Frame{Type: MsgPing, Node: n.self, Gen: gen, Identity: ident})
+		ack, err := n.rpc(peer, pingPath, Frame{Node: n.self, Gen: gen, Identity: ident})
 		if err != nil {
 			n.heartbeatFails.Add(1)
 			n.noteFailure(peer, err)
@@ -517,7 +517,7 @@ func (n *Node) catchUp() {
 		_, err = n.applyPrepare(gen, ident)
 	}
 	if err == nil {
-		err = n.applyCommit(gen)
+		err = n.applyCommit(gen, ident)
 	}
 	if err != nil {
 		n.log.Warn("cluster: catch-up failed", "peer", best, "gen", gen, "err", err)

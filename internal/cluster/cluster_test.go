@@ -24,6 +24,7 @@ import (
 	"repro/internal/logtest"
 	"repro/internal/mat"
 	"repro/internal/preprocess"
+	"repro/internal/server"
 	"repro/internal/servetest"
 )
 
@@ -475,7 +476,7 @@ func TestClusterStallMidSwapServesOldGeneration(t *testing.T) {
 		t.Fatal("node 1 never staged gen 2")
 	}
 	// A competing roll is refused while this one is in flight.
-	if _, err := c.Member(0).Cluster.DistributeFile(art1); !errors.Is(err, cluster.ErrSwapInFlight) {
+	if _, err := c.Member(0).Cluster.DistributeFile(art1); !errors.Is(err, server.ErrSwapInFlight) {
 		t.Errorf("concurrent roll returned %v, want ErrSwapInFlight", err)
 	}
 	// ...and the cluster still serves gen 1 everywhere: staged ≠ serving.
@@ -686,7 +687,7 @@ func TestClusterRollingSwapsUnderChurn(t *testing.T) {
 		var err error
 		if !clustertest.Settle(3*time.Second, func() bool {
 			_, err = coord.DistributeFile(arts[k])
-			if errors.Is(err, cluster.ErrSwapInFlight) {
+			if errors.Is(err, server.ErrSwapInFlight) {
 				retried++
 				return false
 			}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/events"
+	"repro/internal/server"
 )
 
 // Rolling fleet-wide swap (DESIGN.md §14): DistributeFile takes one
@@ -26,8 +27,9 @@ import (
 //	           byte of it, run Server.ServableModel (the whole gate Install
 //	           runs, so nothing commit checks is left unproven) and stage
 //	           it without serving it;
-//	commit     only after EVERY node acked prepare does any node install,
-//	           through the same Server.Install a local hot-swap ends in.
+//	commit     only after EVERY node acked prepare does any node install —
+//	           the staged copy of the identity the commit names — through
+//	           the same Server.Install a local hot-swap ends in.
 //
 // Anti-entropy catch-up is the three calls a peer makes — fetch,
 // applyPrepare, applyCommit — driven by the node itself; pull is the one
@@ -46,11 +48,7 @@ const (
 	abortPath      = "/cluster/v1/swap/abort"
 	peerIngestPath = "/cluster/v1/ingest"
 	artifactPath   = "/cluster/v1/artifact"
-	infoPath       = "/cluster/v1/info"
 )
-
-// frameContentType is the control-frame media type.
-const frameContentType = "application/x-wcc-cluster"
 
 // genHeader and identHeader carry a served artifact's generation and
 // identity on artifact responses.
@@ -64,20 +62,18 @@ const (
 // could hurt the disk.
 const MaxArtifactBytes = 1 << 27
 
-// ErrSwapInFlight reports a DistributeFile refused because another swap
-// (local or anti-entropy) is mid-flight on this node.
-var ErrSwapInFlight = errors.New("cluster: a swap is already in flight")
-
 // DistributeFile runs one rolling fleet-wide swap of the artifact at
 // path: stage it here, prepare on all, then commit on all. It returns the
 // artifact's metadata on success, and is what a cluster node's
 // server.WatchConfig.Swap points at — the watcher detects the retrained
-// artifact, the cluster installs it everywhere.
+// artifact, the cluster installs it everywhere. While another swap (local
+// or anti-entropy) is mid-flight on this node it returns
+// server.ErrSwapInFlight, and the watcher tries again at its next poll.
 func (n *Node) DistributeFile(path string) (artifact.Metadata, error) {
 	select {
 	case n.distSem <- struct{}{}:
 	default:
-		return artifact.Metadata{}, ErrSwapInFlight
+		return artifact.Metadata{}, server.ErrSwapInFlight
 	}
 	defer func() { <-n.distSem }()
 	return n.distribute(path)
@@ -106,7 +102,7 @@ func (n *Node) distribute(path string) (artifact.Metadata, error) {
 	}
 	targets := n.aliveTargets()
 	for _, peer := range targets {
-		if _, err := n.rpc(peer, preparePath, Frame{Type: MsgPrepare, Node: n.self, Gen: gen, Identity: ident}); err != nil {
+		if _, err := n.rpc(peer, preparePath, Frame{Node: n.self, Gen: gen, Identity: ident}); err != nil {
 			n.abortAll(gen, targets)
 			return artifact.Metadata{}, fmt.Errorf("cluster: preparing gen %d on node %d: %w", gen, peer, err)
 		}
@@ -120,11 +116,11 @@ func (n *Node) distribute(path string) (artifact.Metadata, error) {
 	// is complete. A peer that dies between its prepare ack and its commit
 	// converges by anti-entropy on return.
 	for _, peer := range targets {
-		if _, err := n.rpc(peer, commitPath, Frame{Type: MsgCommit, Node: n.self, Gen: gen}); err != nil {
+		if _, err := n.rpc(peer, commitPath, Frame{Node: n.self, Gen: gen, Identity: ident}); err != nil {
 			n.log.Warn("cluster: peer commit failed; it converges by anti-entropy", "gen", gen, "peer", peer, "err", err)
 		}
 	}
-	if err := n.applyCommit(gen); err != nil {
+	if err := n.applyCommit(gen, ident); err != nil {
 		return artifact.Metadata{}, fmt.Errorf("cluster: committing gen %d locally: %w", gen, err)
 	}
 	n.publishSwapPhase("committed", gen)
@@ -151,7 +147,7 @@ func (n *Node) aliveTargets() []int {
 func (n *Node) abortAll(gen uint64, targets []int) {
 	n.applyAbort(gen)
 	for _, peer := range targets {
-		if _, err := n.rpc(peer, abortPath, Frame{Type: MsgAbort, Node: n.self, Gen: gen}); err != nil {
+		if _, err := n.rpc(peer, abortPath, Frame{Node: n.self, Gen: gen}); err != nil {
 			n.log.Warn("cluster: peer abort failed", "gen", gen, "peer", peer, "err", err)
 		}
 	}
@@ -256,22 +252,31 @@ func (n *Node) applyPrepare(gen uint64, wantIdent string) (artifact.Metadata, er
 }
 
 // applyCommit installs the staged generation through the server's one
-// installer — coordinator, peer commit and catch-up alike. The
-// installation happens outside the node's state lock — the core's own
-// swap lock orders it against ticks — and the generation bookkeeping flips
-// after the install succeeds.
-func (n *Node) applyCommit(gen uint64) error {
+// installer — coordinator, peer commit and catch-up alike — only if the
+// staged copy has the identity the commit names, so two coordinators
+// rolling one generation cannot leave nodes serving different artifacts
+// under it; a refused commit keeps the staged copy. The installation
+// happens outside the node's state lock — the core's own swap lock orders
+// it against ticks — and the generation bookkeeping flips after the
+// install succeeds.
+func (n *Node) applyCommit(gen uint64, ident string) error {
 	n.mu.Lock()
 	st := n.staged
-	if st == nil || st.gen != gen {
-		n.mu.Unlock()
-		if st == nil {
-			return fmt.Errorf("no staged model for gen %d (prepare first)", gen)
-		}
-		return fmt.Errorf("staged gen %d does not match commit gen %d", st.gen, gen)
+	var err error
+	switch {
+	case st == nil:
+		err = fmt.Errorf("no staged model for gen %d (prepare first)", gen)
+	case st.gen != gen:
+		err = fmt.Errorf("staged gen %d does not match commit gen %d", st.gen, gen)
+	case st.identity != ident:
+		err = fmt.Errorf("staged identity %q differs from commit's %q", st.identity, ident)
+	default:
+		n.staged = nil
 	}
-	n.staged = nil
 	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	if err := n.srv.Install(st.art); err != nil {
 		return err
@@ -297,28 +302,30 @@ func (n *Node) applyAbort(gen uint64) {
 	}
 }
 
-// rpc posts one control frame to a peer and decodes the ack. A non-OK
-// ack surfaces as an error carrying the peer's reason.
-func (n *Node) rpc(peer int, path string, f Frame) (Frame, error) {
+// rpc posts one control frame to a peer's route and decodes the reply
+// frame. A 409 surfaces as an error carrying the peer's reason, any other
+// status as one quoting the body.
+func (n *Node) rpc(peer int, route string, f Frame) (Frame, error) {
 	body, err := AppendFrame(f)
 	if err != nil {
 		return Frame{}, err
 	}
-	resp, err := n.client.Post(n.peers[peer]+path, frameContentType, bytes.NewReader(body))
+	resp, err := n.client.Post(n.peers[peer]+route, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return Frame{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return Frame{}, fmt.Errorf("node %d: HTTP %d: %s", peer, resp.StatusCode, bytes.TrimSpace(msg))
+	if resp.StatusCode == http.StatusOK {
+		reply, err := DecodeFrame(resp.Body)
+		if err != nil {
+			return Frame{}, fmt.Errorf("node %d: %w", peer, err)
+		}
+		return reply, nil
 	}
-	ack, err := DecodeFrame(resp.Body)
-	if err != nil {
-		return Frame{}, fmt.Errorf("node %d: %w", peer, err)
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, MaxFrameBytes))
+	var r refusal
+	if resp.StatusCode == http.StatusConflict && json.Unmarshal(msg, &r) == nil {
+		return Frame{}, fmt.Errorf("node %d refused %s: %s", peer, route, r.Error)
 	}
-	if !ack.OK {
-		return ack, fmt.Errorf("node %d refused %s: %s", peer, f.Type, ack.Err)
-	}
-	return ack, nil
+	return Frame{}, fmt.Errorf("node %d: HTTP %d: %s", peer, resp.StatusCode, bytes.TrimSpace(msg))
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path"
 	"runtime"
 	"strconv"
 	"strings"
@@ -62,31 +63,24 @@ func (zeroes) Read(p []byte) (int, error) {
 // TestControlBodyOverCapIsRefusedCheaply is the probe that found the old
 // frame cap: a well-formed control frame padded to 64 MiB, on each control
 // route of the public listener. The node must answer 4xx having read — and
-// allocated — next to nothing; at protocol version 1 the ping was answered
-// 200 after a 128 MiB allocation.
+// allocated — next to nothing; before the cap the ping was answered 200
+// after a 128 MiB allocation.
 func TestControlBodyOverCapIsRefusedCheaply(t *testing.T) {
 	const padded = 64 << 20
 	c := clustertest.Start(t, clustertest.Options{Nodes: 2})
-	for _, tc := range []struct {
-		route string
-		typ   cluster.MsgType
-	}{
-		{"/cluster/v1/ping", cluster.MsgPing},
-		{"/cluster/v1/swap/prepare", cluster.MsgPrepare},
-		{"/cluster/v1/swap/commit", cluster.MsgCommit},
-		{"/cluster/v1/swap/abort", cluster.MsgAbort},
-	} {
-		t.Run(tc.typ.String(), func(t *testing.T) {
-			frame, err := cluster.AppendFrame(cluster.Frame{Type: tc.typ, Node: 1, Gen: 1, Identity: "v1|meta:1:00000000"})
+	for _, route := range []string{"/cluster/v1/ping", "/cluster/v1/swap/prepare", "/cluster/v1/swap/commit", "/cluster/v1/swap/abort"} {
+		t.Run(path.Base(route), func(t *testing.T) {
+			frame, err := cluster.AppendFrame(cluster.Frame{Node: 1, Gen: 1, Identity: "v1|meta:1:00000000"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The same frame alone is a conversation, not a refusal.
-			if code, body := post(t, c.URLs[0]+tc.route, "application/x-wcc-cluster", frame); code != http.StatusOK {
-				t.Fatalf("bare %s frame: status %d: %s", tc.typ, code, body)
+			// The same frame alone is a conversation, not a refusal: 200, or
+			// 409 from a prepare or commit this node cannot honour.
+			if code, body := post(t, c.URLs[0]+route, "application/json", frame); code != http.StatusOK && code != http.StatusConflict {
+				t.Fatalf("bare frame on %s: status %d: %s", route, code, body)
 			}
 			body := io.MultiReader(bytes.NewReader(frame), io.LimitReader(zeroes{}, padded-int64(len(frame))))
-			req, err := http.NewRequest(http.MethodPost, c.URLs[0]+tc.route, body)
+			req, err := http.NewRequest(http.MethodPost, c.URLs[0]+route, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,14 +91,14 @@ func TestControlBodyOverCapIsRefusedCheaply(t *testing.T) {
 			resp, err := http.DefaultClient.Do(req)
 			runtime.ReadMemStats(&after)
 			if err != nil {
-				t.Fatalf("padded %s frame: %v", tc.typ, err)
+				t.Fatalf("padded frame on %s: %v", route, err)
 			}
 			resp.Body.Close()
 			if resp.StatusCode < 400 || resp.StatusCode > 499 {
-				t.Errorf("padded %s frame: status %d, want a 4xx", tc.typ, resp.StatusCode)
+				t.Errorf("padded frame on %s: status %d, want a 4xx", route, resp.StatusCode)
 			}
 			if moved := after.TotalAlloc - before.TotalAlloc; moved > 1<<20 {
-				t.Errorf("padded %s frame: process allocated %d bytes while refusing it, want under 1 MiB", tc.typ, moved)
+				t.Errorf("padded frame on %s: process allocated %d bytes while refusing it, want under 1 MiB", route, moved)
 			}
 		})
 	}
@@ -238,5 +232,57 @@ func TestFetchRefusesIdentityMismatch(t *testing.T) {
 	}
 	if got := metricValue(t, url, "wcc_cluster_replications_total"); got != 1 {
 		t.Errorf("replications %v, want 1", got)
+	}
+}
+
+// TestCommitInstallsTheIdentityItNames prepares one generation twice on a
+// node, the way two coordinators rolling at once would: naming artifact X
+// from node 1, then Y from node 2. A commit naming X is refused, naming
+// both identities, and the node stays at gen 0 serving stamp 0; a commit
+// naming Y, the copy staged, installs it.
+func TestCommitInstallsTheIdentityItNames(t *testing.T) {
+	dir, scaler := t.TempDir(), clustertest.NewScaler(6, 3)
+	var idents []string
+	var stubs []http.Handler
+	for stamp := 1; stamp <= 2; stamp++ {
+		path := clustertest.StampArtifact(t, dir, 6, 3, scaler, stamp)
+		ident, err := artifact.Identity(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idents = append(idents, ident)
+		stubs = append(stubs, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { http.ServeFile(w, r, path) }))
+	}
+	node, url := stubPeerNode(t, stubs...)
+	send := func(route string, from int) (int, []byte) {
+		frame, err := cluster.AppendFrame(cluster.Frame{Node: from, Gen: 1, Identity: idents[from-1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(t, url+route, "application/json", frame)
+	}
+	for from := 1; from <= 2; from++ {
+		if code, body := send("/cluster/v1/swap/prepare", from); code != http.StatusOK {
+			t.Fatalf("prepare from node %d: status %d: %s", from, code, body)
+		}
+	}
+	serving := &clustertest.Member{Core: node.Core()}
+
+	code, body := send("/cluster/v1/swap/commit", 1)
+	if code != http.StatusConflict || !bytes.Contains(body, []byte(idents[0])) || !bytes.Contains(body, []byte(idents[1])) {
+		t.Fatalf("commit naming X: status %d: %s; want 409 naming both identities", code, body)
+	}
+	if gen, stamp := node.Gen(), stampServedBy(t, serving, 6, 3); gen != 0 || stamp != 0 {
+		t.Fatalf("after the refused commit: gen %d serving stamp %d, want gen 0 serving stamp 0", gen, stamp)
+	}
+
+	if code, body = send("/cluster/v1/swap/commit", 2); code != http.StatusOK {
+		t.Fatalf("commit naming Y: status %d: %s", code, body)
+	}
+	if reply, err := cluster.DecodeFrame(bytes.NewReader(body)); err != nil || reply != (cluster.Frame{Gen: 1, Identity: idents[1]}) {
+		t.Errorf("commit reply %+v (%v), want node 0 at gen 1 naming Y", reply, err)
+	}
+	if gen, stamp := node.Gen(), stampServedBy(t, serving, 6, 3); gen != 1 || stamp != 2 || node.Identity() != idents[1] {
+		t.Errorf("after committing Y: gen %d serving stamp %d, identity %q; want gen 1, stamp 2, %q", gen, stamp, node.Identity(), idents[1])
 	}
 }

@@ -20,7 +20,6 @@ import (
 //	POST /cluster/v1/swap/abort    drop the staged generation
 //	POST /cluster/v1/ingest        peer-forwarded samples
 //	GET  /cluster/v1/artifact      a staged or committed generation's bytes (?gen=)
-//	GET  /cluster/v1/info          membership/convergence snapshot (JSON)
 //
 // plus four interceptions of the inner API: POST /v1/ingest applies the
 // samples this node owns and forwards the rest to their owners inside the
@@ -38,7 +37,7 @@ func (n *Node) buildHandler(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	// Hearing from a peer proves liveness in both directions: record the
 	// sender alive with its advertised generation, answer with our own.
-	mux.HandleFunc("POST "+pingPath, n.control(MsgPing, func(f Frame) (Frame, error) {
+	mux.HandleFunc("POST "+pingPath, n.control(func(f Frame) (Frame, error) {
 		n.notePeer(f.Node, f.Gen, f.Identity)
 		return Frame{Gen: n.Gen(), Identity: n.Identity()}, nil
 	}))
@@ -46,25 +45,23 @@ func (n *Node) buildHandler(inner http.Handler) http.Handler {
 	// behind the serving gates; nothing new is served until commit installs
 	// it, and abort drops it. A sender this node cannot reach back fails the
 	// prepare, and with it the roll.
-	mux.HandleFunc("POST "+preparePath, n.control(MsgPrepare, func(f Frame) (Frame, error) {
+	mux.HandleFunc("POST "+preparePath, n.control(func(f Frame) (Frame, error) {
 		err := n.fetch(f.Node, f.Gen, f.Identity)
 		if err == nil {
 			_, err = n.applyPrepare(f.Gen, f.Identity)
 		}
 		return Frame{Gen: f.Gen, Identity: f.Identity}, err
 	}))
-	mux.HandleFunc("POST "+commitPath, n.control(MsgCommit, func(f Frame) (Frame, error) {
-		err := n.applyCommit(f.Gen)
-		return Frame{Gen: f.Gen, Identity: n.Identity()}, err
+	mux.HandleFunc("POST "+commitPath, n.control(func(f Frame) (Frame, error) {
+		return f, n.applyCommit(f.Gen, f.Identity)
 	}))
-	mux.HandleFunc("POST "+abortPath, n.control(MsgAbort, func(f Frame) (Frame, error) {
+	mux.HandleFunc("POST "+abortPath, n.control(func(f Frame) (Frame, error) {
 		n.applyAbort(f.Gen)
 		return Frame{Gen: f.Gen}, nil
 	}))
 	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.core.Ingest, n.split))
 	mux.Handle("POST "+peerIngestPath, n.srv.IngestHandler(n.receive, nil))
 	mux.HandleFunc("GET "+artifactPath, n.handleArtifact)
-	mux.HandleFunc("GET "+infoPath, n.handleInfo)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		inner.ServeHTTP(w, r)
@@ -98,40 +95,29 @@ func (n *Node) redirectOrServe(inner http.Handler) http.HandlerFunc {
 }
 
 // control is the one control-plane handler: decode and validate the frame
-// — which is all the body may hold, MaxFrameBytes at most — require the
-// route's message type, apply, and answer with an ack frame built from
-// apply's reply — OK when it returned no error, its text in Err otherwise.
-func (n *Node) control(want MsgType, apply func(Frame) (Frame, error)) http.HandlerFunc {
+// — which is all the body may hold, MaxFrameBytes at most — apply it, and
+// answer 200 with apply's reply as this node's frame, or 409 with the
+// reason apply refused it for. A body that is no frame is a 400.
+func (n *Node) control(apply func(Frame) (Frame, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body := http.MaxBytesReader(w, r.Body, MaxFrameBytes)
-		f, err := DecodeFrame(body)
-		extra, _ := io.Copy(io.Discard, body) // reads up to the cap, keeps nothing
-		switch {
-		case err != nil:
-		case extra > 0:
-			err = fmt.Errorf("cluster: control body runs past its %s frame (%d bytes at most)", f.Type, MaxFrameBytes)
-		case f.Node >= len(n.peers):
+		f, err := DecodeFrame(http.MaxBytesReader(w, r.Body, MaxFrameBytes))
+		if err == nil && f.Node >= len(n.peers) {
 			err = fmt.Errorf("cluster: sender node %d out of range for %d-node cluster", f.Node, len(n.peers))
-		case f.Type != want:
-			err = fmt.Errorf("cluster: %s frame on the %s route", f.Type, want)
 		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ack, err := apply(f)
-		ack.Type, ack.Node, ack.OK = MsgAck, n.self, err == nil
+		reply, err := apply(f)
+		w.Header().Set("Content-Type", "application/json")
 		if err != nil {
-			ack.Err = err.Error()
-			ack.Err = ack.Err[:min(len(ack.Err), MaxFrameBytes/4)]
-		}
-		reply, err := AppendFrame(ack)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			msg := err.Error()
+			w.WriteHeader(http.StatusConflict)
+			json.NewEncoder(w).Encode(refusal{msg[:min(len(msg), MaxFrameBytes/4)]})
 			return
 		}
-		w.Header().Set("Content-Type", frameContentType)
-		w.Write(reply)
+		reply.Node = n.self
+		json.NewEncoder(w).Encode(reply)
 	}
 }
 
@@ -158,12 +144,6 @@ func (n *Node) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(genHeader, strconv.FormatUint(gen, 10))
 	w.Header().Set(identHeader, ident)
 	http.ServeFile(w, r, path)
-}
-
-// handleInfo serves the membership/convergence snapshot as JSON.
-func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.Status())
 }
 
 // HealthResponse is the cluster-extended /healthz payload: the serving

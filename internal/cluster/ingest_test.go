@@ -212,13 +212,17 @@ func TestPeerIngestRouteIsThePublicPipeline(t *testing.T) {
 	}
 }
 
-// stubPeerNode builds node 0 of a 2-node cluster whose peer is the given
-// handler, with heartbeats effectively off so the stub stays the owner of
+// stubPeerNode builds node 0 of a cluster whose nodes 1, 2, … are the given
+// handlers, with heartbeats effectively off so each stub stays the owner of
 // its jobs. It returns the node and its public URL.
-func stubPeerNode(t *testing.T, peer http.Handler) (*cluster.Node, string) {
+func stubPeerNode(t *testing.T, peers ...http.Handler) (*cluster.Node, string) {
 	t.Helper()
-	stub := httptest.NewServer(peer)
-	t.Cleanup(stub.Close)
+	urls := []string{"http://node0.invalid"}
+	for _, peer := range peers {
+		stub := httptest.NewServer(peer)
+		t.Cleanup(stub.Close)
+		urls = append(urls, stub.URL)
+	}
 	core, err := fleet.New(fleet.Config{
 		Window: 6, Sensors: 3, Scaler: clustertest.NewScaler(6, 3), Model: clustertest.StampModel(t, 3, 0), Shards: 1,
 	})
@@ -226,7 +230,7 @@ func stubPeerNode(t *testing.T, peer http.Handler) (*cluster.Node, string) {
 		t.Fatal(err)
 	}
 	node, err := cluster.New(cluster.Config{
-		Self: 0, Peers: []string{"http://node0.invalid", stub.URL}, Core: core,
+		Self: 0, Peers: urls, Core: core,
 		Serve: server.Config{TickEvery: time.Hour}, Dir: t.TempDir(), HeartbeatEvery: time.Hour,
 	})
 	if err != nil {

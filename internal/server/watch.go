@@ -26,6 +26,11 @@ type WatchConfig struct {
 	Swap func(path string) (artifact.Metadata, error)
 }
 
+// ErrSwapInFlight is a Swap refused only because another swap is mid-flight
+// (a cluster node's rolling swap or anti-entropy catch-up): Watch tries the
+// same change again at its next poll.
+var ErrSwapInFlight = errors.New("a swap is already in flight")
+
 // Watch polls the artifact path until stop is closed, handing each content
 // change to cfg.Swap. Replacement is detected by artifact identity — the
 // container's section CRCs via artifact.Identity, the same fingerprint the
@@ -34,8 +39,10 @@ type WatchConfig struct {
 // same size and a same-granularity mtime (coarse filesystem timestamps make
 // that a real occurrence for fast retrain loops). artifact.Save renames
 // atomically, so a poll never reads a torn file; a path that is briefly
-// unreadable is retried next poll. Each swap logs one info record and each
-// refused reload one warning carrying the gate's reason.
+// unreadable is retried next poll, and so is a change Swap refused with
+// ErrSwapInFlight; any other refusal is not retried until the content
+// changes again. Each swap logs one info record and each refused reload
+// one warning carrying the gate's reason.
 func Watch(stop <-chan struct{}, cfg WatchConfig) {
 	if cfg.Every <= 0 {
 		cfg.Every = 2 * time.Second
@@ -55,8 +62,10 @@ func Watch(stop <-chan struct{}, cfg WatchConfig) {
 			if err != nil || ident == last {
 				continue
 			}
-			last = ident
 			meta, err := cfg.Swap(cfg.Path)
+			if !errors.Is(err, ErrSwapInFlight) {
+				last = ident
+			}
 			if err != nil {
 				slog.Warn("model reload skipped", "path", cfg.Path, "err", err)
 				continue

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,5 +246,41 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	}
 	if got := srv.ClassNames(); reflect.DeepEqual(got, watchNames) {
 		t.Fatalf("refused artifact still renamed the classes to %v", got)
+	}
+}
+
+// TestWatchRetriesBusySwap pins the watcher's one retry: a change Swap
+// refuses with ErrSwapInFlight is handed over again at a later poll, so a
+// roll that met a cluster catch-up is not lost; a change Swap refuses for
+// any other reason is not retried until the content changes again.
+func TestWatchRetriesBusySwap(t *testing.T) {
+	scaler, model := servetest.Fixture(t)
+	path := filepath.Join(t.TempDir(), "model.wcc")
+	// Swap is busy once, then installs, then refuses as a gate would.
+	verdicts := []error{ErrSwapInFlight, nil, errors.New("refused by the gate")}
+	var calls atomic.Int32
+	swap := func(string) (artifact.Metadata, error) {
+		return artifact.Metadata{}, verdicts[min(calls.Add(1), 3)-1]
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Watch(stop, WatchConfig{Path: path, Every: time.Millisecond, Swap: swap})
+	}()
+	defer func() { close(stop); <-done }()
+
+	// The path is missing at the watcher's start, so each save is a change.
+	for i, want := range []int32{2, 3} {
+		saveWatchArtifact(t, path, scaler, model, fmt.Sprintf("watch-test-%d", i))
+		for deadline := time.Now().Add(5 * time.Second); calls.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("change %d: Swap called %d times, want %d", i, calls.Load(), want)
+			}
+		}
+		time.Sleep(30 * time.Millisecond) // thirty polls more
+		if got := calls.Load(); got != want {
+			t.Fatalf("change %d: Swap called %d times, want %d", i, got, want)
+		}
 	}
 }
