@@ -424,13 +424,13 @@ func (n *Node) heartbeat() {
 			continue
 		}
 		n.heartbeats.Add(1)
-		ack, err := n.rpc(peer, pingPath, Frame{Node: n.self, Gen: gen, Identity: ident})
+		reply, err := n.rpc(peer, pingPath, Frame{Node: n.self, Gen: gen, Identity: ident})
 		if err != nil {
 			n.heartbeatFails.Add(1)
 			n.noteFailure(peer, err)
 			continue
 		}
-		n.notePeer(peer, ack.Gen, ack.Identity)
+		n.notePeer(peer, reply.Gen, reply.Identity)
 	}
 	n.catchUp()
 }
