@@ -113,7 +113,7 @@ func (m *Member) Alive() bool { return m.alive }
 
 // Cluster is the running test cluster.
 type Cluster struct {
-	T     *testing.T
+	T     testing.TB
 	Opts  Options
 	Fault *FaultInjector
 	URLs  []string
@@ -125,7 +125,7 @@ type Cluster struct {
 // Start builds and starts an N-node cluster on loopback listeners. Every
 // node registers cleanup via t.Cleanup, so tests may return without
 // explicit teardown.
-func Start(t *testing.T, opts Options) *Cluster {
+func Start(t testing.TB, opts Options) *Cluster {
 	t.Helper()
 	opts.fill()
 	c := &Cluster{

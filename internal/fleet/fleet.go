@@ -65,6 +65,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -225,12 +226,9 @@ type stripe struct {
 	mu   sync.Mutex
 	jobs map[int]*jobState
 	// queue holds the stripe's dirty jobs in the order they turned dirty:
-	// Ingest appends, the partition's tick drains. Removal leaves a queued
-	// job in place; the drain skips entries the registry no longer maps.
+	// Ingest appends, the partition's tick drains it whole in one hold of mu.
+	// Removal leaves a queued job in place; the drain drops it unscored.
 	queue []*jobState
-	// unfilled counts registered jobs whose window has not filled
-	// (TickStats.Pending), kept at create, fill and remove.
-	unfilled int
 	// dw accumulates the stripe's input-drift histogram counts against the
 	// reference dbins was built from (both nil when drift monitoring is
 	// disabled); guarded by mu like the registry, and replaced together on
@@ -256,10 +254,9 @@ type partition struct {
 	// rows (an IntoClassifier's; other models return their own). Nothing
 	// keeps it past the tick — write-back copies each probability row into
 	// its job, and an Observer's Features are borrowed — and the job pointers
-	// are cleared when the tick ends. It only grows, to the largest batch
-	// seen: at worst every resident job at once, 28 floats of features, 26 of
-	// probabilities and 32 bytes more each, under 2 % of that job's 30 KB
-	// ring.
+	// are cleared when the tick ends. It grows only for the largest batch yet:
+	// at worst every resident job at once, 28 floats of features, 26 of
+	// probabilities and 32 bytes more each, under 2 % of that job's 30 KB ring.
 	scratch struct {
 		batch []collected
 		feats []float64
@@ -486,19 +483,12 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 	if js == nil {
 		js = &jobState{id: jobID, home: st, emb: m.shape.NewEmbedder()}
 		st.jobs[jobID] = js
-		st.unfilled++
 	}
-	filled := js.emb.Ready()
 	err := js.emb.Push(sample)
 	if err == nil {
-		if js.emb.Ready() {
-			if !filled {
-				st.unfilled--
-			}
-			if !js.dirty {
-				js.dirty = true
-				st.queue = append(st.queue, js)
-			}
+		if js.emb.Ready() && !js.dirty {
+			js.dirty = true
+			st.queue = append(st.queue, js)
 		}
 		js.samples++
 		js.lastSeen = m.sinceEpoch()
@@ -517,9 +507,6 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 type TickStats struct {
 	// Classified is the number of jobs scored this tick (the batch height).
 	Classified int
-	// Pending is the number of registered jobs whose window has not filled,
-	// whether or not samples arrived since the last tick.
-	Pending int
 }
 
 // collected pairs a job selected into a tick's batch with the sample count
@@ -563,7 +550,6 @@ func (m *Monitor) Tick() (TickStats, error) {
 	var sum TickStats
 	for _, st := range stats {
 		sum.Classified += st.Classified
-		sum.Pending += st.Pending
 	}
 	return sum, errors.Join(errs...)
 }
@@ -583,16 +569,15 @@ func (m *Monitor) TickShard(i int) (TickStats, error) {
 }
 
 // tick is one partition's batched inference pass; callers hold the read
-// side of m.mu, so the serving generation cannot change under it. The
-// stripes' dirty queues are drained, every queued job still registered is
-// embedded into one N×F matrix, and a single (batched, when available) model
-// call scores it. A tick costs what it classifies; with nothing queued it
-// takes the stripe locks once and allocates nothing. Concurrent Ingest
-// during a tick is safe; a job dirtied after its stripe was counted, or
-// while inference ran, is scored by the next tick. A tick that fails
-// (embedding error, model error, row-count mismatch) puts every job it
-// drained back on its queue, so the next tick re-scores them — a transient
-// error never silently drops pending classifications.
+// side of m.mu, so the serving generation cannot change under it. It drains
+// each stripe's dirty queue whole, in stripe order and one hold of its lock,
+// embeds every queued job still registered into one N×F matrix and scores it
+// with one (batched, when available) model call. A tick costs what it
+// classifies; with nothing queued it takes each stripe lock once and
+// allocates nothing. A job dirtied after the tick passed its stripe, or while
+// inference ran, is scored by the next tick. A failed tick (embedding error,
+// model error, row-count mismatch) puts every job it drained back on its
+// queue, so a transient error never drops a pending classification.
 //
 //wcc:tickpath reads the clock only through the injected m.now
 func (m *Monitor) tick(p *partition) (TickStats, error) {
@@ -600,49 +585,30 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	defer p.tickMu.Unlock()
 	defer p.dropBatch()
 
-	var stats TickStats
 	collectStart := m.now()
-	// The queue lengths fix the batch height, so the scratch is sized once
-	// before the batch is gathered. A job queued after its stripe was counted
-	// stays queued for the next tick.
-	var take [registryStripes]int
-	n := 0
-	for i, st := range p.stripes {
+	s := &p.scratch
+	for _, st := range p.stripes {
 		st.mu.Lock()
-		take[i] = len(st.queue)
-		stats.Pending += st.unfilled
-		st.mu.Unlock()
-		n += take[i]
-	}
-	if n > cap(p.scratch.batch) {
-		p.scratch.batch = make([]collected, n)
-		p.scratch.feats = make([]float64, n*m.dim)
-	}
-	p.scratch.batch = p.scratch.batch[:n]
-	batch, feats := p.scratch.batch[:0], p.scratch.feats
-	for i, st := range p.stripes {
-		if take[i] == 0 {
-			continue
-		}
-		st.mu.Lock()
-		for k, js := range st.queue[:take[i]] {
+		for k, js := range st.queue {
 			if st.jobs[js.id] != js {
 				continue // ended or evicted while queued
 			}
-			if err := js.emb.FeaturesInto(feats[len(batch)*m.dim : (len(batch)+1)*m.dim]); err != nil {
+			s.feats = slices.Grow(s.feats, m.dim)[:len(s.feats)+m.dim]
+			if err := js.emb.FeaturesInto(s.feats[len(s.feats)-m.dim:]); err != nil {
 				st.dequeue(k) // js and everything behind it stay queued
 				st.mu.Unlock()
-				requeue(batch)
-				return stats, err
+				requeue(s.batch)
+				return TickStats{}, err
 			}
-			batch = append(batch, collected{js: js, seen: js.samples})
+			s.batch = append(s.batch, collected{js: js, seen: js.samples})
 		}
-		st.dequeue(take[i])
+		st.dequeue(len(st.queue))
 		st.mu.Unlock()
 	}
+	batch, feats := s.batch, s.feats
 	if len(batch) == 0 {
 		p.ticks.Add(1)
-		return stats, nil
+		return TickStats{}, nil
 	}
 	// Stage spans record only non-empty passes: at a 10ms cadence most
 	// ticks collect nothing, and those would drown the ring the sampled
@@ -650,17 +616,17 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	m.tracer.Observe(trace.StageCollect, collectStart, m.now().Sub(collectStart), len(batch))
 
 	x := &p.scratch.x
-	*x = mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats[:len(batch)*m.dim]}
+	*x = mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats}
 	classifyStart := m.now()
 	probs, err := m.classify(p, x)
 	if err != nil {
 		requeue(batch)
-		return stats, err
+		return TickStats{}, err
 	}
 	m.tracer.Observe(trace.StageClassify, classifyStart, m.now().Sub(classifyStart), len(batch))
 	if probs.Rows != len(batch) {
 		requeue(batch)
-		return stats, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
+		return TickStats{}, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
 	}
 
 	// Open-set scoring: the very embedding row the model consumed, against the
@@ -750,10 +716,9 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		}
 	}
 	m.tracer.Observe(trace.StageWriteBack, writeStart, m.now().Sub(writeStart), len(batch))
-	stats.Classified = len(batch)
 	p.ticks.Add(1)
 	p.classed.Add(uint64(len(batch)))
-	return stats, nil
+	return TickStats{Classified: len(batch)}, nil
 }
 
 // classify runs the serving model over the batch x: into the partition's
@@ -777,6 +742,7 @@ func (m *Monitor) classify(p *partition, x *mat.Matrix) (*mat.Matrix, error) {
 func (p *partition) dropBatch() {
 	clear(p.scratch.batch)
 	p.scratch.batch = p.scratch.batch[:0]
+	p.scratch.feats = p.scratch.feats[:0]
 }
 
 // dequeue drops the first k queue entries, keeping the rest in order and
@@ -889,15 +855,6 @@ func (m *Monitor) Prediction(jobID int) (*stream.Prediction, bool) {
 	return p, p != nil
 }
 
-// remove unregisters js; callers hold st.mu. A queued job stays in the
-// queue, where the next drain finds it unmapped and skips it.
-func (st *stripe) remove(js *jobState) {
-	delete(st.jobs, js.id)
-	if !js.emb.Ready() {
-		st.unfilled--
-	}
-}
-
 // EndJob removes a finished job from the registry, releasing its embedder,
 // and returns the job's final published prediction (nil if it was never
 // classified) plus whether the job was registered at all. A sample arriving
@@ -910,7 +867,7 @@ func (m *Monitor) EndJob(jobID int) (*stream.Prediction, bool) {
 	var pred *stream.Prediction
 	if js != nil {
 		pred = js.prediction()
-		st.remove(js)
+		delete(st.jobs, jobID)
 	}
 	st.mu.Unlock()
 	if js == nil {
@@ -937,7 +894,7 @@ func (m *Monitor) EvictIdle(maxIdle time.Duration) int {
 		p.eachStripe(func(st *stripe) {
 			for _, js := range st.jobs {
 				if js.samples == 0 || js.lastSeen <= cutoff {
-					st.remove(js)
+					delete(st.jobs, js.id)
 					n++
 				}
 			}

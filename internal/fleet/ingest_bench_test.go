@@ -25,7 +25,8 @@ func (noModel) PredictProba(*mat.Matrix) (*mat.Matrix, error) {
 // are simulated telemetry, each job's in stream order, in blocks of 64 per
 // job as a backfill batch delivers them, and the scaler and reference are
 // fitted on them. "fill" times samples that fill a window (a job registers
-// every 540 samples and is ended when full, outside the clock); "full"
+// every 540 samples and is ended when full, outside the clock, where a tick
+// drops its queue entry so the ended window is not retained); "full"
 // times samples into 64 full windows, each evicting the sample it
 // replaces. Both report ns/sample.
 func BenchmarkIngest(b *testing.B) {
@@ -82,6 +83,9 @@ func BenchmarkIngest(b *testing.B) {
 			if step++; step == window {
 				b.StopTimer()
 				m.EndJob(id)
+				if _, err := m.Tick(); err != nil {
+					b.Fatal(err)
+				}
 				id, step = id+1, 0
 				b.StartTimer()
 			}

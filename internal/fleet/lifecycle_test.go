@@ -123,43 +123,6 @@ func TestTickRowMismatchKeepsJobsDirty(t *testing.T) {
 	servetest.AssertSamePrediction(t, 3, got, servetest.Baseline(t, scaler, model, samples))
 }
 
-// TestPendingCountsAllUnfilledJobs pins the documented TickStats.Pending
-// semantics: every registered job whose window has not filled is pending,
-// whether or not samples arrived since the last tick. The old code checked
-// the dirty flag before readiness and so undercounted non-dirty unfilled
-// jobs; the second job's state is forced to that corner directly so the
-// ordering stays pinned even though normal transitions rarely reach it.
-func TestPendingCountsAllUnfilledJobs(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Job 1: partial window, dirty.
-	if err := m.Ingest(1, make([]float64, servetest.Sensors)); err != nil {
-		t.Fatal(err)
-	}
-	// Job 2: partial window with the dirty flag lowered.
-	if err := m.Ingest(2, make([]float64, servetest.Sensors)); err != nil {
-		t.Fatal(err)
-	}
-	_, sh := m.stripeFor(2)
-	sh.mu.Lock()
-	sh.jobs[2].dirty = false
-	sh.mu.Unlock()
-
-	for pass := 1; pass <= 2; pass++ {
-		stats, err := m.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Pending != 2 {
-			t.Fatalf("tick %d: Pending = %d, want 2 (all unfilled jobs)", pass, stats.Pending)
-		}
-	}
-}
-
 // TestRejectedSampleDoesNotRegister pins the registry-growth boundary at
 // the ingest edge: an invalid sample must not allocate a job slot.
 func TestRejectedSampleDoesNotRegister(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func feed(t *testing.T, m *Monitor, jobID int, samples [][]float64) {
 }
 
 // wantTick runs one tick and checks what it scored.
-func wantTick(t *testing.T, m *Monitor, ta *tally, jobs []int, pending int) {
+func wantTick(t *testing.T, m *Monitor, ta *tally, jobs []int) {
 	t.Helper()
 	stats, err := m.Tick()
 	if err != nil {
@@ -97,8 +98,8 @@ func wantTick(t *testing.T, m *Monitor, ta *tally, jobs []int, pending int) {
 	if got := ta.take(); !reflect.DeepEqual(got, append([]int{}, jobs...)) {
 		t.Fatalf("tick scored jobs %v, want %v", got, jobs)
 	}
-	if stats.Classified != len(jobs) || stats.Pending != pending {
-		t.Fatalf("tick stats %+v, want Classified %d Pending %d", stats, len(jobs), pending)
+	if stats.Classified != len(jobs) {
+		t.Fatalf("tick stats %+v, want Classified %d", stats, len(jobs))
 	}
 }
 
@@ -129,8 +130,8 @@ func TestRemovedQueuedJobIsSkipped(t *testing.T) {
 				feed(t, m, 2, again)
 				want = []int{1, 2, 3}
 			}
-			wantTick(t, m, ta, want, 0)
-			wantTick(t, m, ta, []int{}, 0)
+			wantTick(t, m, ta, want)
+			wantTick(t, m, ta, []int{})
 			got, ok := m.Prediction(2)
 			if ok != reregister {
 				t.Fatalf("%s, reregister=%v: job 2 has a prediction: %v", how, reregister, ok)
@@ -141,6 +142,48 @@ func TestRemovedQueuedJobIsSkipped(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTickDropsEndedJobsEntry: the tick after a queued job ends drops its
+// queue entry, so no queue (nor the spare capacity behind one) keeps the
+// ended job reachable, and the same ID re-registering queues a fresh job.
+func TestTickDropsEndedJobsEntry(t *testing.T) {
+	m, _, ta := queueFixture(t, nil)
+	queued := func(js *jobState) bool {
+		for _, st := range m.parts[0].stripes {
+			st.mu.Lock()
+			found := slices.Contains(st.queue[:cap(st.queue)], js)
+			st.mu.Unlock()
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	job := func() *jobState {
+		_, st := m.stripeFor(1)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.jobs[1]
+	}
+	feed(t, m, 1, servetest.JobSamples(1, servetest.Window))
+	ended := job()
+	if !queued(ended) {
+		t.Fatal("a full window was not queued")
+	}
+	if _, ok := m.EndJob(1); !ok {
+		t.Fatal("EndJob did not find queued job 1")
+	}
+	wantTick(t, m, ta, []int{})
+	if queued(ended) {
+		t.Fatal("the tick left the ended job in its stripe's queue")
+	}
+
+	feed(t, m, 1, servetest.JobSamples(1, servetest.Window))
+	if fresh := job(); fresh == ended || !queued(fresh) {
+		t.Fatal("re-registering job 1 did not queue a fresh job")
+	}
+	wantTick(t, m, ta, []int{1})
 }
 
 // TestFailedTickRequeuesExactlyItsJobs: whichever way a tick fails, the next
@@ -188,8 +231,8 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 		}
 		feed(t, m, 4, servetest.JobSamples(40, 1)) // already queued: must not queue twice
 
-		wantTick(t, m, ta, jobs, 1)
-		wantTick(t, m, ta, []int{}, 1)
+		wantTick(t, m, ta, jobs)
+		wantTick(t, m, ta, []int{})
 	}
 }
 
@@ -203,18 +246,18 @@ func TestIngestDuringInferenceRequeues(t *testing.T) {
 	late := servetest.JobSamples(1, servetest.Window+1)
 	fm.during = func() { feed(t, m, 1, late[servetest.Window:]) }
 
-	wantTick(t, m, ta, []int{1, 2}, 0)
-	wantTick(t, m, ta, []int{1}, 0)
-	wantTick(t, m, ta, []int{}, 0)
+	wantTick(t, m, ta, []int{1, 2})
+	wantTick(t, m, ta, []int{1})
+	wantTick(t, m, ta, []int{})
 
 	scaler, model := servetest.Fixture(t)
 	got, _ := m.Prediction(1)
 	servetest.AssertSamePrediction(t, 1, got, servetest.Baseline(t, scaler, model, late))
 }
 
-// TestUnreadyJobIsPendingNotQueued: a job is counted in Pending from its
-// first sample until its window fills, is queued by the sample that fills
-// it and not before, and leaves Pending when it is removed unfilled.
+// TestUnreadyJobIsPendingNotQueued: a job whose window has not filled is
+// not queued, and the sample that fills it queues it; removing unfilled jobs
+// leaves nothing to score.
 func TestUnreadyJobIsPendingNotQueued(t *testing.T) {
 	m, _, ta := queueFixture(t, nil)
 	samples := servetest.JobSamples(1, servetest.Window)
@@ -225,18 +268,18 @@ func TestUnreadyJobIsPendingNotQueued(t *testing.T) {
 			t.Fatalf("an unfilled job was queued: %d entries", len(sh.queue))
 		}
 	}
-	wantTick(t, m, ta, []int{}, 2)
+	wantTick(t, m, ta, []int{})
 	feed(t, m, 1, samples[servetest.Window-1:])
-	wantTick(t, m, ta, []int{1}, 1)
+	wantTick(t, m, ta, []int{1})
 	if _, ok := m.EndJob(2); !ok {
 		t.Fatal("EndJob did not find job 2")
 	}
-	wantTick(t, m, ta, []int{}, 0)
+	wantTick(t, m, ta, []int{})
 	feed(t, m, 3, servetest.JobSamples(3, 2))
 	if n := m.EvictIdle(0); n != 2 {
 		t.Fatalf("EvictIdle(0) removed %d jobs, want 2", n)
 	}
-	wantTick(t, m, ta, []int{}, 0)
+	wantTick(t, m, ta, []int{})
 }
 
 // queueSeed replays one model-check sequence: go test -run QueueModelCheck
@@ -264,27 +307,22 @@ func (o oracle) ingest(id int, now time.Time) {
 	o[id].dirty, o[id].seen = true, now
 }
 
-// due lists the jobs a tick scores (ready ∧ dirty, in ID order) and counts
-// the ones it reports pending.
-func (o oracle) due() (ids []int, pending int) {
-	ids = []int{}
+// due lists the jobs a tick scores: ready ∧ dirty, in ID order.
+func (o oracle) due() []int {
+	ids := []int{}
 	for id, j := range o {
-		switch {
-		case j.n < servetest.Window:
-			pending++
-		case j.dirty:
+		if j.n >= servetest.Window && j.dirty {
 			ids = append(ids, id)
 		}
 	}
 	sort.Ints(ids)
-	return ids, pending
+	return ids
 }
 
 // TestQueueModelCheck drives random sequences of Ingest, EndJob, EvictIdle,
 // Tick and failing Tick — with more of the first three landing while the
 // model call is in flight — against the oracle: every tick scores exactly
-// the oracle's due jobs and reports its pending count, a failing tick scores
-// nothing and loses nothing.
+// the oracle's due jobs, a failing tick scores nothing and loses nothing.
 func TestQueueModelCheck(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, time.Now().UnixNano()}
 	if *queueSeed != 0 {
@@ -343,7 +381,7 @@ func checkQueueAgainstOracle(t *testing.T, seed int64) {
 			mutate(op)
 			continue
 		}
-		due, pending := o.due()
+		due := o.due()
 		mode := []int{modeOK, modeOK, modeErr, modeWide}[rng.Intn(4)]
 		racing := rng.Intn(4)
 		fm.mode = mode
@@ -371,9 +409,9 @@ func checkQueueAgainstOracle(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("seed %d op %d: tick: %v", seed, op, err)
 		}
-		if !reflect.DeepEqual(scored, due) || stats.Classified != len(due) || stats.Pending != pending {
-			t.Fatalf("seed %d op %d: tick scored %v (stats %+v), oracle due %v pending %d",
-				seed, op, scored, stats, due, pending)
+		if !reflect.DeepEqual(scored, due) || stats.Classified != len(due) {
+			t.Fatalf("seed %d op %d: tick scored %v (stats %+v), oracle due %v",
+				seed, op, scored, stats, due)
 		}
 	}
 }

@@ -146,7 +146,8 @@ type Config struct {
 	Workers int
 	// EvictAfter > 0 enables idle-job eviction: jobs idle longer than this
 	// are removed from the registry every EvictAfter/4, bounding memory on
-	// fleets whose producers never call DELETE.
+	// fleets whose producers never call DELETE. New refuses a positive value
+	// under 4ns, which leaves no interval; zero or negative disables.
 	EvictAfter time.Duration
 	// Events is the push-plane bus GET /v1/events serves; nil means the
 	// server creates its own. Either way the bus is wired into the monitor
@@ -311,6 +312,9 @@ func New(cfg Config) (*Server, error) {
 	cfg.maxBodyBytes = cmp.Or(cfg.maxBodyBytes, defaultMaxBodyBytes)
 	cfg.retryAfter = cmp.Or(cfg.retryAfter, defaultRetryAfter)
 	cfg.evictEvery = cmp.Or(cfg.evictEvery, cfg.EvictAfter/4)
+	if cfg.EvictAfter > 0 && cfg.evictEvery <= 0 {
+		return nil, fmt.Errorf("server: EvictAfter %v is under 4ns, so EvictAfter/4 gives no eviction interval", cfg.EvictAfter)
+	}
 	cfg.eventBuffer = cmp.Or(cfg.eventBuffer, defaultEventBuffer)
 	if cfg.Events == nil {
 		cfg.Events = events.NewBus()

@@ -466,6 +466,31 @@ func TestIdleEvictionLoop(t *testing.T) {
 	}
 }
 
+// TestEvictAfterUnderFourNanosecondsIsRefused: EvictAfter/4 is the eviction
+// interval, so 1-3ns would start a ticker with no interval (which panics);
+// New refuses it, naming the field, and a negative value still disables
+// eviction.
+func TestEvictAfterUnderFourNanosecondsIsRefused(t *testing.T) {
+	scaler, model := servetest.Fixture(t)
+	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Monitor: m, TickEvery: time.Hour, EvictAfter: 3 * time.Nanosecond})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted EvictAfter 3ns")
+	}
+	if !strings.Contains(err.Error(), "EvictAfter") {
+		t.Fatalf("error %q does not name EvictAfter", err)
+	}
+	s, err = New(Config{Monitor: m, TickEvery: time.Hour, EvictAfter: -time.Second})
+	if err != nil {
+		t.Fatalf("a negative EvictAfter should disable eviction: %v", err)
+	}
+	s.Close()
+}
+
 // failingTicks fails its next n TickShard calls, then ticks the core it
 // wraps: a model that errors for a while and then recovers.
 type failingTicks struct {

@@ -262,6 +262,7 @@ func TestWatchRetriesBusySwap(t *testing.T) {
 	swap := func(string) (artifact.Metadata, error) {
 		return artifact.Metadata{}, verdicts[min(calls.Add(1), 3)-1]
 	}
+	logs := logtest.Capture(t)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -270,7 +271,10 @@ func TestWatchRetriesBusySwap(t *testing.T) {
 	}()
 	defer func() { close(stop); <-done }()
 
-	// The path is missing at the watcher's start, so each save is a change.
+	// The path is missing at the watcher's start, so each save is a change —
+	// once the watcher has read that start; a save before it would be the
+	// watcher's baseline and never reach Swap.
+	logs.Wait(t, 1, "artifact watch: initial read failed")
 	for i, want := range []int32{2, 3} {
 		saveWatchArtifact(t, path, scaler, model, fmt.Sprintf("watch-test-%d", i))
 		for deadline := time.Now().Add(5 * time.Second); calls.Load() < want; time.Sleep(time.Millisecond) {
