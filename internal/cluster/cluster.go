@@ -229,16 +229,14 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// receive delivers one peer-forwarded sample into the local core — no
+// receive delivers one peer-forwarded batch into the local core — no
 // ownership re-check, because re-routing a forwarded sample could loop
 // during a membership disagreement; the forwarding node already decided
-// ownership and the sample lands here exactly once.
-func (n *Node) receive(jobID int, sample []float64) error {
-	err := n.core.Ingest(jobID, sample)
-	if err == nil {
-		n.forwardReceived.Add(1)
-	}
-	return err
+// ownership and each sample lands here exactly once.
+func (n *Node) receive(b *fleet.Batch) []fleet.SampleError {
+	errs := n.core.IngestBatch(b)
+	n.forwardReceived.Add(uint64(len(b.Samples) - len(errs)))
+	return errs
 }
 
 // Handler returns the cluster-aware HTTP handler: the server's routes plus

@@ -59,7 +59,7 @@ func (n *Node) buildHandler(inner http.Handler) http.Handler {
 		n.applyAbort(f.Gen)
 		return Frame{Gen: f.Gen}, nil
 	}))
-	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.core.Ingest, n.split))
+	mux.Handle("POST /v1/ingest", n.srv.IngestHandler(n.core.IngestBatch, n.split))
 	mux.Handle("POST "+peerIngestPath, n.srv.IngestHandler(n.receive, nil))
 	mux.HandleFunc("GET "+artifactPath, n.handleArtifact)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)

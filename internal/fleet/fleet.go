@@ -19,7 +19,9 @@
 //     only within a stripe;
 //   - an ingest path (Ingest) accepting one telemetry sample for any job,
 //     creating the job's embedder on first sight and, when the sample leaves
-//     a full window unscored, appending the job to its stripe's dirty queue;
+//     a full window unscored, appending the job to its stripe's dirty queue,
+//     and its batched form (IngestBatch), which groups a whole batch by
+//     stripe and takes each stripe's lock once for it;
 //   - a batched inference engine (Tick, TickShard) that drains those queues
 //     into a single N×F feature matrix and runs one batched PredictProba
 //     call instead of N single-row calls — a tick costs what it classifies,
@@ -425,12 +427,18 @@ func (m *Monitor) ShardOf(jobID int) int {
 }
 
 // stripeFor returns the job's partition and, inside it, the lock stripe its
-// ID hashes to. Sequential IDs are mixed so bursts of adjacent jobs do not
-// all land on neighbouring stripes.
+// ID hashes to.
 func (m *Monitor) stripeFor(jobID int) (*partition, *stripe) {
 	p := m.parts[m.ShardOf(jobID)]
+	return p, p.stripes[stripeOf(jobID)]
+}
+
+// stripeOf is the index of the lock stripe the job's ID hashes to inside its
+// partition. Sequential IDs are mixed so bursts of adjacent jobs do not all
+// land on neighbouring stripes.
+func stripeOf(jobID int) int {
 	h := uint64(jobID) * 0x9e3779b97f4a7c15
-	return p, p.stripes[(h>>32)%uint64(len(p.stripes))]
+	return int((h >> 32) % registryStripes)
 }
 
 // maxSampleMagnitude bounds one sensor reading. Real DCGM telemetry sits
@@ -443,9 +451,9 @@ const maxSampleMagnitude = 1e12
 
 // CheckSample is the sample gate: a sample of the wrong width, or carrying
 // a non-finite or absurdly large value, is refused with the error an ingest
-// response reports for its line. Ingest runs it before touching any state;
-// a cluster node runs it before a sample leaves for the job's owner, so a
-// bad line is refused where it first arrives.
+// response reports for its line. Ingest and IngestBatch run it before
+// touching any state; a cluster node runs it before a sample leaves for the
+// job's owner, so a bad line is refused where it first arrives.
 func CheckSample(sample []float64, sensors int) error {
 	if len(sample) != sensors {
 		return fmt.Errorf("fleet: sample has %d sensors, want %d", len(sample), sensors)
@@ -472,35 +480,148 @@ func (m *Monitor) sinceEpoch() time.Duration {
 // job, creating the job's embedder on first sight. Safe for concurrent use.
 // A sample CheckSample refuses is rejected before the job registers, so a
 // stream of invalid samples (e.g. hostile ingest traffic behind the HTTP
-// layer) cannot grow the registry or corrupt a window.
+// layer) cannot grow the registry or corrupt a window. IngestBatch is the
+// same for many samples at once.
 func (m *Monitor) Ingest(jobID int, sample []float64) error {
 	if err := CheckSample(sample, m.shape.Sensors()); err != nil {
 		return err
 	}
 	p, st := m.stripeFor(jobID)
+	now := m.sinceEpoch()
 	st.mu.Lock()
-	js := st.jobs[jobID]
-	if js == nil {
-		js = &jobState{id: jobID, home: st, emb: m.shape.NewEmbedder()}
-		st.jobs[jobID] = js
-	}
-	err := js.emb.Push(sample)
-	if err == nil {
-		if js.emb.Ready() && !js.dirty {
-			js.dirty = true
-			st.queue = append(st.queue, js)
-		}
-		js.samples++
-		js.lastSeen = m.sinceEpoch()
-		if st.dw != nil {
-			st.dw.Add(st.dbins, sample)
-		}
-	}
+	err := m.add(st, jobID, sample, now)
 	st.mu.Unlock()
 	if err == nil {
 		p.samples.Add(1)
 	}
 	return err
+}
+
+// add is the one per-sample ingest step, under st.mu, for a sample that
+// passed CheckSample: it registers the job on first sight, pushes the sample
+// into the job's window, queues the job when the push leaves a full window
+// unscored, stamps lastSeen with now and bins the sample into the stripe's
+// drift histogram. Ingest and IngestBatch both call it; the caller counts the
+// sample into its partition.
+func (m *Monitor) add(st *stripe, jobID int, sample []float64, now time.Duration) error {
+	js := st.jobs[jobID]
+	if js == nil {
+		js = &jobState{id: jobID, home: st, emb: m.shape.NewEmbedder()}
+		st.jobs[jobID] = js
+	}
+	if err := js.emb.Push(sample); err != nil {
+		return err
+	}
+	if js.emb.Ready() && !js.dirty {
+		js.dirty = true
+		st.queue = append(st.queue, js)
+	}
+	js.samples++
+	js.lastSeen = now
+	if st.dw != nil {
+		st.dw.Add(st.dbins, sample)
+	}
+	return nil
+}
+
+// Sample is one telemetry sample of an ingest Batch: the job and one value
+// per sensor.
+type Sample struct {
+	Job    int
+	Values []float64
+}
+
+// SampleError is one sample IngestBatch refused: its index in
+// Batch.Samples and the error Ingest would have returned for it.
+type SampleError struct {
+	Index int
+	Err   error
+}
+
+// Batch is an ingest batch for IngestBatch, owned by its caller and reused
+// from call to call: the caller fills Samples, and the rest is IngestBatch's
+// scratch, grown to the largest batch yet and kept, so a steady stream of
+// batches allocates nothing. A Batch serves one IngestBatch call at a time.
+type Batch struct {
+	Samples []Sample
+	errs    []SampleError
+	// slot is each sample's (partition, stripe) slot, -1 for a refused one.
+	// order lists the accepted samples' indices grouped by slot, each slot's
+	// in batch order. end, indexed by slot, counts the slot's samples, then
+	// holds where its run in order starts, and once order is filled, where
+	// it ends.
+	slot  []int32
+	end   []int32
+	order []int32
+}
+
+// IngestBatch feeds every sample of b, as Ingest would one by one, and
+// returns the refused ones, each under its index in b.Samples. The returned
+// slice is b's scratch, valid until b's next call. Each sample passes
+// CheckSample; the accepted ones are grouped by partition and lock stripe in
+// one stable counting pass, so each job's samples arrive in batch order, and
+// every stripe with samples is locked once for all of them. The clock is
+// read once for the whole batch, so every job the batch touches gets the
+// same lastSeen stamp. Only a job's own samples are ordered: two stripes'
+// samples may apply in a different order than one by one, which nothing
+// observable depends on (each stripe keeps its own queue and histogram).
+// Safe for concurrent use with distinct Batches; no sample's Values are
+// retained.
+//
+//wcc:hotpath zero allocations per call once b has held a batch as large, pinned by an AllocsPerRun gate
+func (m *Monitor) IngestBatch(b *Batch) []SampleError {
+	n, slots := len(b.Samples), len(m.parts)*registryStripes
+	b.errs = b.errs[:0]
+	b.slot = slices.Grow(b.slot[:0], n)[:n]
+	b.order = slices.Grow(b.order[:0], n)[:n]
+	b.end = slices.Grow(b.end[:0], slots)[:slots]
+	clear(b.end)
+	sensors := m.shape.Sensors()
+	for i, s := range b.Samples {
+		if err := CheckSample(s.Values, sensors); err != nil {
+			b.errs = append(b.errs, SampleError{Index: i, Err: err})
+			b.slot[i] = -1
+			continue
+		}
+		k := int32(m.ShardOf(s.Job)*registryStripes + stripeOf(s.Job))
+		b.slot[i] = k
+		b.end[k]++
+	}
+	var next int32
+	for k, c := range b.end {
+		b.end[k] = next
+		next += c
+	}
+	for i, k := range b.slot {
+		if k >= 0 {
+			b.order[b.end[k]] = int32(i)
+			b.end[k]++
+		}
+	}
+
+	now := m.sinceEpoch()
+	var lo int32
+	for k, hi := range b.end {
+		if hi == lo {
+			continue
+		}
+		p := m.parts[k/registryStripes]
+		st := p.stripes[k%registryStripes]
+		var added uint64
+		st.mu.Lock()
+		for _, i := range b.order[lo:hi] {
+			s := b.Samples[i]
+			if err := m.add(st, s.Job, s.Values, now); err != nil {
+				b.errs = append(b.errs, SampleError{Index: int(i), Err: err})
+			} else {
+				added++
+			}
+		}
+		st.mu.Unlock()
+		p.samples.Add(added)
+		lo = hi
+	}
+	return b.errs
 }
 
 // TickStats reports one batched inference pass.

@@ -62,10 +62,12 @@
 // the tail of a drained stream still produces predictions.
 //
 // That ingest pipeline exists once: IngestHandler returns it for any
-// destination, POST /v1/ingest is IngestHandler(Monitor.Ingest, nil), and a
-// cluster node mounts it again for its public route, with a Split that hands
-// peer-owned samples to their owners inside the request, and for its peer
-// route, so every sample entering a process passes the same admission.
+// destination, POST /v1/ingest is IngestHandler(Monitor.IngestBatch, nil),
+// and a cluster node mounts it again for its public route, with a Split that
+// hands peer-owned samples to their owners inside the request, and for its
+// peer route, so every sample entering a process passes the same admission.
+// A worker hands each queued batch to its destination in one call, through
+// a fleet.Batch the worker owns and reuses.
 package server
 
 import (
@@ -98,6 +100,10 @@ import (
 // reads, job lifecycle, zero-downtime model swaps, and the fleet-wide and
 // per-shard counters /metrics exports. *fleet.Monitor implements it.
 type Monitor interface {
+	// IngestBatch is what the ingest workers call, once per queued batch.
+	IngestBatch(b *fleet.Batch) []fleet.SampleError
+	// Ingest is the one-sample form; the server never calls it, but
+	// benchmark/ drives it through this contract.
 	Ingest(jobID int, sample []float64) error
 	// Tick is the whole-fleet pass; the server ticks shard by shard and
 	// never calls it, but benchmark/ drives it through this contract.
@@ -259,9 +265,14 @@ type Server struct {
 	classNames []string
 }
 
+// IngestFunc is where an ingest route delivers its samples: it applies the
+// whole batch and returns the samples it refused, as
+// fleet.Monitor.IngestBatch does.
+type IngestFunc func(b *fleet.Batch) []fleet.SampleError
+
 type ingestBatch struct {
 	samples []Sample
-	apply   func(jobID int, sample []float64) error // where an accepted sample goes
+	ingest  IngestFunc // where the batch goes
 	done    chan Verdict
 	enq     time.Time // when the batch joined the queue, for the queue-wait span
 }
@@ -336,7 +347,7 @@ func New(cfg Config) (*Server, error) {
 	tickLoops := s.m.NumShards()
 	s.lastErrs = make([]string, tickLoops)
 	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/ingest", s.IngestHandler(s.m.Ingest, nil))
+	s.mux.Handle("POST /v1/ingest", s.IngestHandler(s.m.IngestBatch, nil))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/prediction", s.handlePrediction)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleEndJob)
@@ -408,22 +419,28 @@ func (s *Server) CloseStreams() {
 // its HTTP subscribers read.
 func (s *Server) Events() *events.Bus { return s.bus }
 
+// worker drains the ingest queue, handing each batch to its destination in
+// one call. The fleet.Batch is the worker's own, so its grouping scratch is
+// reused from batch to batch and shared with nobody.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
+	var fb fleet.Batch
 	for b := range s.queue {
 		if s.cfg.testHook != nil {
 			s.cfg.testHook()
 		}
 		s.tracer.Observe(trace.StageQueue, b.enq, time.Since(b.enq), len(b.samples))
 		ingestStart := time.Now()
-		var res Verdict
+		fb.Samples = fb.Samples[:0]
 		for _, sm := range b.samples {
-			if err := b.apply(sm.Job, sm.Values); err != nil {
-				res.Errors = append(res.Errors, LineError{Line: sm.Line, Error: err.Error()})
-			} else {
-				res.Accepted++
-			}
+			fb.Samples = append(fb.Samples, fleet.Sample{Job: sm.Job, Values: sm.Values})
 		}
+		errs := b.ingest(&fb)
+		res := Verdict{Accepted: len(b.samples) - len(errs)}
+		for _, e := range errs {
+			res.Errors = append(res.Errors, LineError{Line: b.samples[e.Index].Line, Error: e.Err.Error()})
+		}
+		clear(fb.Samples) // the values alias the request's parse scratch
 		s.tracer.Observe(trace.StageIngest, ingestStart, time.Since(ingestStart), len(b.samples))
 		b.done <- res
 	}
@@ -562,7 +579,8 @@ type ingestLine struct {
 // unrepresentable NaN/Inf spellings all land in the per-line error, so one
 // bad line never poisons the batch's valid samples. Sensor-width and
 // value-sanity checks (non-finite and absurd magnitudes) happen in
-// fleet.Monitor.Ingest, and surface per line through the same accounting.
+// fleet.Monitor.IngestBatch, and surface per line through the same
+// accounting.
 func parseIngestLine(line int, raw []byte) (Sample, *LineError, bool) {
 	if len(raw) == 0 {
 		return Sample{}, nil, false
@@ -593,16 +611,16 @@ type ingestResponse struct {
 // IngestHandler returns the ingest pipeline — drain barrier, pooled body
 // read under the body cap, parse by framing with all-or-nothing on a framing
 // break, the bounded queue with 429 + Retry-After, parse/queue/ingest spans
-// and per-line accounting — delivering each parsed sample to apply. Every
+// and per-line accounting — delivering each parsed batch to ingest. Every
 // handler it returns shares the server's one queue, worker pool and
-// counters; they differ only in apply, which runs on a worker and must not
-// keep sample past its return (it aliases pooled parse scratch), and in
-// split, nil except on a cluster node's public route.
-func (s *Server) IngestHandler(apply func(jobID int, sample []float64) error, split Split) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, apply, split) })
+// counters; they differ only in ingest, which runs on a worker and must not
+// keep the batch's values past its return (they alias pooled parse
+// scratch), and in split, nil except on a cluster node's public route.
+func (s *Server) IngestHandler(ingest IngestFunc, split Split) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, ingest, split) })
 }
 
-func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(jobID int, sample []float64) error, split Split) {
+func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, ingest IngestFunc, split Split) {
 	// A draining server refuses before reading the body; the check that
 	// orders an enqueue against Close is repeated under s.drain below.
 	select {
@@ -658,7 +676,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, apply func(
 	}
 	var b *ingestBatch
 	if len(samples) > 0 {
-		b = &ingestBatch{samples: samples, apply: apply, done: make(chan Verdict, 1), enq: time.Now()}
+		b = &ingestBatch{samples: samples, ingest: ingest, done: make(chan Verdict, 1), enq: time.Now()}
 		draining, queued := false, false
 		s.drain.RLock()
 		select {

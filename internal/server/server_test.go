@@ -156,7 +156,10 @@ func TestIngestBackpressure(t *testing.T) {
 	defer rel() // unblock workers even on a failing path, or Cleanup deadlocks
 
 	var second atomic.Int64 // samples the second mount's destination received
-	ts2 := httptest.NewServer(s.IngestHandler(func(int, []float64) error { second.Add(1); return nil }, nil))
+	ts2 := httptest.NewServer(s.IngestHandler(func(b *fleet.Batch) []fleet.SampleError {
+		second.Add(int64(len(b.Samples)))
+		return nil
+	}, nil))
 	defer ts2.Close()
 
 	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
