@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,5 +161,57 @@ func TestRunRefusesUnknownFraming(t *testing.T) {
 	}
 	if n := requests.Load(); n != 0 {
 		t.Errorf("%d requests reached the server before the refusal", n)
+	}
+}
+
+// TestSendAllWaitsOutAThrottle drives sendAll against a stub that answers
+// the first post 429 with Retry-After: 1 and the second 200: sendAll must
+// wait the advertised second, resend the same bytes, and count one throttle,
+// one request and the accepted samples once.
+func TestSendAllWaitsOutAThrottle(t *testing.T) {
+	var mu sync.Mutex
+	var got [][]byte
+	var at []time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		got, at = append(got, body), append(at, time.Now())
+		first := len(got) == 1
+		mu.Unlock()
+		if first {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		fmt.Fprint(w, `{"accepted":3,"rejected":0}`)
+	}))
+	defer srv.Close()
+
+	body := []byte("{\"job\":1,\"values\":[1]}\n{\"job\":2,\"values\":[2]}\n{\"job\":3,\"values\":[3]}\n")
+	var st connStats
+	sendAll(srv.Client(), []string{srv.URL}, "application/x-ndjson", []reqBody{{data: body}}, &st)
+
+	if st.firstErr != "" {
+		t.Fatalf("sendAll failed: %s", st.firstErr)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 {
+		t.Fatalf("the stub saw %d posts, want 2", len(got))
+	}
+	for i, b := range got {
+		if !bytes.Equal(b, body) {
+			t.Errorf("post %d carried %q, want the batch %q", i, b, body)
+		}
+	}
+	if wait := at[1].Sub(at[0]); wait < 900*time.Millisecond || wait > 3*time.Second {
+		t.Errorf("resent after %v, want about the advertised 1s", wait)
+	}
+	if st.throttled != 1 || st.requests != 1 || st.accepted != 3 || st.rejected != 0 || st.rerouted != 0 {
+		t.Errorf("counted %d throttled, %d requests, %d accepted, %d rejected, %d rerouted; want 1, 1, 3, 0, 0",
+			st.throttled, st.requests, st.accepted, st.rejected, st.rerouted)
 	}
 }

@@ -44,23 +44,25 @@ type outbox struct {
 	lines []int
 }
 
-// split is the public ingest route's server.Split. It keeps, in order, the
-// samples this node owns. A peer-owned sample that fleet.CheckSample refuses
-// is rejected here with the error a single node gives; the rest are framed
-// for their owners, and forward delivers them.
-func (n *Node) split(samples []server.Sample) ([]server.Sample, func(context.Context) server.Verdict) {
+// split is the public ingest route's server.Split. It compacts in place,
+// moving the samples this node owns and their lines to the front in order. A
+// peer-owned sample that fleet.CheckSample refuses is rejected here with the
+// error a single node gives; the rest are framed for their owners, and
+// forward delivers them.
+func (n *Node) split(samples []fleet.Sample, lines []int) (int, func(context.Context) server.Verdict) {
 	var out []outbox
 	var open []int // per owner: 1 + the index in out of its open batch, 0 for none
 	var refused []server.LineError
-	keep := samples[:0] // writes only slots already read
-	for _, sm := range samples {
+	keep := 0 // writes only slots already read
+	for i, sm := range samples {
 		owner := n.Owner(sm.Job)
 		if owner == n.self {
-			keep = append(keep, sm)
+			samples[keep], lines[keep] = sm, lines[i]
+			keep++
 			continue
 		}
 		if err := fleet.CheckSample(sm.Values, n.core.Sensors()); err != nil {
-			refused = append(refused, server.LineError{Line: sm.Line, Error: err.Error()})
+			refused = append(refused, server.LineError{Line: lines[i], Error: err.Error()})
 			continue
 		}
 		if open == nil {
@@ -72,7 +74,7 @@ func (n *Node) split(samples []server.Sample) ([]server.Sample, func(context.Con
 		}
 		ob := &out[open[owner]-1]
 		ob.body = wire.AppendIngestRecord(ob.body, int64(sm.Job), sm.Values)
-		ob.lines = append(ob.lines, sm.Line)
+		ob.lines = append(ob.lines, lines[i])
 	}
 	if out == nil && refused == nil {
 		return keep, nil

@@ -57,48 +57,61 @@ func totals(c *clustertest.Cluster) (cores, forwarded, errs, received uint64) {
 // first arrives: one NDJSON body mixing good, wrong-width, out-of-range and
 // malformed lines for locally owned and foreign jobs gets, from node 0 of a
 // 3-node cluster, the response a single node gives byte for byte — and every
-// sample that response calls accepted is applied by exactly one core.
+// sample that response calls accepted is applied by exactly one core. The
+// body comes in two job orders: with the owned job's lines first, where the
+// split keeps each owned sample at its own index, and last, where it moves
+// the owned wrong-width and out-of-range samples to lower indices, so the
+// reply names them by their lines only if the split moved each line with
+// its sample.
 func TestClusterIngestMatchesSingleNode(t *testing.T) {
-	const sensors = 3
-	c := clustertest.Start(t, clustertest.Options{Nodes: 3, Sensors: sensors})
-	single := clustertest.Start(t, clustertest.Options{Nodes: 1, Sensors: sensors})
+	for _, order := range []string{"owned-first", "owned-last"} {
+		t.Run(order, func(t *testing.T) {
+			const sensors = 3
+			c := clustertest.Start(t, clustertest.Options{Nodes: 3, Sensors: sensors})
+			single := clustertest.Start(t, clustertest.Options{Nodes: 1, Sensors: sensors})
 
-	n0 := c.Member(0).Cluster
-	local, peer1, peer2 := ownedBy(n0, 0, 100), ownedBy(n0, 1, 100), ownedBy(n0, 2, 100)
-	var lines []string
-	for _, job := range []int{local, peer1, peer2} {
-		lines = append(lines,
-			fmt.Sprintf(`{"job":%d,"values":[1,2,3]}`, job),
-			fmt.Sprintf(`{"job":%d,"values":[1,2]}`, job),      // wrong width
-			fmt.Sprintf(`{"job":%d,"values":[1,1e13,3]}`, job), // past the magnitude bound
-			fmt.Sprintf(`{"job":%d,"values":[4,5,6]}`, job),
-		)
-	}
-	lines = append(lines, `{not json`, `{"job":-5,"values":[1,2,3]}`)
-	body := []byte(strings.Join(lines, "\n"))
+			n0 := c.Member(0).Cluster
+			local, peer1, peer2 := ownedBy(n0, 0, 100), ownedBy(n0, 1, 100), ownedBy(n0, 2, 100)
+			jobs := []int{local, peer1, peer2}
+			if order == "owned-last" {
+				jobs = []int{peer1, peer2, local}
+			}
+			var lines []string
+			for _, job := range jobs {
+				lines = append(lines,
+					fmt.Sprintf(`{"job":%d,"values":[1,2,3]}`, job),
+					fmt.Sprintf(`{"job":%d,"values":[1,2]}`, job),      // wrong width
+					fmt.Sprintf(`{"job":%d,"values":[1,1e13,3]}`, job), // past the magnitude bound
+					fmt.Sprintf(`{"job":%d,"values":[4,5,6]}`, job),
+				)
+			}
+			lines = append(lines, `{not json`, `{"job":-5,"values":[1,2,3]}`)
+			body := []byte(strings.Join(lines, "\n"))
 
-	code, got := post(t, c.URLs[0]+"/v1/ingest", "application/x-ndjson", body)
-	refCode, want := post(t, single.URLs[0]+"/v1/ingest", "application/x-ndjson", body)
-	if code != http.StatusOK || refCode != http.StatusOK {
-		t.Fatalf("status %d from the cluster, %d from the single node, want 200 from both", code, refCode)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("node 0 of 3 answered\n%s\na single node answers\n%s", got, want)
-	}
-	var ir struct{ Accepted, Rejected int }
-	if err := json.Unmarshal(got, &ir); err != nil {
-		t.Fatal(err)
-	}
-	if ir.Accepted != 6 || ir.Rejected != 8 {
-		t.Errorf("accounting %+v, want accepted 6 / rejected 8", ir)
-	}
+			code, got := post(t, c.URLs[0]+"/v1/ingest", "application/x-ndjson", body)
+			refCode, want := post(t, single.URLs[0]+"/v1/ingest", "application/x-ndjson", body)
+			if code != http.StatusOK || refCode != http.StatusOK {
+				t.Fatalf("status %d from the cluster, %d from the single node, want 200 from both", code, refCode)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("node 0 of 3 answered\n%s\na single node answers\n%s", got, want)
+			}
+			var ir struct{ Accepted, Rejected int }
+			if err := json.Unmarshal(got, &ir); err != nil {
+				t.Fatal(err)
+			}
+			if ir.Accepted != 6 || ir.Rejected != 8 {
+				t.Errorf("accounting %+v, want accepted 6 / rejected 8", ir)
+			}
 
-	cores, forwarded, errs, received := totals(c)
-	if cores != uint64(ir.Accepted) {
-		t.Errorf("cores hold %d samples, the response accepted %d", cores, ir.Accepted)
-	}
-	if forwarded != 4 || received != forwarded || errs != 0 {
-		t.Errorf("forwarded %d received %d errs %d, want 4 4 0", forwarded, received, errs)
+			cores, forwarded, errs, received := totals(c)
+			if cores != uint64(ir.Accepted) {
+				t.Errorf("cores hold %d samples, the response accepted %d", cores, ir.Accepted)
+			}
+			if forwarded != 4 || received != forwarded || errs != 0 {
+				t.Errorf("forwarded %d received %d errs %d, want 4 4 0", forwarded, received, errs)
+			}
+		})
 	}
 }
 

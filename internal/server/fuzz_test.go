@@ -120,7 +120,7 @@ func FuzzParseIngestLineFast(f *testing.F) {
 		if len(trimmed) == 0 {
 			return
 		}
-		sm, _, ok := parseIngestLineFast(1, trimmed, nil)
+		sm, _, ok := parseIngestLineFast(trimmed, nil)
 		if !ok {
 			return
 		}

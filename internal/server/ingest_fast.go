@@ -9,26 +9,30 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/fleet"
 	"repro/internal/wire"
 )
 
 // The per-sample ingest path is allocation-free in steady state: each
 // request borrows one ingestScratch from a pool — a body buffer, a values
-// arena every sample's slice aliases, and the sample list itself — and a
-// canonical NDJSON line is decoded by a byte scanner instead of
-// encoding/json. The scanner is deliberately narrow: it accepts exactly
-// the shape producers emit ({"job":N,"values":[...]}, no whitespace, no
-// reordering) and hands anything else to the stdlib decoder, so
-// acceptance and per-line error text stay byte-identical to the
+// arena every sample's slice aliases, and the fleet.Batch the samples are
+// parsed into — and a canonical NDJSON line is decoded by a byte scanner
+// instead of encoding/json. The scanner is deliberately narrow: it accepts
+// exactly the shape producers emit ({"job":N,"values":[...]}, no
+// whitespace, no reordering) and hands anything else to the stdlib decoder,
+// so acceptance and per-line error text stay byte-identical to the
 // encoding/json path it replaces.
 
-// ingestScratch is one request's pooled parsing state. It is returned to
-// the pool only after the worker has finished the batch (Push copies every
+// ingestScratch is one request's pooled parsing state: batch is what the
+// worker hands the route's IngestFunc, and lines[i] is the client's NDJSON
+// line or binary record index of batch.Samples[i]. It is returned to the
+// pool only after the worker has finished the batch (Push copies every
 // sample into the job's ring), so aliasing the arena is safe.
 type ingestScratch struct {
-	body    []byte
-	values  []float64
-	samples []Sample
+	body   []byte
+	values []float64
+	batch  fleet.Batch
+	lines  []int
 }
 
 var ingestScratchPool = sync.Pool{
@@ -62,14 +66,14 @@ func isBinaryIngest(ct string) bool {
 	return strings.TrimSpace(ct) == wire.IngestContentType
 }
 
-// parseBinary decodes a binary-framed body from sc.body into sc.samples.
+// parseBinary decodes a binary-framed body from sc.body into sc.batch.
 // Record-local defects land in the per-line error list under the record's
 // index; a framing-fatal defect is returned and rejects the whole batch
 // before anything is enqueued, mirroring the NDJSON scanner-error path.
-func parseBinary(sc *ingestScratch) ([]Sample, []LineError, error) {
+func parseBinary(sc *ingestScratch) ([]LineError, error) {
 	dec := wire.NewIngestDecoder(sc.body)
 	dec.Arena = sc.values[:0]
-	samples := sc.samples[:0]
+	samples, lines := sc.batch.Samples[:0], sc.lines[:0]
 	var errs []LineError
 	for {
 		rec, ok := dec.Next()
@@ -88,19 +92,21 @@ func parseBinary(sc *ingestScratch) ([]Sample, []LineError, error) {
 			errs = append(errs, LineError{Line: rec.Index, Error: `missing or empty "values"`})
 			continue
 		}
-		samples = append(samples, Sample{Line: rec.Index, Job: int(rec.Job), Values: rec.Values})
+		samples = append(samples, fleet.Sample{Job: int(rec.Job), Values: rec.Values})
+		lines = append(lines, rec.Index)
 	}
-	sc.values, sc.samples = dec.Arena, samples
-	return samples, errs, dec.Err()
+	sc.values, sc.batch.Samples, sc.lines = dec.Arena, samples, lines
+	return errs, dec.Err()
 }
 
 // parseLines splits sc.body into NDJSON lines exactly as bufio.ScanLines
 // would — a final fragment without a newline is still a line, a trailing
-// empty fragment is not — and parses each through the fast scanner with a
-// stdlib fallback. A line over maxLineBytes returns bufio.ErrTooLong as
-// the fatal error, matching the scanner-based path this replaces.
-func parseLines(sc *ingestScratch) ([]Sample, []LineError, error) {
-	samples := sc.samples[:0]
+// empty fragment is not — and parses each into sc.batch through the fast
+// scanner with a stdlib fallback. A line over maxLineBytes returns
+// bufio.ErrTooLong as the fatal error, matching the scanner-based path this
+// replaces.
+func parseLines(sc *ingestScratch) ([]LineError, error) {
+	samples, lines := sc.batch.Samples[:0], sc.lines[:0]
 	arena := sc.values[:0]
 	var errs []LineError
 	buf := sc.body
@@ -116,28 +122,26 @@ func parseLines(sc *ingestScratch) ([]Sample, []LineError, error) {
 		}
 		line++
 		if len(seg) > maxLineBytes {
-			sc.values, sc.samples = arena, samples
-			return nil, nil, bufio.ErrTooLong
+			return nil, bufio.ErrTooLong
 		}
 		raw := bytes.TrimSpace(seg)
 		if len(raw) == 0 {
 			continue
 		}
-		if sm, grown, ok := parseIngestLineFast(line, raw, arena); ok {
-			arena = grown
-			samples = append(samples, sm)
-			continue
-		}
-		sm, errp, ok := parseIngestLine(line, raw)
-		if errp != nil {
-			errs = append(errs, *errp)
+		sm, grown, ok := parseIngestLineFast(raw, arena)
+		arena = grown
+		if !ok {
+			var errp *LineError
+			if sm, errp, ok = parseIngestLine(line, raw); errp != nil {
+				errs = append(errs, *errp)
+			}
 		}
 		if ok {
-			samples = append(samples, sm)
+			samples, lines = append(samples, sm), append(lines, line)
 		}
 	}
-	sc.values, sc.samples = arena, samples
-	return samples, errs, nil
+	sc.values, sc.batch.Samples, sc.lines = arena, samples, lines
+	return errs, nil
 }
 
 var (
@@ -154,9 +158,9 @@ var (
 // for both acceptance and error text.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
-func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float64, bool) {
+func parseIngestLineFast(raw []byte, arena []float64) (fleet.Sample, []float64, bool) {
 	if !bytes.HasPrefix(raw, ingestLinePrefix) {
-		return Sample{}, arena, false
+		return fleet.Sample{}, arena, false
 	}
 	p := len(ingestLinePrefix)
 	job, d0 := 0, p
@@ -167,22 +171,22 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float
 	// No digits, a JSON-invalid leading zero, or enough digits to threaten
 	// int64 all defer to the stdlib's verdict.
 	if p == d0 || p-d0 > 18 || (raw[d0] == '0' && p-d0 > 1) {
-		return Sample{}, arena, false
+		return fleet.Sample{}, arena, false
 	}
 	if !bytes.HasPrefix(raw[p:], ingestValuesSep) {
-		return Sample{}, arena, false
+		return fleet.Sample{}, arena, false
 	}
 	p += len(ingestValuesSep)
 	start := len(arena)
 	for {
 		v, n, ok := parseJSONNumber(raw[p:])
 		if !ok {
-			return Sample{}, arena[:start], false
+			return fleet.Sample{}, arena[:start], false
 		}
 		arena = append(arena, v)
 		p += n
 		if p >= len(raw) {
-			return Sample{}, arena[:start], false
+			return fleet.Sample{}, arena[:start], false
 		}
 		if raw[p] == ',' {
 			p++
@@ -192,12 +196,12 @@ func parseIngestLineFast(line int, raw []byte, arena []float64) (Sample, []float
 			p++
 			break
 		}
-		return Sample{}, arena[:start], false
+		return fleet.Sample{}, arena[:start], false
 	}
 	if p != len(raw)-1 || raw[p] != '}' {
-		return Sample{}, arena[:start], false
+		return fleet.Sample{}, arena[:start], false
 	}
-	return Sample{Line: line, Job: job, Values: arena[start:]}, arena, true
+	return fleet.Sample{Job: job, Values: arena[start:]}, arena, true
 }
 
 // exactPow10 holds the powers of ten a float64 represents exactly.

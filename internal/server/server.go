@@ -66,8 +66,8 @@
 // and a cluster node mounts it again for its public route, with a Split that
 // hands peer-owned samples to their owners inside the request, and for its
 // peer route, so every sample entering a process passes the same admission.
-// A worker hands each queued batch to its destination in one call, through
-// a fleet.Batch the worker owns and reuses.
+// A request parses straight into the fleet.Batch of its pooled scratch, and
+// a worker hands that batch to its destination in one call.
 package server
 
 import (
@@ -271,18 +271,10 @@ type Server struct {
 type IngestFunc func(b *fleet.Batch) []fleet.SampleError
 
 type ingestBatch struct {
-	samples []Sample
-	ingest  IngestFunc // where the batch goes
-	done    chan Verdict
-	enq     time.Time // when the batch joined the queue, for the queue-wait span
-}
-
-// Sample is one parsed ingest line. Values alias the request's pooled
-// parse scratch and are valid only until the ingest handler returns.
-type Sample struct {
-	Line   int // 1-based line number, or binary record index
-	Job    int
-	Values []float64
+	sc     *ingestScratch // the request's parsed batch and its client lines
+	ingest IngestFunc     // where the batch goes
+	done   chan Verdict
+	enq    time.Time // when the batch joined the queue, for the queue-wait span
 }
 
 // LineError is one rejected ingest line in an ingest response.
@@ -301,11 +293,12 @@ type Verdict struct {
 }
 
 // Split is a cluster node's hook on its public ingest route. It runs on the
-// request's goroutine between parse and enqueue, and returns the samples
-// the node applies itself. The rest it takes, to refuse or to deliver to
-// their owners: the handler calls forward, when non-nil, once the kept
+// request's goroutine between parse and enqueue and compacts in place: it
+// moves the samples the node applies itself, and their lines, to the front
+// and returns how many there are. The rest it takes, to refuse or to deliver
+// to their owners: the handler calls forward, when non-nil, once the kept
 // samples are admitted, and adds its verdict to the reply.
-type Split func(samples []Sample) (keep []Sample, forward func(ctx context.Context) Verdict)
+type Split func(samples []fleet.Sample, lines []int) (keep int, forward func(ctx context.Context) Verdict)
 
 // New validates the configuration, starts the ingest workers and one
 // inference tick loop per shard, and returns the serving layer.
@@ -419,29 +412,25 @@ func (s *Server) CloseStreams() {
 // its HTTP subscribers read.
 func (s *Server) Events() *events.Bus { return s.bus }
 
-// worker drains the ingest queue, handing each batch to its destination in
-// one call. The fleet.Batch is the worker's own, so its grouping scratch is
-// reused from batch to batch and shared with nobody.
+// worker drains the ingest queue, handing each request's parsed batch to
+// its destination in one call and naming each refusal by the client's line.
+// The batch and its grouping scratch belong to the request's pooled scratch,
+// so they are reused from request to request and shared with nobody.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
-	var fb fleet.Batch
 	for b := range s.queue {
 		if s.cfg.testHook != nil {
 			s.cfg.testHook()
 		}
-		s.tracer.Observe(trace.StageQueue, b.enq, time.Since(b.enq), len(b.samples))
+		n := len(b.sc.batch.Samples)
+		s.tracer.Observe(trace.StageQueue, b.enq, time.Since(b.enq), n)
 		ingestStart := time.Now()
-		fb.Samples = fb.Samples[:0]
-		for _, sm := range b.samples {
-			fb.Samples = append(fb.Samples, fleet.Sample{Job: sm.Job, Values: sm.Values})
-		}
-		errs := b.ingest(&fb)
-		res := Verdict{Accepted: len(b.samples) - len(errs)}
+		errs := b.ingest(&b.sc.batch)
+		res := Verdict{Accepted: n - len(errs)}
 		for _, e := range errs {
-			res.Errors = append(res.Errors, LineError{Line: b.samples[e.Index].Line, Error: e.Err.Error()})
+			res.Errors = append(res.Errors, LineError{Line: b.sc.lines[e.Index], Error: e.Err.Error()})
 		}
-		clear(fb.Samples) // the values alias the request's parse scratch
-		s.tracer.Observe(trace.StageIngest, ingestStart, time.Since(ingestStart), len(b.samples))
+		s.tracer.Observe(trace.StageIngest, ingestStart, time.Since(ingestStart), n)
 		b.done <- res
 	}
 }
@@ -581,21 +570,21 @@ type ingestLine struct {
 // value-sanity checks (non-finite and absurd magnitudes) happen in
 // fleet.Monitor.IngestBatch, and surface per line through the same
 // accounting.
-func parseIngestLine(line int, raw []byte) (Sample, *LineError, bool) {
+func parseIngestLine(line int, raw []byte) (fleet.Sample, *LineError, bool) {
 	if len(raw) == 0 {
-		return Sample{}, nil, false
+		return fleet.Sample{}, nil, false
 	}
 	var in ingestLine
 	if err := json.Unmarshal(raw, &in); err != nil {
-		return Sample{}, &LineError{Line: line, Error: "malformed JSON: " + err.Error()}, false
+		return fleet.Sample{}, &LineError{Line: line, Error: "malformed JSON: " + err.Error()}, false
 	}
 	if in.Job == nil || *in.Job < 0 {
-		return Sample{}, &LineError{Line: line, Error: `missing or negative "job"`}, false
+		return fleet.Sample{}, &LineError{Line: line, Error: `missing or negative "job"`}, false
 	}
 	if len(in.Values) == 0 {
-		return Sample{}, &LineError{Line: line, Error: `missing or empty "values"`}, false
+		return fleet.Sample{}, &LineError{Line: line, Error: `missing or empty "values"`}, false
 	}
-	return Sample{Line: line, Job: *in.Job, Values: in.Values}, nil, true
+	return fleet.Sample{Job: *in.Job, Values: in.Values}, nil, true
 }
 
 // ingestResponse is the per-request accounting an ingest returns.
@@ -613,9 +602,10 @@ type ingestResponse struct {
 // break, the bounded queue with 429 + Retry-After, parse/queue/ingest spans
 // and per-line accounting — delivering each parsed batch to ingest. Every
 // handler it returns shares the server's one queue, worker pool and
-// counters; they differ only in ingest, which runs on a worker and must not
-// keep the batch's values past its return (they alias pooled parse
-// scratch), and in split, nil except on a cluster node's public route.
+// counters; they differ only in ingest, which runs on a worker and receives
+// the very fleet.Batch the request parsed into, so it must not keep the
+// batch or its values past its return (they are pooled parse scratch), and
+// in split, nil except on a cluster node's public route.
 func (s *Server) IngestHandler(ingest IngestFunc, split Split) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveIngest(w, r, ingest, split) })
 }
@@ -632,7 +622,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, ingest Inge
 
 	// The whole body is read into pooled scratch, then parsed by framing:
 	// binary length-prefixed records when the Content-Type says so, NDJSON
-	// otherwise. The scratch (body buffer, values arena, sample list) is
+	// otherwise. The scratch (body buffer, values arena, batch and lines) is
 	// returned to the pool when the handler exits — by then the workers
 	// have copied every sample out (Push copies into the job's ring), so
 	// the aliasing is safe even though the batch rode the queue.
@@ -654,29 +644,28 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, ingest Inge
 		return
 	}
 
-	var samples []Sample
-	var parseErrs []LineError
-	var fatal error
+	parse := parseLines
 	if isBinaryIngest(r.Header.Get("Content-Type")) {
-		samples, parseErrs, fatal = parseBinary(sc)
-	} else {
-		samples, parseErrs, fatal = parseLines(sc)
+		parse = parseBinary
 	}
+	parseErrs, fatal := parse(sc)
 	if fatal != nil {
 		// Nothing was enqueued yet, so a request-level failure rejects the
 		// whole batch rather than ingesting an unknown prefix.
 		writeError(w, http.StatusBadRequest, "reading body: "+fatal.Error())
 		return
 	}
-	s.tracer.Observe(trace.StageParse, parseStart, time.Since(parseStart), len(samples))
+	s.tracer.Observe(trace.StageParse, parseStart, time.Since(parseStart), len(sc.batch.Samples))
 
 	var forward func(context.Context) Verdict
 	if split != nil {
-		samples, forward = split(samples)
+		var keep int
+		keep, forward = split(sc.batch.Samples, sc.lines)
+		sc.batch.Samples, sc.lines = sc.batch.Samples[:keep], sc.lines[:keep]
 	}
 	var b *ingestBatch
-	if len(samples) > 0 {
-		b = &ingestBatch{samples: samples, ingest: ingest, done: make(chan Verdict, 1), enq: time.Now()}
+	if len(sc.batch.Samples) > 0 {
+		b = &ingestBatch{sc: sc, ingest: ingest, done: make(chan Verdict, 1), enq: time.Now()}
 		draining, queued := false, false
 		s.drain.RLock()
 		select {
