@@ -48,12 +48,31 @@ type outbox struct {
 // moving the samples this node owns and their lines to the front in order. A
 // peer-owned sample that fleet.CheckSample refuses is rejected here with the
 // error a single node gives; the rest are framed for their owners, and
-// forward delivers them.
+// forward delivers them. A first pass counts each owner's samples; every
+// record has the same size, so each batch is allocated once, at most that
+// large.
 func (n *Node) split(samples []fleet.Sample, lines []int) (int, func(context.Context) server.Verdict) {
+	var left []int // per owner: its samples not yet in a batch
+	for _, sm := range samples {
+		if owner := n.Owner(sm.Job); owner != n.self {
+			if left == nil {
+				left = make([]int, len(n.peers))
+			}
+			left[owner]++
+		}
+	}
+	if left == nil {
+		return len(samples), nil
+	}
+
+	// A batch closes once it holds maxForwardBody bytes or more.
+	sensors := n.core.Sensors()
+	size := wire.IngestRecordSize(sensors)
+	perBatch := (maxForwardBody + size - 1) / size
 	var out []outbox
-	var open []int // per owner: 1 + the index in out of its open batch, 0 for none
 	var refused []server.LineError
-	keep := 0 // writes only slots already read
+	open := make([]int, len(n.peers)) // per owner: 1 + the index in out of its open batch, 0 for none
+	keep := 0                         // writes only slots already read
 	for i, sm := range samples {
 		owner := n.Owner(sm.Job)
 		if owner == n.self {
@@ -61,23 +80,19 @@ func (n *Node) split(samples []fleet.Sample, lines []int) (int, func(context.Con
 			keep++
 			continue
 		}
-		if err := fleet.CheckSample(sm.Values, n.core.Sensors()); err != nil {
+		if err := fleet.CheckSample(sm.Values, sensors); err != nil {
 			refused = append(refused, server.LineError{Line: lines[i], Error: err.Error()})
 			continue
 		}
-		if open == nil {
-			open = make([]int, len(n.peers))
-		}
-		if open[owner] == 0 || len(out[open[owner]-1].body) >= maxForwardBody {
-			out = append(out, outbox{owner: owner})
+		if open[owner] == 0 || len(out[open[owner]-1].lines) == perBatch {
+			r := min(left[owner], perBatch)
+			left[owner] -= r
+			out = append(out, outbox{owner: owner, body: make([]byte, 0, r*size), lines: make([]int, 0, r)})
 			open[owner] = len(out)
 		}
 		ob := &out[open[owner]-1]
 		ob.body = wire.AppendIngestRecord(ob.body, int64(sm.Job), sm.Values)
 		ob.lines = append(ob.lines, lines[i])
-	}
-	if out == nil && refused == nil {
-		return keep, nil
 	}
 	return keep, func(ctx context.Context) server.Verdict {
 		v := server.Verdict{Errors: refused}

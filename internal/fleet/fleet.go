@@ -37,8 +37,9 @@
 //   - optional open-set detection (Config.Drift, see internal/drift):
 //     ticks annotate every prediction with its feature distance from the
 //     training support and an unknown-workload rejection flag, ingest
-//     accumulates per-sensor input histograms, and DriftStats reports the
-//     fleet's PSI drift against the training-time reference — without
+//     bins one sample in binEvery into per-sensor input histograms kept per
+//     epoch, and DriftStats reports the fleet's PSI drift over the last
+//     horizonEpochs epochs against the training-time reference — without
 //     changing a single in-distribution prediction bit.
 //
 // What is being served — the model, its scratch-writing path, the drift
@@ -145,8 +146,8 @@ type Config struct {
 	Shards int
 	// Drift, when non-nil, enables open-set detection and input-drift
 	// monitoring: every tick annotates predictions with a feature distance
-	// and a rejected flag from the calibrated threshold, and every
-	// ingested sample lands in per-sensor drift histograms (DriftStats).
+	// and a rejected flag from the calibrated threshold, and one ingested
+	// sample in binEvery lands in per-sensor drift histograms (DriftStats).
 	// In-distribution predictions are bit-identical with or without it —
 	// scoring annotates, it never alters Class/Probability/Probs.
 	Drift *drift.Calibration
@@ -162,6 +163,26 @@ type Config struct {
 // lock granularity of concurrent ingest. DESIGN.md §9 has the measurement
 // behind the value.
 const registryStripes = 32
+
+// The input-drift horizon and subsample (DESIGN.md §10 prices both). A
+// stripe keeps horizonEpochs count buckets, one per epoch of 2^epochShift ns
+// (137 s) of the monitor's clock, so DriftStats reads the last 18.3 minutes
+// of input: a shift reads as drift within one horizon however long the fleet
+// was stable before it. horizonEpochs is a power of two, so an epoch's
+// bucket is a mask of it. One sample in binEvery is binned, picked by
+// binned.
+const (
+	epochShift    = 37
+	horizonEpochs = 8
+	binShift      = 3
+	binEvery      = 1 << binShift
+	// noEpoch tags a bucket that has held no epoch since install: any epoch
+	// may take it, and no horizon includes it.
+	noEpoch = math.MinInt64
+)
+
+// epochOf is the drift epoch of an offset from Monitor.epoch.
+func epochOf(d time.Duration) int64 { return int64(d) >> epochShift }
 
 // jobState is one job's slot in the registry, guarded by its stripe's mutex
 // except where a field says otherwise. The fields Ingest touches all lie in
@@ -231,13 +252,39 @@ type stripe struct {
 	// Ingest appends, the partition's tick drains it whole in one hold of mu.
 	// Removal leaves a queued job in place; the drain drops it unscored.
 	queue []*jobState
-	// dw accumulates the stripe's input-drift histogram counts against the
-	// reference dbins was built from (both nil when drift monitoring is
-	// disabled); guarded by mu like the registry, and replaced together on
-	// a swap. dbins is the installation's one table, shared read-only by
-	// every stripe.
-	dw    *drift.Window
-	dbins *drift.BinTable
+	// horizon holds the stripe's input-drift histogram counts against the
+	// reference dbins was built from, epoch e in horizon[e mod horizonEpochs];
+	// guarded by mu like the registry, and reset together on a swap. dbins
+	// is the installation's one table, shared read-only by every stripe, and
+	// nil when drift monitoring is disabled.
+	horizon [horizonEpochs]epochCounts
+	dbins   *drift.BinTable
+}
+
+// epochCounts is one horizon bucket: the counts binned in one epoch.
+type epochCounts struct {
+	epoch int64
+	w     drift.Window
+}
+
+// bucket returns the counts to bin epoch e's samples into, or nil when
+// drift monitoring is disabled or e has already left the horizon (a clock
+// read that lost the race for mu by horizonEpochs epochs). A bucket still
+// holding an earlier epoch, which is then out of the horizon, is zeroed in
+// place first. Callers hold mu.
+func (st *stripe) bucket(e int64) *drift.Window {
+	if st.dbins == nil {
+		return nil
+	}
+	b := &st.horizon[e&(horizonEpochs-1)]
+	if b.epoch != e {
+		if b.epoch > e {
+			return nil
+		}
+		clear(b.w.Counts)
+		b.epoch, b.w.Samples = e, 0
+	}
+	return &b.w
 }
 
 // partition is the unit of inference: the jobs ShardOf routes to it, the
@@ -341,10 +388,11 @@ func New(cfg Config) (*Monitor, error) {
 }
 
 // install sets the serving generation — the model, its scratch-writing path,
-// the calibration — and starts every stripe's input histogram afresh against
-// the calibration's reference, through one bin table built here for all of
-// them. Callers hold the write side of mu (New excepted: the monitor is not
-// shared yet).
+// the calibration — and starts every stripe's input histograms afresh
+// against the calibration's reference, through one bin table built here for
+// all of them. Every bucket of the horizon is allocated here, so ingest
+// never allocates one. Callers hold the write side of mu (New excepted: the
+// monitor is not shared yet).
 func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 	m.model = model
 	m.into, _ = model.(IntoClassifier)
@@ -355,9 +403,15 @@ func (m *Monitor) install(model stream.Classifier, cal *drift.Calibration) {
 	}
 	for _, p := range m.parts {
 		p.eachStripe(func(st *stripe) {
-			st.dw, st.dbins = nil, bins
-			if cal != nil {
-				st.dw = drift.NewWindow(m.shape.Sensors(), cal.Ref.Bins)
+			st.horizon, st.dbins = [horizonEpochs]epochCounts{}, bins
+			if cal == nil {
+				return
+			}
+			n := m.shape.Sensors() * cal.Ref.Bins
+			counts := make([]uint64, horizonEpochs*n)
+			for i := range st.horizon {
+				st.horizon[i] = epochCounts{epoch: noEpoch, w: drift.Window{
+					Sensors: m.shape.Sensors(), Bins: cal.Ref.Bins, Counts: counts[i*n : (i+1)*n : (i+1)*n]}}
 			}
 		})
 	}
@@ -489,7 +543,7 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 	p, st := m.stripeFor(jobID)
 	now := m.sinceEpoch()
 	st.mu.Lock()
-	err := m.add(st, jobID, sample, now)
+	err := m.add(st, st.bucket(epochOf(now)), jobID, sample, now)
 	st.mu.Unlock()
 	if err == nil {
 		p.samples.Add(1)
@@ -500,10 +554,10 @@ func (m *Monitor) Ingest(jobID int, sample []float64) error {
 // add is the one per-sample ingest step, under st.mu, for a sample that
 // passed CheckSample: it registers the job on first sight, pushes the sample
 // into the job's window, queues the job when the push leaves a full window
-// unscored, stamps lastSeen with now and bins the sample into the stripe's
-// drift histogram. Ingest and IngestBatch both call it; the caller counts the
-// sample into its partition.
-func (m *Monitor) add(st *stripe, jobID int, sample []float64, now time.Duration) error {
+// unscored, stamps lastSeen with now and, when binned picks it, bins the
+// sample into w, the stripe's bucket for now (nil: bin nothing). Ingest and
+// IngestBatch both call it; the caller counts the sample into its partition.
+func (m *Monitor) add(st *stripe, w *drift.Window, jobID int, sample []float64, now time.Duration) error {
 	js := st.jobs[jobID]
 	if js == nil {
 		js = &jobState{id: jobID, home: st, emb: m.shape.NewEmbedder()}
@@ -518,10 +572,29 @@ func (m *Monitor) add(st *stripe, jobID int, sample []float64, now time.Duration
 	}
 	js.samples++
 	js.lastSeen = now
-	if st.dw != nil {
-		st.dw.Add(st.dbins, sample)
+	if w != nil && binned(jobID, js.samples) {
+		w.Add(st.dbins, sample)
 	}
 	return nil
+}
+
+// binned reports whether the drift histograms bin a job's n-th sample since
+// it registered: one in binEvery, picked by the splitmix64 output for step n
+// of the job's own stream, seeded with JobHash. The pick depends on nothing
+// but the job and n, so Ingest, IngestBatch and any partition count bin the
+// same samples. It is a hash, not a stride: n%binEvery would bin one phase
+// of any signal whose period divides binEvery, and the simulator's
+// training-step signals are periodic.
+func binned(jobID int, n uint64) bool { return picked(JobHash(jobID), n, binShift) }
+
+// picked is binned at one in 2^shift: step n of the splitmix64 stream seeded
+// with h, kept when its top shift bits are zero.
+func picked(h, n uint64, shift uint) bool {
+	z := h + n*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return z>>(64-shift) == 0
 }
 
 // Sample is one telemetry sample of an ingest Batch: the job and one value
@@ -562,9 +635,10 @@ type Batch struct {
 // one stable counting pass, so each job's samples arrive in batch order, and
 // every stripe with samples is locked once for all of them. The clock is
 // read once for the whole batch, so every job the batch touches gets the
-// same lastSeen stamp. Only a job's own samples are ordered: two stripes'
-// samples may apply in a different order than one by one, which nothing
-// observable depends on (each stripe keeps its own queue and histogram).
+// same lastSeen stamp and drift epoch. Only a job's own samples are
+// ordered: two stripes' samples may apply in a different order than one by
+// one, which nothing observable depends on (each stripe keeps its own queue
+// and histograms).
 // Safe for concurrent use with distinct Batches; no sample's Values are
 // retained.
 //
@@ -600,6 +674,7 @@ func (m *Monitor) IngestBatch(b *Batch) []SampleError {
 	}
 
 	now := m.sinceEpoch()
+	e := epochOf(now)
 	var lo int32
 	for k, hi := range b.end {
 		if hi == lo {
@@ -609,9 +684,10 @@ func (m *Monitor) IngestBatch(b *Batch) []SampleError {
 		st := p.stripes[k%registryStripes]
 		var added uint64
 		st.mu.Lock()
+		w := st.bucket(e)
 		for _, i := range b.order[lo:hi] {
 			s := b.Samples[i]
-			if err := m.add(st, s.Job, s.Values, now); err != nil {
+			if err := m.add(st, w, s.Job, s.Values, now); err != nil {
 				b.errs = append(b.errs, SampleError{Index: int(i), Err: err})
 			} else {
 				added++
@@ -1160,35 +1236,42 @@ type DriftStats struct {
 	// Enabled reports whether the monitor carries a drift calibration;
 	// every other field is zero when it does not.
 	Enabled bool
-	// Samples is the number of telemetry samples binned into the drift
-	// histograms.
+	// Samples is the number of telemetry samples binned within the
+	// horizon, one sample in binEvery.
 	Samples uint64
 	// Unknowns counts classifications the calibrated threshold rejected
 	// as unknown workloads (monotonic; re-scored jobs count each time).
 	Unknowns uint64
 	// SensorPSI is the per-sensor Population Stability Index of the live
-	// input against the training reference.
+	// input binned within the horizon against the training reference.
 	SensorPSI []float64
 	// Score is the fleet drift score: the maximum SensorPSI.
 	Score float64
 }
 
 // DriftStats snapshots the open-set and input-drift state: the stripes'
-// histogram counts are summed first and the per-sensor PSI computed on the
-// sum (PSI is not additive, so averaging per-partition PSIs would
-// misreport), so the result is the same whatever the partition count. The
-// read side of the swap lock is held across the merge, so a concurrent swap
-// can never hand it windows of mixed generations. Safe to call concurrently
-// with Ingest, ticks and swaps.
+// buckets of the last horizonEpochs epochs of the monitor's clock are summed
+// first and the per-sensor PSI computed on the sum (PSI is not additive, so
+// averaging per-partition PSIs would misreport), so the result is the same
+// whatever the partition count. The read side of the swap lock is held
+// across the merge, so a concurrent swap can never hand it windows of mixed
+// generations. Safe to call concurrently with Ingest, ticks and swaps.
 func (m *Monitor) DriftStats() DriftStats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.dcal == nil {
 		return DriftStats{}
 	}
+	oldest := epochOf(m.sinceEpoch()) - horizonEpochs + 1
 	w := drift.NewWindow(m.shape.Sensors(), m.dcal.Ref.Bins)
 	for _, p := range m.parts {
-		p.eachStripe(func(st *stripe) { w.Merge(st.dw) })
+		p.eachStripe(func(st *stripe) {
+			for i := range st.horizon {
+				if b := &st.horizon[i]; b.epoch >= oldest {
+					w.Merge(&b.w)
+				}
+			}
+		})
 	}
 	psi := m.dcal.Ref.PSI(w)
 	return DriftStats{

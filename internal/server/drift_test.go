@@ -45,12 +45,14 @@ func newDriftServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
 func TestDriftEndpointAndPredictionFields(t *testing.T) {
 	s, _, ts := newDriftServer(t)
 
+	// Enough samples that the drift histograms' one-in-eight pick bins some.
+	const sent = 16*servetest.Window + 1
 	var body strings.Builder
-	for _, sm := range servetest.JobSamples(3, servetest.Window+1) {
+	for _, sm := range servetest.JobSamples(3, sent) {
 		body.WriteString(sampleLine(3, sm) + "\n")
 	}
 	resp, ir := postNDJSON(t, ts.URL, body.String())
-	if resp.StatusCode != http.StatusOK || ir.Accepted != servetest.Window+1 {
+	if resp.StatusCode != http.StatusOK || ir.Accepted != sent {
 		t.Fatalf("ingest: status %d, accepted %d", resp.StatusCode, ir.Accepted)
 	}
 	if err := s.runTick(0); err != nil {
@@ -90,8 +92,8 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 	if !dr.Enabled {
 		t.Fatal("/v1/drift reports disabled on a drift-enabled fleet")
 	}
-	if dr.Samples != uint64(servetest.Window+1) {
-		t.Fatalf("/v1/drift binned %d samples, want %d", dr.Samples, servetest.Window+1)
+	if want := servetest.DriftBinned(3, sent); want == 0 || dr.Samples != want {
+		t.Fatalf("/v1/drift binned %d samples, want %d", dr.Samples, want)
 	}
 	if len(dr.SensorPSI) != servetest.Sensors {
 		t.Fatalf("/v1/drift PSI over %d sensors, want %d", len(dr.SensorPSI), servetest.Sensors)

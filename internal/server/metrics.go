@@ -66,9 +66,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("wcc_jobs_evicted_total", "Jobs removed from the registry (EndJob or idle eviction).", s.m.Evictions())
 	ds := s.m.DriftStats()
 	mw.Counter("wcc_unknown_total", "Classifications rejected as unknown workloads by the open-set threshold.", ds.Unknowns)
-	mw.Gauge("wcc_drift_score", "Fleet input-drift score: maximum per-sensor PSI against the training reference.", ds.Score)
+	mw.Gauge("wcc_drift_score", "Fleet input-drift score: maximum per-sensor PSI against the training reference, of input binned within the horizon, one sample in k.", ds.Score)
 	if ds.Enabled {
-		mw.Family("wcc_drift_sensor_psi", "Per-sensor PSI of live input against the training reference.", "gauge")
+		mw.Family("wcc_drift_sensor_psi", "Per-sensor PSI against the training reference of live input binned within the horizon, one sample in k.", "gauge")
 		for i, v := range ds.SensorPSI {
 			fmt.Fprintf(w, "wcc_drift_sensor_psi{sensor=\"%d\"} %g\n", i, v)
 		}

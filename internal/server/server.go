@@ -847,7 +847,7 @@ type driftResponse struct {
 	// Table III sensor order.
 	SensorPSI []float64 `json:"sensor_psi,omitempty"`
 	// Samples is the number of ingested samples binned into the drift
-	// histograms.
+	// histograms within the horizon, one sample in k.
 	Samples uint64 `json:"samples"`
 	// Unknowns counts classifications rejected as unknown workloads.
 	Unknowns uint64 `json:"unknowns"`

@@ -184,3 +184,28 @@ func Calibration(t testing.TB, seed int64, trainRows int) *drift.Calibration {
 	}
 	return cal
 }
+
+// DriftBinned counts the samples among a job's first n since it registered
+// that a fleet's drift histograms bin: one in eight, those for which the
+// splitmix64 generator, seeded with the job's routing hash, returns a value
+// below 2⁶¹. It is written from the generator's definition, one state step
+// per sample, so it checks the fleet's closed-form pick rather than
+// repeating it.
+func DriftBinned(job, n int) uint64 {
+	state := splitmix64Mix(uint64(job)) // fleet.JobHash
+	var picked uint64
+	for range n {
+		state += 0x9e3779b97f4a7c15
+		if splitmix64Mix(state) < 1<<61 {
+			picked++
+		}
+	}
+	return picked
+}
+
+// splitmix64Mix is the splitmix64 output function.
+func splitmix64Mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}

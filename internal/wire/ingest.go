@@ -45,6 +45,10 @@ const (
 	ingestHeaderBytes = 10
 )
 
+// IngestRecordSize is the framed size of a record carrying n values: the
+// bytes AppendIngestRecord appends for it.
+func IngestRecordSize(n int) int { return 4 + ingestHeaderBytes + 8*n }
+
 // AppendIngestRecord appends one framed sample to dst and returns the
 // extended slice. It panics if values exceeds MaxIngestValues — a producer
 // bug, not a wire condition.
