@@ -47,8 +47,9 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // package godoc, and every test the docs cite exists. Three one-way rules
 // hold too: only internal/core calibrates a drift section or spells out the
 // simulation settings (one training path, DESIGN.md §7); no code outside
-// internal/tree calls PredictProbaRow, and inside internal/xgb only Fit
-// reaches predictRow (one scoring path, tree.Flat: DESIGN.md §11); and no
+// internal/tree calls PredictProbaRow, inside internal/xgb only Fit
+// reaches predictRow, and only tests call tree.SetKernelPath (one scoring
+// path, tree.Flat, whose walk the CPU picks: DESIGN.md §11); and no
 // code outside benchmark/ declares a printf-style Logf/logf func field,
 // parameter or variable (one log, log/slog's default logger: DESIGN.md §12).
 // DESIGN.md stays under its line ceiling and true to the code (checkDesign),
@@ -111,6 +112,7 @@ func TestDocsConsistency(t *testing.T) {
 
 	stray := regexp.MustCompile(`drift\.Fit\(|GapRate: 1`)
 	treeWalk := regexp.MustCompile(`\bPredictProbaRow\(`)
+	kernelSwitch := regexp.MustCompile(`(\bfunc )?\bSetKernelPath\(`)
 	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	series := regexp.MustCompile(`\bwcc_[a-z0-9_]*\*?`)
@@ -145,6 +147,11 @@ func TestDocsConsistency(t *testing.T) {
 		}
 		if loc := treeWalk.Find(src); loc != nil && dir != "internal/tree" {
 			t.Errorf("%s: %s walks pointer trees; score through the flat kernel (PredictProba)", path, loc)
+		}
+		for _, m := range kernelSwitch.FindAllSubmatch(src, -1) {
+			if len(m[1]) == 0 {
+				t.Errorf("%s: %s outside a test; the CPU picks the flat kernel's walk", path, m[0])
+			}
 		}
 		// internal/servetest is test fixtures: CI keeps it out of every
 		// non-test package's imports.
@@ -366,10 +373,12 @@ func metricNames(t *testing.T) map[string]bool {
 
 // checkLineCitations holds every file.go:N or file.go:N-M citation in docs
 // to the tree: the file exists (a bare basename must name exactly one .go
-// file outside vendor/), 1 ≤ N ≤ M ≤ its line count, and a citation attached
+// file outside vendor/), 1 ≤ N ≤ M ≤ its line count, a citation attached
 // to a backticked identifier — `fleet.New` (`internal/fleet/fleet.go:309`),
 // or `fleet.New` at `internal/fleet/fleet.go:309` — points at lines holding
-// the identifier's last component.
+// the identifier's last component, and one attached to quoted text —
+// ("ended or evicted", `internal/fleet/fleet.go:791`) — at lines holding
+// the text, runs of white space and comment slashes read as one space.
 func checkLineCitations(t *testing.T, docs ...string) {
 	t.Helper()
 	byBase := map[string][]string{}
@@ -378,14 +387,15 @@ func checkLineCitations(t *testing.T, docs ...string) {
 			byBase[filepath.Base(f)] = append(byBase[filepath.Base(f)], f)
 		}
 	}
-	cite := regexp.MustCompile("(`([A-Za-z_][\\w.]*)`\\s*(?:\\(|at\\s+)`)?\\b([\\w./-]+\\.go):((\\d+)(?:-(\\d+))?)")
+	cite := regexp.MustCompile("(?:`([A-Za-z_][\\w.]*)`\\s*(?:\\(|at\\s+)`|\\(\"([^\"]+)\",\\s*`)?\\b([\\w./-]+\\.go):((\\d+)(?:-(\\d+))?)")
+	space := regexp.MustCompile(`(?:\s|//)+`)
 	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range cite.FindAllStringSubmatch(string(src), -1) {
-			ident, file, span := m[2], m[3], m[4]
+			ident, text, file, span := m[1], m[2], m[3], m[4]
 			path := file
 			if !strings.Contains(file, "/") {
 				if len(byBase[file]) != 1 {
@@ -409,9 +419,13 @@ func checkLineCitations(t *testing.T, docs ...string) {
 				t.Errorf("%s cites %s:%s, outside its %d lines", doc, file, span, strings.Count(string(body), "\n"))
 				continue
 			}
+			cited := strings.Join(lines[lo-1:hi], "")
 			last := ident[strings.LastIndex(ident, ".")+1:]
-			if ident != "" && !strings.Contains(strings.Join(lines[lo-1:hi], ""), last) {
+			if ident != "" && !strings.Contains(cited, last) {
 				t.Errorf("%s cites `%s` at %s:%s, and those lines do not mention %s", doc, ident, file, span, last)
+			}
+			if text != "" && !strings.Contains(space.ReplaceAllString(cited, " "), space.ReplaceAllString(text, " ")) {
+				t.Errorf("%s quotes %q at %s:%s, and those lines do not hold it", doc, text, file, span)
 			}
 		}
 	}

@@ -52,9 +52,28 @@ func pointerOnly(f *Classifier) *Classifier {
 	return &Classifier{cfg: f.cfg, trees: f.trees, numClasses: f.numClasses, numFeats: f.numFeats}
 }
 
+// onEachPath runs fn as one subtest per kernel path with tree.ScoreBlock
+// forced onto it. A path the CPU cannot run is skipped, and the skip says
+// why.
+func onEachPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+		t.Run(path, func(t *testing.T) {
+			prev, ok := tree.SetKernelPath(path)
+			if !ok {
+				t.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s walk is not run", path)
+			}
+			defer tree.SetKernelPath(prev)
+			fn(t)
+		})
+	}
+}
+
 // TestEquivalenceFlatForest pins the flat node-array kernel bit-identical
-// to the per-tree pointer walk (pointerWalk), across ensemble shapes and
-// hostile inputs including empty and single-row batches.
+// to the per-tree pointer walk (pointerWalk) on both kernel paths, across
+// ensemble shapes and hostile inputs including empty and single-row
+// batches. 40 trees are one 32-tree vector group and eight scalar lanes,
+// 70 two groups and six.
 func TestEquivalenceFlatForest(t *testing.T) {
 	cases := []struct {
 		name                     string
@@ -64,6 +83,7 @@ func TestEquivalenceFlatForest(t *testing.T) {
 		{"deep-binary", 20, 0, 2, 5},
 		{"multiclass", 15, 6, 5, 7},
 		{"stumps-manyclass", 40, 1, 8, 4},
+		{"deep-multiclass", 70, 0, 5, 7},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -86,9 +106,12 @@ func TestEquivalenceFlatForest(t *testing.T) {
 			if _, err := p.Predict(x); err == nil {
 				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
-			for _, rows := range []int{0, 1, 37} {
-				requireBitIdentical(t, f, hostileRows(rng, rows, tc.d))
-			}
+			evs := []*mat.Matrix{hostileRows(rng, 0, tc.d), hostileRows(rng, 1, tc.d), hostileRows(rng, 37, tc.d)}
+			onEachPath(t, func(t *testing.T) {
+				for _, ev := range evs {
+					requireBitIdentical(t, f, ev)
+				}
+			})
 		})
 	}
 }
@@ -134,11 +157,13 @@ func requireBitIdentical(t *testing.T, f *Classifier, ev *mat.Matrix) {
 	}
 }
 
-// hostileLeafPayload hand-writes a forest payload of three 4-class trees
-// over 2 features whose leaves hold what no fit produces — −0, NaN, ±Inf,
-// negative values and all-zero distributions — beside one-hot and
-// multi-entry ones. Each tree is a full depth-2 split on both features.
+// hostileLeafPayload hand-writes a forest payload of 36 4-class trees over
+// 2 features, one 32-tree vector group and four scalar lanes, whose leaves
+// hold what no fit produces — −0, NaN, ±Inf, negative values and all-zero
+// distributions — beside one-hot and multi-entry ones, three leaf sets in
+// turn. Each tree is a full depth-2 split on both features.
 func hostileLeafPayload(t *testing.T) []byte {
+	const hostileTrees = 36
 	t.Helper()
 	negZero := math.Copysign(0, -1)
 	nan := math.NaN()
@@ -150,7 +175,7 @@ func hostileLeafPayload(t *testing.T) []byte {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
 	w.U16(codecVersion)
-	w.Int(len(leaves))
+	w.Int(hostileTrees)
 	w.Int(0)     // MaxDepth
 	w.Int(0)     // MaxFeatures
 	w.Int(0)     // MinSamplesLeaf
@@ -159,8 +184,9 @@ func hostileLeafPayload(t *testing.T) []byte {
 	w.I64(0)     // Seed
 	w.Int(4)     // classes
 	w.Int(2)     // features
-	w.Int(len(leaves))
-	for ti, ls := range leaves {
+	w.Int(hostileTrees)
+	for ti := range hostileTrees {
+		ls := leaves[ti%len(leaves)]
 		w.U16(1) // tree codec version
 		w.Int(0) // MaxDepth
 		w.Int(2) // MinSamplesSplit
@@ -195,21 +221,25 @@ func hostileLeafPayload(t *testing.T) []byte {
 // TestEquivalenceFlatForestSparseLeaves pins the sparse leaf encoding
 // bit-identical to the pointer walk where it is not one-hot: multi-entry
 // leaves of a fitted MinSamplesLeaf forest, and a decoded payload whose
-// leaves hold −0, NaN, ±Inf, negative values and all-zero distributions.
+// leaves hold −0, NaN, ±Inf, negative values and all-zero distributions,
+// each 36 trees on both kernel paths.
 func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	t.Run("min-samples-leaf", func(t *testing.T) {
 		x, y := randomProblem(rng, 240, 5, 4)
-		f := New(Config{NumTrees: 12, MinSamplesLeaf: 8, Seed: 5, Bootstrap: true})
+		f := New(Config{NumTrees: 36, MinSamplesLeaf: 8, Seed: 5, Bootstrap: true})
 		if err := f.Fit(x, y, 4); err != nil {
 			t.Fatal(err)
 		}
 		if len(f.flat.Layout().Entries) == 0 {
 			t.Fatal("MinSamplesLeaf 8 compiled no multi-entry leaf")
 		}
-		for _, rows := range []int{1, 37} {
-			requireBitIdentical(t, f, hostileRows(rng, rows, 5))
-		}
+		evs := []*mat.Matrix{hostileRows(rng, 1, 5), hostileRows(rng, 37, 5)}
+		onEachPath(t, func(t *testing.T) {
+			for _, ev := range evs {
+				requireBitIdentical(t, f, ev)
+			}
+		})
 	})
 	t.Run("hostile-payload", func(t *testing.T) {
 		f, err := Decode(bytes.NewReader(hostileLeafPayload(t)))
@@ -225,39 +255,53 @@ func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 				leaves++
 			}
 		}
-		if leaves != 12 {
-			t.Fatalf("%d of 12 leaves compiled as leaves", leaves)
+		if leaves != 4*36 {
+			t.Fatalf("%d of %d leaves compiled as leaves", leaves, 4*36)
 		}
-		for _, rows := range []int{1, 37, 64} {
-			requireBitIdentical(t, f, hostileRows(rng, rows, 2))
-		}
+		evs := []*mat.Matrix{hostileRows(rng, 1, 2), hostileRows(rng, 37, 2), hostileRows(rng, 64, 2)}
+		onEachPath(t, func(t *testing.T) {
+			for _, ev := range evs {
+				requireBitIdentical(t, f, ev)
+			}
+		})
 	})
 }
 
 // BenchmarkPredictProbaBatch times the flat kernel on the shapes a fleet
-// tick hands it: rows of the 28 covariance features, 26 classes, the
-// 50-tree forest of Table V's smallest grid point. rows=256 is a full tick
-// and rows=2 a sparse tick's two dirty jobs. Both rungs score rows of one
-// seeded batch.
+// tick hands it: rows of the 28 covariance features, 26 classes, forests of
+// 50 trees (Table V's smallest grid point) and 100 (the benchmark's
+// model). rows=2 is a sparse tick's two dirty jobs, rows=45 a steady-http
+// tick and rows=256 a full tick. Each rung runs once per kernel path, so
+// one run prints the scalar and the AVX-512 walk side by side; a path the
+// host cannot run is skipped. Every rung scores rows of one seeded batch.
 func BenchmarkPredictProbaBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := randomProblem(rng, 512, 28, 26)
-	f := New(Config{NumTrees: 50, Bootstrap: true, Seed: 1})
-	if err := f.Fit(x, y, 26); err != nil {
-		b.Fatal(err)
-	}
 	full, _ := randomProblem(rng, 256, 28, 26)
-	for _, rows := range []int{2, 256} {
-		batch := &mat.Matrix{Rows: rows, Cols: full.Cols, Data: full.Data[:rows*full.Cols]}
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := f.PredictProba(batch); err != nil {
-					b.Fatal(err)
-				}
+	for _, trees := range []int{50, 100} {
+		f := New(Config{NumTrees: trees, Bootstrap: true, Seed: 1})
+		if err := f.Fit(x, y, 26); err != nil {
+			b.Fatal(err)
+		}
+		for _, rows := range []int{2, 45, 256} {
+			batch := &mat.Matrix{Rows: rows, Cols: full.Cols, Data: full.Data[:rows*full.Cols]}
+			for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+				b.Run(fmt.Sprintf("trees=%d/rows=%d/path=%s", trees, rows, path), func(b *testing.B) {
+					prev, ok := tree.SetKernelPath(path)
+					if !ok {
+						b.Skipf("this CPU cannot run the %s walk", path)
+					}
+					defer tree.SetKernelPath(prev)
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := f.PredictProba(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+				})
 			}
-			b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+		}
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 )
 
 // minBlockRows is the fewest rows worth a goroutine of their own. A
-// flat-kernel row costs ~3 µs once a block amortises its start-up
-// (forest.classify_ns_per_row on a traced 250-row tick-full run, 2 vCPUs),
-// and a goroutine hand-off plus the wait for it is a few tens of µs on a
-// busy host, so a block of fewer than ~32 rows (under ~100 µs of kernel
-// work) saves too little to pay for its hand-off.
+// flat-kernel row of a 100-tree forest costs ~4 µs on the AVX-512 walk and
+// ~6 µs on the scalar lanes (forest's BenchmarkPredictProbaBatch,
+// trees=100 rows=45, best of 6 rounds on 2 vCPUs; the benchmark's model
+// reads ~2.3 and ~3.3 µs as forest.classify_ns_per_row on a traced
+// tick-full run), and a goroutine hand-off plus the wait for it is a few
+// tens of µs on a busy host, so a block of fewer than ~32 rows (~70–190 µs
+// of kernel work) saves too little to pay for its hand-off.
 const minBlockRows = 32
 
 // ParallelRowBlocks splits rows into contiguous blocks — at most workers of

@@ -3,6 +3,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -91,6 +92,53 @@ type Flat struct {
 	thr        []float64
 	kids       []int32
 	entries    []LeafEntry
+	// maxFeat is the largest split feature over every tree, 0 with no
+	// split. The vector walk has no bounds checks, so ScoreBlock enters
+	// it only for an x wider than this.
+	maxFeat int32
+}
+
+// The walks ScoreBlock can take: KernelPath reports one, SetKernelPath
+// takes one.
+const (
+	ScalarPath = "scalar"
+	AVX512Path = "avx512"
+)
+
+// hostVector records whether this CPU can run walk32. vectorWalk, which
+// sends ScoreBlock's groups of 32 trees through walk32's AVX-512 gathers,
+// starts at it; only tests change it, through SetKernelPath.
+var (
+	hostVector = hasWalk32()
+	vectorWalk = hostVector
+)
+
+// KernelPath names the walk ScoreBlock takes: AVX512Path on a CPU with
+// AVX-512F and AVX-512VL whose OS saves their registers, ScalarPath
+// elsewhere.
+func KernelPath() string {
+	if vectorWalk {
+		return AVX512Path
+	}
+	return ScalarPath
+}
+
+// SetKernelPath makes ScoreBlock take path and reports the path it
+// replaces; ok is false, and nothing changes, for a path this CPU cannot
+// run. Both walks add the same bits, so it exists only for tests and
+// benchmarks that run both on one host: it must not run beside a
+// ScoreBlock, and TestDocsConsistency refuses a call in non-test code.
+func SetKernelPath(path string) (prev string, ok bool) {
+	prev = KernelPath()
+	switch {
+	case path == ScalarPath:
+		vectorWalk = false
+	case path == AVX512Path && hostVector:
+		vectorWalk = true
+	default:
+		return prev, false
+	}
+	return prev, true
 }
 
 // LeafEntry is one nonzero class entry of a leaf with two or more.
@@ -111,7 +159,8 @@ func NewFlat(numClasses int, scale float64) *Flat {
 // entry are preserved exactly. Add refuses a node array that is not a
 // tree: a child index that does not point forward, a non-root node without
 // exactly one parent — which the relayout would copy once per path, doubling
-// per level — or a leaf wider than the ensemble's classes.
+// per level — a leaf wider than the ensemble's classes, or a negative split
+// feature.
 func (f *Flat) Add(nodes []ExportNode, class int) error {
 	if len(nodes) == 0 {
 		return errors.New("tree has no nodes")
@@ -124,6 +173,9 @@ func (f *Flat) Add(nodes []ExportNode, class int) error {
 				return fmt.Errorf("leaf %d adds classes %d..%d of %d", i, class, class+len(nd.Probs)-1, f.numClasses)
 			}
 			continue
+		}
+		if nd.Feature < 0 || nd.Feature > math.MaxInt32 {
+			return fmt.Errorf("node %d splits on feature %d", i, nd.Feature)
 		}
 		for _, c := range [2]int{nd.Left, nd.Right} {
 			if c <= i || c >= len(nodes) {
@@ -160,6 +212,7 @@ func (f *Flat) Add(nodes []ExportNode, class int) error {
 		left := int32(len(f.feat))
 		f.grow(2)
 		f.feat[p.slot] = int32(nd.Feature)
+		f.maxFeat = max(f.maxFeat, int32(nd.Feature))
 		f.thr[p.slot] = nd.Threshold
 		f.kids[p.slot] = left
 		queue = append(queue, pending{orig: nd.Left, slot: left}, pending{orig: nd.Right, slot: left + 1})
@@ -219,16 +272,20 @@ func (f *Flat) Layout() Layout {
 // ScoreBlock adds every tree's scaled leaf entries for rows [lo, hi) of x
 // into the same rows of out, whose first numClasses columns are the
 // accumulators. Each walk is a serial chain of data-dependent loads, so the
-// kernel walks four consecutive trees at once as four independent lanes to
-// let the core overlap their latencies; lanes that reach a leaf early idle
-// (their feat sentinel goes negative) until the slowest lane finishes. The
-// lanes run over trees, not rows, so a block of one or two rows — a sparse
-// tick — keeps four chains in flight as a full block does. Each group of
-// four trees sweeps the whole block before the next group starts, which
-// keeps the group's nodes hot in cache; the trees past the last group of
-// four sweep it one at a time. A row adds its four leaves in tree order and
-// the groups go by in ensemble order, so every row adds its trees in
-// ensemble order, however the block is split.
+// kernel keeps many walks in flight to let the core overlap their
+// latencies. Where the CPU has AVX-512 (vectorWalk) and every split
+// feature indexes a row of x, groups of 32 consecutive trees go through
+// walk32, whose gather lanes walk all 32 at once; the trees past the last
+// such group, and every tree elsewhere, take the scalar lanes: four
+// consecutive trees at once, lanes that reach a leaf early idling (their
+// feat sentinel goes negative) until the slowest finishes, then the trees
+// past the last group of four one at a time. The lanes run over trees, not
+// rows, so a block of one or two rows — a sparse tick — keeps as many
+// chains in flight as a full block does. Each group sweeps the whole block
+// before the next group starts, which keeps the group's nodes hot in cache.
+// A row adds its group's leaves in tree order and the groups go by in
+// ensemble order, so every row adds its trees in ensemble order on either
+// path, however the block is split.
 //
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
@@ -237,6 +294,19 @@ func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 	xd, xc := x.Data, x.Cols
 	od, oc := out.Data, out.Cols
 	t := 0
+	if vectorWalk && xc > int(f.maxFeat) {
+		var ids, fts [32]int32
+		for ; t+32 <= len(roots); t += 32 {
+			for i := lo; i < hi; i++ {
+				row := xd[i*xc : (i+1)*xc]
+				walk32(&feat[0], &thr[0], &kids[0], &row[0], &roots[t], &ids, &fts)
+				dst := od[i*oc : i*oc+nc]
+				for j := range ids {
+					f.addLeaf(dst, ids[j], fts[j])
+				}
+			}
+		}
+	}
 	for ; t+4 <= len(roots); t += 4 {
 		root0, root1, root2, root3 := roots[t], roots[t+1], roots[t+2], roots[t+3]
 		for i := lo; i < hi; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/tree"
 )
 
 // randomProblem builds an n-row, d-feature training set with k random
@@ -64,9 +65,28 @@ func pointerWalk(c *Classifier, ev *mat.Matrix) *mat.Matrix {
 	return out
 }
 
+// onEachPath runs fn as one subtest per kernel path with tree.ScoreBlock
+// forced onto it. A path the CPU cannot run is skipped, and the skip says
+// why.
+func onEachPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+		t.Run(path, func(t *testing.T) {
+			prev, ok := tree.SetKernelPath(path)
+			if !ok {
+				t.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s walk is not run", path)
+			}
+			defer tree.SetKernelPath(prev)
+			fn(t)
+		})
+	}
+}
+
 // TestEquivalenceFlatXGB pins the flat node-array kernel bit-identical to
-// the per-tree pointer walk (pointerWalk) across ensemble shapes,
-// including empty and single-row hostile batches.
+// the per-tree pointer walk (pointerWalk) on both kernel paths, across
+// ensemble shapes, including empty and single-row hostile batches. An
+// ensemble holds one tree per round and class: 40 trees for multiclass,
+// 84 for stumps-manyclass, so both cross the 32-tree vector groups.
 func TestEquivalenceFlatXGB(t *testing.T) {
 	cases := []struct {
 		name                      string
@@ -95,19 +115,21 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 			if _, err := p.Predict(x); err == nil {
 				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
-			for _, rows := range []int{0, 1, 37} {
-				ev := hostileRows(rng, rows, tc.d)
-				got, err := c.PredictProba(ev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				walk := pointerWalk(c, ev)
-				for i := range walk.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(walk.Data[i]) {
-						t.Fatalf("rows=%d: element %d: flat %v vs pointer walk %v", rows, i, got.Data[i], walk.Data[i])
+			evs := []*mat.Matrix{hostileRows(rng, 0, tc.d), hostileRows(rng, 1, tc.d), hostileRows(rng, 37, tc.d)}
+			onEachPath(t, func(t *testing.T) {
+				for _, ev := range evs {
+					got, err := c.PredictProba(ev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					walk := pointerWalk(c, ev)
+					for i := range walk.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(walk.Data[i]) {
+							t.Fatalf("rows=%d: element %d: flat %v vs pointer walk %v", ev.Rows, i, got.Data[i], walk.Data[i])
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
