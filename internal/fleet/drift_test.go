@@ -10,89 +10,15 @@ import (
 	"repro/internal/stream"
 )
 
-// TestDriftEquivalenceBitIdentical pins the tentpole invariant: a
-// drift-enabled monitor and a drift-disabled monitor fed the same replay
+// TestDriftEquivalenceBitIdentical pins the drift invariant: a
+// drift-enabled monitor and a drift-disabled monitor fed the same stream
 // publish bit-identical Class/Probability/Probs for every job; drift only
-// adds the Open annotation.
+// adds the Open annotation, whose verdict is the gate's on its own
+// distance, and bins one accepted sample in eight. A row of the twin table
+// (twin_test.go).
 func TestDriftEquivalenceBitIdentical(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	cal := servetest.Calibration(t, 31, 400)
-
-	plain, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scored, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Drift: cal})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const jobs = 48
-	for k := 0; k < jobs; k++ {
-		for _, s := range servetest.JobSamples(k, servetest.Window+3) {
-			if err := plain.Ingest(k, s); err != nil {
-				t.Fatal(err)
-			}
-			if err := scored.Ingest(k, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := plain.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := scored.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < jobs; k++ {
-		want, ok := plain.Prediction(k)
-		if !ok {
-			t.Fatalf("job %d: no baseline prediction", k)
-		}
-		got, ok := scored.Prediction(k)
-		if !ok {
-			t.Fatalf("job %d: no drift-enabled prediction", k)
-		}
-		servetest.AssertSamePrediction(t, k, got, want)
-		if want.Open != nil {
-			t.Fatalf("job %d: drift-disabled prediction carries an Open annotation", k)
-		}
-		if got.Open == nil {
-			t.Fatalf("job %d: drift-enabled prediction lacks the Open annotation", k)
-		}
-		// The verdict must agree with the gate applied to the annotation's own
-		// distance (the embedding row is internal to the tick), and the
-		// retired probability scores read zero.
-		if got.Open.Rejected != cal.Threshold.Reject(drift.Score{FeatDist: got.Open.FeatDist}) {
-			t.Fatalf("job %d: annotation %+v disagrees with the gate", k, got.Open)
-		}
-		if got.Open.Margin != 0 || got.Open.Energy != 0 {
-			t.Fatalf("job %d: retired scores margin %v, energy %v; want 0", k, got.Open.Margin, got.Open.Energy)
-		}
-		if cal.Feat == nil || got.Open.FeatDist <= 0 {
-			t.Fatalf("job %d: feature gate inactive (dist %v)", k, got.Open.FeatDist)
-		}
-	}
-
-	st := scored.DriftStats()
-	if !st.Enabled {
-		t.Fatal("drift stats disabled on a drift-enabled monitor")
-	}
-	// One sample in eight is binned, the ones servetest's reference pick
-	// selects.
-	var want uint64
-	for k := 0; k < jobs; k++ {
-		want += servetest.DriftBinned(k, servetest.Window+3)
-	}
-	if want == 0 || st.Samples != want {
-		t.Fatalf("drift stats binned %d samples, want %d", st.Samples, want)
-	}
-	if len(st.SensorPSI) != servetest.Sensors {
-		t.Fatalf("PSI over %d sensors, want %d", len(st.SensorPSI), servetest.Sensors)
-	}
-	if plainStats := plain.DriftStats(); plainStats.Enabled {
-		t.Fatal("drift stats enabled on a plain monitor")
-	}
+	runTwins(t, twinRow{a: twinSide{shards: 1, drift: true}, b: twinSide{shards: 1},
+		jobs: 48, perJob: servetest.Window + 3, seed: 3})
 }
 
 // TestWarmStartScoresLikeColdSearch pins the drift certificate a job
@@ -437,79 +363,13 @@ func TestDriftConfigValidation(t *testing.T) {
 }
 
 // TestShardedDriftStatsMatchSingleMonitor pins the merge contract: a
-// 4-partition monitor and a one-partition monitor fed identical streams
-// must report bit-identical drift stats — counts are summed before the PSI
-// is computed, exactly as TickStats are merged.
+// 4-partition monitor and a one-partition monitor fed the same stream
+// report bit-identical drift stats — counts are summed before the PSI is
+// computed, exactly as TickStats are merged — and the same annotation on
+// every job. A row of the twin table (twin_test.go).
 func TestShardedDriftStatsMatchSingleMonitor(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	cal := servetest.Calibration(t, 31, 400)
-
-	core, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler,
-		Model: model, Shards: 4, Drift: cal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors,
-		Scaler: scaler, Model: model, Drift: cal})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const jobs = 60
-	for k := 0; k < jobs; k++ {
-		for _, s := range servetest.JobSamples(k, servetest.Window+2) {
-			if err := core.Ingest(k, s); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.Ingest(k, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := core.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.Tick(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := core.DriftStats(), single.DriftStats()
-	if !got.Enabled || !want.Enabled {
-		t.Fatal("drift stats disabled")
-	}
-	if got.Samples != want.Samples {
-		t.Fatalf("sharded binned %d samples, single %d", got.Samples, want.Samples)
-	}
-	if got.Unknowns != want.Unknowns {
-		t.Fatalf("sharded counted %d unknowns, single %d", got.Unknowns, want.Unknowns)
-	}
-	if len(got.SensorPSI) != len(want.SensorPSI) {
-		t.Fatalf("PSI widths differ: %d vs %d", len(got.SensorPSI), len(want.SensorPSI))
-	}
-	for c := range want.SensorPSI {
-		if got.SensorPSI[c] != want.SensorPSI[c] {
-			t.Fatalf("sensor %d PSI: sharded %v vs single %v (not bit-identical)",
-				c, got.SensorPSI[c], want.SensorPSI[c])
-		}
-	}
-	if got.Score != want.Score {
-		t.Fatalf("fleet score: sharded %v vs single %v", got.Score, want.Score)
-	}
-
-	// Per-job predictions carry the same annotations on both paths.
-	for k := 0; k < jobs; k++ {
-		cp, ok1 := core.Prediction(k)
-		sp, ok2 := single.Prediction(k)
-		if !ok1 || !ok2 {
-			t.Fatalf("job %d missing a prediction (sharded %v, single %v)", k, ok1, ok2)
-		}
-		if (cp.Open == nil) != (sp.Open == nil) {
-			t.Fatalf("job %d: annotation presence differs", k)
-		}
-		if cp.Open != nil && *cp.Open != *sp.Open {
-			t.Fatalf("job %d: annotations differ: %+v vs %+v", k, cp.Open, sp.Open)
-		}
-	}
+	runTwins(t, twinRow{a: twinSide{shards: 4, drift: true}, b: twinSide{shards: 1, drift: true},
+		jobs: 60, perJob: servetest.Window + 2, seed: 4})
 }
 
 // TestShardedDriftDisabled pins the zero value on a partitioned monitor

@@ -24,93 +24,18 @@ func drainEvents(sub *events.Subscription) []events.Event {
 	}
 }
 
-// TestEventsEquivalenceBitIdentical pins the tentpole invariant of the
-// observability plane: a monitor with an event bus and a trace recorder
-// attached publishes bit-identical Class/Probability/Probs to one without,
-// for every job, across multiple ticks and window wraparound, at one
-// partition and at four. Events and spans describe serving; they never
-// participate in it.
+// TestEventsEquivalenceBitIdentical pins the observability plane's
+// invariant: a monitor with an event bus and a trace recorder attached
+// publishes bit-identical Class/Probability/Probs to one without, for
+// every job, across ticks mid-stream and window wraparound, at one
+// partition and at four, while its recorder sees the tick stages and its
+// bus a prediction event for every job. Events and spans describe serving;
+// they never participate in it. Rows of the twin table (twin_test.go).
 func TestEventsEquivalenceBitIdentical(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	const jobs = 40
-	const perJob = servetest.Window*2 + 3 // past wraparound
 	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			plain := newPartitioned(t, scaler, model, shards)
-			observed := newPartitioned(t, scaler, model, shards)
-			bus := events.NewBus()
-			sub := bus.Subscribe(events.SubOptions{Buffer: 4096})
-			defer sub.Close()
-			observed.SetEventSink(bus)
-			rec := trace.NewRecorder()
-			observed.SetTraceRecorder(rec)
-
-			// Interleave ticks mid-stream on both sides so write-back
-			// runs against partially filled and already-classified jobs
-			// alike.
-			for round := 0; round < 3; round++ {
-				for k := 0; k < jobs; k++ {
-					samples := servetest.JobSamples(k, perJob)
-					lo, hi := round*perJob/3, (round+1)*perJob/3
-					for _, s := range samples[lo:hi] {
-						if err := plain.Ingest(k, s); err != nil {
-							t.Fatal(err)
-						}
-						if err := observed.Ingest(k, s); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if _, err := plain.Tick(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := observed.Tick(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			for k := 0; k < jobs; k++ {
-				want, ok := plain.Prediction(k)
-				if !ok {
-					t.Fatalf("job %d: no plain prediction", k)
-				}
-				got, ok := observed.Prediction(k)
-				if !ok {
-					t.Fatalf("job %d: no observed prediction", k)
-				}
-				servetest.AssertSamePrediction(t, k, got, want)
-			}
-
-			// The recorder saw the serving stages: one observation per
-			// non-empty tick for collect/classify/write-back, none for the
-			// HTTP-side stages this package never runs.
-			snap := rec.Snapshot()
-			for _, st := range []trace.Stage{trace.StageCollect, trace.StageClassify, trace.StageWriteBack} {
-				if snap.Stages[st].Count == 0 {
-					t.Fatalf("stage %s recorded no spans", st)
-				}
-			}
-			if n := snap.Stages[trace.StageParse].Count; n != 0 {
-				t.Fatalf("parse stage recorded %d spans with no HTTP layer", n)
-			}
-			if len(snap.Spans) == 0 {
-				t.Fatal("span ring is empty after three observed ticks")
-			}
-
-			// And events flowed: at least one prediction event per job
-			// (the first classification is always a transition).
-			evs := drainEvents(sub)
-			perJobCount := make(map[int]int)
-			for _, e := range evs {
-				if e.Type != events.TypePrediction {
-					t.Fatalf("unexpected event type %q with no swaps or drift", e.Type)
-				}
-				perJobCount[*e.Job]++
-			}
-			if len(perJobCount) != jobs {
-				t.Fatalf("prediction events covered %d jobs, want %d", len(perJobCount), jobs)
-			}
-		})
+		runTwins(t, twinRow{name: fmt.Sprintf("shards=%d", shards),
+			a: twinSide{shards: shards, observed: true, tickEvery: 220}, b: twinSide{shards: shards, tickEvery: 220},
+			jobs: 40, perJob: servetest.Window*2 + 3, seed: 5})
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -47,130 +48,24 @@ func runTicks(t *testing.T, m *Monitor, stop <-chan struct{}, every time.Duratio
 }
 
 // TestShardedMatchesSingleMonitor is the partitioning equivalence
-// invariant: the same per-job replay through a 4-partition monitor and
-// through a one-partition monitor — with deliberately different tick
-// cadences interleaved mid-stream on each side — must end in bit-identical
+// invariant: the same stream through a 4-partition monitor and through a
+// one-partition monitor, with deliberately different tick cadences
+// mid-stream on each side and the windows wrapping, ends in bit-identical
 // predictions for every job. Partitioning changes throughput, never
-// predictions.
+// predictions. A row of the twin table (twin_test.go).
 func TestShardedMatchesSingleMonitor(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	const jobs = 60
-	const perJob = servetest.Window*3 + 5 // past ring wraparound
-
-	single := newPartitioned(t, scaler, model, 1)
-	core := newPartitioned(t, scaler, model, 4)
-
-	streams := make([][][]float64, jobs)
-	for j := range streams {
-		streams[j] = servetest.JobSamples(j, perJob)
-	}
-	for i := 0; i < perJob; i++ {
-		for j := 0; j < jobs; j++ {
-			s := streams[j][i]
-			if err := single.Ingest(j, s); err != nil {
-				t.Fatal(err)
-			}
-			if err := core.Ingest(j, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Different mid-stream cadences on purpose: tick timing must not
-		// be observable in final predictions.
-		if i%3 == 0 {
-			if _, err := single.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i%5 == 0 {
-			if _, err := core.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := single.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Tick(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := core.NumJobs(), single.NumJobs(); got != want {
-		t.Fatalf("4 partitions register %d jobs, one partition %d", got, want)
-	}
-	if got, want := core.SamplesIngested(), single.SamplesIngested(); got != want {
-		t.Fatalf("4 partitions ingested %d samples, one partition %d", got, want)
-	}
-	for j := 0; j < jobs; j++ {
-		got, ok := core.Prediction(j)
-		if !ok {
-			t.Fatalf("job %d: no 4-partition prediction", j)
-		}
-		want, ok := single.Prediction(j)
-		if !ok {
-			t.Fatalf("job %d: no one-partition prediction", j)
-		}
-		servetest.AssertSamePrediction(t, j, got, want)
-	}
+	runTwins(t, twinRow{a: twinSide{shards: 4, tickEvery: 300}, b: twinSide{shards: 1, tickEvery: 180},
+		jobs: 60, perJob: servetest.Window*3 + 5, seed: 1})
 }
 
 // TestShardedConcurrentIngest replays every job from its own goroutine
-// while per-partition tick loops run, then checks the concurrent result
-// against a sequential one-partition monitor. Run under -race this also
-// pins the locking discipline of Ingest/TickShard.
+// while per-partition tick loops run, and holds the result to a sequential
+// one-partition monitor. Run under -race this also pins the locking
+// discipline of Ingest, IngestBatch and TickShard. Rows of the twin table.
 func TestShardedConcurrentIngest(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
-	const jobs = 64
-	const perJob = servetest.Window*2 + 3
-
-	core := newPartitioned(t, scaler, model, 4)
-	stop := make(chan struct{})
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		runTicks(t, core, stop, 100*time.Microsecond)
-	}()
-
-	var wg sync.WaitGroup
-	for j := 0; j < jobs; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			for _, s := range servetest.JobSamples(j, perJob) {
-				if err := core.Ingest(j, s); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(j)
-	}
-	wg.Wait()
-	close(stop)
-	<-runDone
-	if t.Failed() {
-		t.FailNow()
-	}
-	if _, err := core.Tick(); err != nil {
-		t.Fatal(err)
-	}
-
-	single := newPartitioned(t, scaler, model, 1)
-	for j := 0; j < jobs; j++ {
-		for _, s := range servetest.JobSamples(j, perJob) {
-			if err := single.Ingest(j, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := single.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < jobs; j++ {
-		got, ok := core.Prediction(j)
-		if !ok {
-			t.Fatalf("job %d: no prediction", j)
-		}
-		want, _ := single.Prediction(j)
-		servetest.AssertSamePrediction(t, j, got, want)
+	for _, batch := range []bool{false, true} {
+		runTwins(t, twinRow{name: fmt.Sprintf("batch=%v", batch), a: twinSide{shards: 4, race: true, batch: batch},
+			b: twinSide{shards: 1}, jobs: 64, perJob: servetest.Window*2 + 3, seed: 2})
 	}
 }
 

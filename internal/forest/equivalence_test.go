@@ -46,6 +46,25 @@ func hostileRows(rng *rand.Rand, rows, d int) *mat.Matrix {
 	return x
 }
 
+// snapToThresholds sets about one value in four of x to a threshold one of
+// f's trees splits that feature at, so both walks meet v == thr, which
+// `<=` sends left.
+func snapToThresholds(rng *rand.Rand, x *mat.Matrix, f *Classifier) {
+	thresholds := make([][]float64, x.Cols)
+	for _, tr := range f.trees {
+		for _, nd := range tr.ExportNodes() {
+			if !nd.Leaf {
+				thresholds[nd.Feature] = append(thresholds[nd.Feature], nd.Threshold)
+			}
+		}
+	}
+	for i := range x.Data {
+		if at := thresholds[i%x.Cols]; len(at) > 0 && rng.Intn(4) == 0 {
+			x.Data[i] = at[rng.Intn(len(at))]
+		}
+	}
+}
+
 // pointerOnly clones a fitted forest without its flat form — the
 // hand-populated value every predict method must refuse.
 func pointerOnly(f *Classifier) *Classifier {
@@ -107,6 +126,9 @@ func TestEquivalenceFlatForest(t *testing.T) {
 				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
 			evs := []*mat.Matrix{hostileRows(rng, 0, tc.d), hostileRows(rng, 1, tc.d), hostileRows(rng, 37, tc.d)}
+			for _, ev := range evs {
+				snapToThresholds(rng, ev, f)
+			}
 			onEachPath(t, func(t *testing.T) {
 				for _, ev := range evs {
 					requireBitIdentical(t, f, ev)

@@ -11,30 +11,10 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/servetest"
 	"repro/internal/wire"
 )
-
-// binaryTestServer starts a served fixture fleet whose ticks only happen on
-// Close, so tests control exactly when windows are classified.
-func binaryTestServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
-	t.Helper()
-	scaler, model := servetest.Fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Monitor: m, TickEvery: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, m, ts
-}
 
 func postIngest(t *testing.T, url, contentType string, body []byte) (int, ingestResponse) {
 	t.Helper()
@@ -60,8 +40,8 @@ func postIngest(t *testing.T, url, contentType string, body []byte) (int, ingest
 // the same bits to the fleet.
 func TestBinaryIngestMatchesNDJSON(t *testing.T) {
 	const jobs, perJob = 4, servetest.Window + 3
-	srvA, _, tsA := binaryTestServer(t) // NDJSON
-	srvB, _, tsB := binaryTestServer(t) // binary
+	srvA, _, tsA := newTestServer(t, nil, nil) // NDJSON
+	srvB, _, tsB := newTestServer(t, nil, nil) // binary
 
 	var ndjson bytes.Buffer
 	var bin []byte
@@ -204,7 +184,7 @@ func TestGoldenBinaryIngestCapture(t *testing.T) {
 	// fleet); 3, 5, 6 are framing-local rejects; 7 (negative job) and 8 (no
 	// values) are contract rejects; 4 (NaN) and 9 (1e308) die at the
 	// fleet's sanity gate. Accounting must say exactly that.
-	_, _, ts := binaryTestServer(t)
+	_, _, ts := newTestServer(t, nil, nil)
 	code, ir := postIngest(t, ts.URL, wire.IngestContentType, body)
 	if code != http.StatusOK {
 		t.Fatalf("golden POST: status %d", code)
@@ -226,7 +206,7 @@ func TestGoldenBinaryIngestCapture(t *testing.T) {
 // prefix accepted), and a cut anywhere else breaks framing (400, nothing
 // enqueued). No cut may panic or poison the batch with misframed samples.
 func TestBinaryIngestTruncation(t *testing.T) {
-	_, m, ts := binaryTestServer(t)
+	_, m, ts := newTestServer(t, nil, nil)
 	var body []byte
 	boundaries := map[int]int{0: 0} // byte offset -> complete records
 	for r := 1; r <= 3; r++ {
@@ -255,7 +235,7 @@ func TestBinaryIngestTruncation(t *testing.T) {
 // beyond the frame cap: the whole batch is rejected up front, even though
 // a valid record precedes it.
 func TestBinaryIngestOversizedPrefix(t *testing.T) {
-	_, m, ts := binaryTestServer(t)
+	_, m, ts := newTestServer(t, nil, nil)
 	body := wire.AppendIngestRecord(nil, 1, []float64{1, 2, 3})
 	body = binary.LittleEndian.AppendUint32(body, wire.MaxIngestFramePayload+1)
 	body = append(body, 0x01, 0x02)

@@ -17,33 +17,12 @@ import (
 	"repro/internal/servetest"
 )
 
-// newDriftServer is newTestServer over a drift-enabled monitor.
-func newDriftServer(t *testing.T) (*Server, *fleet.Monitor, *httptest.Server) {
-	t.Helper()
-	scaler, model := servetest.Fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors,
-		Scaler: scaler, Model: model, Drift: servetest.Calibration(t, 61, 400)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Monitor: m, TickEvery: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, m, ts
-}
-
 // TestDriftEndpointAndPredictionFields drives a drift-enabled server and
 // checks the whole read surface: /v1/drift reports PSI state, predictions
 // carry the open-set block, the snapshot carries the unknown verdict, and
 // /metrics exports the new series.
 func TestDriftEndpointAndPredictionFields(t *testing.T) {
-	s, _, ts := newDriftServer(t)
+	s, _, ts := newTestServer(t, func(c *fleet.Config) { c.Drift = servetest.Calibration(t, 61, 400) }, nil)
 
 	// Enough samples that the drift histograms' one-in-eight pick bins some.
 	const sent = 16*servetest.Window + 1
@@ -181,7 +160,7 @@ func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
 // TestDriftEndpointDisabled pins the disabled shape: enabled=false, no PSI
 // series in /metrics, no open-set fields on predictions.
 func TestDriftEndpointDisabled(t *testing.T) {
-	s, _, ts := newTestServer(t, nil)
+	s, _, ts := newTestServer(t, nil, nil)
 
 	var body strings.Builder
 	for _, sm := range servetest.JobSamples(5, servetest.Window) {

@@ -76,7 +76,7 @@ func nextFrame(t *testing.T, ch <-chan sseFrame) sseFrame {
 // the stream delivers both with SSE framing — event name, id = bus
 // sequence, JSON payload carrying the generation.
 func TestEventsSSEStream(t *testing.T) {
-	s, m, ts := newTestServer(t, nil)
+	s, m, ts := newTestServer(t, nil, nil)
 
 	resp, err := http.Get(ts.URL + "/v1/events?type=prediction,swap")
 	if err != nil {
@@ -132,7 +132,7 @@ func TestEventsSSEStream(t *testing.T) {
 
 // TestEventsSSEFilters pins the query validation and the job filter.
 func TestEventsSSEFilters(t *testing.T) {
-	s, _, ts := newTestServer(t, nil)
+	s, _, ts := newTestServer(t, nil, nil)
 
 	for _, bad := range []string{"?type=bogus", "?job=notanumber", "?job=-3"} {
 		resp, err := http.Get(ts.URL + "/v1/events" + bad)
@@ -189,7 +189,7 @@ func waitSubscribers(t *testing.T, s *Server, n int) {
 // path) never blocks, and the handler goroutine does not leak once the
 // connection dies.
 func TestEventsSlowClientEvicted(t *testing.T) {
-	s, _, ts := newTestServer(t, func(c *Config) { c.eventBuffer = 2 })
+	s, _, ts := newTestServer(t, nil, func(c *Config) { c.eventBuffer = 2 })
 	before := runtime.NumGoroutine()
 
 	resp, err := http.Get(ts.URL + "/v1/events")
@@ -234,7 +234,7 @@ func TestEventsSlowClientEvicted(t *testing.T) {
 // ends every open event stream, so http.Server.Shutdown is never held open
 // by a long-lived subscriber.
 func TestCloseStreamsEndsSSE(t *testing.T) {
-	s, _, ts := newTestServer(t, nil)
+	s, _, ts := newTestServer(t, nil, nil)
 	resp, err := http.Get(ts.URL + "/v1/events")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCloseStreamsEndsSSE(t *testing.T) {
 // TestTraceEndpoint drives samples through the HTTP ingest path and a tick,
 // then checks /v1/trace reports every pipeline stage that ran, with spans.
 func TestTraceEndpoint(t *testing.T) {
-	s, _, ts := newTestServer(t, nil)
+	s, _, ts := newTestServer(t, nil, nil)
 	var lines []string
 	for _, sample := range servetest.JobSamples(3, servetest.Window) {
 		b, _ := json.Marshal(map[string]any{"job": 3, "values": sample})
@@ -300,7 +300,7 @@ func TestTraceEndpoint(t *testing.T) {
 // TestDashboardServed pins the embedded dashboard: the root path serves the
 // single-file UI, and only the root path does.
 func TestDashboardServed(t *testing.T) {
-	_, _, ts := newTestServer(t, nil)
+	_, _, ts := newTestServer(t, nil, nil)
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestDashboardServed(t *testing.T) {
 // proper histogram exposition for the stage recorder and the event-bus
 // counters.
 func TestMetricsStageHistogramAndEventCounters(t *testing.T) {
-	s, _, ts := newTestServer(t, nil)
+	s, _, ts := newTestServer(t, nil, nil)
 	var lines []string
 	for _, sample := range servetest.JobSamples(4, servetest.Window) {
 		b, _ := json.Marshal(map[string]any{"job": 4, "values": sample})

@@ -19,12 +19,20 @@ import (
 	"repro/internal/stream"
 )
 
-// newTestServer builds a monitor + serving layer with a very long tick
-// cadence, so tests control inference timing via runTick and Close.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fleet.Monitor, *httptest.Server) {
+// newTestServer is the package's one served fixture fleet: a one-partition
+// monitor behind a serving layer with a very long tick cadence, so tests
+// control inference timing via runTick and Close. fleetCfg, when non-nil,
+// adjusts the monitor's configuration (partitions, drift) and mutate the
+// server's. Cleanup closes the listener and then the server, so no worker
+// or loop outlives the test.
+func newTestServer(t *testing.T, fleetCfg func(*fleet.Config), mutate func(*Config)) (*Server, *fleet.Monitor, *httptest.Server) {
 	t.Helper()
 	scaler, model := servetest.Fixture(t)
-	m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
+	fc := fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model}
+	if fleetCfg != nil {
+		fleetCfg(&fc)
+	}
+	m, err := fleet.New(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func sampleLine(job int, values []float64) string {
 // malformed NDJSON line and a wrong-width sample produce structured
 // per-line errors without poisoning the batch's valid samples.
 func TestIngestErrorAccounting(t *testing.T) {
-	_, m, ts := newTestServer(t, nil)
+	_, m, ts := newTestServer(t, nil, nil)
 
 	s1 := servetest.JobSamples(1, servetest.Window)
 	s3 := servetest.JobSamples(3, 1)
@@ -142,7 +150,7 @@ func pingTick(m *fleet.Monitor) error {
 func TestIngestBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s, m, ts := newTestServer(t, func(cfg *Config) {
+	s, m, ts := newTestServer(t, nil, func(cfg *Config) {
 		cfg.queueDepth = 1
 		cfg.Workers = 1
 		cfg.retryAfter = 3 * time.Second
@@ -223,7 +231,7 @@ func TestIngestBackpressure(t *testing.T) {
 // crashed node's listener does to requests still in flight: every request is
 // answered 200 or 503, and exactly the samples answered 200 were ingested.
 func TestCloseDuringIngest(t *testing.T) {
-	s, m, ts := newTestServer(t, nil)
+	s, m, ts := newTestServer(t, nil, nil)
 	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
 	var accepted atomic.Int64
 	var wg sync.WaitGroup
@@ -255,7 +263,7 @@ func TestCloseDuringIngest(t *testing.T) {
 // TestReadEndpoints covers prediction reads, the fleet snapshot, job end,
 // health and metrics over real HTTP.
 func TestReadEndpoints(t *testing.T) {
-	s, m, ts := newTestServer(t, nil)
+	s, m, ts := newTestServer(t, nil, nil)
 
 	samples := servetest.JobSamples(4, servetest.Window)
 	var lines []string
@@ -396,7 +404,7 @@ func TestReadEndpoints(t *testing.T) {
 // filled after the last cadence tick are still classified by Close's final
 // flush tick.
 func TestCloseFlushesPendingWindows(t *testing.T) {
-	s, m, ts := newTestServer(t, nil) // TickEvery is an hour: no cadence ticks
+	s, m, ts := newTestServer(t, nil, nil) // TickEvery is an hour: no cadence ticks
 	var lines []string
 	for _, smp := range servetest.JobSamples(9, servetest.Window) {
 		lines = append(lines, sampleLine(9, smp))
@@ -436,7 +444,7 @@ func TestCloseFlushesPendingWindows(t *testing.T) {
 // TestIngestBodyTooLarge pins the request-level failure mode: an oversized
 // batch is rejected whole with 413 before anything is ingested.
 func TestIngestBodyTooLarge(t *testing.T) {
-	_, m, ts := newTestServer(t, func(cfg *Config) { cfg.maxBodyBytes = 64 })
+	_, m, ts := newTestServer(t, nil, func(cfg *Config) { cfg.maxBodyBytes = 64 })
 	line := sampleLine(1, servetest.JobSamples(1, 1)[0])
 	resp, _ := postNDJSON(t, ts.URL, strings.Repeat(line+"\n", 10))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -450,7 +458,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 // TestIdleEvictionLoop wires Config.EvictAfter end to end: an idle job
 // disappears from the registry and the eviction is visible in /metrics.
 func TestIdleEvictionLoop(t *testing.T) {
-	_, m, ts := newTestServer(t, func(cfg *Config) {
+	_, m, ts := newTestServer(t, nil, func(cfg *Config) {
 		cfg.EvictAfter = 10 * time.Millisecond
 		cfg.evictEvery = 2 * time.Millisecond
 	})
@@ -515,7 +523,7 @@ func (f *failingTicks) TickShard(i int) (fleet.TickStats, error) {
 func TestTickLoopLogsErrorEdges(t *testing.T) {
 	const failures = 25
 	logs := logtest.Capture(t)
-	newTestServer(t, func(cfg *Config) {
+	newTestServer(t, nil, func(cfg *Config) {
 		m := &failingTicks{Monitor: cfg.Monitor}
 		m.n.Store(failures)
 		cfg.Monitor = m

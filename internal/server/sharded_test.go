@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -14,34 +13,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/servetest"
 )
-
-// newShardedServer builds a serving layer over a partitioned fleet.Monitor.
-// The tick cadence is real (per-shard loops run), short enough that
-// predictions appear promptly.
-func newShardedServer(t *testing.T, shards int) (*Server, *fleet.Monitor, *httptest.Server) {
-	t.Helper()
-	scaler, model := servetest.Fixture(t)
-	core, err := fleet.New(fleet.Config{
-		Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: shards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{
-		Monitor:    core,
-		ClassNames: []string{"c0", "c1", "c2", "c3"},
-		TickEvery:  time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, core, ts
-}
 
 // TestShardedServerMatchesInProcessFleet serves a 4-shard core over real
 // loopback HTTP — concurrent NDJSON clients, per-shard tick loops on their
@@ -54,7 +25,8 @@ func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 		perJob  = servetest.Window*2 + 3
 		clients = 4
 	)
-	s, core, ts := newShardedServer(t, 4)
+	s, core, ts := newTestServer(t, func(c *fleet.Config) { c.Shards = 4 },
+		func(c *Config) { c.TickEvery = time.Millisecond })
 
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
@@ -152,7 +124,8 @@ func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 func TestShardedMetricsAndHealth(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, core, ts := newShardedServer(t, shards)
+			s, core, ts := newTestServer(t, func(c *fleet.Config) { c.Shards = shards },
+				func(c *Config) { c.TickEvery = time.Millisecond })
 
 			var lines []string
 			for j := 0; j < 16; j++ {

@@ -98,7 +98,7 @@ func TestWatchDetectsSameStatReplacement(t *testing.T) {
 		t.Fatal("replacement artifact has the same content identity")
 	}
 
-	srv, monitor, ts := newTestServer(t, nil) // boots on fixture's scaler and modelA
+	srv, monitor, ts := newTestServer(t, nil, nil) // boots on fixture's scaler and modelA
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -164,7 +164,7 @@ func TestWatchRejectsIncompatibleArtifact(t *testing.T) {
 	path := filepath.Join(dir, "model.wcc")
 	saveWatchArtifact(t, path, scaler, modelA, "watch-test")
 
-	srv, monitor, _ := newTestServer(t, nil)
+	srv, monitor, _ := newTestServer(t, nil, nil)
 	logs := logtest.Capture(t)
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -42,6 +42,27 @@ func hostileRows(rng *rand.Rand, rows, d int) *mat.Matrix {
 	return x
 }
 
+// snapToThresholds sets about one value in four of x to a threshold one of
+// c's trees splits that feature at, so both walks meet v == thr, which
+// `<=` sends left.
+func snapToThresholds(rng *rand.Rand, x *mat.Matrix, c *Classifier) {
+	thresholds := make([][]float64, x.Cols)
+	for _, round := range c.trees {
+		for _, tr := range round {
+			for _, nd := range tr.nodes {
+				if !nd.leaf {
+					thresholds[nd.feature] = append(thresholds[nd.feature], nd.threshold)
+				}
+			}
+		}
+	}
+	for i := range x.Data {
+		if at := thresholds[i%x.Cols]; len(at) > 0 && rng.Intn(4) == 0 {
+			x.Data[i] = at[rng.Intn(len(at))]
+		}
+	}
+}
+
 // pointerOnly clones a fitted ensemble without its flat form — the
 // hand-populated value every predict method must refuse.
 func pointerOnly(c *Classifier) *Classifier {
@@ -116,6 +137,9 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 				t.Fatal("Predict accepted a classifier with no compiled flat form")
 			}
 			evs := []*mat.Matrix{hostileRows(rng, 0, tc.d), hostileRows(rng, 1, tc.d), hostileRows(rng, 37, tc.d)}
+			for _, ev := range evs {
+				snapToThresholds(rng, ev, c)
+			}
 			onEachPath(t, func(t *testing.T) {
 				for _, ev := range evs {
 					got, err := c.PredictProba(ev)
