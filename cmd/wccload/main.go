@@ -41,12 +41,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -443,12 +441,13 @@ func run(out io.Writer, c config) error {
 
 // eventWatch counts SSE frames from one GET /v1/events subscription.
 type eventWatch struct {
-	body    io.ReadCloser
-	mu      sync.Mutex
-	counts  map[string]int
-	evicted bool
-	readErr error // scanner error other than our own teardown close
-	done    chan struct{}
+	body     io.ReadCloser
+	mu       sync.Mutex
+	counts   map[string]int
+	evicted  bool
+	stopping bool  // stop is closing body: any read error after is ours
+	readErr  error // scanner error before stop began
+	done     chan struct{}
 }
 
 // watchEvents opens the subscription and starts counting; the first frame
@@ -481,11 +480,15 @@ func watchEvents(client *http.Client, addr string) (*eventWatch, error) {
 		}
 		// The scanner is sticky: a mid-stream read failure ends the loop
 		// silently, which would undercount deliveries. stop() closes the
-		// body on purpose, so that one error is expected; anything else
-		// is a real stream failure the summary must disclose.
-		if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
+		// body on purpose, and a read that meets that close fails with
+		// whatever error the transport gives a closed body (net/http's
+		// is not net.ErrClosed), so an error after stop began is expected;
+		// one before it is a real stream failure the summary must disclose.
+		if err := sc.Err(); err != nil {
 			w.mu.Lock()
-			w.readErr = err
+			if !w.stopping {
+				w.readErr = err
+			}
 			w.mu.Unlock()
 		}
 	}()
@@ -501,6 +504,9 @@ type typeCount struct {
 // and returns per-type delivery counts in a stable order.
 func (w *eventWatch) stop() ([]typeCount, bool, error) {
 	time.Sleep(500 * time.Millisecond)
+	w.mu.Lock()
+	w.stopping = true
+	w.mu.Unlock()
 	w.body.Close()
 	<-w.done
 	w.mu.Lock()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -214,4 +215,91 @@ func TestSendAllWaitsOutAThrottle(t *testing.T) {
 		t.Errorf("counted %d throttled, %d requests, %d accepted, %d rejected, %d rerouted; want 1, 1, 3, 0, 0",
 			st.throttled, st.requests, st.accepted, st.rejected, st.rerouted)
 	}
+}
+
+// sseBody is a stub SSE response body: it serves frames, then either fails
+// on its own with fail (a stream that breaks mid-run) or blocks, as a live
+// subscription does, until Close. A read that meets the close fails with a
+// plain error, as net/http's body does, not with net.ErrClosed.
+type sseBody struct {
+	frames *strings.Reader
+	fail   error
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (b *sseBody) Read(p []byte) (int, error) {
+	if b.frames.Len() > 0 {
+		return b.frames.Read(p)
+	}
+	if b.fail != nil {
+		return 0, b.fail
+	}
+	<-b.closed
+	return 0, errors.New("read on closed response body")
+}
+
+func (b *sseBody) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return nil
+}
+
+// roundTripFunc answers a client's requests without a network.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestWatchEventsTellsTeardownFromFailure drives watchEvents over a stub
+// transport. It counts the event frames per type and notes an eviction.
+// The read error its own stop causes by closing the body is no stream
+// failure, while one the stream hits before stop is reported. A refused
+// subscription is an error, with its body closed.
+func TestWatchEventsTellsTeardownFromFailure(t *testing.T) {
+	const frames = "event: prediction\ndata: {}\n\nevent: unknown\ndata: {}\n\n" +
+		"event: prediction\ndata: {}\n\nevent: eviction\ndata: {}\n\n"
+	for _, tc := range []struct {
+		name string
+		fail error
+	}{
+		{"teardown", nil},
+		{"mid-run failure", errors.New("connection reset by peer")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &sseBody{frames: strings.NewReader(frames), fail: tc.fail, closed: make(chan struct{})}
+			client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if r.URL.Path != "/v1/events" {
+					t.Errorf("subscribed at %s", r.URL.Path)
+				}
+				return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: body, Request: r}, nil
+			})}
+			w, err := watchEvents(client, "http://node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.fail != nil {
+				<-w.done // the stream fails before stop begins
+			}
+			counts, evicted, readErr := w.stop()
+			if got := fmt.Sprint(counts); got != "[{prediction 2} {unknown 1}]" || !evicted {
+				t.Errorf("counted %s, evicted %v; want [{prediction 2} {unknown 1}], true", got, evicted)
+			}
+			if !errors.Is(readErr, tc.fail) {
+				t.Errorf("read error %v, want %v", readErr, tc.fail)
+			}
+		})
+	}
+	t.Run("refused", func(t *testing.T) {
+		body := &sseBody{frames: strings.NewReader(""), closed: make(chan struct{})}
+		client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{}, Body: body, Request: r}, nil
+		})}
+		if _, err := watchEvents(client, "http://node"); err == nil || !strings.Contains(err.Error(), "503") {
+			t.Errorf("a 503 subscription gave %v, want an error naming the status", err)
+		}
+		select {
+		case <-body.closed:
+		default:
+			t.Error("the refused subscription's body was left open")
+		}
+	})
 }

@@ -48,8 +48,10 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // hold too: only internal/core calibrates a drift section or spells out the
 // simulation settings (one training path, DESIGN.md §7); no code outside
 // internal/tree calls PredictProbaRow, inside internal/xgb only Fit
-// reaches predictRow, and only tests call tree.SetKernelPath (one scoring
-// path, tree.Flat, whose walk the CPU picks: DESIGN.md §11); and no
+// reaches predictRow, neither internal/forest nor internal/xgb fans a batch
+// out over row blocks itself, and only tests call tree.SetKernelPath (one
+// scoring path, tree.Ensemble over tree.Flat, whose walk the CPU picks:
+// DESIGN.md §11); and no
 // code outside benchmark/ declares a printf-style Logf/logf func field,
 // parameter or variable (one log, log/slog's default logger: DESIGN.md §12).
 // DESIGN.md stays under its line ceiling and true to the code (checkDesign),
@@ -112,6 +114,7 @@ func TestDocsConsistency(t *testing.T) {
 
 	stray := regexp.MustCompile(`drift\.Fit\(|GapRate: 1`)
 	treeWalk := regexp.MustCompile(`\bPredictProbaRow\(`)
+	rowFanOut := regexp.MustCompile(`\bParallelRowBlocks\(`)
 	kernelSwitch := regexp.MustCompile(`(\bfunc )?\bSetKernelPath\(`)
 	logPlumbing := regexp.MustCompile(`\b[Ll]ogf\s*(?::?=\s*)?func\(`)
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
@@ -147,6 +150,9 @@ func TestDocsConsistency(t *testing.T) {
 		}
 		if loc := treeWalk.Find(src); loc != nil && dir != "internal/tree" {
 			t.Errorf("%s: %s walks pointer trees; score through the flat kernel (PredictProba)", path, loc)
+		}
+		if loc := rowFanOut.Find(src); loc != nil && (dir == "internal/forest" || dir == "internal/xgb") {
+			t.Errorf("%s: %s fans a batch out itself; predict through the embedded tree.Ensemble", path, loc)
 		}
 		for _, m := range kernelSwitch.FindAllSubmatch(src, -1) {
 			if len(m[1]) == 0 {

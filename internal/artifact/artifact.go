@@ -135,7 +135,8 @@ type Metadata struct {
 // Model is the estimator an artifact carries, and all a serving core, a
 // calibration pass or the encoder asks of it: class probabilities (what a
 // stream.Classifier serves from), labels, and its own wire encoding.
-// *forest.Classifier and *xgb.Classifier implement it; being one of them is
+// *forest.Classifier and *xgb.Classifier implement it, their predict
+// methods both those of the tree.Ensemble they embed; being one of them is
 // what makes a model's Kind known.
 type Model interface {
 	PredictProba(x *mat.Matrix) (*mat.Matrix, error)

@@ -29,8 +29,8 @@ func (f *Classifier) Encode(w io.Writer) error {
 	ww.Bool(f.cfg.Bootstrap)
 	ww.Int(0) // retired Workers slot
 	ww.I64(f.cfg.Seed)
-	ww.Int(f.numClasses)
-	ww.Int(f.numFeats)
+	ww.Int(f.NumClasses())
+	ww.Int(f.NumFeatures())
 	ww.Int(len(f.trees))
 	if err := ww.Err(); err != nil {
 		return err
@@ -57,14 +57,14 @@ func Decode(r io.Reader) (*Classifier, error) {
 	f.cfg.Bootstrap = rr.Bool()
 	rr.Int() // retired Workers slot
 	f.cfg.Seed = rr.I64()
-	f.numClasses = rr.Int()
-	f.numFeats = rr.Int()
+	numClasses := rr.Int()
+	numFeats := rr.Int()
 	numTrees := rr.Int()
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if f.numClasses < 2 || f.numFeats < 1 || numTrees < 1 || numTrees > 1<<20 {
-		return nil, fmt.Errorf("forest: corrupt header (%d classes, %d features, %d trees)", f.numClasses, f.numFeats, numTrees)
+	if numClasses < 2 || numFeats < 1 || numTrees < 1 || numTrees > 1<<20 {
+		return nil, fmt.Errorf("forest: corrupt header (%d classes, %d features, %d trees)", numClasses, numFeats, numTrees)
 	}
 	for i := 0; i < numTrees; i++ { // a claim: trees are kept as they arrive
 		t, err := tree.Decode(r)
@@ -74,14 +74,14 @@ func Decode(r io.Reader) (*Classifier, error) {
 		// Each tree's own header must agree with the forest's, or a crafted
 		// payload could smuggle in leaf distributions wider than the
 		// forest's accumulator rows and panic at prediction time.
-		if t.NumClasses() != f.numClasses || t.NumFeatures() != f.numFeats {
+		if t.NumClasses() != numClasses || t.NumFeatures() != numFeats {
 			return nil, fmt.Errorf("forest: tree %d fitted for %d classes / %d features, forest header says %d / %d",
-				i, t.NumClasses(), t.NumFeatures(), f.numClasses, f.numFeats)
+				i, t.NumClasses(), t.NumFeatures(), numClasses, numFeats)
 		}
 		f.trees = append(f.trees, t)
 	}
 	var err error
-	if f.flat, err = compileFlat(f.trees, f.numClasses); err != nil {
+	if f.Ensemble, err = compile(f.trees, numFeats, numClasses); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -68,7 +68,7 @@ func snapToThresholds(rng *rand.Rand, x *mat.Matrix, f *Classifier) {
 // pointerOnly clones a fitted forest without its flat form — the
 // hand-populated value every predict method must refuse.
 func pointerOnly(f *Classifier) *Classifier {
-	return &Classifier{cfg: f.cfg, trees: f.trees, numClasses: f.numClasses, numFeats: f.numFeats}
+	return &Classifier{cfg: f.cfg, trees: f.trees}
 }
 
 // onEachPath runs fn as one subtest per kernel path with tree.ScoreBlock
@@ -112,7 +112,7 @@ func TestEquivalenceFlatForest(t *testing.T) {
 			if err := f.Fit(x, y, tc.classes); err != nil {
 				t.Fatal(err)
 			}
-			if f.flat == nil {
+			if f.Flat() == nil {
 				t.Fatal("Fit left no compiled flat form")
 			}
 			p := pointerOnly(f)
@@ -143,7 +143,7 @@ func TestEquivalenceFlatForest(t *testing.T) {
 // then each class multiplied by 1/trees.
 func pointerWalk(t *testing.T, f *Classifier, ev *mat.Matrix) *mat.Matrix {
 	t.Helper()
-	out := mat.New(ev.Rows, f.numClasses)
+	out := mat.New(ev.Rows, f.NumClasses())
 	inv := 1.0 / float64(len(f.trees))
 	for i := 0; i < ev.Rows; i++ {
 		dst := out.Row(i)
@@ -253,7 +253,7 @@ func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 		if err := f.Fit(x, y, 4); err != nil {
 			t.Fatal(err)
 		}
-		if len(f.flat.Layout().Entries) == 0 {
+		if len(f.Flat().Layout().Entries) == 0 {
 			t.Fatal("MinSamplesLeaf 8 compiled no multi-entry leaf")
 		}
 		evs := []*mat.Matrix{hostileRows(rng, 1, 5), hostileRows(rng, 37, 5)}
@@ -268,11 +268,11 @@ func TestEquivalenceFlatForestSparseLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(f.flat.Layout().Entries) == 0 {
+		if len(f.Flat().Layout().Entries) == 0 {
 			t.Fatal("hostile payload compiled no multi-entry leaf")
 		}
 		leaves := 0
-		for _, ft := range f.flat.Layout().Feat {
+		for _, ft := range f.Flat().Layout().Feat {
 			if ft < 0 {
 				leaves++
 			}
@@ -339,7 +339,7 @@ func TestFlatForestCompiledShape(t *testing.T) {
 	if err := f.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
-	fl := f.flat.Layout()
+	fl := f.Flat().Layout()
 	if len(fl.Roots) != 8 {
 		t.Fatalf("%d roots for 8 trees", len(fl.Roots))
 	}
@@ -359,7 +359,7 @@ func TestFlatForestCompiledShape(t *testing.T) {
 	if err := unpruned.Fit(x, y, 3); err != nil {
 		t.Fatal(err)
 	}
-	ufl := unpruned.flat.Layout()
+	ufl := unpruned.Flat().Layout()
 	if multi := checkFlatShape(t, ufl, 3); multi != 0 || len(ufl.Entries) != 0 {
 		t.Fatalf("unpruned forest compiled %d multi-entry leaves and a %d-entry table, want inline leaves only",
 			multi, len(ufl.Entries))

@@ -38,16 +38,14 @@ func DefaultConfig() Config {
 	return Config{NumTrees: 100, Bootstrap: true}
 }
 
-// Classifier is a fitted random forest.
+// Classifier is a fitted random forest. Its predict methods — PredictProba,
+// PredictProbaBatchInto, Predict and NumClasses — are tree.Ensemble's,
+// over the flat form compiled once at Fit or Decode time: the mean of the
+// trees' leaf distributions.
 type Classifier struct {
-	cfg        Config
-	trees      []*tree.Classifier
-	numClasses int
-	numFeats   int
-	// flat is the compiled contiguous inference form, built once at Fit or
-	// Decode time and immutable afterwards; every predict method walks it.
-	// See tree.Flat.
-	flat *tree.Flat
+	tree.Ensemble
+	cfg   Config
+	trees []*tree.Classifier
 }
 
 // New returns an unfitted forest.
@@ -73,9 +71,6 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 	if err != nil {
 		return fmt.Errorf("forest: %w", err)
 	}
-	f.numClasses = numClasses
-	f.numFeats = x.Cols
-
 	maxFeatures := f.cfg.MaxFeatures
 	if maxFeatures <= 0 {
 		maxFeatures = int(math.Sqrt(float64(x.Cols)))
@@ -127,21 +122,21 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 			return err
 		}
 	}
-	flat, err := compileFlat(f.trees, numClasses)
-	f.flat = flat
+	f.Ensemble, err = compile(f.trees, x.Cols, numClasses)
 	return err
 }
 
-// PredictProba averages leaf distributions over the ensemble for every row
-// of x. Rows are split into contiguous blocks over up to GOMAXPROCS
-// goroutines, and each block is swept over the flat node arrays compiled
-// at Fit/Decode time (see tree.Flat).
-func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
-	out := mat.New(x.Rows, f.numClasses)
-	if err := f.PredictProbaBatchInto(x, out); err != nil {
-		return nil, err
+// compile compiles the ensemble into the shared flat layout (tree.Flat),
+// each leaf adding its class distribution unscaled, and averages over the
+// trees (tree.NewMean).
+func compile(trees []*tree.Classifier, numFeats, numClasses int) (tree.Ensemble, error) {
+	fl := tree.NewFlat(numClasses, 1)
+	for i, t := range trees {
+		if err := fl.Add(t.ExportNodes(), 0); err != nil {
+			return tree.Ensemble{}, fmt.Errorf("forest: tree %d: %w", i, err)
+		}
 	}
-	return out, nil
+	return tree.NewMean(fl, numFeats), nil
 }
 
 // PredictProbaBatch is PredictProba under the name fleet.BatchClassifier
@@ -149,51 +144,9 @@ func (f *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // stops calling it.
 func (f *Classifier) PredictProbaBatch(x *mat.Matrix) (*mat.Matrix, error) { return f.PredictProba(x) }
 
-// PredictProbaBatchInto is PredictProba writing into out, an
-// x.Rows×NumClasses matrix the caller owns and may reuse across calls:
-// whatever out held is overwritten, so a serving loop scores every batch
-// into the same memory.
-func (f *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
-	if f.flat == nil {
-		return errors.New("forest: not fitted")
-	}
-	if x.Cols != f.numFeats {
-		return fmt.Errorf("forest: %d features, fitted on %d", x.Cols, f.numFeats)
-	}
-	if len(x.Data) != x.Rows*x.Cols {
-		return fmt.Errorf("forest: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
-	}
-	if out.Rows != x.Rows || out.Cols != f.numClasses || len(out.Data) != out.Rows*out.Cols {
-		return fmt.Errorf("forest: output is %dx%d (%d values), want %dx%d",
-			out.Rows, out.Cols, len(out.Data), x.Rows, f.numClasses)
-	}
-	_ = mat.ParallelRowBlocks(x.Rows, 0, func(lo, hi int) error {
-		f.scoreBlock(x, out, lo, hi)
-		return nil
-	})
-	return nil
-}
-
-// NumClasses returns the width of a probability row, 0 before Fit.
-func (f *Classifier) NumClasses() int { return f.numClasses }
-
-// Predict labels every row by soft vote: the arg-max of its PredictProba
-// row, first class on ties.
-func (f *Classifier) Predict(x *mat.Matrix) ([]int, error) {
-	probs, err := f.PredictProba(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, x.Rows)
-	for i := range out {
-		out[i] = mat.ArgMax(probs.Row(i))
-	}
-	return out, nil
-}
-
 // FeatureImportances averages normalised Gini importances over trees.
 func (f *Classifier) FeatureImportances() []float64 {
-	out := make([]float64, f.numFeats)
+	out := make([]float64, f.NumFeatures())
 	if len(f.trees) == 0 {
 		return out
 	}

@@ -133,6 +133,9 @@ func TestForestErrors(t *testing.T) {
 	if _, err := f.Predict(mat.New(1, 2)); err == nil {
 		t.Error("predict before fit should fail")
 	}
+	if _, err := f.PredictProbaBatch(mat.New(1, 2)); err == nil {
+		t.Error("batch predict before fit should fail")
+	}
 }
 
 func TestForestFeatureImportances(t *testing.T) {
@@ -168,88 +171,5 @@ func TestNumTreesConfigDefaults(t *testing.T) {
 	}
 	if f.NumTrees() != 100 {
 		t.Errorf("default ensemble size %d, want 100", f.NumTrees())
-	}
-}
-
-func TestPredictProbaBatchUnfitted(t *testing.T) {
-	if _, err := New(Config{}).PredictProba(mat.New(1, 2)); err == nil {
-		t.Error("unfitted predict should fail")
-	}
-	if _, err := New(Config{}).PredictProbaBatch(mat.New(1, 2)); err == nil {
-		t.Error("unfitted batch predict should fail")
-	}
-}
-
-// TestPredictProbaBatchIntoOverwrites pins the caller-owned output path a
-// fleet tick scores into: whatever the buffer held before — NaN garbage or a
-// previous, larger batch — each call's rows are bit-identical to
-// PredictProba's; a misshapen output or an unfitted forest is refused.
-func TestPredictProbaBatchIntoOverwrites(t *testing.T) {
-	x, y := gaussianBlobs(300, 4, 0.9, 12)
-	f := New(Config{NumTrees: 20, Seed: 4, Bootstrap: true})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, x.Rows*f.NumClasses())
-	for i := range buf {
-		buf[i] = math.NaN()
-	}
-	for _, rows := range []int{x.Rows, 97, 1, 0} {
-		ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-		out := &mat.Matrix{Rows: rows, Cols: f.NumClasses(), Data: buf[:rows*f.NumClasses()]}
-		if err := f.PredictProbaBatchInto(ev, out); err != nil {
-			t.Fatal(err)
-		}
-		want, err := f.PredictProba(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("rows=%d: element %d: into %v vs PredictProba %v", rows, i, out.Data[i], want.Data[i])
-			}
-		}
-	}
-	for _, bad := range []*mat.Matrix{
-		mat.New(x.Rows, f.NumClasses()+1),
-		mat.New(x.Rows-1, f.NumClasses()),
-		{Rows: x.Rows, Cols: f.NumClasses(), Data: buf[:len(buf)-1]},
-	} {
-		if err := f.PredictProbaBatchInto(x, bad); err == nil {
-			t.Fatalf("accepted a %dx%d output of %d values", bad.Rows, bad.Cols, len(bad.Data))
-		}
-	}
-	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {
-		t.Error("unfitted batch predict into should fail")
-	}
-}
-
-// TestPredictProbaBatchRefusesShortInput pins that every predict entry
-// point checks x.Data against x.Rows×x.Cols before any block worker slices
-// it: a Data holding fewer rows than x.Rows, with spare capacity behind it
-// or without, or more values than the shape names, is an error, never rows
-// scored from stale memory or a panic.
-func TestPredictProbaBatchRefusesShortInput(t *testing.T) {
-	x, y := gaussianBlobs(100, 4, 0.9, 13)
-	f := New(Config{NumTrees: 5, Seed: 2, Bootstrap: true})
-	if err := f.Fit(x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	half := x.Rows / 2 * x.Cols
-	for name, data := range map[string][]float64{
-		"spare capacity": x.Data[:half],
-		"exact capacity": x.Data[:half:half],
-		"too long":       append(append([]float64(nil), x.Data...), 0),
-	} {
-		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
-		for method, predict := range map[string]func(*mat.Matrix) error{
-			"PredictProba":      func(x *mat.Matrix) error { _, err := f.PredictProba(x); return err },
-			"PredictProbaBatch": func(x *mat.Matrix) error { _, err := f.PredictProbaBatch(x); return err },
-			"Predict":           func(x *mat.Matrix) error { _, err := f.Predict(x); return err },
-		} {
-			if err := predict(bad); err == nil {
-				t.Errorf("%s, %s: accepted a %dx%d input of %d values", method, name, bad.Rows, bad.Cols, len(data))
-			}
-		}
 	}
 }

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/drift"
 	"repro/internal/fleet"
@@ -102,58 +101,48 @@ func TestDriftEndpointAndPredictionFields(t *testing.T) {
 // discarded, so a section holding any of those decodes, and a server built
 // on it answers a scored job's prediction read with a finite, parseable body.
 func TestRetiredTemperatureSlotNeverReachesAResponse(t *testing.T) {
-	scaler, model := servetest.Fixture(t)
 	var enc bytes.Buffer
 	if err := servetest.Calibration(t, 61, 400).Encode(&enc); err != nil {
 		t.Fatal(err)
 	}
 	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, 1e-300} {
-		raw := append([]byte(nil), enc.Bytes()...)
-		binary.LittleEndian.PutUint64(raw[4:12], math.Float64bits(temp)) // after the u32 version
-		cal, err := drift.Decode(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("temperature slot %v: %v", temp, err)
-		}
-		m, err := fleet.New(fleet.Config{Shards: 1, Window: servetest.Window, Sensors: servetest.Sensors,
-			Scaler: scaler, Model: model, Drift: cal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{Monitor: m, TickEvery: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		var body strings.Builder
-		for _, sm := range servetest.JobSamples(3, servetest.Window+1) {
-			body.WriteString(sampleLine(3, sm) + "\n")
-		}
-		postNDJSON(t, ts.URL, body.String())
-		if err := s.runTick(0); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get(ts.URL + "/v1/jobs/3/prediction")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		ts.Close()
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pr struct {
-			Probability *float64 `json:"probability"`
-			FeatureDist *float64 `json:"feature_distance"`
-			Unknown     *bool    `json:"unknown"`
-		}
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(got, &pr) != nil {
-			t.Fatalf("temperature slot %v: status %d, body %q", temp, resp.StatusCode, got)
-		}
-		if pr.Probability == nil || pr.FeatureDist == nil || pr.Unknown == nil {
-			t.Fatalf("temperature slot %v: prediction %s", temp, got)
-		}
+		t.Run(fmt.Sprint(temp), func(t *testing.T) {
+			raw := append([]byte(nil), enc.Bytes()...)
+			binary.LittleEndian.PutUint64(raw[4:12], math.Float64bits(temp)) // after the u32 version
+			cal, err := drift.Decode(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, _, ts := newTestServer(t, func(fc *fleet.Config) { fc.Drift = cal }, func(c *Config) { c.ClassNames = nil })
+			var body strings.Builder
+			for _, sm := range servetest.JobSamples(3, servetest.Window+1) {
+				body.WriteString(sampleLine(3, sm) + "\n")
+			}
+			postNDJSON(t, ts.URL, body.String())
+			if err := s.runTick(0); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/3/prediction")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pr struct {
+				Probability *float64 `json:"probability"`
+				FeatureDist *float64 `json:"feature_distance"`
+				Unknown     *bool    `json:"unknown"`
+			}
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(got, &pr) != nil {
+				t.Fatalf("status %d, body %q", resp.StatusCode, got)
+			}
+			if pr.Probability == nil || pr.FeatureDist == nil || pr.Unknown == nil {
+				t.Fatalf("prediction %s", got)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -88,16 +87,12 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 	// Served fleet: the same replay partitioned across conns concurrent
 	// HTTP clients (a job's samples always ride the same connection, so
 	// per-job order is preserved), while the server ticks every 2ms.
-	served, err := fleet.New(fleet.Config{Shards: 1, Window: window, Sensors: sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Monitor: served, TickEvery: 2 * time.Millisecond, queueDepth: 64, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, served, ts := newTestServer(t, func(fc *fleet.Config) {
+		fc.Window, fc.Sensors, fc.Scaler, fc.Model = window, sensors, scaler, model
+	}, func(c *Config) {
+		c.ClassNames = nil
+		c.TickEvery, c.queueDepth, c.Workers = 2*time.Millisecond, 64, 4
+	})
 
 	bodies := make([][][]byte, conns)
 	cur := make([][]string, conns)

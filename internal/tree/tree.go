@@ -2,7 +2,9 @@
 // splits on the Gini criterion with optional per-node feature subsampling.
 // It is the base learner for internal/forest and deliberately matches the
 // semantics of scikit-learn's DecisionTreeClassifier as used by the paper's
-// RandomForestClassifier baseline.
+// RandomForestClassifier baseline. It also holds what both tree ensembles,
+// internal/forest and internal/xgb, score through: Flat, the compiled
+// kernel, and Ensemble, the predict surface around it.
 package tree
 
 import (

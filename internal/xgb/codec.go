@@ -32,16 +32,16 @@ func (c *Classifier) Encode(w io.Writer) error {
 	ww.F64(c.cfg.Subsample)
 	ww.Int(0) // retired Workers slot
 	ww.I64(c.cfg.Seed)
-	ww.Int(c.numClasses)
-	ww.Int(c.numFeats)
+	ww.Int(c.NumClasses())
+	ww.Int(c.NumFeatures())
 	ww.F64s(c.gainImp)
 	ww.F64s(c.weightImp)
 	ww.F64s(c.TrainLoss)
 	ww.F64s(c.EvalAccuracy)
 	ww.Int(len(c.trees))
 	for _, round := range c.trees {
-		if len(round) != c.numClasses {
-			return fmt.Errorf("xgb: round has %d trees, want %d", len(round), c.numClasses)
+		if len(round) != c.NumClasses() {
+			return fmt.Errorf("xgb: round has %d trees, want %d", len(round), c.NumClasses())
 		}
 		for _, tr := range round {
 			encodeRegTree(ww, tr)
@@ -84,8 +84,8 @@ func Decode(r io.Reader) (*Classifier, error) {
 	c.cfg.Subsample = rr.F64()
 	rr.Int() // retired Workers slot
 	c.cfg.Seed = rr.I64()
-	c.numClasses = rr.Int()
-	c.numFeats = rr.Int()
+	numClasses := rr.Int()
+	numFeats := rr.Int()
 	c.gainImp = rr.F64s()
 	c.weightImp = rr.F64s()
 	c.TrainLoss = rr.F64s()
@@ -94,16 +94,16 @@ func Decode(r io.Reader) (*Classifier, error) {
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if c.numClasses < 2 || c.numFeats < 1 || rounds < 1 || rounds > 1<<20 {
-		return nil, fmt.Errorf("xgb: corrupt header (%d classes, %d features, %d rounds)", c.numClasses, c.numFeats, rounds)
+	if numClasses < 2 || numFeats < 1 || rounds < 1 || rounds > 1<<20 {
+		return nil, fmt.Errorf("xgb: corrupt header (%d classes, %d features, %d rounds)", numClasses, numFeats, rounds)
 	}
-	if len(c.gainImp) != c.numFeats || len(c.weightImp) != c.numFeats {
-		return nil, fmt.Errorf("xgb: importance lengths %d/%d for %d features", len(c.gainImp), len(c.weightImp), c.numFeats)
+	if len(c.gainImp) != numFeats || len(c.weightImp) != numFeats {
+		return nil, fmt.Errorf("xgb: importance lengths %d/%d for %d features", len(c.gainImp), len(c.weightImp), numFeats)
 	}
 	for ri := 0; ri < rounds; ri++ { // counts are claims: trees are kept as they arrive
 		var round []*regTree
-		for k := 0; k < c.numClasses; k++ {
-			tr, err := decodeRegTree(rr, c.numFeats)
+		for k := 0; k < numClasses; k++ {
+			tr, err := decodeRegTree(rr, numFeats)
 			if err != nil {
 				return nil, fmt.Errorf("xgb: round %d class %d: %w", ri, k, err)
 			}
@@ -115,7 +115,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 		return nil, err
 	}
 	var err error
-	if c.flat, err = compileFlat(c.trees, c.cfg.LearningRate, c.numClasses); err != nil {
+	if c.Ensemble, err = compile(c.trees, c.cfg.LearningRate, numFeats, numClasses); err != nil {
 		return nil, err
 	}
 	return c, nil

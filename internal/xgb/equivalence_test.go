@@ -66,14 +66,14 @@ func snapToThresholds(rng *rand.Rand, x *mat.Matrix, c *Classifier) {
 // pointerOnly clones a fitted ensemble without its flat form — the
 // hand-populated value every predict method must refuse.
 func pointerOnly(c *Classifier) *Classifier {
-	return &Classifier{cfg: c.cfg, trees: c.trees, numClasses: c.numClasses, numFeats: c.numFeats}
+	return &Classifier{cfg: c.cfg, trees: c.trees}
 }
 
 // pointerWalk is the reference the kernel is held to, independent of it:
 // for each row, lr·predictRow of every tree added to its class's score in
 // (round, class) order, then the scores softmaxed.
 func pointerWalk(c *Classifier, ev *mat.Matrix) *mat.Matrix {
-	out := mat.New(ev.Rows, c.numClasses)
+	out := mat.New(ev.Rows, c.NumClasses())
 	for i := 0; i < ev.Rows; i++ {
 		dst := out.Row(i)
 		for _, round := range c.trees {
@@ -81,7 +81,7 @@ func pointerWalk(c *Classifier, ev *mat.Matrix) *mat.Matrix {
 				dst[k] += c.cfg.LearningRate * tr.predictRow(ev.Row(i))
 			}
 		}
-		softmaxInto(dst, dst)
+		tree.SoftmaxInto(dst, dst)
 	}
 	return out
 }
@@ -126,7 +126,7 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 			if err := c.Fit(x, y, tc.classes, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			if c.flat == nil {
+			if c.Flat() == nil {
 				t.Fatal("Fit left no compiled flat form")
 			}
 			p := pointerOnly(c)
@@ -161,7 +161,9 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 // BenchmarkPredictProbaBatch times the flat kernel on the shapes a fleet
 // tick hands it: rows of the 28 covariance features, 26 classes, the §IV-B
 // booster (40 rounds, depth 6). rows=256 is a full tick and rows=2 a sparse
-// tick's two dirty jobs. Both rungs score rows of one seeded batch.
+// tick's two dirty jobs. Each rung runs once per kernel path, so one run
+// prints the scalar and the AVX-512 walk side by side; a path the host
+// cannot run is skipped. Both rungs score rows of one seeded batch.
 func BenchmarkPredictProbaBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := randomProblem(rng, 512, 28, 26)
@@ -172,15 +174,22 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 	full, _ := randomProblem(rng, 256, 28, 26)
 	for _, rows := range []int{2, 256} {
 		batch := &mat.Matrix{Rows: rows, Cols: full.Cols, Data: full.Data[:rows*full.Cols]}
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := c.PredictProba(batch); err != nil {
-					b.Fatal(err)
+		for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+			b.Run(fmt.Sprintf("rows=%d/path=%s", rows, path), func(b *testing.B) {
+				prev, ok := tree.SetKernelPath(path)
+				if !ok {
+					b.Skipf("this CPU cannot run the %s walk", path)
 				}
-			}
-			b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+				defer tree.SetKernelPath(prev)
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := c.PredictProba(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(batch.Rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }
 
@@ -194,7 +203,7 @@ func TestFlatXGBCompiledShape(t *testing.T) {
 	if err := c.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	fl := c.flat.Layout()
+	fl := c.Flat().Layout()
 	if len(fl.Roots) != 6*3 {
 		t.Fatalf("%d roots for 6 rounds × 3 classes", len(fl.Roots))
 	}

@@ -181,7 +181,7 @@ func TestEquivalenceSplitOrderMatchesStableSort(t *testing.T) {
 				for k := range probs {
 					probs[k] = rng.NormFloat64()
 				}
-				softmaxInto(probs, probs)
+				tree.SoftmaxInto(probs, probs)
 				p := probs[0]
 				target := 0.0
 				if y[i] == 0 {

@@ -76,20 +76,17 @@ func (t *regTree) predictRow(row []float64) float64 {
 	return t.nodes[id].weight
 }
 
-// Classifier is a fitted boosted ensemble.
+// Classifier is a fitted boosted ensemble. Its predict methods —
+// PredictProba, PredictProbaBatchInto, Predict and NumClasses — are
+// tree.Ensemble's, over the flat form compiled once at Fit or Decode time:
+// the softmax of the boosted per-class scores.
 type Classifier struct {
-	cfg        Config
-	trees      [][]*regTree // [round][class]
-	numClasses int
-	numFeats   int
+	tree.Ensemble
+	cfg   Config
+	trees [][]*regTree // [round][class]
 
 	gainImp   []float64
 	weightImp []float64
-
-	// flat is the compiled contiguous inference form, built once at Fit or
-	// Decode time and immutable afterwards; every predict method walks it.
-	// See tree.Flat.
-	flat *tree.Flat
 
 	// TrainLoss records mean softmax cross-entropy per round, used to
 	// reproduce the paper's plateau/overfitting analysis.
@@ -140,8 +137,6 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 		return fmt.Errorf("xgb: %w", err)
 	}
 	b := newGrower(c, ord)
-	c.numClasses = numClasses
-	c.numFeats = x.Cols
 	c.gainImp = make([]float64, x.Cols)
 	c.weightImp = make([]float64, x.Cols)
 	c.trees = nil
@@ -164,7 +159,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 		// Softmax over current scores; accumulate train loss.
 		loss := 0.0
 		for i := 0; i < n; i++ {
-			softmaxInto(probs.Row(i), scores.Row(i))
+			tree.SoftmaxInto(probs.Row(i), scores.Row(i))
 			p := probs.At(i, y[i])
 			loss += -math.Log(math.Max(p, 1e-15))
 		}
@@ -205,30 +200,8 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 			c.EvalAccuracy = append(c.EvalAccuracy, float64(correct)/float64(evalX.Rows))
 		}
 	}
-	flat, err := compileFlat(c.trees, c.cfg.LearningRate, numClasses)
-	c.flat = flat
+	c.Ensemble, err = compile(c.trees, c.cfg.LearningRate, x.Cols, numClasses)
 	return err
-}
-
-// softmaxInto writes softmax(scores) into dst. dst may alias scores: the
-// max is read before any write, and each scores[i] is read before dst[i]
-// is written — the flat kernel's in-place call depends on this.
-func softmaxInto(dst, scores []float64) {
-	max := scores[0]
-	for _, v := range scores[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for i, v := range scores {
-		e := math.Exp(v - max)
-		dst[i] = e
-		sum += e
-	}
-	for i := range dst {
-		dst[i] /= sum
-	}
 }
 
 func (c *Classifier) sampleRows(n int, rng *rand.Rand) []int {
@@ -366,60 +339,6 @@ func (b *grower) grow(t *regTree, g, h []float64, rows []int, depth int) int {
 	r := b.grow(t, g, h, rows[nl:], depth+1)
 	t.nodes[id] = regNode{feature: bestFeat, threshold: bestThresh, left: l, right: r}
 	return id
-}
-
-// PredictProba returns softmax probabilities of the boosted per-class
-// scores for every row of x. Rows are split into contiguous blocks over up
-// to GOMAXPROCS goroutines, and each block is swept over the flat node
-// arrays compiled at Fit/Decode time (see tree.Flat).
-func (c *Classifier) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
-	out := mat.New(x.Rows, c.numClasses)
-	if err := c.PredictProbaBatchInto(x, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictProbaBatchInto is PredictProba writing into out, an
-// x.Rows×NumClasses matrix the caller owns and may reuse across calls:
-// whatever out held is overwritten, so a serving loop scores every batch
-// into the same memory.
-func (c *Classifier) PredictProbaBatchInto(x, out *mat.Matrix) error {
-	if c.flat == nil {
-		return errors.New("xgb: not fitted")
-	}
-	if x.Cols != c.numFeats {
-		return fmt.Errorf("xgb: %d features, fitted on %d", x.Cols, c.numFeats)
-	}
-	if len(x.Data) != x.Rows*x.Cols {
-		return fmt.Errorf("xgb: input is %dx%d but holds %d values", x.Rows, x.Cols, len(x.Data))
-	}
-	if out.Rows != x.Rows || out.Cols != c.numClasses || len(out.Data) != out.Rows*out.Cols {
-		return fmt.Errorf("xgb: output is %dx%d (%d values), want %dx%d",
-			out.Rows, out.Cols, len(out.Data), x.Rows, c.numClasses)
-	}
-	_ = mat.ParallelRowBlocks(x.Rows, 0, func(lo, hi int) error {
-		c.scoreBlock(x, out, lo, hi)
-		return nil
-	})
-	return nil
-}
-
-// NumClasses returns the width of a probability row, 0 before Fit.
-func (c *Classifier) NumClasses() int { return c.numClasses }
-
-// Predict labels every row by the arg-max of its PredictProba row, first
-// class on ties.
-func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {
-	probs, err := c.PredictProba(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, x.Rows)
-	for i := range out {
-		out[i] = mat.ArgMax(probs.Row(i))
-	}
-	return out, nil
 }
 
 // ImportanceKind selects the feature-importance flavour.

@@ -276,90 +276,3 @@ func TestXGBDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestXGBPredictProbaBatchErrors(t *testing.T) {
-	if _, err := New(Config{}).PredictProba(mat.New(1, 2)); err == nil {
-		t.Error("unfitted predict should fail")
-	}
-	x, y := blobs(60, 2, 0.5, 14)
-	c := New(Config{NumRounds: 3})
-	if err := c.Fit(x, y, 2, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.PredictProba(mat.New(4, 5)); err == nil {
-		t.Error("feature-count mismatch should fail")
-	}
-}
-
-// TestXGBPredictProbaBatchIntoOverwrites pins the caller-owned output path a
-// fleet tick scores into: whatever the buffer held before — NaN garbage or a
-// previous, larger batch — each call's rows are bit-identical to
-// PredictProba's; a misshapen output or an unfitted booster is refused.
-func TestXGBPredictProbaBatchIntoOverwrites(t *testing.T) {
-	x, y := blobs(250, 3, 0.9, 15)
-	c := New(Config{NumRounds: 10, MaxDepth: 4, Seed: 3})
-	if err := c.Fit(x, y, 3, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, x.Rows*c.NumClasses())
-	for i := range buf {
-		buf[i] = math.NaN()
-	}
-	for _, rows := range []int{x.Rows, 97, 1, 0} {
-		ev := &mat.Matrix{Rows: rows, Cols: x.Cols, Data: x.Data[:rows*x.Cols]}
-		out := &mat.Matrix{Rows: rows, Cols: c.NumClasses(), Data: buf[:rows*c.NumClasses()]}
-		if err := c.PredictProbaBatchInto(ev, out); err != nil {
-			t.Fatal(err)
-		}
-		want, err := c.PredictProba(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("rows=%d: element %d: into %v vs PredictProba %v", rows, i, out.Data[i], want.Data[i])
-			}
-		}
-	}
-	for _, bad := range []*mat.Matrix{
-		mat.New(x.Rows, c.NumClasses()+1),
-		mat.New(x.Rows-1, c.NumClasses()),
-		{Rows: x.Rows, Cols: c.NumClasses(), Data: buf[:len(buf)-1]},
-	} {
-		if err := c.PredictProbaBatchInto(x, bad); err == nil {
-			t.Fatalf("accepted a %dx%d output of %d values", bad.Rows, bad.Cols, len(bad.Data))
-		}
-	}
-	if err := New(Config{}).PredictProbaBatchInto(mat.New(1, 2), mat.New(1, 0)); err == nil {
-		t.Error("unfitted batch predict into should fail")
-	}
-}
-
-// TestXGBPredictProbaBatchRefusesShortInput pins that every predict entry
-// point checks x.Data against x.Rows×x.Cols before any block worker slices
-// it: a Data holding fewer rows than x.Rows, with spare capacity behind it
-// or without, or more values than the shape names, is an error, never rows
-// scored from stale memory or a panic.
-func TestXGBPredictProbaBatchRefusesShortInput(t *testing.T) {
-	x, y := blobs(100, 3, 0.9, 16)
-	c := New(Config{NumRounds: 3, MaxDepth: 3, Seed: 2})
-	if err := c.Fit(x, y, 3, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	half := x.Rows / 2 * x.Cols
-	for name, data := range map[string][]float64{
-		"spare capacity": x.Data[:half],
-		"exact capacity": x.Data[:half:half],
-		"too long":       append(append([]float64(nil), x.Data...), 0),
-	} {
-		bad := &mat.Matrix{Rows: x.Rows, Cols: x.Cols, Data: data}
-		for method, predict := range map[string]func(*mat.Matrix) error{
-			"PredictProba": func(x *mat.Matrix) error { _, err := c.PredictProba(x); return err },
-			"Predict":      func(x *mat.Matrix) error { _, err := c.Predict(x); return err },
-		} {
-			if err := predict(bad); err == nil {
-				t.Errorf("%s, %s: accepted a %dx%d input of %d values", method, name, bad.Rows, bad.Cols, len(data))
-			}
-		}
-	}
-}
