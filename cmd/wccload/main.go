@@ -44,10 +44,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +57,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drift"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -619,19 +620,8 @@ func getJSON[T any](client *http.Client, url string) (*T, error) {
 	return &v, nil
 }
 
-// percentile returns the q-quantile of the observed durations (nearest-rank).
+// percentile returns the nearest-rank q-quantile of the observed
+// durations, rounded to the microsecond.
 func percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i].Round(time.Microsecond)
+	return metrics.Quantile(slices.Sorted(slices.Values(ds)), q).Round(time.Microsecond)
 }

@@ -59,29 +59,6 @@ func postJob(t *testing.T, url string, job int, samples [][]float64) (accepted, 
 	return out.Accepted, out.Rejected
 }
 
-// fetchPrediction reads a job's prediction over HTTP from an arbitrary
-// node, following the cluster's 307 redirect to the owner.
-func fetchPrediction(t *testing.T, url string, job int) (class int, probs []float64) {
-	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/prediction", url, job))
-	if err != nil {
-		t.Fatalf("prediction job %d: %v", job, err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prediction job %d: status %d: %s", job, resp.StatusCode, body)
-	}
-	var out struct {
-		Class int       `json:"class"`
-		Probs []float64 `json:"probs"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("prediction job %d: parsing %q: %v", job, body, err)
-	}
-	return out.Class, out.Probs
-}
-
 // probeJob hands out job IDs far above anything the tests ingest, so
 // generation probes never collide with replay traffic.
 var probeJob atomic.Int64
@@ -113,120 +90,56 @@ func stampServedBy(t *testing.T, m *clustertest.Member, window, sensors int) int
 	return clustertest.StampOf(pred.Probs)
 }
 
-// TestClusterEquivalenceWithSingleCore is the tentpole invariant: a
-// replay spread across a 3-node cluster — every job entering at a node
-// chosen without regard to ownership, samples forwarded peer-to-peer, the
-// owner classifying — ends bit-identical to the same replay through one
-// in-process sharded monitor. Node routing must be a pure placement
-// decision with zero numeric footprint.
+// TestClusterEquivalenceWithSingleCore is the tentpole invariant, two
+// rows of the served table (servetest.Serve), one per framing, each on its
+// own 3-node cluster: every job enters at node j%3 without regard to
+// ownership, its samples are forwarded peer-to-peer inside the request, the
+// owner classifies, and reads through node (j+1)%3 follow the 307 to the
+// owner. Refusals and prediction bits must be the ones one in-process
+// sharded monitor gives for the same stream: node routing is a pure
+// placement decision with zero numeric footprint. On the clean path the
+// forward ledger balances: every forwarded sample received, none refused.
 func TestClusterEquivalenceWithSingleCore(t *testing.T) {
-	const (
-		window  = 6
-		sensors = 3
-		jobs    = 24
-		perJob  = 10
-	)
 	// A discriminating forest, not a stamp model: a stamp answers the same
 	// probabilities for every input, which would make the comparison vacuous.
-	scaler, model := servetest.Wide(t, window, sensors)
-	c := clustertest.Start(t, clustertest.Options{
-		Nodes: 3, Window: window, Sensors: sensors,
-		Scaler: scaler, Model: model,
-	})
-
-	rng := rand.New(rand.NewSource(23))
-	replay := make([][][]float64, jobs)
-	for j := range replay {
-		replay[j] = make([][]float64, perJob)
-		for s := range replay[j] {
-			vals := make([]float64, sensors)
-			for k := range vals {
-				vals[k] = rng.NormFloat64()
-			}
-			replay[j][s] = vals
-		}
-	}
-
-	total := 0
-	for j, samples := range replay {
-		acc, rej := postJob(t, c.URLs[j%3], j, samples)
-		if rej != 0 || acc != perJob {
-			t.Fatalf("job %d: accepted %d rejected %d, want %d/0", j, acc, rej, perJob)
-		}
-		total += acc
-	}
-	ingested := func() uint64 {
-		var sum uint64
-		for i := 0; i < 3; i++ {
-			sum += c.Member(i).Core.SamplesIngested()
-		}
-		return sum
-	}
-	if !clustertest.Settle(5*time.Second, func() bool { return ingested() == uint64(total) }) {
-		t.Fatalf("cluster ingested %d of %d accepted samples", ingested(), total)
-	}
-	// Deterministic final scoring pass on every node (the servers' own
-	// tick loops are also running; re-ticking a clean fleet is idempotent).
-	for i := 0; i < 3; i++ {
-		if _, err := c.Member(i).Core.Tick(); err != nil {
-			t.Fatalf("final tick on node %d: %v", i, err)
-		}
-	}
-
-	// The reference: one in-process sharded core, same replay, same order
-	// within each job.
+	scaler, model := servetest.Fixture(t)
 	ref, err := fleet.New(fleet.Config{
-		Window: window, Sensors: sensors, Scaler: scaler, Model: model, Shards: 2,
+		Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, samples := range replay {
-		for _, vals := range samples {
-			if err := ref.Ingest(j, vals); err != nil {
-				t.Fatalf("reference ingest job %d: %v", j, err)
-			}
-		}
+	var rows []servetest.Row
+	for _, framing := range []string{"ndjson", "binary"} {
+		c := clustertest.Start(t, clustertest.Options{Nodes: 3, Scaler: scaler, Model: model})
+		rows = append(rows, servetest.Row{
+			Name: framing, Binary: framing == "binary", Conns: 3, Batch: 64,
+			PostTo:   func(j int) string { return c.URLs[j%3] },
+			ReadFrom: func(j int) string { return c.URLs[(j+1)%3] },
+			// A reply comes after every owner applied its lines, so the
+			// drain is one deterministic scoring pass on every node, and the
+			// forward ledger is final.
+			Drain: func(t testing.TB) uint64 {
+				var ingested, forwarded, errs, received uint64
+				for i := 0; i < 3; i++ {
+					if _, err := c.Member(i).Core.Tick(); err != nil {
+						t.Fatalf("final tick on node %d: %v", i, err)
+					}
+					ingested += c.Member(i).Core.SamplesIngested()
+					f, e, r := c.Member(i).Cluster.ForwardStats()
+					forwarded, errs, received = forwarded+f, errs+e, received+r
+				}
+				if errs != 0 || forwarded != received || forwarded == 0 {
+					t.Errorf("forwarded %d samples, peers received %d, %d refused", forwarded, received, errs)
+				}
+				return ingested
+			},
+		})
 	}
-	if _, err := ref.Tick(); err != nil {
-		t.Fatal(err)
-	}
-
-	for j := range replay {
-		want, ok := ref.Prediction(j)
-		if !ok {
-			t.Fatalf("reference has no prediction for job %d", j)
-		}
-		// Read through a node that usually does not own the job, so the
-		// 307 redirect path is part of the invariant.
-		class, probs := fetchPrediction(t, c.URLs[(j+1)%3], j)
-		if class != want.Class {
-			t.Errorf("job %d: cluster class %d, reference class %d", j, class, want.Class)
-		}
-		if len(probs) != len(want.Probs) {
-			t.Fatalf("job %d: %d probs vs reference %d", j, len(probs), len(want.Probs))
-		}
-		for k := range probs {
-			if probs[k] != want.Probs[k] {
-				t.Errorf("job %d class %d: cluster prob %v != reference %v", j, k, probs[k], want.Probs[k])
-			}
-		}
-	}
-
-	// Forwarding accounting must balance exactly on the clean path.
-	var forwarded, errs, received uint64
-	for i := 0; i < 3; i++ {
-		f, e, r := c.Member(i).Cluster.ForwardStats()
-		forwarded += f
-		errs += e
-		received += r
-	}
-	if errs != 0 {
-		t.Errorf("clean replay errored %d forwarded samples", errs)
-	}
-	if forwarded != received {
-		t.Errorf("forwarded %d samples but peers received %d", forwarded, received)
-	}
+	streams := append(servetest.JobStreams(24, 10), servetest.JobSamples(24, servetest.Window-1))
+	lines, _ := servetest.Interleave(rand.New(rand.NewSource(23)), streams)
+	servetest.Serve(t, lines, servetest.Reference{Ingest: ref.Ingest, Prediction: ref.Prediction,
+		Tick: func() error { _, err := ref.Tick(); return err }}, rows...)
 }
 
 // TestClusterKillNodeBoundedLoss kills a node mid-replay. The contract is

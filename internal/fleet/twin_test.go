@@ -108,7 +108,7 @@ func runTwin(t *testing.T, row twinRow) {
 	sameParts := same && a.shards == b.shards
 
 	rng := rand.New(rand.NewSource(row.seed))
-	lines, bad := batchStreams(rng, row.jobs, row.perJob)
+	lines, bad := servetest.Interleave(rng, servetest.JobStreams(row.jobs, row.perJob))
 	jobs, accepted := map[int]bool{}, 0
 	for lo := 0; lo < len(lines); {
 		hi := min(len(lines), lo+1+rng.Intn(90))
@@ -174,7 +174,7 @@ func (s *twinMonitor) String() string { return fmt.Sprintf("side %s %+v", s.name
 
 // feed sends the stream's lines lo to hi to the side's monitor and records
 // each refusal under its stream index.
-func (s *twinMonitor) feed(t *testing.T, lines []Sample, lo, hi int, seed int64) {
+func (s *twinMonitor) feed(t *testing.T, lines []servetest.Line, lo, hi int, seed int64) {
 	perJob, idx := map[int][]int{}, make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		perJob[lines[i].Job] = append(perJob[lines[i].Job], i)
@@ -213,7 +213,7 @@ func (s *twinMonitor) feed(t *testing.T, lines []Sample, lo, hi int, seed int64)
 
 // ingest feeds the stream's lines at idx in order, in one IngestBatch call
 // through b or one Ingest call a line.
-func (s *twinMonitor) ingest(t *testing.T, b *Batch, lines []Sample, idx []int) {
+func (s *twinMonitor) ingest(t *testing.T, b *Batch, lines []servetest.Line, idx []int) {
 	if !s.batch {
 		for _, i := range idx {
 			if err := s.m.Ingest(lines[i].Job, lines[i].Values); err != nil {
@@ -224,7 +224,7 @@ func (s *twinMonitor) ingest(t *testing.T, b *Batch, lines []Sample, idx []int) 
 	}
 	b.Samples = b.Samples[:0]
 	for _, i := range idx {
-		b.Samples = append(b.Samples, lines[i])
+		b.Samples = append(b.Samples, Sample(lines[i]))
 	}
 	for _, e := range s.m.IngestBatch(b) {
 		if e.Index < 0 || e.Index >= len(idx) {
@@ -369,45 +369,6 @@ func checkObserved(t *testing.T, s *twinMonitor, jobs int) {
 	if len(covered) != jobs {
 		t.Fatalf("%s: prediction events covered %d jobs, want %d", s, len(covered), jobs)
 	}
-}
-
-// batchStreams interleaves the servetest streams of the given jobs in a
-// random merge that keeps each job's order, and mixes in about one refused
-// line in twelve: too few values, too many, a NaN, or ±1e13. bad holds the
-// refused lines' indices.
-func batchStreams(rng *rand.Rand, jobs, perJob int) (lines []Sample, bad map[int]bool) {
-	streams := make([][][]float64, jobs)
-	for j := range streams {
-		streams[j] = servetest.JobSamples(j, perJob)
-	}
-	bad = map[int]bool{}
-	for left := jobs * perJob; left > 0; {
-		j := rng.Intn(jobs)
-		if len(streams[j]) == 0 {
-			continue
-		}
-		if rng.Intn(12) == 0 {
-			v := append([]float64(nil), streams[j][0]...)
-			switch rng.Intn(5) {
-			case 0:
-				v = v[:len(v)-1]
-			case 1:
-				v = append(v, 1)
-			case 2:
-				v[rng.Intn(len(v))] = math.NaN()
-			case 3:
-				v[rng.Intn(len(v))] = 1e13
-			default:
-				v[rng.Intn(len(v))] = -1e13
-			}
-			bad[len(lines)] = true
-			lines = append(lines, Sample{Job: j, Values: v})
-		}
-		lines = append(lines, Sample{Job: j, Values: streams[j][0]})
-		streams[j] = streams[j][1:]
-		left--
-	}
-	return lines, bad
 }
 
 // queueOrder lists every stripe's dirty queue, partition by partition.

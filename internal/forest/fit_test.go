@@ -1,8 +1,12 @@
 package forest
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,5 +58,50 @@ func TestForestFitRefusesNonFinite(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "row 31, column 0") {
 			t.Errorf("%v: Fit error %v, want one naming row 31, column 0", bad, err)
 		}
+	}
+}
+
+// TestForestFailedFitKeepsLastGoodFit: a Fit that fails — here on a label
+// out of range — leaves the forest as the last good Fit left it, the same
+// predictions, importances and encoded bytes; with no good Fit before it,
+// the forest stays unfitted: Encode refuses it and FeatureImportances is
+// empty.
+func TestForestFailedFitKeepsLastGoodFit(t *testing.T) {
+	x, y := randomProblem(rand.New(rand.NewSource(41)), 60, 4, 3)
+	bad := append([]int(nil), y...)
+	bad[17] = 5
+	snapshot := func(f *Classifier) (string, []float64, []byte) {
+		probs, err := f.PredictProba(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := f.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(probs.Data), f.FeatureImportances(), buf.Bytes()
+	}
+
+	f := New(Config{NumTrees: 9, Bootstrap: true, Seed: 3})
+	if err := f.Fit(x, y, 3); err != nil {
+		t.Fatal(err)
+	}
+	probs, imp, enc := snapshot(f)
+	if err := f.Fit(x, bad, 3); err == nil {
+		t.Fatal("Fit accepted label 5 of 3 classes")
+	}
+	if p, i, e := snapshot(f); p != probs || !slices.Equal(i, imp) || !bytes.Equal(e, enc) {
+		t.Fatal("a failed Fit changed the last good fit's predictions, importances or encoding")
+	}
+
+	unfitted := New(Config{NumTrees: 9, Bootstrap: true, Seed: 3})
+	if err := unfitted.Fit(x, bad, 3); err == nil {
+		t.Fatal("Fit accepted label 5 of 3 classes")
+	}
+	if err := unfitted.Encode(io.Discard); err == nil {
+		t.Fatal("Encode wrote a forest no Fit succeeded on")
+	}
+	if imp := unfitted.FeatureImportances(); len(imp) != 0 || unfitted.NumTrees() != 0 {
+		t.Fatalf("unfitted forest: importances %v, %d trees", imp, unfitted.NumTrees())
 	}
 }

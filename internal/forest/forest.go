@@ -79,7 +79,9 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 		}
 	}
 
-	f.trees = make([]*tree.Classifier, f.cfg.NumTrees)
+	// The trees grow into a local slice: a failed fit leaves the last good
+	// one in place.
+	trees := make([]*tree.Classifier, f.cfg.NumTrees)
 	errs := make([]error, f.cfg.NumTrees)
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -113,7 +115,7 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 				errs[ti] = err
 				return
 			}
-			f.trees[ti] = t
+			trees[ti] = t
 		}(ti)
 	}
 	wg.Wait()
@@ -122,8 +124,12 @@ func (f *Classifier) Fit(x *mat.Matrix, y []int, numClasses int) error {
 			return err
 		}
 	}
-	f.Ensemble, err = compile(f.trees, x.Cols, numClasses)
-	return err
+	ens, err := compile(trees, x.Cols, numClasses)
+	if err != nil {
+		return err
+	}
+	f.trees, f.Ensemble = trees, ens
+	return nil
 }
 
 // compile compiles the ensemble into the shared flat layout (tree.Flat),

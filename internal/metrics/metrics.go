@@ -1,13 +1,16 @@
 // Package metrics provides the classification metrics used to score the
 // challenge: accuracy (the challenge's criterion), confusion matrices and
-// per-class precision/recall/F1 reports.
+// per-class precision/recall/F1 reports; and the one nearest-rank quantile
+// the serving plane's latency reports read.
 package metrics
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Accuracy returns the fraction of predictions equal to the true labels.
@@ -166,4 +169,15 @@ func Report(yTrue, yPred []int, numClasses int, classNames []string) (string, er
 	fmt.Fprintf(&b, "%-16s %39.3f\n", "accuracy", cm.Accuracy())
 	fmt.Fprintf(&b, "%-16s %39.3f\n", "macro F1", cm.MacroF1())
 	return b.String(), nil
+}
+
+// Quantile returns the nearest-rank q-quantile of sorted durations: the
+// ⌈q·n⌉-th smallest, the first for q ≤ 0 and the last for q ≥ 1; 0 when
+// there are none.
+func Quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }

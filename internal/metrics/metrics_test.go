@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAccuracy(t *testing.T) {
@@ -161,5 +162,36 @@ func TestPerClassRecallBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuantileNearestRank: Quantile, which the server's tick-latency
+// quantiles and wccload's percentiles both read, is nearest-rank, the
+// ⌈q·n⌉-th smallest, and 0 of nothing. Rounding q·n instead reads one rank
+// low whenever its fraction is below one half: 0.95 of a full 512-tick
+// window is rank 486.4, so the 487th value.
+func TestQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want int // index into the sorted slice
+	}{
+		{512, 0.95, 486},
+		{20, 0.51, 10},
+		{1, 0.5, 0},
+		{1, 0.99, 0},
+		{10, 0, 0},
+		{10, 1, 9},
+	} {
+		sorted := make([]time.Duration, tc.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i)
+		}
+		if got := Quantile(sorted, tc.q); got != sorted[tc.want] {
+			t.Errorf("n=%d q=%v: index %d, want %d", tc.n, tc.q, int(got), tc.want)
+		}
+	}
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("quantile of nothing: %v, want 0", got)
 	}
 }

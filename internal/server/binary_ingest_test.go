@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
-	"repro/internal/servetest"
 	"repro/internal/wire"
 )
 
@@ -30,82 +28,6 @@ func postIngest(t *testing.T, url, contentType string, body []byte) (int, ingest
 		}
 	}
 	return resp.StatusCode, ir
-}
-
-// TestBinaryIngestMatchesNDJSON is the framing equivalence invariant:
-// replaying the same samples through NDJSON and through binary frames must
-// leave two fleets with bit-identical predictions for every job, and
-// identical accept/reject accounting on the way in. json.Marshal emits the
-// shortest round-tripping decimal for a float64, so both framings deliver
-// the same bits to the fleet.
-func TestBinaryIngestMatchesNDJSON(t *testing.T) {
-	const jobs, perJob = 4, servetest.Window + 3
-	srvA, _, tsA := newTestServer(t, nil, nil) // NDJSON
-	srvB, _, tsB := newTestServer(t, nil, nil) // binary
-
-	var ndjson bytes.Buffer
-	var bin []byte
-	for i := 0; i < perJob; i++ {
-		for j := 0; j < jobs; j++ {
-			vals := servetest.JobSamples(j, perJob)[i]
-			line, err := json.Marshal(struct {
-				Job    int       `json:"job"`
-				Values []float64 `json:"values"`
-			}{j, vals})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ndjson.Write(line)
-			ndjson.WriteByte('\n')
-			bin = wire.AppendIngestRecord(bin, int64(j), vals)
-		}
-	}
-
-	code, ir := postIngest(t, tsA.URL, "application/x-ndjson", ndjson.Bytes())
-	if code != http.StatusOK || ir.Accepted != jobs*perJob || ir.Rejected != 0 {
-		t.Fatalf("NDJSON ingest: status %d, accounting %+v", code, ir)
-	}
-	code, ir = postIngest(t, tsB.URL, wire.IngestContentType, bin)
-	if code != http.StatusOK || ir.Accepted != jobs*perJob || ir.Rejected != 0 {
-		t.Fatalf("binary ingest: status %d, accounting %+v", code, ir)
-	}
-
-	// Close flushes the pending windows through one final tick each.
-	if err := srvA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvB.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for j := 0; j < jobs; j++ {
-		var preds [2]predictionResponse
-		for i, ts := range []*httptest.Server{tsA, tsB} {
-			resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/prediction", ts.URL, j))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("job %d via server %d: status %d", j, i, resp.StatusCode)
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&preds[i]); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-		a, b := preds[0], preds[1]
-		if a.Class != b.Class || math.Float64bits(a.Probability) != math.Float64bits(b.Probability) {
-			t.Fatalf("job %d: NDJSON (%d, %v) vs binary (%d, %v)", j, a.Class, a.Probability, b.Class, b.Probability)
-		}
-		if len(a.Probs) != len(b.Probs) {
-			t.Fatalf("job %d: probs width %d vs %d", j, len(a.Probs), len(b.Probs))
-		}
-		for k := range a.Probs {
-			if math.Float64bits(a.Probs[k]) != math.Float64bits(b.Probs[k]) {
-				t.Fatalf("job %d class %d: NDJSON %v vs binary %v", j, k, a.Probs[k], b.Probs[k])
-			}
-		}
-	}
 }
 
 // TestGoldenBinaryIngestCapture pins the committed binary capture

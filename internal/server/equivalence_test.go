@@ -1,211 +1,133 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"sync"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/servetest"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
+// The server's rows of the served-equivalence table (servetest.Serve): one
+// seeded stream with refused lines mixed in, posted over real loopback
+// connections and held to an in-process fleet.Monitor, refusal by refusal
+// and prediction bit by prediction bit.
+
+// inProcess is the reference a served table is held to: a fresh
+// single-partition monitor of servetest.Fixture's shape, which fleetCfg,
+// when non-nil, adjusts as newTestServer's hook does.
+func inProcess(t *testing.T, fleetCfg func(*fleet.Config)) servetest.Reference {
+	t.Helper()
+	scaler, model := servetest.Fixture(t)
+	fc := fleet.Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model}
+	if fleetCfg != nil {
+		fleetCfg(&fc)
+	}
+	m, err := fleet.New(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return servetest.Reference{Ingest: m.Ingest, Prediction: m.Prediction,
+		Tick: func() error { _, err := m.Tick(); return err }}
+}
+
+// servedRow completes row with a fresh newTestServer (fleetCfg and mutate as
+// there) that every job is posted to and read from; the drain is Close,
+// whose final tick classifies what the cadence had not.
+func servedRow(t *testing.T, row servetest.Row, fleetCfg func(*fleet.Config), mutate func(*Config)) servetest.Row {
+	t.Helper()
+	s, m, ts := newTestServer(t, fleetCfg, mutate)
+	row.PostTo = func(int) string { return ts.URL }
+	row.ReadFrom = row.PostTo
+	row.Drain = func(t testing.TB) uint64 {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return m.SamplesIngested()
+	}
+	return row
+}
+
+// fixtureStream is the table stream over servetest.Fixture's shape: jobs
+// full streams of perJob samples and one more job whose window never fills.
+func fixtureStream(seed int64, jobs, perJob int) []servetest.Line {
+	streams := append(servetest.JobStreams(jobs, perJob), servetest.JobSamples(jobs, servetest.Window-1))
+	lines, _ := servetest.Interleave(rand.New(rand.NewSource(seed)), streams)
+	return lines
+}
+
 // TestServerMatchesInProcessFleet is the serving-layer acceptance
-// invariant: replaying the same simulated telemetry through the HTTP API
-// (batched NDJSON over real loopback connections, several concurrent
-// clients, the server ticking on its own cadence) and through an in-process
-// fleet.Monitor must end in bit-identical predictions for every job.
+// invariant on simulated telemetry at the wide 24×GPU shape: three
+// concurrent NDJSON connections, the server ticking every 2ms, end in the
+// in-process fleet's refusals and prediction bits for every job.
 func TestServerMatchesInProcessFleet(t *testing.T) {
 	const (
 		window  = 24
 		sensors = int(telemetry.NumGPUSensors)
-		conns   = 3
-		batchSz = 32
+		start   = 30.0
 	)
 	scaler, model := servetest.Wide(t, window, sensors)
-
 	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: 5, Scale: 0.02, GapRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windowSec := float64(window) * telemetry.GPUSampleDT
-	const start = 30.0
-	horizon := start + windowSec + 10
+	horizon := start + float64(window)*telemetry.GPUSampleDT + 10
 	var sources []*telemetry.Job
 	for _, j := range sim.Jobs() {
-		if j.Duration >= horizon+1 {
+		if j.Duration >= horizon+1 && len(sources) < 8 {
 			sources = append(sources, j)
 		}
 	}
 	if len(sources) < 4 {
 		t.Fatalf("only %d usable simulated jobs", len(sources))
 	}
-	if len(sources) > 8 {
-		sources = sources[:8]
-	}
-	// Fleet job k replays source k; source job IDs map back to k.
-	fleetID := make(map[int]int, len(sources))
-	for k, j := range sources {
-		fleetID[j.ID] = k
-	}
-
-	// In-process baseline: same replay, direct Ingest, ticks interleaved
-	// mid-stream to prove tick timing cannot change final predictions.
-	inproc, err := fleet.New(fleet.Config{Window: window, Sensors: sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Job k replays source k; one job more replays too little of source 0
+	// to fill a window.
 	replay, err := telemetry.NewReplay(sources, 0, start, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		s, ok := replay.Next()
-		if !ok {
-			break
-		}
-		if err := inproc.Ingest(fleetID[s.JobID], s.Values); err != nil {
-			t.Fatal(err)
-		}
-		if n++; n%97 == 0 {
-			if _, err := inproc.Tick(); err != nil {
-				t.Fatal(err)
+	streams := make([][][]float64, len(sources))
+	for s, ok := replay.Next(); ok; s, ok = replay.Next() {
+		for k, j := range sources {
+			if j.ID == s.JobID {
+				streams[k] = append(streams[k], s.Values)
 			}
 		}
 	}
-	if _, err := inproc.Tick(); err != nil {
-		t.Fatal(err)
-	}
+	streams = append(streams, streams[0][:window-1])
+	lines, _ := servetest.Interleave(rand.New(rand.NewSource(5)), streams)
 
-	// Served fleet: the same replay partitioned across conns concurrent
-	// HTTP clients (a job's samples always ride the same connection, so
-	// per-job order is preserved), while the server ticks every 2ms.
-	srv, served, ts := newTestServer(t, func(fc *fleet.Config) {
-		fc.Window, fc.Sensors, fc.Scaler, fc.Model = window, sensors, scaler, model
-	}, func(c *Config) {
+	shape := func(fc *fleet.Config) { fc.Window, fc.Sensors, fc.Scaler, fc.Model = window, sensors, scaler, model }
+	servetest.Serve(t, lines, inProcess(t, shape), servedRow(t, servetest.Row{Conns: 3, Batch: 32}, shape, func(c *Config) {
 		c.ClassNames = nil
 		c.TickEvery, c.queueDepth, c.Workers = 2*time.Millisecond, 64, 4
-	})
+	}))
+}
 
-	bodies := make([][][]byte, conns)
-	cur := make([][]string, conns)
-	flush := func(w int) {
-		if len(cur[w]) == 0 {
-			return
-		}
-		var buf bytes.Buffer
-		for _, line := range cur[w] {
-			buf.WriteString(line)
-			buf.WriteByte('\n')
-		}
-		bodies[w] = append(bodies[w], buf.Bytes())
-		cur[w] = cur[w][:0]
+// TestShardedServerMatchesInProcessFleet serves a 4-shard core, per-shard
+// tick loops on their own cadence, to four concurrent clients, once over
+// NDJSON and once over binary frames, and holds both to one single-partition
+// in-process fleet.
+func TestShardedServerMatchesInProcessFleet(t *testing.T) {
+	row := func(name string, binary bool) servetest.Row {
+		return servedRow(t, servetest.Row{Name: name, Binary: binary, Conns: 4, Batch: 40},
+			func(c *fleet.Config) { c.Shards = 4 }, func(c *Config) { c.TickEvery = time.Millisecond })
 	}
-	replay2, err := telemetry.NewReplay(sources, 0, start, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for {
-		s, ok := replay2.Next()
-		if !ok {
-			break
-		}
-		k := fleetID[s.JobID]
-		w := k % conns
-		line, _ := json.Marshal(struct {
-			Job    int       `json:"job"`
-			Values []float64 `json:"values"`
-		}{k, s.Values})
-		cur[w] = append(cur[w], string(line))
-		total++
-		if len(cur[w]) == batchSz {
-			flush(w)
-		}
-	}
-	for w := 0; w < conns; w++ {
-		flush(w)
-	}
+	servetest.Serve(t, fixtureStream(7, 48, servetest.Window*2+3), inProcess(t, nil), row("ndjson", false), row("binary", true))
+}
 
-	var wg sync.WaitGroup
-	errc := make(chan error, conns)
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			client := &http.Client{}
-			for _, body := range bodies[w] {
-				for {
-					resp, err := client.Post(ts.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(body))
-					if err != nil {
-						errc <- err
-						return
-					}
-					var ir ingestResponse
-					code := resp.StatusCode
-					if code == http.StatusOK {
-						json.NewDecoder(resp.Body).Decode(&ir)
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if code == http.StatusTooManyRequests {
-						time.Sleep(2 * time.Millisecond)
-						continue
-					}
-					if code != http.StatusOK || ir.Rejected != 0 {
-						errc <- fmt.Errorf("conn %d: status %d, accounting %+v", w, code, ir)
-						return
-					}
-					break
-				}
-			}
-		}(w)
+// TestBinaryIngestMatchesNDJSON is the framing equivalence invariant: the
+// same stream, one request to each of two servers, NDJSON to one and binary
+// frames to the other, ends in the same refusals and prediction bits as one
+// in-process fleet. json.Marshal emits the shortest round-tripping decimal
+// for a float64, so both framings deliver the same bits to the fleet.
+func TestBinaryIngestMatchesNDJSON(t *testing.T) {
+	row := func(name string, binary bool) servetest.Row {
+		return servedRow(t, servetest.Row{Name: name, Binary: binary, Conns: 1, Batch: 1 << 10}, nil, nil)
 	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-	// Graceful drain: the final tick classifies whatever the cadence ticker
-	// had not caught yet.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := served.SamplesIngested(); got != uint64(total) {
-		t.Fatalf("server ingested %d samples, replay emitted %d", got, total)
-	}
-
-	for k := range sources {
-		want, ok := inproc.Prediction(k)
-		if !ok {
-			t.Fatalf("job %d: in-process fleet has no prediction", k)
-		}
-		// Read through the API so the comparison covers JSON float
-		// round-tripping, not just the registry.
-		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/prediction", ts.URL, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("job %d: prediction status %d", k, resp.StatusCode)
-		}
-		var pr predictionResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		got := &stream.Prediction{Class: pr.Class, Probability: pr.Probability, Probs: pr.Probs}
-		if !servetest.SamePrediction(got, want) {
-			t.Fatalf("job %d: served prediction (%d, %v) not bit-identical to in-process (%d, %v)",
-				k, got.Class, got.Probs, want.Class, want.Probs)
-		}
-	}
+	// Seed 4's stream refuses lines of all five kinds.
+	servetest.Serve(t, fixtureStream(4, 8, servetest.Window+3), inProcess(t, nil), row("ndjson", false), row("binary", true))
 }

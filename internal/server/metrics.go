@@ -3,13 +3,13 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"runtime/metrics"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -93,7 +93,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	mw.Family("wcc_tick_latency_seconds", fmt.Sprintf("Batched inference tick latency over the last %d ticks.", tickWindow), "summary")
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		fmt.Fprintf(w, "wcc_tick_latency_seconds{quantile=%q} %g\n", fmt.Sprintf("%g", q), quantile(durs, q).Seconds())
+		fmt.Fprintf(w, "wcc_tick_latency_seconds{quantile=%q} %g\n", fmt.Sprintf("%g", q), metrics.Quantile(durs, q).Seconds())
 	}
 
 	s.writeStageMetrics(mw)
@@ -104,12 +104,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // runtime/metrics: unlike runtime.ReadMemStats it does not stop the world,
 // so a scrape costs the ingest and tick paths nothing.
 func writeRuntimeMetrics(mw Metrics) {
-	rt := []metrics.Sample{
+	rt := []rtmetrics.Sample{
 		{Name: "/sched/goroutines:goroutines"},
 		{Name: "/gc/heap/live:bytes"},
 		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
 	}
-	metrics.Read(rt)
+	rtmetrics.Read(rt)
 	mw.Gauge("wcc_go_goroutines", "Live goroutines.", float64(rt[0].Value.Uint64()))
 	mw.Gauge("wcc_go_heap_live_bytes", "Heap bytes occupied by objects the last garbage collection found live.", float64(rt[1].Value.Uint64()))
 	mw.Family("wcc_go_gc_pause_cpu_seconds_total", "Cumulative CPU seconds the process spent paused by the garbage collector (pause time x GOMAXPROCS).", "counter")
@@ -202,20 +202,4 @@ func (s *Server) writeShardMetrics(mw Metrics) {
 		func(st fleet.ShardStats) uint64 { return st.Ticks })
 	shardCounter("wcc_shard_jobs_evicted_total", "Jobs removed from the shard's registry.",
 		func(st fleet.ShardStats) uint64 { return st.Evictions })
-}
-
-// quantile returns the nearest-rank q-quantile of sorted durations: the
-// ⌈q·n⌉-th smallest.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -539,30 +539,3 @@ func TestTickLoopLogsErrorEdges(t *testing.T) {
 		t.Fatalf("recovery logged %q, want one info record", got)
 	}
 }
-
-// TestQuantileNearestRank: the tick-latency quantiles are nearest-rank, the
-// ⌈q·n⌉-th smallest, as wccload's percentiles are. Rounding q·n instead
-// reads one rank low whenever its fraction is below one half: 0.95 of a full
-// 512-tick window is rank 486.4, so the 487th value.
-func TestQuantileNearestRank(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		q    float64
-		want int // index into the sorted slice
-	}{
-		{512, 0.95, 486},
-		{20, 0.51, 10},
-		{1, 0.5, 0},
-		{1, 0.99, 0},
-		{10, 0, 0},
-		{10, 1, 9},
-	} {
-		sorted := make([]time.Duration, tc.n)
-		for i := range sorted {
-			sorted[i] = time.Duration(i)
-		}
-		if got := quantile(sorted, tc.q); got != sorted[tc.want] {
-			t.Errorf("n=%d q=%v: index %d, want %d", tc.n, tc.q, int(got), tc.want)
-		}
-	}
-}

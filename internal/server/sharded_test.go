@@ -6,116 +6,12 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/servetest"
 )
-
-// TestShardedServerMatchesInProcessFleet serves a 4-shard core over real
-// loopback HTTP — concurrent NDJSON clients, per-shard tick loops on their
-// own cadence — and checks every prediction read through the API is
-// bit-identical to an in-process single fleet.Monitor fed the same
-// streams.
-func TestShardedServerMatchesInProcessFleet(t *testing.T) {
-	const (
-		jobs    = 48
-		perJob  = servetest.Window*2 + 3
-		clients = 4
-	)
-	s, core, ts := newTestServer(t, func(c *fleet.Config) { c.Shards = 4 },
-		func(c *Config) { c.TickEvery = time.Millisecond })
-
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each client owns jobs ≡ w (mod clients): per-job sample order
-			// rides one request stream.
-			for j := w; j < jobs; j += clients {
-				var lines []string
-				for _, smp := range servetest.JobSamples(j, perJob) {
-					lines = append(lines, sampleLine(j, smp))
-				}
-				resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				var ir ingestResponse
-				if resp.StatusCode == http.StatusOK {
-					json.NewDecoder(resp.Body).Decode(&ir)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || ir.Accepted != perJob || ir.Rejected != 0 {
-					t.Errorf("job %d: status %d, accounting %+v", j, resp.StatusCode, ir)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	// Drain: queued batches land and a final whole-fleet tick flushes
-	// every shard's pending windows.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := core.SamplesIngested(); got != uint64(jobs*perJob) {
-		t.Fatalf("core ingested %d samples, want %d", got, jobs*perJob)
-	}
-
-	scaler, model := servetest.Fixture(t)
-	single, err := fleet.New(fleet.Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < jobs; j++ {
-		for _, smp := range servetest.JobSamples(j, perJob) {
-			if err := single.Ingest(j, smp); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := single.Tick(); err != nil {
-		t.Fatal(err)
-	}
-
-	for j := 0; j < jobs; j++ {
-		want, ok := single.Prediction(j)
-		if !ok {
-			t.Fatalf("job %d: baseline has no prediction", j)
-		}
-		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d/prediction", ts.URL, j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("job %d: prediction status %d", j, resp.StatusCode)
-		}
-		var pr predictionResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if pr.Class != want.Class || pr.Probability != want.Probability {
-			t.Fatalf("job %d: served (%d, %v) vs in-process (%d, %v)",
-				j, pr.Class, pr.Probability, want.Class, want.Probability)
-		}
-		for c := range want.Probs {
-			if pr.Probs[c] != want.Probs[c] {
-				t.Fatalf("job %d class %d: served %v vs in-process %v (not bit-identical)",
-					j, c, pr.Probs[c], want.Probs[c])
-			}
-		}
-	}
-}
 
 // TestShardedMetricsAndHealth pins the sharded observability surface:
 // /healthz reports the shard count, and /metrics carries one shard-labelled

@@ -1,12 +1,16 @@
 // Package servetest holds the fixtures the serving suites (fleet, server,
 // cluster, adapt) replay, one copy of each recipe: a 6×3 scaler and forest,
 // a wide fixture of any shape, a second forest that disagrees with the
-// first, deterministic job streams, the single-job stream.Monitor baseline
-// every bit-identity test compares against, a drift calibration, and the
-// adapt flywheel's serving stack (flywheel.go).
+// first, deterministic job streams and the interleaved stream with refused
+// lines both equivalence tables replay, the single-job stream.Monitor
+// baseline every bit-identity test compares against, a drift calibration,
+// the adapt flywheel's serving stack (flywheel.go), and the served-
+// equivalence harness that holds HTTP serving to an in-process fleet
+// (served.go).
 //
 // It imports none of the serving packages, so the in-package tests of all
-// four can import it. Every recipe is seeded: a fixture's scaler, forest
+// four can import it: the harness speaks HTTP, and takes the in-process
+// reference as closures. Every recipe is seeded: a fixture's scaler, forest
 // and calibration encode to the same bytes on every run.
 package servetest
 
@@ -104,6 +108,62 @@ func JobSamples(jobID, n int) [][]float64 {
 		out[i] = s
 	}
 	return out
+}
+
+// JobStreams returns JobSamples(j, perJob) for each of jobs 0 to jobs-1.
+func JobStreams(jobs, perJob int) [][][]float64 {
+	streams := make([][][]float64, jobs)
+	for j := range streams {
+		streams[j] = JobSamples(j, perJob)
+	}
+	return streams
+}
+
+// Line is one ingest line of a replayed stream: a job and one sample.
+type Line struct {
+	Job    int
+	Values []float64
+}
+
+// Interleave merges streams, job j's samples in streams[j], in a random
+// order that keeps each job's own, and mixes in about one refused line in
+// twelve: too few values, too many, a NaN, or ±1e13. bad holds the refused
+// lines' indices. It is the stream both equivalence tables replay: the
+// fleet's twin table and the served table (Serve).
+func Interleave(rng *rand.Rand, streams [][][]float64) (lines []Line, bad map[int]bool) {
+	left := 0
+	for _, s := range streams {
+		left += len(s)
+	}
+	streams = append([][][]float64(nil), streams...)
+	bad = map[int]bool{}
+	for left > 0 {
+		j := rng.Intn(len(streams))
+		if len(streams[j]) == 0 {
+			continue
+		}
+		if rng.Intn(12) == 0 {
+			v := append([]float64(nil), streams[j][0]...)
+			switch rng.Intn(5) {
+			case 0:
+				v = v[:len(v)-1]
+			case 1:
+				v = append(v, 1)
+			case 2:
+				v[rng.Intn(len(v))] = math.NaN()
+			case 3:
+				v[rng.Intn(len(v))] = 1e13
+			default:
+				v[rng.Intn(len(v))] = -1e13
+			}
+			bad[len(lines)] = true
+			lines = append(lines, Line{Job: j, Values: v})
+		}
+		lines = append(lines, Line{Job: j, Values: streams[j][0]})
+		streams[j] = streams[j][1:]
+		left--
+	}
+	return lines, bad
 }
 
 // Baseline replays samples through a fresh single-job stream.Monitor of

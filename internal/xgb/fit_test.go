@@ -252,3 +252,42 @@ func BenchmarkFit(b *testing.B) {
 		}
 	}
 }
+
+// TestXGBFitRefusesMismatchedEvalSet: an eval set with a label count other
+// than its row count, or a width other than the training rows', is refused
+// before the fit touches the booster, so a fitted booster predicts the same
+// bits after the refused call.
+func TestXGBFitRefusesMismatchedEvalSet(t *testing.T) {
+	x, y := blobs(120, 3, 0.8, 5)
+	xt, yt := blobs(30, 3, 0.8, 6)
+	c := New(Config{NumRounds: 4})
+	if err := c.Fit(x, y, 3, xt, yt); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.PredictProba(xt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		evalX *mat.Matrix
+		evalY []int
+		err   string
+	}{
+		{"fewer labels", xt, yt[:29], "30 eval rows vs 29 eval labels"},
+		{"more labels", xt, append(yt[:30:30], 0), "30 eval rows vs 31 eval labels"},
+		{"narrower rows", mat.New(30, 1), yt, "eval rows have 1 features, training rows 2"},
+		{"wider rows", mat.New(30, 3), yt, "eval rows have 3 features, training rows 2"},
+	} {
+		if err := c.Fit(x, y, 3, tc.evalX, tc.evalY); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: Fit error %v, want %q", tc.name, err, tc.err)
+		}
+		got, err := c.PredictProba(xt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.Data, want.Data) || len(c.EvalAccuracy) != 4 || len(c.TrainLoss) != 4 {
+			t.Fatalf("%s: a refused Fit changed the fitted booster", tc.name)
+		}
+	}
+}

@@ -115,8 +115,9 @@ func New(cfg Config) *Classifier {
 	return &Classifier{cfg: cfg}
 }
 
-// Fit trains the ensemble. evalX/evalY may be nil; when given, per-round
-// eval accuracy is recorded in EvalAccuracy.
+// Fit trains the ensemble. evalX/evalY may be nil; when given, they must
+// hold one label per row and the training rows' width, and per-round eval
+// accuracy is recorded in EvalAccuracy. A refused call changes nothing.
 func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matrix, evalY []int) error {
 	if x.Rows != len(y) {
 		return fmt.Errorf("xgb: %d rows vs %d labels", x.Rows, len(y))
@@ -131,6 +132,12 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 		if v < 0 || v >= numClasses {
 			return fmt.Errorf("xgb: label %d out of range", v)
 		}
+	}
+	if evalX != nil && evalX.Rows != len(evalY) {
+		return fmt.Errorf("xgb: %d eval rows vs %d eval labels", evalX.Rows, len(evalY))
+	}
+	if evalX != nil && evalX.Cols != x.Cols {
+		return fmt.Errorf("xgb: eval rows have %d features, training rows %d", evalX.Cols, x.Cols)
 	}
 	ord, err := tree.NewOrder(x)
 	if err != nil {
