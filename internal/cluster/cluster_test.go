@@ -136,9 +136,10 @@ func TestClusterEquivalenceWithSingleCore(t *testing.T) {
 			},
 		})
 	}
-	streams := append(servetest.JobStreams(24, 10), servetest.JobSamples(24, servetest.Window-1))
+	const jobs = 24 // and job 24, whose window never fills
+	streams := append(servetest.JobStreams(jobs, 10), servetest.JobSamples(jobs, servetest.Window-1))
 	lines, _ := servetest.Interleave(rand.New(rand.NewSource(23)), streams)
-	servetest.Serve(t, lines, servetest.Reference{Ingest: ref.Ingest, Prediction: ref.Prediction,
+	servetest.Serve(t, lines, jobs, servetest.Reference{Ingest: ref.Ingest, Prediction: ref.Prediction,
 		Tick: func() error { _, err := ref.Tick(); return err }}, rows...)
 }
 

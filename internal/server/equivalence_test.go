@@ -51,7 +51,8 @@ func servedRow(t *testing.T, row servetest.Row, fleetCfg func(*fleet.Config), mu
 }
 
 // fixtureStream is the table stream over servetest.Fixture's shape: jobs
-// full streams of perJob samples and one more job whose window never fills.
+// full streams of perJob samples and one more job, number jobs, whose window
+// never fills.
 func fixtureStream(seed int64, jobs, perJob int) []servetest.Line {
 	streams := append(servetest.JobStreams(jobs, perJob), servetest.JobSamples(jobs, servetest.Window-1))
 	lines, _ := servetest.Interleave(rand.New(rand.NewSource(seed)), streams)
@@ -101,7 +102,7 @@ func TestServerMatchesInProcessFleet(t *testing.T) {
 	lines, _ := servetest.Interleave(rand.New(rand.NewSource(5)), streams)
 
 	shape := func(fc *fleet.Config) { fc.Window, fc.Sensors, fc.Scaler, fc.Model = window, sensors, scaler, model }
-	servetest.Serve(t, lines, inProcess(t, shape), servedRow(t, servetest.Row{Conns: 3, Batch: 32}, shape, func(c *Config) {
+	servetest.Serve(t, lines, len(sources), inProcess(t, shape), servedRow(t, servetest.Row{Conns: 3, Batch: 32}, shape, func(c *Config) {
 		c.ClassNames = nil
 		c.TickEvery, c.queueDepth, c.Workers = 2*time.Millisecond, 64, 4
 	}))
@@ -116,7 +117,8 @@ func TestShardedServerMatchesInProcessFleet(t *testing.T) {
 		return servedRow(t, servetest.Row{Name: name, Binary: binary, Conns: 4, Batch: 40},
 			func(c *fleet.Config) { c.Shards = 4 }, func(c *Config) { c.TickEvery = time.Millisecond })
 	}
-	servetest.Serve(t, fixtureStream(7, 48, servetest.Window*2+3), inProcess(t, nil), row("ndjson", false), row("binary", true))
+	const jobs = 48
+	servetest.Serve(t, fixtureStream(7, jobs, servetest.Window*2+3), jobs, inProcess(t, nil), row("ndjson", false), row("binary", true))
 }
 
 // TestBinaryIngestMatchesNDJSON is the framing equivalence invariant: the
@@ -129,5 +131,6 @@ func TestBinaryIngestMatchesNDJSON(t *testing.T) {
 		return servedRow(t, servetest.Row{Name: name, Binary: binary, Conns: 1, Batch: 1 << 10}, nil, nil)
 	}
 	// Seed 4's stream refuses lines of all five kinds.
-	servetest.Serve(t, fixtureStream(4, 8, servetest.Window+3), inProcess(t, nil), row("ndjson", false), row("binary", true))
+	const jobs = 8
+	servetest.Serve(t, fixtureStream(4, jobs, servetest.Window+3), jobs, inProcess(t, nil), row("ndjson", false), row("binary", true))
 }

@@ -59,9 +59,11 @@ type Row struct {
 // spelling, so such a line is sent malformed and only checked as refused.
 // After the drain the served side must have ingested exactly the accepted
 // lines, and every job's prediction, read with GET (following redirects),
-// must be bit-identical to the reference's, or a 404 where the reference has
-// none.
-func Serve(t *testing.T, lines []Line, ref Reference, rows ...Row) {
+// must be bit-identical to the reference's. short is the one job whose
+// window never fills: it alone must have no reference prediction and must
+// read as a 404, so a fault that leaves the reference without predictions
+// fails the table rather than emptying its comparison.
+func Serve(t *testing.T, lines []Line, short int, ref Reference, rows ...Row) {
 	t.Helper()
 	refused := map[int]string{}
 	var jobs []int
@@ -83,6 +85,14 @@ func Serve(t *testing.T, lines []Line, ref Reference, rows ...Row) {
 	}
 	if len(refused) == 0 {
 		t.Fatal("the reference refused no line: the table would check no refusal")
+	}
+	if !slices.Contains(jobs, short) {
+		t.Fatalf("job %d, whose window never fills, has no line", short)
+	}
+	for _, job := range jobs {
+		if _, ok := ref.Prediction(job); ok == (job == short) {
+			t.Fatalf("job %d: the reference has a prediction: %v; every job but %d should have one", job, ok, short)
+		}
 	}
 	table := servedTable{lines: lines, refused: refused, jobs: jobs, ref: ref}
 	for _, row := range rows {

@@ -117,7 +117,9 @@ func New(cfg Config) *Classifier {
 
 // Fit trains the ensemble. evalX/evalY may be nil; when given, they must
 // hold one label per row and the training rows' width, and per-round eval
-// accuracy is recorded in EvalAccuracy. A refused call changes nothing.
+// accuracy is recorded in EvalAccuracy. The fit grows on a scratch booster
+// and replaces c only once it has compiled: a failed call leaves the last
+// good fit in place.
 func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matrix, evalY []int) error {
 	if x.Rows != len(y) {
 		return fmt.Errorf("xgb: %d rows vs %d labels", x.Rows, len(y))
@@ -143,12 +145,8 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 	if err != nil {
 		return fmt.Errorf("xgb: %w", err)
 	}
-	b := newGrower(c, ord)
-	c.gainImp = make([]float64, x.Cols)
-	c.weightImp = make([]float64, x.Cols)
-	c.trees = nil
-	c.TrainLoss = nil
-	c.EvalAccuracy = nil
+	fit := &Classifier{cfg: c.cfg, gainImp: make([]float64, x.Cols), weightImp: make([]float64, x.Cols)}
+	b := newGrower(fit, ord)
 
 	n := x.Rows
 	scores := mat.New(n, numClasses)
@@ -170,7 +168,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 			p := probs.At(i, y[i])
 			loss += -math.Log(math.Max(p, 1e-15))
 		}
-		c.TrainLoss = append(c.TrainLoss, loss/float64(n))
+		fit.TrainLoss = append(fit.TrainLoss, loss/float64(n))
 
 		rows := c.sampleRows(n, rng)
 		roundTrees := make([]*regTree, numClasses)
@@ -195,7 +193,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 				}
 			}
 		}
-		c.trees = append(c.trees, roundTrees)
+		fit.trees = append(fit.trees, roundTrees)
 
 		if evalScores != nil {
 			correct := 0
@@ -204,11 +202,14 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 					correct++
 				}
 			}
-			c.EvalAccuracy = append(c.EvalAccuracy, float64(correct)/float64(evalX.Rows))
+			fit.EvalAccuracy = append(fit.EvalAccuracy, float64(correct)/float64(evalX.Rows))
 		}
 	}
-	c.Ensemble, err = compile(c.trees, c.cfg.LearningRate, x.Cols, numClasses)
-	return err
+	if fit.Ensemble, err = compile(fit.trees, c.cfg.LearningRate, x.Cols, numClasses); err != nil {
+		return err
+	}
+	*c = *fit
+	return nil
 }
 
 func (c *Classifier) sampleRows(n int, rng *rand.Rand) []int {
