@@ -49,9 +49,9 @@ func quoted(t *testing.T, re string, files ...string) []string {
 // simulation settings (one training path, DESIGN.md §7); no code outside
 // internal/tree calls PredictProbaRow, inside internal/xgb only Fit
 // reaches predictRow, neither internal/forest nor internal/xgb fans a batch
-// out over row blocks itself, and only tests call tree.SetKernelPath (one
-// scoring path, tree.Ensemble over tree.Flat, whose walk the CPU picks:
-// DESIGN.md §11); and no
+// out over row blocks itself, and only tests call mat.SetKernelPath (one
+// scoring path, tree.Ensemble over tree.Flat, whose walk the CPU picks, as
+// it picks the drift search's kernels: DESIGN.md §11); and no
 // code outside benchmark/ declares a printf-style Logf/logf func field,
 // parameter or variable (one log, log/slog's default logger: DESIGN.md §12).
 // DESIGN.md stays under its line ceiling and true to the code (checkDesign),
@@ -156,7 +156,7 @@ func TestDocsConsistency(t *testing.T) {
 		}
 		for _, m := range kernelSwitch.FindAllSubmatch(src, -1) {
 			if len(m[1]) == 0 {
-				t.Errorf("%s: %s outside a test; the CPU picks the flat kernel's walk", path, m[0])
+				t.Errorf("%s: %s outside a test; the CPU picks the kernels' path", path, m[0])
 			}
 		}
 		// internal/servetest is test fixtures: CI keeps it out of every

@@ -14,8 +14,12 @@ import (
 // certificate that is reused and renewed, once the certificate has held a
 // proof. The call runs once per prediction, on every goroutine of the
 // tick's scoring pass at once. A wider row than the stack buffer holds still
-// scores, and to the same value.
+// scores, and to the same value. It runs on both kernel paths.
 func TestDistanceZeroAlloc(t *testing.T) {
+	onEachPath(t, checkDistanceZeroAlloc)
+}
+
+func checkDistanceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := mat.New(64, stackFeatures)
 	for i := range x.Data {

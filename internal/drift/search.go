@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mat"
@@ -17,6 +18,14 @@ import (
 // (DESIGN.md §10 has the table). It is a constant, not a setting: the
 // answer never depends on it, only how many rows are summed to find it.
 const pruneAxes = 4
+
+// blockRows is how many consecutive index rows one bound step covers: eight
+// float64 lanes, one AVX-512 register per axis. A block stores its rows'
+// projections axis-major, blockLen values (see searchIndex.blocks).
+const (
+	blockRows = 8
+	blockLen  = blockRows * pruneAxes
+)
 
 // maxAxisCols is the widest reference set whose principal axes are computed:
 // past it the d×d covariance and its Jacobi sweeps (O(d³)) stop being a
@@ -59,10 +68,12 @@ type searchIndex struct {
 	// axes holds pruneAxes projection axes, cols values each. Together they
 	// have spectral norm ≤ 1, which is all exactness needs of them.
 	axes []float64
-	// proj holds pruneAxes projections per reference row, rows in ascending
-	// order of the first; rows holds the reference rows in the same order.
-	proj []float64
-	rows []float64
+	// blocks holds the rows' projections, rows in ascending order of the
+	// first, in blocks of blockRows: block b's projection of row 8b+r on
+	// axis k is blocks[b*blockLen+k*blockRows+r], and lanes past the last
+	// row hold +Inf. rows holds the reference rows in the same order.
+	blocks []float64
+	rows   []float64
 	// train maps a position in that order to the row of Train it holds, and
 	// at the inverse: the row a Cert names is a row of Train, so it means
 	// the same thing to every caller.
@@ -126,12 +137,18 @@ func (fs *FeatureStats) buildIndex() {
 		}
 		return order[a] < order[b]
 	})
-	ix.proj = make([]float64, n*pruneAxes)
+	ix.blocks = make([]float64, (n+blockRows-1)/blockRows*blockLen)
+	for i := range ix.blocks {
+		ix.blocks[i] = math.Inf(1)
+	}
 	ix.rows = make([]float64, n*cols)
 	ix.train, ix.at = make([]int32, n), make([]int32, n)
 	norm2 := 0.0
 	for at, i := range order {
-		copy(ix.proj[at*pruneAxes:(at+1)*pruneAxes], proj[i*pruneAxes:(i+1)*pruneAxes])
+		b, r := at/blockRows, at%blockRows
+		for k := 0; k < pruneAxes; k++ {
+			ix.blocks[b*blockLen+k*blockRows+r] = proj[i*pruneAxes+k]
+		}
 		copy(ix.rows[at*cols:(at+1)*cols], train.Row(i))
 		ix.train[at], ix.at[i] = int32(i), int32(at)
 		norm2 = math.Max(norm2, mat.Dot(train.Row(i), train.Row(i)))
@@ -230,16 +247,17 @@ const (
 // larger ρ, so more of the next windows are settled without a walk, but the
 // walk that proves it visits and sums more rows. On the benchmark model's
 // reference set (1223×28) and BenchmarkDistance's cert case (16 live jobs ×
-// 63 windows one sample apart; medians of six runs on 2 shared vCPUs, whose
-// spread is a few hundred ns), with a miss priced as a certifying walk from
-// the warm case's starts (the plain warm walk: 2.5–2.9 µs, 218 rows visited):
+// 63 windows one sample apart) on the AVX-512 path (medians of six runs on
+// 2 shared vCPUs, whose spread is a few ns), with a miss walk priced as a
+// certifying walk from the warm case's starts (the plain warm walk: about
+// 590 ns, 218 rows visited):
 //
 //	m      hit share   cert ns/op   rows visited a miss   miss walk ns/op
-//	0.03   84.0 %      745          224                   3 040
-//	0.05   86.6 %      654          229                   2 800
-//	0.1    89.4 %      576          239                   2 580
-//	0.2    91.1 %      579          264                   3 630
-//	0.3    91.4 %      571          288                   4 160
+//	0.03   84.0 %      170          230                   602
+//	0.05   86.6 %      157          238                   624
+//	0.1    89.4 %      141          237                   689
+//	0.2    91.1 %      143          257                   827
+//	0.3    91.4 %      158          275                   989
 //
 // Past 0.1 the hit share barely moves while every miss gets dearer, and the
 // backfill workloads, whose ticks almost never hit, pay for every miss. It
@@ -346,14 +364,19 @@ func (fs *FeatureStats) standardise(row, z []float64) {
 	}
 }
 
+// walkCount is what one walk looked at: the rows it tested against the cut
+// (visited) and those no bound cleared, which it summed (summed), the
+// filter's sum standing in for the exact one where it clears the cut.
+type walkCount struct{ visited, summed int }
+
 // walk finds the nearest reference row to the standardised query z, starting
 // from the index position seed when it names one (-1 otherwise). It returns
 // best, the smallest sum, which is the one an early-abandoning scan of every
 // row in Train would return; floor, a lower bound on the computed sum of
 // every other row; the winning row of Train (-1 if none won) and how many
-// rows it looked at. It prunes and abandons against cap = best·grow: grow 1 is
-// the plain search, whose floor says nothing, and certGrow the certifying
-// one (see certMargin).
+// rows it visited and summed. It prunes and abandons against cap =
+// best·grow: grow 1 is the plain search, whose floor says nothing, and
+// certGrow the certifying one (see certMargin).
 //
 // The search is exact because the minimum over rows does not depend on the
 // order they are visited in, every row it skips is proven (see relSlack) to
@@ -366,27 +389,39 @@ func (fs *FeatureStats) standardise(row, z []float64) {
 // search starts where the query's projection falls and walks outward, down
 // then up; the gap along that one axis bounds the distance from below and
 // only grows along a side, so a side ends at the first row whose gap alone
-// clears the cap. Inside that window a row is summed only if the bound from
+// clears the cut. Inside that window a row is summed only if the bound from
 // all pruneAxes projections does not clear it either. Every prune is a
 // `bound > cut` test, false for NaN and for cap = +Inf, so a query with a
 // non-finite coordinate prunes nothing and returns +Inf.
-func (ix *searchIndex) walk(z []float64, seed int, grow float64) (best, floor float64, won, visited int) {
+//
+// The rows go by a block at a time: one bounds step tests the block's eight
+// rows against the cut, and the walk visits the survivors in walk order.
+// The cut only falls, so a row ended or pruned at an older cut is ended or
+// pruned at the current one; when a sum lowers the cut, the step runs again
+// on the same block, so every row past it is tested against the current
+// cut, and the rows visited and summed are the row-by-row walk's. Before its
+// exact sum, a survivor is summed in any order (rowFilter): above the cut,
+// the exact sum would reach the cap (see rowFilter), so the row is skipped.
+func (ix *searchIndex) walk(z []float64, seed int, grow float64) (best, floor float64, won int, c walkCount) {
 	zz := 0.0
 	for _, v := range z {
 		zz += v * v
 	}
+	cols := ix.cols
 	var q [pruneAxes]float64
 	for k := range q {
-		q[k] = mat.Dot(ix.axes[k*ix.cols:(k+1)*ix.cols], z)
+		q[k] = mat.Dot(ix.axes[k*cols:(k+1)*cols], z)
 	}
-	abs := absSlack*float64(ix.cols)*float64(ix.cols)*zz + ix.slack + tinySlack
+	abs := absSlack*float64(cols)*float64(cols)*zz + ix.slack + tinySlack
+	vec := ix.vector(z)
 
-	proj, n := ix.proj, len(ix.proj)/pruneAxes
+	n := len(ix.train)
 	best, second, cap, cut := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
 	won = -1
 	if uint(seed) < uint(n) {
-		visited++
-		if d := sqDist(z, ix.rows[seed*ix.cols:], cap); d < best {
+		c.visited++
+		c.summed++
+		if d := sqDist(z, ix.rows[seed*cols:], cap); d < best {
 			best, won = d, seed
 			cap = best * grow
 			cut = cap + cap*relSlack + abs
@@ -396,7 +431,7 @@ func (ix *searchIndex) walk(z []float64, seed int, grow float64) (best, floor fl
 	lo, hi := 0, n // first row whose leading projection is not below the query's
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if proj[mid*pruneAxes] < q[0] {
+		if ix.blocks[mid/blockRows*blockLen+mid%blockRows] < q[0] {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -404,45 +439,160 @@ func (ix *searchIndex) walk(z []float64, seed int, grow float64) (best, floor fl
 	}
 
 	// Side 0 walks down from the last row below the query's projection,
-	// side 1 up from the first row not below it.
-	step, end := [2]int{-1, 1}, [2]int{-1, n}
-	for s, start := range [2]int{hi - 1, hi} {
-		for i := start; i != end[s]; i += step[s] {
-			p := proj[i*pruneAxes : (i+1)*pruneAxes : (i+1)*pruneAxes]
-			g := q[0] - p[0]
-			bound := g * g
-			if bound > cut {
+	// side 1 up from the first row not below it. Inside a block, bit r of a
+	// lane mask is the r-th row the side reaches: row base+r going up,
+	// base+7-r going down, whose masks bounds reverses.
+	for s, i := range [2]int{hi - 1, hi} {
+		up := s == 1
+		for 0 <= i && i < n {
+			base := i &^ (blockRows - 1)
+			blk := (*[blockLen]float64)(ix.blocks[base*pruneAxes:])
+			end, keep := bounds(vec, up, blk, &q, cut)
+			var span, skip uint8 // the block's rows from i on; the seed's bit
+			if up {
+				span = 0xff << (i - base)
+				if n-base < blockRows {
+					span &= 1<<(n-base) - 1
+				}
+				if d := seed - base; uint(d) < blockRows {
+					skip = 1 << d
+				}
+			} else {
+				span = 0xff << (blockRows - 1 - (i - base))
+				if d := seed - base; uint(d) < blockRows {
+					skip = 1 << (blockRows - 1 - d)
+				}
+			}
+			stop := bits.TrailingZeros8(end & span) // blockRows when the side runs on
+			live := span & (1<<stop - 1)
+			c.visited += bits.OnesCount8(live &^ skip)
+			for surv := live & keep &^ skip; surv != 0; {
+				r := bits.TrailingZeros8(surv)
+				surv &= surv - 1
+				row := base + r
+				if !up {
+					row = base + blockRows - 1 - r
+				}
+				c.summed++
+				t := ix.rows[row*cols : (row+1)*cols]
+				if f := rowFilter(vec, z, t); f > cut && f <= math.MaxFloat64 {
+					continue
+				}
+				// second is touched only by a row summing below the cap,
+				// which in a plain walk (cap = best) is always a new best:
+				// keeping it off the common path measured 10–25 % faster on
+				// a plain walk.
+				d := sqDist(z, t, cap)
+				if !(d < cap) {
+					continue
+				}
+				if !(d < best) {
+					second = min(second, d)
+					continue
+				}
+				best, second, won = d, best, row
+				cap = best * grow
+				cut = cap + cap*relSlack + abs
+				// Test the rows past r against the lower cut.
+				end, keep = bounds(vec, up, blk, &q, cut)
+				if past := end & live &^ (2<<r - 1); past != 0 {
+					stop = bits.TrailingZeros8(past)
+					c.visited -= bits.OnesCount8(live &^ (1<<stop - 1) &^ skip)
+					live &= 1<<stop - 1
+				}
+				surv &= keep & live
+			}
+			if stop < blockRows {
 				break // rows further out on this side are further off still
 			}
-			if i == seed {
-				continue
-			}
-			visited++
-			for k := 1; k < pruneAxes; k++ {
-				g = q[k] - p[k]
-				bound += g * g
-			}
-			if bound > cut {
-				continue
-			}
-			// second is touched only by a row summing below the cap, which
-			// in a plain walk (cap = best) is always a new best: keeping it
-			// off the common path measured 10–25 % faster on a plain walk.
-			if d := sqDist(z, ix.rows[i*ix.cols:], cap); d < cap {
-				if d < best {
-					best, second, won = d, best, i
-					cap = best * grow
-					cut = cap + cap*relSlack + abs
-				} else {
-					second = min(second, d)
-				}
+			if up {
+				i = base + blockRows
+			} else {
+				i = base - 1
 			}
 		}
 	}
 	if won >= 0 {
 		won = int(ix.train[won])
 	}
-	return best, min(cap, second), won, visited
+	return best, min(cap, second), won, c
+}
+
+// vector reports whether a walk for the query z takes the AVX-512 kernels:
+// where the CPU has them, and only for a query exactly as wide as the rows
+// rowFilter reads beside it, since the assembly checks no bounds.
+func (ix *searchIndex) vector(z []float64) bool {
+	return mat.AVX512() && len(z) == ix.cols && ix.cols > 0
+}
+
+// bounds tests the block's rows against cut: bit r of end is set when row
+// r's leading-axis gap g₀² is above cut, and bit r of keep unless its
+// four-axis bound g₀² + g₁² + g₂² + g₃², summed in that order from products
+// rounded one by one, is above cut (NaN keeps). Both forms return the same
+// bits. With up false, bit r is row 7−r's.
+func bounds(vec, up bool, blk *[blockLen]float64, q *[pruneAxes]float64, cut float64) (end, keep uint8) {
+	if vec {
+		end, keep = boundsAVX512(blk, q, cut)
+	} else {
+		end, keep = boundsGo(blk, q, cut)
+	}
+	if !up {
+		end, keep = bits.Reverse8(end), bits.Reverse8(keep)
+	}
+	return end, keep
+}
+
+// boundsGo is bounds' Go form: each product is rounded by its float64
+// conversion, so no compiler fuses it into an add.
+func boundsGo(blk *[blockLen]float64, q *[pruneAxes]float64, cut float64) (end, keep uint8) {
+	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+	for r := 0; r < blockRows; r++ {
+		g0, g1, g2, g3 := q0-blk[r], q1-blk[blockRows+r], q2-blk[2*blockRows+r], q3-blk[3*blockRows+r]
+		b := float64(g0 * g0)
+		if b > cut {
+			end |= 1 << r
+		}
+		b += float64(g1 * g1)
+		b += float64(g2 * g2)
+		b += float64(g3 * g3)
+		if !(b > cut) {
+			keep |= 1 << r
+		}
+	}
+	return end, keep
+}
+
+// rowFilter returns Σⱼ (zⱼ−tⱼ)² over the first len(z) values of t, from the
+// same rounded terms sqDist adds but in another order. Over n non-negative
+// terms any two orders give sums within a factor 1 ± 2(n−1)u of each other
+// (u = 2⁻⁵³), far inside relSlack for any width below 10⁶: a filter sum
+// above cut = cap·(1+relSlack) + abs puts the coordinate-order sum at or
+// past cap, where sqDist's partial sums, which only grow, would abandon the
+// row. NaN and +Inf clear nothing; the walk sums such rows in full.
+func rowFilter(vec bool, z, t []float64) float64 {
+	if vec {
+		return filterAVX512(z, t)
+	}
+	return filterGo(z, t)
+}
+
+// filterGo is rowFilter's Go form: four interleaved partial sums.
+func filterGo(z, t []float64) float64 {
+	t = t[:len(z)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(z); j += 4 {
+		d0, d1, d2, d3 := z[j]-t[j], z[j+1]-t[j+1], z[j+2]-t[j+2], z[j+3]-t[j+3]
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
+	}
+	for ; j < len(z); j++ {
+		d := z[j] - t[j]
+		s0 += float64(d * d)
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // sqDist is the scan's per-row sum: ‖z−tr‖² over the first len(z) values of

@@ -71,10 +71,12 @@ func fullSum(fs *drift.FeatureStats, row []float64, ref int) float64 {
 // query also runs both walks, plain and certifying, from starts that name
 // no row (-1, n, MaxInt32), from both ends of Train, from a random row,
 // from the previous query's winner and from its own, and each must return
-// the scan's bits and a winning row at exactly that distance. Then query
-// sequences run through one certificate each (checkCertifiedSequences);
-// over the fixed seeds the certificate must settle some steps without a
-// walk, or the check would not be checking it.
+// the scan's bits and a winning row at exactly that distance, and must
+// agree with the row-by-row walk on its floor and on the rows it visited
+// and summed (CheckWalk). Then query sequences run through one certificate
+// each (checkCertifiedSequences); over the fixed seeds the certificate must
+// settle some steps without a walk, or the check would not be checking it.
+// All of it runs on both kernel paths.
 func TestSearchModelCheck(t *testing.T) {
 	seeds := make([]int64, 0, 41)
 	for s := int64(1); s <= 40; s++ {
@@ -85,15 +87,17 @@ func TestSearchModelCheck(t *testing.T) {
 	if *driftSeed != 0 {
 		seeds, fixed = []int64{*driftSeed}, 0
 	}
-	hits := 0
-	for i, seed := range seeds {
-		if h := checkSearchAgainstOracle(t, seed); i < fixed {
-			hits += h
+	drift.OnEachPath(t, func(t *testing.T) {
+		hits := 0
+		for i, seed := range seeds {
+			if h := checkSearchAgainstOracle(t, seed); i < fixed {
+				hits += h
+			}
 		}
-	}
-	if fixed > 0 && hits == 0 {
-		t.Fatal("no step of any fixed seed's query sequences was settled by its certificate")
-	}
+		if fixed > 0 && hits == 0 {
+			t.Fatal("no step of any fixed seed's query sequences was settled by its certificate")
+		}
+	})
 }
 
 // checkSearchAgainstOracle runs one seed's reference set and returns how
@@ -158,10 +162,13 @@ func checkSearchAgainstOracle(t *testing.T, seed int64) int {
 			t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s: Distance %v (%#x), exhaustive scan %v (%#x)",
 				seed, n, cols, shape, scale, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		_, own, _ := fs.WalkFrom(q, -1, false)
+		_, own, _, _ := fs.WalkFrom(q, -1, false)
 		for _, certifying := range []bool{false, true} {
 			for _, from := range []int{-1, 0, n - 1, n, math.MaxInt32, starts.Intn(n), prev, own} {
-				got, near, _ := fs.WalkFrom(q, from, certifying)
+				got, near, err := fs.CheckWalk(q, from, certifying)
+				if err != nil {
+					t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s: %v", seed, n, cols, shape, scale, what, err)
+				}
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d (%d×%d, shape %d, scale %g) %s from %d (certifying %t): walk %v (%#x), exhaustive scan %v (%#x)",
 						seed, n, cols, shape, scale, what, from, certifying, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -360,13 +367,20 @@ func featQuantile(dists []float64) float64 {
 }
 
 // TestFitMatchesExhaustiveCalibration pins the calibration of the
-// smoke-preset seed-1 features to the one the exhaustive scan yields: the same
-// MaxFeatDist bits, hence the same encoded bytes — the index is not in them.
+// smoke-preset seed-1 features to the one the exhaustive scan yields, on
+// both kernel paths: the same MaxFeatDist bits, hence the same encoded
+// bytes — the index is not in them.
 func TestFitMatchesExhaustiveCalibration(t *testing.T) {
 	smoke := core.PresetSmoke()
 	fp, raw := covFeatures(t, core.Provenance{
 		Dataset: "60-middle-1", Scale: smoke.Scale, Seed: smoke.Seed, MaxTrain: smoke.MaxTrain, MaxTest: smoke.MaxTest,
 	})
+	drift.OnEachPath(t, func(t *testing.T) { checkExhaustiveCalibration(t, fp, raw) })
+}
+
+// checkExhaustiveCalibration fits a calibration on fp and raw and holds it
+// to the one the exhaustive scan yields.
+func checkExhaustiveCalibration(t *testing.T, fp *core.FeaturePair, raw *mat.Matrix) {
 	cal, err := drift.Fit(drift.FitInput{TrainFeatures: fp.TrainX, HeldOutFeatures: fp.TestX, RawSamples: raw}, drift.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -396,18 +410,47 @@ func TestFitMatchesExhaustiveCalibration(t *testing.T) {
 	}
 }
 
-// liveWindows streams jobs of a simulation the reference set never saw (the
-// benchmark's live seed) through the serving embedder and returns, per job,
-// the feature rows of steps windows one sample apart.
-func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [][][]float64 {
-	window := len(fp.Scaler.Means) / sensors
+// liveSim is the simulation the rung's live windows come from: the
+// benchmark's live seed and scale, a simulation the reference set never saw.
+func liveSim(b *testing.B) *telemetry.Simulator {
 	sim, err := telemetry.NewSimulator(telemetry.Config{Seed: 1009, Scale: 0.08, GapRate: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const start = 120.0 // seconds in: past the class-agnostic start-up phase
+	return sim
+}
+
+// embedWindows streams samples 0..n-1 of one job through the serving
+// embedder and returns the feature rows of its windows, one sample apart.
+func embedWindows(b *testing.B, fp *core.FeaturePair, sensors, n int, sample func(i int) []float64) [][]float64 {
+	emb, err := stream.NewWindowedEmbedder(len(fp.Scaler.Means)/sensors, sensors, fp.Scaler)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows [][]float64
+	for i := 0; i < n; i++ {
+		if err := emb.Push(sample(i)); err != nil {
+			b.Fatal(err)
+		}
+		if emb.Ready() {
+			row := make([]float64, emb.FeatureDim())
+			if err := emb.FeaturesInto(row); err != nil {
+				b.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// liveWindows returns, for the first jobs of liveSim that run long enough,
+// the feature rows of steps windows one sample apart, starting 120 s in:
+// past the class-agnostic start-up phase.
+func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [][][]float64 {
+	window := len(fp.Scaler.Means) / sensors
+	const start = 120.0
 	var out [][][]float64
-	for _, j := range sim.Jobs() {
+	for _, j := range liveSim(b).Jobs() {
 		n := window + steps - 1
 		if len(out) == jobs || start+float64(n)*telemetry.GPUSampleDT > j.Duration {
 			continue
@@ -416,27 +459,43 @@ func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [
 		if err != nil {
 			b.Fatal(err)
 		}
-		emb, err := stream.NewWindowedEmbedder(window, sensors, fp.Scaler)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rows [][]float64
-		for i := 0; i < n; i++ {
-			if err := emb.Push(samples.Row(i)); err != nil {
-				b.Fatal(err)
-			}
-			if emb.Ready() {
-				row := make([]float64, emb.FeatureDim())
-				if err := emb.FeaturesInto(row); err != nil {
-					b.Fatal(err)
-				}
-				rows = append(rows, row)
-			}
-		}
-		out = append(out, rows)
+		out = append(out, embedWindows(b, fp, sensors, n, samples.Row))
 	}
 	if len(out) == 0 {
 		b.Fatal("no simulated job runs long enough")
+	}
+	return out
+}
+
+// feedWindows returns steps windows one sample apart for each of jobs jobs
+// read as the benchmark's feed reads them (benchmark/setup.go): job k reads
+// source series k mod the population of liveSim's jobs, each materialised
+// from 120 s in for up to 2048 samples, from an offset drawn at seed 1, and
+// wraps to the series' start at its end. Windows taken anywhere along a
+// series, and across its wrap, are the ones a served tick scores.
+func feedWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [][][]float64 {
+	window := len(fp.Scaler.Means) / sensors
+	const start, feedLen = 120.0, 2048
+	var src []*mat.Matrix
+	for _, j := range liveSim(b).Jobs() {
+		n := min(int((j.Duration-start)/telemetry.GPUSampleDT), feedLen)
+		if n < window {
+			continue
+		}
+		w, err := j.GPUWindow(0, start, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src = append(src, w)
+	}
+	if len(src) == 0 {
+		b.Fatal("no simulated job runs long enough")
+	}
+	rng := rand.New(rand.NewSource(1))
+	out := make([][][]float64, jobs)
+	for k := range out {
+		m, off := src[k%len(src)], rng.Intn(feedLen)
+		out[k] = embedWindows(b, fp, sensors, window+steps-1, func(i int) []float64 { return m.Row((off + i) % m.Rows) })
 	}
 	return out
 }
@@ -447,9 +506,13 @@ func liveWindows(b *testing.B, fp *core.FeaturePair, sensors, jobs, steps int) [
 // rows the gate accepts, held-out rows it rejects, and rows far outside the
 // support; started warm, for live windows one sample apart seeded with the
 // previous window's winner; and, as a tick scores them, for the same windows
-// through each job's certificate (cert). visited/op is how many of the
-// reference rows a search looked at, start-won the share of warm searches
-// the start row won, and hit the share of cert searches no walk ran for.
+// through each job's certificate (cert) and for windows read as the
+// benchmark's feed reads them (feed). The warm, cert and feed cases run on
+// each kernel path (path=scalar, path=avx512). visited/op is how many of the
+// reference rows a search tested against its cut, summed/op how many it
+// summed, start-won the share of warm searches the start row won, hit the
+// share of cert and feed searches no walk ran for, and miss-visited the
+// rows a walk visited on a miss.
 func BenchmarkDistance(b *testing.B) {
 	fp, raw := covFeatures(b, core.Provenance{Dataset: "60-middle-1", Scale: 0.08, Seed: 1})
 	fs, err := drift.FitFeatureStats(fp.TrainX)
@@ -482,81 +545,110 @@ func BenchmarkDistance(b *testing.B) {
 		sets["far"] = append(sets["far"], search{far, -1})
 	}
 	won := 0
-	jobs := liveWindows(b, fp, raw.Cols, 16, 64)
-	for _, job := range jobs {
-		_, near, _ := fs.WalkFrom(job[0], -1, false)
+	live := liveWindows(b, fp, raw.Cols, 16, 64)
+	for _, job := range live {
+		_, near, _, _ := fs.WalkFrom(job[0], -1, false)
 		for _, row := range job[1:] {
 			sets["warm"] = append(sets["warm"], search{row, near})
 			from := near
-			if _, near, _ = fs.WalkFrom(row, from, false); near == from {
+			if _, near, _, _ = fs.WalkFrom(row, from, false); near == from {
 				won++
 			}
 		}
 	}
+	eachPath := func(b *testing.B, fn func(b *testing.B)) {
+		for _, path := range []string{mat.ScalarPath, mat.AVX512Path} {
+			b.Run("path="+path, func(b *testing.B) {
+				prev, ok := mat.SetKernelPath(path)
+				if !ok {
+					b.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s walk is not run", path)
+				}
+				defer mat.SetKernelPath(prev)
+				fn(b)
+			})
+		}
+	}
 	for _, name := range []string{"accepted", "rejected", "far", "warm"} {
-		b.Run(name, func(b *testing.B) {
-			set, visited := sets[name], 0
+		walks := func(b *testing.B) {
+			set, visited, summed := sets[name], 0, 0
 			for _, s := range set {
-				_, _, v := fs.WalkFrom(s.row, s.from, false)
+				_, _, v, n := fs.WalkFrom(s.row, s.from, false)
 				visited += v
+				summed += n
 			}
 			var sink float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := set[i%len(set)]
-				d, _, _ := fs.WalkFrom(s.row, s.from, false)
+				d, _, _, _ := fs.WalkFrom(s.row, s.from, false)
 				sink += d
 			}
 			b.ReportMetric(float64(visited)/float64(len(set)), "visited/op")
+			b.ReportMetric(float64(summed)/float64(len(set)), "summed/op")
 			if name == "warm" {
 				b.ReportMetric(float64(won)/float64(len(set)), "start-won")
 			}
 			if sink <= 0 {
 				b.Fatal("distances summed to", sink)
 			}
-		})
+		}
+		if name == "warm" {
+			b.Run(name, func(b *testing.B) { eachPath(b, walks) })
+		} else {
+			b.Run(name, walks)
+		}
 	}
 
-	// The same live windows scored as ticks score them: window by window
-	// across the jobs, each job through its own certificate, proved on its
-	// first window. hit is the share of searches the certificate settled
-	// without a walk, and visited/op counts a hit as the one row it sums
-	// (the distance from the proof's query is the other sum).
-	b.Run("cert", func(b *testing.B) {
-		certs := make([]drift.Cert, len(jobs))
-		hits, visited := 0, 0
-		for k, job := range jobs {
-			fs.DistanceCert(job[0], &certs[k])
-		}
-		for w := 1; w < len(jobs[0]); w++ {
+	// Windows scored as ticks score them: window by window across the jobs,
+	// each job through its own certificate, proved on its first window. A
+	// hit counts as the one row it sums (the distance from the proof's query
+	// is the other sum).
+	certs := func(jobs [][][]float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			certs := make([]drift.Cert, len(jobs))
+			hits, visited, summed, missVisited := 0, 0, 0, 0
 			for k, job := range jobs {
-				from := certs[k].Nearest()
-				if _, hit := fs.CertHit(job[w], &certs[k]); hit {
-					hits++
-					visited++
-				} else {
-					_, _, v := fs.WalkFrom(job[w], from, true)
-					visited += v
+				fs.DistanceCert(job[0], &certs[k])
+			}
+			for w := 1; w < len(jobs[0]); w++ {
+				for k, job := range jobs {
+					from := certs[k].Nearest()
+					if _, hit := fs.CertHit(job[w], &certs[k]); hit {
+						hits++
+						visited++
+						summed++
+					} else {
+						_, _, v, n := fs.WalkFrom(job[w], from, true)
+						visited += v
+						summed += n
+						missVisited += v
+					}
 				}
 			}
+			ops := len(jobs) * (len(jobs[0]) - 1)
+			for k, job := range jobs {
+				certs[k] = drift.Cert{}
+				fs.DistanceCert(job[0], &certs[k])
+			}
+			var sink float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k, w := i%len(jobs), 1+i/len(jobs)%(len(jobs[0])-1)
+				sink += fs.DistanceCert(jobs[k][w], &certs[k])
+			}
+			b.ReportMetric(float64(visited)/float64(ops), "visited/op")
+			b.ReportMetric(float64(summed)/float64(ops), "summed/op")
+			b.ReportMetric(float64(hits)/float64(ops), "hit")
+			if misses := ops - hits; misses > 0 {
+				b.ReportMetric(float64(missVisited)/float64(misses), "miss-visited")
+			}
+			if sink <= 0 {
+				b.Fatal("distances summed to", sink)
+			}
 		}
-		ops := len(jobs) * (len(jobs[0]) - 1)
-		for k, job := range jobs {
-			certs[k] = drift.Cert{}
-			fs.DistanceCert(job[0], &certs[k])
-		}
-		var sink float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k, w := i%len(jobs), 1+i/len(jobs)%(len(jobs[0])-1)
-			sink += fs.DistanceCert(jobs[k][w], &certs[k])
-		}
-		b.ReportMetric(float64(visited)/float64(ops), "visited/op")
-		b.ReportMetric(float64(hits)/float64(ops), "hit")
-		if sink <= 0 {
-			b.Fatal("distances summed to", sink)
-		}
-	})
+	}
+	b.Run("cert", func(b *testing.B) { eachPath(b, certs(live)) })
+	b.Run("feed", func(b *testing.B) { eachPath(b, certs(feedWindows(b, fp, raw.Cols, 64, 64))) })
 }
 
 // TestIndexBuiltOnceOnConcurrentFirstUse: a FeatureStats assembled by hand

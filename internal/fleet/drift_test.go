@@ -31,8 +31,21 @@ func TestDriftEquivalenceBitIdentical(t *testing.T) {
 // names a row in range, still where it was, and is wrong about it being the
 // nearest. Throughout, every published
 // FeatDist has the bits of a cold search by the active calibration over the
-// same window, rebuilt on a shadow embedder.
+// same window, rebuilt on a shadow embedder. It runs on both kernel paths.
 func TestWarmStartScoresLikeColdSearch(t *testing.T) {
+	for _, path := range []string{mat.ScalarPath, mat.AVX512Path} {
+		t.Run(path, func(t *testing.T) {
+			prev, ok := mat.SetKernelPath(path)
+			if !ok {
+				t.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s path is not run", path)
+			}
+			defer mat.SetKernelPath(prev)
+			checkWarmStartScoresLikeColdSearch(t)
+		})
+	}
+}
+
+func checkWarmStartScoresLikeColdSearch(t *testing.T) {
 	scaler, model := servetest.Fixture(t)
 	cal := servetest.Calibration(t, 31, 400)
 	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model, Shards: 2, Drift: cal})

@@ -76,13 +76,13 @@ func pointerOnly(f *Classifier) *Classifier {
 // why.
 func onEachPath(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+	for _, path := range []string{mat.ScalarPath, mat.AVX512Path} {
 		t.Run(path, func(t *testing.T) {
-			prev, ok := tree.SetKernelPath(path)
+			prev, ok := mat.SetKernelPath(path)
 			if !ok {
 				t.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s walk is not run", path)
 			}
-			defer tree.SetKernelPath(prev)
+			defer mat.SetKernelPath(prev)
 			fn(t)
 		})
 	}
@@ -307,13 +307,13 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 		}
 		for _, rows := range []int{2, 45, 256} {
 			batch := &mat.Matrix{Rows: rows, Cols: full.Cols, Data: full.Data[:rows*full.Cols]}
-			for _, path := range []string{tree.ScalarPath, tree.AVX512Path} {
+			for _, path := range []string{mat.ScalarPath, mat.AVX512Path} {
 				b.Run(fmt.Sprintf("trees=%d/rows=%d/path=%s", trees, rows, path), func(b *testing.B) {
-					prev, ok := tree.SetKernelPath(path)
+					prev, ok := mat.SetKernelPath(path)
 					if !ok {
 						b.Skipf("this CPU cannot run the %s walk", path)
 					}
-					defer tree.SetKernelPath(prev)
+					defer mat.SetKernelPath(prev)
 					b.ReportAllocs()
 					for b.Loop() {
 						if _, err := f.PredictProba(batch); err != nil {

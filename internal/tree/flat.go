@@ -98,49 +98,6 @@ type Flat struct {
 	maxFeat int32
 }
 
-// The walks ScoreBlock can take: KernelPath reports one, SetKernelPath
-// takes one.
-const (
-	ScalarPath = "scalar"
-	AVX512Path = "avx512"
-)
-
-// hostVector records whether this CPU can run walk32. vectorWalk, which
-// sends ScoreBlock's groups of 32 trees through walk32's AVX-512 gathers,
-// starts at it; only tests change it, through SetKernelPath.
-var (
-	hostVector = hasWalk32()
-	vectorWalk = hostVector
-)
-
-// KernelPath names the walk ScoreBlock takes: AVX512Path on a CPU with
-// AVX-512F and AVX-512VL whose OS saves their registers, ScalarPath
-// elsewhere.
-func KernelPath() string {
-	if vectorWalk {
-		return AVX512Path
-	}
-	return ScalarPath
-}
-
-// SetKernelPath makes ScoreBlock take path and reports the path it
-// replaces; ok is false, and nothing changes, for a path this CPU cannot
-// run. Both walks add the same bits, so it exists only for tests and
-// benchmarks that run both on one host: it must not run beside a
-// ScoreBlock, and TestDocsConsistency refuses a call in non-test code.
-func SetKernelPath(path string) (prev string, ok bool) {
-	prev = KernelPath()
-	switch {
-	case path == ScalarPath:
-		vectorWalk = false
-	case path == AVX512Path && hostVector:
-		vectorWalk = true
-	default:
-		return prev, false
-	}
-	return prev, true
-}
-
 // LeafEntry is one nonzero class entry of a leaf with two or more.
 type LeafEntry struct {
 	Class int32
@@ -273,7 +230,7 @@ func (f *Flat) Layout() Layout {
 // into the same rows of out, whose first numClasses columns are the
 // accumulators. Each walk is a serial chain of data-dependent loads, so the
 // kernel keeps many walks in flight to let the core overlap their
-// latencies. Where the CPU has AVX-512 (vectorWalk) and every split
+// latencies. Where the CPU has AVX-512 (mat.AVX512) and every split
 // feature indexes a row of x, groups of 32 consecutive trees go through
 // walk32, whose gather lanes walk all 32 at once; the trees past the last
 // such group, and every tree elsewhere, take the scalar lanes: four
@@ -294,7 +251,7 @@ func (f *Flat) ScoreBlock(x, out *mat.Matrix, lo, hi int) {
 	xd, xc := x.Data, x.Cols
 	od, oc := out.Data, out.Cols
 	t := 0
-	if vectorWalk && xc > int(f.maxFeat) {
+	if mat.AVX512() && xc > int(f.maxFeat) {
 		var ids, fts [32]int32
 		for ; t+32 <= len(roots); t += 32 {
 			for i := lo; i < hi; i++ {

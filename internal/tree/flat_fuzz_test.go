@@ -15,9 +15,11 @@ import (
 // as often as it reaches NaN, ±Inf and ±0. On a CPU without AVX-512F/VL
 // there is no second walk, and the target skips.
 func FuzzScoreBlock(f *testing.F) {
-	if !hostVector {
+	prev, ok := mat.SetKernelPath(mat.AVX512Path)
+	if !ok {
 		f.Skip("this CPU lacks AVX-512F/VL or its OS does not save their registers: no vector walk to hold to the scalar one")
 	}
+	mat.SetKernelPath(prev)
 	_, forest, boosted := flatEnsembles(f)
 	var thresholds [flatFeats][]float64
 	for id, ft := range forest.feat {
@@ -38,12 +40,12 @@ func FuzzScoreBlock(f *testing.F) {
 				x.Data[j] = thresholds[j][math.Float64bits(v)%uint64(len(thresholds[j]))]
 			}
 		}
-		defer func(was bool) { vectorWalk = was }(vectorWalk)
+		defer mat.SetKernelPath(mat.KernelPath())
 		for _, fl := range []*Flat{forest, boosted} {
 			vector, scalar := mat.New(1, flatClasses), mat.New(1, flatClasses)
-			vectorWalk = true
+			mat.SetKernelPath(mat.AVX512Path)
 			fl.ScoreBlock(x, vector, 0, 1)
-			vectorWalk = false
+			mat.SetKernelPath(mat.ScalarPath)
 			fl.ScoreBlock(x, scalar, 0, 1)
 			requireSameBits(t, "vector walk against scalar lanes", vector.Data, scalar.Data)
 		}

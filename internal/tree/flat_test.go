@@ -132,13 +132,13 @@ func requireSameBits(t testing.TB, what string, got, want []float64) {
 // onto it. A path the CPU cannot run is skipped, and the skip says why.
 func onEachPath(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	for _, path := range []string{ScalarPath, AVX512Path} {
+	for _, path := range []string{mat.ScalarPath, mat.AVX512Path} {
 		t.Run(path, func(t *testing.T) {
-			prev, ok := SetKernelPath(path)
+			prev, ok := mat.SetKernelPath(path)
 			if !ok {
 				t.Skipf("this CPU lacks AVX-512F/VL or its OS does not save their registers: the %s walk is not run", path)
 			}
-			defer SetKernelPath(prev)
+			defer mat.SetKernelPath(prev)
 			fn(t)
 		})
 	}
@@ -248,27 +248,6 @@ func TestFlatAddRefusesNonTrees(t *testing.T) {
 	}
 	if err := NewFlat(2, 1).Add([]ExportNode{split(1, 2), leaf, leaf}, 0); err != nil {
 		t.Fatalf("refused a tree: %v", err)
-	}
-}
-
-// TestFlatKernelPath logs the walk ScoreBlock takes on this host, so a CI
-// log names the path its tests ran, and pins the switch tests use: the
-// scalar walk is always available, an unknown path is refused, and off
-// amd64 the AVX-512 walk never is.
-func TestFlatKernelPath(t *testing.T) {
-	t.Logf("ScoreBlock walks groups of 32 trees on the %s path (GOARCH %s)", KernelPath(), runtime.GOARCH)
-	if runtime.GOARCH != "amd64" && KernelPath() != ScalarPath {
-		t.Fatalf("%s path on %s", KernelPath(), runtime.GOARCH)
-	}
-	host := KernelPath()
-	if prev, ok := SetKernelPath("sse"); ok || prev != host || KernelPath() != host {
-		t.Fatalf("SetKernelPath(sse) = %s, %v; path now %s", prev, ok, KernelPath())
-	}
-	if prev, ok := SetKernelPath(ScalarPath); !ok || prev != host || KernelPath() != ScalarPath {
-		t.Fatalf("SetKernelPath(scalar) = %s, %v; path now %s", prev, ok, KernelPath())
-	}
-	if _, ok := SetKernelPath(host); !ok || KernelPath() != host {
-		t.Fatalf("could not restore the %s path", host)
 	}
 }
 

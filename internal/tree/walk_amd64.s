@@ -1,23 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
 // STEP advances one set of eight lanes one level under its opmask active,
 // and jumps to the label next when active is empty: ids and fts are the
 // set's node ids and their feat words, v, t and k scratch. Gathers clear
