@@ -1,8 +1,9 @@
 package mat
 
 // The paths the hand-written kernels can take: KernelPath reports one,
-// SetKernelPath takes one. tree.Flat.ScoreBlock's walk32 and the drift
-// search's bound and filter kernels all follow the one switch.
+// SetKernelPath takes one. tree.Flat.ScoreBlock's walk32, the drift
+// search's bound and filter kernels and stream.WindowedEmbedder.Push's
+// pushAVX512 all follow the one switch.
 const (
 	ScalarPath = "scalar"
 	AVX512Path = "avx512"

@@ -10,7 +10,7 @@ import (
 // the scalar path is always available, an unknown path is refused, and off
 // amd64 the AVX-512 path never is.
 func TestKernelPath(t *testing.T) {
-	t.Logf("the flat walk and the drift search take the %s path (GOARCH %s)", KernelPath(), runtime.GOARCH)
+	t.Logf("the flat walk, the drift search and the window push take the %s path (GOARCH %s)", KernelPath(), runtime.GOARCH)
 	if runtime.GOARCH != "amd64" && KernelPath() != ScalarPath {
 		t.Fatalf("%s path on %s", KernelPath(), runtime.GOARCH)
 	}

@@ -108,6 +108,11 @@ func (s Shape) Scaler() *preprocess.StandardScaler { return s.scaler }
 // new one: sums[k] = (sums[k] − oldₐ·old_b) + zₐ·z_b, the order in which a
 // subtracting pass followed by an adding pass would round.
 //
+// Where mat.AVX512 holds, a sample of at most pushLanes sensors takes
+// pushAVX512, which forms the same values with the same roundings. It runs
+// before the ring wraps too: the slot it evicts is then still the ring's
+// +0, and s − (+0)·(+0) is s bit for bit.
+//
 //wcc:hotpath zero allocations per call, pinned by an AllocsPerRun gate
 func (w *WindowedEmbedder) Push(sample []float64) error {
 	if len(sample) != w.sensors {
@@ -117,39 +122,70 @@ func (w *WindowedEmbedder) Push(sample []float64) error {
 	slot := w.ring[base : base+len(sample)]
 	means := w.scaler.Means[base : base+len(sample)]
 	stds := w.scaler.Stds[base : base+len(sample)]
-	// The new standardised values wait here while the slot still holds the
-	// sample they evict.
-	var buf [MaxSensors]float64
-	z := buf[:len(sample)]
-	for c, v := range sample {
-		z[c] = (v - means[c]) / stds[c]
-	}
-	sums := w.sums
-	k := 0
-	if w.count >= w.window {
-		for a, oa := range slot {
-			za := z[a]
-			for b := a; b < len(z); b++ {
-				sums[k] = (sums[k] - oa*slot[b]) + za*z[b]
-				k++
-			}
-		}
+	if len(sample) <= pushLanes && mat.AVX512() {
+		pushAVX512(w.sums, slot, sample, means, stds, &pairIndex[len(sample)])
 	} else {
-		for a, za := range z {
-			for b := a; b < len(z); b++ {
-				sums[k] += za * z[b]
-				k++
+		// The new standardised values wait here while the slot still holds
+		// the sample they evict.
+		var buf [MaxSensors]float64
+		z := buf[:len(sample)]
+		for c, v := range sample {
+			z[c] = (v - means[c]) / stds[c]
+		}
+		sums := w.sums
+		k := 0
+		if w.count >= w.window {
+			for a, oa := range slot {
+				za := z[a]
+				for b := a; b < len(z); b++ {
+					sums[k] = (sums[k] - oa*slot[b]) + za*z[b]
+					k++
+				}
+			}
+		} else {
+			for a, za := range z {
+				for b := a; b < len(z); b++ {
+					sums[k] += za * z[b]
+					k++
+				}
 			}
 		}
+		copy(slot, z)
+	}
+	if w.count < w.window {
 		w.count++
 	}
-	copy(slot, z)
 	w.head++
 	if w.head == w.window {
 		w.head = 0
 	}
 	return nil
 }
+
+// pushLanes is the widest sample pushAVX512 takes: one sample fills at most
+// one 8-lane register.
+const pushLanes = 8
+
+// pairSteps is the most 8-lane steps pushAVX512 takes over the triangle:
+// ⌈36/8⌉ for 8 sensors.
+const pairSteps = (pushLanes*(pushLanes+1)/2 + 7) / 8
+
+// pairIndex[n] is pushAVX512's pair table for n sensors: lane l of step s
+// holds a in [s][0][l] and b in [s][1][l], the sensors whose product
+// sums[8s+l] accumulates (the upper triangle, row by row). Lanes past the
+// triangle's end hold 0.
+var pairIndex = func() (t [pushLanes + 1][pairSteps][2][8]int64) {
+	for n := 1; n <= pushLanes; n++ {
+		k := 0
+		for a := 0; a < n; a++ {
+			for b := a; b < n; b++ {
+				t[n][k/8][0][k%8], t[n][k/8][1][k%8] = int64(a), int64(b)
+				k++
+			}
+		}
+	}
+	return t
+}()
 
 // Ready reports whether a full window has been observed.
 func (w *WindowedEmbedder) Ready() bool { return w.count >= w.window }
