@@ -239,7 +239,7 @@ func predictRowUsers(t *testing.T, dir string) map[string]bool {
 // designCeiling is DESIGN.md's line budget, set at the rewrite that made
 // every section invariant, test and metric. A change may lower it; one that
 // raises it says so in CHANGES.md.
-const designCeiling = 840
+const designCeiling = 847
 
 // citedDocs are the Markdown files the project maintains. With every .go
 // and .yml file they are what a DESIGN.md section citation is checked in.

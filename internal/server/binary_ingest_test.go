@@ -65,41 +65,52 @@ func TestGoldenBinaryIngestCapture(t *testing.T) {
 		{job: 1000000, bits: []uint64{0x1, 0x8000000000000000, math.Float64bits(1e308)}},
 	}
 
-	dec := wire.NewIngestDecoder(body)
-	for i, w := range want {
-		got, ok := dec.Next()
-		if !ok {
-			t.Fatalf("decoder ended at record %d of %d: %v", i+1, len(want), dec.Err())
-		}
-		if got.Index != i+1 {
-			t.Fatalf("record %d decoded with index %d", i+1, got.Index)
-		}
-		if w.errPart != "" {
-			if got.Err == nil || !strings.Contains(got.Err.Error(), w.errPart) {
-				t.Fatalf("record %d: error %v, want substring %q", i+1, got.Err, w.errPart)
+	// Next and NextInto, the form parseBinary takes with one record kept
+	// across the loop, must decode the same records and rejections.
+	var kept wire.IngestRecord
+	for _, form := range []struct {
+		name string
+		next func(*wire.IngestDecoder) (wire.IngestRecord, bool)
+	}{
+		{"Next", (*wire.IngestDecoder).Next},
+		{"NextInto", func(d *wire.IngestDecoder) (wire.IngestRecord, bool) { ok := d.NextInto(&kept); return kept, ok }},
+	} {
+		dec := wire.NewIngestDecoder(body)
+		for i, w := range want {
+			got, ok := form.next(dec)
+			if !ok {
+				t.Fatalf("%s: decoder ended at record %d of %d: %v", form.name, i+1, len(want), dec.Err())
 			}
-			continue
-		}
-		if got.Err != nil {
-			t.Fatalf("record %d: unexpected error %v", i+1, got.Err)
-		}
-		if got.Job != w.job {
-			t.Fatalf("record %d: job %d, want %d", i+1, got.Job, w.job)
-		}
-		if len(got.Values) != len(w.bits) {
-			t.Fatalf("record %d: %d values, want %d", i+1, len(got.Values), len(w.bits))
-		}
-		for k, bits := range w.bits {
-			if g := math.Float64bits(got.Values[k]); g != bits {
-				t.Fatalf("record %d value %d: bits %#x, want %#x", i+1, k, g, bits)
+			if got.Index != i+1 {
+				t.Fatalf("%s: record %d decoded with index %d", form.name, i+1, got.Index)
+			}
+			if w.errPart != "" {
+				if got.Err == nil || !strings.Contains(got.Err.Error(), w.errPart) {
+					t.Fatalf("%s: record %d: error %v, want substring %q", form.name, i+1, got.Err, w.errPart)
+				}
+				continue
+			}
+			if got.Err != nil {
+				t.Fatalf("%s: record %d: unexpected error %v", form.name, i+1, got.Err)
+			}
+			if got.Job != w.job {
+				t.Fatalf("%s: record %d: job %d, want %d", form.name, i+1, got.Job, w.job)
+			}
+			if len(got.Values) != len(w.bits) {
+				t.Fatalf("%s: record %d: %d values, want %d", form.name, i+1, len(got.Values), len(w.bits))
+			}
+			for k, bits := range w.bits {
+				if g := math.Float64bits(got.Values[k]); g != bits {
+					t.Fatalf("%s: record %d value %d: bits %#x, want %#x", form.name, i+1, k, g, bits)
+				}
 			}
 		}
-	}
-	if _, ok := dec.Next(); ok {
-		t.Fatal("decoder produced records beyond the golden capture")
-	}
-	if err := dec.Err(); err != nil {
-		t.Fatalf("clean capture ended with framing error: %v", err)
+		if _, ok := form.next(dec); ok {
+			t.Fatalf("%s: decoder produced records beyond the golden capture", form.name)
+		}
+		if err := dec.Err(); err != nil {
+			t.Fatalf("%s: clean capture ended with framing error: %v", form.name, err)
+		}
 	}
 
 	// Through the handler: records 1 and 2 land (width matches the fixture

@@ -75,11 +75,8 @@ func parseBinary(sc *ingestScratch) ([]LineError, error) {
 	dec.Arena = sc.values[:0]
 	samples, lines := sc.batch.Samples[:0], sc.lines[:0]
 	var errs []LineError
-	for {
-		rec, ok := dec.Next()
-		if !ok {
-			break
-		}
+	var rec wire.IngestRecord
+	for dec.NextInto(&rec) {
 		if rec.Err != nil {
 			errs = append(errs, LineError{Line: rec.Index, Error: rec.Err.Error()})
 			continue

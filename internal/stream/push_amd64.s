@@ -21,10 +21,8 @@
 // K1 covers the len(sample) sensor lanes: the evicted slot, the sample and
 // its means and stds load under it (masked-off lanes read nothing), z =
 // (v − mean) / std is formed in its lanes and stored into the slot. The
-// ring slot after this one, which the job's next push evicts, is
-// prefetched: jobs interleave, so a push otherwise waits on its slot's
-// cache miss. The sums then take len(sums)/8 full steps and a masked step
-// for the last len(sums) mod 8.
+// sums then take len(sums)/8 full steps and a masked step for the last
+// len(sums) mod 8.
 TEXT ·pushAVX512(SB), NOSPLIT, $0-128
 	MOVQ sample_len+56(FP), CX
 	MOVL $1, AX
@@ -37,9 +35,6 @@ TEXT ·pushAVX512(SB), NOSPLIT, $0-128
 	MOVQ      means_base+72(FP), BX
 	MOVQ      stds_base+96(FP), R8
 	VMOVUPD.Z 0(SI), K1, Z0
-	LEAQ      0(SI)(CX*8), R9
-	PREFETCHT0 0(R9)
-	PREFETCHT0 -8(R9)(CX*8)
 	VMOVUPD.Z 0(AX), K1, Z1
 	VMOVUPD.Z 0(BX), K1, Z2
 	VMOVUPD.Z 0(R8), K1, Z3

@@ -20,11 +20,8 @@ func TestIngestDecoderZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		dec := IngestDecoder{Arena: arena[:0], buf: body}
 		n := 0
-		for {
-			rec, ok := dec.Next()
-			if !ok {
-				break
-			}
+		var rec IngestRecord
+		for dec.NextInto(&rec) {
 			if rec.Err != nil || len(rec.Values) != len(vals) {
 				bad = true
 			}
@@ -38,6 +35,6 @@ func TestIngestDecoderZeroAlloc(t *testing.T) {
 		t.Fatal("decoder rejected the well-formed body during measurement")
 	}
 	if allocs != 0 {
-		t.Fatalf("IngestDecoder.Next allocates %.1f times per body, want 0", allocs)
+		t.Fatalf("IngestDecoder.NextInto allocates %.1f times per body, want 0", allocs)
 	}
 }
