@@ -68,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -251,7 +252,11 @@ type stripe struct {
 	// queue holds the stripe's dirty jobs in the order they turned dirty:
 	// Ingest appends, the partition's tick drains it whole in one hold of mu.
 	// Removal leaves a queued job in place; the drain drops it unscored.
+	// Every append goes through enqueue, which sets bit in the partition's
+	// dirty mask (mask) when the queue was empty.
 	queue []*jobState
+	mask  *atomic.Uint32
+	bit   uint32
 	// horizon holds the stripe's input-drift histogram counts against the
 	// reference dbins was built from, epoch e in horizon[e mod horizonEpochs];
 	// guarded by mu like the registry, and reset together on a swap. dbins
@@ -293,6 +298,14 @@ func (st *stripe) bucket(e int64) *drift.Window {
 // that lives once on the Monitor.
 type partition struct {
 	stripes []*stripe
+	// dirty has bit k set when stripe k may have queued jobs: a stripe sets
+	// its bit, under its mutex, as its queue goes from empty to non-empty,
+	// and the collect takes the whole mask with one Swap and visits only
+	// the stripes it names. Outside a tick's collect, every stripe with a
+	// queued job has its bit set; a set bit over an empty queue (a job
+	// queued on a stripe the collect had already swapped out but not yet
+	// drained) costs the next tick one lock and nothing else.
+	dirty atomic.Uint32
 	// tickMu serialises the partition's ticks and guards scratch. Event
 	// publishes are deliberately ordered under it — the bus is non-blocking
 	// by design (events.Bus.Publish drops rather than waits).
@@ -379,7 +392,7 @@ func New(cfg Config) (*Monitor, error) {
 	for i := range m.parts {
 		p := &partition{stripes: make([]*stripe, registryStripes)}
 		for k := range p.stripes {
-			p.stripes[k] = &stripe{jobs: make(map[int]*jobState)}
+			p.stripes[k] = &stripe{jobs: make(map[int]*jobState), mask: &p.dirty, bit: 1 << k}
 		}
 		m.parts[i] = p
 	}
@@ -568,7 +581,7 @@ func (m *Monitor) add(st *stripe, w *drift.Window, jobID int, sample []float64, 
 	}
 	if js.emb.Ready() && !js.dirty {
 		js.dirty = true
-		st.queue = append(st.queue, js)
+		st.enqueue(js)
 	}
 	js.samples++
 	js.lastSeen = now
@@ -722,8 +735,10 @@ type collected struct {
 // others; the joined errors are returned alongside the stats of the
 // partitions that succeeded. The model generation is consistent across the
 // pass — a concurrent SwapClassifierDrift takes effect entirely before or
-// entirely after it. A one-partition monitor never leaves the caller and,
-// with nothing queued, allocates nothing.
+// entirely after it. A one-partition monitor never leaves the caller: with
+// nothing queued it takes no stripe lock and allocates nothing, and a tick
+// of one row block (every tick under 64 rows is one) allocates only what write-back publishes
+// new — a job's first probability row, a transition event.
 //
 //wcc:tickpath the clock is only ever the injected m.now
 func (m *Monitor) Tick() (TickStats, error) {
@@ -766,15 +781,18 @@ func (m *Monitor) TickShard(i int) (TickStats, error) {
 }
 
 // tick is one partition's batched inference pass; callers hold the read
-// side of m.mu, so the serving generation cannot change under it. It drains
-// each stripe's dirty queue whole, in stripe order and one hold of its lock,
-// embeds every queued job still registered into one N×F matrix and scores it
-// with one (batched, when available) model call. A tick costs what it
-// classifies; with nothing queued it takes each stripe lock once and
-// allocates nothing. A job dirtied after the tick passed its stripe, or while
+// side of m.mu, so the serving generation cannot change under it. It takes
+// the partition's dirty mask in one Swap and drains the queue of each stripe
+// the mask names whole, in stripe order and one hold of its lock, embeds
+// every queued job still registered into one N×F matrix and scores it with
+// one (batched, when available) model call. A tick costs what it classifies:
+// with nothing queued it takes no stripe lock and allocates nothing, and a
+// pass of one row block (model and drift alike) runs on the caller with no
+// closure. A job dirtied after the tick passed its stripe, or while
 // inference ran, is scored by the next tick. A failed tick (embedding error,
 // model error, row-count mismatch) puts every job it drained back on its
-// queue, so a transient error never drops a pending classification.
+// queue, and the mask bits of every stripe it did not drain back in the
+// mask, so a transient error never drops a pending classification.
 //
 //wcc:tickpath reads the clock only through the injected m.now
 func (m *Monitor) tick(p *partition) (TickStats, error) {
@@ -784,7 +802,10 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 
 	collectStart := m.now()
 	s := &p.scratch
-	for _, st := range p.stripes {
+	// Stripes in ascending order, as the mask names them: rows keep the
+	// order a walk over every stripe would give them.
+	for pending := p.dirty.Swap(0); pending != 0; pending &= pending - 1 {
+		st := p.stripes[bits.TrailingZeros32(pending)]
 		st.mu.Lock()
 		for k, js := range st.queue {
 			if st.jobs[js.id] != js {
@@ -793,6 +814,9 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 			s.feats = slices.Grow(s.feats, m.dim)[:len(s.feats)+m.dim]
 			if err := js.emb.FeaturesInto(s.feats[len(s.feats)-m.dim:]); err != nil {
 				st.dequeue(k) // js and everything behind it stay queued
+				// This stripe and the ones after it not drained yet keep
+				// their bits.
+				p.dirty.Or(pending)
 				st.mu.Unlock()
 				requeue(s.batch)
 				return TickStats{}, err
@@ -807,20 +831,21 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		p.ticks.Add(1)
 		return TickStats{}, nil
 	}
-	// Stage spans record only non-empty passes: at a 10ms cadence most
-	// ticks collect nothing, and those would drown the ring the sampled
-	// trace endpoint serves.
-	m.tracer.Observe(trace.StageCollect, collectStart, m.now().Sub(collectStart), len(batch))
 
+	// One clock read ends a stage and starts the next. Stage spans record
+	// only non-empty passes: at a 10ms cadence most ticks collect nothing,
+	// and those would drown the ring the sampled trace endpoint serves.
 	x := &p.scratch.x
 	*x = mat.Matrix{Rows: len(batch), Cols: m.dim, Data: feats}
 	classifyStart := m.now()
+	m.tracer.Observe(trace.StageCollect, collectStart, classifyStart.Sub(collectStart), len(batch))
 	probs, err := m.classify(p, x)
 	if err != nil {
 		requeue(batch)
 		return TickStats{}, err
 	}
-	m.tracer.Observe(trace.StageClassify, classifyStart, m.now().Sub(classifyStart), len(batch))
+	writeStart := m.now()
+	m.tracer.Observe(trace.StageClassify, classifyStart, writeStart.Sub(classifyStart), len(batch))
 	if probs.Rows != len(batch) {
 		requeue(batch)
 		return TickStats{}, fmt.Errorf("fleet: model returned %d rows for %d windows", probs.Rows, len(batch))
@@ -834,19 +859,18 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	// distance is a pure function of its row, whatever the certificate
 	// holds; the predictions are untouched, so enabling drift leaves
 	// in-distribution results bit-identical.
-	writeStart := m.now()
 	cal := m.dcal
 	if cal != nil {
-		// The block function returns no error, so neither does the pass. It
-		// reaches the batch through p, which keeps the closure's captures
-		// small: a tick of two rows pays for them.
-		_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				c := &p.scratch.batch[i]
-				c.score = cal.ScoreCert(x.Row(i), &c.js.cert)
-			}
-			return nil
-		})
+		// A pass of one row block runs here, with no closure to allocate;
+		// the block function returns no error, so neither does the pass.
+		if mat.RowBlocks(len(batch), 0) == 1 {
+			p.score(cal, 0, len(batch))
+		} else {
+			_ = mat.ParallelRowBlocks(len(batch), 0, func(lo, hi int) error {
+				p.score(cal, lo, hi)
+				return nil
+			})
+		}
 	}
 
 	// Write predictions back, serially: all that is left per job is copying
@@ -873,7 +897,7 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 		if js.samples == c.seen {
 			js.dirty = false
 		} else {
-			js.home.queue = append(js.home.queue, js)
+			js.home.enqueue(js)
 		}
 		js.home.mu.Unlock()
 		// Adapt observation, outside the job lock like event emission below:
@@ -918,6 +942,15 @@ func (m *Monitor) tick(p *partition) (TickStats, error) {
 	return TickStats{Classified: len(batch)}, nil
 }
 
+// score sets the open-set score of batch rows [lo, hi), each through its
+// job's certificate. Callers hold p.tickMu and the read side of m.mu.
+func (p *partition) score(cal *drift.Calibration, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c := &p.scratch.batch[i]
+		c.score = cal.ScoreCert(p.scratch.x.Row(i), &c.js.cert)
+	}
+}
+
 // classify runs the serving model over the batch x: into the partition's
 // probability scratch when the model is an IntoClassifier, otherwise into a
 // matrix the model allocates. Callers hold p.tickMu and the read side of
@@ -942,6 +975,15 @@ func (p *partition) dropBatch() {
 	p.scratch.feats = p.scratch.feats[:0]
 }
 
+// enqueue appends js to the queue and, when the queue was empty, sets the
+// stripe's bit in its partition's dirty mask; callers hold st.mu.
+func (st *stripe) enqueue(js *jobState) {
+	if len(st.queue) == 0 {
+		st.mask.Or(st.bit)
+	}
+	st.queue = append(st.queue, js)
+}
+
 // dequeue drops the first k queue entries, keeping the rest in order and
 // leaving no job pointer behind in the freed tail; callers hold st.mu.
 func (st *stripe) dequeue(k int) {
@@ -955,7 +997,7 @@ func (st *stripe) dequeue(k int) {
 func requeue(batch []collected) {
 	for _, c := range batch {
 		c.js.home.mu.Lock()
-		c.js.home.queue = append(c.js.home.queue, c.js)
+		c.js.home.enqueue(c.js)
 		c.js.home.mu.Unlock()
 	}
 }

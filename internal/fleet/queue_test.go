@@ -229,6 +229,9 @@ func TestFailedTickRequeuesExactlyItsJobs(t *testing.T) {
 		if got := ta.take(); len(got) != 0 {
 			t.Fatalf("%s: failed tick scored jobs %v", name, got)
 		}
+		if un := m.unmarkedStripes(); len(un) != 0 {
+			t.Fatalf("%s: stripes %v hold queued jobs with their dirty-mask bit clear", name, un)
+		}
 		feed(t, m, 4, servetest.JobSamples(40, 1)) // already queued: must not queue twice
 
 		wantTick(t, m, ta, jobs)
@@ -319,10 +322,13 @@ func (o oracle) due() []int {
 	return ids
 }
 
-// TestQueueModelCheck drives random sequences of Ingest, EndJob, EvictIdle,
-// Tick and failing Tick — with more of the first three landing while the
-// model call is in flight — against the oracle: every tick scores exactly
-// the oracle's due jobs, a failing tick scores nothing and loses nothing.
+// TestQueueModelCheck drives random sequences of Ingest, IngestBatch (of
+// samples for several jobs at once), EndJob, EvictIdle, Tick and failing
+// Tick — with more of the first four landing while the model call is in
+// flight — against the oracle: every tick scores exactly the oracle's due
+// jobs, a failing tick scores nothing and loses nothing, and after every
+// operation each stripe with a queued job has its bit in the partition's
+// dirty mask.
 func TestQueueModelCheck(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, time.Now().UnixNano()}
 	if *queueSeed != 0 {
@@ -339,22 +345,43 @@ func checkQueueAgainstOracle(t *testing.T, seed int64) {
 	clock := time.Unix(1000, 0)
 	m, fm, ta := queueFixture(t, func() time.Time { return clock })
 	o := oracle{}
-	sample := make([]float64, servetest.Sensors)
+	draw := func() []float64 {
+		sample := make([]float64, servetest.Sensors)
+		for c := range sample {
+			sample[c] = rng.NormFloat64()*2 + 4
+		}
+		return sample
+	}
+	var b Batch
+	masked := func(op int) {
+		if un := m.unmarkedStripes(); len(un) != 0 {
+			t.Fatalf("seed %d op %d: stripes %v hold queued jobs with their dirty-mask bit clear", seed, op, un)
+		}
+	}
 
 	// mutate applies one random non-tick operation to the monitor and the
 	// oracle alike.
 	mutate := func(op int) {
+		defer masked(op)
 		clock = clock.Add(time.Second)
 		id := rng.Intn(jobIDs)
 		switch r := rng.Intn(100); {
-		case r < 80:
-			for c := range sample {
-				sample[c] = rng.NormFloat64()*2 + 4
-			}
-			if err := m.Ingest(id, sample); err != nil {
+		case r < 60:
+			if err := m.Ingest(id, draw()); err != nil {
 				t.Fatalf("seed %d op %d: ingest: %v", seed, op, err)
 			}
 			o.ingest(id, clock)
+		case r < 80:
+			b.Samples = b.Samples[:0]
+			for range 2 + rng.Intn(7) {
+				b.Samples = append(b.Samples, Sample{Job: rng.Intn(jobIDs), Values: draw()})
+			}
+			if errs := m.IngestBatch(&b); len(errs) != 0 {
+				t.Fatalf("seed %d op %d: batch ingest: %v", seed, op, errs[0].Err)
+			}
+			for _, s := range b.Samples {
+				o.ingest(s.Job, clock)
+			}
 		case r < 92:
 			_, ok := m.EndJob(id)
 			if _, want := o[id]; ok != want {
@@ -399,6 +426,7 @@ func checkQueueAgainstOracle(t *testing.T, seed int64) {
 		}
 		stats, err := m.Tick()
 		fm.mode, fm.during = modeOK, nil
+		masked(op)
 		scored := ta.take()
 		if failed := mode != modeOK && len(due) > 0; failed {
 			if err == nil || len(scored) != 0 {

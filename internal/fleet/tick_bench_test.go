@@ -9,9 +9,12 @@ import (
 )
 
 // BenchmarkTick times one partition's steady tick in the configuration
-// wccserve runs (drift, events, trace and an observer attached) at
-// tick-full's batch height: 250 jobs, each one sample further along, scored
-// per tick. Each job re-sends its first window's samples in order, so every
+// wccserve runs (drift, events, trace and an observer attached) at the
+// shapes of the benchmark's two in-process workloads. full is tick-full's
+// batch height: 250 jobs, each one sample further along, scored per tick,
+// reported per row. sparse is tick-sparse's: 10 000 resident jobs, 2 of
+// them dirtied per tick, taking turns through the registry, reported per
+// tick. Each job re-sends its first window's samples in order, so every
 // sample lands on the ring slot it left and the class holds: steady state
 // publishes no transition events. Every job has been scored before the
 // clock starts, so B/op and allocs/op are what a steady tick costs in
@@ -20,41 +23,58 @@ import (
 // loops over b.N, not b.Loop, because it stops the clock inside its loop,
 // which b.Loop does not support.
 func BenchmarkTick(b *testing.B) {
-	scaler, model := servetest.Fixture(b)
-	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
-		Drift: servetest.Calibration(b, 31, 400)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.SetTraceRecorder(trace.NewRecorder())
-	m.SetEventSink(events.NewBus())
-	m.SetAdaptObserver(discard{})
-	const jobs = 250
-	stream := make([][][]float64, jobs)
-	for j := range stream {
-		stream[j] = servetest.JobSamples(j, servetest.Window)
-		for _, s := range stream[j] {
-			if err := m.Ingest(j, s); err != nil {
+	for _, bc := range []struct {
+		name            string
+		resident, dirty int
+		unit            string
+	}{
+		{"full", 250, 250, "ns/row"},
+		{"sparse", 10000, 2, "ns/tick"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			scaler, model := servetest.Fixture(b)
+			m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler, Model: model,
+				Drift: servetest.Calibration(b, 31, 400)})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-	if _, err := m.Tick(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for next := range b.N {
-		b.StopTimer()
-		for j := range stream {
-			if err := m.Ingest(j, stream[j][next%servetest.Window]); err != nil {
+			m.SetTraceRecorder(trace.NewRecorder())
+			m.SetEventSink(events.NewBus())
+			m.SetAdaptObserver(discard{})
+			stream := make([][][]float64, bc.resident)
+			for j := range stream {
+				stream[j] = servetest.JobSamples(j, servetest.Window)
+				for _, s := range stream[j] {
+					if err := m.Ingest(j, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if _, err := m.Tick(); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StartTimer()
-		if st, err := m.Tick(); err != nil || st.Classified != jobs {
-			b.Fatalf("tick %+v, %v", st, err)
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			sent := 0
+			for range b.N {
+				b.StopTimer()
+				for range bc.dirty {
+					j := sent % bc.resident
+					if err := m.Ingest(j, stream[j][(sent/bc.resident)%servetest.Window]); err != nil {
+						b.Fatal(err)
+					}
+					sent++
+				}
+				b.StartTimer()
+				if st, err := m.Tick(); err != nil || st.Classified != bc.dirty {
+					b.Fatalf("tick %+v, %v", st, err)
+				}
+			}
+			per := b.N
+			if bc.unit == "ns/row" {
+				per *= bc.dirty
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per), bc.unit)
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/row")
 }

@@ -15,20 +15,31 @@ import (
 // of kernel work) saves too little to pay for its hand-off.
 const minBlockRows = 32
 
-// ParallelRowBlocks splits rows into contiguous blocks — at most workers of
-// them (workers ≤ 0 selects GOMAXPROCS) and none shorter than minBlockRows
-// unless it is the only one — and runs fn on each block concurrently,
-// returning the first error. The first block runs on the caller's
-// goroutine, so a batch too small to split never leaves it. It is the
-// shared scaffolding of the model packages' batched predict paths.
-func ParallelRowBlocks(rows, workers int, fn func(lo, hi int) error) error {
+// RowBlocks is the most blocks ParallelRowBlocks splits rows into for
+// workers: no more than workers (workers ≤ 0 selects GOMAXPROCS), none
+// shorter than minBlockRows unless it is the only one, and at least one.
+// At 1 the pass is one block on the caller, so a caller that checks runs
+// the block body itself and builds no closure for it: a closure handed to
+// ParallelRowBlocks escapes to the heap, since a block may run on a
+// goroutine. A batch under two blocks' rows never asks for GOMAXPROCS.
+func RowBlocks(rows, workers int) int {
+	if rows < 2*minBlockRows {
+		return 1
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if most := rows / minBlockRows; workers > most {
-		workers = most
-	}
-	if workers <= 1 {
+	return max(min(workers, rows/minBlockRows), 1)
+}
+
+// ParallelRowBlocks splits rows into at most RowBlocks(rows, workers)
+// contiguous blocks of equal length, the last one shorter, and runs fn on each block concurrently, returning the first error.
+// The first block runs on the caller's goroutine, so a batch too small to
+// split never leaves it. It is the shared scaffolding of the model
+// packages' batched predict paths.
+func ParallelRowBlocks(rows, workers int, fn func(lo, hi int) error) error {
+	workers = RowBlocks(rows, workers)
+	if workers == 1 {
 		return fn(0, rows)
 	}
 	errs := make([]error, workers)

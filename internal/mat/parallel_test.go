@@ -43,7 +43,8 @@ func TestSmallBatchStaysOnTheCaller(t *testing.T) {
 
 // TestBlocksTileTheRows checks every rows × workers pairing: the blocks
 // cover [0, rows) with no gap and no overlap, there are no more of them
-// than workers (GOMAXPROCS for workers ≤ 0) or than rows/minBlockRows, and
+// than workers (GOMAXPROCS for workers ≤ 0) or than rows/minBlockRows,
+// RowBlocks is that bound and is 1 exactly when the pass is one block, and
 // the first block runs on the caller.
 func TestBlocksTileTheRows(t *testing.T) {
 	caller := goroutineID()
@@ -86,6 +87,9 @@ func TestBlocksTileTheRows(t *testing.T) {
 			}
 			if len(blocks) > most {
 				t.Fatalf("rows=%d workers=%d: %d blocks, want at most %d", rows, workers, len(blocks), most)
+			}
+			if got := RowBlocks(rows, workers); got != most || (got == 1) != (len(blocks) == 1) {
+				t.Fatalf("rows=%d workers=%d: RowBlocks %d for %d blocks, want %d", rows, workers, got, len(blocks), most)
 			}
 		}
 	}

@@ -70,7 +70,8 @@ func (e *Ensemble) PredictProba(x *mat.Matrix) (*mat.Matrix, error) {
 // PredictProbaBatchInto is PredictProba writing into out, an
 // x.Rows×NumClasses matrix the caller owns and may reuse across calls:
 // whatever out held is overwritten, so a serving loop scores every batch
-// into the same memory.
+// into the same memory. A batch of one row block is scored on the caller
+// with no closure, so it allocates nothing.
 func (e *Ensemble) PredictProbaBatchInto(x, out *mat.Matrix) error {
 	if e.flat == nil {
 		return errors.New("tree: ensemble not fitted")
@@ -85,6 +86,10 @@ func (e *Ensemble) PredictProbaBatchInto(x, out *mat.Matrix) error {
 	if out.Rows != x.Rows || out.Cols != nc || len(out.Data) != out.Rows*out.Cols {
 		return fmt.Errorf("tree: output is %dx%d (%d values), want %dx%d",
 			out.Rows, out.Cols, len(out.Data), x.Rows, nc)
+	}
+	if mat.RowBlocks(x.Rows, 0) == 1 {
+		e.scoreBlock(x, out, 0, x.Rows)
+		return nil
 	}
 	_ = mat.ParallelRowBlocks(x.Rows, 0, func(lo, hi int) error {
 		e.scoreBlock(x, out, lo, hi)

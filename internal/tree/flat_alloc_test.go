@@ -13,7 +13,8 @@ import (
 // alone or with its finishing step, on either kernel path, for the
 // forest's mean over multi-entry leaves and the booster's softmax over
 // one-entry leaves alike, at a sparse tick's block heights (1–3 rows) and
-// a full one's (32).
+// a full one's (32); and a whole predict call of one row block, which runs
+// the block on the caller with no closure, allocates nothing either.
 func TestScoreBlockZeroAlloc(t *testing.T) {
 	ens := ensembles(t)
 	ev := hostileRows(rand.New(rand.NewSource(7)), 32)
@@ -27,6 +28,11 @@ func TestScoreBlockZeroAlloc(t *testing.T) {
 				}
 				if allocs := testing.AllocsPerRun(100, func() { e.scoreBlock(ev, out, 0, rows) }); allocs != 0 {
 					t.Fatalf("%s: Ensemble.scoreBlock allocates %.1f times per call on %d rows, want 0", tc.name, allocs, rows)
+				}
+				x := &mat.Matrix{Rows: rows, Cols: ev.Cols, Data: ev.Data[:rows*ev.Cols]}
+				o := &mat.Matrix{Rows: rows, Cols: out.Cols, Data: out.Data[:rows*out.Cols]}
+				if allocs := testing.AllocsPerRun(100, func() { _ = e.PredictProbaBatchInto(x, o) }); allocs != 0 {
+					t.Fatalf("%s: a one-block PredictProbaBatchInto allocates %.1f times per call on %d rows, want 0", tc.name, allocs, rows)
 				}
 			}
 		}
