@@ -23,9 +23,10 @@
 //     and its batched form (IngestBatch), which groups a whole batch by
 //     stripe and takes each stripe's lock once for it;
 //   - a batched inference engine (Tick, TickShard) that drains those queues
-//     into a single N×F feature matrix and runs one batched PredictProba
-//     call instead of N single-row calls — a tick costs what it classifies,
-//     not what is resident, and a failed tick puts what it drained back;
+//     (only the stripes the partition's dirty mask names) into a single N×F
+//     feature matrix and runs one batched PredictProba call instead of N
+//     single-row calls — a tick costs what it classifies, not what is
+//     resident, and a failed tick puts what it drained back;
 //   - a zero-downtime model refresh (SwapClassifierDrift) that installs a
 //     retrained classifier and its drift calibration between inference
 //     ticks — in-flight batches finish on the old model, ingest never
@@ -252,8 +253,8 @@ type stripe struct {
 	// queue holds the stripe's dirty jobs in the order they turned dirty:
 	// Ingest appends, the partition's tick drains it whole in one hold of mu.
 	// Removal leaves a queued job in place; the drain drops it unscored.
-	// Every append goes through enqueue, which sets bit in the partition's
-	// dirty mask (mask) when the queue was empty.
+	// Every append goes through enqueue, which sets bit in *mask, the
+	// partition's dirty mask, when the queue was empty.
 	queue []*jobState
 	mask  *atomic.Uint32
 	bit   uint32
@@ -737,8 +738,9 @@ type collected struct {
 // pass — a concurrent SwapClassifierDrift takes effect entirely before or
 // entirely after it. A one-partition monitor never leaves the caller: with
 // nothing queued it takes no stripe lock and allocates nothing, and a tick
-// of one row block (every tick under 64 rows is one) allocates only what write-back publishes
-// new — a job's first probability row, a transition event.
+// of one row block (every tick under 64 rows is one) with an
+// IntoClassifier model allocates only what write-back publishes new — a
+// job's first probability row, a transition event.
 //
 //wcc:tickpath the clock is only ever the injected m.now
 func (m *Monitor) Tick() (TickStats, error) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/servetest"
@@ -89,7 +90,9 @@ func TestTickCostFollowsDirtyNotResident(t *testing.T) {
 // that asks for one partition explicitly (Shards: 1, as wccserve's
 // -shards 1 does), with drift, events, trace and an observer attached and
 // every job's window wrapped: with nothing dirty the tick does no
-// collection, no batch and no event publishing, so it allocates nothing.
+// collection, no batch and no event publishing, so it allocates nothing,
+// and it takes no stripe lock: it returns while another goroutine holds
+// every stripe's mutex.
 func TestOnePartitionIdleTickAllocatesNothing(t *testing.T) {
 	scaler, model := servetest.Fixture(t)
 	m, err := New(Config{Window: servetest.Window, Sensors: servetest.Sensors, Scaler: scaler,
@@ -113,5 +116,23 @@ func TestOnePartitionIdleTickAllocatesNothing(t *testing.T) {
 		}
 	}); idle != 0 {
 		t.Fatalf("an idle Tick on a one-partition monitor allocates %.1f times, want 0", idle)
+	}
+
+	for _, st := range m.parts[0].stripes {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Tick()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an idle Tick waited on a stripe lock")
 	}
 }

@@ -10,9 +10,11 @@ import (
 // ~6 µs on the scalar lanes (forest's BenchmarkPredictProbaBatch,
 // trees=100 rows=45, best of 6 rounds on 2 vCPUs; the benchmark's model
 // reads ~2.3 and ~3.3 µs as forest.classify_ns_per_row on a traced
-// tick-full run), and a goroutine hand-off plus the wait for it is a few
-// tens of µs on a busy host, so a block of fewer than ~32 rows (~70–190 µs
-// of kernel work) saves too little to pay for its hand-off.
+// tick-full run). A hand-off is priced by timing the forked blocks of
+// tick-full runs (2 vCPUs, per-run means over about 20 000 forks each): a
+// forked block starts 75–79 µs after its spawn and finishes 56–73 µs after
+// the caller's block. So a block of fewer than ~32 rows (~70–190 µs of
+// kernel work) saves too little to pay for its hand-off.
 const minBlockRows = 32
 
 // RowBlocks is the most blocks ParallelRowBlocks splits rows into for
@@ -33,10 +35,11 @@ func RowBlocks(rows, workers int) int {
 }
 
 // ParallelRowBlocks splits rows into at most RowBlocks(rows, workers)
-// contiguous blocks of equal length, the last one shorter, and runs fn on each block concurrently, returning the first error.
-// The first block runs on the caller's goroutine, so a batch too small to
-// split never leaves it. It is the shared scaffolding of the model
-// packages' batched predict paths.
+// contiguous blocks, all of one length but the last, and runs fn on each
+// block concurrently, returning the first error. The first block runs on
+// the caller's goroutine, so a batch too small to split never leaves it.
+// It is the shared scaffolding of the model packages' batched predict
+// paths.
 func ParallelRowBlocks(rows, workers int, fn func(lo, hi int) error) error {
 	workers = RowBlocks(rows, workers)
 	if workers == 1 {
