@@ -67,11 +67,19 @@ func goldenFeed(t *testing.T) []Sample {
 	return feed
 }
 
+// goldenCoverage counts what goldenServed hashed: ticks, scored rows,
+// rejected rows, ticks of one or two rows and of 64 or more, and the
+// classes served.
+type goldenCoverage struct {
+	ticks, rows, rejected, narrow, wide int
+	classes                             map[int]bool
+}
+
 // goldenServed feeds the fleet at the golden cadence, alternating Ingest
 // and IngestBatch from step to step, and hashes what every tick publishes:
 // per scored job, in job order, its ID, class, probability row and open-set
-// verdict. It also counts what the hash covered.
-func goldenServed(t *testing.T, feed []Sample, shards int) (hash uint64, ticks, rows, rejected, narrow, wide int, classes map[int]bool) {
+// verdict.
+func goldenServed(t *testing.T, feed []Sample, shards int) (uint64, goldenCoverage) {
 	t.Helper()
 	scaler, model := servetest.Fixture(t)
 	clock := time.Unix(1000, 0)
@@ -88,7 +96,7 @@ func goldenServed(t *testing.T, feed []Sample, shards int) (hash uint64, ticks, 
 		binary.LittleEndian.PutUint64(buf[:], u)
 		h.Write(buf[:])
 	}
-	classes = map[int]bool{}
+	cov := goldenCoverage{classes: map[int]bool{}}
 	var b Batch
 	for step := 0; len(feed) > 0; step++ {
 		n := min(goldenSteps[step%len(goldenSteps)], len(feed))
@@ -117,13 +125,13 @@ func goldenServed(t *testing.T, feed []Sample, shards int) (hash uint64, ticks, 
 			t.Fatalf("tick classified %d jobs, observer saw %d", stats.Classified, len(scored))
 		}
 		slices.Sort(scored)
-		ticks++
-		rows += len(scored)
+		cov.ticks++
+		cov.rows += len(scored)
 		switch {
 		case len(scored) >= 64:
-			wide++
+			cov.wide++
 		case len(scored) > 0 && len(scored) <= 2:
-			narrow++
+			cov.narrow++
 		}
 		put(uint64(len(scored)))
 		for _, id := range scored {
@@ -139,14 +147,14 @@ func goldenServed(t *testing.T, feed []Sample, shards int) (hash uint64, ticks, 
 			put(math.Float64bits(p.Open.FeatDist))
 			if p.Open.Rejected {
 				put(1)
-				rejected++
+				cov.rejected++
 			} else {
 				put(0)
 			}
-			classes[p.Class] = true
+			cov.classes[p.Class] = true
 		}
 	}
-	return h.Sum64(), ticks, rows, rejected, narrow, wide, classes
+	return h.Sum64(), cov
 }
 
 // TestServedBitsGolden pins what a fleet serves, bit for bit: a simulated
@@ -167,12 +175,12 @@ func TestServedBitsGolden(t *testing.T) {
 			}
 			defer mat.SetKernelPath(prev)
 			for _, shards := range []int{1, 3} {
-				hash, ticks, rows, rejected, narrow, wide, classes := goldenServed(t, feed, shards)
+				hash, c := goldenServed(t, feed, shards)
 				t.Logf("%d partitions: %d samples, %d ticks (%d of 1-2 rows, %d of 64 or more), %d rows (%d rejected, %d classes)",
-					shards, len(feed), ticks, narrow, wide, rows, rejected, len(classes))
-				if rejected == 0 || rejected == rows || len(classes) < 2 || narrow == 0 || wide == 0 {
+					shards, len(feed), c.ticks, c.narrow, c.wide, c.rows, c.rejected, len(c.classes))
+				if c.rejected == 0 || c.rejected == c.rows || len(c.classes) < 2 || c.narrow == 0 || c.wide == 0 {
 					t.Errorf("coverage: %d of %d rows rejected, %d classes, %d ticks of 1-2 rows, %d of 64 or more",
-						rejected, rows, len(classes), narrow, wide)
+						c.rejected, c.rows, len(c.classes), c.narrow, c.wide)
 				}
 				if hash != goldenServedHash {
 					t.Errorf("%d partitions: served hash %#016x, want %#016x", shards, hash, uint64(goldenServedHash))

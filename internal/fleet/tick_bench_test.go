@@ -26,10 +26,10 @@ func BenchmarkTick(b *testing.B) {
 	for _, bc := range []struct {
 		name            string
 		resident, dirty int
-		unit            string
+		perRow          bool
 	}{
-		{"full", 250, 250, "ns/row"},
-		{"sparse", 10000, 2, "ns/tick"},
+		{"full", 250, 250, true},
+		{"sparse", 10000, 2, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			scaler, model := servetest.Fixture(b)
@@ -70,11 +70,11 @@ func BenchmarkTick(b *testing.B) {
 					b.Fatalf("tick %+v, %v", st, err)
 				}
 			}
-			per := b.N
-			if bc.unit == "ns/row" {
-				per *= bc.dirty
+			per, unit := b.N, "ns/tick"
+			if bc.perRow {
+				per, unit = b.N*bc.dirty, "ns/row"
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per), bc.unit)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per), unit)
 		})
 	}
 }
