@@ -9,6 +9,12 @@
 //	wcctrain -model xgb -features cov -rounds 40 -gamma 0.5
 //	wcctrain -model lstm -hidden 32 -epochs 10 -stride 10
 //
+// The xgb arm's flags are xgb.Config's fields: -rounds and the paper's
+// -gamma/-lambda/-alpha grid. Its learning rate (0.3), depth (6) and
+// minimum child weight (1) are package constants, and every tree sees every
+// training row. The svm arm is the RBF SVC with scikit-learn's "scale" γ;
+// -model linear-svm is the linear one-vs-rest machine. -C sets both.
+//
 // Every arm trains and reports. With -o the fitted estimator is also
 // persisted as a versioned .wcc artifact bundling the model, its scaler, the
 // open-set drift calibration and training provenance; wccserve -model serves
@@ -270,14 +276,10 @@ func trainClassical(w io.Writer, o opts, p core.Provenance, ch *dataset.Challeng
 		m := svm.New(svm.Config{C: o.c, Seed: o.seed})
 		model, fit = m, func() error { return m.Fit(fp.TrainX, fp.TrainY) }
 	case "linear-svm":
-		m := svm.NewLinear(svm.LinearConfig{C: o.c, Epochs: 100, Tol: 1e-4, Seed: o.seed})
+		m := svm.NewLinear(svm.LinearConfig{C: o.c, Seed: o.seed})
 		model, fit = m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses) }
 	case "xgb":
-		m := xgb.New(xgb.Config{
-			NumRounds: o.rounds, LearningRate: 0.3, MaxDepth: 6,
-			Gamma: o.gamma, Lambda: o.lambda, Alpha: o.alpha,
-			MinChildWeight: 1, Subsample: 1, Seed: o.seed,
-		})
+		m := xgb.New(xgb.Config{NumRounds: o.rounds, Gamma: o.gamma, Lambda: o.lambda, Alpha: o.alpha})
 		model, carried, fit = m, m, func() error { return m.Fit(fp.TrainX, fp.TrainY, numClasses, nil, nil) }
 	}
 	if !o.servable() {

@@ -110,7 +110,7 @@ func TestCandidateFromNonForestBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boost := xgb.New(xgb.Config{NumRounds: 3, LearningRate: 0.3, MaxDepth: 3, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1})
+	boost := xgb.New(xgb.Config{NumRounds: 3, Lambda: 1})
 	fit := func() error { return boost.Fit(fp.TrainX, fp.TrainY, int(telemetry.NumClasses), nil, nil) }
 	const baseQuantile = 0.9
 	base, _, err := core.TrainArtifact(p.Metadata(ch.Train.X, "cov", "wcctrain"), fp, boost, fit,

@@ -118,7 +118,7 @@ func TestRoundTripEveryKind(t *testing.T) {
 		}
 	}
 
-	xg := xgb.New(xgb.Config{NumRounds: 4, MaxDepth: 3, Seed: 2})
+	xg := xgb.New(xgb.Config{NumRounds: 4})
 	if err := xg.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}

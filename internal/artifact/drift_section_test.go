@@ -39,7 +39,7 @@ func driftArtifact(t *testing.T) *Artifact {
 	}
 	cal, err := drift.Fit(drift.FitInput{
 		Probs: probs, TrainFeatures: x, HeldOutFeatures: x, RawSamples: raw,
-	}, drift.Options{Bins: 8})
+	}, drift.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

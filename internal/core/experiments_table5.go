@@ -83,7 +83,7 @@ func rfCandidates(trees []int, numClasses int, seed int64) []modelsel.Candidate 
 // runGrid performs the cross-validated search and then scores the winner on
 // the held-out test split.
 func runGrid(cands []modelsel.Candidate, fp *FeaturePair, folds int, seed int64) (Table5Cell, error) {
-	gs := &modelsel.GridSearch{Folds: folds, Stratify: true, Seed: seed}
+	gs := &modelsel.GridSearch{Folds: folds, Seed: seed}
 	results, best, err := gs.Run(cands, fp.TrainX, fp.TrainY)
 	if err != nil {
 		return Table5Cell{}, err

@@ -122,8 +122,6 @@ func RunTable6(sim *telemetry.Simulator, p Preset) (*Table6Result, error) {
 				LRMin:       p.RNN.LRMin,
 				CycleEpochs: p.RNN.CycleEpochs,
 				Patience:    p.RNN.Patience,
-				ValFrac:     0.15,
-				MaxGradNorm: 5,
 				Seed:        p.Seed,
 			}
 			tr, err := nn.Train(model, trainT, ch.Train.Y, cfg)

@@ -53,11 +53,7 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset) (*XGBResult, error) {
 		cands = append(cands, modelsel.Candidate{
 			Name: gp.String(),
 			Fit: func(trainX *mat.Matrix, trainY []int, testX *mat.Matrix) ([]int, error) {
-				m := xgb.New(xgb.Config{
-					NumRounds: p.XGBRounds, LearningRate: 0.3, MaxDepth: 6,
-					Gamma: gp.Gamma, Lambda: gp.Lambda, Alpha: gp.Alpha,
-					MinChildWeight: 1, Subsample: 1, Seed: p.Seed,
-				})
+				m := xgb.New(xgb.Config{NumRounds: p.XGBRounds, Gamma: gp.Gamma, Lambda: gp.Lambda, Alpha: gp.Alpha})
 				if err := m.Fit(trainX, trainY, numClasses, nil, nil); err != nil {
 					return nil, err
 				}
@@ -65,7 +61,7 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset) (*XGBResult, error) {
 			},
 		})
 	}
-	gs := &modelsel.GridSearch{Folds: p.XGBFolds, Stratify: true, Seed: p.Seed}
+	gs := &modelsel.GridSearch{Folds: p.XGBFolds, Seed: p.Seed}
 	results, _, err := gs.Run(cands, fp.TrainX, fp.TrainY)
 	if err != nil {
 		return nil, err
@@ -81,11 +77,7 @@ func RunXGBoost(sim *telemetry.Simulator, p Preset) (*XGBResult, error) {
 	slog.Info("xgboost grid winner", "params", bestName, "cv", results[0].MeanScore)
 
 	// Refit the winner on the full training split with eval tracking.
-	final := xgb.New(xgb.Config{
-		NumRounds: p.XGBRounds, LearningRate: 0.3, MaxDepth: 6,
-		Gamma: bestParams.Gamma, Lambda: bestParams.Lambda, Alpha: bestParams.Alpha,
-		MinChildWeight: 1, Subsample: 1, Seed: p.Seed,
-	})
+	final := xgb.New(xgb.Config{NumRounds: p.XGBRounds, Gamma: bestParams.Gamma, Lambda: bestParams.Lambda, Alpha: bestParams.Alpha})
 	if err := final.Fit(fp.TrainX, fp.TrainY, numClasses, fp.TestX, fp.TestY); err != nil {
 		return nil, err
 	}

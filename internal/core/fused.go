@@ -151,10 +151,7 @@ func RunFusedImportance(sim *telemetry.Simulator, p Preset) (*FusedResult, error
 		return nil, err
 	}
 	numClasses := int(telemetry.NumClasses)
-	cfg := xgb.Config{
-		NumRounds: p.XGBRounds, LearningRate: 0.3, MaxDepth: 6,
-		Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: p.Seed,
-	}
+	cfg := xgb.Config{NumRounds: p.XGBRounds, Lambda: 1}
 
 	gpuFP, err := CovFeatures(ch)
 	if err != nil {

@@ -32,7 +32,7 @@ func TestTrainArtifact(t *testing.T) {
 	}
 	numClasses := int(telemetry.NumClasses)
 	rf := forest.New(forest.Config{NumTrees: 5, Bootstrap: true, Seed: 1})
-	boost := xgb.New(xgb.Config{NumRounds: 3, LearningRate: 0.3, MaxDepth: 3, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1})
+	boost := xgb.New(xgb.Config{NumRounds: 3, Lambda: 1})
 
 	for _, tc := range []struct {
 		name  string

@@ -27,7 +27,7 @@ func testCalibration(t *testing.T) *Calibration {
 		samples.Data[i] = rng.NormFloat64()*4 + 10
 	}
 	c, err := Fit(FitInput{TrainFeatures: feats, HeldOutFeatures: held, RawSamples: samples},
-		Options{Quantile: 0.9, Bins: 8})
+		Options{Quantile: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

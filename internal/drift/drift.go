@@ -35,14 +35,13 @@ import (
 	"repro/internal/mat"
 )
 
-// Defaults for Options; Fit and FitReference apply them when a field is
-// zero.
 const (
-	// DefaultQuantile is the feature-space gate's calibration quantile: the
-	// cut point is placed so roughly (1-q) of held-out in-distribution rows
-	// land past it.
+	// DefaultQuantile is the feature-space gate's calibration quantile,
+	// Fit's when Options.Quantile is zero: the cut point is placed so
+	// roughly (1-q) of held-out in-distribution rows land past it.
 	DefaultQuantile = 0.95
-	// DefaultBins is the per-sensor histogram resolution of a Reference.
+	// DefaultBins is the per-sensor histogram resolution of the Reference
+	// Fit builds, and FitReference's when its bins is zero.
 	DefaultBins = 16
 )
 
@@ -692,13 +691,11 @@ func (c *Calibration) ScoreCert(features []float64, cert *Cert) Score {
 	return Score{FeatDist: c.Feat.DistanceCert(features, cert)}
 }
 
-// Options configures Fit. Zero fields select the package defaults.
+// Options configures Fit.
 type Options struct {
-	// Quantile is the feature-space gate's calibration quantile
-	// (DefaultQuantile).
+	// Quantile is the feature-space gate's calibration quantile (zero
+	// selects DefaultQuantile).
 	Quantile float64
-	// Bins is the per-sensor reference histogram resolution (DefaultBins).
-	Bins int
 }
 
 // FitInput carries the training and held-out material Fit calibrates on.
@@ -720,7 +717,7 @@ type FitInput struct {
 
 // Fit calibrates a full drift calibration: feature statistics from the
 // training rows, the gate's cut point at the Quantile of the held-out rows'
-// distances, and the input reference from raw training samples.
+// distances, and the DefaultBins input reference from raw training samples.
 func Fit(in FitInput, opts Options) (*Calibration, error) {
 	q := opts.Quantile
 	if q <= 0 {
@@ -749,7 +746,7 @@ func Fit(in FitInput, opts Options) (*Calibration, error) {
 		c.Feat = fs
 		c.Threshold.MaxFeatDist = quantileOf(dists, q)
 	}
-	ref, err := FitReference(in.RawSamples, opts.Bins)
+	ref, err := FitReference(in.RawSamples, DefaultBins)
 	if err != nil {
 		return nil, err
 	}

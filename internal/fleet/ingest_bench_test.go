@@ -69,7 +69,7 @@ func BenchmarkIngest(b *testing.B) {
 	if err := scaler.Fit(flat); err != nil {
 		b.Fatal(err)
 	}
-	cal, err := drift.Fit(drift.FitInput{RawSamples: raw}, drift.Options{Bins: 16})
+	cal, err := drift.Fit(drift.FitInput{RawSamples: raw}, drift.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

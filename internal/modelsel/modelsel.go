@@ -1,7 +1,7 @@
-// Package modelsel implements the paper's model-selection protocol: k-fold
-// cross-validated grid search (10-fold for SVM/RF, 5-fold for XGBoost) over
-// named hyper-parameter candidates, with fold evaluation parallelised on a
-// bounded worker pool.
+// Package modelsel implements the paper's model-selection protocol:
+// stratified k-fold cross-validated grid search (10-fold for SVM/RF, 5-fold
+// for XGBoost) over named hyper-parameter candidates, with fold evaluation
+// parallelised on a GOMAXPROCS-bounded worker pool.
 package modelsel
 
 import (
@@ -24,25 +24,6 @@ type FitPredictor func(trainX *mat.Matrix, trainY []int, testX *mat.Matrix) ([]i
 type Fold struct {
 	TrainIdx []int
 	ValIdx   []int
-}
-
-// KFold produces k contiguous folds over a shuffled range of n samples.
-func KFold(n, k int, seed int64) ([]Fold, error) {
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("modelsel: k=%d invalid for n=%d", k, n)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	folds := make([]Fold, k)
-	for f := 0; f < k; f++ {
-		lo := f * n / k
-		hi := (f + 1) * n / k
-		val := append([]int{}, perm[lo:hi]...)
-		train := make([]int, 0, n-len(val))
-		train = append(train, perm[:lo]...)
-		train = append(train, perm[hi:]...)
-		folds[f] = Fold{TrainIdx: train, ValIdx: val}
-	}
-	return folds, nil
 }
 
 // StratifiedKFold assigns each class's samples round-robin to folds so every
@@ -104,17 +85,14 @@ func selectRows(x *mat.Matrix, y []int, idx []int) (*mat.Matrix, []int) {
 }
 
 // CrossValScore evaluates one candidate over the folds, returning the mean
-// accuracy and per-fold scores. Folds run concurrently.
-func CrossValScore(fp FitPredictor, x *mat.Matrix, y []int, folds []Fold, workers int) (float64, []float64, error) {
+// accuracy and per-fold scores. Up to GOMAXPROCS folds run concurrently.
+func CrossValScore(fp FitPredictor, x *mat.Matrix, y []int, folds []Fold) (float64, []float64, error) {
 	if len(folds) == 0 {
 		return 0, nil, errors.New("modelsel: no folds")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	scores := make([]float64, len(folds))
 	errs := make([]error, len(folds))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for f := range folds {
 		wg.Add(1)
@@ -163,14 +141,11 @@ type GridResult struct {
 	FoldScores []float64
 }
 
-// GridSearch runs cross-validated selection over candidates.
+// GridSearch runs cross-validated selection over candidates on stratified
+// folds.
 type GridSearch struct {
 	// Folds is the CV fold count (the paper: 10 for SVM/RF, 5 for XGBoost).
 	Folds int
-	// Stratify selects StratifiedKFold over plain KFold.
-	Stratify bool
-	// Workers bounds fold parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Seed drives fold assignment.
 	Seed int64
 }
@@ -181,19 +156,13 @@ func (g *GridSearch) Run(candidates []Candidate, x *mat.Matrix, y []int) ([]Grid
 	if len(candidates) == 0 {
 		return nil, nil, errors.New("modelsel: no candidates")
 	}
-	var folds []Fold
-	var err error
-	if g.Stratify {
-		folds, err = StratifiedKFold(y, g.Folds, g.Seed)
-	} else {
-		folds, err = KFold(len(y), g.Folds, g.Seed)
-	}
+	folds, err := StratifiedKFold(y, g.Folds, g.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	results := make([]GridResult, len(candidates))
 	for i, cand := range candidates {
-		mean, scores, err := CrossValScore(cand.Fit, x, y, folds, g.Workers)
+		mean, scores, err := CrossValScore(cand.Fit, x, y, folds)
 		if err != nil {
 			return nil, nil, fmt.Errorf("modelsel: candidate %q: %w", cand.Name, err)
 		}

@@ -10,42 +10,11 @@ import (
 	"repro/internal/mat"
 )
 
-func TestKFoldPartition(t *testing.T) {
-	folds, err := KFold(10, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 3 {
-		t.Fatalf("got %d folds", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		for _, i := range f.ValIdx {
-			seen[i]++
-		}
-		if len(f.TrainIdx)+len(f.ValIdx) != 10 {
-			t.Errorf("fold sizes %d+%d != 10", len(f.TrainIdx), len(f.ValIdx))
-		}
-		for _, i := range f.TrainIdx {
-			for _, j := range f.ValIdx {
-				if i == j {
-					t.Fatalf("index %d in both train and val", i)
-				}
-			}
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Errorf("sample %d in %d validation folds", i, seen[i])
-		}
-	}
-}
-
-func TestKFoldErrors(t *testing.T) {
-	if _, err := KFold(5, 1, 1); err == nil {
+func TestStratifiedKFoldErrors(t *testing.T) {
+	if _, err := StratifiedKFold([]int{0, 1, 0, 1, 0}, 1, 1); err == nil {
 		t.Error("k=1 should fail")
 	}
-	if _, err := KFold(3, 5, 1); err == nil {
+	if _, err := StratifiedKFold([]int{0, 1, 0}, 5, 1); err == nil {
 		t.Error("k>n should fail")
 	}
 }
@@ -166,7 +135,7 @@ func TestCrossValScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, scores, err := CrossValScore(nearestCentroid, x, y, folds, 2)
+	mean, scores, err := CrossValScore(nearestCentroid, x, y, folds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +152,11 @@ func TestCrossValScorePropagatesErrors(t *testing.T) {
 		return nil, errors.New("boom")
 	}
 	x, y := separableData(20, 3)
-	folds, _ := KFold(20, 4, 1)
-	if _, _, err := CrossValScore(failing, x, y, folds, 0); err == nil {
+	folds, err := StratifiedKFold(y, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CrossValScore(failing, x, y, folds); err == nil {
 		t.Error("fold errors must propagate")
 	}
 }
@@ -199,7 +171,7 @@ func TestGridSearchPicksInformedModel(t *testing.T) {
 		}
 		return out, nil
 	}
-	gs := &GridSearch{Folds: 4, Stratify: true, Seed: 1}
+	gs := &GridSearch{Folds: 4, Seed: 1}
 	results, best, err := gs.Run([]Candidate{
 		{Name: "random", Fit: random},
 		{Name: "centroid", Fit: nearestCentroid},

@@ -214,13 +214,10 @@ func (l *LSTM) Backward(dOut []*mat.Matrix) []*mat.Matrix {
 // Params returns the LSTM trainables.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// FinalHidden returns the last step's hidden state from the most recent
-// Forward call.
-func (l *LSTM) FinalHidden() *mat.Matrix { return l.hs[len(l.hs)-1] }
-
-// BiLSTM runs one LSTM forward in time and a second one backward, exposing
-// the concatenation of their final hidden states — the summary vector the
-// paper feeds into the classification head.
+// BiLSTM runs one LSTM forward in time and a second one backward. Stacked
+// layers read its output at every step (ForwardSeq); the classification
+// head reads the concatenation of the two directions' final hidden states
+// (Final).
 type BiLSTM struct {
 	Fwd, Bwd *LSTM
 	seqLen   int
@@ -229,58 +226,6 @@ type BiLSTM struct {
 // NewBiLSTM builds both directions.
 func NewBiLSTM(in, hidden int, rng *rand.Rand) *BiLSTM {
 	return &BiLSTM{Fwd: NewLSTM(in, hidden, rng), Bwd: NewLSTM(in, hidden, rng)}
-}
-
-// Forward returns the concatenated final hidden states, B×2h.
-func (bl *BiLSTM) Forward(seq []*mat.Matrix) *mat.Matrix {
-	bl.seqLen = len(seq)
-	rev := make([]*mat.Matrix, len(seq))
-	for i, m := range seq {
-		rev[len(seq)-1-i] = m
-	}
-	bl.Fwd.Forward(seq)
-	bl.Bwd.Forward(rev)
-	hf := bl.Fwd.FinalHidden()
-	hb := bl.Bwd.FinalHidden()
-	b := hf.Rows
-	h := bl.Fwd.HiddenSize
-	out := mat.New(b, 2*h)
-	for i := 0; i < b; i++ {
-		copy(out.Row(i)[:h], hf.Row(i))
-		copy(out.Row(i)[h:], hb.Row(i))
-	}
-	return out
-}
-
-// Backward splits the concatenated gradient between directions and returns
-// the gradient w.r.t. the input sequence (in original time order).
-func (bl *BiLSTM) Backward(grad *mat.Matrix) []*mat.Matrix {
-	b := grad.Rows
-	h := bl.Fwd.HiddenSize
-	gf := mat.New(b, h)
-	gb := mat.New(b, h)
-	for i := 0; i < b; i++ {
-		copy(gf.Row(i), grad.Row(i)[:h])
-		copy(gb.Row(i), grad.Row(i)[h:])
-	}
-	dOutF := make([]*mat.Matrix, bl.seqLen)
-	dOutF[bl.seqLen-1] = gf
-	dxF := bl.Fwd.Backward(dOutF)
-
-	dOutB := make([]*mat.Matrix, bl.seqLen)
-	dOutB[bl.seqLen-1] = gb
-	dxB := bl.Bwd.Backward(dOutB)
-
-	// dxB is in reversed time; fold it back.
-	dxs := make([]*mat.Matrix, bl.seqLen)
-	for t := 0; t < bl.seqLen; t++ {
-		d := dxF[t].Clone()
-		if err := d.Add(dxB[bl.seqLen-1-t]); err != nil {
-			panic(err)
-		}
-		dxs[t] = d
-	}
-	return dxs
 }
 
 // Params returns both directions' trainables.
@@ -316,14 +261,18 @@ func (bl *BiLSTM) ForwardSeq(seq []*mat.Matrix) []*mat.Matrix {
 }
 
 // BackwardSeq is the counterpart of ForwardSeq: per-step output gradients
-// in, input-sequence gradients out.
+// in, input-sequence gradients out. A nil step gradient is a step whose
+// output is unused.
 func (bl *BiLSTM) BackwardSeq(dOuts []*mat.Matrix) []*mat.Matrix {
 	t := bl.seqLen
-	b := dOuts[0].Rows
 	h := bl.Fwd.HiddenSize
 	dF := make([]*mat.Matrix, t)
 	dB := make([]*mat.Matrix, t)
 	for step := 0; step < t; step++ {
+		if dOuts[step] == nil {
+			continue
+		}
+		b := dOuts[step].Rows
 		gf := mat.New(b, h)
 		gb := mat.New(b, h)
 		for i := 0; i < b; i++ {
@@ -344,4 +293,38 @@ func (bl *BiLSTM) BackwardSeq(dOuts []*mat.Matrix) []*mat.Matrix {
 		dxs[step] = d
 	}
 	return dxs
+}
+
+// Final is the summary vector the classification head reads, B×2h, from
+// ForwardSeq's output: the forward direction's hidden state after the last
+// step, outs[T−1][:h], beside the backward direction's after it has read
+// the whole sequence, outs[0][h:].
+func (bl *BiLSTM) Final(outs []*mat.Matrix) *mat.Matrix {
+	h := bl.Fwd.HiddenSize
+	last, first := outs[len(outs)-1], outs[0]
+	out := mat.New(last.Rows, 2*h)
+	for i := 0; i < last.Rows; i++ {
+		copy(out.Row(i)[:h], last.Row(i)[:h])
+		copy(out.Row(i)[h:], first.Row(i)[h:])
+	}
+	return out
+}
+
+// FinalGrad is Final's counterpart: it spreads the summary vector's
+// gradient onto the per-step output gradients BackwardSeq takes, nil at
+// every step Final does not read.
+func (bl *BiLSTM) FinalGrad(grad *mat.Matrix) []*mat.Matrix {
+	t := bl.seqLen
+	h := bl.Fwd.HiddenSize
+	dOuts := make([]*mat.Matrix, t)
+	dOuts[t-1] = mat.New(grad.Rows, 2*h)
+	dOuts[0] = dOuts[t-1]
+	if t > 1 {
+		dOuts[0] = mat.New(grad.Rows, 2*h)
+	}
+	for i := 0; i < grad.Rows; i++ {
+		copy(dOuts[t-1].Row(i)[:h], grad.Row(i)[:h])
+		copy(dOuts[0].Row(i)[h:], grad.Row(i)[h:])
+	}
+	return dOuts
 }

@@ -154,14 +154,14 @@ func (m *BiLSTMClassifier) Forward(seq []*mat.Matrix, train bool) *mat.Matrix {
 		cur = m.layers[l].ForwardSeq(cur)
 		cur = m.drops[l].Forward(cur, train)
 	}
-	final := m.layers[len(m.layers)-1].Forward(cur)
-	return m.head.forward(final, train)
+	last := m.layers[len(m.layers)-1]
+	return m.head.forward(last.Final(last.ForwardSeq(cur)), train)
 }
 
 // Backward propagates the loss gradient through the whole network.
 func (m *BiLSTMClassifier) Backward(grad *mat.Matrix) {
-	g := m.head.backward(grad)
-	dSeq := m.layers[len(m.layers)-1].Backward(g)
+	last := m.layers[len(m.layers)-1]
+	dSeq := last.BackwardSeq(last.FinalGrad(m.head.backward(grad)))
 	for l := len(m.layers) - 2; l >= 0; l-- {
 		dSeq = m.drops[l].Backward(dSeq)
 		dSeq = m.layers[l].BackwardSeq(dSeq)
@@ -242,14 +242,12 @@ func (m *CNNLSTMClassifier) Forward(seq []*mat.Matrix, train bool) *mat.Matrix {
 	z = m.pool.Forward(z)
 	z = m.conv2.Forward(z)
 	z = m.act2.Forward(z)
-	final := m.rnn.Forward(z)
-	return m.head.forward(final, train)
+	return m.head.forward(m.rnn.Final(m.rnn.ForwardSeq(z)), train)
 }
 
 // Backward propagates the loss gradient through the whole network.
 func (m *CNNLSTMClassifier) Backward(grad *mat.Matrix) {
-	g := m.head.backward(grad)
-	dSeq := m.rnn.Backward(g)
+	dSeq := m.rnn.BackwardSeq(m.rnn.FinalGrad(m.head.backward(grad)))
 	dSeq = m.act2.Backward(dSeq)
 	dSeq = m.conv2.Backward(dSeq)
 	dSeq = m.pool.Backward(dSeq)

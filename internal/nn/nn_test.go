@@ -77,13 +77,11 @@ func TestLSTMGradCheck(t *testing.T) {
 	ls := &LogSoftmax{}
 
 	loss := func() float64 {
-		l.Forward(seq)
-		out := ls.Forward(l.FinalHidden())
+		out := ls.Forward(l.Forward(seq)[seqLen-1])
 		v, _ := NLLLoss(out, y)
 		return v
 	}
-	l.Forward(seq)
-	out := ls.Forward(l.FinalHidden())
+	out := ls.Forward(l.Forward(seq)[seqLen-1])
 	_, grad := NLLLoss(out, y)
 	ZeroGrads(l.Params())
 	dOut := make([]*mat.Matrix, seqLen)
@@ -115,13 +113,11 @@ func TestLSTMInputGradCheck(t *testing.T) {
 	y := []int{0}
 	ls := &LogSoftmax{}
 	loss := func() float64 {
-		l.Forward(seq)
-		out := ls.Forward(l.FinalHidden())
+		out := ls.Forward(l.Forward(seq)[seqLen-1])
 		v, _ := NLLLoss(out, y)
 		return v
 	}
-	l.Forward(seq)
-	out := ls.Forward(l.FinalHidden())
+	out := ls.Forward(l.Forward(seq)[seqLen-1])
 	_, grad := NLLLoss(out, y)
 	ZeroGrads(l.Params())
 	dOut := make([]*mat.Matrix, seqLen)

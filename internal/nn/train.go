@@ -48,13 +48,17 @@ type TrainConfig struct {
 	// Patience stops training when validation accuracy has not improved
 	// for this many epochs (the paper uses 100). Zero disables it.
 	Patience int
-	// ValFrac is carved from the training set for validation.
-	ValFrac float64
-	// MaxGradNorm clips global gradient norm (0 = no clipping).
-	MaxGradNorm float64
 	// Seed drives shuffling and the validation split.
 	Seed int64
 }
+
+// The parts of the Section V protocol no run varies.
+const (
+	// valFrac is the share of the training set carved out for validation.
+	valFrac = 0.15
+	// maxGradNorm clips the global gradient norm of every step.
+	maxGradNorm = 5
+)
 
 // DefaultTrainConfig returns the scaled defaults wcctrain's sequence arms
 // and the tests train with.
@@ -66,8 +70,6 @@ func DefaultTrainConfig() TrainConfig {
 		LRMin:       1e-4,
 		CycleEpochs: 8,
 		Patience:    10,
-		ValFrac:     0.15,
-		MaxGradNorm: 5,
 		Seed:        1,
 	}
 }
@@ -107,13 +109,10 @@ func Train(model SequenceClassifier, x SeqSource, y []int, cfg TrainConfig) (*Tr
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	if cfg.ValFrac <= 0 || cfg.ValFrac >= 0.9 {
-		cfg.ValFrac = 0.15
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := rng.Perm(n)
-	nVal := int(float64(n) * cfg.ValFrac)
+	nVal := int(float64(n) * valFrac)
 	if nVal < 1 {
 		nVal = 1
 	}
@@ -156,9 +155,7 @@ func Train(model SequenceClassifier, x SeqSource, y []int, cfg TrainConfig) (*Tr
 
 			ZeroGrads(params)
 			model.Backward(grad)
-			if cfg.MaxGradNorm > 0 {
-				ClipGradNorm(params, cfg.MaxGradNorm)
-			}
+			ClipGradNorm(params, maxGradNorm)
 			lr = sched.At(globalStep)
 			opt.Step(params, lr)
 			globalStep++

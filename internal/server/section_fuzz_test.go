@@ -102,7 +102,7 @@ func fuzzArtifactBases(f *testing.F) [][]fuzzSection {
 		return m
 	}
 	cal, err := drift.Fit(drift.FitInput{TrainFeatures: randn(40, 6), HeldOutFeatures: randn(20, 6),
-		RawSamples: randn(80, 3)}, drift.Options{Bins: 4})
+		RawSamples: randn(80, 3)}, drift.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func fuzzArtifactBases(f *testing.F) [][]fuzzSection {
 	for i := range y {
 		y[i] = rng.Intn(3)
 	}
-	booster := xgb.New(xgb.Config{NumRounds: 3, MaxDepth: 3})
+	booster := xgb.New(xgb.Config{NumRounds: 3})
 	if err := booster.Fit(x, y, 3, nil, nil); err != nil {
 		f.Fatal(err)
 	}

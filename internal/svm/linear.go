@@ -13,19 +13,23 @@ import (
 type LinearConfig struct {
 	// C is the soft-margin penalty.
 	C float64
-	// Epochs bounds dual coordinate-descent sweeps.
-	Epochs int
-	// Tol stops a binary problem early when the largest projected-gradient
-	// violation in a sweep falls below it.
-	Tol float64
 	// Seed drives coordinate shuffling.
 	Seed int64
 }
 
+// Dual coordinate descent's stopping rule, liblinear's defaults.
+const (
+	// linearEpochs bounds the sweeps over one binary problem.
+	linearEpochs = 100
+	// linearTol stops a binary problem early when the largest
+	// projected-gradient violation in a sweep falls below it.
+	linearTol = 1e-4
+)
+
 // LinearClassifier is a one-vs-rest linear SVM trained by dual coordinate
 // descent on the L1-loss (hinge) objective — the algorithm behind
-// liblinear. It trades the kernel SVC's flexibility for O(n·d) training,
-// and serves as this project's speed ablation against the RBF machine.
+// liblinear. It trades the kernel SVC's flexibility for O(n·d) training;
+// wcctrain's -model linear-svm trains it.
 type LinearClassifier struct {
 	cfg      LinearConfig
 	W        *mat.Matrix // numClasses × d
@@ -34,17 +38,10 @@ type LinearClassifier struct {
 	classes  int
 }
 
-// NewLinear returns an unfitted linear classifier. Zero fields take
-// liblinear's defaults: C 1, 100 epochs, Tol 1e-4.
+// NewLinear returns an unfitted linear classifier. C ≤ 0 selects 1.
 func NewLinear(cfg LinearConfig) *LinearClassifier {
 	if cfg.C <= 0 {
 		cfg.C = 1
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 100
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-4
 	}
 	return &LinearClassifier{cfg: cfg}
 }
@@ -96,7 +93,7 @@ func (c *LinearClassifier) fitBinary(x *mat.Matrix, y []int, cls int, qd []float
 	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(cls)*104729))
 	order := rng.Perm(n)
 
-	for epoch := 0; epoch < c.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < linearEpochs; epoch++ {
 		rng.Shuffle(n, func(a, bIdx int) { order[a], order[bIdx] = order[bIdx], order[a] })
 		maxViolation := 0.0
 		for _, i := range order {
@@ -123,7 +120,7 @@ func (c *LinearClassifier) fitBinary(x *mat.Matrix, y []int, cls int, qd []float
 				b += delta
 			}
 		}
-		if maxViolation < c.cfg.Tol {
+		if maxViolation < linearTol {
 			break
 		}
 	}

@@ -1,8 +1,8 @@
-// Package svm implements support-vector classification: a kernel C-SVC
+// Package svm implements support-vector classification: an RBF C-SVC
 // trained with sequential minimal optimization (SMO) and one-vs-one
-// multiclass voting — the semantics of scikit-learn's SVC used by the
-// paper's SVM baselines — plus a fast linear one-vs-rest variant for
-// ablations.
+// multiclass voting — the semantics of scikit-learn's SVC with
+// gamma="scale" used by the paper's SVM baselines — plus a linear
+// one-vs-rest machine, wcctrain's -model linear-svm.
 package svm
 
 import (
@@ -15,74 +15,51 @@ import (
 	"repro/internal/mat"
 )
 
-// Kernel computes inner products in feature space.
-type Kernel interface {
-	Compute(a, b []float64) float64
-	Name() string
+// Config controls SVC training.
+type Config struct {
+	// C is the soft-margin penalty (the paper grid-searches 0.1, 1, 10).
+	C float64
+	// Seed drives SMO's random partner selection.
+	Seed int64
 }
 
-// RBFKernel is exp(-γ‖a-b‖²). Gamma ≤ 0 requests scikit-learn's "scale"
-// heuristic, resolved when fitting: γ = 1/(d·Var(X)).
-type RBFKernel struct{ Gamma float64 }
+// SMO's stopping rule, scikit-learn's SVC defaults.
+const (
+	// tol is the KKT violation tolerance.
+	tol = 1e-3
+	// maxPasses is the number of full no-change passes before convergence
+	// is declared.
+	maxPasses = 3
+	// maxIter caps total optimisation sweeps as a safety net.
+	maxIter = 200
+)
 
-// Compute evaluates the kernel for two feature rows.
-func (k RBFKernel) Compute(a, b []float64) float64 {
+// rbf is exp(-γ‖a-b‖²).
+func rbf(gamma float64, a, b []float64) float64 {
 	var d2 float64
 	for i, v := range a {
 		d := v - b[i]
 		d2 += d * d
 	}
-	return math.Exp(-k.Gamma * d2)
+	return math.Exp(-gamma * d2)
 }
 
-// Name identifies the kernel in reports.
-func (k RBFKernel) Name() string { return "rbf" }
-
-// LinearKernel is the plain dot product.
-type LinearKernel struct{}
-
-// Compute evaluates the kernel for two feature rows.
-func (LinearKernel) Compute(a, b []float64) float64 { return mat.Dot(a, b) }
-
-// Name identifies the kernel in reports.
-func (LinearKernel) Name() string { return "linear" }
-
-// Config controls SVC training.
-type Config struct {
-	// C is the soft-margin penalty (the paper grid-searches 0.1, 1, 10).
-	C float64
-	// Kernel defaults to RBF with the "scale" gamma when nil.
-	Kernel Kernel
-	// Tol is the KKT violation tolerance.
-	Tol float64
-	// MaxPasses is the number of full no-change passes before convergence
-	// is declared.
-	MaxPasses int
-	// MaxIter caps total optimisation sweeps as a safety net.
-	MaxIter int
-	// Seed drives SMO's random partner selection.
-	Seed int64
-}
-
-// DefaultConfig mirrors scikit-learn's SVC defaults.
-func DefaultConfig() Config {
-	return Config{C: 1, Tol: 1e-3, MaxPasses: 3, MaxIter: 200}
-}
-
-// binarySVM is one SMO-trained two-class machine.
+// binarySVM is one SMO-trained two-class machine separating classes[a]
+// (decision ≥ 0) from classes[b].
 type binarySVM struct {
-	svX    *mat.Matrix
-	svY    []float64
-	alpha  []float64
-	b      float64
-	kernel Kernel
+	a, b  int
+	svX   *mat.Matrix
+	svY   []float64
+	alpha []float64
+	bias  float64
+	gamma float64
 }
 
 // decision evaluates Σ αᵢyᵢK(xᵢ,x) + b.
 func (m *binarySVM) decision(row []float64) float64 {
-	s := m.b
+	s := m.bias
 	for i := 0; i < m.svX.Rows; i++ {
-		s += m.alpha[i] * m.svY[i] * m.kernel.Compute(m.svX.Row(i), row)
+		s += m.alpha[i] * m.svY[i] * rbf(m.gamma, m.svX.Row(i), row)
 	}
 	return s
 }
@@ -91,31 +68,22 @@ func (m *binarySVM) decision(row []float64) float64 {
 type Classifier struct {
 	cfg      Config
 	classes  []int
-	machines map[[2]int]*binarySVM
-	gamma    float64 // resolved RBF gamma (0 for non-RBF kernels)
+	machines []*binarySVM // in (a, b) pair order
+	gamma    float64      // the "scale" gamma resolved at fit time
 	numFeats int
 }
 
-// New returns an unfitted classifier.
+// New returns an unfitted classifier. C ≤ 0 selects 1.
 func New(cfg Config) *Classifier {
 	if cfg.C <= 0 {
 		cfg.C = 1
 	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-3
-	}
-	if cfg.MaxPasses <= 0 {
-		cfg.MaxPasses = 3
-	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 200
-	}
 	return &Classifier{cfg: cfg}
 }
 
-// GammaScale computes scikit-learn's "scale" heuristic: 1/(d·Var(X)) over
+// gammaScale computes scikit-learn's "scale" heuristic: 1/(d·Var(X)) over
 // all matrix entries.
-func GammaScale(x *mat.Matrix) float64 {
+func gammaScale(x *mat.Matrix) float64 {
 	v := mat.Variance(x.Data)
 	if v <= 0 {
 		v = 1
@@ -133,14 +101,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int) error {
 	}
 	c.numFeats = x.Cols
 
-	kernel := c.cfg.Kernel
-	if kernel == nil {
-		kernel = RBFKernel{}
-	}
-	if rbf, ok := kernel.(RBFKernel); ok && rbf.Gamma <= 0 {
-		c.gamma = GammaScale(x)
-		kernel = RBFKernel{Gamma: c.gamma}
-	}
+	c.gamma = gammaScale(x)
 
 	seen := map[int]bool{}
 	for _, v := range y {
@@ -160,7 +121,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int) error {
 		byClass[v] = append(byClass[v], i)
 	}
 
-	c.machines = make(map[[2]int]*binarySVM)
+	c.machines = c.machines[:0]
 	for ai := 0; ai < len(c.classes); ai++ {
 		for bi := ai + 1; bi < len(c.classes); bi++ {
 			ca, cb := c.classes[ai], c.classes[bi]
@@ -175,23 +136,21 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int) error {
 					ys[k] = -1
 				}
 			}
-			m, err := trainSMO(sub, ys, kernel, c.cfg)
-			if err != nil {
-				return fmt.Errorf("svm: pair (%d,%d): %w", ca, cb, err)
-			}
-			c.machines[[2]int{ca, cb}] = m
+			m := trainSMO(sub, ys, c.gamma, c.cfg)
+			m.a, m.b = ai, bi
+			c.machines = append(c.machines, m)
 		}
 	}
 	return nil
 }
 
 // trainSMO runs simplified SMO (Platt) with a precomputed kernel matrix.
-func trainSMO(x *mat.Matrix, y []float64, kernel Kernel, cfg Config) (*binarySVM, error) {
+func trainSMO(x *mat.Matrix, y []float64, gamma float64, cfg Config) *binarySVM {
 	n := x.Rows
 	k := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := kernel.Compute(x.Row(i), x.Row(j))
+			v := rbf(gamma, x.Row(i), x.Row(j))
 			k.Set(i, j, v)
 			k.Set(j, i, v)
 		}
@@ -212,11 +171,11 @@ func trainSMO(x *mat.Matrix, y []float64, kernel Kernel, cfg Config) (*binarySVM
 	}
 
 	passes := 0
-	for iter := 0; passes < cfg.MaxPasses && iter < cfg.MaxIter; iter++ {
+	for iter := 0; passes < maxPasses && iter < maxIter; iter++ {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - y[i]
-			if !((y[i]*ei < -cfg.Tol && alpha[i] < cfg.C) || (y[i]*ei > cfg.Tol && alpha[i] > 0)) {
+			if !((y[i]*ei < -tol && alpha[i] < cfg.C) || (y[i]*ei > tol && alpha[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)
@@ -276,22 +235,23 @@ func trainSMO(x *mat.Matrix, y []float64, kernel Kernel, cfg Config) (*binarySVM
 		}
 	}
 	m := &binarySVM{
-		svX:    mat.New(len(svIdx), x.Cols),
-		svY:    make([]float64, len(svIdx)),
-		alpha:  make([]float64, len(svIdx)),
-		b:      b,
-		kernel: kernel,
+		svX:   mat.New(len(svIdx), x.Cols),
+		svY:   make([]float64, len(svIdx)),
+		alpha: make([]float64, len(svIdx)),
+		bias:  b,
+		gamma: gamma,
 	}
 	for kk, i := range svIdx {
 		copy(m.svX.Row(kk), x.Row(i))
 		m.svY[kk] = y[i]
 		m.alpha[kk] = alpha[i]
 	}
-	return m, nil
+	return m
 }
 
 // Predict labels rows by one-vs-one voting; ties break on summed decision
-// margins (libsvm's behaviour).
+// margins (libsvm's behaviour), each class's margin summed in (a, b) pair
+// order so a near-tie resolves the same way on every call.
 func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {
 	if c.machines == nil {
 		return nil, errors.New("svm: not fitted")
@@ -300,37 +260,29 @@ func (c *Classifier) Predict(x *mat.Matrix) ([]int, error) {
 		return nil, fmt.Errorf("svm: %d features, fitted on %d", x.Cols, c.numFeats)
 	}
 	out := make([]int, x.Rows)
-	votes := make(map[int]float64, len(c.classes))
-	margin := make(map[int]float64, len(c.classes))
+	votes := make([]int, len(c.classes))
+	margin := make([]float64, len(c.classes))
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
-		for k := range votes {
-			delete(votes, k)
-		}
-		for k := range margin {
-			delete(margin, k)
-		}
-		for pair, m := range c.machines {
+		clear(votes)
+		clear(margin)
+		for _, m := range c.machines {
 			d := m.decision(row)
 			if d >= 0 {
-				votes[pair[0]]++
+				votes[m.a]++
 			} else {
-				votes[pair[1]]++
+				votes[m.b]++
 			}
-			margin[pair[0]] += d
-			margin[pair[1]] -= d
+			margin[m.a] += d
+			margin[m.b] -= d
 		}
-		best := c.classes[0]
-		for _, cls := range c.classes[1:] {
-			if votes[cls] > votes[best] ||
-				(votes[cls] == votes[best] && margin[cls] > margin[best]) {
-				best = cls
+		best := 0
+		for k := 1; k < len(c.classes); k++ {
+			if votes[k] > votes[best] || (votes[k] == votes[best] && margin[k] > margin[best]) {
+				best = k
 			}
 		}
-		out[i] = best
+		out[i] = c.classes[best]
 	}
 	return out, nil
 }
-
-// Gamma returns the resolved RBF gamma (0 when not using RBF "scale").
-func (c *Classifier) Gamma() float64 { return c.gamma }

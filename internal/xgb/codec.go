@@ -23,15 +23,15 @@ func (c *Classifier) Encode(w io.Writer) error {
 	ww := wire.NewWriter(w)
 	ww.U16(codecVersion)
 	ww.Int(c.cfg.NumRounds)
-	ww.F64(c.cfg.LearningRate)
-	ww.Int(c.cfg.MaxDepth)
+	ww.F64(c.lr)
+	ww.Int(maxDepth) // retired MaxDepth slot
 	ww.F64(c.cfg.Gamma)
 	ww.F64(c.cfg.Lambda)
 	ww.F64(c.cfg.Alpha)
-	ww.F64(c.cfg.MinChildWeight)
-	ww.F64(c.cfg.Subsample)
-	ww.Int(0) // retired Workers slot
-	ww.I64(c.cfg.Seed)
+	ww.F64(minChildWeight) // retired MinChildWeight slot
+	ww.F64(1)              // retired Subsample slot: every row
+	ww.Int(0)              // retired Workers slot
+	ww.I64(0)              // retired Seed slot
 	ww.Int(c.NumClasses())
 	ww.Int(c.NumFeatures())
 	ww.F64s(c.gainImp)
@@ -75,15 +75,15 @@ func Decode(r io.Reader) (*Classifier, error) {
 	}
 	c := &Classifier{}
 	c.cfg.NumRounds = rr.Int()
-	c.cfg.LearningRate = rr.F64()
-	c.cfg.MaxDepth = rr.Int()
+	c.lr = rr.F64()
+	rr.Int() // retired MaxDepth slot
 	c.cfg.Gamma = rr.F64()
 	c.cfg.Lambda = rr.F64()
 	c.cfg.Alpha = rr.F64()
-	c.cfg.MinChildWeight = rr.F64()
-	c.cfg.Subsample = rr.F64()
+	rr.F64() // retired MinChildWeight slot
+	rr.F64() // retired Subsample slot
 	rr.Int() // retired Workers slot
-	c.cfg.Seed = rr.I64()
+	rr.I64() // retired Seed slot
 	numClasses := rr.Int()
 	numFeats := rr.Int()
 	c.gainImp = rr.F64s()
@@ -115,7 +115,7 @@ func Decode(r io.Reader) (*Classifier, error) {
 		return nil, err
 	}
 	var err error
-	if c.Ensemble, err = compile(c.trees, c.cfg.LearningRate, numFeats, numClasses); err != nil {
+	if c.Ensemble, err = compile(c.trees, c.lr, numFeats, numClasses); err != nil {
 		return nil, err
 	}
 	return c, nil

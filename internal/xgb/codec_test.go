@@ -2,6 +2,8 @@ package xgb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -22,7 +24,7 @@ func fitSmallBooster(t *testing.T, seed int64) (*Classifier, *mat.Matrix) {
 	for i := range y {
 		y[i] = rng.Intn(3)
 	}
-	c := New(Config{NumRounds: 6, LearningRate: 0.3, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.9, Seed: seed})
+	c := New(Config{NumRounds: 6, Lambda: 1})
 	if err := c.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +76,70 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecHeaderSlots pins the header layout: the learning rate is written,
+// and the retired MaxDepth, MinChildWeight, Subsample, Workers and Seed slots
+// carry the constants a fit grows with (seed 0), so readers of the layout
+// keep working.
+func TestCodecHeaderSlots(t *testing.T) {
+	c, _ := fitSmallBooster(t, 7)
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rr := wire.NewReader(bytes.NewReader(buf.Bytes()))
+	got := []float64{float64(rr.U16()), float64(rr.Int()), rr.F64(), float64(rr.Int()), rr.F64(), rr.F64(), rr.F64(),
+		rr.F64(), rr.F64(), float64(rr.Int()), float64(rr.I64())}
+	want := []float64{codecVersion, 6, learningRate, maxDepth, 0, 1, 0, minChildWeight, 1, 0, 0}
+	if err := rr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("header slot %d = %v, want %v (header %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestDecodedModelKeepsItsRate: a payload whose learning-rate slot differs
+// from learningRate scores with its own rate and re-encodes byte for byte.
+func TestDecodedModelKeepsItsRate(t *testing.T) {
+	c, eval := fitSmallBooster(t, 7)
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	const lrOffset = 2 + 8 // after the version and NumRounds
+	binary.LittleEndian.PutUint64(payload[lrOffset:], math.Float64bits(learningRate/2))
+	got, err := Decode(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := got.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), payload) {
+		t.Fatal("a decoded model re-encodes differently from the payload it came from")
+	}
+	want, err := c.PredictProba(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := got.PredictProba(eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if have.Data[i] != want.Data[i] {
+			return
+		}
+	}
+	t.Fatal("a model decoded at half the learning rate scores like the original")
+}
+
 func TestEncodeUnfitted(t *testing.T) {
-	if err := New(DefaultConfig()).Encode(&bytes.Buffer{}); err == nil {
+	if err := New(Config{}).Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("encoding an unfitted booster should fail")
 	}
 }
@@ -126,13 +190,13 @@ func TestDecodeCountsAreClaims(t *testing.T) {
 		ww := wire.NewWriter(&buf)
 		ww.U16(codecVersion)
 		ww.Int(1)   // NumRounds
-		ww.F64(0.3) // LearningRate
-		ww.Int(3)   // MaxDepth
+		ww.F64(0.3) // learning rate
+		ww.Int(3)   // retired MaxDepth slot
 		for range 5 {
-			ww.F64(0) // Gamma, Lambda, Alpha, MinChildWeight, Subsample
+			ww.F64(0) // Gamma, Lambda, Alpha, retired MinChildWeight and Subsample slots
 		}
 		ww.Int(0) // retired Workers slot
-		ww.I64(1) // seed
+		ww.I64(1) // retired Seed slot
 		ww.Int(classes)
 		ww.Int(1) // features
 		ww.F64s([]float64{0})

@@ -66,7 +66,7 @@ func snapToThresholds(rng *rand.Rand, x *mat.Matrix, c *Classifier) {
 // pointerOnly clones a fitted ensemble without its flat form — the
 // hand-populated value every predict method must refuse.
 func pointerOnly(c *Classifier) *Classifier {
-	return &Classifier{cfg: c.cfg, trees: c.trees}
+	return &Classifier{cfg: c.cfg, lr: c.lr, trees: c.trees}
 }
 
 // pointerWalk is the reference the kernel is held to, independent of it:
@@ -78,7 +78,7 @@ func pointerWalk(c *Classifier, ev *mat.Matrix) *mat.Matrix {
 		dst := out.Row(i)
 		for _, round := range c.trees {
 			for k, tr := range round {
-				dst[k] += c.cfg.LearningRate * tr.predictRow(ev.Row(i))
+				dst[k] += c.lr * tr.predictRow(ev.Row(i))
 			}
 		}
 		tree.SoftmaxInto(dst, dst)
@@ -103,28 +103,51 @@ func onEachPath(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
+// depth is the number of splits on the longest root-to-leaf path below id.
+func (t *regTree) depth(id int) int {
+	n := &t.nodes[id]
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(t.depth(n.left), t.depth(n.right))
+}
+
 // TestEquivalenceFlatXGB pins the flat node-array kernel bit-identical to
 // the per-tree pointer walk (pointerWalk) on both kernel paths, across
-// ensemble shapes, including empty and single-row hostile batches. An
-// ensemble holds one tree per round and class: 40 trees for multiclass,
-// 84 for stumps-manyclass, so both cross the 32-tree vector groups.
+// ensemble shapes, including empty and single-row hostile batches. γ
+// shapes the trees: the larger it is, the fewer splits pay for themselves,
+// down to leaves-manyclass, whose every tree is a lone leaf. An ensemble
+// holds one tree per round and class: 40 trees for multiclass, 84 for the
+// manyclass cases, so they cross the 32-tree vector groups.
 func TestEquivalenceFlatXGB(t *testing.T) {
 	cases := []struct {
-		name                      string
-		rounds, depth, classes, d int
+		name               string
+		rounds, classes, d int
+		gamma              float64
+		depth              int // splits on the longest path of the deepest tree
 	}{
-		{"shallow-binary", 4, 2, 2, 3},
-		{"deeper-binary", 10, 5, 2, 5},
-		{"multiclass", 8, 4, 5, 7},
-		{"stumps-manyclass", 12, 1, 7, 4},
+		{"shallow-binary", 4, 2, 3, 3, 2},
+		{"deeper-binary", 10, 2, 5, 0, maxDepth},
+		{"multiclass", 8, 5, 7, 3, 5},
+		{"shallow-manyclass", 12, 7, 4, 5, 3},
+		{"leaves-manyclass", 12, 7, 4, 10, 0},
 	}
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			x, y := randomProblem(rng, 220, tc.d, tc.classes)
-			c := New(Config{NumRounds: tc.rounds, MaxDepth: tc.depth, Seed: 5})
+			c := New(Config{NumRounds: tc.rounds, Gamma: tc.gamma})
 			if err := c.Fit(x, y, tc.classes, nil, nil); err != nil {
 				t.Fatal(err)
+			}
+			deepest := 0
+			for _, round := range c.trees {
+				for _, tr := range round {
+					deepest = max(deepest, tr.depth(0))
+				}
+			}
+			if deepest != tc.depth {
+				t.Fatalf("γ %v grew trees %d splits deep, want %d", tc.gamma, deepest, tc.depth)
 			}
 			if c.Flat() == nil {
 				t.Fatal("Fit left no compiled flat form")
@@ -167,7 +190,7 @@ func TestEquivalenceFlatXGB(t *testing.T) {
 func BenchmarkPredictProbaBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := randomProblem(rng, 512, 28, 26)
-	c := New(Config{NumRounds: 40, LearningRate: 0.3, MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1})
+	c := New(Config{NumRounds: 40, Lambda: 1})
 	if err := c.Fit(x, y, 26, nil, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -199,7 +222,7 @@ func BenchmarkPredictProbaBatch(b *testing.B) {
 func TestFlatXGBCompiledShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	x, y := randomProblem(rng, 150, 4, 3)
-	c := New(Config{NumRounds: 6, MaxDepth: 4, Seed: 11})
+	c := New(Config{NumRounds: 6})
 	if err := c.Fit(x, y, 3, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func refGrow(c *Classifier, t *regTree, x *mat.Matrix, g, h []float64, rows []in
 	}
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, regNode{})
-	if depth >= c.cfg.MaxDepth || len(rows) < 2 {
+	if depth >= maxDepth || len(rows) < 2 {
 		t.nodes[id] = regNode{leaf: true, weight: c.leafWeight(gSum, hSum)}
 		return id
 	}
@@ -48,7 +48,7 @@ func refGrow(c *Classifier, t *regTree, x *mat.Matrix, g, h []float64, rows []in
 				continue
 			}
 			hr := hSum - hl
-			if hl < c.cfg.MinChildWeight || hr < c.cfg.MinChildWeight {
+			if hl < minChildWeight || hr < minChildWeight {
 				continue
 			}
 			gain := c.splitScore(gl, hl) + c.splitScore(gSum-gl, hr) - parentScore - c.cfg.Gamma
@@ -149,16 +149,15 @@ func upper(x *mat.Matrix, i int) int {
 // search to the per-node sort it replaced, with ties in ascending row
 // order, node for node and importance bit for bit. Gradients are a real
 // round's (softmax of random scores), so gl and hl are sums a tie order
-// could move, and rows come from full and subsampled rounds.
+// could move.
 func TestEquivalenceSplitOrderMatchesStableSort(t *testing.T) {
 	cases := []struct {
 		n   int
 		cfg Config
 	}{
-		{30, Config{MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 1}},
-		{200, Config{MaxDepth: 4, Lambda: 1, MinChildWeight: 0.5, Subsample: 0.7}},
-		{300, Config{MaxDepth: 6, Lambda: 2, Alpha: 0.3, Gamma: 0.05, MinChildWeight: 1, Subsample: 1}},
-		{1223, Config{MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 0.8}},
+		{30, Config{Lambda: 1}},
+		{300, Config{Lambda: 2, Alpha: 0.3, Gamma: 0.05}},
+		{1223, Config{Lambda: 1}},
 	}
 	for ci, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci + 1)))
@@ -175,8 +174,11 @@ func TestEquivalenceSplitOrderMatchesStableSort(t *testing.T) {
 		b := newGrower(got, ord)
 		g, h := make([]float64, tc.n), make([]float64, tc.n)
 		probs := make([]float64, 3)
+		rows := make([]int, tc.n)
 		for round := 0; round < 3; round++ {
-			rows := got.sampleRows(tc.n, rng)
+			for i := range rows {
+				rows[i] = i
+			}
 			for i := 0; i < tc.n; i++ {
 				for k := range probs {
 					probs[k] = rng.NormFloat64()
@@ -190,7 +192,7 @@ func TestEquivalenceSplitOrderMatchesStableSort(t *testing.T) {
 				g[i] = p - target
 				h[i] = math.Max(p*(1-p), 1e-16)
 			}
-			gotTree := b.buildTree(g, h, rows)
+			gotTree := b.buildTree(g, h)
 			wantTree := &regTree{}
 			refGrow(want, wantTree, x, g, h, rows, 0)
 			if err := sameRegTree(gotTree, wantTree); err != nil {
@@ -246,7 +248,7 @@ func BenchmarkFit(b *testing.B) {
 	x, y := fitProblem(1)
 	b.ReportAllocs()
 	for b.Loop() {
-		c := New(Config{NumRounds: 40, LearningRate: 0.3, MaxDepth: 6, Lambda: 1, MinChildWeight: 1, Subsample: 1, Seed: 1})
+		c := New(Config{NumRounds: 40, Lambda: 1})
 		if err := c.Fit(x, y, 26, nil, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -1,29 +1,24 @@
 // Package xgb implements an XGBoost-style gradient-boosted tree classifier:
 // second-order (Newton) boosting with a softmax objective, exact greedy
 // splits scored by the regularised gain formula, γ (min split loss),
-// λ (ℓ2) and α (ℓ1) regularisation, row subsampling, and gain/weight
-// feature importance — everything the paper's §IV-B experiment exercises.
+// λ (ℓ2) and α (ℓ1) regularisation, and gain/weight feature importance —
+// everything the paper's §IV-B experiment exercises.
 package xgb
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/mat"
 	"repro/internal/tree"
 )
 
-// Config controls boosting.
+// Config controls boosting: the round count and the paper's γ/λ/α grid.
 type Config struct {
 	// NumRounds is the number of boosting rounds (the paper uses 40).
 	NumRounds int
-	// LearningRate shrinks each tree's contribution (xgboost default 0.3).
-	LearningRate float64
-	// MaxDepth limits individual trees (xgboost default 6).
-	MaxDepth int
 	// Gamma is the minimum loss reduction to make a split (γ in the paper's
 	// grid search).
 	Gamma float64
@@ -31,25 +26,18 @@ type Config struct {
 	Lambda float64
 	// Alpha is the ℓ1 regularisation on leaf weights (α).
 	Alpha float64
-	// MinChildWeight is the minimum hessian sum per child.
-	MinChildWeight float64
-	// Subsample is the per-tree row sampling fraction (1 = all rows).
-	Subsample float64
-	// Seed drives subsampling.
-	Seed int64
 }
 
-// DefaultConfig mirrors common xgboost defaults with the paper's 40 rounds.
-func DefaultConfig() Config {
-	return Config{
-		NumRounds:      40,
-		LearningRate:   0.3,
-		MaxDepth:       6,
-		Lambda:         1,
-		MinChildWeight: 1,
-		Subsample:      1,
-	}
-}
+// xgboost's defaults for the settings the paper does not search. Every tree
+// sees every training row.
+const (
+	// learningRate shrinks each tree's contribution.
+	learningRate = 0.3
+	// maxDepth limits individual trees.
+	maxDepth = 6
+	// minChildWeight is the minimum hessian sum per child.
+	minChildWeight = 1
+)
 
 // regNode is one node of a regression tree on (gradient, hessian) targets.
 type regNode struct {
@@ -83,6 +71,7 @@ func (t *regTree) predictRow(row []float64) float64 {
 type Classifier struct {
 	tree.Ensemble
 	cfg   Config
+	lr    float64      // the rate the trees are scaled by: learningRate, or a decoded model's own
 	trees [][]*regTree // [round][class]
 
 	gainImp   []float64
@@ -95,22 +84,10 @@ type Classifier struct {
 	EvalAccuracy []float64
 }
 
-// New returns an unfitted classifier.
+// New returns an unfitted classifier. NumRounds ≤ 0 selects 40.
 func New(cfg Config) *Classifier {
 	if cfg.NumRounds <= 0 {
 		cfg.NumRounds = 40
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.3
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 6
-	}
-	if cfg.MinChildWeight <= 0 {
-		cfg.MinChildWeight = 1
-	}
-	if cfg.Subsample <= 0 || cfg.Subsample > 1 {
-		cfg.Subsample = 1
 	}
 	return &Classifier{cfg: cfg}
 }
@@ -145,7 +122,7 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 	if err != nil {
 		return fmt.Errorf("xgb: %w", err)
 	}
-	fit := &Classifier{cfg: c.cfg, gainImp: make([]float64, x.Cols), weightImp: make([]float64, x.Cols)}
+	fit := &Classifier{cfg: c.cfg, lr: learningRate, gainImp: make([]float64, x.Cols), weightImp: make([]float64, x.Cols)}
 	b := newGrower(fit, ord)
 
 	n := x.Rows
@@ -153,7 +130,6 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 	probs := mat.New(n, numClasses)
 	g := make([]float64, n)
 	h := make([]float64, n)
-	rng := rand.New(rand.NewSource(c.cfg.Seed))
 
 	var evalScores *mat.Matrix
 	if evalX != nil {
@@ -170,7 +146,6 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 		}
 		fit.TrainLoss = append(fit.TrainLoss, loss/float64(n))
 
-		rows := c.sampleRows(n, rng)
 		roundTrees := make([]*regTree, numClasses)
 		for k := 0; k < numClasses; k++ {
 			for i := 0; i < n; i++ {
@@ -182,14 +157,14 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 				g[i] = p - target
 				h[i] = math.Max(p*(1-p), 1e-16)
 			}
-			tr := b.buildTree(g, h, rows)
+			tr := b.buildTree(g, h)
 			roundTrees[k] = tr
 			for i := 0; i < n; i++ {
-				scores.Set(i, k, scores.At(i, k)+c.cfg.LearningRate*tr.predictRow(x.Row(i)))
+				scores.Set(i, k, scores.At(i, k)+learningRate*tr.predictRow(x.Row(i)))
 			}
 			if evalScores != nil {
 				for i := 0; i < evalX.Rows; i++ {
-					evalScores.Set(i, k, evalScores.At(i, k)+c.cfg.LearningRate*tr.predictRow(evalX.Row(i)))
+					evalScores.Set(i, k, evalScores.At(i, k)+learningRate*tr.predictRow(evalX.Row(i)))
 				}
 			}
 		}
@@ -205,31 +180,11 @@ func (c *Classifier) Fit(x *mat.Matrix, y []int, numClasses int, evalX *mat.Matr
 			fit.EvalAccuracy = append(fit.EvalAccuracy, float64(correct)/float64(evalX.Rows))
 		}
 	}
-	if fit.Ensemble, err = compile(fit.trees, c.cfg.LearningRate, x.Cols, numClasses); err != nil {
+	if fit.Ensemble, err = compile(fit.trees, learningRate, x.Cols, numClasses); err != nil {
 		return err
 	}
 	*c = *fit
 	return nil
-}
-
-func (c *Classifier) sampleRows(n int, rng *rand.Rand) []int {
-	if c.cfg.Subsample >= 1 {
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		return rows
-	}
-	var rows []int
-	for i := 0; i < n; i++ {
-		if rng.Float64() < c.cfg.Subsample {
-			rows = append(rows, i)
-		}
-	}
-	if len(rows) == 0 {
-		rows = append(rows, rng.Intn(n))
-	}
-	return rows
 }
 
 // leafWeight applies the ℓ1 soft threshold and ℓ2 shrinkage:
@@ -275,14 +230,15 @@ func newGrower(c *Classifier, ord *tree.Order) *grower {
 	}
 }
 
-// buildTree grows one regression tree by exact greedy search on a copy of
-// rows. Each node splits its rows in place, stably, so a child's gradient
-// sums add its rows in the order the caller gave them.
-func (b *grower) buildTree(g, h []float64, rows []int) *regTree {
+// buildTree grows one regression tree over every training row by exact
+// greedy search. Each node splits its rows in place, stably, so a child's
+// gradient sums add its rows in ascending row order.
+func (b *grower) buildTree(g, h []float64) *regTree {
 	t := &regTree{}
-	own := b.own[:len(rows)]
-	copy(own, rows)
-	b.grow(t, g, h, own, 0)
+	for i := range b.own {
+		b.own[i] = i
+	}
+	b.grow(t, g, h, b.own, 0)
 	return t
 }
 
@@ -298,7 +254,7 @@ func (b *grower) grow(t *regTree, g, h []float64, rows []int, depth int) int {
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, regNode{})
 
-	if depth >= c.cfg.MaxDepth || len(rows) < 2 {
+	if depth >= maxDepth || len(rows) < 2 {
 		t.nodes[id] = regNode{leaf: true, weight: c.leafWeight(gSum, hSum)}
 		return id
 	}
@@ -322,7 +278,7 @@ func (b *grower) grow(t *regTree, g, h []float64, rows []int, depth int) int {
 				continue
 			}
 			hr := hSum - hl
-			if hl < c.cfg.MinChildWeight || hr < c.cfg.MinChildWeight {
+			if hl < minChildWeight || hr < minChildWeight {
 				continue
 			}
 			gain := c.splitScore(gl, hl) + c.splitScore(gSum-gl, hr) - parentScore - c.cfg.Gamma
